@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet bench bench-smoke check cover fuzz-smoke golden-update serve-smoke
+.PHONY: build test race vet bench bench-smoke bench-e2e bench-e2e-trace bench-e2e-test check cover fuzz-smoke golden-update serve-smoke
 
 # Packages whose coverage is gated in CI: the wire/transport layer, the
 # measurement cores, the stage runner, the snapshot codecs, the metrics
@@ -43,6 +43,22 @@ bench:
 bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
 
+# bench-e2e runs the repository's one benchmark (cmd/bench, its own
+# module; BENCHMARK.json is its contract): four workloads, each produce →
+# resume → export → serve from the real clientmapd, every output checked.
+# bench-e2e-trace adds the per-layer ladder and spans. bench-e2e-test vets
+# it and runs its own tests, which the root module's build and tests never
+# touch: it is what notices a change to internal/serve or internal/dnsnet
+# that stops the benchmark compiling or passing.
+bench-e2e:
+	$(GO) run -C cmd/bench .
+
+bench-e2e-trace:
+	$(GO) run -C cmd/bench . -trace 1
+
+bench-e2e-test:
+	cd cmd/bench && $(GO) vet ./... && $(GO) test ./...
+
 # cover enforces a per-package statement-coverage floor on the gated
 # packages. Per-package (not aggregate) so a well-tested neighbour can't
 # mask an untested one.
@@ -67,6 +83,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzChurnParse -fuzztime=10s ./internal/churn
 	$(GO) test -run='^$$' -fuzz=FuzzReverseName -fuzztime=10s ./internal/serve
 	$(GO) test -run='^$$' -fuzz=FuzzHTTPQuery -fuzztime=10s ./internal/serve
+	$(GO) test -run='^$$' -fuzz=FuzzServeWire -fuzztime=10s ./internal/serve
 	$(GO) test -run='^$$' -fuzz=FuzzSnapshotDecode -fuzztime=10s ./internal/snapshot
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=10s ./internal/statefs
 
@@ -83,23 +100,17 @@ golden-update:
 # check is the pre-merge gate: static analysis plus the race-enabled suite.
 check: vet race
 
-# serve-smoke boots the full serving path end to end: export a tiny
-# deterministic artifact, start clientmapd on ephemeral ports, replay a
-# loadgen burst over both transports, and fail on any query error or a
-# p99 above 50ms. The limiter is off — loadgen blasts from one client.
-SMOKE_DIR = /tmp/clientmap-smoke
+# serve-smoke boots the full serving path end to end, twice: cmd/bench
+# produces a small map, exports it, starts the real clientmapd on loopback
+# and drives it for a second over DNS and HTTP with the hot mix (every
+# name cached) and then the cold mix (hardly any), checking every reply
+# against the index. Each run exits non-zero on a wrong reply; a
+# single-workload run only reports lost queries, so the result object on
+# its last line is checked for those as well. About 5 s each.
 serve-smoke:
-	mkdir -p $(SMOKE_DIR)
-	$(GO) build -o $(SMOKE_DIR)/experiments ./cmd/experiments
-	$(GO) build -o $(SMOKE_DIR)/clientmapd ./cmd/clientmapd
-	$(GO) build -o $(SMOKE_DIR)/loadgen ./cmd/loadgen
-	$(SMOKE_DIR)/experiments -scale tiny -seed 2021 -serve-artifact $(SMOKE_DIR)/map.snap
-	$(SMOKE_DIR)/clientmapd -artifact $(SMOKE_DIR)/map.snap \
-		-http 127.0.0.1:18053 -dns 127.0.0.1:15353 -rate=-1 & pid=$$!; \
-	trap 'kill $$pid' EXIT; \
-	for i in $$(seq 1 50); do \
-		curl -fsS http://127.0.0.1:18053/healthz >/dev/null 2>&1 && break; sleep 0.1; \
-	done; \
-	$(SMOKE_DIR)/loadgen -artifact $(SMOKE_DIR)/map.snap \
-		-http http://127.0.0.1:18053 -dns 127.0.0.1:15353 \
-		-n 1000 -workers 8 -p99-max 50ms -json $(SMOKE_DIR)/BENCH_serve.json
+	@for w in serve_hot serve_cold; do \
+		out=$$($(GO) run -C cmd/bench . -smoke -workload $$w -seconds 1) || { echo "$$out"; exit 1; }; \
+		echo "$$out"; \
+		echo "$$out" | tail -n 1 | grep '"correct":true' | grep -q '"failed":0' || \
+			{ echo "serve-smoke: $$w lost or failed queries" >&2; exit 1; }; \
+	done

@@ -22,8 +22,21 @@ import (
 // Handler responds to DNS queries. from is the source address the server
 // sees (for anycast routing and trace capture). A nil response means the
 // query is dropped, which clients observe as a timeout.
+//
+// Server calls the handler on the goroutine that read the query, with a
+// query Message it decodes the next query into: a handler retains neither
+// the message nor its slices past its return, and returns promptly — one
+// that blocks holds up a share of the socket's traffic.
 type Handler interface {
 	ServeDNS(ctx context.Context, from netx.Addr, query *dnswire.Message) *dnswire.Message
+}
+
+// Appender is the optional append form of a Handler, which Server prefers
+// on both transports: the reply's wire bytes are appended to dst and the
+// extended slice returned, and returning dst unextended drops the query.
+// The Handler contract holds for it too.
+type Appender interface {
+	AppendDNS(dst []byte, from netx.Addr, query *dnswire.Message) []byte
 }
 
 // HandlerFunc adapts a function to Handler.

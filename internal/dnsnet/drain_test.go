@@ -2,6 +2,7 @@ package dnsnet
 
 import (
 	"context"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -9,15 +10,17 @@ import (
 	"clientmap/internal/netx"
 )
 
-// gateHandler blocks every query until release closes, signalling entry
-// on enter (non-blocking, so late probes never wedge).
+// gateHandler holds the first query it sees until release closes,
+// signalling its entry on enter, and answers every later query at once:
+// the server runs a fixed number of loops, so a handler that held every
+// query would hold every loop and leave none to refuse the late probes.
 func gateHandler(enter chan struct{}, release chan struct{}) Handler {
+	var held atomic.Bool
 	return HandlerFunc(func(_ context.Context, _ netx.Addr, q *dnswire.Message) *dnswire.Message {
-		select {
-		case enter <- struct{}{}:
-		default:
+		if held.CompareAndSwap(false, true) {
+			enter <- struct{}{}
+			<-release
 		}
-		<-release
 		return q.Reply()
 	})
 }

@@ -2,55 +2,96 @@ package dnsnet
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
+	"io"
 	"net"
+	"net/netip"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"clientmap/internal/dnswire"
 	"clientmap/internal/netx"
 )
 
+// How long a TCP connection may sit between queries, and how long one
+// reply may take to leave: a peer that stops reading is cut off instead
+// of pinning a goroutine.
+const (
+	tcpIdleTimeout  = 30 * time.Second
+	tcpWriteTimeout = 10 * time.Second
+)
+
 // Server serves a Handler over real UDP and TCP sockets. It exists so the
 // simulated DNS services (authoritative zones, the Google Public DNS model)
 // can also be exposed on loopback or a LAN and probed by the real client
-// tools — the integration tests and cmd/cachescan use exactly this path.
+// tools — the integration tests and cmd/cachescan use exactly this path —
+// and it is clientmapd's DNS front end.
+//
+// Each UDP socket is served by a fixed set of loops, each reading,
+// decoding, answering and writing on its own reused message and buffer;
+// each TCP connection likewise. Nothing is spawned or allocated per query.
 //
 // A zero Server is not usable; construct with NewServer.
 type Server struct {
-	handler Handler
+	handler  Handler
+	appender Appender // handler's append form, nil if it has none
 
-	mu       sync.Mutex
-	pconns   []net.PacketConn
-	lns      []net.Listener
-	closed   bool
-	draining bool
-	inflight int
-	idle     chan struct{} // non-nil while a Drain waits for inflight==0
-	dropped  int64         // queries refused because a drain had started
-	wg       sync.WaitGroup
+	tcpIdle, tcpWrite time.Duration
+
+	// Query admission is lock-free: a query counts in inflight from
+	// before the draining check until after its reply is written.
+	inflight atomic.Int64
+	draining atomic.Bool
+	dropped  atomic.Int64  // queries refused because a drain had started
+	idle     chan struct{} // closed once a drain sees inflight reach zero
+	idleOnce sync.Once
+
+	mu     sync.Mutex
+	socks  []io.Closer           // UDP sockets and TCP listeners
+	conns  map[net.Conn]struct{} // open TCP connections
+	closed bool
+	wg     sync.WaitGroup // every loop and connection goroutine
 }
 
 // NewServer returns a Server dispatching to handler.
 func NewServer(handler Handler) *Server {
-	return &Server{handler: handler}
+	s := &Server{
+		handler:  handler,
+		tcpIdle:  tcpIdleTimeout,
+		tcpWrite: tcpWriteTimeout,
+		idle:     make(chan struct{}),
+		conns:    make(map[net.Conn]struct{}),
+	}
+	s.appender, _ = handler.(Appender)
+	return s
 }
 
-// srcAddr extracts the IPv4 source address from a net.Addr, returning zero
-// for non-IPv4 peers (IPv6 loopback still yields a usable zero source).
-func srcAddr(a net.Addr) netx.Addr {
-	var ip net.IP
-	switch v := a.(type) {
-	case *net.UDPAddr:
-		ip = v.IP
-	case *net.TCPAddr:
-		ip = v.IP
-	}
-	ip4 := ip.To4()
-	if ip4 == nil {
+// srcAddr converts a peer address to the IPv4 source handlers see. A
+// dual-stack socket reports IPv4 peers in mapped form, so the address is
+// unmapped first; real IPv6 peers yield zero.
+func srcAddr(a netip.Addr) netx.Addr {
+	a = a.Unmap()
+	if !a.Is4() {
 		return 0
 	}
-	return netx.AddrFrom4(ip4[0], ip4[1], ip4[2], ip4[3])
+	b := a.As4()
+	return netx.AddrFrom4(b[0], b[1], b[2], b[3])
+}
+
+// track registers a socket or listener for Close and reserves n
+// goroutines on the wait group; false means the server already closed.
+func (s *Server) track(c io.Closer, n int) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return false
+	}
+	s.socks = append(s.socks, c)
+	s.wg.Add(n)
+	return true
 }
 
 // ListenUDP starts serving UDP datagrams on addr (e.g. "127.0.0.1:0") and
@@ -60,55 +101,59 @@ func (s *Server) ListenUDP(addr string) (net.Addr, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		pc.Close()
+	conn := pc.(*net.UDPConn)
+	// Two loops at least, so one slow handler call does not stop the
+	// socket; beyond that, one per processor that could run it.
+	loops := max(2, runtime.GOMAXPROCS(0))
+	if !s.track(conn, loops) {
+		conn.Close()
 		return nil, ErrServerClosed
 	}
-	s.pconns = append(s.pconns, pc)
-	s.mu.Unlock()
-
-	s.wg.Add(1)
-	go s.serveUDP(pc)
-	return pc.LocalAddr(), nil
+	for i := 0; i < loops; i++ {
+		go s.serveUDP(conn)
+	}
+	return conn.LocalAddr(), nil
 }
 
-func (s *Server) serveUDP(pc net.PacketConn) {
+func (s *Server) serveUDP(conn *net.UDPConn) {
 	defer s.wg.Done()
-	buf := make([]byte, 65535)
+	var query dnswire.Message
+	in := make([]byte, 65535)
+	out := make([]byte, 0, 512)
 	for {
-		n, raddr, err := pc.ReadFrom(buf)
+		n, from, err := conn.ReadFromUDPAddrPort(in)
 		if err != nil {
 			return // closed
 		}
-		// Unmarshal copies everything it keeps, so buf can be reused for
-		// the next datagram while the handler runs.
-		query, err := dnswire.Unmarshal(buf[:n])
-		if err != nil {
+		if dnswire.UnmarshalInto(&query, in[:n]) != nil {
 			continue // malformed datagrams are dropped, like real servers
 		}
 		if !s.beginQuery() {
 			continue // draining: the client retries another server
 		}
-		s.wg.Add(1)
-		go func(query *dnswire.Message, raddr net.Addr) {
-			defer s.wg.Done()
-			// endQuery only after the response hits the socket: a drain
-			// waiting on the inflight count must not close the socket
-			// between the handler finishing and the write.
-			defer s.endQuery()
-			resp := s.handler.ServeDNS(context.Background(), srcAddr(raddr), query)
-			if resp == nil {
-				return
-			}
-			wire, err := resp.Marshal()
-			if err != nil {
-				return
-			}
-			_, _ = pc.WriteTo(wire, raddr)
-		}(query, raddr)
+		out = s.reply(out[:0], srcAddr(from.Addr()), &query)
+		if len(out) > 0 {
+			_, _ = conn.WriteToUDPAddrPort(out, from)
+		}
+		s.endQuery()
 	}
+}
+
+// reply appends the handler's answer to query to dst; dst unextended
+// means the query is dropped.
+func (s *Server) reply(dst []byte, from netx.Addr, query *dnswire.Message) []byte {
+	if s.appender != nil {
+		return s.appender.AppendDNS(dst, from, query)
+	}
+	resp := s.handler.ServeDNS(context.Background(), from, query)
+	if resp == nil {
+		return dst
+	}
+	out, err := resp.AppendMarshal(dst)
+	if err != nil {
+		return dst
+	}
+	return out
 }
 
 // ListenTCP starts serving length-framed TCP connections on addr and
@@ -118,16 +163,10 @@ func (s *Server) ListenTCP(addr string) (net.Addr, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	if !s.track(ln, 1) {
 		ln.Close()
 		return nil, ErrServerClosed
 	}
-	s.lns = append(s.lns, ln)
-	s.mu.Unlock()
-
-	s.wg.Add(1)
 	go s.serveTCP(ln)
 	return ln.Addr(), nil
 }
@@ -139,59 +178,81 @@ func (s *Server) serveTCP(ln net.Listener) {
 		if err != nil {
 			return // closed
 		}
+		s.mu.Lock()
+		if s.closed {
+			s.mu.Unlock()
+			conn.Close()
+			return
+		}
+		s.conns[conn] = struct{}{}
 		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			defer conn.Close()
-			src := srcAddr(conn.RemoteAddr())
-			for {
-				_ = conn.SetReadDeadline(time.Now().Add(30 * time.Second))
-				query, err := dnswire.ReadTCP(conn)
-				if err != nil {
-					return
-				}
-				if !s.beginQuery() {
-					return // draining: close the connection, client retries
-				}
-				resp := s.handler.ServeDNS(context.Background(), src, query)
-				if resp == nil {
-					s.endQuery()
-					return // drop the connection, as rate-limited servers do
-				}
-				err = dnswire.WriteTCP(conn, resp)
-				s.endQuery()
-				if err != nil {
-					return
-				}
-			}
-		}()
+		s.mu.Unlock()
+		go s.serveConn(conn)
+	}
+}
+
+func (s *Server) serveConn(conn net.Conn) {
+	defer s.wg.Done()
+	defer func() {
+		s.mu.Lock()
+		delete(s.conns, conn)
+		s.mu.Unlock()
+		conn.Close()
+	}()
+	var src netx.Addr
+	if ta, ok := conn.RemoteAddr().(*net.TCPAddr); ok {
+		src = srcAddr(ta.AddrPort().Addr())
+	}
+	var query dnswire.Message
+	out := make([]byte, 0, 514)
+	for {
+		_ = conn.SetReadDeadline(time.Now().Add(s.tcpIdle))
+		if dnswire.ReadTCPInto(conn, &query) != nil {
+			return
+		}
+		if !s.beginQuery() {
+			return // draining: close the connection, client retries
+		}
+		// The reply is built behind its two-byte length prefix and
+		// leaves in one write.
+		out = s.reply(append(out[:0], 0, 0), src, &query)
+		n := len(out) - 2
+		if n == 0 || n > 0xFFFF {
+			s.endQuery()
+			return // drop the connection, as rate-limited servers do
+		}
+		binary.BigEndian.PutUint16(out, uint16(n))
+		_ = conn.SetWriteDeadline(time.Now().Add(s.tcpWrite))
+		_, err := conn.Write(out)
+		s.endQuery()
+		if err != nil {
+			return
+		}
 	}
 }
 
 // beginQuery admits a query into the in-flight count. False means the
-// server is draining or closed and the query must be refused — the
-// anycast client's retry lands on another replica.
+// server is draining and the query must be refused — the anycast
+// client's retry lands on another replica. Counting before checking is
+// what lets Drain trust a zero: a query that slips past the flag is
+// already in the count Drain reads next.
 func (s *Server) beginQuery() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.draining || s.closed {
-		s.dropped++
+	s.inflight.Add(1)
+	if s.draining.Load() {
+		s.dropped.Add(1)
+		s.endQuery()
 		return false
 	}
-	s.inflight++
 	return true
 }
 
-// endQuery retires a query after its response has been written, waking
-// a waiting Drain when the server goes idle.
+// endQuery retires a query after its response has been written — never
+// before, or a drain could close the socket between the handler finishing
+// and the write — and wakes a waiting Drain when the server goes idle.
 func (s *Server) endQuery() {
-	s.mu.Lock()
-	s.inflight--
-	if s.inflight == 0 && s.idle != nil {
-		close(s.idle)
-		s.idle = nil
+	if s.inflight.Add(-1) == 0 && s.draining.Load() {
+		s.idleOnce.Do(func() { close(s.idle) })
 	}
-	s.mu.Unlock()
 }
 
 // Drain gracefully shuts the server down: new queries are refused from
@@ -200,28 +261,16 @@ func (s *Server) endQuery() {
 // went idle in time, false when the timeout abandoned in-flight work.
 // Drain is idempotent with Close and safe to call concurrently with it.
 func (s *Server) Drain(timeout time.Duration) bool {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return true
-	}
-	s.draining = true
-	var idle chan struct{}
-	if s.inflight > 0 {
-		if s.idle == nil {
-			s.idle = make(chan struct{})
-		}
-		idle = s.idle
-	}
-	s.mu.Unlock()
-
+	s.draining.Store(true)
 	done := true
-	if idle != nil {
+	if s.inflight.Load() != 0 {
+		t := time.NewTimer(timeout)
 		select {
-		case <-idle:
-		case <-time.After(timeout):
+		case <-s.idle:
+		case <-t.C:
 			done = false
 		}
+		t.Stop()
 	}
 	s.Close()
 	return done
@@ -229,14 +278,10 @@ func (s *Server) Drain(timeout time.Duration) bool {
 
 // DrainDropped reports how many queries were refused because they
 // arrived after a drain (or close) had begun.
-func (s *Server) DrainDropped() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dropped
-}
+func (s *Server) DrainDropped() int64 { return s.dropped.Load() }
 
-// Close shuts down all listeners and waits for in-flight handlers on both
-// transports to finish.
+// Close shuts down all sockets, listeners and open TCP connections, and
+// waits for every serving goroutine to finish its current query and exit.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -244,12 +289,13 @@ func (s *Server) Close() error {
 		return nil
 	}
 	s.closed = true
+	s.draining.Store(true)
 	var errs []error
-	for _, pc := range s.pconns {
-		errs = append(errs, pc.Close())
+	for _, c := range s.socks {
+		errs = append(errs, c.Close())
 	}
-	for _, ln := range s.lns {
-		errs = append(errs, ln.Close())
+	for conn := range s.conns {
+		conn.Close()
 	}
 	s.mu.Unlock()
 	s.wg.Wait()

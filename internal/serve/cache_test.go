@@ -65,10 +65,10 @@ func TestCacheHitsPreserveBytes(t *testing.T) {
 func TestCacheEvictionRespectsCapacity(t *testing.T) {
 	const capacity = 16
 	for trial := 0; trial < 5; trial++ {
-		c := NewCache[int](4, capacity)
+		c := NewCache[[]byte](4, capacity)
 		r := rand.New(rand.NewSource(int64(trial)))
 		for i := 0; i < 5000; i++ {
-			c.Put(uint64(r.Intn(3)), fmt.Sprintf("k%d", r.Intn(2000)), i)
+			c.Put(uint64(r.Intn(3)), fmt.Sprintf("k%d", r.Intn(2000)), []byte{byte(i)})
 			if i%97 == 0 {
 				for s, n := range c.ShardLens() {
 					if n > capacity {
@@ -93,23 +93,38 @@ func TestCacheEvictionRespectsCapacity(t *testing.T) {
 func TestCacheEvictionKeepsNewestKey(t *testing.T) {
 	// FIFO: after overflowing a 1-shard/2-entry cache, the newest key
 	// must survive.
-	c := NewCache[int](1, 2)
-	c.Put(1, "a", 1)
-	c.Put(1, "b", 2)
-	c.Put(1, "c", 3)
+	c := NewCache[[]byte](1, 2)
+	c.Put(1, "a", []byte{1})
+	c.Put(1, "b", []byte{2})
+	c.Put(1, "c", []byte{3})
 	if _, ok := c.Get(1, "a"); ok {
 		t.Error("oldest entry survived eviction")
 	}
-	if v, ok := c.Get(1, "c"); !ok || v != 3 {
+	if v, ok := c.Get(1, "b"); !ok || v[0] != 2 {
+		t.Error("second-oldest entry evicted early")
+	}
+	if v, ok := c.Get(1, "c"); !ok || v[0] != 3 {
 		t.Error("newest entry evicted")
+	}
+	// A rewritten key keeps its place in the queue: "b" is still next out.
+	c.Put(1, "b", []byte{4})
+	c.Put(1, "d", []byte{5})
+	if _, ok := c.Get(1, "b"); ok {
+		t.Error("rewriting an entry moved it to the back of the queue")
 	}
 	if c.Len() != 2 {
 		t.Errorf("Len = %d, want 2", c.Len())
 	}
 }
 
+// TestCacheConcurrent hammers one small cache from several goroutines.
+// Every value is its key repeated, so a hit that returns anything else —
+// torn, stale, or a slot's next tenant — shows; and each hit is checked
+// again after further Puts have gone through the same shards, because a
+// Get result must never alias memory a later Put overwrites.
 func TestCacheConcurrent(t *testing.T) {
-	c := NewCache[[]byte](8, 64)
+	c := NewCache[[]byte](2, 16)
+	value := func(key string) []byte { return bytes.Repeat([]byte(key), 1+len(key)%3) }
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -120,8 +135,18 @@ func TestCacheConcurrent(t *testing.T) {
 				key := fmt.Sprintf("k%d", r.Intn(200))
 				gen := uint64(r.Intn(4))
 				if r.Intn(2) == 0 {
-					c.Put(gen, key, []byte(key))
-				} else if v, ok := c.Get(gen, key); ok && string(v) != key {
+					c.Put(gen, key, value(key))
+					continue
+				}
+				v, ok := c.Get(gen, key)
+				if !ok {
+					continue
+				}
+				for j := 0; j < 4; j++ {
+					other := fmt.Sprintf("k%d", r.Intn(200))
+					c.Put(gen, other, value(other))
+				}
+				if !bytes.Equal(v, value(key)) {
 					t.Errorf("key %s returned %q", key, v)
 					return
 				}
@@ -132,7 +157,7 @@ func TestCacheConcurrent(t *testing.T) {
 }
 
 func TestCacheShardRounding(t *testing.T) {
-	c := NewCache[int](3, 0) // rounds to 4 shards, capacity clamps to 1
+	c := NewCache[[]byte](3, 0) // rounds to 4 shards, capacity clamps to 1
 	if len(c.shards) != 4 || c.cap != 1 {
 		t.Fatalf("NewCache(3, 0) = %d shards cap %d", len(c.shards), c.cap)
 	}

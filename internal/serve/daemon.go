@@ -11,7 +11,6 @@ import (
 
 	"clientmap/internal/clockx"
 	"clientmap/internal/dnsnet"
-	"clientmap/internal/dnswire"
 	"clientmap/internal/metrics"
 )
 
@@ -22,7 +21,6 @@ type serveMetrics struct {
 	dnsCacheHits    *metrics.Counter
 	dnsRateLimited  *metrics.Counter
 	httpQueries     *metrics.Counter
-	httpCacheHits   *metrics.Counter
 	httpRateLimited *metrics.Counter
 	reloads         *metrics.Counter
 	reloadErrors    *metrics.Counter
@@ -43,7 +41,6 @@ func newServeMetrics(reg *metrics.Registry) *serveMetrics {
 		dnsCacheHits:    reg.Counter("serve.dns.cache_hits"),
 		dnsRateLimited:  reg.Counter("serve.dns.rate_limited"),
 		httpQueries:     reg.Counter("serve.http.queries"),
-		httpCacheHits:   reg.Counter("serve.http.cache_hits"),
 		httpRateLimited: reg.Counter("serve.http.rate_limited"),
 		reloads:         reg.Counter("serve.reloads"),
 		reloadErrors:    reg.Counter("serve.reload_errors"),
@@ -74,10 +71,6 @@ type Config struct {
 	// ReloadEvery polls ArtifactPath for changes (0 disables polling;
 	// Reload can still be called explicitly).
 	ReloadEvery time.Duration
-	// CacheShards and CacheCapacity size each response cache (defaults
-	// 16 shards × 4096 entries).
-	CacheShards   int
-	CacheCapacity int
 	// RateLimit configures the per-client limiter; a zero struct takes
 	// the limiter defaults. Set Rate < 0 to disable limiting entirely.
 	RateLimit LimiterConfig
@@ -87,8 +80,8 @@ type Config struct {
 	Metrics *metrics.Registry
 }
 
-// Daemon is the serving process: one Store, one limiter, two caches, and
-// up to three listeners (HTTP, DNS UDP+TCP, debug). Construct with
+// Daemon is the serving process: one Store, one limiter, the DNS response
+// cache, and up to three listeners (HTTP, DNS UDP+TCP, debug). Construct with
 // NewDaemon, then Start; Close is idempotent.
 type Daemon struct {
 	cfg   Config
@@ -122,12 +115,6 @@ func NewDaemon(cfg Config) *Daemon {
 	if cfg.TTL == 0 {
 		cfg.TTL = 60
 	}
-	if cfg.CacheShards <= 0 {
-		cfg.CacheShards = 16
-	}
-	if cfg.CacheCapacity <= 0 {
-		cfg.CacheCapacity = 4096
-	}
 	if cfg.Clock == nil {
 		cfg.Clock = clockx.Real{}
 	}
@@ -150,21 +137,21 @@ func NewDaemon(cfg Config) *Daemon {
 		}
 		lim = NewLimiter(lc)
 	}
-	d.dns = &DNSHandler{
-		store:  d.store,
-		cache:  NewCache[*dnswire.Message](cfg.CacheShards, cfg.CacheCapacity),
-		limits: lim,
-		zone:   cfg.Zone,
-		ttl:    cfg.TTL,
-		met:    d.met,
-	}
-	d.http = &HTTPHandler{
-		store:  d.store,
-		cache:  NewCache[[]byte](cfg.CacheShards, cfg.CacheCapacity),
-		limits: lim,
-		met:    d.met,
-	}
+	d.dns = newDNSHandler(d.store, lim, cfg.Zone, cfg.TTL, d.met)
+	d.http = &HTTPHandler{store: d.store, limits: lim, met: d.met}
 	return d
+}
+
+// newHTTPServer wraps h in a server that gives up on a client too slow to
+// finish its request header or idle too long between requests, and reads
+// no header larger than a query API needs.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: 5 * time.Second,
+		IdleTimeout:       120 * time.Second,
+		MaxHeaderBytes:    8 << 10,
+	}
 }
 
 // Store exposes the daemon's index store (tests swap artifacts through
@@ -227,7 +214,7 @@ func (d *Daemon) listen() error {
 			return fmt.Errorf("serve: http listen: %w", err)
 		}
 		d.httpLn = ln
-		d.httpSrv = &http.Server{Handler: d.http}
+		d.httpSrv = newHTTPServer(d.http)
 		d.stopped.Add(1)
 		go func() {
 			defer d.stopped.Done()

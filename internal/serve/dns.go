@@ -2,6 +2,8 @@ package serve
 
 import (
 	"context"
+	"encoding/binary"
+	"math/bits"
 	"strconv"
 	"strings"
 
@@ -18,16 +20,38 @@ const DefaultZone = "clientmap"
 // DNSBL convention of answering inside 127.0.0.0/8.
 var ActiveA = netx.AddrFrom4(127, 0, 0, 2)
 
-// DNSHandler answers clientmap queries over the dnsnet listeners. It is
-// constructed by the Daemon but usable standalone (the race and golden
-// tests drive it directly).
+// DNSHandler answers clientmap queries over the dnsnet listeners, which
+// call its append form; ServeDNS is the same path for in-process callers.
+// It is constructed by the Daemon but usable standalone (the race and
+// golden tests drive it directly).
 type DNSHandler struct {
 	store  *Store
-	cache  *Cache[*dnswire.Message]
+	cache  *Cache[[]byte] // reply wire with ID 0, keyed by the reply's question section
 	limits *Limiter
 	zone   string // canonical, no trailing dot
 	ttl    uint32
 	met    *serveMetrics
+
+	mname, rname string // the SOA's server and mailbox names under zone
+}
+
+// The response cache's shape: 65 536 replies.
+const (
+	dnsCacheShards   = 16
+	dnsCacheCapacity = 4096
+)
+
+func newDNSHandler(store *Store, limits *Limiter, zone string, ttl uint32, met *serveMetrics) *DNSHandler {
+	return &DNSHandler{
+		store:  store,
+		cache:  NewCache[[]byte](dnsCacheShards, dnsCacheCapacity),
+		limits: limits,
+		zone:   zone,
+		ttl:    ttl,
+		met:    met,
+		mname:  "ns." + zone,
+		rname:  "ops." + zone,
+	}
 }
 
 // ParseReverseName extracts the IPv4 address from an RBL-style reversed
@@ -132,209 +156,196 @@ func FormatASName(asn uint32, zone string) string {
 	return strconv.FormatUint(uint64(asn), 10) + ".as." + zone
 }
 
-// ServeDNS implements dnsnet.Handler. Responses are deterministic for a
-// given (index generation, query): cache hits return a shallow copy of
-// the immutable cached template with only the message ID rewritten, so
-// hot and cold responses marshal to identical wire bytes.
-func (h *DNSHandler) ServeDNS(ctx context.Context, from netx.Addr, query *dnswire.Message) *dnswire.Message {
+// ServeDNS implements dnsnet.Handler for in-process callers (tests, the
+// golden corpus, the benchmark's ladder): it is AppendDNS's reply,
+// decoded.
+func (h *DNSHandler) ServeDNS(_ context.Context, from netx.Addr, query *dnswire.Message) *dnswire.Message {
+	wire := h.AppendDNS(make([]byte, 0, 512), from, query)
+	if len(wire) == 0 {
+		return nil
+	}
+	resp, err := dnswire.Unmarshal(wire)
+	if err != nil {
+		return nil
+	}
+	return resp
+}
+
+// AppendDNS implements dnsnet.Appender. Replies are deterministic for a
+// given (index generation, question): a cache hit is the stored wire
+// copied out and a miss is built straight from the index into dst and
+// stored, each then stamped with the query's ID, so hot and cold replies
+// are the same bytes. Nothing is allocated on a hit, and nothing but the
+// cache's own copy on a miss.
+func (h *DNSHandler) AppendDNS(dst []byte, from netx.Addr, query *dnswire.Message) []byte {
 	if query.Response || query.Opcode != 0 || len(query.Questions) == 0 {
-		return refuse(query, dnswire.RCodeNotImp)
+		return refuse(dst, query, dnswire.RCodeNotImp)
 	}
 	h.met.dnsQueries.Inc()
 	if h.limits != nil && !h.limits.Allow(from) {
 		h.met.dnsRateLimited.Inc()
-		return refuse(query, dnswire.RCodeRefused)
+		return refuse(dst, query, dnswire.RCodeRefused)
 	}
-	q := query.Question()
+	q := query.Questions[0]
 	name := dnswire.CanonicalName(q.Name)
 	if name != h.zone && !strings.HasSuffix(name, "."+h.zone) {
-		return refuse(query, dnswire.RCodeRefused)
+		return refuse(dst, query, dnswire.RCodeRefused)
 	}
 	ix := h.store.Current()
 	if ix == nil {
-		return refuse(query, dnswire.RCodeServFail)
+		return refuse(dst, query, dnswire.RCodeServFail)
 	}
 
-	key := dnsCacheKey(q.Type, name)
-	if tmpl, ok := h.cache.Get(ix.Generation, key); ok {
+	// The reply's question section is written first and doubles as the
+	// cache key. A name the wire format cannot carry gets no reply.
+	base := len(dst)
+	var w dnswire.Builder
+	w.Begin(dst)
+	if w.Question(name, q.Type, dnswire.ClassINET) != nil {
+		return dst
+	}
+	key := w.Bytes()[base+12:]
+	out, hit := h.cache.appendTo(w.Bytes()[:base], ix.Generation, key)
+	if hit {
 		h.met.dnsCacheHits.Inc()
-		return withID(tmpl, query.ID)
+	} else {
+		rcode, err := h.answer(&w, ix, name, q.Type)
+		if err != nil {
+			return dst
+		}
+		out = w.Finish(dnswire.Header{Authoritative: true, RCode: rcode})
+		h.cache.put(ix.Generation, key, out[base:])
 	}
-	tmpl := h.answer(ix, name, q.Type)
-	h.cache.Put(ix.Generation, key, tmpl)
-	return withID(tmpl, query.ID)
+	binary.BigEndian.PutUint16(out[base:], query.ID)
+	return out
 }
 
-func dnsCacheKey(t dnswire.Type, name string) string {
-	var buf [80]byte
-	b := append(buf[:0], 'd', '|')
-	b = strconv.AppendUint(b, uint64(t), 10)
-	b = append(b, '|')
-	b = append(b, name...)
-	return string(b)
-}
-
-// withID returns a shallow copy of the immutable template with the
-// query's ID — the read-only copy discipline dnswire.Message documents.
-func withID(tmpl *dnswire.Message, id uint16) *dnswire.Message {
-	m := *tmpl
-	m.ID = id
-	return &m
-}
-
-// refuse builds a minimal non-answer with the given rcode.
-func refuse(query *dnswire.Message, rc dnswire.RCode) *dnswire.Message {
+// refuse appends a minimal non-answer with the given rcode.
+func refuse(dst []byte, query *dnswire.Message, rc dnswire.RCode) []byte {
 	r := query.Reply()
 	r.RCode = rc
-	return r
+	out, err := r.AppendMarshal(dst)
+	if err != nil {
+		return dst
+	}
+	return out
 }
 
-// answer builds the response template (ID 0) for a canonical in-zone
-// name. Everything below is a pure function of the index, so templates
-// are safely shared across queries of one generation.
-func (h *DNSHandler) answer(ix *Index, name string, qtype dnswire.Type) *dnswire.Message {
-	m := &dnswire.Message{Response: true, Authoritative: true}
-	m.Questions = append(m.Questions, dnswire.Question{Name: name, Type: qtype, Class: dnswire.ClassINET})
-
+// answer appends the records answering a canonical in-zone name and
+// returns the reply's rcode. Everything it writes is a pure function of
+// the one index it is handed, so a reply never blends two generations
+// and is safely shared by every query of its generation.
+func (h *DNSHandler) answer(w *dnswire.Builder, ix *Index, name string, qtype dnswire.Type) (dnswire.RCode, error) {
 	if name == h.zone {
+		sec := dnswire.SectionAuthority
 		if qtype == dnswire.TypeSOA {
-			m.Answers = append(m.Answers, h.soa())
-		} else {
-			m.Authority = append(m.Authority, h.soa())
+			sec = dnswire.SectionAnswer
 		}
-		return m
+		return dnswire.RCodeSuccess, h.soa(w, sec, ix)
 	}
-	if asn, ok := ParseASName(name, h.zone); ok {
-		if a, found := ix.LookupAS(asn); found {
-			h.appendListed(m, name, qtype, asTXT(ix, a))
+	var (
+		listed bool
+		res    Result
+		as     ASEvidence
+	)
+	asn, isAS := ParseASName(name, h.zone)
+	if isAS {
+		as, listed = ix.LookupAS(asn)
+	} else if addr, ok := ParseReverseName(name, h.zone); ok {
+		res = ix.LookupAddr(addr)
+		listed = res.Active
+	}
+	// A listed (active) name answers with the DNSBL A record for A
+	// queries, the evidence TXT for TXT queries and NODATA (empty answer,
+	// SOA authority) for other types; an unlisted one does not exist.
+	switch {
+	case !listed:
+		return dnswire.RCodeNXDomain, h.soa(w, dnswire.SectionAuthority, ix)
+	case qtype == dnswire.TypeA:
+		return dnswire.RCodeSuccess, w.A(dnswire.SectionAnswer, name, h.ttl, ActiveA)
+	case qtype == dnswire.TypeTXT:
+		txt := make([]byte, 0, 255)
+		if isAS {
+			txt = appendASTXT(txt, ix, as)
 		} else {
-			h.nxdomain(m)
+			txt = appendResultTXT(txt, ix, res)
 		}
-		return m
-	}
-	if addr, ok := ParseReverseName(name, h.zone); ok {
-		res := ix.LookupAddr(addr)
-		if res.Active {
-			h.appendListed(m, name, qtype, resultTXT(ix, res))
-		} else {
-			h.nxdomain(m)
-		}
-		return m
-	}
-	h.nxdomain(m)
-	return m
-}
-
-// appendListed fills the answer section for a listed (active) name: the
-// DNSBL A record for A queries, the evidence TXT for TXT queries, and a
-// NODATA response (empty answer, SOA authority) for other types.
-func (h *DNSHandler) appendListed(m *dnswire.Message, name string, qtype dnswire.Type, txt string) {
-	switch qtype {
-	case dnswire.TypeA:
-		m.Answers = append(m.Answers, dnswire.RR{
-			Name: name, Class: dnswire.ClassINET, TTL: h.ttl,
-			Data: dnswire.A{Addr: ActiveA},
-		})
-	case dnswire.TypeTXT:
-		m.Answers = append(m.Answers, dnswire.RR{
-			Name: name, Class: dnswire.ClassINET, TTL: h.ttl,
-			Data: dnswire.TXT{Strings: []string{txt}},
-		})
+		return dnswire.RCodeSuccess, w.TXT(dnswire.SectionAnswer, name, h.ttl, txt)
 	default:
-		m.Authority = append(m.Authority, h.soa())
+		return dnswire.RCodeSuccess, h.soa(w, dnswire.SectionAuthority, ix)
 	}
 }
 
-func (h *DNSHandler) nxdomain(m *dnswire.Message) {
-	m.RCode = dnswire.RCodeNXDomain
-	m.Authority = append(m.Authority, h.soa())
+// soa appends the zone's start-of-authority record; the serial is the
+// generation of the index the reply is built from, so secondaries (and
+// tests) can observe reloads.
+func (h *DNSHandler) soa(w *dnswire.Builder, sec dnswire.Section, ix *Index) error {
+	return w.SOA(sec, h.zone, h.ttl, dnswire.SOA{
+		MName: h.mname, RName: h.rname,
+		Serial: uint32(ix.Generation), Refresh: 3600, Retry: 600, Expire: 86400, Minimum: h.ttl,
+	})
 }
 
-// soa is the zone's fixed start-of-authority record; the serial is the
-// artifact generation so secondaries (and tests) can observe reloads.
-func (h *DNSHandler) soa() dnswire.RR {
-	serial := uint32(0)
-	if ix := h.store.Current(); ix != nil {
-		serial = uint32(ix.Generation)
-	}
-	return dnswire.RR{
-		Name: h.zone, Class: dnswire.ClassINET, TTL: h.ttl,
-		Data: dnswire.SOA{
-			MName: "ns." + h.zone, RName: "ops." + h.zone,
-			Serial: serial, Refresh: 3600, Retry: 600, Expire: 86400, Minimum: h.ttl,
-		},
-	}
-}
-
-// resultTXT renders the evidence string for an active /24, bounded to
-// one 255-byte TXT character-string (the PoP list is truncated, never
+// appendResultTXT renders the evidence string for an active /24, bounded
+// to one 255-byte TXT character-string (the PoP list is truncated, never
 // the claim itself).
-func resultTXT(ix *Index, res Result) string {
-	var b strings.Builder
-	b.WriteString("active=1 scope=")
-	b.WriteString(res.Scope.String())
+func appendResultTXT(b []byte, ix *Index, res Result) []byte {
 	e := res.Evidence
-	b.WriteString(" conf=")
-	b.WriteString(strconv.FormatFloat(e.Confidence, 'f', 4, 64))
-	b.WriteString(" passes=")
-	b.WriteString(strconv.Itoa(popCount(e.PassMask)))
-	b.WriteString("/")
-	b.WriteString(strconv.Itoa(ix.Meta.Passes))
-	b.WriteString(" hits=")
-	b.WriteString(strconv.Itoa(e.Hits))
+	b = append(b, "active=1 scope="...)
+	b = res.Scope.AppendTo(b)
+	b = append(b, " conf="...)
+	b = strconv.AppendFloat(b, e.Confidence, 'f', 4, 64)
+	b = append(b, " passes="...)
+	b = strconv.AppendInt(b, int64(bits.OnesCount64(e.PassMask)), 10)
+	b = append(b, '/')
+	b = strconv.AppendInt(b, int64(ix.Meta.Passes), 10)
+	b = append(b, " hits="...)
+	b = strconv.AppendInt(b, int64(e.Hits), 10)
 	if res.HasASN {
-		b.WriteString(" asn=")
-		b.WriteString(strconv.FormatUint(uint64(res.ASN), 10))
+		b = append(b, " asn="...)
+		b = strconv.AppendUint(b, uint64(res.ASN), 10)
 	}
-	writePoPs(&b, e.PoPs)
-	writeGen(&b, ix)
-	return b.String()
+	if len(e.PoPs) > 0 {
+		b = append(b, " pops="...)
+		for i, p := range e.PoPs {
+			if i == maxTXTPoPs {
+				b = append(b, ";+"...)
+				b = strconv.AppendInt(b, int64(len(e.PoPs)-maxTXTPoPs), 10)
+				break
+			}
+			if i > 0 {
+				b = append(b, ';')
+			}
+			b = append(b, p.PoP...)
+			b = append(b, ':')
+			b = strconv.AppendInt(b, int64(p.Hits), 10)
+		}
+	}
+	return appendGen(b, ix)
 }
 
-// asTXT renders the evidence string for an active AS.
-func asTXT(ix *Index, a ASEvidence) string {
-	var b strings.Builder
-	b.WriteString("active=1 asn=")
-	b.WriteString(strconv.FormatUint(uint64(a.ASN), 10))
-	b.WriteString(" active24=")
-	b.WriteString(strconv.Itoa(a.Active24s))
-	b.WriteString(" announced24=")
-	b.WriteString(strconv.Itoa(a.Announced24s))
-	b.WriteString(" conf=")
-	b.WriteString(strconv.FormatFloat(a.Confidence, 'f', 4, 64))
-	writeGen(&b, ix)
-	return b.String()
+// appendASTXT renders the evidence string for an active AS.
+func appendASTXT(b []byte, ix *Index, a ASEvidence) []byte {
+	b = append(b, "active=1 asn="...)
+	b = strconv.AppendUint(b, uint64(a.ASN), 10)
+	b = append(b, " active24="...)
+	b = strconv.AppendInt(b, int64(a.Active24s), 10)
+	b = append(b, " announced24="...)
+	b = strconv.AppendInt(b, int64(a.Announced24s), 10)
+	b = append(b, " conf="...)
+	b = strconv.AppendFloat(b, a.Confidence, 'f', 4, 64)
+	return appendGen(b, ix)
 }
 
 // maxTXTPoPs bounds the PoP list so the TXT string stays within one
 // 255-byte character-string.
 const maxTXTPoPs = 4
 
-func writePoPs(b *strings.Builder, pops []PoPEvidence) {
-	if len(pops) == 0 {
-		return
-	}
-	b.WriteString(" pops=")
-	for i, p := range pops {
-		if i == maxTXTPoPs {
-			b.WriteString(";+")
-			b.WriteString(strconv.Itoa(len(pops) - maxTXTPoPs))
-			break
-		}
-		if i > 0 {
-			b.WriteString(";")
-		}
-		b.WriteString(p.PoP)
-		b.WriteString(":")
-		b.WriteString(strconv.Itoa(p.Hits))
-	}
-}
-
-func writeGen(b *strings.Builder, ix *Index) {
-	b.WriteString(" gen=")
-	b.WriteString(strconv.FormatUint(ix.Generation, 10))
-	b.WriteString(" artifact=")
-	b.WriteString(shortHash(ix.Hash))
+func appendGen(b []byte, ix *Index) []byte {
+	b = append(b, " gen="...)
+	b = strconv.AppendUint(b, ix.Generation, 10)
+	b = append(b, " artifact="...)
+	return append(b, shortHash(ix.Hash)...)
 }
 
 func shortHash(h string) string {
@@ -342,13 +353,4 @@ func shortHash(h string) string {
 		return h[:12]
 	}
 	return h
-}
-
-func popCount(mask uint64) int {
-	n := 0
-	for mask != 0 {
-		mask &= mask - 1
-		n++
-	}
-	return n
 }

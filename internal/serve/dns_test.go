@@ -17,14 +17,13 @@ func testDNSHandler(t testing.TB) (*DNSHandler, *Store) {
 	t.Helper()
 	store := NewStore()
 	store.Swap(testClientMap(t), "fixturehash0001")
-	h := &DNSHandler{
-		store: store,
-		cache: NewCache[*dnswire.Message](4, 256),
-		zone:  DefaultZone,
-		ttl:   60,
-		met:   newServeMetrics(nil),
-	}
-	return h, store
+	return newTestDNSHandler(store), store
+}
+
+// newTestDNSHandler builds a handler over store the way the daemon does,
+// with no rate limit and a private registry.
+func newTestDNSHandler(store *Store) *DNSHandler {
+	return newDNSHandler(store, nil, DefaultZone, 60, newServeMetrics(nil))
 }
 
 func TestParseReverseNameRoundTrip(t *testing.T) {
@@ -199,13 +198,7 @@ func TestDNSNotImp(t *testing.T) {
 }
 
 func TestDNSServFailBeforeLoad(t *testing.T) {
-	h := &DNSHandler{
-		store: NewStore(),
-		cache: NewCache[*dnswire.Message](1, 8),
-		zone:  DefaultZone,
-		ttl:   60,
-		met:   newServeMetrics(nil),
-	}
+	h := newTestDNSHandler(NewStore())
 	if r := serveOne(h, query("1.2.0.192.clientmap", dnswire.TypeA)); r.RCode != dnswire.RCodeServFail {
 		t.Fatalf("empty store = %v", r.RCode)
 	}

@@ -1,11 +1,17 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
+	"clientmap/internal/dnswire"
 	"clientmap/internal/netx"
 )
 
@@ -104,7 +110,7 @@ func FuzzHTTPQuery(f *testing.F) {
 	store := NewStore()
 	cmSeed := Build(BuildInput{Meta: Meta{Seed: 1, Scale: "fuzz", Passes: 2}, Campaign: testCampaign()})
 	store.Swap(cmSeed, "fuzzhash")
-	h := &HTTPHandler{store: store, cache: NewCache[[]byte](4, 64), met: newServeMetrics(nil)}
+	h := &HTTPHandler{store: store, met: newServeMetrics(nil)}
 
 	allowed := map[int]bool{
 		http.StatusOK: true, http.StatusBadRequest: true, http.StatusNotFound: true,
@@ -146,6 +152,74 @@ func FuzzParseIPv4(f *testing.F) {
 		b0, b1, b2, b3 := a.Octets()
 		if got := netx.AddrFrom4(b0, b1, b2, b3); got != a {
 			t.Fatalf("octet decomposition broke for %q", s)
+		}
+	})
+}
+
+// FuzzServeWire feeds raw datagrams to the live DNS answer path the way
+// a socket loop does — decode into a reused message, append the reply
+// into a reused buffer — over the fixture index. Invariants: no panic;
+// a reply, if there is one, decodes and echoes the query's ID; and
+// whenever the datagram decodes as a query, the reply is byte for byte
+// the oracle's (or absent where the oracle's cannot be marshalled),
+// first built and then again from the cache. Seeded with the golden
+// corpus's queries.
+func FuzzServeWire(f *testing.F) {
+	data, err := os.ReadFile(goldenServePath)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var golden goldenServe
+	if err := json.Unmarshal(data, &golden); err != nil {
+		f.Fatal(err)
+	}
+	keys := make([]string, 0, len(golden.DNS))
+	for key := range golden.DNS {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
+	for _, key := range keys {
+		name, qt, _ := strings.Cut(key, "/")
+		t, err := strconv.Atoi(qt)
+		if err != nil {
+			f.Fatal(err)
+		}
+		wire, err := dnswire.NewQuery(4242, name, dnswire.Type(t)).Marshal()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(wire)
+	}
+	f.Add([]byte{})
+	f.Add([]byte("\x00\x07\x01\x00\x00\x01\x00\x00\x00\x00\x00\x00\x02ns\x09CLIENTMAP\x00\x00\x06\x00\x01"))
+
+	h, store := testDNSHandler(f)
+	ix := store.Current()
+	var query dnswire.Message
+	buf := make([]byte, 0, 512)
+	f.Fuzz(func(t *testing.T, datagram []byte) {
+		if dnswire.UnmarshalInto(&query, datagram) != nil {
+			return // the loop drops what it cannot decode
+		}
+		want, err := oracleDNS(DefaultZone, 60, ix, &query).Marshal()
+		for _, pass := range []string{"built", "cached"} {
+			buf = h.AppendDNS(buf[:0], netx.AddrFrom4(127, 0, 0, 1), &query)
+			if err != nil {
+				if len(buf) != 0 {
+					t.Fatalf("%s: reply %x where the oracle has none (%v)", pass, buf, err)
+				}
+				continue
+			}
+			if !bytes.Equal(buf, want) {
+				t.Fatalf("%s reply differs from the oracle\n got %x\nwant %x", pass, buf, want)
+			}
+			resp, err := dnswire.Unmarshal(buf)
+			if err != nil {
+				t.Fatalf("%s reply does not decode: %v\n%x", pass, err, buf)
+			}
+			if resp.ID != query.ID || !resp.Response {
+				t.Fatalf("%s reply has ID %d (query %d), response bit %v", pass, resp.ID, query.ID, resp.Response)
+			}
 		}
 	})
 }

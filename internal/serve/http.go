@@ -2,11 +2,15 @@ package serve
 
 import (
 	"encoding/json"
+	"math"
+	"math/bits"
 	"net/http"
 	"sort"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
+	"clientmap/internal/dnswire"
 	"clientmap/internal/netx"
 )
 
@@ -17,11 +21,13 @@ import (
 //	GET /v1/summary            artifact shape + provenance
 //	GET /healthz               200 once an artifact is loaded, 503 before
 //
-// Response bodies are cached per (generation, path) and returned
-// byte-identically on hits — the property the cache tests pin.
+// Every body is a pure function of (generation, path), built on each
+// request by appending into a pooled buffer (dnswire's: bytes are bytes):
+// there is no response cache.
+// The exported response structs below are the schema — the bodies are
+// byte for byte what encoding/json gives for them, which the tests hold.
 type HTTPHandler struct {
 	store  *Store
-	cache  *Cache[[]byte]
 	limits *Limiter
 	met    *serveMetrics
 }
@@ -66,11 +72,15 @@ type SummaryResponse struct {
 	Provenance  json.RawMessage `json:"provenance"`
 }
 
-// provenance is the generation/artifact pair every response embeds, so a
-// client (and the reload race test) can tell which load answered it.
-func provenance(ix *Index) json.RawMessage {
-	return json.RawMessage(`{"generation":` + strconv.FormatUint(ix.Generation, 10) +
-		`,"artifact":"` + shortHash(ix.Hash) + `"}`)
+// appendProvenance closes a body with its last field, the
+// generation/artifact pair every response embeds, so a client (and the
+// reload race test) can tell which load answered it.
+func appendProvenance(b []byte, ix *Index) []byte {
+	b = append(b, `,"provenance":{"generation":`...)
+	b = strconv.AppendUint(b, ix.Generation, 10)
+	b = append(b, `,"artifact":`...)
+	b = appendJSONString(b, shortHash(ix.Hash))
+	return append(b, "}}\n"...)
 }
 
 // errBody is the uniform JSON error shape.
@@ -125,8 +135,7 @@ func parseIPv4(s string) (netx.Addr, bool) {
 	return netx.AddrFrom4(oct[0], oct[1], oct[2], oct[3]), true
 }
 
-// ServeHTTP implements http.Handler. Every response is a pure function
-// of (generation, method, path), which is exactly the cache key.
+// ServeHTTP implements http.Handler.
 func (h *HTTPHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	h.met.httpQueries.Inc()
 	if r.Method != http.MethodGet && r.Method != http.MethodHead {
@@ -151,114 +160,194 @@ func (h *HTTPHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusServiceUnavailable, errBody(http.StatusServiceUnavailable, "no artifact loaded"))
 		return
 	}
-
-	key := "h|" + r.URL.Path
-	if body, ok := h.cache.Get(ix.Generation, key); ok {
-		h.met.httpCacheHits.Inc()
-		writeJSON(w, http.StatusOK, body)
-		return
-	}
-	body, code := h.answer(ix, r.URL.Path)
-	if code == http.StatusOK {
-		h.cache.Put(ix.Generation, key, body)
-	}
+	bp := dnswire.AcquireBuf()
+	body, code := appendAnswer(*bp, ix, r.URL.Path)
 	writeJSON(w, code, body)
+	*bp = body
+	dnswire.ReleaseBuf(bp)
 }
 
-// answer builds the response body for a query path against one pinned
-// index. Errors are not cached (they are as cheap to rebuild as to look
-// up, and caching 404s for hostile random paths would churn the cache).
-func (h *HTTPHandler) answer(ix *Index, path string) ([]byte, int) {
+// appendAnswer appends the response body for a query path, built from
+// one pinned index, and returns it with the status.
+func appendAnswer(b []byte, ix *Index, path string) ([]byte, int) {
 	switch {
 	case strings.HasPrefix(path, "/v1/ip/"):
-		return h.answerIP(ix, path[len("/v1/ip/"):])
+		arg := path[len("/v1/ip/"):]
+		addr, ok := parseIPv4(arg)
+		if !ok {
+			return append(b, errBody(http.StatusBadRequest, "bad IPv4 address")...), http.StatusBadRequest
+		}
+		return appendIP(b, ix, arg, ix.LookupAddr(addr)), http.StatusOK
 	case strings.HasPrefix(path, "/v1/as/"):
-		return h.answerAS(ix, path[len("/v1/as/"):])
+		arg := path[len("/v1/as/"):]
+		v, err := strconv.ParseUint(arg, 10, 32)
+		if err != nil || (len(arg) > 1 && arg[0] == '0') {
+			return append(b, errBody(http.StatusBadRequest, "bad ASN")...), http.StatusBadRequest
+		}
+		return appendAS(b, ix, uint32(v)), http.StatusOK
 	case path == "/v1/summary":
-		return h.answerSummary(ix)
+		return appendSummary(b, ix), http.StatusOK
 	default:
-		return errBody(http.StatusNotFound, "unknown path"), http.StatusNotFound
+		return append(b, errBody(http.StatusNotFound, "unknown path")...), http.StatusNotFound
 	}
 }
 
-func (h *HTTPHandler) answerIP(ix *Index, arg string) ([]byte, int) {
-	addr, ok := parseIPv4(arg)
-	if !ok {
-		return errBody(http.StatusBadRequest, "bad IPv4 address"), http.StatusBadRequest
-	}
-	res := ix.LookupAddr(addr)
-	resp := IPResponse{
-		Query:      arg,
-		Slash24:    res.Query.String(),
-		Active:     res.Active,
-		Provenance: provenance(ix),
-	}
-	if res.HasASN {
-		resp.ASN = res.ASN
-	}
+// appendIP appends an IPResponse. arg has passed parseIPv4, so it is
+// digits and dots and needs no escaping.
+func appendIP(b []byte, ix *Index, arg string, res Result) []byte {
+	b = append(b, `{"query":"`...)
+	b = append(b, arg...)
+	b = append(b, `","slash24":"`...)
+	b = res.Query.AppendTo(b)
+	b = append(b, `","active":`...)
+	b = strconv.AppendBool(b, res.Active)
 	if res.Active {
 		e := res.Evidence
-		resp.Scope = res.Scope.String()
-		resp.Confidence = e.Confidence
-		resp.Passes = popCount(e.PassMask)
-		resp.PassTotal = ix.Meta.Passes
-		resp.Hits = e.Hits
-		resp.Domains = e.Domains
-		resp.PoPs = e.PoPs
+		b = append(b, `,"scope":"`...)
+		b = res.Scope.AppendTo(b)
+		b = append(b, '"')
+		b = appendFloat(b, `,"confidence":`, e.Confidence)
+		b = appendInt(b, `,"passes":`, int64(bits.OnesCount64(e.PassMask)))
+		b = appendInt(b, `,"pass_total":`, int64(ix.Meta.Passes))
+		b = appendInt(b, `,"hits":`, int64(e.Hits))
+		b = appendInt(b, `,"domains":`, int64(e.Domains))
+		if len(e.PoPs) > 0 {
+			b = append(b, `,"pops":[`...)
+			for i, p := range e.PoPs {
+				if i > 0 {
+					b = append(b, ',')
+				}
+				b = append(b, `{"PoP":`...)
+				b = appendJSONString(b, p.PoP)
+				b = append(b, `,"Hits":`...)
+				b = strconv.AppendInt(b, int64(p.Hits), 10)
+				b = append(b, '}')
+			}
+			b = append(b, ']')
+		}
 	}
-	return marshalBody(resp), http.StatusOK
+	if res.HasASN {
+		b = appendInt(b, `,"asn":`, int64(res.ASN))
+	}
+	return appendProvenance(b, ix)
 }
 
-func (h *HTTPHandler) answerAS(ix *Index, arg string) ([]byte, int) {
-	if len(arg) == 0 || len(arg) > 10 || (len(arg) > 1 && arg[0] == '0') {
-		return errBody(http.StatusBadRequest, "bad ASN"), http.StatusBadRequest
+// appendAS appends an ASResponse.
+func appendAS(b []byte, ix *Index, asn uint32) []byte {
+	a, found := ix.LookupAS(asn)
+	b = append(b, `{"asn":`...)
+	b = strconv.AppendUint(b, uint64(asn), 10)
+	b = append(b, `,"active":`...)
+	b = strconv.AppendBool(b, found)
+	if found {
+		b = appendInt(b, `,"active_24s":`, int64(a.Active24s))
+		b = appendInt(b, `,"announced_24s":`, int64(a.Announced24s))
+		b = appendFloat(b, `,"confidence":`, a.Confidence)
 	}
-	v, err := strconv.ParseUint(arg, 10, 32)
-	if err != nil {
-		return errBody(http.StatusBadRequest, "bad ASN"), http.StatusBadRequest
-	}
-	asn := uint32(v)
-	resp := ASResponse{ASN: asn, Provenance: provenance(ix)}
-	if a, found := ix.LookupAS(asn); found {
-		resp.Active = true
-		resp.Active24s = a.Active24s
-		resp.Announced24s = a.Announced24s
-		resp.Confidence = a.Confidence
-	}
-	return marshalBody(resp), http.StatusOK
+	return appendProvenance(b, ix)
 }
 
-func (h *HTTPHandler) answerSummary(ix *Index) ([]byte, int) {
+// appendSummary appends a SummaryResponse.
+func appendSummary(b []byte, ix *Index) []byte {
 	st := ix.Stats()
-	resp := SummaryResponse{
-		Scopes:      st.Scopes,
-		Active24s:   st.Active24s,
-		ActiveASes:  st.ActiveASes,
-		Origins:     st.Origins,
-		TrafficBins: st.TrafficBins,
-		Seed:        ix.Meta.Seed,
-		Scale:       ix.Meta.Scale,
-		Passes:      ix.Meta.Passes,
-		Source:      ix.Meta.Source,
-		Provenance:  provenance(ix),
+	b = append(b, `{"scopes":`...)
+	b = strconv.AppendInt(b, int64(st.Scopes), 10)
+	b = append(b, `,"active_24s":`...)
+	b = strconv.AppendInt(b, int64(st.Active24s), 10)
+	b = append(b, `,"active_ases":`...)
+	b = strconv.AppendInt(b, int64(st.ActiveASes), 10)
+	b = append(b, `,"origins":`...)
+	b = strconv.AppendInt(b, int64(st.Origins), 10)
+	b = append(b, `,"traffic_bins":`...)
+	b = strconv.AppendInt(b, int64(st.TrafficBins), 10)
+	b = append(b, `,"seed":`...)
+	b = strconv.AppendUint(b, ix.Meta.Seed, 10)
+	b = append(b, `,"scale":`...)
+	b = appendJSONString(b, ix.Meta.Scale)
+	b = append(b, `,"passes":`...)
+	b = strconv.AppendInt(b, int64(ix.Meta.Passes), 10)
+	if ix.Meta.Source != "" {
+		b = append(b, `,"source":`...)
+		b = appendJSONString(b, ix.Meta.Source)
 	}
-	return marshalBody(resp), http.StatusOK
+	return appendProvenance(b, ix)
 }
 
-// marshalBody renders v with a trailing newline. encoding/json is
-// deterministic for struct types, so bodies are byte-stable across
-// processes — the golden corpus depends on that.
-func marshalBody(v any) []byte {
-	b, err := json.Marshal(v)
-	if err != nil {
-		// All response types marshal; reaching this is a bug.
-		panic(err)
+// appendInt appends an omitempty integer field: nothing when v is zero.
+func appendInt(b []byte, field string, v int64) []byte {
+	if v == 0 {
+		return b
 	}
-	return append(b, '\n')
+	b = append(b, field...)
+	return strconv.AppendInt(b, v, 10)
+}
+
+// appendFloat appends an omitempty float field the way encoding/json
+// formats one: shortest digits, exponent form outside [1e-6, 1e21). JSON
+// has no NaN or infinity — encoding/json refuses them — so a non-finite
+// value is left out like a zero.
+func appendFloat(b []byte, field string, f float64) []byte {
+	abs := math.Abs(f)
+	if abs == 0 || math.IsNaN(f) || math.IsInf(f, 0) {
+		return b
+	}
+	b = append(b, field...)
+	if abs >= 1e-6 && abs < 1e21 {
+		return strconv.AppendFloat(b, f, 'f', -1, 64)
+	}
+	b = strconv.AppendFloat(b, f, 'e', -1, 64)
+	// Two-digit negative exponents lose their padding: e-09 is e-9.
+	if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b
+}
+
+// appendJSONString appends s as a JSON string literal exactly as
+// encoding/json does with its default HTML escaping: short escapes for
+// the usual controls, \u00XX for the other controls and for <, > and &,
+// \ufffd for invalid UTF-8, and U+2028/U+2029 escaped.
+func appendJSONString(b []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	b = append(b, '"')
+	start := 0 // s[start:i] is pending, to be copied as it stands
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c < utf8.RuneSelf {
+			if c >= ' ' && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+				i++
+				continue
+			}
+			b = append(b, s[start:i]...)
+			if k := strings.IndexByte("\"\\\b\f\n\r\t", c); k >= 0 {
+				b = append(b, '\\', "\"\\bfnrt"[k])
+			} else {
+				b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			b = append(b, s[start:i]...)
+			b = append(b, `\ufffd`...)
+			start = i + size
+		case r == '\u2028' || r == '\u2029':
+			b = append(b, s[start:i]...)
+			b = append(b, '\\', 'u', '2', '0', '2', hex[r&0xF])
+			start = i + size
+		}
+		i += size
+	}
+	b = append(b, s[start:]...)
+	return append(b, '"')
 }
 
 // SortedASNs returns the index's active ASNs ascending — exported for
-// the load generator's AS query mix.
+// the benchmark's AS query mix.
 func (ix *Index) SortedASNs() []uint32 {
 	out := make([]uint32, len(ix.asns))
 	copy(out, ix.asns)

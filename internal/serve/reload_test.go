@@ -62,11 +62,11 @@ func TestHotReloadConsistency(t *testing.T) {
 		ix := NewIndex(maps[g], uint64(g), fmt.Sprintf("hash-gen-%d", g))
 		wantHTTP[g] = map[string]string{}
 		wantDNS[g] = map[string]string{}
-		probe := &HTTPHandler{store: storeAt(ix), cache: NewCache[[]byte](1, 64), met: newServeMetrics(nil)}
+		probe := &HTTPHandler{store: storeAt(ix), met: newServeMetrics(nil)}
 		for _, p := range httpPaths {
 			wantHTTP[g][p] = get(probe, p).Body.String()
 		}
-		dnsProbe := &DNSHandler{store: storeAt(ix), cache: NewCache[*dnswire.Message](1, 64), zone: DefaultZone, ttl: 60, met: newServeMetrics(nil)}
+		dnsProbe := newTestDNSHandler(storeAt(ix))
 		for _, name := range dnsNames {
 			r := dnsProbe.ServeDNS(context.Background(), 0, dnswire.NewQuery(0, name, dnswire.TypeTXT))
 			b, err := r.Marshal()
@@ -80,8 +80,8 @@ func TestHotReloadConsistency(t *testing.T) {
 	// Live store under test, starting at generation 1.
 	store := NewStore()
 	store.Swap(maps[1], "hash-gen-1")
-	httpH := &HTTPHandler{store: store, cache: NewCache[[]byte](8, 256), met: newServeMetrics(nil)}
-	dnsH := &DNSHandler{store: store, cache: NewCache[*dnswire.Message](8, 256), zone: DefaultZone, ttl: 60, met: newServeMetrics(nil)}
+	httpH := &HTTPHandler{store: store, met: newServeMetrics(nil)}
+	dnsH := newTestDNSHandler(store)
 
 	var (
 		stop     atomic.Bool

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet bench bench-smoke bench-e2e bench-e2e-trace bench-e2e-test check cover fuzz-smoke golden-update serve-smoke
+.PHONY: build test race vet bench bench-smoke bench-e2e bench-e2e-trace bench-e2e-test check cover fuzz-smoke golden-update serve-smoke loc
 
 # Packages whose coverage is gated in CI: the wire/transport layer, the
 # measurement cores, the stage runner, the snapshot codecs, the metrics
@@ -89,13 +89,23 @@ fuzz-smoke:
 
 # golden-update regenerates the golden regression corpus (the headline
 # statistics of a fixed small-scale campaign, the degraded-mode stats of
-# the same campaign under the chaos matrix, and the streaming corpus:
+# the same campaign under the chaos matrix, the streaming corpus —
 # rolling-view headline stats plus the coverage-lag table of a fixed
-# 24-sim-hour churn scenario). Run after an intentional behaviour change
-# and review the diff: every moved number is a semantic change to the
-# reproduction.
+# 24-sim-hour churn scenario — and the pinned stage fingerprints). Run
+# after an intentional behaviour change and review the diff: every moved
+# number is a semantic change to the reproduction, and every moved
+# fingerprint is a checkpoint that no longer resumes.
 golden-update:
-	CLIENTMAP_UPDATE_GOLDEN=1 $(GO) test -count=1 -run 'TestGolden' ./internal/experiments/ ./internal/serve/
+	CLIENTMAP_UPDATE_GOLDEN=1 $(GO) test -count=1 -run 'TestGolden|TestStageFingerprintsPinned' ./internal/experiments/ ./internal/serve/
+
+# loc prints non-test Go lines per package and the module total outside
+# cmd/bench (a module of its own, frozen between [benchmark] PRs), so
+# "this PR made the tree smaller" is a number anyone can reproduce.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './cmd/bench/*' | \
+		awk '{ d = $$0; sub(/\/[^\/]*$$/, "", d); while ((getline l < $$0) > 0) n[d]++; close($$0) } \
+		END { for (d in n) printf "%6d %s\n", n[d], d }' | sort -k2
+	@printf '%6d total\n' $$(find . -name '*.go' ! -name '*_test.go' ! -path './cmd/bench/*' | xargs cat | wc -l)
 
 # check is the pre-merge gate: static analysis plus the race-enabled suite.
 check: vet race

@@ -30,6 +30,7 @@ import (
 	"sort"
 	"time"
 
+	"clientmap/internal/churn"
 	"clientmap/internal/core/activity"
 	"clientmap/internal/core/cacheprobe"
 	"clientmap/internal/experiments"
@@ -63,17 +64,22 @@ func scaleByName(name string) (world.Scale, error) {
 	return world.Scale{}, fmt.Errorf("clientmap: unknown scale %q", name)
 }
 
-// Config parameterizes an evaluation run.
+// Config parameterizes a run: the batch evaluation (Run) or the
+// continuous measurement mode (RunStream). Everything but the fields
+// marked batch-only or stream-only applies to both.
 type Config struct {
 	// Seed makes the whole run reproducible.
 	Seed uint64
 	// Scale is one of the Scale* constants; empty means medium.
 	Scale string
-	// CampaignHours is the cache-probing duration (0 = the paper's 120).
+	// CampaignHours is the cache-probing duration (batch only; 0 = the
+	// paper's 120).
 	CampaignHours int
-	// Passes is how many times the probing assignment loops (0 = 9).
+	// Passes is how many times the probing assignment loops (batch only;
+	// 0 = 9).
 	Passes int
-	// TraceHours is the DITL collection length (0 = the paper's 48).
+	// TraceHours is the DITL collection length (batch only; 0 = the
+	// paper's 48).
 	TraceHours int
 	// Workers bounds the probing campaign's worker pools (0 = one per
 	// CPU, 1 = sequential). The worker count never changes results.
@@ -88,15 +94,15 @@ type Config struct {
 	// an interrupted campaign picks up where it was killed.
 	Resume bool
 	// Shards splits every probing pass into this many scatter shards
-	// (0 or 1 = monolithic passes). Results are byte-identical for any
-	// shard count.
+	// (batch only; 0 or 1 = monolithic passes). Results are
+	// byte-identical for any shard count.
 	Shards int
 	// ShardIndex makes this process shard runner N of a fleet sharing
 	// StateDir; meaningful only when Shards > 1, and requires StateDir.
-	// Any negative value (what cmd/clientmap's -shard-index defaults to)
-	// executes every shard in this one process. Note the zero value is
-	// runner 0: set -1 explicitly when Shards > 1 and this process should
-	// run the whole campaign alone.
+	// -1 (what the commands' -shard-index defaults to) executes every
+	// shard in this one process. Note the zero value is runner 0: set -1
+	// explicitly when Shards > 1 and this process should run the whole
+	// campaign alone.
 	ShardIndex int
 	// ShardDir is the work-stealing claim directory of a distributed
 	// run; empty means StateDir/shards.
@@ -114,15 +120,31 @@ type Config struct {
 	// circuit breakers, hedged probes and vantage failover with the
 	// default thresholds; a spec like
 	// "window=15m,error-rate=0.5,open-after=4,probation=45m,hedge-after=150ms"
-	// tunes them. Empty (or "off") disables the layer entirely.
+	// tunes them. Empty (or "off") disables the layer entirely. Batch
+	// only: a stream's adaptive scheduler owns PoP liveness.
 	Health string
+	// StreamHours is the simulated stream length RunStream runs (0 = 24);
+	// every simulated hour is its own resumable checkpoint. Run rejects a
+	// Config that sets it, or any of the three fields below.
+	StreamHours int
+	// Churn is the world-evolution spec a stream runs over, e.g.
+	// "realloc=3@5h,drift=0.15@9h,pop=fra@6h+5h,chromium=off@12h".
+	// Empty (or "off") streams over a static world.
+	Churn string
+	// EmitEvery emits the stream's rolling artifact every N simulated
+	// hours (0 = every hour).
+	EmitEvery int
+	// ArtifactPath, when set, receives the stream's rolling
+	// serve.ClientMap on every emit hour (atomic replace, deduped by
+	// payload hash) — the file clientmapd -reload watches.
+	ArtifactPath string
 	// Log receives stage progress lines (which stages ran, which were
 	// restored); nil discards them.
 	Log func(format string, args ...any)
 	// DebugAddr, when non-empty (e.g. "localhost:6060"), serves live
 	// observability endpoints for the duration of the run: /metrics (the
 	// live instrumentation ledger as JSON), /debug/vars (expvar) and
-	// /debug/pprof/ (profiling). The listener closes when Run returns.
+	// /debug/pprof/ (profiling). The listener closes when the run returns.
 	DebugAddr string
 }
 
@@ -132,52 +154,70 @@ type Evaluation struct {
 	res *experiments.Results
 }
 
-// Run executes a full evaluation.
-func Run(cfg Config) (*Evaluation, error) {
+// EngineConfig translates the configuration into the internal one the
+// campaign engine takes — the one place the spec strings are parsed. It
+// opens nothing and starts nothing. It is exported for cmd/experiments,
+// which adds engine-only knobs before running; like Results, the type it
+// returns is not part of the stable API surface.
+func (cfg Config) EngineConfig() (ecfg experiments.Config, err error) {
 	scale, err := scaleByName(cfg.Scale)
 	if err != nil {
-		return nil, err
+		return ecfg, err
 	}
-	ecfg := experiments.DefaultConfig(randx.Seed(cfg.Seed), scale)
-	if cfg.CampaignHours > 0 {
-		ecfg.CampaignDuration = time.Duration(cfg.CampaignHours) * time.Hour
-	}
-	if cfg.Passes > 0 {
-		ecfg.Passes = cfg.Passes
-	}
-	if cfg.TraceHours > 0 {
-		ecfg.TraceDuration = time.Duration(cfg.TraceHours) * time.Hour
-	}
+	// Zero (or negative) durations and passes take the engine's defaults.
+	ecfg = experiments.DefaultConfig(randx.Seed(cfg.Seed), scale)
+	ecfg.CampaignDuration = time.Duration(cfg.CampaignHours) * time.Hour
+	ecfg.Passes = cfg.Passes
+	ecfg.TraceDuration = time.Duration(cfg.TraceHours) * time.Hour
 	ecfg.Workers = cfg.Workers
 	ecfg.StateDir = cfg.StateDir
 	ecfg.Resume = cfg.Resume
-	if cfg.Shards > 0 {
-		ecfg.Shards = cfg.Shards
-	}
+	ecfg.Shards = cfg.Shards
 	ecfg.ShardIndex = cfg.ShardIndex
 	ecfg.ShardDir = cfg.ShardDir
+	ecfg.Hours = cfg.StreamHours
+	ecfg.EmitEvery = cfg.EmitEvery
+	ecfg.ArtifactPath = cfg.ArtifactPath
 	ecfg.Log = cfg.Log
+	ecfg.Metrics = metrics.NewRegistry()
 	if ecfg.Faults, err = faults.Parse(cfg.Faults); err != nil {
-		return nil, fmt.Errorf("clientmap: %w", err)
+		return ecfg, fmt.Errorf("clientmap: Faults (-faults): %w", err)
 	}
 	if ecfg.Retry, err = cacheprobe.ParseRetry(cfg.Retries); err != nil {
-		return nil, fmt.Errorf("clientmap: %w", err)
+		return ecfg, fmt.Errorf("clientmap: Retries (-retries): %w", err)
 	}
 	if ecfg.Health, err = health.Parse(cfg.Health); err != nil {
-		return nil, fmt.Errorf("clientmap: %w", err)
+		return ecfg, fmt.Errorf("clientmap: Health (-health): %w", err)
 	}
-	ecfg.Metrics = metrics.NewRegistry()
+	if ecfg.Churn, err = churn.Parse(cfg.Churn); err != nil {
+		return ecfg, fmt.Errorf("clientmap: Churn (-churn): %w", err)
+	}
+	return ecfg, nil
+}
+
+// run is what Run and RunStream share: translate, serve the run's live
+// registry on DebugAddr (when set) for as long as the engine runs, run it.
+func run[R any](cfg Config, engine func(experiments.Config) (R, error)) (res R, err error) {
+	ecfg, err := cfg.EngineConfig()
+	if err != nil {
+		return res, err
+	}
 	if cfg.DebugAddr != "" {
 		srv, err := metrics.ServeDebug(cfg.DebugAddr, ecfg.Metrics)
 		if err != nil {
-			return nil, fmt.Errorf("clientmap: debug server: %w", err)
+			return res, fmt.Errorf("clientmap: debug server: %w", err)
 		}
 		defer srv.Close()
 		if cfg.Log != nil {
 			cfg.Log("debug server listening on %s", srv.Addr())
 		}
 	}
-	res, err := experiments.Run(ecfg)
+	return engine(ecfg)
+}
+
+// Run executes a full evaluation.
+func Run(cfg Config) (*Evaluation, error) {
+	res, err := run(cfg, experiments.Run)
 	if err != nil {
 		return nil, err
 	}

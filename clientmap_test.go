@@ -1,7 +1,11 @@
 package clientmap
 
 import (
+	"fmt"
+	"io"
+	"net/http"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -143,5 +147,56 @@ func TestActivityRanking(t *testing.T) {
 	all := eval.ActivityRanking(0)
 	if len(all) < len(ranking) {
 		t.Error("n=0 should return the full ranking")
+	}
+}
+
+// TestRunStreamServesDebugAddr: a stream run with DebugAddr set logs the
+// address it bound and answers /metrics there while the run is in
+// progress. The stream config used to have no DebugAddr at all, so
+// cmd/clientmap -stream N -debug-addr … silently served nothing.
+func TestRunStreamServesDebugAddr(t *testing.T) {
+	var (
+		mu      sync.Mutex
+		addr    string
+		metrics string
+	)
+	logf := func(format string, args ...any) {
+		line := fmt.Sprintf(format, args...)
+		mu.Lock()
+		defer mu.Unlock()
+		if a, ok := strings.CutPrefix(line, "debug server listening on "); ok {
+			addr = a
+		}
+		// An hour stage starting is proof the run is under way; ask once.
+		if addr == "" || metrics != "" || !strings.HasPrefix(line, "stage stream-hour-") {
+			return
+		}
+		resp, err := http.Get("http://" + addr + "/metrics")
+		if err != nil {
+			t.Errorf("GET /metrics during the run: %v", err)
+			return
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Errorf("GET /metrics during the run: status %d, %v", resp.StatusCode, err)
+		}
+		metrics = string(body)
+	}
+	run, err := RunStream(Config{Seed: 7, Scale: ScaleTiny, StreamHours: 2, DebugAddr: "127.0.0.1:0", Log: logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if addr == "" {
+		t.Fatal("run never logged the debug server's address")
+	}
+	if !strings.Contains(metrics, `"cacheprobe/`) {
+		t.Errorf("/metrics during the run served no live probe counters: %q", metrics)
+	}
+	if run.FinalArtifactHash() == "" {
+		t.Error("stream produced no rolling artifact")
+	}
+	if _, err := http.Get("http://" + addr + "/metrics"); err == nil {
+		t.Error("debug server still answering after RunStream returned")
 	}
 }

@@ -17,227 +17,111 @@ import (
 	"sort"
 
 	"clientmap"
-	"clientmap/internal/churn"
-	"clientmap/internal/core/cacheprobe"
-	"clientmap/internal/faults"
-	"clientmap/internal/health"
+	"clientmap/internal/cliflags"
 )
 
-// validateReliabilityFlags rejects malformed -faults/-retries/-health
-// specs before the (possibly long) run starts. clientmap.Run re-parses
-// the same specs; this pass exists so a typo fails in milliseconds, not
-// after a campaign.
-func validateReliabilityFlags(faultSpec, retrySpec, healthSpec string) error {
-	if _, err := faults.Parse(faultSpec); err != nil {
-		return fmt.Errorf("-faults: %w", err)
-	}
-	if _, err := cacheprobe.ParseRetry(retrySpec); err != nil {
-		return fmt.Errorf("-retries: %w", err)
-	}
-	if _, err := health.Parse(healthSpec); err != nil {
-		return fmt.Errorf("-health: %w", err)
-	}
-	return nil
+// options are the command's flags: the campaign flags it shares with
+// cmd/experiments plus its own queries.
+type options struct {
+	*cliflags.Shared
+	prefix                     string
+	asn                        uint
+	report, coverage, headline bool
 }
 
-// validateStreamFlags rejects impossible streaming-mode combinations:
-// -churn/-emit-every/-artifact only mean something in stream mode, and
-// streaming is incompatible with pass sharding (hours are the checkpoint
-// unit) and the health layer (the adaptive scheduler owns PoP liveness).
-func validateStreamFlags(streamHours, emitEvery int, churnSpec, healthSpec, artifact string, shards, shardIndex int) error {
-	ch, err := churn.Parse(churnSpec)
-	if err != nil {
-		return fmt.Errorf("-churn: %w", err)
-	}
-	if streamHours < 0 {
-		return fmt.Errorf("-stream must be non-negative, got %d", streamHours)
-	}
-	if streamHours == 0 {
-		if ch.Enabled() {
-			return fmt.Errorf("-churn requires -stream")
-		}
-		if emitEvery != 0 {
-			return fmt.Errorf("-emit-every requires -stream")
-		}
-		if artifact != "" {
-			return fmt.Errorf("-artifact requires -stream")
-		}
-		return nil
-	}
-	if emitEvery < 0 {
-		return fmt.Errorf("-emit-every must be non-negative, got %d", emitEvery)
-	}
-	if shards > 1 || shardIndex >= 0 {
-		return fmt.Errorf("-stream is incompatible with -shards/-shard-index: hours are the checkpoint unit")
-	}
-	if hc, err := health.Parse(healthSpec); err == nil && hc.Enabled() {
-		return fmt.Errorf("-stream is incompatible with -health: the adaptive scheduler owns PoP liveness")
-	}
-	return nil
-}
-
-// validateShardFlags rejects impossible -shards/-shard-index/-state-dir
-// combinations before the run starts, for the same reason as
-// validateReliabilityFlags: a bad topology fails in milliseconds, not
-// after a campaign.
-func validateShardFlags(shards, shardIndex int, stateDir string) error {
-	if shards < 1 {
-		return fmt.Errorf("-shards must be at least 1, got %d", shards)
-	}
-	if shardIndex < -1 {
-		return fmt.Errorf("-shard-index must be -1 (run every shard) or a shard number, got %d", shardIndex)
-	}
-	if shardIndex >= shards {
-		return fmt.Errorf("-shard-index %d out of range: -shards is %d", shardIndex, shards)
-	}
-	if shardIndex >= 0 && stateDir == "" {
-		return fmt.Errorf("-shard-index requires -state-dir: shard runners share checkpoints through it")
-	}
-	return nil
+func bind(flags *flag.FlagSet) *options {
+	o := &options{Shared: cliflags.Bind(flags, 1, "tiny")}
+	flags.StringVar(&o.prefix, "prefix", "", "look up client activity for this CIDR prefix")
+	flags.UintVar(&o.asn, "asn", 0, "look up client activity for this AS number")
+	flags.BoolVar(&o.report, "report", false, "print the full evaluation report")
+	flags.BoolVar(&o.coverage, "coverage", false, "print per-country user coverage")
+	flags.BoolVar(&o.headline, "headline", false, "print paper-vs-measured headline statistics")
+	flags.StringVar(&o.ArtifactPath, "artifact", "", "write the rolling serving artifact (what clientmapd -reload watches) to this file on every emit hour (stream mode only)")
+	return o
 }
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("clientmap: ")
-	var (
-		seed       = flag.Uint64("seed", 1, "simulation seed")
-		scale      = flag.String("scale", "tiny", "world scale: tiny|small|medium|large")
-		prefix     = flag.String("prefix", "", "look up client activity for this CIDR prefix")
-		asn        = flag.Uint("asn", 0, "look up client activity for this AS number")
-		workers    = flag.Int("workers", 0, "probing worker pool size (0 = one per CPU, 1 = sequential; results are identical)")
-		stateDir   = flag.String("state-dir", "", "checkpoint pipeline stages into this directory")
-		resume     = flag.Bool("resume", false, "reuse matching checkpoints in -state-dir, skipping completed stages")
-		shards     = flag.Int("shards", 1, "split every probing pass into this many scatter shards (results are identical for any count)")
-		shardIndex = flag.Int("shard-index", -1, "run as shard runner N of -shards sharing -state-dir; -1 executes every shard in this process")
-		shardDir   = flag.String("shard-dir", "", "work-stealing claim directory of a distributed run (default <state-dir>/shards)")
-		faultSpec  = flag.String("faults", "", `inject deterministic transport faults, e.g. "loss=0.02,jitter=50ms,outage=fra@24h+6h" (empty or "off" = reliable substrate)`)
-		retrySpec  = flag.String("retries", "", `probe retry policy, e.g. "attempts=3,timeout=2s,backoff=100ms,budget=1000" (empty or "off" = single try)`)
-		healthSpec = flag.String("health", "", `graceful-degradation policy: "on" for defaults, or e.g. "window=15m,error-rate=0.5,open-after=4,probation=45m,hedge-after=150ms" (empty or "off" = no breakers/hedging/failover)`)
-		degJSON    = flag.String("degradation-json", "", `write the degradation ledger (breakers, hedges, failover, coverage) as JSON to this file ("-" = stdout)`)
-		report     = flag.Bool("report", false, "print the full evaluation report")
-		coverage   = flag.Bool("coverage", false, "print per-country user coverage")
-		headline   = flag.Bool("headline", false, "print paper-vs-measured headline statistics")
-		metricsTo  = flag.String("metrics-json", "", `write the deterministic metrics ledger as JSON to this file ("-" = stdout)`)
-		debugAddr  = flag.String("debug-addr", "", `serve /metrics, /debug/vars and /debug/pprof/ on this address (e.g. "localhost:6060") for the run's duration`)
-		streamH    = flag.Int("stream", 0, "continuous measurement mode: stream for this many simulated hours instead of running the batch evaluation")
-		churnSpec  = flag.String("churn", "", `evolve the world while streaming, e.g. "realloc=3@5h,drift=0.15@9h,pop=fra@6h+5h,chromium=off@12h" (empty or "off" = static world)`)
-		emitEvery  = flag.Int("emit-every", 0, "emit the rolling serving artifact every N simulated hours (0 = every hour; stream mode only)")
-		artifact   = flag.String("artifact", "", "write the rolling serving artifact (what clientmapd -reload watches) to this file on every emit hour (stream mode only)")
-	)
+	o := bind(flag.CommandLine)
 	flag.Parse()
-
-	if *resume && *stateDir == "" {
-		log.Fatal("-resume requires -state-dir")
-	}
-	if err := validateReliabilityFlags(*faultSpec, *retrySpec, *healthSpec); err != nil {
-		log.Fatal(err)
-	}
-	if err := validateShardFlags(*shards, *shardIndex, *stateDir); err != nil {
-		log.Fatal(err)
-	}
-	if err := validateStreamFlags(*streamH, *emitEvery, *churnSpec, *healthSpec, *artifact, *shards, *shardIndex); err != nil {
+	if err := o.Check(); err != nil {
 		log.Fatal(err)
 	}
 
-	if *streamH > 0 {
-		if *prefix != "" || *asn != 0 || *report || *coverage || *headline || *degJSON != "" {
+	cfg := o.Config
+	if cfg.StateDir != "" || cfg.DebugAddr != "" {
+		cfg.Log = log.Printf
+	}
+	write := func(path string, data []byte) {
+		if err := cliflags.WriteOut(path, data); err != nil {
+			log.Fatal(err)
+		}
+	}
+
+	if cfg.StreamHours > 0 {
+		if o.prefix != "" || o.asn != 0 || o.report || o.coverage || o.headline || o.DegradationJSON != "" {
 			log.Fatal("-stream is incompatible with the batch-evaluation queries (-prefix, -asn, -report, -coverage, -headline, -degradation-json)")
 		}
-		scfg := clientmap.StreamConfig{
-			Seed: *seed, Scale: *scale, Hours: *streamH, Churn: *churnSpec,
-			EmitEvery: *emitEvery, ArtifactPath: *artifact,
-			Faults: *faultSpec, Retries: *retrySpec,
-			Workers: *workers, StateDir: *stateDir, Resume: *resume,
-		}
-		if *stateDir != "" {
-			scfg.Log = log.Printf
-		}
-		run, err := clientmap.RunStream(scfg)
+		run, err := clientmap.RunStream(cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Print(run.ReportText())
-		if *artifact != "" {
-			log.Printf("rolling artifact %s (payload %.12s)", *artifact, run.FinalArtifactHash())
+		if cfg.ArtifactPath != "" {
+			log.Printf("rolling artifact %s (payload %.12s)", cfg.ArtifactPath, run.FinalArtifactHash())
 		}
-		if *metricsTo != "" {
-			b := run.MetricsJSON()
-			if *metricsTo == "-" {
-				os.Stdout.Write(b)
-			} else if err := os.WriteFile(*metricsTo, b, 0o644); err != nil {
-				log.Fatal(err)
-			}
-		}
+		write(o.MetricsJSON, run.MetricsJSON())
 		return
 	}
-	ccfg := clientmap.Config{Seed: *seed, Scale: *scale, Workers: *workers, StateDir: *stateDir, Resume: *resume,
-		Shards: *shards, ShardIndex: *shardIndex, ShardDir: *shardDir,
-		Faults: *faultSpec, Retries: *retrySpec, Health: *healthSpec, DebugAddr: *debugAddr}
-	if *stateDir != "" || *debugAddr != "" {
-		ccfg.Log = log.Printf
-	}
-	eval, err := clientmap.Run(ccfg)
+	eval, err := clientmap.Run(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	did := false
-	if *degJSON != "" {
+	did := o.DegradationJSON != "" || o.MetricsJSON != ""
+	if o.DegradationJSON != "" {
 		b, err := eval.DegradationJSON()
 		if err != nil {
 			log.Fatal(err)
 		}
-		b = append(b, '\n')
-		if *degJSON == "-" {
-			os.Stdout.Write(b)
-		} else if err := os.WriteFile(*degJSON, b, 0o644); err != nil {
-			log.Fatal(err)
-		}
-		did = true
+		write(o.DegradationJSON, append(b, '\n'))
 	}
-	if *metricsTo != "" {
-		b := eval.MetricsJSON()
-		if *metricsTo == "-" {
-			os.Stdout.Write(b)
-		} else if err := os.WriteFile(*metricsTo, b, 0o644); err != nil {
-			log.Fatal(err)
-		}
-		did = true
-	}
-	if *report {
+	write(o.MetricsJSON, eval.MetricsJSON())
+	if o.report {
 		fmt.Println(eval.Text())
 		did = true
 	}
-	if *headline {
+	if o.headline {
 		for _, s := range eval.Headline() {
 			fmt.Printf("%-55s paper %-24s measured %s\n", s.Name, s.Paper, s.Measured)
 		}
 		did = true
 	}
-	if *prefix != "" {
-		act, err := eval.PrefixActive(*prefix)
+	if o.prefix != "" {
+		act, err := eval.PrefixActive(o.prefix)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("prefix %s: active=%v cacheProbing=%v dnsLogs=%v", *prefix, act.Active(), act.CacheProbing, act.DNSLogs)
+		fmt.Printf("prefix %s: active=%v cacheProbing=%v dnsLogs=%v", o.prefix, act.Active(), act.CacheProbing, act.DNSLogs)
 		if act.ASN != 0 {
 			fmt.Printf(" origin=AS%d", act.ASN)
 		}
 		fmt.Println()
-		trusted, reason, err := eval.GeoTrust(*prefix)
+		trusted, reason, err := eval.GeoTrust(o.prefix)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("geolocation trust: %v (%s)\n", trusted, reason)
 		did = true
 	}
-	if *asn != 0 {
-		a := eval.ASActive(uint32(*asn))
+	if o.asn != 0 {
+		a := eval.ASActive(uint32(o.asn))
 		fmt.Printf("AS%d: cacheProbing=%v dnsLogs=%v relVolume=%.3g apnicUsers=%.0f\n",
 			a.ASN, a.CacheProbing, a.DNSLogs, a.RelativeVolume, a.APNICUsers)
 		did = true
 	}
-	if *coverage {
+	if o.coverage {
 		cov := eval.CountryCoverage()
 		countries := make([]string, 0, len(cov))
 		for c := range cov {

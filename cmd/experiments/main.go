@@ -16,207 +16,116 @@ import (
 	"strings"
 	"time"
 
-	"clientmap/internal/churn"
-	"clientmap/internal/core/cacheprobe"
+	"clientmap/internal/cliflags"
 	"clientmap/internal/experiments"
-	"clientmap/internal/faults"
-	"clientmap/internal/health"
 	"clientmap/internal/metrics"
-	"clientmap/internal/randx"
 	"clientmap/internal/report"
 	"clientmap/internal/serve"
 	"clientmap/internal/statefs"
-	"clientmap/internal/world"
 )
 
-// parseReliability turns the -faults/-retries/-health spec strings into
-// their typed configs, rejecting out-of-range values (loss outside [0,1],
-// attempts < 1, negative durations) with the parsers' own messages.
-func parseReliability(faultSpec, retrySpec, healthSpec string) (faults.Config, cacheprobe.Retry, health.Config, error) {
-	fc, err := faults.Parse(faultSpec)
-	if err != nil {
-		return faults.Config{}, cacheprobe.Retry{}, health.Config{}, fmt.Errorf("-faults: %w", err)
+// writeOut writes one report payload where its flag points and says so.
+func writeOut(path string, data []byte) {
+	if err := cliflags.WriteOut(path, data); err != nil {
+		log.Fatal(err)
 	}
-	rc, err := cacheprobe.ParseRetry(retrySpec)
-	if err != nil {
-		return faults.Config{}, cacheprobe.Retry{}, health.Config{}, fmt.Errorf("-retries: %w", err)
+	if path != "" && path != "-" {
+		log.Printf("wrote %s", path)
 	}
-	hc, err := health.Parse(healthSpec)
-	if err != nil {
-		return faults.Config{}, cacheprobe.Retry{}, health.Config{}, fmt.Errorf("-health: %w", err)
-	}
-	return fc, rc, hc, nil
 }
 
-// validateStreamFlags rejects impossible streaming-mode combinations
-// before the run starts. -churn and -emit-every only mean something in
-// stream mode, and streaming is incompatible with pass sharding (hours
-// are the checkpoint unit, not shards) and the health layer (the
-// adaptive scheduler owns PoP liveness).
-func validateStreamFlags(streamHours, emitEvery int, churnSpec, healthSpec string, shards, shardIndex int) (churn.Config, error) {
-	ch, err := churn.Parse(churnSpec)
-	if err != nil {
-		return churn.Config{}, fmt.Errorf("-churn: %w", err)
-	}
-	if streamHours < 0 {
-		return churn.Config{}, fmt.Errorf("-stream must be non-negative, got %d", streamHours)
-	}
-	if streamHours == 0 {
-		if ch.Enabled() {
-			return churn.Config{}, fmt.Errorf("-churn requires -stream")
-		}
-		if emitEvery != 0 {
-			return churn.Config{}, fmt.Errorf("-emit-every requires -stream")
-		}
-		return ch, nil
-	}
-	if emitEvery < 0 {
-		return churn.Config{}, fmt.Errorf("-emit-every must be non-negative, got %d", emitEvery)
-	}
-	if shards > 1 || shardIndex >= 0 {
-		return churn.Config{}, fmt.Errorf("-stream is incompatible with -shards/-shard-index: hours are the checkpoint unit")
-	}
-	if hc, err := health.Parse(healthSpec); err == nil && hc.Enabled() {
-		return churn.Config{}, fmt.Errorf("-stream is incompatible with -health: the adaptive scheduler owns PoP liveness")
-	}
-	return ch, nil
+// options are the command's flags: the campaign flags it shares with
+// cmd/clientmap plus its own outputs.
+type options struct {
+	*cliflags.Shared
+	out, csvDir, relJSON, serveOut string
+	diskFaults                     string
 }
 
-// validateShardFlags rejects impossible -shards/-shard-index/-state-dir
-// combinations before the run starts, like parseReliability does for the
-// reliability specs: a bad topology fails in milliseconds, not after a
-// campaign.
-func validateShardFlags(shards, shardIndex int, stateDir string) error {
-	if shards < 1 {
-		return fmt.Errorf("-shards must be at least 1, got %d", shards)
-	}
-	if shardIndex < -1 {
-		return fmt.Errorf("-shard-index must be -1 (run every shard) or a shard number, got %d", shardIndex)
-	}
-	if shardIndex >= shards {
-		return fmt.Errorf("-shard-index %d out of range: -shards is %d", shardIndex, shards)
-	}
-	if shardIndex >= 0 && stateDir == "" {
-		return fmt.Errorf("-shard-index requires -state-dir: shard runners share checkpoints through it")
-	}
-	return nil
+func bind(flags *flag.FlagSet) *options {
+	o := &options{Shared: cliflags.Bind(flags, 2021, "small")}
+	flags.StringVar(&o.out, "out", "", "write a markdown report to this file")
+	flags.IntVar(&o.CampaignHours, "campaign-hours", 120, "cache-probing campaign duration")
+	flags.IntVar(&o.Passes, "passes", 9, "probing passes within the campaign")
+	flags.IntVar(&o.TraceHours, "trace-hours", 48, "DITL trace duration")
+	flags.StringVar(&o.csvDir, "csvdir", "", "export every table and figure as CSV into this directory")
+	flags.StringVar(&o.diskFaults, "disk-faults", "", `inject deterministic disk faults into state I/O, e.g. "torn=probe-pass-1@1,enospc=@0.01,bitrot=@0.001,slow=.snap@5ms" (empty or "off" = honest disk)`)
+	flags.StringVar(&o.relJSON, "reliability-json", "", `write the fault/retry ledger as JSON to this file ("-" = stdout)`)
+	flags.StringVar(&o.serveOut, "serve-artifact", "", "export the serving artifact (serve.ClientMap snapshot) for clientmapd to this file; with -stream, the rolling artifact rewritten every emit hour")
+	return o
 }
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("experiments: ")
-	var (
-		seed       = flag.Uint64("seed", 2021, "simulation seed")
-		scale      = flag.String("scale", "small", "world scale: tiny|small|medium|large")
-		out        = flag.String("out", "", "write a markdown report to this file")
-		campaign   = flag.Int("campaign-hours", 120, "cache-probing campaign duration")
-		passes     = flag.Int("passes", 9, "probing passes within the campaign")
-		traceH     = flag.Int("trace-hours", 48, "DITL trace duration")
-		workers    = flag.Int("workers", 0, "probing worker pool size (0 = one per CPU, 1 = sequential; results are identical)")
-		csvDir     = flag.String("csvdir", "", "export every table and figure as CSV into this directory")
-		stateDir   = flag.String("state-dir", "", "checkpoint pipeline stages into this directory")
-		resume     = flag.Bool("resume", false, "reuse matching checkpoints in -state-dir, skipping completed stages")
-		shards     = flag.Int("shards", 1, "split every probing pass into this many scatter shards (results are identical for any count)")
-		shardIndex = flag.Int("shard-index", -1, "run as shard runner N of -shards sharing -state-dir; -1 executes every shard in this process")
-		shardDir   = flag.String("shard-dir", "", "work-stealing claim directory of a distributed run (default <state-dir>/shards)")
-		faultSpec  = flag.String("faults", "", `inject deterministic transport faults, e.g. "loss=0.02,jitter=50ms,outage=fra@24h+6h" (empty or "off" = reliable substrate)`)
-		diskSpec   = flag.String("disk-faults", "", `inject deterministic disk faults into state I/O, e.g. "torn=probe-pass-1@1,enospc=@0.01,bitrot=@0.001,slow=.snap@5ms" (empty or "off" = honest disk)`)
-		retrySpec  = flag.String("retries", "", `probe retry policy, e.g. "attempts=3,timeout=2s,backoff=100ms,budget=1000" (empty or "off" = single try)`)
-		healthSpec = flag.String("health", "", `graceful-degradation policy: "on" for defaults, or e.g. "window=15m,error-rate=0.5,open-after=4,probation=45m,hedge-after=150ms" (empty or "off" = no breakers/hedging/failover)`)
-		relJSON    = flag.String("reliability-json", "", "write the fault/retry ledger as JSON to this file")
-		degJSON    = flag.String("degradation-json", "", "write the degradation ledger (breakers, hedges, failover, coverage) as JSON to this file")
-		metricsTo  = flag.String("metrics-json", "", `write the deterministic metrics ledger as JSON to this file ("-" = stdout)`)
-		debugAddr  = flag.String("debug-addr", "", `serve /metrics, /debug/vars and /debug/pprof/ on this address for the run's duration`)
-		serveOut   = flag.String("serve-artifact", "", "export the serving artifact (serve.ClientMap snapshot) for clientmapd to this file")
-		streamH    = flag.Int("stream", 0, "continuous measurement mode: stream for this many simulated hours instead of running the batch evaluation")
-		churnSpec  = flag.String("churn", "", `evolve the world while streaming, e.g. "realloc=3@5h,drift=0.15@9h,pop=fra@6h+5h,chromium=off@12h" (empty or "off" = static world)`)
-		emitEvery  = flag.Int("emit-every", 0, "emit the rolling serving artifact every N simulated hours (0 = every hour; stream mode only)")
-	)
+	o := bind(flag.CommandLine)
 	flag.Parse()
-
-	scales := map[string]world.Scale{
-		"tiny": world.ScaleTiny, "small": world.ScaleSmall,
-		"medium": world.ScaleMedium, "large": world.ScaleLarge,
-	}
-	sc, ok := scales[*scale]
-	if !ok {
-		log.Fatalf("unknown scale %q", *scale)
+	if err := o.Check(); err != nil {
+		log.Fatal(err)
 	}
 
-	cfg := experiments.DefaultConfig(randx.Seed(*seed), sc)
-	cfg.CampaignDuration = time.Duration(*campaign) * time.Hour
-	cfg.Passes = *passes
-	cfg.TraceDuration = time.Duration(*traceH) * time.Hour
-	cfg.Workers = *workers
-	cfg.StateDir = *stateDir
-	cfg.Resume = *resume
-	if *stateDir != "" {
-		cfg.Log = log.Printf
-	}
-	if *resume && *stateDir == "" {
-		log.Fatal("-resume requires -state-dir")
-	}
-	if err := validateShardFlags(*shards, *shardIndex, *stateDir); err != nil {
-		log.Fatal(err)
-	}
-	cfg.Shards = *shards
-	cfg.ShardIndex = *shardIndex
-	cfg.ShardDir = *shardDir
-	var err error
-	if cfg.Faults, cfg.Retry, cfg.Health, err = parseReliability(*faultSpec, *retrySpec, *healthSpec); err != nil {
-		log.Fatal(err)
-	}
-	dc, err := statefs.Parse(*diskSpec)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if dc.Enabled() {
-		if *stateDir == "" {
-			log.Fatal("-disk-faults requires -state-dir (there is no state I/O to fault without one)")
+	streaming := o.StreamHours > 0
+	if streaming {
+		if o.out != "" || o.csvDir != "" || o.relJSON != "" || o.DegradationJSON != "" {
+			log.Fatal("-stream is incompatible with the batch-evaluation outputs (-out, -csvdir, -reliability-json, -degradation-json)")
 		}
-		dc.Seed = randx.Seed(*seed)
-		cfg.FS = statefs.NewFaulty(dc, nil)
-		log.Printf("injecting disk faults: %s", dc)
+		o.ArtifactPath = o.serveOut
 	}
-	ch, err := validateStreamFlags(*streamH, *emitEvery, *churnSpec, *healthSpec, *shards, *shardIndex)
+	if o.StateDir != "" || o.DebugAddr != "" {
+		o.Log = log.Printf
+	}
+	cfg, err := o.EngineConfig()
+	if err == nil {
+		// Run validates too; asking first fails before a port is bound.
+		err = cfg.Validate(streaming)
+	}
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg.Metrics = metrics.NewRegistry()
-	if *debugAddr != "" {
-		srv, err := metrics.ServeDebug(*debugAddr, cfg.Metrics)
+	if o.DebugAddr != "" {
+		srv, err := metrics.ServeDebug(o.DebugAddr, cfg.Metrics)
 		if err != nil {
 			log.Fatal(err)
 		}
 		defer srv.Close()
 		log.Printf("debug server listening on %s", srv.Addr())
 	}
-
-	if *streamH > 0 {
-		if *out != "" || *csvDir != "" || *relJSON != "" || *degJSON != "" {
-			log.Fatal("-stream is incompatible with the batch-evaluation outputs (-out, -csvdir, -reliability-json, -degradation-json)")
+	dc, err := statefs.Parse(o.diskFaults)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if dc.Enabled() {
+		if cfg.StateDir == "" {
+			log.Fatal("-disk-faults requires -state-dir (there is no state I/O to fault without one)")
 		}
-		runStream(experiments.StreamConfig{
-			Seed:         randx.Seed(*seed),
-			Scale:        sc,
-			Hours:        *streamH,
-			EmitEvery:    *emitEvery,
-			Churn:        ch,
-			Faults:       cfg.Faults,
-			Retry:        cfg.Retry,
-			Workers:      *workers,
-			ArtifactPath: *serveOut,
-			StateDir:     *stateDir,
-			Resume:       *resume,
-			FS:           cfg.FS,
-			Log:          cfg.Log,
-			Metrics:      cfg.Metrics,
-		}, *scale, *metricsTo)
-		return
+		dc.Seed = cfg.Seed
+		cfg.FS = statefs.NewFaulty(dc, nil)
+		log.Printf("injecting disk faults: %s", dc)
 	}
 
 	start := time.Now()
-	log.Printf("running full evaluation (scale=%s seed=%d)...", *scale, *seed)
+	if streaming {
+		// The rolling artifact (if -serve-artifact is set) is written hour
+		// by hour; what prints here is the coverage-lag report.
+		log.Printf("streaming %d sim-hours (scale=%s seed=%d churn=%s)...",
+			cfg.Hours, o.Scale, cfg.Seed, cfg.Churn.String())
+		res, err := experiments.RunStream(cfg)
+		if err != nil {
+			log.Fatal(err)
+		}
+		log.Printf("done in %v: %d probes sent across %d hourly passes",
+			time.Since(start), res.Campaign.ProbesSent, res.Cfg.Hours)
+		fmt.Print(res.Report.Render())
+		if cfg.ArtifactPath != "" && res.FinalMap != nil {
+			st := serve.NewIndex(res.FinalMap, 0, res.FinalHash).Stats()
+			log.Printf("rolling artifact %s (%d scopes, %d active /24s, %d ASes, payload %.12s)",
+				cfg.ArtifactPath, st.Scopes, st.Active24s, st.ActiveASes, res.FinalHash)
+		}
+		writeOut(o.MetricsJSON, res.MetricsJSON())
+		return
+	}
+
+	log.Printf("running full evaluation (scale=%s seed=%d)...", o.Scale, o.Seed)
 	res, err := experiments.Run(cfg)
 	if err != nil {
 		log.Fatal(err)
@@ -226,90 +135,44 @@ func main() {
 
 	fmt.Println(res.RenderAll())
 
-	if *out != "" {
-		md := markdown(res, *scale, *seed, time.Since(start))
-		if err := os.WriteFile(*out, []byte(md), 0o644); err != nil {
+	if o.out != "" {
+		md := markdown(res, o.Scale, o.Seed, time.Since(start))
+		if err := os.WriteFile(o.out, []byte(md), 0o644); err != nil {
 			log.Fatal(err)
 		}
-		log.Printf("wrote %s", *out)
+		log.Printf("wrote %s", o.out)
 	}
-	if *csvDir != "" {
-		if err := writeCSVs(res, *csvDir); err != nil {
+	if o.csvDir != "" {
+		if err := writeCSVs(res, o.csvDir); err != nil {
 			log.Fatal(err)
 		}
-		log.Printf("wrote CSV exports to %s", *csvDir)
+		log.Printf("wrote CSV exports to %s", o.csvDir)
 	}
-	if *relJSON != "" {
+	if o.relJSON != "" {
 		data, err := res.Reliability().JSON()
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := os.WriteFile(*relJSON, append(data, '\n'), 0o644); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("wrote %s", *relJSON)
+		writeOut(o.relJSON, append(data, '\n'))
 	}
-	if *degJSON != "" {
+	if o.DegradationJSON != "" {
 		data, err := res.Degradation().JSON()
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := os.WriteFile(*degJSON, append(data, '\n'), 0o644); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("wrote %s", *degJSON)
+		writeOut(o.DegradationJSON, append(data, '\n'))
 	}
-	if *serveOut != "" {
+	if o.serveOut != "" {
 		cm := res.ClientMap()
-		hash, err := serve.WriteFile(*serveOut, cm)
+		hash, err := serve.WriteFile(o.serveOut, cm)
 		if err != nil {
 			log.Fatal(err)
 		}
 		st := serve.NewIndex(cm, 0, hash).Stats()
 		log.Printf("wrote %s (%d scopes, %d active /24s, %d ASes, artifact %.12s)",
-			*serveOut, st.Scopes, st.Active24s, st.ActiveASes, hash)
+			o.serveOut, st.Scopes, st.Active24s, st.ActiveASes, hash)
 	}
-	if *metricsTo != "" {
-		b := res.MetricsJSON()
-		if *metricsTo == "-" {
-			os.Stdout.Write(b)
-		} else if err := os.WriteFile(*metricsTo, b, 0o644); err != nil {
-			log.Fatal(err)
-		} else {
-			log.Printf("wrote %s", *metricsTo)
-		}
-	}
-}
-
-// runStream executes the continuous measurement mode and prints its
-// coverage-lag report; the rolling artifact (if -serve-artifact is set)
-// was already written hour by hour.
-func runStream(scfg experiments.StreamConfig, scale, metricsTo string) {
-	start := time.Now()
-	log.Printf("streaming %d sim-hours (scale=%s seed=%d churn=%s)...",
-		scfg.Hours, scale, scfg.Seed, scfg.Churn.String())
-	res, err := experiments.RunStream(scfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	log.Printf("done in %v: %d probes sent across %d hourly passes",
-		time.Since(start), res.Campaign.ProbesSent, res.Cfg.Hours)
-	fmt.Print(res.Report.Render())
-	if scfg.ArtifactPath != "" && res.FinalMap != nil {
-		st := serve.NewIndex(res.FinalMap, 0, res.FinalHash).Stats()
-		log.Printf("rolling artifact %s (%d scopes, %d active /24s, %d ASes, payload %.12s)",
-			scfg.ArtifactPath, st.Scopes, st.Active24s, st.ActiveASes, res.FinalHash)
-	}
-	if metricsTo != "" {
-		b := res.MetricsJSON()
-		if metricsTo == "-" {
-			os.Stdout.Write(b)
-		} else if err := os.WriteFile(metricsTo, b, 0o644); err != nil {
-			log.Fatal(err)
-		} else {
-			log.Printf("wrote %s", metricsTo)
-		}
-	}
+	writeOut(o.MetricsJSON, res.MetricsJSON())
 }
 
 // paperNotes holds the paper's reported values per experiment for the

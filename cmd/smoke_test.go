@@ -1,0 +1,96 @@
+// Package cmd_test smoke-tests the seed-era commands that have no tests
+// of their own: each must build, run to completion at tiny scale, exit
+// zero and print the line its documentation promises. They are the
+// by-hand tools of the reproduction (inspect a world, generate and crawl
+// DITL traces, watch the §3.1.1 probe sequence on real sockets, point
+// the prober at a live resolver), so a signature or behaviour change
+// that breaks one must fail CI, not whoever reaches for it next.
+package cmd_test
+
+import (
+	"context"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"clientmap/internal/dnsnet"
+	"clientmap/internal/dnswire"
+	"clientmap/internal/netx"
+)
+
+// build compiles ./<name> into dir and returns the binary's path.
+func build(t *testing.T, dir, name string) string {
+	t.Helper()
+	bin := filepath.Join(dir, name)
+	if out, err := exec.Command("go", "build", "-o", bin, "./"+name).CombinedOutput(); err != nil {
+		t.Fatalf("go build ./%s: %v\n%s", name, err, out)
+	}
+	return bin
+}
+
+// run executes bin and asserts exit 0 and every wanted output line.
+func run(t *testing.T, want []string, bin string, args ...string) {
+	t.Helper()
+	out, err := exec.Command(bin, args...).CombinedOutput()
+	if err != nil {
+		t.Fatalf("%s %v: %v\n%s", filepath.Base(bin), args, err, out)
+	}
+	for _, w := range want {
+		if !strings.Contains(string(out), w) {
+			t.Errorf("%s %v: output missing %q\n--- output ---\n%s", filepath.Base(bin), args, w, out)
+		}
+	}
+}
+
+func TestCommandsSmoke(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds four commands; cachescan waits ~18 s of real time on its rate limits")
+	}
+	bindir := t.TempDir()
+
+	t.Run("worldinfo", func(t *testing.T) {
+		run(t, []string{"announced /24s", "resolvers"}, build(t, bindir, "worldinfo"), "-scale", "tiny")
+	})
+
+	t.Run("ditlgen", func(t *testing.T) {
+		bin, traces := build(t, bindir, "ditlgen"), t.TempDir()
+		run(t, []string{"wrote", "represented queries"}, bin, "-scale", "tiny", "-hours", "4", "-dir", traces)
+		run(t, []string{"resolvers detected", "top 15 resolvers by Chromium query volume:\n  "},
+			bin, "-scale", "tiny", "-hours", "4", "-dir", traces, "-crawl")
+	})
+
+	t.Run("cachescan", func(t *testing.T) {
+		run(t, []string{"is ACTIVE", "done: this is the §3.1.1 probe sequence"}, build(t, bindir, "cachescan"))
+	})
+
+	// liveprobe against a resolver the test runs on loopback: it caches
+	// www.google.com for 198.51.100.0/24 at scope /24 and nothing else,
+	// and — like Google — answers a snoop only from cache.
+	t.Run("liveprobe", func(t *testing.T) {
+		cached := netx.MustParsePrefix("198.51.100.0/24")
+		srv := dnsnet.NewServer(dnsnet.HandlerFunc(func(_ context.Context, _ netx.Addr, q *dnswire.Message) *dnswire.Message {
+			r := q.Reply()
+			if q.RecursionDesired || r.EDNS == nil || r.EDNS.ECS == nil ||
+				q.Question().Name != "www.google.com" || r.EDNS.ECS.SourcePrefix() != cached {
+				return r
+			}
+			r.EDNS.ECS.ScopePrefixLen = 24
+			r.Answers = append(r.Answers, dnswire.RR{
+				Name: q.Question().Name, Class: dnswire.ClassINET, TTL: 300,
+				Data: dnswire.A{Addr: netx.MustParsePrefix("192.0.2.1/32").Addr()},
+			})
+			return r
+		}))
+		addr, err := srv.ListenTCP("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		bin := build(t, bindir, "liveprobe")
+		run(t, []string{"198.51.100.0/24\tACTIVE\tdomain=www.google.com scope=/24", "# 1/1 prefixes active"},
+			bin, "-resolver", addr.String(), "-prefix", "198.51.100.0/24", "-rate", "1000")
+		run(t, []string{"203.0.113.0/24\tno-hit", "# 0/1 prefixes active"},
+			bin, "-resolver", addr.String(), "-prefix", "203.0.113.0/24", "-rate", "1000", "-redundant", "1")
+	})
+}

@@ -16,12 +16,14 @@ package churn
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
 
 	"clientmap/internal/randx"
+	"clientmap/internal/spec"
 )
 
 // Realloc is the recurring prefix re-allocation process: every Every of
@@ -93,44 +95,57 @@ func (c Config) Enabled() bool {
 //	chromium=off@<start>       deprecate the Chromium probes
 //
 // Example: "realloc=4@6h,drift=0.1@12h,pop=fra@3h+6h,chromium=off@12h".
-func Parse(spec string) (Config, error) {
+func Parse(s string) (Config, error) {
+	const grammar = spec.Grammar("churn")
 	c := Config{}
-	spec = strings.TrimSpace(spec)
-	if spec == "" || spec == "off" {
-		return c, nil
+	// every parses the "<value>@<every>" form of the recurring entries.
+	every := func(kind, v string) (val string, d time.Duration, err error) {
+		val, iv, err := grammar.At(kind, v, "<value>@<every>")
+		if err == nil {
+			d, err = grammar.Duration(kind+" interval", iv)
+		}
+		return val, d, err
 	}
-	for _, kv := range strings.Split(spec, ",") {
-		kv = strings.TrimSpace(kv)
-		if kv == "" {
-			continue
-		}
-		key, val, ok := strings.Cut(kv, "=")
-		if !ok {
-			return Config{}, fmt.Errorf("churn: %q is not key=value", kv)
-		}
-		var err error
+	// Unlike the other four grammars, churn skips empty entries
+	// ("realloc=2@2h,", " , ") rather than rejecting them.
+	entries := slices.DeleteFunc(strings.Split(s, ","), func(kv string) bool { return strings.TrimSpace(kv) == "" })
+	err := grammar.Each(strings.Join(entries, ","), func(key, v string) (err error) {
+		var val string
 		switch key {
 		case "realloc":
-			c.Realloc, err = parseRealloc(val)
-		case "drift":
-			c.Drift.Sigma, c.Drift.Every, err = parseRate("drift", val)
-		case "diurnal":
-			c.Diurnal.Delta, c.Diurnal.Every, err = parseRate("diurnal", val)
-		case "pop":
-			var w PoPWindow
-			if w, err = parsePoP(val); err == nil {
-				c.PoPs = append(c.PoPs, w)
+			if val, c.Realloc.Every, err = every(key, v); err == nil {
+				c.Realloc.Count, err = grammar.Int("realloc count", val)
 			}
+		case "drift":
+			if val, c.Drift.Every, err = every(key, v); err == nil {
+				c.Drift.Sigma, err = grammar.Float("drift value", val)
+			}
+		case "diurnal":
+			if val, c.Diurnal.Every, err = every(key, v); err == nil {
+				c.Diurnal.Delta, err = grammar.Float("diurnal value", val)
+			}
+		case "pop":
+			w := PoPWindow{}
+			w.PoP, w.Start, w.Duration, err = grammar.Window("pop window", v, "<name>@<start>+<duration>")
+			c.PoPs = append(c.PoPs, w)
 		case "chromium":
-			c.ChromiumOff, c.ChromiumOffAt, err = parseChromium(val)
+			var at string
+			if val, at, err = grammar.At(key, v, "off@<start>"); err == nil && val != "off" {
+				err = grammar.Errorf("chromium %q: want off@<start>", v)
+			}
+			if err == nil {
+				c.ChromiumOff = true
+				c.ChromiumOffAt, err = grammar.Duration("chromium start", at)
+			}
 		default:
-			return Config{}, fmt.Errorf("churn: unknown key %q (want realloc, drift, diurnal, pop or chromium)", key)
+			err = grammar.Unknown(key, "realloc, drift, diurnal, pop or chromium")
 		}
-		if err != nil {
-			return Config{}, err
-		}
+		return err
+	})
+	if err == nil {
+		err = c.Validate()
 	}
-	if err := c.Validate(); err != nil {
+	if err != nil {
 		return Config{}, err
 	}
 	// Normalize inactive entries ("realloc=0@5h" keeps no interval), so
@@ -145,74 +160,6 @@ func Parse(spec string) (Config, error) {
 		c.Diurnal = Diurnal{}
 	}
 	return c, nil
-}
-
-// parseRealloc parses "<count>@<every>".
-func parseRealloc(v string) (Realloc, error) {
-	cnt, every, ok := strings.Cut(v, "@")
-	if !ok {
-		return Realloc{}, fmt.Errorf("churn: realloc=%q is not <count>@<every>", v)
-	}
-	n, err := strconv.Atoi(cnt)
-	if err != nil {
-		return Realloc{}, fmt.Errorf("churn: realloc count %q: %v", cnt, err)
-	}
-	d, err := time.ParseDuration(every)
-	if err != nil {
-		return Realloc{}, fmt.Errorf("churn: realloc interval %q: %v", every, err)
-	}
-	return Realloc{Count: n, Every: d}, nil
-}
-
-// parseRate parses "<float>@<every>" for the drift and diurnal entries.
-func parseRate(kind, v string) (float64, time.Duration, error) {
-	fs, every, ok := strings.Cut(v, "@")
-	if !ok {
-		return 0, 0, fmt.Errorf("churn: %s=%q is not <value>@<every>", kind, v)
-	}
-	f, err := strconv.ParseFloat(fs, 64)
-	if err != nil {
-		return 0, 0, fmt.Errorf("churn: %s value %q: %v", kind, fs, err)
-	}
-	d, err := time.ParseDuration(every)
-	if err != nil {
-		return 0, 0, fmt.Errorf("churn: %s interval %q: %v", kind, every, err)
-	}
-	return f, d, nil
-}
-
-// parsePoP parses "<name>@<start>+<duration>".
-func parsePoP(v string) (PoPWindow, error) {
-	name, win, ok := strings.Cut(v, "@")
-	if !ok {
-		return PoPWindow{}, fmt.Errorf("churn: pop=%q is not <name>@<start>+<duration>", v)
-	}
-	ss, ds, ok := strings.Cut(win, "+")
-	if !ok {
-		return PoPWindow{}, fmt.Errorf("churn: pop window %q is not <start>+<duration>", win)
-	}
-	start, err := time.ParseDuration(ss)
-	if err != nil {
-		return PoPWindow{}, fmt.Errorf("churn: pop window start %q: %v", ss, err)
-	}
-	dur, err := time.ParseDuration(ds)
-	if err != nil {
-		return PoPWindow{}, fmt.Errorf("churn: pop window duration %q: %v", ds, err)
-	}
-	return PoPWindow{PoP: name, Start: start, Duration: dur}, nil
-}
-
-// parseChromium parses "off@<start>".
-func parseChromium(v string) (bool, time.Duration, error) {
-	mode, at, ok := strings.Cut(v, "@")
-	if !ok || mode != "off" {
-		return false, 0, fmt.Errorf("churn: chromium=%q is not off@<start>", v)
-	}
-	d, err := time.ParseDuration(at)
-	if err != nil {
-		return false, 0, fmt.Errorf("churn: chromium start %q: %v", at, err)
-	}
-	return true, d, nil
 }
 
 // Validate rejects out-of-range values with the same fast-fail contract

@@ -34,7 +34,7 @@ func TestParseFull(t *testing.T) {
 }
 
 func TestParseEmptyAndOff(t *testing.T) {
-	for _, spec := range []string{"", "off", "  off  "} {
+	for _, spec := range []string{"", "off", "  off  ", ",", " , "} {
 		c, err := Parse(spec)
 		if err != nil {
 			t.Fatalf("Parse(%q): %v", spec, err)
@@ -44,6 +44,20 @@ func TestParseEmptyAndOff(t *testing.T) {
 		}
 		if got := c.String(); got != "off" {
 			t.Fatalf("Parse(%q).String() = %q, want off", spec, got)
+		}
+	}
+}
+
+// Empty entries are skipped, not rejected: a trailing or doubled comma
+// does not change what a spec means.
+func TestParseSkipsEmptyEntries(t *testing.T) {
+	want, err := Parse("realloc=2@2h,chromium=off@3h")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range []string{"realloc=2@2h,chromium=off@3h,", ",realloc=2@2h, ,chromium=off@3h"} {
+		if got, err := Parse(spec); err != nil || got.String() != want.String() {
+			t.Errorf("Parse(%q) = %q, %v; want %q", spec, got.String(), err, want.String())
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"strconv"
-	"strings"
 	"time"
 
 	"clientmap/internal/clockx"
@@ -13,6 +12,7 @@ import (
 	"clientmap/internal/dnswire"
 	"clientmap/internal/faults"
 	"clientmap/internal/metrics"
+	"clientmap/internal/spec"
 )
 
 // Retry is the per-query retry policy. The zero value means a single try
@@ -70,57 +70,36 @@ func (r Retry) Fingerprint() string {
 // "attempts=3,timeout=2s,backoff=100ms,budget=1000". Empty and "off"
 // mean no retries. Ranges are validated: attempts ≥ 1, durations and the
 // budget non-negative.
-func ParseRetry(spec string) (Retry, error) {
+func ParseRetry(s string) (Retry, error) {
+	const grammar = spec.Grammar("retries")
 	var r Retry
-	spec = strings.TrimSpace(spec)
-	if spec == "" || spec == "off" {
-		return r, nil
-	}
-	for _, kv := range strings.Split(spec, ",") {
-		k, v, ok := strings.Cut(strings.TrimSpace(kv), "=")
-		if !ok {
-			return Retry{}, fmt.Errorf("retries: %q is not key=value", kv)
-		}
+	on := false
+	err := grammar.Each(s, func(k, v string) (err error) {
+		on = true
 		switch k {
 		case "attempts":
-			n, err := strconv.Atoi(v)
-			if err != nil {
-				return Retry{}, fmt.Errorf("retries: attempts %q: %v", v, err)
-			}
-			if n < 1 {
-				return Retry{}, fmt.Errorf("retries: attempts must be ≥ 1, got %d", n)
-			}
-			r.Attempts = n
-		case "timeout", "backoff":
-			d, err := time.ParseDuration(v)
-			if err != nil {
-				return Retry{}, fmt.Errorf("retries: %s %q: %v", k, v, err)
-			}
-			if d < 0 {
-				return Retry{}, fmt.Errorf("retries: %s must be non-negative, got %s", k, d)
-			}
-			if k == "timeout" {
-				r.Timeout = d
-			} else {
-				r.Backoff = d
-			}
+			r.Attempts, err = grammar.Int(k, v)
+		case "timeout":
+			r.Timeout, err = grammar.Duration(k, v)
+		case "backoff":
+			r.Backoff, err = grammar.Duration(k, v)
 		case "budget":
-			n, err := strconv.Atoi(v)
-			if err != nil {
-				return Retry{}, fmt.Errorf("retries: budget %q: %v", v, err)
-			}
-			if n < 0 {
-				return Retry{}, fmt.Errorf("retries: budget must be non-negative, got %d", n)
-			}
-			r.BudgetPerPoP = n
+			r.BudgetPerPoP, err = grammar.Int(k, v)
 		default:
-			return Retry{}, fmt.Errorf("retries: unknown key %q (want attempts, timeout, backoff, budget)", k)
+			err = grammar.Unknown(k, "attempts, timeout, backoff, budget")
 		}
+		return err
+	})
+	if err == nil && on && r.Attempts == 0 {
+		err = grammar.Errorf("spec %q sets no attempts (attempts=N required)", s)
 	}
-	if r.Attempts == 0 {
-		return Retry{}, fmt.Errorf("retries: spec %q sets no attempts (attempts=N required)", spec)
+	if err == nil {
+		err = r.Validate()
 	}
-	return r, r.Validate()
+	if err != nil {
+		return Retry{}, err
+	}
+	return r, nil
 }
 
 // retryAccount is one task's retry ledger: its deterministic allowance of

@@ -18,6 +18,7 @@ import (
 	"clientmap/internal/apnic"
 	"clientmap/internal/asdb"
 	"clientmap/internal/cdn"
+	"clientmap/internal/churn"
 	"clientmap/internal/core/cacheprobe"
 	"clientmap/internal/core/datasets"
 	"clientmap/internal/core/dnslogs"
@@ -28,7 +29,6 @@ import (
 	"clientmap/internal/routeviews"
 	"clientmap/internal/sim"
 	"clientmap/internal/statefs"
-	"clientmap/internal/statefsck"
 	"clientmap/internal/world"
 )
 
@@ -42,7 +42,11 @@ const (
 	NameMSResolvers = "Microsoft resolvers"
 )
 
-// Config parameterizes a full evaluation run.
+// Config parameterizes a campaign: the batch evaluation (Run) or the
+// continuous measurement mode (RunStream). Both run the same chain —
+// world, setup, scope pre-scan, calibration, then a delta-chained
+// sequence of probing steps — and share every knob here except the few
+// marked batch-only or stream-only.
 type Config struct {
 	Seed  randx.Seed
 	Scale world.Scale
@@ -52,9 +56,6 @@ type Config struct {
 	Passes int
 	// TraceDuration is the DITL collection length (paper: 2 days).
 	TraceDuration time.Duration
-	// TraceDir holds generated root traces; empty means StateDir/traces
-	// when StateDir is set, else a temp dir.
-	TraceDir string
 	// PerSourceHourCap bounds trace size (see roots.GenConfig).
 	PerSourceHourCap int
 	// Workers bounds the campaign's per-PoP probe worker pools (0 =
@@ -77,7 +78,10 @@ type Config struct {
 	// breakers over the measurement transports, hedged probes, and
 	// vantage/PoP failover with coverage accounting. The zero value turns
 	// the whole layer off. The policy seed is keyed to Seed; any other
-	// field change invalidates the campaign-chain checkpoints.
+	// field change invalidates the campaign-chain checkpoints. Batch
+	// only: a stream's adaptive scheduler owns PoP liveness (withdrawn
+	// PoPs get zero budget), and hit→PoP attribution must stay exact for
+	// its decay ledger.
 	Health health.Config
 
 	// StateDir is the pipeline checkpoint directory; empty disables
@@ -92,7 +96,8 @@ type Config struct {
 	// Resume reuses checkpoints in StateDir whose fingerprints match the
 	// current configuration, skipping the stages that produced them.
 	Resume bool
-	// Shards splits every probing pass into this many scatter shards.
+	// Shards splits every probing pass into this many scatter shards
+	// (batch only: a stream's checkpoint unit is the hour, not the shard).
 	// 0 or 1 keeps the pass monolithic; N > 1 expands each pass stage
 	// into N shard sub-stages (checkpointed as "probe-pass-k/shard-i")
 	// plus a gather stage under the pass's canonical name. Gathered
@@ -103,8 +108,9 @@ type Config struct {
 	// this process is runner ShardIndex of a fleet sharing StateDir — it
 	// builds the stages it owns, restores the rest from the other
 	// runners' checkpoints, and steals stragglers (see ShardStealAfter).
-	// Requires StateDir and forces Resume. -1 (the default) executes
-	// every shard in this one process.
+	// Requires StateDir and forces Resume. -1 (what DefaultConfig sets)
+	// executes every shard in this one process, as does any index when
+	// Shards ≤ 1.
 	ShardIndex int
 	// ShardDir holds the work-stealing claim files of a distributed
 	// run; empty means StateDir/shards. Runners sharing a campaign must
@@ -116,13 +122,30 @@ type Config struct {
 	// straggler watchdog, not the campaign.
 	ShardStealAfter time.Duration
 	// StopAfter aborts the run right after the named stage checkpoints
-	// (see stages.go for names) — the test stand-in for a mid-campaign
-	// kill. Run returns pipeline.ErrStopped.
+	// (see ProbePassStage, ShardStage, StreamHourStage) — the test
+	// stand-in for a mid-campaign kill. The run returns
+	// pipeline.ErrStopped.
 	StopAfter string
 	// Log receives stage progress lines ("stage probe-pass-3: restored
 	// checkpoint … — skipped"); nil discards them. All logging funnels
 	// through Config.logf, so a nil Log is safe everywhere.
 	Log func(format string, args ...any)
+
+	// Hours is the stream length in simulated hours (RunStream only; 0
+	// means 24): each hour is one adaptive probing pass plus one DNS-logs
+	// tick, and its own resumable checkpoint. It replaces
+	// CampaignDuration and Passes, which streaming ignores.
+	Hours int
+	// EmitEvery emits the rolling serving artifact every N simulated
+	// hours (stream only; 0 = every hour).
+	EmitEvery int
+	// Churn drives the world's evolution while streaming; the event seed
+	// is keyed to Seed. The zero value streams over a static world.
+	Churn churn.Config
+	// ArtifactPath, when set, receives the rolling serve.ClientMap on
+	// every emit hour (stream only; atomic replace, deduped by payload
+	// hash) — the file clientmapd -reload watches.
+	ArtifactPath string
 
 	// Metrics is the run's instrumentation registry. Every layer of the
 	// assembled system counts into it — the prober under "cacheprobe/…",
@@ -160,8 +183,8 @@ func DefaultConfig(seed randx.Seed, scale world.Scale) Config {
 // withDefaults fills unset knobs field by field from DefaultConfig.
 // Run used to swap in the whole default configuration whenever
 // CampaignDuration was zero, silently discarding any Passes,
-// TraceDuration, TraceDir or PerSourceHourCap the caller had set; each
-// field now defaults independently.
+// TraceDuration or PerSourceHourCap the caller had set; each field now
+// defaults independently.
 func (c Config) withDefaults() Config {
 	d := DefaultConfig(c.Seed, c.Scale)
 	if c.CampaignDuration <= 0 {
@@ -194,6 +217,8 @@ func (c Config) withDefaults() Config {
 	if c.Metrics == nil {
 		c.Metrics = metrics.NewRegistry()
 	}
+	// The fault, health and churn models draw from the run's one seed.
+	c.Faults.Seed, c.Health.Seed, c.Churn.Seed = c.Seed, c.Seed, c.Seed
 	return c
 }
 
@@ -204,18 +229,49 @@ func (c Config) shardRunner() bool { return c.Shards > 1 && c.ShardIndex >= 0 }
 // fs resolves the state-I/O seam (statefs.Disk when unset).
 func (c Config) fs() statefs.FS { return statefs.Or(c.FS) }
 
-// validateSharding rejects impossible shard topologies before any stage
-// runs. Checked on the raw configuration, so a negative Shards is an
-// error rather than a silent fallback to 1.
-func (c Config) validateSharding() error {
-	if c.Shards < 0 {
-		return fmt.Errorf("experiments: Shards must be non-negative, got %d", c.Shards)
+// Validate is the one place a configuration is rejected, before any
+// stage runs, for both entry points and (through them) both commands —
+// which is why each message names the field and the flag bound to it. It
+// checks the raw configuration, so a negative Shards is an error rather
+// than a silent fallback to 1; the zero value must stay valid (Shards 0
+// is monolithic, ShardIndex is ignored without sharding), so the three
+// stricter rules of a command line live in cliflags.Check. stream says
+// which entry point is asking.
+func (c Config) Validate(stream bool) error {
+	switch {
+	case c.Shards < 0:
+		return fmt.Errorf("experiments: Shards (-shards) must be non-negative, got %d", c.Shards)
+	case c.ShardIndex < -1:
+		return fmt.Errorf("experiments: ShardIndex (-shard-index) must be -1 (run every shard) or a shard number, got %d", c.ShardIndex)
+	case c.ShardIndex >= max(c.Shards, 1):
+		return fmt.Errorf("experiments: ShardIndex (-shard-index) %d out of range for %d shard(s) (-shards)", c.ShardIndex, max(c.Shards, 1))
+	case c.shardRunner() && c.StateDir == "":
+		return fmt.Errorf("experiments: shard-runner mode (-shard-index ≥ 0) requires StateDir (-state-dir): runners share checkpoints through it")
+	case c.Resume && c.StateDir == "":
+		return fmt.Errorf("experiments: Resume (-resume) requires StateDir (-state-dir)")
+	case c.Hours < 0:
+		return fmt.Errorf("experiments: Hours (-stream) must be non-negative, got %d", c.Hours)
+	case c.EmitEvery < 0:
+		return fmt.Errorf("experiments: EmitEvery (-emit-every) must be non-negative, got %d", c.EmitEvery)
 	}
-	if n := max(c.Shards, 1); c.ShardIndex >= n {
-		return fmt.Errorf("experiments: ShardIndex %d out of range for %d shard(s)", c.ShardIndex, n)
+	if !stream {
+		switch {
+		case c.Hours > 0:
+			return fmt.Errorf("experiments: Hours (-stream) asks for a stream; Run is the batch evaluation, use RunStream")
+		case c.Churn.Enabled():
+			return fmt.Errorf("experiments: Churn (-churn) requires streaming (-stream)")
+		case c.EmitEvery != 0:
+			return fmt.Errorf("experiments: EmitEvery (-emit-every) requires streaming (-stream)")
+		case c.ArtifactPath != "":
+			return fmt.Errorf("experiments: ArtifactPath (-artifact) requires streaming (-stream)")
+		}
+		return nil
 	}
-	if c.Shards > 1 && c.ShardIndex >= 0 && c.StateDir == "" {
-		return fmt.Errorf("experiments: shard-runner mode (ShardIndex ≥ 0) requires StateDir")
+	switch {
+	case c.Shards > 1:
+		return fmt.Errorf("experiments: streaming (-stream) is incompatible with Shards (-shards/-shard-index): hours are the checkpoint unit")
+	case c.Health.Enabled():
+		return fmt.Errorf("experiments: streaming (-stream) is incompatible with Health (-health): the adaptive scheduler owns PoP liveness")
 	}
 	return nil
 }
@@ -249,68 +305,32 @@ type Results struct {
 // generation + DNS-logs crawl, and the comparison-dataset collections
 // (CDN, APNIC, ASdb) — run concurrently, and every persisted stage
 // checkpoints into cfg.StateDir (when set) so an interrupted run resumes
-// instead of restarting; see newStagedRun for the graph and the
-// determinism argument.
-// fsckOnResume repairs the state directory before a resuming run
-// restores from it: corrupt or lineage-broken checkpoints are
-// quarantined (resume then rebuilds exactly the damaged suffix), dead
-// writers' temp litter and satisfied steal claims are swept. It never
-// wedges a run — on any error resume proceeds and treats what it cannot
-// read as a rebuild. The one-minute temp-file grace protects fleet
-// members still writing into a shared directory.
-func fsckOnResume(fsys statefs.FS, dir string, logf func(string, ...any)) {
-	if dir == "" {
-		return
-	}
-	rep, err := statefsck.Repair(fsys, dir, statefsck.Options{MinTmpAge: time.Minute})
-	if err != nil {
-		logf("statefsck: %v (continuing; resume rebuilds what it cannot read)", err)
-		return
-	}
-	if rep.Problems() > 0 {
-		logf("statefsck: %s", rep.Summary())
-	}
-}
-
+// instead of restarting; see newChain for the campaign spine, batchRun
+// for the graph and the determinism argument.
 func Run(cfg Config) (*Results, error) {
-	if err := cfg.validateSharding(); err != nil {
+	cfg, err := cfg.prepare(false)
+	if err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults()
-	if cfg.Resume {
-		fsckOnResume(cfg.fs(), cfg.StateDir, cfg.logf)
-	}
-	sr := newStagedRun(cfg)
-	if err := sr.runner.Run(noCtx()); err != nil {
+	br := newBatchRun(cfg)
+	if err := br.runner.Run(noCtx()); err != nil {
 		return nil, err
 	}
-	if cfg.StateDir != "" {
-		// Shard runners write per-runner trace files: the span log records
-		// what this process ran versus restored, and N processes must not
-		// clobber one shared file.
-		name := "trace.jsonl"
-		if cfg.shardRunner() {
-			name = fmt.Sprintf("trace-shard-%d.jsonl", cfg.ShardIndex)
-		}
-		path, err := writeTrace(cfg.StateDir, name, sr.trace)
-		if err != nil {
-			return nil, err
-		}
-		cfg.logf("metrics: wrote %d trace spans to %s", sr.trace.Len(), path)
+	if err := br.writeTrace(); err != nil {
+		return nil, err
 	}
-
 	res := &Results{
 		Cfg:      cfg,
-		Trace:    sr.trace,
-		Sys:      sr.world.Out(),
-		Campaign: sr.probeFinal.Out().Camp,
-		DNSLogs:  sr.dnsLogs.Out(),
-		CDN:      sr.baselines.Out().CDN,
-		APNIC:    sr.baselines.Out().APNIC,
-		ASDB:     sr.baselines.Out().ASDB,
-		RV:       sr.world.Out().RV,
+		Trace:    br.trace,
+		Sys:      br.world.Out(),
+		Campaign: br.last.Out().Camp,
+		DNSLogs:  br.dnsLogs.Out(),
+		CDN:      br.baselines.Out().CDN,
+		APNIC:    br.baselines.Out().APNIC,
+		ASDB:     br.baselines.Out().ASDB,
+		RV:       br.world.Out().RV,
 	}
-	v := sr.views.Out()
+	v := br.views.Out()
 	res.PfxCacheProbe, res.PfxDNSLogs, res.PfxUnion = v.PfxCacheProbe, v.PfxDNSLogs, v.PfxUnion
 	res.PfxMSClients, res.PfxMSResolvers = v.PfxMSClients, v.PfxMSResolvers
 	res.ASCacheProbe, res.ASDNSLogs, res.ASUnion = v.ASCacheProbe, v.ASDNSLogs, v.ASUnion

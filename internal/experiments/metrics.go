@@ -1,10 +1,9 @@
 package experiments
 
 import (
-	"os"
-	"path/filepath"
 	"strings"
 
+	"clientmap/internal/core/cacheprobe"
 	"clientmap/internal/metrics"
 	"clientmap/internal/report"
 )
@@ -18,15 +17,7 @@ import (
 // process lifetime (what ran versus what was restored) are deliberately
 // absent; those belong to the trace.
 func (r *Results) MetricsLedger() metrics.Ledger {
-	led := metrics.Ledger{}
-	if r.Campaign != nil {
-		led.Merge(r.Campaign.Metrics)
-		f := r.Campaign.Faults
-		led["faults/injected_drops"] = f.InjectedDrops
-		led["faults/outage_drops"] = f.OutageDrops
-		led["faults/truncations"] = f.Truncations
-		led["faults/duplicates"] = f.Duplicates
-	}
+	led := campaignLedger(r.Campaign)
 	if r.DNSLogs != nil {
 		led["dnslogs/total_queries"] = int64(r.DNSLogs.TotalQueries)
 		led["dnslogs/pattern_matches"] = int64(r.DNSLogs.PatternMatches)
@@ -34,6 +25,20 @@ func (r *Results) MetricsLedger() metrics.Ledger {
 		led["dnslogs/resolvers"] = int64(len(r.DNSLogs.ResolverCounts))
 		led["dnslogs/letters"] = int64(len(r.DNSLogs.LettersRead))
 		led["dnslogs/open_retries"] = int64(r.DNSLogs.OpenRetries)
+	}
+	return led
+}
+
+// campaignLedger starts a ledger from what both modes export of a
+// campaign: its checkpoint-folded instrumentation and the fault mirror.
+func campaignLedger(camp *cacheprobe.Campaign) metrics.Ledger {
+	led := metrics.Ledger{}
+	if camp != nil {
+		led.Merge(camp.Metrics)
+		led["faults/injected_drops"] = camp.Faults.InjectedDrops
+		led["faults/outage_drops"] = camp.Faults.OutageDrops
+		led["faults/truncations"] = camp.Faults.Truncations
+		led["faults/duplicates"] = camp.Faults.Duplicates
 	}
 	return led
 }
@@ -63,24 +68,4 @@ func (r *Results) RenderMetrics() *report.Table {
 		t.AddRow(k, report.Count(int(led[k])))
 	}
 	return t
-}
-
-// writeTrace persists the run's span log as JSON Lines under
-// dir/metrics/<name> and returns the path. Shard runners pass a
-// per-runner name so concurrent processes never share a file.
-func writeTrace(dir, name string, tr *metrics.Trace) (string, error) {
-	mdir := filepath.Join(dir, "metrics")
-	if err := os.MkdirAll(mdir, 0o755); err != nil {
-		return "", err
-	}
-	path := filepath.Join(mdir, name)
-	f, err := os.Create(path)
-	if err != nil {
-		return "", err
-	}
-	if err := tr.WriteJSONL(f); err != nil {
-		f.Close()
-		return "", err
-	}
-	return path, f.Close()
 }

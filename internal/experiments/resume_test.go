@@ -156,15 +156,12 @@ func TestResumeIgnoresStaleCheckpoints(t *testing.T) {
 func TestWithDefaults(t *testing.T) {
 	d := DefaultConfig(randx.Seed(1), world.ScaleTiny)
 
-	got := Config{Seed: randx.Seed(1), Scale: world.ScaleTiny, Passes: 3, TraceDir: "/x", PerSourceHourCap: 2}.withDefaults()
+	got := Config{Seed: randx.Seed(1), Scale: world.ScaleTiny, Passes: 3, PerSourceHourCap: 2}.withDefaults()
 	if got.CampaignDuration != d.CampaignDuration {
 		t.Errorf("CampaignDuration = %v, want default %v", got.CampaignDuration, d.CampaignDuration)
 	}
 	if got.Passes != 3 {
 		t.Errorf("Passes = %d, want caller's 3", got.Passes)
-	}
-	if got.TraceDir != "/x" {
-		t.Errorf("TraceDir = %q, want caller's /x", got.TraceDir)
 	}
 	if got.PerSourceHourCap != 2 {
 		t.Errorf("PerSourceHourCap = %d, want caller's 2", got.PerSourceHourCap)

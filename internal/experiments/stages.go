@@ -6,32 +6,26 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sync"
 	"time"
 
 	"clientmap/internal/apnic"
 	"clientmap/internal/asdb"
 	"clientmap/internal/cdn"
-	"clientmap/internal/clockx"
 	"clientmap/internal/core/cacheprobe"
 	"clientmap/internal/core/datasets"
 	"clientmap/internal/core/dnslogs"
-	"clientmap/internal/metrics"
 	"clientmap/internal/pipeline"
 	"clientmap/internal/roots"
 	"clientmap/internal/sim"
 	"clientmap/internal/snapshot"
 )
 
-// Stage names, in dependency order. The cache-probing chain checkpoints
-// at every boundary — most importantly after every probing pass — while
-// the DITL chain and the baseline collections run concurrently with it.
+// Batch stage names. The cache-probing chain checkpoints at every
+// boundary — most importantly after every probing pass — while the DITL
+// chain and the baseline collections run concurrently with it.
 // StageProbePass is a prefix: pass k checkpoints as "probe-pass-<k>".
 const (
-	StageWorld     = "world"
 	StageSetup     = "campaign-setup"
-	StagePreScan   = "scope-prescan"
-	StageCalibrate = "calibration"
 	StageProbePass = "probe-pass-"
 	StageFinish    = "campaign-finish"
 	StageDNSLogs   = "ditl-dnslogs"
@@ -47,30 +41,6 @@ func ProbePassStage(k int) string { return fmt.Sprintf("%s%d", StageProbePass, k
 // probing pass k (only registered when Config.Shards > 1) — handy for
 // StopAfter in distributed kill/resume tests.
 func ShardStage(k, i int) string { return fmt.Sprintf("%s/shard-%d", ProbePassStage(k), i) }
-
-// campaignEnv is the in-memory (non-serializable) environment of the
-// probing chain: the prober wired to the simulated network and the
-// discovered PoPs. It is rebuilt by an ephemeral stage on every run —
-// rebuilding is a handful of discovery queries, while the measurements
-// the chain checkpoints are hours of probing.
-type campaignEnv struct {
-	sys    *sim.System
-	prober *cacheprobe.Prober
-	pops   map[string]*cacheprobe.Vantage
-
-	asgOnce sync.Once
-	asg     *cacheprobe.Assignments
-}
-
-// assignments lazily builds the probe plan from the campaign state. Only
-// passes that actually run need it; a fully restored chain never pays
-// for the geolocation sweep.
-func (e *campaignEnv) assignments(camp *cacheprobe.Campaign) *cacheprobe.Assignments {
-	e.asgOnce.Do(func() {
-		e.asg = e.prober.BuildAssignments(e.pops, e.sys.PoPCoords(), camp)
-	})
-	return e.asg
-}
 
 // baselineArtifact bundles the comparison-dataset collections that are
 // checkpointed as one stage: one day of CDN collections, the APNIC
@@ -89,17 +59,6 @@ type viewsArtifact struct {
 	ASCacheProbe, ASDNSLogs, ASUnion, ASAPNIC, ASMSClients, ASMSResolvers *datasets.ASDataset
 }
 
-// Stage artifact codecs. The pre-scan and the calibration checkpoint
-// the (still small) cumulative campaign; every probing pass checkpoints
-// only its own PassDelta (see passCodec), so per-pass checkpoint size
-// tracks the pass's evidence instead of growing with campaign length.
-var campaignCodec = &pipeline.Codec[*cacheprobe.Campaign]{
-	Kind:    snapshot.KindCampaign,
-	Version: snapshot.VersionCampaign,
-	Encode:  snapshot.EncodeCampaign,
-	Decode:  snapshot.DecodeCampaign,
-}
-
 var shardCodec = &pipeline.Codec[*cacheprobe.ShardResult]{
 	Kind:    snapshot.KindShardResult,
 	Version: snapshot.VersionShardResult,
@@ -107,37 +66,26 @@ var shardCodec = &pipeline.Codec[*cacheprobe.ShardResult]{
 	Decode:  snapshot.DecodeShardResult,
 }
 
-// passArtifact is a probing-pass stage's in-memory artifact: the
-// cumulative campaign for downstream consumers, plus the pass's own
-// delta — the only part that checkpoints.
-type passArtifact struct {
-	Camp  *cacheprobe.Campaign
-	Delta *cacheprobe.PassDelta
-}
-
-// passCodec builds pass stage k's delta codec. Encoding persists the
+// passCodec builds a pass stage's delta codec. Encoding persists the
 // PassDelta alone; decoding folds it into the upstream campaign through
 // the same Apply path a freshly gathered pass takes, so a restored
-// chain and a probed chain can never diverge. The delta records the
-// artifact hash of the checkpoint it applies to: a base mismatch
-// rejects the delta (the stage rebuilds) instead of silently corrupting
-// the fold.
-func passCodec(upCamp func() *cacheprobe.Campaign, upHash func() string) *pipeline.Codec[*passArtifact] {
-	return &pipeline.Codec[*passArtifact]{
+// chain and a probed chain can never diverge.
+func passCodec(up link) *pipeline.Codec[*stepArtifact] {
+	return &pipeline.Codec[*stepArtifact]{
 		Kind:    snapshot.KindCampaignDelta,
 		Version: snapshot.VersionCampaignDelta,
-		Encode:  func(w *snapshot.Writer, a *passArtifact) { snapshot.EncodePassDelta(w, a.Delta) },
-		Decode: func(r *snapshot.Reader) (*passArtifact, error) {
+		Encode:  func(w *snapshot.Writer, a *stepArtifact) { snapshot.EncodePassDelta(w, a.Pass) },
+		Decode: func(r *snapshot.Reader) (*stepArtifact, error) {
 			d, err := snapshot.DecodePassDelta(r)
 			if err != nil {
 				return nil, err
 			}
-			if base := upHash(); d.Base != base {
-				return nil, fmt.Errorf("delta applies to base %.12s, upstream checkpoint is %.12s", d.Base, base)
+			if err := up.checkBase(d.Base); err != nil {
+				return nil, err
 			}
-			camp := upCamp()
+			camp := up.camp()
 			d.Apply(camp)
-			return &passArtifact{Camp: camp, Delta: d}, nil
+			return &stepArtifact{Camp: camp, Pass: d}, nil
 		},
 	}
 }
@@ -222,190 +170,49 @@ func (v *viewsArtifact) asViews() []*datasets.ASDataset {
 	}
 }
 
-// stagedRun wires the full evaluation as pipeline stages and keeps the
-// handles needed to assemble Results afterwards.
-type stagedRun struct {
-	runner     *pipeline.Runner
-	trace      *metrics.Trace
-	world      *pipeline.Stage[*sim.System]
-	probeFinal *pipeline.Stage[*passArtifact]
-	dnsLogs    *pipeline.Stage[*dnslogs.Result]
-	baselines  *pipeline.Stage[*baselineArtifact]
-	views      *pipeline.Stage[*viewsArtifact]
+// batchRun is the batch evaluation: the campaign chain plus the side
+// chains that turn it into the paper's tables.
+type batchRun struct {
+	*chain
+	dnsLogs   *pipeline.Stage[*dnslogs.Result]
+	baselines *pipeline.Stage[*baselineArtifact]
+	views     *pipeline.Stage[*viewsArtifact]
 }
 
-func deps(hs ...pipeline.Handle) []pipeline.Handle { return hs }
-
-// newStagedRun registers every stage of the evaluation:
+// newBatchRun registers every stage of the evaluation — the spine with
+// probing passes as its steps, and the side chains beside it:
 //
 //	world ─ campaign-setup ─ scope-prescan ─ calibration ─ probe-pass-0 … probe-pass-N ─ campaign-finish
 //	  ├──── ditl-dnslogs ────────────────────────────────────────────┐
 //	  ├──── baselines ───────────────────────────────────────────────┤
 //	  └──────────────────────────────────────────────────────────────┴─ dataset-views
 //
-// Time anchors are computed from the campaign window up front rather
-// than read off the shared simulated clock mid-run (the campaign always
-// starts at the simulation epoch), so the concurrent chains observe the
-// same timeline no matter how the scheduler interleaves them, and a
-// resumed process reproduces the original schedule exactly.
-//
-// Fingerprints deliberately exclude Config.Workers: the worker count is
-// a pure throughput knob with bit-identical results, so checkpoints
-// written at one worker count resume at any other.
-func newStagedRun(cfg Config) *stagedRun {
-	campStart := clockx.Epoch
-	trace := metrics.NewTrace()
-	r := pipeline.New(pipeline.Options{
-		Dir:       cfg.StateDir,
-		FS:        cfg.FS,
-		Resume:    cfg.Resume,
-		StopAfter: cfg.StopAfter,
-		Gate:      cfg.gate(),
-		Log:       cfg.logf,
-		Trace:     trace,
-		TraceTime: campStart,
-	})
-	sr := &stagedRun{runner: r, trace: trace}
-
-	campEnd := campStart.Add(cfg.CampaignDuration)
-	base := fmt.Sprintf("seed=%d scale=%+v", cfg.Seed, cfg.Scale)
-	// The reliability knobs change what the campaign measures, so they
-	// are part of every campaign-chain fingerprint: a checkpoint probed
-	// under one fault model or retry policy is stale under another. The
-	// world and baseline chains never touch the faulty transports and
-	// keep their fingerprints.
+// The world and baseline chains never touch the faulty transports, so
+// their fingerprints carry no reliability knobs.
+func newBatchRun(cfg Config) *batchRun {
+	base := cfg.baseFP()
 	campFP := fmt.Sprintf("%s faults=%s retry=%s health=%s", base, cfg.Faults.Fingerprint(), cfg.Retry.Fingerprint(), cfg.Health.Fingerprint())
-
-	sr.world = pipeline.AddStage(r, StageWorld, base, nil, nil,
-		func(ctx context.Context) (*sim.System, error) {
-			return sim.New(sim.Config{Seed: cfg.Seed, Scale: cfg.Scale, Metrics: cfg.Metrics})
-		})
-
-	setup := pipeline.AddStage(r, StageSetup, campFP, deps(sr.world), nil,
-		func(ctx context.Context) (*campaignEnv, error) {
-			sys := sr.world.Out()
-			if cfg.Faults.Enabled() {
-				fcfg := cfg.Faults
-				fcfg.Seed = cfg.Seed
-				sys.InjectFaults(fcfg, campStart)
-			}
-			if cfg.Health.Enabled() {
-				hcfg := cfg.Health
-				hcfg.Seed = cfg.Seed
-				sys.EnableHealth(hcfg, campStart)
-			}
-			pcfg := sys.ProberConfig()
-			pcfg.Duration = cfg.CampaignDuration
-			pcfg.Passes = cfg.Passes
-			pcfg.Workers = cfg.Workers
-			pcfg.Retry = cfg.Retry
-			pcfg.Metrics = cfg.Metrics
-			pcfg.Trace = trace
-			prober := sys.Prober(pcfg)
-			pops, err := prober.DiscoverPoPs(ctx)
-			if err != nil {
-				return nil, fmt.Errorf("cache probing: %w", err)
-			}
-			return &campaignEnv{sys: sys, prober: prober, pops: pops}, nil
-		})
-
-	prescan := pipeline.AddStage(r, StagePreScan, campFP, deps(sr.world, setup), campaignCodec,
-		func(ctx context.Context) (*cacheprobe.Campaign, error) {
-			camp := cacheprobe.NewCampaign()
-			if err := setup.Out().prober.PreScan(ctx, camp); err != nil {
-				return nil, fmt.Errorf("cache probing: %w", err)
-			}
-			return camp, nil
-		})
-
-	calibrate := pipeline.AddStage(r, StageCalibrate, campFP, deps(setup, prescan), campaignCodec,
-		func(ctx context.Context) (*cacheprobe.Campaign, error) {
-			env := setup.Out()
-			camp := prescan.Out()
-			env.prober.Calibrate(ctx, env.pops, camp)
-			return camp, nil
-		})
-
-	// Each probing pass is its own checkpoint boundary: kill after pass
-	// k, resume at pass k+1 with the upstream campaign decoded from disk
-	// and the pass's delta folded in. With cfg.Shards > 1 the pass first
-	// scatters into shard sub-stages ("probe-pass-k/shard-i", each its
-	// own checkpoint, so shards resume independently); the gather stage
-	// keeps the pass's canonical name, so StopAfter targets, resume logs
-	// and downstream dependencies are unchanged. The delta chain anchors
-	// on the calibration checkpoint: each delta's base hash is the
-	// previous pass's artifact, and any upstream change cascades through
-	// every shard into the gather.
-	upHandle := pipeline.Handle(calibrate)
-	upCamp := func() *cacheprobe.Campaign { return calibrate.Out() }
-	upHash := calibrate.ArtifactHash
-	var last *pipeline.Stage[*passArtifact]
-	for k := 0; k < cfg.Passes; k++ {
-		k, uH, uc, uh := k, upHandle, upCamp, upHash
-		passFP := fmt.Sprintf("%s dur=%s passes=%d pass=%d", campFP, cfg.CampaignDuration, cfg.Passes, k)
-		var stage *pipeline.Stage[*passArtifact]
-		if cfg.Shards > 1 {
-			shards := pipeline.FanOut(r, ProbePassStage(k), passFP, cfg.Shards, deps(setup, uH), shardCodec,
-				func(i int) func(ctx context.Context) (*cacheprobe.ShardResult, error) {
-					return func(ctx context.Context) (*cacheprobe.ShardResult, error) {
-						env := setup.Out()
-						camp := uc()
-						asg := env.assignments(camp)
-						units := cacheprobe.PartitionPass(asg, k, cfg.Shards)[i]
-						return env.prober.ProbeShard(ctx, env.pops, asg, k, campStart, camp, units), nil
-					}
-				})
-			gdeps := append(deps(setup, uH), pipeline.Handles(shards)...)
-			stage = pipeline.AddStage(r, ProbePassStage(k), passFP, gdeps, passCodec(uc, uh),
-				func(ctx context.Context) (*passArtifact, error) {
-					env := setup.Out()
-					camp := uc()
-					results := make([]*cacheprobe.ShardResult, len(shards))
-					for i, s := range shards {
-						results[i] = s.Out()
-					}
-					d, err := env.prober.GatherPass(env.pops, env.assignments(camp), k, campStart, camp, results)
-					if err != nil {
-						return nil, err
-					}
-					d.Base = uh()
-					return &passArtifact{Camp: camp, Delta: d}, nil
-				})
-		} else {
-			stage = pipeline.AddStage(r, ProbePassStage(k), passFP, deps(setup, uH), passCodec(uc, uh),
-				func(ctx context.Context) (*passArtifact, error) {
-					env := setup.Out()
-					camp := uc()
-					d, err := env.prober.ProbePassDelta(ctx, env.pops, env.assignments(camp), k, campStart, camp)
-					if err != nil {
-						return nil, err
-					}
-					d.Base = uh()
-					return &passArtifact{Camp: camp, Delta: d}, nil
-				})
-		}
-		upHandle, upHash = stage, stage.ArtifactHash
-		upCamp = func() *cacheprobe.Campaign { return stage.Out().Camp }
-		last = stage
-	}
-	sr.probeFinal = last
-
-	pipeline.AddStage(r, StageFinish, "", deps(setup, sr.probeFinal), nil,
-		func(ctx context.Context) (struct{}, error) {
-			setup.Out().prober.FinishProbing(campStart)
-			return struct{}{}, nil
-		})
+	br := &batchRun{chain: newChain(cfg, mode{
+		setupName:  StageSetup,
+		finishName: StageFinish,
+		fp:         campFP,
+		window:     cfg.CampaignDuration,
+		steps:      cfg.Passes,
+		step:       probePass,
+	})}
+	r := br.runner
+	campEnd := campStart.Add(cfg.CampaignDuration)
 
 	logsFP := fmt.Sprintf("%s trace=%s cap=%d end=%s retry=%s", base, cfg.TraceDuration, cfg.PerSourceHourCap, campEnd.Format(time.RFC3339), cfg.Retry.Fingerprint())
-	sr.dnsLogs = pipeline.AddStage(r, StageDNSLogs, logsFP, deps(sr.world), dnslogsCodec,
+	br.dnsLogs = pipeline.AddStage(r, StageDNSLogs, logsFP, deps(br.world), dnslogsCodec,
 		func(ctx context.Context) (*dnslogs.Result, error) {
-			return runDNSLogs(cfg, sr.world.Out(), campEnd)
+			return runDNSLogs(cfg, br.world.Out(), campEnd)
 		})
 
 	baseFP := fmt.Sprintf("%s day=%s", base, campEnd.Add(-24*time.Hour).Format(time.RFC3339))
-	sr.baselines = pipeline.AddStage(r, StageBaselines, baseFP, deps(sr.world), baselinesCodec,
+	br.baselines = pipeline.AddStage(r, StageBaselines, baseFP, deps(br.world), baselinesCodec,
 		func(ctx context.Context) (*baselineArtifact, error) {
-			sys := sr.world.Out()
+			sys := br.world.Out()
 			return &baselineArtifact{
 				CDN:   cdn.Collect(sys.Model, campEnd.Add(-24*time.Hour)),
 				APNIC: apnic.Estimate(sys.World, apnic.Config{}),
@@ -413,28 +220,71 @@ func newStagedRun(cfg Config) *stagedRun {
 			}, nil
 		})
 
-	sr.views = pipeline.AddStage(r, StageViews, base, deps(sr.world, sr.probeFinal, sr.dnsLogs, sr.baselines), viewsCodec,
+	br.views = pipeline.AddStage(r, StageViews, base, deps(br.world, br.last, br.dnsLogs, br.baselines), viewsCodec,
 		func(ctx context.Context) (*viewsArtifact, error) {
-			return buildViews(sr.probeFinal.Out().Camp, sr.dnsLogs.Out(), sr.baselines.Out(), sr.world.Out().RV), nil
+			return buildViews(br.last.Out().Camp, br.dnsLogs.Out(), br.baselines.Out(), br.world.Out().RV), nil
 		})
+	return br
+}
 
-	return sr
+// probePass is the batch step: probing pass k. With cfg.Shards > 1 the
+// pass first scatters into shard sub-stages ("probe-pass-k/shard-i",
+// each its own checkpoint, so shards resume independently); the gather
+// stage keeps the pass's canonical name, so StopAfter targets, resume
+// logs and downstream dependencies are unchanged, and any upstream change
+// cascades through every shard into the gather.
+func probePass(c *chain, k int, up link) *pipeline.Stage[*stepArtifact] {
+	cfg, setup := c.cfg, c.setup
+	passFP := fmt.Sprintf("%s dur=%s passes=%d pass=%d", c.fp, cfg.CampaignDuration, cfg.Passes, k)
+	var shards []*pipeline.Stage[*cacheprobe.ShardResult]
+	if cfg.Shards > 1 {
+		shards = pipeline.FanOut(c.runner, ProbePassStage(k), passFP, cfg.Shards, deps(setup, up.handle), shardCodec,
+			func(i int) func(ctx context.Context) (*cacheprobe.ShardResult, error) {
+				return func(ctx context.Context) (*cacheprobe.ShardResult, error) {
+					env := setup.Out()
+					camp := up.camp()
+					asg := env.assignments(camp)
+					units := cacheprobe.PartitionPass(asg, k, cfg.Shards)[i]
+					return env.prober.ProbeShard(ctx, env.pops, asg, k, campStart, camp, units), nil
+				}
+			})
+	}
+	gdeps := append(deps(setup, up.handle), pipeline.Handles(shards)...)
+	return pipeline.AddStage(c.runner, ProbePassStage(k), passFP, gdeps, passCodec(up),
+		func(ctx context.Context) (*stepArtifact, error) {
+			env := setup.Out()
+			camp := up.camp()
+			asg := env.assignments(camp)
+			var d *cacheprobe.PassDelta
+			var err error
+			if shards == nil {
+				d, err = env.prober.ProbePassDelta(ctx, env.pops, asg, k, campStart, camp)
+			} else {
+				results := make([]*cacheprobe.ShardResult, len(shards))
+				for i, s := range shards {
+					results[i] = s.Out()
+				}
+				d, err = env.prober.GatherPass(env.pops, asg, k, campStart, camp, results)
+			}
+			if err != nil {
+				return nil, err
+			}
+			d.Base = up.hash()
+			return &stepArtifact{Camp: camp, Pass: d}, nil
+		})
 }
 
 // runDNSLogs generates the DITL traces and crawls them — technique 2 as
 // one stage: the crawl result is the artifact, and the trace files land
-// in TraceDir, in StateDir/traces (so a resumed run does not regenerate
-// them), or in a temp dir that is removed when the crawl is done.
+// in StateDir/traces (so a resumed run does not regenerate them), or in
+// a temp dir that is removed when the crawl is done.
 func runDNSLogs(cfg Config, sys *sim.System, campEnd time.Time) (*dnslogs.Result, error) {
-	dir := cfg.TraceDir
-	switch {
-	case dir != "":
-	case cfg.StateDir != "":
-		dir = filepath.Join(cfg.StateDir, "traces")
+	dir := filepath.Join(cfg.StateDir, "traces")
+	if cfg.StateDir != "" {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return nil, err
 		}
-	default:
+	} else {
 		tmp, err := os.MkdirTemp("", "clientmap-ditl-")
 		if err != nil {
 			return nil, err

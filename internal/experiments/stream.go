@@ -6,166 +6,89 @@ import (
 	"sync"
 	"time"
 
-	"clientmap/internal/churn"
-	"clientmap/internal/clockx"
 	"clientmap/internal/core/cacheprobe"
-	"clientmap/internal/faults"
 	"clientmap/internal/metrics"
 	"clientmap/internal/pipeline"
-	"clientmap/internal/randx"
 	"clientmap/internal/serve"
 	"clientmap/internal/sim"
 	"clientmap/internal/snapshot"
-	"clientmap/internal/statefs"
 	"clientmap/internal/stream"
-	"clientmap/internal/world"
 )
 
-// StageStreamHour is the per-hour checkpoint stage name prefix of the
-// streaming mode: hour k checkpoints as "stream-hour-<k>".
-const StageStreamHour = "stream-hour-"
-
-// StageStreamFinish closes the streaming campaign.
-const StageStreamFinish = "stream-finish"
+// Stream stage names: hour k checkpoints as "stream-hour-<k>" between
+// the ephemeral stream-setup and stream-finish bookends.
+const (
+	StageStreamSetup  = "stream-setup"
+	StageStreamHour   = "stream-hour-"
+	StageStreamFinish = "stream-finish"
+)
 
 // StreamHourStage returns the checkpoint stage name of streaming hour k
-// — handy for StreamConfig.StopAfter in kill/resume tests.
+// — handy for Config.StopAfter in kill/resume tests.
 func StreamHourStage(k int) string { return fmt.Sprintf("%s%d", StageStreamHour, k) }
 
-// StreamConfig parameterizes a continuous-measurement run: probing never
-// "finishes", it loops hour by hour over a churning world, decaying old
-// evidence and emitting a rolling serving artifact.
-type StreamConfig struct {
-	Seed  randx.Seed
-	Scale world.Scale
-	// Hours is the simulated stream length (each hour is one adaptive
-	// probing pass plus one DNS-logs tick).
-	Hours int
-	// TTLHours / BudgetFrac / FlipWindow / DecayMargin / EmitEvery tune
-	// the decay scheduler; zero values take stream defaults.
-	TTLHours    int
-	BudgetFrac  float64
-	FlipWindow  int
-	DecayMargin int
-	EmitEvery   int
-	// Churn drives the world's evolution; the event seed is keyed to
-	// Seed. The zero value streams over a static world.
-	Churn churn.Config
-	// Faults / Retry are the campaign reliability knobs, as in Config.
-	// Health-layer failover stays off in stream mode: the scheduler owns
-	// PoP liveness (withdrawn PoPs get zero budget), and hit→PoP
-	// attribution must stay exact for the decay ledger.
-	Faults faults.Config
-	Retry  cacheprobe.Retry
-	// Workers bounds probe concurrency; results are worker-independent.
-	Workers int
-	// ArtifactPath, when set, receives the rolling serve.ClientMap on
-	// every emit hour (atomic replace, deduped by payload hash) — the
-	// file clientmapd -reload watches.
-	ArtifactPath string
+// StreamConfig is Config under the name streaming callers have always
+// spelled (cmd/bench among them): probing never "finishes", it loops
+// hour by hour over a churning world, decaying old evidence and emitting
+// a rolling serving artifact.
+type StreamConfig = Config
 
-	// StateDir / Resume / StopAfter checkpoint the stream per hour,
-	// exactly like Config's per-pass checkpoints.
-	StateDir  string
-	Resume    bool
-	StopAfter string
-	// FS is the state-I/O seam the hour checkpoints and the rolling
-	// artifact are written through; nil means statefs.Disk.
-	FS      statefs.FS
-	Log     func(format string, args ...any)
-	Metrics *metrics.Registry
-}
-
-func (c StreamConfig) logf(format string, args ...any) {
-	if c.Log != nil {
-		c.Log(format, args...)
-	}
-}
-
-// withDefaults fills unset knobs.
-func (c StreamConfig) withDefaults() StreamConfig {
-	if c.Hours <= 0 {
-		c.Hours = 24
-	}
-	if c.Metrics == nil {
-		c.Metrics = metrics.NewRegistry()
-	}
-	return c
-}
-
-// streamCfg projects the experiment config onto the stream package's
-// scheduler config.
-func (c StreamConfig) streamCfg() stream.Config {
-	ch := c.Churn
-	ch.Seed = c.Seed
-	return stream.Config{
-		Seed:        c.Seed,
-		Scale:       c.Scale.Name,
-		Hours:       c.Hours,
-		TTLHours:    c.TTLHours,
-		BudgetFrac:  c.BudgetFrac,
-		FlipWindow:  c.FlipWindow,
-		DecayMargin: c.DecayMargin,
-		EmitEvery:   c.EmitEvery,
-		Churn:       ch,
-	}.WithDefaults()
-}
-
-// streamEnv is the streaming run's ephemeral environment: the campaign
-// env plus the stream state machine, built lazily at the first hour
-// boundary (it needs the calibrated campaign for assignments and the
-// pre-churn world for the event plan).
+// streamEnv is the streaming run's state beside the campaign env: the
+// stream state machine, built lazily at the first hour boundary (it
+// needs the calibrated campaign for assignments and the pre-churn world
+// for the event plan), and the rolling exporter.
 type streamEnv struct {
-	campaignEnv
 	scfg     stream.Config
 	exporter *serve.RollingExporter
-	epoch    time.Time
 
-	streamOnce sync.Once
-	st         *stream.State
-	senv       *stream.Env
+	once sync.Once
+	st   *stream.State
+	senv *stream.Env
 }
 
 // stream returns the state machine, deriving the churn plan and the
 // scheduler state on first use. Both the live hour stages and the
 // checkpoint-replay decoders funnel through here, so a resumed run
 // rebuilds exactly the state the original run advanced.
-func (e *streamEnv) stream(camp *cacheprobe.Campaign) (*stream.State, *stream.Env) {
-	e.streamOnce.Do(func() {
-		asg := e.assignments(camp)
-		plan := e.scfg.Churn.Plan(e.scfg.Hours, e.sys.World)
+func (e *streamEnv) stream(env *campaignEnv, camp *cacheprobe.Campaign) (*stream.State, *stream.Env) {
+	e.once.Do(func() {
+		asg := env.assignments(camp)
+		plan := e.scfg.Churn.Plan(e.scfg.Hours, env.sys.World)
 		e.st = stream.NewState(e.scfg, plan, asg)
 		e.senv = &stream.Env{
-			World: e.sys.World,
-			Model: e.sys.Model,
+			World: env.sys.World,
+			Model: env.sys.Model,
 			Asg:   asg,
-			Epoch: e.epoch,
+			Epoch: campStart,
 		}
-		if lf := e.sys.Google.LazyFill(); lf != nil {
+		if lf := env.sys.Google.LazyFill(); lf != nil {
 			e.senv.InvalidateRates = lf.Invalidate
 		}
 	})
 	return e.st, e.senv
 }
 
-// hourArtifact is one streaming hour's in-memory artifact: the
-// cumulative campaign plus the hour's delta (the only checkpointed
-// part).
-type hourArtifact struct {
-	Camp  *cacheprobe.Campaign
-	Delta *stream.HourDelta
+// export writes a rolling view through the exporter, if one is set.
+func (e *streamEnv) export(out *stream.ClientMapOut) error {
+	if out == nil || e.exporter == nil {
+		return nil
+	}
+	if _, _, err := e.exporter.Export(out.Map); err != nil {
+		return fmt.Errorf("rolling artifact: %w", err)
+	}
+	return nil
 }
 
 // hourCodec builds hour k's checkpoint codec. Decoding verifies the
 // delta's base hash against the upstream checkpoint AND the recorded
 // churn events against the freshly re-derived plan, then replays the
 // hour through the same BeginHour/FinishHour path a probed hour takes.
-func hourCodec(k int, setup *pipeline.Stage[*streamEnv], upCamp func() *cacheprobe.Campaign, upHash func() string) *pipeline.Codec[*hourArtifact] {
-	return &pipeline.Codec[*hourArtifact]{
+func (e *streamEnv) hourCodec(c *chain, k int, up link) *pipeline.Codec[*stepArtifact] {
+	return &pipeline.Codec[*stepArtifact]{
 		Kind:    snapshot.KindStreamDelta,
 		Version: snapshot.VersionStreamDelta,
-		Encode:  func(w *snapshot.Writer, a *hourArtifact) { stream.EncodeHourDelta(w, a.Delta) },
-		Decode: func(r *snapshot.Reader) (*hourArtifact, error) {
+		Encode:  func(w *snapshot.Writer, a *stepArtifact) { stream.EncodeHourDelta(w, a.Hour) },
+		Decode: func(r *snapshot.Reader) (*stepArtifact, error) {
 			d, err := stream.DecodeHourDelta(r)
 			if err != nil {
 				return nil, err
@@ -173,12 +96,11 @@ func hourCodec(k int, setup *pipeline.Stage[*streamEnv], upCamp func() *cachepro
 			if d.Hour != k {
 				return nil, fmt.Errorf("checkpoint holds hour %d, stage is hour %d", d.Hour, k)
 			}
-			if base := upHash(); d.Pass.Base != base {
-				return nil, fmt.Errorf("delta applies to base %.12s, upstream checkpoint is %.12s", d.Pass.Base, base)
+			if err := up.checkBase(d.Pass.Base); err != nil {
+				return nil, err
 			}
-			env := setup.Out()
-			camp := upCamp()
-			st, senv := env.stream(camp)
+			camp := up.camp()
+			st, senv := e.stream(c.setup.Out(), camp)
 			hp := st.BeginHour(senv)
 			if len(hp.Events) != len(d.Events) {
 				return nil, fmt.Errorf("hour %d: checkpoint has %d churn events, plan derives %d", k, len(d.Events), len(hp.Events))
@@ -190,152 +112,44 @@ func hourCodec(k int, setup *pipeline.Stage[*streamEnv], upCamp func() *cachepro
 			}
 			d.Pass.Apply(camp)
 			st.FinishHour(hp, d, senv)
-			return &hourArtifact{Camp: camp, Delta: d}, nil
+			return &stepArtifact{Camp: camp, Pass: d.Pass, Hour: d}, nil
 		},
 	}
 }
 
-// streamRun wires the streaming pipeline and keeps the handles Results
-// assembly needs.
-type streamRun struct {
-	runner *pipeline.Runner
-	trace  *metrics.Trace
-	world  *pipeline.Stage[*sim.System]
-	setup  *pipeline.Stage[*streamEnv]
-	final  *pipeline.Stage[*hourArtifact]
-}
-
-// newStreamRun registers the streaming chain:
-//
-//	world ─ stream-setup ─ scope-prescan ─ calibration ─ stream-hour-0 … stream-hour-(H-1) ─ stream-finish
-//
-// Every hour is its own checkpoint boundary: kill after hour k, resume
-// at hour k+1 with the scheduler state replayed from the hour deltas.
-// Worker count is absent from fingerprints (pure throughput knob).
-func newStreamRun(cfg StreamConfig) *streamRun {
-	campStart := clockx.Epoch
-	scfg := cfg.streamCfg()
-	trace := metrics.NewTrace()
-	r := pipeline.New(pipeline.Options{
-		Dir:       cfg.StateDir,
-		FS:        cfg.FS,
-		Resume:    cfg.Resume,
-		StopAfter: cfg.StopAfter,
-		Log:       cfg.logf,
-		Trace:     trace,
-		TraceTime: campStart,
-	})
-	sr := &streamRun{runner: r, trace: trace}
-
-	base := fmt.Sprintf("seed=%d scale=%+v", cfg.Seed, cfg.Scale)
-	streamFP := fmt.Sprintf("%s faults=%s retry=%s stream{%s}", base, cfg.Faults.Fingerprint(), cfg.Retry.Fingerprint(), scfg.Fingerprint())
-
-	sr.world = pipeline.AddStage(r, StageWorld, base, nil, nil,
-		func(ctx context.Context) (*sim.System, error) {
-			return sim.New(sim.Config{Seed: cfg.Seed, Scale: cfg.Scale, Metrics: cfg.Metrics})
-		})
-
-	setup := pipeline.AddStage(r, "stream-setup", streamFP, deps(sr.world), nil,
-		func(ctx context.Context) (*streamEnv, error) {
-			sys := sr.world.Out()
-			if cfg.Faults.Enabled() {
-				fcfg := cfg.Faults
-				fcfg.Seed = cfg.Seed
-				sys.InjectFaults(fcfg, campStart)
-			}
-			pcfg := sys.ProberConfig()
-			// Hours-as-passes: the prober's pass window is exactly one
-			// sim hour, so hour k's probes are scheduled inside hour k.
-			pcfg.Duration = time.Duration(cfg.Hours) * time.Hour
-			pcfg.Passes = cfg.Hours
-			pcfg.Workers = cfg.Workers
-			pcfg.Retry = cfg.Retry
-			pcfg.Metrics = cfg.Metrics
-			pcfg.Trace = trace
-			prober := sys.Prober(pcfg)
-			pops, err := prober.DiscoverPoPs(ctx)
+// hour is the stream step: churn events apply, the adaptive scheduler
+// picks this hour's probe subset, evidence folds in and decays out, the
+// DNS-logs channel ticks, and the rolling map emits.
+func (e *streamEnv) hour(c *chain, k int, up link) *pipeline.Stage[*stepArtifact] {
+	hourFP := fmt.Sprintf("%s hour=%d", c.fp, k)
+	return pipeline.AddStage(c.runner, StreamHourStage(k), hourFP, deps(c.setup, up.handle), e.hourCodec(c, k, up),
+		func(ctx context.Context) (*stepArtifact, error) {
+			env := c.setup.Out()
+			camp := up.camp()
+			st, senv := e.stream(env, camp)
+			hp := st.BeginHour(senv)
+			pass, err := env.prober.ProbePassDelta(ctx, env.pops, hp.Sub, k, campStart, camp)
 			if err != nil {
-				return nil, fmt.Errorf("cache probing: %w", err)
+				return nil, err
 			}
-			env := &streamEnv{
-				campaignEnv: campaignEnv{sys: sys, prober: prober, pops: pops},
-				scfg:        scfg,
-				epoch:       campStart,
+			pass.Base = up.hash()
+			d := &stream.HourDelta{
+				Hour:   k,
+				Events: hp.Events,
+				Pass:   pass,
+				DNS:    stream.DNSTick(senv, st.Cfg, k),
 			}
-			if cfg.ArtifactPath != "" {
-				env.exporter = &serve.RollingExporter{Path: cfg.ArtifactPath, FS: cfg.FS}
+			_, out := st.FinishHour(hp, d, senv)
+			if err := e.export(out); err != nil {
+				return nil, err
 			}
-			return env, nil
+			return &stepArtifact{Camp: camp, Pass: pass, Hour: d}, nil
 		})
-	sr.setup = setup
-
-	prescan := pipeline.AddStage(r, StagePreScan, streamFP, deps(sr.world, setup), campaignCodec,
-		func(ctx context.Context) (*cacheprobe.Campaign, error) {
-			camp := cacheprobe.NewCampaign()
-			if err := setup.Out().prober.PreScan(ctx, camp); err != nil {
-				return nil, fmt.Errorf("cache probing: %w", err)
-			}
-			return camp, nil
-		})
-
-	calibrate := pipeline.AddStage(r, StageCalibrate, streamFP, deps(setup, prescan), campaignCodec,
-		func(ctx context.Context) (*cacheprobe.Campaign, error) {
-			env := setup.Out()
-			camp := prescan.Out()
-			env.prober.Calibrate(ctx, env.pops, camp)
-			return camp, nil
-		})
-
-	upHandle := pipeline.Handle(calibrate)
-	upCamp := func() *cacheprobe.Campaign { return calibrate.Out() }
-	upHash := calibrate.ArtifactHash
-	var last *pipeline.Stage[*hourArtifact]
-	for k := 0; k < cfg.Hours; k++ {
-		k, uH, uc, uh := k, upHandle, upCamp, upHash
-		hourFP := fmt.Sprintf("%s hour=%d", streamFP, k)
-		stage := pipeline.AddStage(r, StreamHourStage(k), hourFP, deps(setup, uH), hourCodec(k, setup, uc, uh),
-			func(ctx context.Context) (*hourArtifact, error) {
-				env := setup.Out()
-				camp := uc()
-				st, senv := env.stream(camp)
-				hp := st.BeginHour(senv)
-				pass, err := env.prober.ProbePassDelta(ctx, env.pops, hp.Sub, k, campStart, camp)
-				if err != nil {
-					return nil, err
-				}
-				pass.Base = uh()
-				d := &stream.HourDelta{
-					Hour:   k,
-					Events: hp.Events,
-					Pass:   pass,
-					DNS:    stream.DNSTick(senv, st.Cfg, k),
-				}
-				_, out := st.FinishHour(hp, d, senv)
-				if out != nil && env.exporter != nil {
-					if _, _, err := env.exporter.Export(out.Map); err != nil {
-						return nil, fmt.Errorf("rolling artifact: %w", err)
-					}
-				}
-				return &hourArtifact{Camp: camp, Delta: d}, nil
-			})
-		upHandle, upHash = stage, stage.ArtifactHash
-		upCamp = func() *cacheprobe.Campaign { return stage.Out().Camp }
-		last = stage
-	}
-	sr.final = last
-
-	pipeline.AddStage(r, StageStreamFinish, "", deps(setup, sr.final), nil,
-		func(ctx context.Context) (struct{}, error) {
-			setup.Out().prober.FinishProbing(campStart)
-			return struct{}{}, nil
-		})
-
-	return sr
 }
 
 // StreamResults bundles everything a streaming run produced.
 type StreamResults struct {
-	Cfg      StreamConfig
+	Cfg      Config
 	Sys      *sim.System
 	Campaign *cacheprobe.Campaign
 	// State is the final scheduler + decay-ledger state; its Views slice
@@ -350,46 +164,61 @@ type StreamResults struct {
 	Trace     *metrics.Trace
 }
 
-// RunStream executes the continuous measurement mode. The stream
-// advances one simulated hour at a time — churn events apply, the
-// adaptive scheduler picks this hour's probe subset, evidence folds in
-// and decays out, and the rolling map emits — with every hour its own
-// resumable checkpoint.
-func RunStream(cfg StreamConfig) (*StreamResults, error) {
-	cfg = cfg.withDefaults()
-	if cfg.Resume {
-		fsckOnResume(statefs.Or(cfg.FS), cfg.StateDir, cfg.logf)
+// RunStream executes the continuous measurement mode: the campaign spine
+// with simulated hours as its steps (world ─ stream-setup ─ scope-prescan
+// ─ calibration ─ stream-hour-0 … stream-hour-(H-1) ─ stream-finish).
+// Every hour is its own resumable checkpoint: kill after hour k, resume
+// at hour k+1 with the scheduler state replayed from the hour deltas.
+func RunStream(cfg Config) (*StreamResults, error) {
+	if cfg.Hours == 0 {
+		cfg.Hours = 24
 	}
-	sr := newStreamRun(cfg)
-	if err := sr.runner.Run(noCtx()); err != nil {
+	cfg, err := cfg.prepare(true)
+	if err != nil {
 		return nil, err
 	}
-	if cfg.StateDir != "" {
-		if path, err := writeTrace(cfg.StateDir, "trace.jsonl", sr.trace); err != nil {
-			cfg.logf("trace: write failed: %v", err)
-		} else {
-			cfg.logf("trace: %s", path)
-		}
+	e := &streamEnv{scfg: stream.Config{
+		Seed:      cfg.Seed,
+		Scale:     cfg.Scale.Name,
+		Hours:     cfg.Hours,
+		EmitEvery: cfg.EmitEvery,
+		Churn:     cfg.Churn,
+	}.WithDefaults()}
+	if cfg.ArtifactPath != "" {
+		e.exporter = &serve.RollingExporter{Path: cfg.ArtifactPath, FS: cfg.FS}
 	}
-	env := sr.setup.Out()
-	st, senv := env.stream(sr.final.Out().Camp)
+	c := newChain(cfg, mode{
+		setupName:  StageStreamSetup,
+		finishName: StageStreamFinish,
+		fp: fmt.Sprintf("%s faults=%s retry=%s stream{%s}", cfg.baseFP(),
+			cfg.Faults.Fingerprint(), cfg.Retry.Fingerprint(), e.scfg.Fingerprint()),
+		window: time.Duration(cfg.Hours) * time.Hour,
+		steps:  cfg.Hours,
+		step:   e.hour,
+	})
+	if err := c.runner.Run(noCtx()); err != nil {
+		return nil, err
+	}
+	if err := c.writeTrace(); err != nil {
+		cfg.logf("trace: write failed: %v", err)
+	}
+	camp := c.last.Out().Camp
+	st, senv := e.stream(c.setup.Out(), camp)
 	res := &StreamResults{
 		Cfg:      cfg,
-		Sys:      env.sys,
-		Campaign: sr.final.Out().Camp,
+		Sys:      c.world.Out(),
+		Campaign: camp,
 		State:    st,
 		Report:   st.Report(),
-		Trace:    sr.trace,
+		Trace:    c.trace,
 	}
 	if out := st.FinalMap(senv); out != nil {
 		res.FinalMap, res.FinalHash = out.Map, out.Hash
-		if env.exporter != nil {
-			// A fully restored run replayed checkpoints without writing;
-			// make sure the artifact on disk is the final rolling view
-			// (deduped by hash when the live path already wrote it).
-			if _, _, err := env.exporter.Export(out.Map); err != nil {
-				return nil, fmt.Errorf("rolling artifact: %w", err)
-			}
+		// A fully restored run replayed checkpoints without writing; make
+		// sure the artifact on disk is the final rolling view (deduped by
+		// hash when the live path already wrote it).
+		if err := e.export(out); err != nil {
+			return nil, err
 		}
 	}
 	return res, nil
@@ -401,15 +230,7 @@ func RunStream(cfg StreamConfig) (*StreamResults, error) {
 // values, so the ledger is bit-identical across worker counts and
 // kill/resume.
 func (r *StreamResults) MetricsLedger() metrics.Ledger {
-	led := metrics.Ledger{}
-	if r.Campaign != nil {
-		led.Merge(r.Campaign.Metrics)
-		f := r.Campaign.Faults
-		led["faults/injected_drops"] = f.InjectedDrops
-		led["faults/outage_drops"] = f.OutageDrops
-		led["faults/truncations"] = f.Truncations
-		led["faults/duplicates"] = f.Duplicates
-	}
+	led := campaignLedger(r.Campaign)
 	st := r.State
 	if st == nil {
 		return led

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"clientmap/internal/churn"
@@ -311,5 +312,28 @@ func TestStreamKillResumeSmoke(t *testing.T) {
 	}
 	if !bytes.Equal(fbytes, rbytes) {
 		t.Error("on-disk rolling artifacts differ between uninterrupted and resumed runs")
+	}
+}
+
+// A stream that cannot write its span log keeps the hours it probed: the
+// failure is logged, not returned. (A batch run fails on it.)
+func TestStreamTraceWriteFailureIsLogged(t *testing.T) {
+	dir := t.TempDir()
+	// A file where the metrics directory belongs makes the write fail.
+	if err := os.WriteFile(filepath.Join(dir, "metrics"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var logged bool
+	res, err := RunStream(StreamConfig{
+		Seed: randx.Seed(7), Scale: world.ScaleTiny, Hours: 2, StateDir: dir,
+		Log: func(format string, args ...any) {
+			logged = logged || strings.HasPrefix(format, "trace: write failed")
+		},
+	})
+	if err != nil || res.FinalHash == "" {
+		t.Fatalf("stream lost its results to a trace-write failure: %v", err)
+	}
+	if !logged {
+		t.Error("trace-write failure was not logged")
 	}
 }

@@ -1,11 +1,13 @@
 package faults
 
 import (
-	"fmt"
-	"strconv"
 	"strings"
 	"time"
+
+	"clientmap/internal/spec"
 )
+
+const grammar = spec.Grammar("faults")
 
 // Parse builds a Config from a -faults flag spec such as
 //
@@ -21,143 +23,72 @@ import (
 //
 // Empty and "off" mean no faults. The seed is left zero — harnesses key
 // it to the run seed.
-func Parse(spec string) (Config, error) {
+func Parse(s string) (Config, error) {
 	var c Config
-	spec = strings.TrimSpace(spec)
-	if spec == "" || spec == "off" {
-		return c, nil
-	}
-	for _, kv := range strings.Split(spec, ",") {
-		k, v, ok := strings.Cut(strings.TrimSpace(kv), "=")
-		if !ok {
-			return Config{}, fmt.Errorf("faults: %q is not key=value", kv)
-		}
+	err := grammar.Each(s, func(k, v string) (err error) {
 		switch k {
-		case "loss", "dup", "trunc":
-			f, err := strconv.ParseFloat(v, 64)
-			if err != nil {
-				return Config{}, fmt.Errorf("faults: %s rate %q: %v", k, v, err)
-			}
-			switch k {
-			case "loss":
-				c.Loss = f
-			case "dup":
-				c.Dup = f
-			case "trunc":
-				c.Trunc = f
-			}
+		case "loss":
+			c.Loss, err = grammar.Float("loss rate", v)
+		case "dup":
+			c.Dup, err = grammar.Float("dup rate", v)
+		case "trunc":
+			c.Trunc, err = grammar.Float("trunc rate", v)
 		case "jitter":
-			d, err := time.ParseDuration(v)
-			if err != nil {
-				return Config{}, fmt.Errorf("faults: jitter %q: %v", v, err)
-			}
-			c.Jitter = d
+			c.Jitter, err = grammar.Duration("jitter", v)
 		case "outage":
-			o, err := parseOutage(v)
-			if err != nil {
-				return Config{}, err
-			}
+			o := Outage{}
+			o.Target, o.Start, o.Duration, err = grammar.Window("outage", v, "<target>@<start>+<duration>")
 			c.Outages = append(c.Outages, o)
 		case "brownout":
-			b, err := parseBrownout(v)
-			if err != nil {
-				return Config{}, err
+			const form = "<target>@<start>+<duration>*<extra-latency>*<extra-loss>"
+			b := Brownout{}
+			var lat, loss string
+			if b.Target, b.Start, b.Duration, lat, loss, err = parseWindowed("brownout", v, form); err != nil {
+				return err
 			}
+			if b.ExtraLatency, err = grammar.Duration("brownout extra latency", lat); err != nil {
+				return err
+			}
+			b.ExtraLoss, err = grammar.Float("brownout extra loss", loss)
 			c.Brownouts = append(c.Brownouts, b)
 		case "flap":
-			f, err := parseFlap(v)
-			if err != nil {
-				return Config{}, err
+			const form = "<target>@<start>+<duration>*<period>*<down>"
+			f := Flap{}
+			var period, down string
+			if f.Target, f.Start, f.Duration, period, down, err = parseWindowed("flap", v, form); err != nil {
+				return err
 			}
+			if f.Period, err = grammar.Duration("flap period", period); err != nil {
+				return err
+			}
+			f.Down, err = grammar.Duration("flap down time", down)
 			c.Flaps = append(c.Flaps, f)
 		default:
-			return Config{}, fmt.Errorf("faults: unknown key %q (want loss, dup, trunc, jitter, outage, brownout, flap)", k)
+			err = grammar.Unknown(k, "loss, dup, trunc, jitter, outage, brownout, flap")
 		}
+		return err
+	})
+	if err == nil {
+		err = c.Validate()
 	}
-	if err := c.Validate(); err != nil {
+	if err != nil {
 		return Config{}, err
 	}
 	return c, nil
-}
-
-// parseOutage parses "<target>@<start>+<duration>".
-func parseOutage(v string) (Outage, error) {
-	target, window, ok := strings.Cut(v, "@")
-	if !ok {
-		return Outage{}, fmt.Errorf("faults: outage %q: want <target>@<start>+<duration>", v)
-	}
-	startStr, durStr, ok := strings.Cut(window, "+")
-	if !ok {
-		return Outage{}, fmt.Errorf("faults: outage %q: want <target>@<start>+<duration>", v)
-	}
-	start, err := time.ParseDuration(startStr)
-	if err != nil {
-		return Outage{}, fmt.Errorf("faults: outage start %q: %v", startStr, err)
-	}
-	dur, err := time.ParseDuration(durStr)
-	if err != nil {
-		return Outage{}, fmt.Errorf("faults: outage duration %q: %v", durStr, err)
-	}
-	return Outage{Target: target, Start: start, Duration: dur}, nil
 }
 
 // parseWindowed splits "<target>@<start>+<duration>*<a>*<b>" into its
 // target, window and two trailing *-separated parameters. The *-split is
 // applied only after the @, so targets may contain '*'.
 func parseWindowed(kind, v, form string) (target string, start, dur time.Duration, a, b string, err error) {
-	target, window, ok := strings.Cut(v, "@")
-	if !ok {
-		return "", 0, 0, "", "", fmt.Errorf("faults: %s %q: want %s", kind, v, form)
+	target, rest, err := grammar.At(kind, v, form)
+	if err != nil {
+		return "", 0, 0, "", "", err
 	}
-	parts := strings.Split(window, "*")
+	parts := strings.Split(rest, "*")
 	if len(parts) != 3 {
-		return "", 0, 0, "", "", fmt.Errorf("faults: %s %q: want %s", kind, v, form)
+		return "", 0, 0, "", "", grammar.Errorf("%s %q: want %s", kind, v, form)
 	}
-	startStr, durStr, ok := strings.Cut(parts[0], "+")
-	if !ok {
-		return "", 0, 0, "", "", fmt.Errorf("faults: %s %q: want %s", kind, v, form)
-	}
-	if start, err = time.ParseDuration(startStr); err != nil {
-		return "", 0, 0, "", "", fmt.Errorf("faults: %s start %q: %v", kind, startStr, err)
-	}
-	if dur, err = time.ParseDuration(durStr); err != nil {
-		return "", 0, 0, "", "", fmt.Errorf("faults: %s duration %q: %v", kind, durStr, err)
-	}
-	return target, start, dur, parts[1], parts[2], nil
-}
-
-// parseBrownout parses "<target>@<start>+<duration>*<extra-latency>*<extra-loss>".
-func parseBrownout(v string) (Brownout, error) {
-	const form = "<target>@<start>+<duration>*<extra-latency>*<extra-loss>"
-	target, start, dur, latStr, lossStr, err := parseWindowed("brownout", v, form)
-	if err != nil {
-		return Brownout{}, err
-	}
-	lat, err := time.ParseDuration(latStr)
-	if err != nil {
-		return Brownout{}, fmt.Errorf("faults: brownout extra latency %q: %v", latStr, err)
-	}
-	loss, err := strconv.ParseFloat(lossStr, 64)
-	if err != nil {
-		return Brownout{}, fmt.Errorf("faults: brownout extra loss %q: %v", lossStr, err)
-	}
-	return Brownout{Target: target, Start: start, Duration: dur, ExtraLatency: lat, ExtraLoss: loss}, nil
-}
-
-// parseFlap parses "<target>@<start>+<duration>*<period>*<down>".
-func parseFlap(v string) (Flap, error) {
-	const form = "<target>@<start>+<duration>*<period>*<down>"
-	target, start, dur, periodStr, downStr, err := parseWindowed("flap", v, form)
-	if err != nil {
-		return Flap{}, err
-	}
-	period, err := time.ParseDuration(periodStr)
-	if err != nil {
-		return Flap{}, fmt.Errorf("faults: flap period %q: %v", periodStr, err)
-	}
-	down, err := time.ParseDuration(downStr)
-	if err != nil {
-		return Flap{}, fmt.Errorf("faults: flap down time %q: %v", downStr, err)
-	}
-	return Flap{Target: target, Start: start, Duration: dur, Period: period, Down: down}, nil
+	start, dur, err = grammar.Span(kind, parts[0], form)
+	return target, start, dur, parts[1], parts[2], err
 }

@@ -18,11 +18,11 @@ package health
 import (
 	"fmt"
 	"math"
-	"strconv"
 	"strings"
 	"time"
 
 	"clientmap/internal/randx"
+	"clientmap/internal/spec"
 )
 
 // State is a circuit breaker state.
@@ -165,63 +165,43 @@ func (c Config) Fingerprint() string { return c.String() }
 //	probation=45m,probation-jitter=0.5,trial=0.2,hedge-after=150ms
 //
 // hedge-after=0 keeps breakers and failover but disables hedging.
-func Parse(spec string) (Config, error) {
-	spec = strings.TrimSpace(spec)
-	if spec == "" || spec == "off" {
+func Parse(s string) (Config, error) {
+	const grammar = spec.Grammar("health")
+	s = strings.TrimSpace(s)
+	if s == "" || s == "off" {
 		return Config{}, nil
 	}
 	c := Default()
-	if spec == "on" {
+	if s == "on" {
 		return c, nil
 	}
-	for _, kv := range strings.Split(spec, ",") {
-		k, v, ok := strings.Cut(strings.TrimSpace(kv), "=")
-		if !ok {
-			return Config{}, fmt.Errorf("health: %q is not key=value", kv)
-		}
+	err := grammar.Each(s, func(k, v string) (err error) {
 		switch k {
-		case "window", "probation", "hedge-after":
-			d, err := time.ParseDuration(v)
-			if err != nil {
-				return Config{}, fmt.Errorf("health: %s %q: %v", k, v, err)
-			}
-			switch k {
-			case "window":
-				c.Window = d
-			case "probation":
-				c.Probation = d
-			case "hedge-after":
-				c.HedgeAfter = d
-			}
-		case "error-rate", "probation-jitter", "trial":
-			f, err := strconv.ParseFloat(v, 64)
-			if err != nil {
-				return Config{}, fmt.Errorf("health: %s %q: %v", k, v, err)
-			}
-			switch k {
-			case "error-rate":
-				c.ErrorRate = f
-			case "probation-jitter":
-				c.ProbationJitter = f
-			case "trial":
-				c.Trial = f
-			}
-		case "min-samples", "open-after":
-			n, err := strconv.Atoi(v)
-			if err != nil {
-				return Config{}, fmt.Errorf("health: %s %q: %v", k, v, err)
-			}
-			switch k {
-			case "min-samples":
-				c.MinSamples = n
-			case "open-after":
-				c.OpenAfter = n
-			}
+		case "window":
+			c.Window, err = grammar.Duration(k, v)
+		case "probation":
+			c.Probation, err = grammar.Duration(k, v)
+		case "hedge-after":
+			c.HedgeAfter, err = grammar.Duration(k, v)
+		case "error-rate":
+			c.ErrorRate, err = grammar.Float(k, v)
+		case "probation-jitter":
+			c.ProbationJitter, err = grammar.Float(k, v)
+		case "trial":
+			c.Trial, err = grammar.Float(k, v)
+		case "min-samples":
+			c.MinSamples, err = grammar.Int(k, v)
+		case "open-after":
+			c.OpenAfter, err = grammar.Int(k, v)
 		default:
-			return Config{}, fmt.Errorf("health: unknown key %q (want window, error-rate, min-samples, open-after, probation, probation-jitter, trial, hedge-after)", k)
+			err = grammar.Unknown(k, "window, error-rate, min-samples, open-after, probation, probation-jitter, trial, hedge-after")
 		}
+		return err
+	})
+	if err == nil {
+		err = c.Validate()
 	}
-	if err := c.Validate(); err != nil {
+	if err != nil {
 		return Config{}, err
 	}
 	return c, nil

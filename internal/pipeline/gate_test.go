@@ -172,10 +172,10 @@ func TestFanOutShardCountInvalidates(t *testing.T) {
 	dir := t.TempDir()
 	run := func(n int) int {
 		r := New(Options{Dir: dir, Resume: true})
-		builds := 0
+		var builds atomic.Int64
 		shards := FanOut(r, "pass-0", "cfg", n, nil, intCodec, func(i int) func(context.Context) (int, error) {
 			return func(context.Context) (int, error) {
-				builds++
+				builds.Add(1)
 				return i, nil
 			}
 		})
@@ -183,7 +183,7 @@ func TestFanOutShardCountInvalidates(t *testing.T) {
 		if err := r.Run(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		return builds
+		return int(builds.Load())
 	}
 	if got := run(2); got != 2 {
 		t.Fatalf("first run built %d shards, want 2", got)

@@ -4,11 +4,11 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
 	"clientmap/internal/randx"
+	"clientmap/internal/spec"
 )
 
 // Config describes the disk-fault model Faulty injects. The zero value
@@ -62,64 +62,46 @@ type SlowRule struct {
 // and slow, "<match>@<duration>". A key may repeat to scope different
 // rates to different paths. Empty and "off" mean no faults. The seed is
 // left zero — harnesses key it to the run seed.
-func Parse(spec string) (Config, error) {
+func Parse(s string) (Config, error) {
+	const grammar = spec.Grammar("statefs")
 	var c Config
-	spec = strings.TrimSpace(spec)
-	if spec == "" || spec == "off" {
-		return c, nil
-	}
-	for _, kv := range strings.Split(spec, ",") {
-		k, v, ok := strings.Cut(strings.TrimSpace(kv), "=")
-		if !ok {
-			return Config{}, fmt.Errorf("statefs: %q is not key=value", kv)
-		}
+	err := grammar.Each(s, func(k, v string) error {
+		var rules *[]Rule
 		switch k {
-		case "torn", "enospc", "rename-fail", "bitrot":
-			r, err := parseRule(k, v)
-			if err != nil {
-				return Config{}, err
-			}
-			switch k {
-			case "torn":
-				c.Torn = append(c.Torn, r)
-			case "enospc":
-				c.ENOSPC = append(c.ENOSPC, r)
-			case "rename-fail":
-				c.RenameFail = append(c.RenameFail, r)
-			case "bitrot":
-				c.Bitrot = append(c.Bitrot, r)
-			}
+		case "torn":
+			rules = &c.Torn
+		case "enospc":
+			rules = &c.ENOSPC
+		case "rename-fail":
+			rules = &c.RenameFail
+		case "bitrot":
+			rules = &c.Bitrot
 		case "slow":
-			match, delayStr, ok := strings.Cut(v, "@")
-			if !ok {
-				return Config{}, fmt.Errorf("statefs: slow %q: want <match>@<duration>", v)
-			}
-			d, err := time.ParseDuration(delayStr)
+			match, delay, err := grammar.At(k, v, "<match>@<duration>")
 			if err != nil {
-				return Config{}, fmt.Errorf("statefs: slow delay %q: %v", delayStr, err)
+				return err
 			}
+			d, err := grammar.Duration("slow delay", delay)
 			c.Slow = append(c.Slow, SlowRule{Match: match, Delay: d})
+			return err
 		default:
-			return Config{}, fmt.Errorf("statefs: unknown key %q (want torn, enospc, rename-fail, bitrot, slow)", k)
+			return grammar.Unknown(k, "torn, enospc, rename-fail, bitrot, slow")
 		}
+		match, rate, err := grammar.At(k, v, "<match>@<rate>")
+		if err != nil {
+			return err
+		}
+		r, err := grammar.Float(k+" rate", rate)
+		*rules = append(*rules, Rule{Match: match, Rate: r})
+		return err
+	})
+	if err == nil {
+		err = c.Validate()
 	}
-	if err := c.Validate(); err != nil {
+	if err != nil {
 		return Config{}, err
 	}
 	return c, nil
-}
-
-// parseRule parses "<match>@<rate>".
-func parseRule(kind, v string) (Rule, error) {
-	match, rateStr, ok := strings.Cut(v, "@")
-	if !ok {
-		return Rule{}, fmt.Errorf("statefs: %s %q: want <match>@<rate>", kind, v)
-	}
-	rate, err := strconv.ParseFloat(rateStr, 64)
-	if err != nil {
-		return Rule{}, fmt.Errorf("statefs: %s rate %q: %v", kind, rateStr, err)
-	}
-	return Rule{Match: match, Rate: rate}, nil
 }
 
 // Enabled reports whether the config injects any fault at all.

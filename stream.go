@@ -1,79 +1,19 @@
 package clientmap
 
-import (
-	"fmt"
-
-	"clientmap/internal/churn"
-	"clientmap/internal/core/cacheprobe"
-	"clientmap/internal/experiments"
-	"clientmap/internal/faults"
-	"clientmap/internal/randx"
-)
-
-// StreamConfig parameterizes the continuous measurement mode: instead of
-// a fixed-length campaign, probing loops one simulated hour at a time
-// over a churning world, decaying old evidence and emitting a rolling
-// serving artifact clientmapd can hot-reload.
-type StreamConfig struct {
-	// Seed / Scale as in Config.
-	Seed  uint64
-	Scale string
-	// Hours is the simulated stream length (0 = 24).
-	Hours int
-	// Churn is the world-evolution spec, e.g.
-	// "realloc=3@5h,drift=0.15@9h,pop=fra@6h+5h,chromium=off@12h".
-	// Empty (or "off") streams over a static world.
-	Churn string
-	// EmitEvery emits the rolling artifact every N simulated hours
-	// (0 = every hour).
-	EmitEvery int
-	// ArtifactPath, when set, receives the rolling serve.ClientMap on
-	// every emit hour (atomic replace, deduped by payload hash).
-	ArtifactPath string
-	// Faults / Retries as in Config. The health layer stays off in
-	// stream mode: the adaptive scheduler owns PoP liveness.
-	Faults  string
-	Retries string
-	// Workers / StateDir / Resume / Log as in Config; every simulated
-	// hour is its own resumable checkpoint.
-	Workers  int
-	StateDir string
-	Resume   bool
-	Log      func(format string, args ...any)
-}
+import "clientmap/internal/experiments"
 
 // StreamRun is a finished streaming run.
 type StreamRun struct {
 	res *experiments.StreamResults
 }
 
-// RunStream executes the continuous measurement mode.
-func RunStream(cfg StreamConfig) (*StreamRun, error) {
-	scale, err := scaleByName(cfg.Scale)
-	if err != nil {
-		return nil, err
-	}
-	scfg := experiments.StreamConfig{
-		Seed:         randx.Seed(cfg.Seed),
-		Scale:        scale,
-		Hours:        cfg.Hours,
-		EmitEvery:    cfg.EmitEvery,
-		ArtifactPath: cfg.ArtifactPath,
-		Workers:      cfg.Workers,
-		StateDir:     cfg.StateDir,
-		Resume:       cfg.Resume,
-		Log:          cfg.Log,
-	}
-	if scfg.Churn, err = churn.Parse(cfg.Churn); err != nil {
-		return nil, fmt.Errorf("clientmap: %w", err)
-	}
-	if scfg.Faults, err = faults.Parse(cfg.Faults); err != nil {
-		return nil, fmt.Errorf("clientmap: %w", err)
-	}
-	if scfg.Retry, err = cacheprobe.ParseRetry(cfg.Retries); err != nil {
-		return nil, fmt.Errorf("clientmap: %w", err)
-	}
-	res, err := experiments.RunStream(scfg)
+// RunStream executes the continuous measurement mode: instead of a
+// fixed-length campaign, probing loops one simulated hour at a time
+// (Config.StreamHours of them) over a world Config.Churn evolves,
+// decaying old evidence and emitting a rolling serving artifact
+// clientmapd can hot-reload.
+func RunStream(cfg Config) (*StreamRun, error) {
+	res, err := run(cfg, experiments.RunStream)
 	if err != nil {
 		return nil, err
 	}

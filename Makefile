@@ -23,8 +23,11 @@ build:
 test:
 	$(GO) test ./...
 
+# vet is static analysis plus formatting: it fails when gofmt would
+# rewrite any file.
 vet:
 	$(GO) vet ./...
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # race runs the whole suite under the race detector; the campaign tests run
 # at ScaleTiny, so this covers the parallel probing engine end to end. The
@@ -39,9 +42,11 @@ bench:
 
 # bench-smoke runs every benchmark exactly once: cheap enough for CI, and
 # it keeps the benchmarks (and the alloc-regression gates that live next
-# to them) compiling and passing as the code moves.
+# to them) compiling and passing as the code moves. In-package ladder
+# rungs (randx BenchmarkReseed, cacheprobe BenchmarkProbePassDelta) run
+# here too; -benchmem reports their bytes and allocations per op.
 bench-smoke:
-	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
+	$(GO) test -run='^$$' -bench=. -benchtime=1x -benchmem ./...
 
 # bench-e2e runs the repository's one benchmark (cmd/bench, its own
 # module; BENCHMARK.json is its contract): four workloads, each produce →
@@ -86,6 +91,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzServeWire -fuzztime=10s ./internal/serve
 	$(GO) test -run='^$$' -fuzz=FuzzSnapshotDecode -fuzztime=10s ./internal/snapshot
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=10s ./internal/statefs
+	$(GO) test -run='^$$' -fuzz=FuzzLazySource -fuzztime=10s ./internal/randx
 
 # golden-update regenerates the golden regression corpus (the headline
 # statistics of a fixed small-scale campaign, the degraded-mode stats of

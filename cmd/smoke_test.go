@@ -9,6 +9,8 @@ package cmd_test
 
 import (
 	"context"
+	"errors"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -45,7 +47,7 @@ func run(t *testing.T, want []string, bin string, args ...string) {
 
 func TestCommandsSmoke(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds four commands; cachescan waits ~18 s of real time on its rate limits")
+		t.Skip("builds six commands; cachescan waits ~18 s of real time on its rate limits")
 	}
 	bindir := t.TempDir()
 
@@ -58,6 +60,32 @@ func TestCommandsSmoke(t *testing.T) {
 		run(t, []string{"wrote", "represented queries"}, bin, "-scale", "tiny", "-hours", "4", "-dir", traces)
 		run(t, []string{"resolvers detected", "top 15 resolvers by Chromium query volume:\n  "},
 			bin, "-scale", "tiny", "-hours", "4", "-dir", traces, "-crawl")
+	})
+
+	// statefsck over a state dir the pipeline wrote: clean, then with one
+	// torn pass checkpoint, which a scan must report through exit 1.
+	t.Run("statefsck", func(t *testing.T) {
+		state, work := t.TempDir(), t.TempDir()
+		run(t, []string{"wrote"}, build(t, bindir, "experiments"),
+			"-scale", "tiny", "-state-dir", state, "-out", filepath.Join(work, "report.md"))
+		fsck := build(t, bindir, "statefsck")
+		run(t, []string{"probe-pass-3.snap", "valid"}, fsck, "-state-dir", state)
+		snap := filepath.Join(state, "probe-pass-3.snap")
+		fi, err := os.Stat(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Truncate(snap, fi.Size()/2); err != nil {
+			t.Fatal(err)
+		}
+		out, err := exec.Command(fsck, "-state-dir", state).CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Fatalf("statefsck on a torn checkpoint: err %v, want exit status 1\n%s", err, out)
+		}
+		if !strings.Contains(string(out), "probe-pass-3.snap") {
+			t.Errorf("report does not name the torn checkpoint\n%s", out)
+		}
 	})
 
 	t.Run("cachescan", func(t *testing.T) {

@@ -12,7 +12,6 @@
 package cdn
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"time"
@@ -62,6 +61,16 @@ func Collect(model *traffic.Model, day time.Time) *Datasets {
 
 	msft := microsoftDomain()
 
+	// One stream reseeded per sample and keys byte-built in scratch: the
+	// loop draws two day-long samples per client /24, and CountInDR draws
+	// exactly what CountInD draws for the equal "cdn/http/<p>" and
+	// "cdn/ecs/<p>" string keys.
+	rng := w.Cfg.Seed.New("cdn/collect-scratch")
+	var kb [48]byte
+	key := func(kind string, p netx.Slash24) []byte {
+		return p.AppendTo(append(kb[:0], kind...))
+	}
+
 	for i := range w.Prefixes {
 		pi := &w.Prefixes[i]
 		if !pi.HasClients() {
@@ -70,7 +79,7 @@ func Collect(model *traffic.Model, day time.Time) *Datasets {
 		as := w.ASes[pi.ASIdx]
 
 		// HTTP request volume over the day.
-		reqs := model.CountInD(fmt.Sprintf("cdn/http/%v", pi.P), model.HTTPRate(pi), pi.Coord.Lon, float64(pi.Diurnality), day, 24*time.Hour)
+		reqs := model.CountInDR(rng, key("cdn/http/", pi.P), model.HTTPRate(pi), pi.Coord.Lon, float64(pi.Diurnality), day, 24*time.Hour)
 		if reqs > 0 {
 			clients.Volume[pi.P] += int64(reqs)
 			clients.Total += int64(reqs)
@@ -97,7 +106,7 @@ func Collect(model *traffic.Model, day time.Time) *Datasets {
 		// Traffic Manager ECS view: Google forwards the client /24 as ECS
 		// when resolving the Microsoft domain. (Other large ECS-capable
 		// publics exist but Google dominates; the paper's DNS-side view.)
-		gq := model.CountInD(fmt.Sprintf("cdn/ecs/%v", pi.P), model.GoogleDNSRate(pi, msft), pi.Coord.Lon, float64(pi.Diurnality), day, 24*time.Hour)
+		gq := model.CountInDR(rng, key("cdn/ecs/", pi.P), model.GoogleDNSRate(pi, msft), pi.Coord.Lon, float64(pi.Diurnality), day, 24*time.Hour)
 		if gq > 0 {
 			p := pi.P.Prefix()
 			ecs.Queries[p] += int64(gq)

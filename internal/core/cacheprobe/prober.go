@@ -12,6 +12,7 @@ import (
 	"clientmap/internal/clockx"
 	"clientmap/internal/dnswire"
 	"clientmap/internal/geo"
+	"clientmap/internal/health"
 	"clientmap/internal/metrics"
 	"clientmap/internal/netx"
 	"clientmap/internal/par"
@@ -588,24 +589,56 @@ func (p *Prober) BuildAssignments(pops map[string]*Vantage, popCoords map[string
 // are computed from it, independent of the current clock reading, so a
 // resumed process reproduces the original schedule exactly).
 //
-// The pass runs as a degenerate scatter/gather: one shard holding the
-// whole assignment, executed and then gathered (see shard.go). The
-// N-shard split produces byte-identical campaigns, so this path is both
-// the reference behaviour and the common case.
+// The pass runs the two steps of the scatter/gather path (see shard.go)
+// back to back in one process: execute every task into its slot, then
+// fold the slots. The N-shard split produces byte-identical campaigns.
 func (p *Prober) ProbePass(ctx context.Context, pops map[string]*Vantage, asg *Assignments, pass int, start time.Time, camp *Campaign) {
-	if _, err := p.ProbePassDelta(ctx, pops, asg, pass, start, camp); err != nil {
-		// Unreachable: the single full-partition shard covers every task.
-		panic(err)
-	}
+	p.ProbePassDelta(ctx, pops, asg, pass, start, camp) // its error is always nil
 }
 
 // ProbePassDelta is ProbePass returning the pass's incremental evidence
 // — what the staged pipeline checkpoints instead of the cumulative
 // campaign. camp is advanced by the delta before returning.
+//
+// It chains execUnits and foldPass directly: each task writes its
+// outcome into the one slot the fold reads, with no ShardTaskResult copy
+// in between. It plans the pass once and takes one snapshot window
+// around planning, execution and the fold, so its ledger delta is the
+// shard deltas plus the gather window of the scatter/gather path, with
+// the failover-distance observation counted once. The error is always
+// nil; it keeps the signature GatherPass shares.
 func (p *Prober) ProbePassDelta(ctx context.Context, pops map[string]*Vantage, asg *Assignments, pass int, start time.Time, camp *Campaign) (*PassDelta, error) {
-	units := PartitionPass(asg, pass, 1)[0]
-	sr := p.ProbeShard(ctx, pops, asg, pass, start, camp, units)
-	return p.GatherPass(pops, asg, pass, start, camp, []*ShardResult{sr})
+	passStart, passWindow := p.passSpan(start, pass)
+	p.execMu.Lock()
+	defer p.execMu.Unlock()
+
+	fBefore := p.cfg.FaultCounters.Snapshot()
+	mBefore := p.m.reg.SnapshotPrefix(LedgerPrefixes...)
+	p.healthSync(camp, passStart)
+	plans := p.planPass(pops, asg, camp, pass, passStart)
+	var preWindows map[string][]health.WindowSum
+	if p.cfg.Health != nil {
+		preWindows = p.cfg.Health.ExportWindows()
+	}
+
+	// One unit per PoP, each writing straight into that PoP's slots.
+	res := make([][]probeResult, len(asg.popNames))
+	var units []ShardUnit
+	var out [][]probeResult
+	for pi, pop := range asg.popNames {
+		res[pi] = make([]probeResult, len(asg.tasks[pi]))
+		if n := len(asg.tasks[pi]); n > 0 {
+			units = append(units, ShardUnit{PoPIndex: pi, PoP: pop, Lo: 0, Hi: n})
+			out = append(out, res[pi])
+		}
+	}
+	p.execUnits(ctx, pops, asg, pass, passStart, passWindow, plans, units, out)
+
+	exec := &ShardResult{Pass: pass}
+	if p.cfg.Health != nil {
+		exec.Windows = health.DiffWindows(p.cfg.Health.ExportWindows(), preWindows)
+	}
+	return p.foldPass(asg, pass, passStart, passWindow, camp, plans, res, fBefore, mBefore, []*ShardResult{exec}), nil
 }
 
 // FinishProbing places the simulated clock at the campaign end, for

@@ -150,14 +150,21 @@ type ShardResult struct {
 	Windows map[string][]health.WindowSum
 }
 
+// passSpan returns pass k's window start and length.
+func (p *Prober) passSpan(start time.Time, pass int) (time.Time, time.Duration) {
+	passWindow := p.cfg.Duration / time.Duration(p.cfg.Passes)
+	return start.Add(time.Duration(pass) * passWindow), passWindow
+}
+
 // ProbeShard executes one shard of a pass: the given units of the pass's
 // assignment, scheduled and keyed exactly as the monolithic pass would
 // schedule and key them. It does not mutate camp — the campaign advances
 // only when GatherPass folds the shards — and it returns only deltas, so
-// shards executed in different processes compose.
+// shards executed in different processes compose. It is the encode half
+// of the scatter/gather path: execUnits fills the results, and this copies
+// them into the exported ShardTaskResult form.
 func (p *Prober) ProbeShard(ctx context.Context, pops map[string]*Vantage, asg *Assignments, pass int, start time.Time, camp *Campaign, units []ShardUnit) *ShardResult {
-	passWindow := p.cfg.Duration / time.Duration(p.cfg.Passes)
-	passStart := start.Add(time.Duration(pass) * passWindow)
+	passStart, passWindow := p.passSpan(start, pass)
 
 	// One shard (or gather) at a time per process: the ledger deltas
 	// below are registry snapshot differences, and two overlapping
@@ -190,13 +197,54 @@ func (p *Prober) ProbeShard(ctx context.Context, pops map[string]*Vantage, asg *
 		}
 		return units[i].Lo < units[j].Lo
 	})
+	n := 0
+	for _, u := range units {
+		n += u.Hi - u.Lo
+	}
+	slots := make([]probeResult, n)
+	res := make([][]probeResult, len(units))
+	for ui, u := range units {
+		res[ui], slots = slots[:u.Hi-u.Lo], slots[u.Hi-u.Lo:]
+	}
+	p.execUnits(ctx, pops, asg, pass, passStart, passWindow, plans, units, res)
 
+	sr := &ShardResult{Pass: pass, Units: units, Tasks: make([]ShardTaskResult, 0, n)}
+	for ui, u := range units {
+		for i := range res[ui] {
+			r := &res[ui][i]
+			sr.Tasks = append(sr.Tasks, ShardTaskResult{
+				PoPIndex:       u.PoPIndex,
+				TaskIndex:      u.Lo + i,
+				Hit:            r.hit,
+				RespScope:      r.respScope,
+				At:             r.at,
+				Probes:         r.probes,
+				RetrySpent:     r.retry.spent,
+				RetryRecovered: r.retry.recovered,
+				RetryExhausted: r.retry.exhausted,
+				HedgeFired:     r.retry.hedgeFired,
+				HedgeWon:       r.retry.hedgeWon,
+			})
+		}
+	}
+	sr.Metrics = p.m.reg.SnapshotPrefix(LedgerPrefixes...).Sub(mBefore)
+	sr.Faults = p.cfg.FaultCounters.Snapshot().Sub(fBefore)
+	if p.cfg.Health != nil {
+		sr.Windows = health.DiffWindows(p.cfg.Health.ExportWindows(), preWindows)
+	}
+	return sr
+}
+
+// execUnits executes a pass's units against the frozen plan, writing task
+// Lo+i of unit ui into out[ui][i] — the one result slot that task has for
+// the whole pass. Workers write only their own slots, so the outcome is
+// the same for any worker count. Callers hold execMu.
+func (p *Prober) execUnits(ctx context.Context, pops map[string]*Vantage, asg *Assignments, pass int, passStart time.Time, passWindow time.Duration, plans []popPlan, units []ShardUnit, out [][]probeResult) {
 	_, isSim := p.cfg.Clock.(*clockx.Sim)
 	unitFanout := 1
 	if p.workers() > 1 {
 		unitFanout = len(units)
 	}
-	res := make([][]probeResult, len(units))
 	par.ForEach(len(units), unitFanout, func(ui int) {
 		u := units[ui]
 		pop := u.PoP
@@ -204,13 +252,12 @@ func (p *Prober) ProbeShard(ctx context.Context, pops map[string]*Vantage, asg *
 		tasks := asg.tasks[u.PoPIndex]
 		delays := p.m.popDelay(pop)
 		allowScope := "probe/" + strconv.Itoa(pass) + "/" + pop
-		out := make([]probeResult, u.Hi-u.Lo)
+		slots := out[ui]
 		par.ForEachChunked(u.Hi-u.Lo, p.workers(), probeChunk, func(clo, chi int) {
-			// Per-chunk scratch, identical to the monolithic pass loop
-			// (see ProbePass's former body): one pooled query message, a
-			// key buffer pre-filled with "probe/<pass>/<pop>/", one
-			// re-stamped time carrier. Chunk boundaries carry no state, so
-			// splitting a PoP's tasks across units changes nothing.
+			// Per-chunk scratch: one pooled query message, a key buffer
+			// pre-filled with "probe/<pass>/<pop>/", one re-stamped time
+			// carrier. Chunk boundaries carry no state, so splitting a
+			// PoP's tasks across units changes nothing.
 			q := dnswire.AcquireMessage()
 			defer dnswire.ReleaseMessage(q)
 			var kb [192]byte
@@ -233,7 +280,7 @@ func (p *Prober) ProbeShard(ctx context.Context, pops map[string]*Vantage, asg *
 				ti := u.Lo + i
 				tk := tasks[ti]
 				pv := v
-				r := &out[i]
+				r := &slots[i]
 				if plans != nil {
 					rt := plans[u.PoPIndex].route(ti)
 					if rt.kind == health.RouteLost {
@@ -266,34 +313,7 @@ func (p *Prober) ProbeShard(ctx context.Context, pops map[string]*Vantage, asg *
 				}
 			}
 		})
-		res[ui] = out
 	})
-
-	sr := &ShardResult{Pass: pass, Units: units}
-	for ui, u := range units {
-		for i := range res[ui] {
-			r := &res[ui][i]
-			sr.Tasks = append(sr.Tasks, ShardTaskResult{
-				PoPIndex:       u.PoPIndex,
-				TaskIndex:      u.Lo + i,
-				Hit:            r.hit,
-				RespScope:      r.respScope,
-				At:             r.at,
-				Probes:         r.probes,
-				RetrySpent:     r.retry.spent,
-				RetryRecovered: r.retry.recovered,
-				RetryExhausted: r.retry.exhausted,
-				HedgeFired:     r.retry.hedgeFired,
-				HedgeWon:       r.retry.hedgeWon,
-			})
-		}
-	}
-	sr.Metrics = p.m.reg.SnapshotPrefix(LedgerPrefixes...).Sub(mBefore)
-	sr.Faults = p.cfg.FaultCounters.Snapshot().Sub(fBefore)
-	if p.cfg.Health != nil {
-		sr.Windows = health.DiffWindows(p.cfg.Health.ExportWindows(), preWindows)
-	}
-	return sr
 }
 
 // GatherPass merges a pass's shard results into a PassDelta and applies
@@ -302,27 +322,14 @@ func (p *Prober) ProbeShard(ctx context.Context, pops map[string]*Vantage, asg *
 // the merge replays the monolithic pass's sequential fold in (sorted
 // PoP, task index) order, so the applied campaign is byte-identical to
 // the single-process pass. Errors if the shards do not cover the
-// assignment exactly once.
+// assignment exactly once. It is the decode half of the scatter/gather
+// path: it rebuilds the per-task slots and hands them to foldPass.
 func (p *Prober) GatherPass(pops map[string]*Vantage, asg *Assignments, pass int, start time.Time, camp *Campaign, results []*ShardResult) (*PassDelta, error) {
 	popNames := asg.popNames
-	passWindow := p.cfg.Duration / time.Duration(p.cfg.Passes)
-	passStart := start.Add(time.Duration(pass) * passWindow)
+	passStart, passWindow := p.passSpan(start, pass)
 
 	p.execMu.Lock()
 	defer p.execMu.Unlock()
-
-	delta := &PassDelta{Pass: pass, Passes: p.cfg.Passes, PassTime: passStart}
-	// Record the per-PoP assignment sizes BuildAssignments stamped onto
-	// the campaign: the delta is the only thing a restored chain replays,
-	// and the assignment is never rebuilt there.
-	for pi, pop := range popNames {
-		if _, ok := camp.PoPs[pop]; ok {
-			if delta.Assigned == nil {
-				delta.Assigned = make(map[string]int, len(popNames))
-			}
-			delta.Assigned[pop] = len(asg.tasks[pi])
-		}
-	}
 
 	// Snapshot before planning: the plan's failover-distance observations
 	// belong to this pass's ledger delta, and the gather step is where
@@ -377,10 +384,31 @@ func (p *Prober) GatherPass(pops map[string]*Vantage, asg *Assignments, pass int
 			}
 		}
 	}
+	return p.foldPass(asg, pass, passStart, passWindow, camp, plans, res, fBefore, mBefore, results), nil
+}
 
-	// Replay the sequential merge, accumulating into the delta instead of
-	// the campaign; Apply below folds it in — the same code path a
-	// restored delta checkpoint takes.
+// foldPass replays the monolithic pass's sequential merge over the
+// per-(PoP, task) slots res, accumulating into a PassDelta, and applies
+// the delta to camp — the same code path a restored delta checkpoint
+// takes. fBefore and mBefore are the fault and metric snapshots the
+// caller took before planning; ledgers carry the task executions'
+// ledger deltas that fell outside that window (only their Faults,
+// Metrics and Windows are read). Callers hold execMu.
+func (p *Prober) foldPass(asg *Assignments, pass int, passStart time.Time, passWindow time.Duration, camp *Campaign, plans []popPlan, res [][]probeResult, fBefore faults.Stats, mBefore metrics.Ledger, ledgers []*ShardResult) *PassDelta {
+	popNames := asg.popNames
+	delta := &PassDelta{Pass: pass, Passes: p.cfg.Passes, PassTime: passStart}
+	// Record the per-PoP assignment sizes BuildAssignments stamped onto
+	// the campaign: the delta is the only thing a restored chain replays,
+	// and the assignment is never rebuilt there.
+	for pi, pop := range popNames {
+		if _, ok := camp.PoPs[pop]; ok {
+			if delta.Assigned == nil {
+				delta.Assigned = make(map[string]int, len(popNames))
+			}
+			delta.Assigned[pop] = len(asg.tasks[pi])
+		}
+	}
+
 	passProbes, passHits := p.m.passProbes(pass), p.m.passHits(pass)
 	cov := health.PassCoverage{Pass: pass}
 	for pi, pop := range popNames {
@@ -452,25 +480,25 @@ func (p *Prober) GatherPass(pops map[string]*Vantage, asg *Assignments, pass int
 		})
 	}
 
-	// The shards' injected-fault deltas partition the pass's injections
-	// (faults only fire while probes exchange); the gather step itself
-	// injects nothing, but its window is summed for uniformity.
+	// The executions' injected-fault deltas partition the pass's
+	// injections (faults only fire while probes exchange); the fold
+	// itself injects nothing, but its window is summed for uniformity.
 	delta.Faults.addInjected(p.cfg.FaultCounters.Snapshot().Sub(fBefore))
-	for _, sr := range results {
-		delta.Faults.addInjected(sr.Faults)
+	for _, l := range ledgers {
+		delta.Faults.addInjected(l.Faults)
 	}
 
 	if plans != nil {
 		delta.Health.Coverage = []health.PassCoverage{cov}
-		// Fold the shards' window deltas over the pre-pass checkpoint —
-		// reconstructing exactly the windows the monolithic pass's tracker
-		// held — then advance to the pass end so the pass's observations
-		// replay into transitions. The transition timeline is a
-		// prefix-monotone pure function of the windows, so the tail
+		// Fold the executions' window deltas over the pre-pass checkpoint
+		// — reconstructing exactly the windows the monolithic pass's
+		// tracker held — then advance to the pass end so the pass's
+		// observations replay into transitions. The transition timeline
+		// is a prefix-monotone pure function of the windows, so the tail
 		// beyond the checkpoint is this pass's contribution.
 		sum := map[string][]health.WindowSum{}
-		for _, sr := range results {
-			sum = health.FoldWindows(sum, sr.Windows)
+		for _, l := range ledgers {
+			sum = health.FoldWindows(sum, l.Windows)
 		}
 		delta.Health.Windows = sum
 		t := p.cfg.Health
@@ -495,10 +523,10 @@ func (p *Prober) GatherPass(pops map[string]*Vantage, asg *Assignments, pass int
 	if delta.Metrics == nil {
 		delta.Metrics = metrics.Ledger{}
 	}
-	for _, sr := range results {
-		delta.Metrics.Merge(sr.Metrics)
+	for _, l := range ledgers {
+		delta.Metrics.Merge(l.Metrics)
 	}
 
 	delta.Apply(camp)
-	return delta, nil
+	return delta
 }

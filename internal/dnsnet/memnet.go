@@ -3,6 +3,7 @@ package dnsnet
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 
 	"clientmap/internal/dnswire"
 	"clientmap/internal/netx"
@@ -13,9 +14,14 @@ import (
 // message through the wire codec so that simulation and socket transports
 // exercise identical encode/decode paths — a malformed message fails the
 // same way on both.
+//
+// The handler table is copy-on-write: Register and Deregister replace the
+// whole map under mu, and Exchange loads it atomically. An exchange is
+// then a pure read of shared memory — a read lock would write its reader
+// count on every probe, on a cache line every worker shares.
 type MemNet struct {
-	mu      sync.RWMutex
-	servers map[string]Handler
+	mu      sync.Mutex
+	servers atomic.Pointer[map[string]Handler]
 	codec   bool
 }
 
@@ -24,21 +30,32 @@ type MemNet struct {
 // faithful); if false they are passed by deep-enough copy (fast path used
 // by full-scale campaigns).
 func NewMemNet(wireCodec bool) *MemNet {
-	return &MemNet{servers: make(map[string]Handler), codec: wireCodec}
+	n := &MemNet{codec: wireCodec}
+	n.servers.Store(&map[string]Handler{})
+	return n
 }
 
 // Register mounts h at name, replacing any previous handler.
 func (n *MemNet) Register(name string, h Handler) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.servers[name] = h
+	n.update(func(m map[string]Handler) { m[name] = h })
 }
 
 // Deregister removes the handler at name.
 func (n *MemNet) Deregister(name string) {
+	n.update(func(m map[string]Handler) { delete(m, name) })
+}
+
+// update publishes a modified copy of the handler table.
+func (n *MemNet) update(edit func(map[string]Handler)) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	delete(n.servers, name)
+	old := *n.servers.Load()
+	next := make(map[string]Handler, len(old)+1)
+	for k, v := range old {
+		next[k] = v
+	}
+	edit(next)
+	n.servers.Store(&next)
 }
 
 // Client returns an Exchanger whose queries appear to come from src.
@@ -53,9 +70,7 @@ type memClient struct {
 
 // Exchange implements Exchanger.
 func (c *memClient) Exchange(ctx context.Context, server string, query *dnswire.Message) (*dnswire.Message, error) {
-	c.net.mu.RLock()
-	h, ok := c.net.servers[server]
-	c.net.mu.RUnlock()
+	h, ok := (*c.net.servers.Load())[server]
 	if !ok {
 		return nil, ErrNoSuchServer
 	}

@@ -18,6 +18,7 @@ package gpdns
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"clientmap/internal/dnswire"
@@ -60,8 +61,12 @@ type poolShard struct {
 	// byName holds the cached entries for a name; ECS-aware domains can
 	// have many entries under different scope prefixes.
 	byName map[string][]entry
-	size   int
-	fifo   []fifoKey
+	// size counts the stripe's entries. It is written only under mu but
+	// read atomically, so a lookup on an empty stripe — every probe of a
+	// campaign, whose RD=0 queries never insert — takes no lock and
+	// writes no shared memory.
+	size atomic.Int64
+	fifo []fifoKey
 }
 
 type fifoKey struct {
@@ -98,6 +103,9 @@ func (p *pool) shardFor(name string) *poolShard {
 // specific cover. Scope-/0 entries cover everything.
 func (p *pool) lookup(name string, src netx.Prefix, now time.Time) (entry, bool) {
 	sh := p.shardFor(name)
+	if sh.size.Load() == 0 {
+		return entry{}, false
+	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	entries := sh.byName[name]
@@ -129,18 +137,18 @@ func (p *pool) insert(e entry, now time.Time) {
 	out := entries[:0]
 	for _, old := range entries {
 		if !old.expiry.After(now) || old.scope == e.scope {
-			sh.size--
+			sh.size.Add(-1)
 			continue
 		}
 		out = append(out, old)
 	}
 	sh.byName[e.name] = append(out, e)
-	sh.size++
+	sh.size.Add(1)
 	// The FIFO is only consulted by capacity eviction; unbounded pools
 	// skip it so steady-state inserts stay allocation-free.
 	if p.capacity > 0 {
 		sh.fifo = append(sh.fifo, fifoKey{name: e.name, scope: e.scope})
-		for sh.size > p.capacity && len(sh.fifo) > 0 {
+		for sh.size.Load() > int64(p.capacity) && len(sh.fifo) > 0 {
 			sh.evictOldestLocked()
 		}
 	}
@@ -161,7 +169,7 @@ func (sh *poolShard) evictOldestLocked() {
 				if len(sh.byName[k.name]) == 0 {
 					delete(sh.byName, k.name)
 				}
-				sh.size--
+				sh.size.Add(-1)
 				return
 			}
 		}

@@ -24,10 +24,23 @@ type LazyFill struct {
 	catalog map[string]domains.Domain
 	pools   int
 
-	// mu is read-held on the probe path: every probe consults ratesFor,
-	// and after warmup nearly all calls are hits on the memo map.
+	// memo holds the per-(domain, scope) rate lines, striped by key hash.
+	// Every probe consults it and after warmup nearly every call is a hit,
+	// but a read lock still writes its reader count: striping spreads
+	// those writes over 64 cache lines instead of one.
+	memo [rateStripes]rateStripe
+}
+
+// rateStripes is the memo's stripe count (a power of two: stripeFor keeps
+// the top bits of a multiplicative hash).
+const rateStripes = 64
+
+// rateStripe is one independently locked slice of the memo. The padding
+// keeps neighbouring stripes' lock words on different cache lines.
+type rateStripe struct {
 	mu    sync.RWMutex
 	rates map[ratesKey]*scopeRates
+	_     [64]byte
 }
 
 // ratesKey identifies one (domain, scope) cache line. The struct key
@@ -53,12 +66,18 @@ func NewLazyFill(model *traffic.Model, pools int) *LazyFill {
 	for _, d := range domains.Catalog() {
 		cat[d.Name] = d
 	}
-	return &LazyFill{
-		model:   model,
-		catalog: cat,
-		pools:   pools,
-		rates:   make(map[ratesKey]*scopeRates),
+	lf := &LazyFill{model: model, catalog: cat, pools: pools}
+	for i := range lf.memo {
+		lf.memo[i].rates = make(map[ratesKey]*scopeRates)
 	}
+	return lf
+}
+
+// stripeFor picks a key's memo stripe by a multiplicative hash of the
+// scope (the memo holds many scopes of a few domains).
+func (lf *LazyFill) stripeFor(k ratesKey) *rateStripe {
+	x := uint64(k.scope.Addr())<<8 | uint64(k.scope.Bits()) | uint64(len(k.name))<<40
+	return &lf.memo[(x*0x9e3779b97f4a7c15)>>58]
 }
 
 // Invalidate drops every memoized (domain, scope) rate line. The memo
@@ -69,18 +88,22 @@ func NewLazyFill(model *traffic.Model, pools int) *LazyFill {
 // recompute rates from the same post-churn world instead of one of them
 // serving stale memo entries.
 func (lf *LazyFill) Invalidate() {
-	lf.mu.Lock()
-	lf.rates = make(map[ratesKey]*scopeRates)
-	lf.mu.Unlock()
+	for i := range lf.memo {
+		st := &lf.memo[i]
+		st.mu.Lock()
+		st.rates = make(map[ratesKey]*scopeRates)
+		st.mu.Unlock()
+	}
 }
 
 // ratesFor aggregates (and memoizes) the per-PoP client query rates for a
 // (domain, scope) cache line.
 func (lf *LazyFill) ratesFor(d domains.Domain, scope netx.Prefix) *scopeRates {
 	key := ratesKey{name: d.Name, scope: scope}
-	lf.mu.RLock()
-	r, ok := lf.rates[key]
-	lf.mu.RUnlock()
+	st := lf.stripeFor(key)
+	st.mu.RLock()
+	r, ok := st.rates[key]
+	st.mu.RUnlock()
 	if ok {
 		return r
 	}
@@ -113,15 +136,15 @@ func (lf *LazyFill) ratesFor(d domains.Domain, scope netx.Prefix) *scopeRates {
 		r.diurn = 1
 	}
 
-	lf.mu.Lock()
-	if prev, ok := lf.rates[key]; ok {
+	st.mu.Lock()
+	if prev, ok := st.rates[key]; ok {
 		// Another worker computed the same line concurrently; keep one
 		// instance so every caller shares the memo.
 		r = prev
 	} else {
-		lf.rates[key] = r
+		st.rates[key] = r
 	}
-	lf.mu.Unlock()
+	st.mu.Unlock()
 	return r
 }
 

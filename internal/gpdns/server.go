@@ -76,10 +76,10 @@ type Server struct {
 	tcpLims map[netx.Addr]*dnsnet.TokenBucket
 
 	poolCtr atomic.Uint64
-	// Stats counters.
-	queries, hits, limited atomic.Uint64
 
-	// Registry mirrors of the counters above, plus rate-limit occupancy.
+	// Query, hit and rate-limit counters (what Stats reports) plus
+	// rate-limit occupancy, resolved from Config.Metrics or, when that is
+	// nil, from a private registry: each query is counted once.
 	mQueries, mHits, mLimited, mBuckets *metrics.Counter
 	mTokens                             *metrics.Histogram
 }
@@ -114,16 +114,20 @@ func NewServer(cfg Config, router *anycast.Router) *Server {
 	if cfg.PoolsPerPoP <= 0 {
 		cfg.PoolsPerPoP = 3
 	}
+	reg := cfg.Metrics
+	if reg == nil {
+		reg = metrics.NewRegistry()
+	}
 	s := &Server{
 		cfg:      cfg,
 		router:   router,
 		udpLims:  make(map[udpLimKey]*dnsnet.TokenBucket),
 		tcpLims:  make(map[netx.Addr]*dnsnet.TokenBucket),
-		mQueries: cfg.Metrics.Counter("gpdns/queries"),
-		mHits:    cfg.Metrics.Counter("gpdns/cache_hits"),
-		mLimited: cfg.Metrics.Counter("gpdns/ratelimit/limited"),
-		mBuckets: cfg.Metrics.Counter("gpdns/ratelimit/buckets_created"),
-		mTokens:  cfg.Metrics.Histogram("gpdns/ratelimit/tokens", tokenBounds),
+		mQueries: reg.Counter("gpdns/queries"),
+		mHits:    reg.Counter("gpdns/cache_hits"),
+		mLimited: reg.Counter("gpdns/ratelimit/limited"),
+		mBuckets: reg.Counter("gpdns/ratelimit/buckets_created"),
+		mTokens:  reg.Histogram("gpdns/ratelimit/tokens", tokenBounds),
 	}
 	s.routes.Store(&routeTable{vantages: make(map[netx.Addr]int)})
 	for range router.PoPs() {
@@ -165,9 +169,10 @@ func (s *Server) SetClientRouter(f func(netx.Addr) int) {
 	s.routes.Store(&routeTable{vantages: old.vantages, clients: f})
 }
 
-// Stats reports (queries served, cache hits, rate-limited drops).
+// Stats reports (queries served, cache hits, rate-limited drops): the
+// values of the server's gpdns/… counters.
 func (s *Server) Stats() (queries, hits, limited uint64) {
-	return s.queries.Load(), s.hits.Load(), s.limited.Load()
+	return uint64(s.mQueries.Value()), uint64(s.mHits.Value()), uint64(s.mLimited.Value())
 }
 
 func (s *Server) route(from netx.Addr) int {
@@ -183,7 +188,6 @@ func (s *Server) route(from netx.Addr) int {
 
 // ServeDNS implements dnsnet.Handler without transport rate limits.
 func (s *Server) ServeDNS(ctx context.Context, from netx.Addr, q *dnswire.Message) *dnswire.Message {
-	s.queries.Add(1)
 	s.mQueries.Inc()
 	popIdx := s.route(from)
 	if popIdx < 0 || popIdx >= len(s.sites) {
@@ -235,14 +239,12 @@ func (s *Server) ServeDNS(ctx context.Context, from netx.Addr, q *dnswire.Messag
 	p := st.pools[poolIdx]
 
 	if e, ok := p.lookup(qq.Name, src, now); ok {
-		s.hits.Add(1)
 		s.mHits.Inc()
 		return answerFor(q, e, now)
 	}
 	// Lazy background fill: would client-driven traffic have this cached?
 	if s.lazy != nil {
 		if e, ok := s.lazy.Lookup(popIdx, poolIdx, qq.Name, src, now); ok {
-			s.hits.Add(1)
 			s.mHits.Inc()
 			return answerFor(q, e, now)
 		}
@@ -322,7 +324,6 @@ func (s *Server) UDP() dnsnet.Handler {
 		s.mu.Unlock()
 		s.mTokens.Observe(int64(lim.Tokens()))
 		if !lim.Allow() {
-			s.limited.Add(1)
 			s.mLimited.Inc()
 			return nil
 		}
@@ -347,7 +348,6 @@ func (s *Server) TCP() dnsnet.Handler {
 		s.mu.Unlock()
 		s.mTokens.Observe(int64(lim.Tokens()))
 		if !lim.Allow() {
-			s.limited.Add(1)
 			s.mLimited.Inc()
 			return nil
 		}

@@ -20,6 +20,8 @@ type Seed uint64
 
 // Stream is a deterministic random stream. It wraps math/rand with a seed
 // derived from (root seed, key) so distinct purposes never share state.
+// The source underneath is lazySource, which draws math/rand's rngSource
+// sequence bit for bit but seeds in constant time.
 type Stream struct {
 	*rand.Rand
 }
@@ -60,7 +62,7 @@ func hashKeyB(seed Seed, key []byte) int64 {
 
 // New returns the stream for the given purpose key.
 func (s Seed) New(key string) *Stream {
-	return &Stream{Rand: rand.New(rand.NewSource(hashKey(s, key)))}
+	return &Stream{Rand: rand.New(newLazySource(hashKey(s, key)))}
 }
 
 // Reseed repositions an existing stream onto the given purpose key: the

@@ -115,7 +115,8 @@ func TestSchedulePriorityWins(t *testing.T) {
 	}
 	s.Tasks[0][7] = TaskState{LastProbe: 6, LastHit: 6, FlipHour: -1, PrevHit: true} // decaying
 	s.Tasks[0][3] = TaskState{LastProbe: 9, LastHit: 9, FlipHour: 9, PrevHit: true}  // flipped
-	s.Cfg.BudgetFrac = 0.1 // budget = 2
+	// Budget = 2 tasks.
+	s.Cfg.BudgetFrac = 0.1
 	sel, _ := s.schedule(h)
 	if !reflect.DeepEqual(sel[0], []int{3, 7}) {
 		t.Fatalf("selection = %v, want the flipped task 3 and decaying task 7", sel[0])

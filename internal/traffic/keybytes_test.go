@@ -34,6 +34,49 @@ func TestCountInDRMatchesCountInD(t *testing.T) {
 	}
 }
 
+// TestCDNKeysMatchCountInD pins cdn.Collect's sampling path: one stream
+// reseeded per sample with keys appended as "cdn/http/" or "cdn/ecs/" plus
+// the /24, in place of CountInD with the fmt.Sprintf("cdn/http/%v", p)
+// key and its "cdn/ecs" twin. Both the key bytes and the day-long sample
+// must match, or every Microsoft validation dataset would move.
+func TestCDNKeysMatchCountInD(t *testing.T) {
+	m := testModel(t)
+	r := m.seed.New("cdn/collect-scratch")
+	day := clockx.Epoch.Add(96 * time.Hour)
+	msft := domains.Catalog()[0]
+	for _, d := range domains.Catalog() {
+		if d.Microsoft {
+			msft = d
+		}
+	}
+	var kb [48]byte
+	checked := 0
+	for i := range m.W.Prefixes {
+		pi := &m.W.Prefixes[i]
+		if !pi.HasClients() {
+			continue
+		}
+		checked++
+		for _, c := range []struct {
+			kind string
+			rate float64
+		}{{"cdn/http/", m.HTTPRate(pi)}, {"cdn/ecs/", m.GoogleDNSRate(pi, msft)}} {
+			want := fmt.Sprintf("%s%v", c.kind, pi.P)
+			key := pi.P.AppendTo(append(kb[:0], c.kind...))
+			if string(key) != want {
+				t.Fatalf("key bytes %q, Sprintf key %q", key, want)
+			}
+			lon, diurn := pi.Coord.Lon, float64(pi.Diurnality)
+			if got, w := m.CountInDR(r, key, c.rate, lon, diurn, day, 24*time.Hour), m.CountInD(want, c.rate, lon, diurn, day, 24*time.Hour); got != w {
+				t.Fatalf("%s: CountInDR = %d, CountInD = %d", want, got, w)
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("tiny world has no client prefixes")
+	}
+}
+
 // TestAffinityMatchesStringKeys re-derives the popularity multiplier
 // through the Sprintf/concatenation keys affinity used before the
 // zero-alloc rewrite: any drift changes every prefix's per-domain query

@@ -6,11 +6,12 @@ GO ?= go
 # measurement cores, the stage runner, the snapshot codecs, the metrics
 # registry, the degradation layer, and the simulated world + traffic
 # models, where an untested branch is a silently wrong result.
-COVER_PKGS = ./internal/dnsnet/... ./internal/core/... ./internal/pipeline/... ./internal/snapshot/... ./internal/metrics/... ./internal/health/... ./internal/serve/... ./internal/world/... ./internal/traffic/... ./internal/statefs/... ./internal/statefsck/...
+COVER_PKGS = ./internal/dnsnet/... ./internal/core/... ./internal/pipeline/... ./internal/snapshot/... ./internal/metrics/... ./internal/health/... ./internal/serve/... ./internal/world/... ./internal/traffic/... ./internal/statefs/... ./internal/statefsck/... ./internal/par/...
 COVER_FLOOR = 70
 # The metrics registry, the health layer, the snapshot codecs, the
-# stage runner, the serving layer, the world/traffic substrate, and the
+# stage runner, the serving layer, the world/traffic substrate, the
 # state-durability layer (statefs fault injection, statefsck repair)
+# and the worker pool every campaign stage runs on (par)
 # back the determinism guarantees of every exported ledger, every
 # breaker/failover decision, every shard/delta checkpoint, every answer
 # handed to a client and every downstream measurement, so they carry a
@@ -72,7 +73,7 @@ cover:
 	awk -v floor=$(COVER_FLOOR) -v mfloor=$(COVER_FLOOR_METRICS) ' \
 		{ print } \
 		/coverage:/ { \
-			f = floor; if ($$2 ~ /internal\/(metrics|health|snapshot|pipeline|serve|world|traffic|statefs|statefsck)/) f = mfloor; \
+			f = floor; if ($$2 ~ /internal\/(metrics|health|snapshot|pipeline|serve|world|traffic|statefs|statefsck|par)/) f = mfloor; \
 			pct = $$5; sub(/%.*/, "", pct); \
 			if (pct + 0 < f) { bad = 1; print "FAIL: " $$2 " below " f "% floor" } \
 		} \

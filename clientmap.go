@@ -81,9 +81,6 @@ type Config struct {
 	// TraceHours is the DITL collection length (batch only; 0 = the
 	// paper's 48).
 	TraceHours int
-	// Workers bounds the probing campaign's worker pools (0 = one per
-	// CPU, 1 = sequential). The worker count never changes results.
-	Workers int
 	// StateDir is the pipeline checkpoint directory. When set, every
 	// completed stage (the scope pre-scan, the calibration, each probing
 	// pass, the DITL crawl, the baselines, the dataset views) persists
@@ -169,7 +166,6 @@ func (cfg Config) EngineConfig() (ecfg experiments.Config, err error) {
 	ecfg.CampaignDuration = time.Duration(cfg.CampaignHours) * time.Hour
 	ecfg.Passes = cfg.Passes
 	ecfg.TraceDuration = time.Duration(cfg.TraceHours) * time.Hour
-	ecfg.Workers = cfg.Workers
 	ecfg.StateDir = cfg.StateDir
 	ecfg.Resume = cfg.Resume
 	ecfg.Shards = cfg.Shards

@@ -1,24 +1,29 @@
-// Package cmd_test smoke-tests the seed-era commands that have no tests
-// of their own: each must build, run to completion at tiny scale, exit
-// zero and print the line its documentation promises. They are the
-// by-hand tools of the reproduction (inspect a world, generate and crawl
-// DITL traces, watch the §3.1.1 probe sequence on real sockets, point
-// the prober at a live resolver), so a signature or behaviour change
-// that breaks one must fail CI, not whoever reaches for it next.
+// Package cmd_test smoke-tests the commands that have no tests of their
+// own: each must build, run to completion at tiny scale, exit zero and
+// print the line its documentation promises. They are the by-hand tools
+// of the reproduction (inspect a world, generate and crawl DITL traces,
+// watch the §3.1.1 probe sequence on real sockets, point the prober at a
+// live resolver) and the serving daemon, so a signature or behaviour
+// change that breaks one must fail CI, not whoever reaches for it next.
 package cmd_test
 
 import (
+	"bufio"
 	"context"
 	"errors"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
+	"time"
 
 	"clientmap/internal/dnsnet"
 	"clientmap/internal/dnswire"
 	"clientmap/internal/netx"
+	"clientmap/internal/serve"
 )
 
 // build compiles ./<name> into dir and returns the binary's path.
@@ -45,9 +50,19 @@ func run(t *testing.T, want []string, bin string, args ...string) {
 	}
 }
 
+// firstA returns the address of the first A record in m.
+func firstA(m *dnswire.Message) (netx.Addr, bool) {
+	for _, rr := range m.Answers {
+		if a, ok := rr.Data.(dnswire.A); ok {
+			return a.Addr, true
+		}
+	}
+	return 0, false
+}
+
 func TestCommandsSmoke(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds six commands; cachescan waits ~18 s of real time on its rate limits")
+		t.Skip("builds seven commands; cachescan waits ~18 s of real time on its rate limits")
 	}
 	bindir := t.TempDir()
 
@@ -85,6 +100,92 @@ func TestCommandsSmoke(t *testing.T) {
 		}
 		if !strings.Contains(string(out), "probe-pass-3.snap") {
 			t.Errorf("report does not name the torn checkpoint\n%s", out)
+		}
+	})
+
+	// clientmapd over a map cmd/experiments exported: it must announce its
+	// listeners, answer the HTTP summary and a reverse-name A query for a
+	// scope the map lists, and drain cleanly on SIGTERM.
+	t.Run("clientmapd", func(t *testing.T) {
+		work := t.TempDir()
+		art := filepath.Join(work, "map.snap")
+		run(t, []string{"wrote"}, build(t, bindir, "experiments"),
+			"-scale", "tiny", "-serve-artifact", art, "-out", filepath.Join(work, "report.md"))
+		cm, _, err := serve.ReadFile(art)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(cm.Scopes) == 0 {
+			t.Fatal("exported map lists no active scope")
+		}
+
+		d := exec.Command(build(t, bindir, "clientmapd"),
+			"-artifact", art, "-http", "127.0.0.1:0", "-dns", "127.0.0.1:0", "-reload", "0")
+		stderr, err := d.StderrPipe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Start(); err != nil {
+			t.Fatal(err)
+		}
+		defer d.Process.Kill()
+		lines := make(chan string)
+		go func() {
+			defer close(lines)
+			sc := bufio.NewScanner(stderr)
+			for sc.Scan() {
+				lines <- sc.Text()
+			}
+		}()
+		var log []string
+		var httpAddr, dnsAddr string
+		for timeout := time.After(30 * time.Second); httpAddr == "" || dnsAddr == ""; {
+			select {
+			case l, ok := <-lines:
+				if !ok {
+					t.Fatalf("clientmapd exited before announcing its listeners:\n%s", strings.Join(log, "\n"))
+				}
+				log = append(log, l)
+				if _, a, ok := strings.Cut(l, "http api on "); ok {
+					httpAddr = a
+				}
+				if _, a, ok := strings.Cut(l, "dns on "); ok {
+					dnsAddr, _, _ = strings.Cut(a, " ")
+				}
+			case <-timeout:
+				t.Fatalf("clientmapd announced no listeners in 30 s:\n%s", strings.Join(log, "\n"))
+			}
+		}
+
+		resp, err := http.Get("http://" + httpAddr + "/v1/summary")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("GET /v1/summary: status %d, want 200", resp.StatusCode)
+		}
+		name := serve.FormatReverseName(cm.Scopes[0].Scope.Addr(), serve.DefaultZone)
+		ans, err := (&dnsnet.UDPClient{Timeout: 5 * time.Second}).Exchange(context.Background(), dnsAddr,
+			dnswire.NewQuery(7, name, dnswire.TypeA))
+		if err != nil {
+			t.Fatalf("A %s: %v", name, err)
+		}
+		if a, ok := firstA(ans); ans.RCode != dnswire.RCodeSuccess || !ok || a != serve.ActiveA {
+			t.Errorf("A %s: rcode %v, answers %v; want NOERROR with %v", name, ans.RCode, ans.Answers, serve.ActiveA)
+		}
+
+		if err := d.Process.Signal(syscall.SIGTERM); err != nil {
+			t.Fatal(err)
+		}
+		for l := range lines {
+			log = append(log, l)
+		}
+		if err := d.Wait(); err != nil {
+			t.Errorf("clientmapd after SIGTERM: %v, want exit 0", err)
+		}
+		if out := strings.Join(log, "\n"); !strings.Contains(out, "drained: clean=true") {
+			t.Errorf("clientmapd log lacks %q:\n%s", "drained: clean=true", out)
 		}
 	})
 

@@ -30,7 +30,6 @@ func Bind(flags *flag.FlagSet, seed uint64, scale string) *Shared {
 	s := &Shared{}
 	flags.Uint64Var(&s.Seed, "seed", seed, "simulation seed")
 	flags.StringVar(&s.Scale, "scale", scale, "world scale: tiny|small|medium|large")
-	flags.IntVar(&s.Workers, "workers", 0, "probing worker pool size (0 = one per CPU, 1 = sequential; results are identical)")
 	flags.StringVar(&s.StateDir, "state-dir", "", "checkpoint pipeline stages into this directory")
 	flags.BoolVar(&s.Resume, "resume", false, "reuse matching checkpoints in -state-dir, skipping completed stages")
 	flags.IntVar(&s.Shards, "shards", 1, "split every probing pass into this many scatter shards (results are identical for any count)")

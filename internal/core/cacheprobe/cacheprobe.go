@@ -64,9 +64,11 @@ type Config struct {
 	// the Microsoft validation domain).
 	Domains []domains.Domain
 
-	// Workers bounds the per-PoP worker pool each campaign stage fans out
-	// on (0 or less = GOMAXPROCS; 1 = fully sequential). Results are
-	// bit-identical for any value — see Prober's concurrency model.
+	// Workers is the most goroutines any campaign stage runs: each stage
+	// is one pool of this size (0 or less = GOMAXPROCS; 1 = fully
+	// sequential, on the calling goroutine). Results are bit-identical for
+	// any value — see Prober's concurrency model. The campaign engine
+	// above this package leaves it 0, so its pool size is GOMAXPROCS.
 	Workers int
 
 	// Redundancy is the number of copies of each probe, to cover the

@@ -20,10 +20,12 @@ import (
 
 // Prober executes campaigns.
 //
-// Concurrency model: stages fan out across PoPs (one worker per PoP) and,
-// within a PoP, across probe tasks (a pool of Config.Workers goroutines).
-// Results are bit-identical for any worker count because nothing a worker
-// does depends on what other workers have already done:
+// Concurrency model: each stage makes one par.ForEach call over a flat
+// list of independent items — pre-scan spans, (PoP, sample) calibration
+// slots, per-PoP assignments, (unit, 256-task batch) pairs — so a
+// stage never runs more than Config.Workers goroutines. Results are
+// bit-identical for any worker count because nothing a worker does
+// depends on what other workers have already done:
 //
 //   - every probe's simulated timestamp is computed from its (pass, task)
 //     position up front and carried on the context (clockx.WithTime), so
@@ -65,18 +67,8 @@ func NewProber(cfg Config, vantages []Vantage, auth Authoritative) *Prober {
 	return p
 }
 
-// workers is the intra-PoP pool size (Config.Workers, 0 = GOMAXPROCS).
+// workers is every stage's pool size (Config.Workers, 0 = GOMAXPROCS).
 func (p *Prober) workers() int { return par.Workers(p.cfg.Workers) }
-
-// popFanout is the PoP-level worker count: one worker per PoP, except in
-// fully sequential mode (Workers=1), the reference behaviour every other
-// worker count must reproduce bit-for-bit.
-func (p *Prober) popFanout(pops int) int {
-	if p.workers() <= 1 {
-		return 1
-	}
-	return pops
-}
 
 // txidBase derives the base DNS transaction id for a probe from its
 // content key; attempt a sends with txidAt(base, a). A shared counter
@@ -351,9 +343,9 @@ func (p *Prober) calibrationSample() []netx.Slash24 {
 
 // Calibrate probes the sample at every PoP with the non-Microsoft probe
 // domains and fits each PoP's service radius at the configured quantile
-// (stage 3, Figure 2). PoPs calibrate concurrently, each walking its
-// sample with the intra-PoP worker pool; every calibration probe is
-// scheduled at the campaign start time.
+// (stage 3, Figure 2). The stage's pool walks every (PoP, sample) slot;
+// each PoP's radius is then folded from its slots in sample order. Every
+// calibration probe is scheduled at the campaign start time.
 func (p *Prober) Calibrate(ctx context.Context, pops map[string]*Vantage, camp *Campaign) {
 	sample := p.calibrationSample()
 	popNames := sortedPoPs(pops)
@@ -371,68 +363,70 @@ func (p *Prober) Calibrate(ctx context.Context, pops map[string]*Vantage, camp *
 		probes int
 		retry  retryAccount
 	}
-	cals := make([]*PoPCalibration, len(popNames))
-	retries := make([]retryAccount, len(popNames))
-	popProbes := make([]int64, len(popNames))
-	var probes atomic.Int64
-	par.ForEach(len(popNames), p.popFanout(len(popNames)), func(pi int) {
-		pop := popNames[pi]
+	delays := make([]*metrics.Histogram, len(popNames))
+	for pi, pop := range popNames {
+		delays[pi] = p.m.popDelay(pop)
+	}
+	// Slot pi*len(sample)+si holds PoP pi's probe of sample prefix si.
+	res := make([]calResult, len(popNames)*len(sample))
+	par.ForEach(len(res), p.workers(), func(k int) {
+		pi, si := k/len(sample), k%len(sample)
+		pop, s := popNames[pi], sample[si]
 		v := pops[pop]
-		cal := &PoPCalibration{PoP: pop, Vantage: v.Name}
-		delays := p.m.popDelay(pop)
-		allowScope := "calib/" + pop
-		res := make([]calResult, len(sample))
-		par.ForEach(len(sample), p.workers(), func(si int) {
-			s := sample[si]
-			loc, ok := p.cfg.GeoDB.Lookup(s)
-			if !ok {
-				return
+		loc, ok := p.cfg.GeoDB.Lookup(s)
+		if !ok {
+			return
+		}
+		r := &res[k]
+		r.retry.remaining = p.retryAllowance("calib/"+pop, si, len(sample))
+		r.retry.delays = delays[pi]
+		// Content keys are byte-built in stack scratch, identical to the
+		// former fmt.Sprintf("calib/%s/%s/%s", pop, s, d.Name) with
+		// "/<attempt>" appended for the per-try hash domain.
+		q := dnswire.AcquireMessage()
+		defer dnswire.ReleaseMessage(q)
+		var kb [128]byte
+		key := append(kb[:0], "calib/"...)
+		key = append(key, pop...)
+		key = append(key, '/')
+		key = s.AppendTo(key)
+		key = append(key, '/')
+		sBase := len(key)
+		hit := false
+		for _, d := range p.cfg.Domains {
+			if d.Microsoft {
+				continue // calibration uses the Alexa picks only
 			}
-			var r calResult
-			r.retry.remaining = p.retryAllowance(allowScope, si, len(sample))
-			r.retry.delays = delays
-			// Content keys are byte-built in stack scratch, identical to
-			// the former fmt.Sprintf("calib/%s/%s/%s", pop, s, d.Name)
-			// with "/<attempt>" appended for the per-try hash domain.
-			q := dnswire.AcquireMessage()
-			defer dnswire.ReleaseMessage(q)
-			var kb [128]byte
-			key := append(kb[:0], "calib/"...)
-			key = append(key, pop...)
-			key = append(key, '/')
-			key = s.AppendTo(key)
-			key = append(key, '/')
-			sBase := len(key)
-			hit := false
-			for _, d := range p.cfg.Domains {
-				if d.Microsoft {
-					continue // calibration uses the Alexa picks only
-				}
-				key = append(key[:sBase], d.Name...)
-				kLen := len(key)
-				base := p.txidBase(key)
-				for a := 0; a < p.cfg.Redundancy && !hit; a++ {
-					ak := strconv.AppendInt(append(key[:kLen], '/'), int64(a), 10)
-					hit, _ = p.snoop(sctx, v, q, txidAt(base, a), d.Name, s.Prefix(), ak, &r.retry)
-					r.probes++
-				}
-				if hit {
-					break
-				}
+			key = append(key[:sBase], d.Name...)
+			kLen := len(key)
+			base := p.txidBase(key)
+			for a := 0; a < p.cfg.Redundancy && !hit; a++ {
+				ak := strconv.AppendInt(append(key[:kLen], '/'), int64(a), 10)
+				hit, _ = p.snoop(sctx, v, q, txidAt(base, a), d.Name, s.Prefix(), ak, &r.retry)
+				r.probes++
 			}
 			if hit {
-				r.hit, r.dist = true, geo.DistanceKm(v.Coord, loc.Coord)
+				break
 			}
-			res[si] = r
-		})
-		for _, r := range res {
-			probes.Add(int64(r.probes + r.retry.spent))
-			popProbes[pi] += int64(r.probes + r.retry.spent)
-			retries[pi].add(&r.retry)
+		}
+		if hit {
+			r.hit, r.dist = true, geo.DistanceKm(v.Coord, loc.Coord)
+		}
+	})
+
+	probes := 0
+	for pi, pop := range popNames {
+		cal := &PoPCalibration{PoP: pop, Vantage: pops[pop].Name}
+		var retries retryAccount
+		popProbes := int64(0)
+		for _, r := range res[pi*len(sample) : (pi+1)*len(sample)] {
+			popProbes += int64(r.probes + r.retry.spent)
+			retries.add(&r.retry)
 			if r.hit {
 				cal.HitDistancesKm = append(cal.HitDistancesKm, r.dist)
 			}
 		}
+		probes += int(popProbes)
 		sort.Float64s(cal.HitDistancesKm)
 		if len(cal.HitDistancesKm) == 0 {
 			cal.RadiusKm = MaxServiceRadiusKm
@@ -449,27 +443,23 @@ func (p *Prober) Calibrate(ctx context.Context, pops map[string]*Vantage, camp *
 		if cal.RadiusKm > MaxServiceRadiusKm {
 			cal.RadiusKm = MaxServiceRadiusKm
 		}
-		cals[pi] = cal
-	})
-	for pi, pop := range popNames {
-		cal := cals[pi]
 		camp.PoPs[pop] = cal
-		camp.Faults.addRetries(&retries[pi])
-		p.m.countRetries(&retries[pi])
+		camp.Faults.addRetries(&retries)
+		p.m.countRetries(&retries)
 		hits := int64(len(cal.HitDistancesKm))
-		p.m.calProbes.Add(popProbes[pi])
+		p.m.calProbes.Add(popProbes)
 		p.m.calHits.Add(hits)
-		p.m.popProbes(pop).Add(popProbes[pi])
+		p.m.popProbes(pop).Add(popProbes)
 		p.m.popHits(pop).Add(hits)
 		p.cfg.Trace.Emit(metrics.Span{
 			Time: now, Stage: "calibration", PoP: pop, Event: "calibrated",
 			Fields: map[string]int64{
-				"samples": int64(len(sample)), "probes": popProbes[pi],
+				"samples": int64(len(sample)), "probes": popProbes,
 				"hits": hits, "radius_km": int64(cal.RadiusKm),
 			},
 		})
 	}
-	camp.ProbesSent += int(probes.Load())
+	camp.ProbesSent += probes
 	p.healthExport(camp)
 }
 
@@ -548,7 +538,7 @@ func (p *Prober) BuildAssignments(pops map[string]*Vantage, popCoords map[string
 	// Build per-PoP assignments concurrently across PoPs (pure reads of
 	// the geo database and pre-scan output).
 	assignments := make([][]probeTask, len(popNames))
-	par.ForEach(len(popNames), p.popFanout(len(popNames)), func(pi int) {
+	par.ForEach(len(popNames), p.workers(), func(pi int) {
 		pop := popNames[pi]
 		coord, ok := popCoords[pop]
 		if !ok {
@@ -582,31 +572,23 @@ func (p *Prober) BuildAssignments(pops map[string]*Vantage, popCoords map[string
 	return &Assignments{popNames: popNames, tasks: assignments, coords: coords}
 }
 
-// ProbePass runs one assignment loop (pass) of stage 4 and merges its
-// results into the campaign — the pipeline's checkpoint boundary: the
-// campaign state after pass k is a durable artifact, and a killed run
-// resumes at pass k+1. start is the campaign start time (pass windows
-// are computed from it, independent of the current clock reading, so a
+// ProbePassDelta runs one assignment loop (pass) of stage 4, merges its
+// results into camp and returns the pass's incremental evidence — what
+// the staged pipeline checkpoints instead of the cumulative campaign.
+// The pass is the pipeline's checkpoint boundary: a killed run resumes
+// at pass k+1. start is the campaign start time (pass windows are
+// computed from it, independent of the current clock reading, so a
 // resumed process reproduces the original schedule exactly).
 //
 // The pass runs the two steps of the scatter/gather path (see shard.go)
-// back to back in one process: execute every task into its slot, then
-// fold the slots. The N-shard split produces byte-identical campaigns.
-func (p *Prober) ProbePass(ctx context.Context, pops map[string]*Vantage, asg *Assignments, pass int, start time.Time, camp *Campaign) {
-	p.ProbePassDelta(ctx, pops, asg, pass, start, camp) // its error is always nil
-}
-
-// ProbePassDelta is ProbePass returning the pass's incremental evidence
-// — what the staged pipeline checkpoints instead of the cumulative
-// campaign. camp is advanced by the delta before returning.
-//
-// It chains execUnits and foldPass directly: each task writes its
-// outcome into the one slot the fold reads, with no ShardTaskResult copy
-// in between. It plans the pass once and takes one snapshot window
-// around planning, execution and the fold, so its ledger delta is the
-// shard deltas plus the gather window of the scatter/gather path, with
-// the failover-distance observation counted once. The error is always
-// nil; it keeps the signature GatherPass shares.
+// back to back in one process, and the N-shard split produces
+// byte-identical campaigns. It chains execUnits and foldPass directly:
+// each task writes its outcome into the one slot the fold reads, with no
+// ShardTaskResult copy in between. It plans the pass once and takes one
+// snapshot window around planning, execution and the fold, so its ledger
+// delta is the shard deltas plus the gather window of the scatter/gather
+// path, with the failover-distance observation counted once. The error
+// is always nil; it keeps the signature GatherPass shares.
 func (p *Prober) ProbePassDelta(ctx context.Context, pops map[string]*Vantage, asg *Assignments, pass int, start time.Time, camp *Campaign) (*PassDelta, error) {
 	passStart, passWindow := p.passSpan(start, pass)
 	p.execMu.Lock()
@@ -653,13 +635,14 @@ func (p *Prober) FinishProbing(start time.Time) {
 
 // Probe runs stage 4 end to end: every PoP probes its assigned scopes for
 // every probe domain, with redundant copies, looping Passes times across
-// Duration. It is BuildAssignments + ProbePass×Passes + FinishProbing in
-// one call, for callers that do not need per-pass checkpoints.
+// Duration. It is BuildAssignments + ProbePassDelta×Passes +
+// FinishProbing in one call, for callers that do not need per-pass
+// checkpoints.
 func (p *Prober) Probe(ctx context.Context, pops map[string]*Vantage, popCoords map[string]geo.Coord, camp *Campaign) {
 	start := p.cfg.Clock.Now()
 	asg := p.BuildAssignments(pops, popCoords, camp)
 	for pass := 0; pass < p.cfg.Passes; pass++ {
-		p.ProbePass(ctx, pops, asg, pass, start, camp)
+		p.ProbePassDelta(ctx, pops, asg, pass, start, camp) // its error is always nil
 	}
 	p.FinishProbing(start)
 }

@@ -14,6 +14,7 @@ import (
 	"clientmap/internal/metrics"
 	"clientmap/internal/netx"
 	"clientmap/internal/par"
+	"clientmap/internal/randx"
 )
 
 // Shard/scatter/gather decomposition of a probing pass.
@@ -92,11 +93,6 @@ func PartitionPass(asg *Assignments, pass, shards int) [][]ShardUnit {
 // unitHash orders units pseudo-randomly but deterministically (FNV-1a
 // over the unit's identity; the pass leads so the deal rotates per pass).
 func unitHash(pass int, u ShardUnit) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
 	var kb [64]byte
 	k := append(kb[:0], "shard/"...)
 	k = strconv.AppendInt(k, int64(pass), 10)
@@ -104,11 +100,7 @@ func unitHash(pass int, u ShardUnit) uint64 {
 	k = append(k, u.PoP...)
 	k = append(k, '/')
 	k = strconv.AppendInt(k, int64(u.Lo), 10)
-	for _, b := range k {
-		h ^= uint64(b)
-		h *= prime64
-	}
-	return h
+	return randx.FNV64a(k)
 }
 
 // ShardTaskResult is one task's outcome inside a shard, keyed by its
@@ -237,82 +229,87 @@ func (p *Prober) ProbeShard(ctx context.Context, pops map[string]*Vantage, asg *
 
 // execUnits executes a pass's units against the frozen plan, writing task
 // Lo+i of unit ui into out[ui][i] — the one result slot that task has for
-// the whole pass. Workers write only their own slots, so the outcome is
-// the same for any worker count. Callers hold execMu.
+// the whole pass. The pass's one pool claims (unit, probeChunk-wide task
+// block) batches from a flat list; workers write only their own slots,
+// so the outcome is the same for any worker count. Callers hold execMu.
 func (p *Prober) execUnits(ctx context.Context, pops map[string]*Vantage, asg *Assignments, pass int, passStart time.Time, passWindow time.Duration, plans []popPlan, units []ShardUnit, out [][]probeResult) {
 	_, isSim := p.cfg.Clock.(*clockx.Sim)
-	unitFanout := 1
-	if p.workers() > 1 {
-		unitFanout = len(units)
+	type batch struct{ ui, lo, hi int } // tasks [lo, hi) of units[ui], unit-relative
+	var batches []batch
+	delays := make([]*metrics.Histogram, len(units))
+	allowScopes := make([]string, len(units))
+	for ui, u := range units {
+		for lo := 0; lo < u.Hi-u.Lo; lo += probeChunk {
+			batches = append(batches, batch{ui, lo, min(lo+probeChunk, u.Hi-u.Lo)})
+		}
+		delays[ui] = p.m.popDelay(u.PoP)
+		allowScopes[ui] = "probe/" + strconv.Itoa(pass) + "/" + u.PoP
 	}
-	par.ForEach(len(units), unitFanout, func(ui int) {
-		u := units[ui]
+	par.ForEach(len(batches), p.workers(), func(bi int) {
+		b := batches[bi]
+		u := units[b.ui]
 		pop := u.PoP
 		v := pops[pop]
 		tasks := asg.tasks[u.PoPIndex]
-		delays := p.m.popDelay(pop)
-		allowScope := "probe/" + strconv.Itoa(pass) + "/" + pop
-		slots := out[ui]
-		par.ForEachChunked(u.Hi-u.Lo, p.workers(), probeChunk, func(clo, chi int) {
-			// Per-chunk scratch: one pooled query message, a key buffer
-			// pre-filled with "probe/<pass>/<pop>/", one re-stamped time
-			// carrier. Chunk boundaries carry no state, so splitting a
-			// PoP's tasks across units changes nothing.
-			q := dnswire.AcquireMessage()
-			defer dnswire.ReleaseMessage(q)
-			var kb [192]byte
-			keyBuf := append(kb[:0], "probe/"...)
-			keyBuf = strconv.AppendInt(keyBuf, int64(pass), 10)
-			keyBuf = append(keyBuf, '/')
-			keyBuf = append(keyBuf, pop...)
-			keyBuf = append(keyBuf, '/')
-			popLen := len(keyBuf)
-			tctx := ctx
-			var carrier *clockx.TimeCarrier
-			if isSim {
-				carrier = &clockx.TimeCarrier{Context: ctx}
-				tctx = carrier
+		slots := out[b.ui]
+		// Per-batch scratch: one pooled query message, a key buffer
+		// pre-filled with "probe/<pass>/<pop>/", one re-stamped time
+		// carrier. Batch boundaries carry no state, so splitting a PoP's
+		// tasks across units changes nothing.
+		q := dnswire.AcquireMessage()
+		defer dnswire.ReleaseMessage(q)
+		var kb [192]byte
+		keyBuf := append(kb[:0], "probe/"...)
+		keyBuf = strconv.AppendInt(keyBuf, int64(pass), 10)
+		keyBuf = append(keyBuf, '/')
+		keyBuf = append(keyBuf, pop...)
+		keyBuf = append(keyBuf, '/')
+		popLen := len(keyBuf)
+		tctx := ctx
+		var carrier *clockx.TimeCarrier
+		if isSim {
+			carrier = &clockx.TimeCarrier{Context: ctx}
+			tctx = carrier
+		}
+		var hedge hedgeOption
+		for i := b.lo; i < b.hi; i++ {
+			// ti is the task's global index in the PoP's full list:
+			// schedules, allowances and keys must not see the shard.
+			ti := u.Lo + i
+			tk := tasks[ti]
+			pv := v
+			r := &slots[i]
+			if plans != nil {
+				rt := plans[u.PoPIndex].route(ti)
+				if rt.kind == health.RouteLost {
+					continue // no in-radius fallback: not probed this pass
+				}
+				pv = rt.v
+				hedge = plans[u.PoPIndex].hedgeFor(rt)
+				r.retry.hedge = &hedge
 			}
-			var hedge hedgeOption
-			for i := clo; i < chi; i++ {
-				// ti is the task's global index in the PoP's full list:
-				// schedules, allowances and keys must not see the shard.
-				ti := u.Lo + i
-				tk := tasks[ti]
-				pv := v
-				r := &slots[i]
-				if plans != nil {
-					rt := plans[u.PoPIndex].route(ti)
-					if rt.kind == health.RouteLost {
-						continue // no in-radius fallback: not probed this pass
-					}
-					pv = rt.v
-					hedge = plans[u.PoPIndex].hedgeFor(rt)
-					r.retry.hedge = &hedge
-				}
-				offset := time.Duration(float64(passWindow) * float64(ti) / float64(len(tasks)+1))
-				if carrier != nil {
-					carrier.T = passStart.Add(offset)
-				}
-				r.retry.remaining = p.retryAllowance(allowScope, ti, len(tasks))
-				r.retry.delays = delays
-				key := append(keyBuf[:popLen], tk.domain...)
-				key = append(key, '/')
-				key = tk.scope.AppendTo(key)
-				kLen := len(key)
-				base := p.txidBase(key)
-				for a := 0; a < p.cfg.Redundancy; a++ {
-					ak := strconv.AppendInt(append(key[:kLen], '/'), int64(a), 10)
-					hit, respScope := p.snoop(tctx, pv, q, txidAt(base, a), tk.domain, tk.scope, ak, &r.retry)
-					r.probes++
-					if hit {
-						r.hit, r.respScope = true, respScope
-						r.at = clockx.NowIn(tctx, p.cfg.Clock)
-						break
-					}
+			offset := time.Duration(float64(passWindow) * float64(ti) / float64(len(tasks)+1))
+			if carrier != nil {
+				carrier.T = passStart.Add(offset)
+			}
+			r.retry.remaining = p.retryAllowance(allowScopes[b.ui], ti, len(tasks))
+			r.retry.delays = delays[b.ui]
+			key := append(keyBuf[:popLen], tk.domain...)
+			key = append(key, '/')
+			key = tk.scope.AppendTo(key)
+			kLen := len(key)
+			base := p.txidBase(key)
+			for a := 0; a < p.cfg.Redundancy; a++ {
+				ak := strconv.AppendInt(append(key[:kLen], '/'), int64(a), 10)
+				hit, respScope := p.snoop(tctx, pv, q, txidAt(base, a), tk.domain, tk.scope, ak, &r.retry)
+				r.probes++
+				if hit {
+					r.hit, r.respScope = true, respScope
+					r.at = clockx.NowIn(tctx, p.cfg.Clock)
+					break
 				}
 			}
-		})
+		}
 	})
 }
 

@@ -108,9 +108,9 @@ type mode struct {
 	// fp is the campaign-chain config fingerprint: every knob that
 	// changes what the chain measures. The reliability knobs are part of
 	// it — a checkpoint probed under one fault model or retry policy is
-	// stale under another — and Config.Workers deliberately is not: the
-	// worker count is a pure throughput knob with bit-identical results,
-	// so checkpoints written at one worker count resume at any other.
+	// stale under another — and the probe pool size (GOMAXPROCS)
+	// deliberately is not: it is a pure throughput knob with bit-identical
+	// results, so checkpoints written at one pool size resume at any other.
 	fp string
 	// window is the probing window and steps how many steps divide it
 	// (passes of a batch campaign, hours of a stream).
@@ -179,7 +179,6 @@ func newChain(cfg Config, m mode) *chain {
 			// probes are scheduled inside step k's slice of the window.
 			pcfg.Duration = m.window
 			pcfg.Passes = m.steps
-			pcfg.Workers = cfg.Workers
 			pcfg.Retry = cfg.Retry
 			pcfg.Metrics = cfg.Metrics
 			pcfg.Trace = c.trace

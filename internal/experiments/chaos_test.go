@@ -84,16 +84,14 @@ func TestChaosCampaignDeterminism(t *testing.T) {
 	}
 	chaos.Retry = cacheprobe.Retry{Attempts: 3, Backoff: 100 * time.Millisecond}
 
-	// (1a) Worker-count determinism under chaos.
-	c1 := chaos
-	c1.Workers = 1
-	w1, err := Run(c1)
+	// (1a) Pool-size determinism under chaos.
+	withProcs(t, 1)
+	w1, err := Run(chaos)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c8 := chaos
-	c8.Workers = 8
-	w8, err := Run(c8)
+	withProcs(t, 8)
+	w8, err := Run(chaos)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,14 +122,12 @@ func TestChaosCampaignDeterminism(t *testing.T) {
 	// chaos run.
 	dir := t.TempDir()
 	kcfg := chaos
-	kcfg.Workers = 8
 	kcfg.StateDir = dir
 	kcfg.StopAfter = ProbePassStage(1)
 	if _, err := Run(kcfg); !errors.Is(err, pipeline.ErrStopped) {
 		t.Fatalf("stopped run: got error %v, want pipeline.ErrStopped", err)
 	}
 	rcfg := chaos
-	rcfg.Workers = 8
 	rcfg.StateDir = dir
 	rcfg.Resume = true
 	rlog := &logCapture{}
@@ -235,15 +231,13 @@ func TestDegradedCampaignDeterminism(t *testing.T) {
 	}
 	deg.Health = health.Default()
 
-	d1 := deg
-	d1.Workers = 1
-	w1, err := Run(d1)
+	withProcs(t, 1)
+	w1, err := Run(deg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d8 := deg
-	d8.Workers = 8
-	w8, err := Run(d8)
+	withProcs(t, 8)
+	w8, err := Run(deg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,14 +284,12 @@ func TestDegradedCampaignDeterminism(t *testing.T) {
 	// state, so the resumed run must replay the same breaker timeline.
 	dir := t.TempDir()
 	kcfg := deg
-	kcfg.Workers = 8
 	kcfg.StateDir = dir
 	kcfg.StopAfter = ProbePassStage(1)
 	if _, err := Run(kcfg); !errors.Is(err, pipeline.ErrStopped) {
 		t.Fatalf("stopped run: got error %v, want pipeline.ErrStopped", err)
 	}
 	rcfg := deg
-	rcfg.Workers = 8
 	rcfg.StateDir = dir
 	rcfg.Resume = true
 	resumed, err := Run(rcfg)

@@ -58,11 +58,6 @@ type Config struct {
 	TraceDuration time.Duration
 	// PerSourceHourCap bounds trace size (see roots.GenConfig).
 	PerSourceHourCap int
-	// Workers bounds the campaign's per-PoP probe worker pools (0 =
-	// GOMAXPROCS, 1 = sequential). Any value produces identical results;
-	// see cacheprobe.Config.Workers. Deliberately absent from stage
-	// fingerprints for the same reason.
-	Workers int
 
 	// Faults injects deterministic transport faults into the campaign's
 	// measurement substrate — packet loss, duplication, latency jitter,

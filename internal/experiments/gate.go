@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"hash/fnv"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -10,6 +9,7 @@ import (
 	"time"
 
 	"clientmap/internal/pipeline"
+	"clientmap/internal/randx"
 	"clientmap/internal/statefs"
 )
 
@@ -63,9 +63,7 @@ func newFileGate(fsys statefs.FS, dir string, index, shards int, stealAfter time
 
 // owner returns the runner index a stage hashes to.
 func (g *fileGate) owner(stage string) int {
-	h := fnv.New64a()
-	h.Write([]byte(stage))
-	return int(h.Sum64() % uint64(g.shards))
+	return int(randx.FNV64a([]byte(stage)) % uint64(g.shards))
 }
 
 // Acquire implements pipeline.Gate: true means "this runner builds the

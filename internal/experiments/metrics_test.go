@@ -41,15 +41,13 @@ func TestMetricsDeterminism(t *testing.T) {
 		{"faulty", faulty},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c1 := tc.cfg
-			c1.Workers = 1
-			w1, err := Run(c1)
+			withProcs(t, 1)
+			w1, err := Run(tc.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			c8 := tc.cfg
-			c8.Workers = 8
-			w8, err := Run(c8)
+			withProcs(t, 8)
+			w8, err := Run(tc.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -92,14 +90,12 @@ func TestMetricsDeterminism(t *testing.T) {
 			// "process" (fresh registry), and demand the same bytes.
 			dir := t.TempDir()
 			kcfg := tc.cfg
-			kcfg.Workers = 8
 			kcfg.StateDir = dir
 			kcfg.StopAfter = ProbePassStage(1)
 			if _, err := Run(kcfg); !errors.Is(err, pipeline.ErrStopped) {
 				t.Fatalf("stopped run: got error %v, want pipeline.ErrStopped", err)
 			}
 			rcfg := tc.cfg
-			rcfg.Workers = 8
 			rcfg.StateDir = dir
 			rcfg.Resume = true
 			resumed, err := Run(rcfg)

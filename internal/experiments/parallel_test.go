@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -86,23 +87,34 @@ func compareResults(t *testing.T, labelA, labelB string, a, b *Results) {
 	}
 }
 
-// TestParallelDeterminism: the worker count is a pure throughput knob. A
-// fully sequential run (Workers=1) and a heavily parallel one (Workers=8)
-// over the same seed must produce the same Campaign down to individual
-// hit timestamps, the same scope-diff tables, and the same headline
-// statistics — the guarantee the parallel probing engine is built around.
+// withProcs sets GOMAXPROCS — the pool size of every campaign stage — to
+// n for the rest of the test and restores the previous value on cleanup.
+// It changes process-wide state, so a test that calls it must not run in
+// parallel with others.
+func withProcs(t *testing.T, n int) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// TestParallelDeterminism: the pool size is a pure throughput knob. A
+// fully sequential run (GOMAXPROCS=1) and a heavily parallel one
+// (GOMAXPROCS=8) over the same seed must produce the same Campaign down
+// to individual hit timestamps, the same scope-diff tables, and the same
+// headline statistics — the guarantee the parallel probing engine is
+// built around.
 func TestParallelDeterminism(t *testing.T) {
 	cfg := DefaultConfig(randx.Seed(424), world.ScaleTiny)
 	cfg.CampaignDuration = 24 * time.Hour
 	cfg.Passes = 3
 	cfg.TraceDuration = 6 * time.Hour
 
-	cfg.Workers = 1
+	withProcs(t, 1)
 	seq, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Workers = 8
+	withProcs(t, 8)
 	par, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -67,7 +67,7 @@ func compareStreams(t *testing.T, aName, bName string, a, b *StreamResults) {
 // TestStreamingDeterminism is the streaming mode's core guarantee: 24
 // sim-hours over a churning world with faults enabled produce
 // byte-identical rolling views, metrics JSON, and coverage-lag reports
-// whether probed by 1 worker or 8, and whether the process ran straight
+// whether probed at GOMAXPROCS 1 or 8, and whether the process ran straight
 // through or was killed at an arbitrary hour and resumed from
 // checkpoints. The Chromium-deprecation event must show up as a nonzero,
 // quantified coverage loss.
@@ -76,16 +76,15 @@ func TestStreamingDeterminism(t *testing.T) {
 		t.Skip("24 sim-hour stream")
 	}
 	cfg := streamTestConfig(t)
-	cfg.Workers = 1
+	withProcs(t, 1)
 	ref, err := RunStream(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Worker count is a pure throughput knob.
-	wcfg := streamTestConfig(t)
-	wcfg.Workers = 8
-	wide, err := RunStream(wcfg)
+	// Pool size is a pure throughput knob.
+	withProcs(t, 8)
+	wide, err := RunStream(streamTestConfig(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,14 +95,12 @@ func TestStreamingDeterminism(t *testing.T) {
 	killHour := 1 + int(uint64(cfg.Seed)%uint64(cfg.Hours-2)) // in [1, Hours-2]
 	dir := t.TempDir()
 	kcfg := streamTestConfig(t)
-	kcfg.Workers = 8
 	kcfg.StateDir = dir
 	kcfg.StopAfter = StreamHourStage(killHour)
 	if _, err := RunStream(kcfg); !errors.Is(err, pipeline.ErrStopped) {
 		t.Fatalf("stopped run: got error %v, want pipeline.ErrStopped", err)
 	}
 	rcfg := streamTestConfig(t)
-	rcfg.Workers = 8
 	rcfg.StateDir = dir
 	rcfg.Resume = true
 	resumed, err := RunStream(rcfg)

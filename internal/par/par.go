@@ -1,10 +1,10 @@
 // Package par holds the two small concurrency primitives the measurement
-// pipeline is parallelized with: an index-sharded ForEach for bounded
-// worker pools and an errgroup-style Group for running independent
-// pipeline stages. Both are deliberately tiny — the pipeline's
-// determinism comes from writing results into per-index slots and merging
-// them in a fixed order, not from any scheduling property of these
-// helpers.
+// pipeline is parallelized with: ForEach, the one bounded worker pool
+// every campaign stage runs on, and an errgroup-style Group for running
+// independent pipeline stages. Both are deliberately tiny — the
+// pipeline's determinism comes from writing results into per-index slots
+// and merging them in a fixed order, not from any scheduling property of
+// these helpers.
 package par
 
 import (
@@ -21,15 +21,17 @@ func Workers(n int) int {
 	return n
 }
 
-// ForEach calls fn(i) for every i in [0, n) using at most workers
-// goroutines. Indices are statically strided across workers (worker w
-// handles w, w+workers, ...), so there is no channel contention and the
-// set of calls is identical for any worker count. Callers must ensure
-// fn(i) writes only to index-i state; merging those slots in index order
-// afterwards yields results independent of the worker count.
+// ForEach calls fn(i) for every i in [0, n) on at most workers
+// goroutines. Workers claim indices from one atomic counter, so uneven
+// per-index costs balance themselves and the set of calls is identical
+// for any worker count. Callers must ensure fn(i) writes only to index-i
+// state; merging those slots in index order afterwards yields results
+// independent of the worker count. fn must not call ForEach itself: one
+// pool per stage is what keeps the goroutine count at workers.
 //
-// workers <= 1 (or n <= 1) runs inline on the calling goroutine, which is
-// the fully sequential reference behaviour.
+// workers <= 1 (or n <= 1) runs inline on the calling goroutine in
+// ascending index order, which is the fully sequential reference
+// behaviour.
 func ForEach(n, workers int, fn func(int)) {
 	if workers > n {
 		workers = n
@@ -40,70 +42,14 @@ func ForEach(n, workers int, fn func(int)) {
 		}
 		return
 	}
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < n; i += workers {
-				fn(i)
-			}
-		}(w)
-	}
-	wg.Wait()
-}
-
-// ForEachChunked calls fn(lo, hi) over contiguous ranges that exactly
-// cover [0, n), each at most chunk wide, using at most workers goroutines.
-// Workers claim chunks from an atomic counter, so one synchronization
-// point dispatches `chunk` items — the batched-dispatch primitive the
-// probe engine uses so per-item dispatch cost (goroutine wakeups, shared
-// counter traffic, per-item scratch setup) amortizes over hundreds of
-// probes.
-//
-// fn(lo, hi) must only write to per-index state for indices in [lo, hi).
-// The partition into chunks is identical for every worker count; only the
-// assignment of chunks to workers varies. workers <= 1 (or a single
-// chunk) runs every chunk inline, in ascending order — the sequential
-// reference behaviour.
-func ForEachChunked(n, workers, chunk int, fn func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	if chunk <= 0 {
-		chunk = 1
-	}
-	nChunks := (n + chunk - 1) / chunk
-	if workers > nChunks {
-		workers = nChunks
-	}
-	if workers <= 1 {
-		for lo := 0; lo < n; lo += chunk {
-			hi := lo + chunk
-			if hi > n {
-				hi = n
-			}
-			fn(lo, hi)
-		}
-		return
-	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			for {
-				c := int(next.Add(1)) - 1
-				if c >= nChunks {
-					return
-				}
-				lo := c * chunk
-				hi := lo + chunk
-				if hi > n {
-					hi = n
-				}
-				fn(lo, hi)
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				fn(i)
 			}
 		}()
 	}

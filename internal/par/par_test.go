@@ -2,6 +2,8 @@ package par
 
 import (
 	"errors"
+	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 )
@@ -29,6 +31,63 @@ func TestForEachZeroAndOne(t *testing.T) {
 	if calls != 1 {
 		t.Errorf("n=1: calls=%d", calls)
 	}
+}
+
+// TestForEachSequentialReference: workers <= 1 is the reference every
+// pool size must reproduce, so it runs on the calling goroutine and
+// visits indices in ascending order.
+func TestForEachSequentialReference(t *testing.T) {
+	caller := goroutineID()
+	for _, workers := range []int{-1, 0, 1} {
+		var order []int
+		var foreign atomic.Int32
+		ForEach(10, workers, func(i int) {
+			if goroutineID() != caller {
+				foreign.Add(1)
+				return
+			}
+			order = append(order, i)
+		})
+		if n := foreign.Load(); n > 0 {
+			t.Fatalf("workers=%d: %d indices ran off the calling goroutine", workers, n)
+		}
+		for i, v := range order {
+			if v != i {
+				t.Fatalf("workers=%d: visit order %v, want ascending", workers, order)
+			}
+		}
+		if len(order) != 10 {
+			t.Fatalf("workers=%d: %d visits, want 10", workers, len(order))
+		}
+	}
+}
+
+// TestForEachBoundsGoroutines: the pool never runs more than workers
+// callbacks at once, however many indices it has.
+func TestForEachBoundsGoroutines(t *testing.T) {
+	var inflight, peak atomic.Int32
+	ForEach(200, 3, func(int) {
+		cur := inflight.Add(1)
+		for {
+			p := peak.Load()
+			if cur <= p || peak.CompareAndSwap(p, cur) {
+				break
+			}
+		}
+		runtime.Gosched()
+		inflight.Add(-1)
+	})
+	if p := peak.Load(); p > 3 || p < 1 {
+		t.Errorf("peak concurrency %d, want 1..3", p)
+	}
+}
+
+// goroutineID returns the current goroutine's id from its stack header
+// ("goroutine 7 [running]: ...").
+func goroutineID() string {
+	var buf [64]byte
+	f := strings.Fields(string(buf[:runtime.Stack(buf[:], false)]))
+	return f[1]
 }
 
 func TestGroupFirstError(t *testing.T) {

@@ -10,7 +10,7 @@
 package randx
 
 import (
-	"hash/fnv"
+	"encoding/binary"
 	"math"
 	"math/rand"
 )
@@ -26,39 +26,40 @@ type Stream struct {
 	*rand.Rand
 }
 
-// FNV-1a parameters (the same ones hash/fnv uses). The hot paths hash
-// append-built []byte keys with the hand-rolled loop below instead of
-// hash/fnv's interface, which would force the key to escape; the two are
-// bit-identical over equal bytes, which keyhash_test pins.
+// FNV-1a parameters (the same ones hash/fnv uses).
 const (
 	fnvOffset64 = 14695981039346656037
 	fnvPrime64  = 1099511628211
 )
 
-// hashKey mixes a root seed and a string key into a 64-bit sub-seed.
-func hashKey(seed Seed, key string) int64 {
-	h := fnv.New64a()
-	var b [8]byte
-	for i := 0; i < 8; i++ {
-		b[i] = byte(seed >> (8 * i))
+// fnv64a continues the FNV-1a state h over b. It is the module's one
+// FNV-1a loop: FNV64a and every seed-keyed hash below are views of it.
+func fnv64a(h uint64, b []byte) uint64 {
+	for _, c := range b {
+		h = (h ^ uint64(c)) * fnvPrime64
 	}
-	h.Write(b[:])
-	h.Write([]byte(key))
-	return int64(h.Sum64())
+	return h
 }
+
+// FNV64a returns the 64-bit FNV-1a hash of b, bit-identical to hash/fnv's
+// New64a without its interface, which would force b to escape. Snapshot
+// checksums, cache keys, shard deals and stage ownership all hash here.
+func FNV64a(b []byte) uint64 { return fnv64a(fnvOffset64, b) }
+
+// seedState is the FNV-1a state after the root seed's eight little-endian
+// bytes: the common prefix of every (seed, key) hash.
+func seedState(seed Seed) uint64 {
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], uint64(seed))
+	return fnv64a(fnvOffset64, b[:])
+}
+
+// hashKey mixes a root seed and a string key into a 64-bit sub-seed.
+func hashKey(seed Seed, key string) int64 { return hashKeyB(seed, []byte(key)) }
 
 // hashKeyB is hashKey over a byte-slice key: identical output for equal
 // bytes, no allocation and no escape of the key slice.
-func hashKeyB(seed Seed, key []byte) int64 {
-	h := uint64(fnvOffset64)
-	for i := 0; i < 8; i++ {
-		h = (h ^ uint64(byte(seed>>(8*i)))) * fnvPrime64
-	}
-	for _, c := range key {
-		h = (h ^ uint64(c)) * fnvPrime64
-	}
-	return int64(h)
-}
+func hashKeyB(seed Seed, key []byte) int64 { return int64(fnv64a(seedState(seed), key)) }
 
 // New returns the stream for the given purpose key.
 func (s Seed) New(key string) *Stream {

@@ -3,6 +3,8 @@ package serve
 import (
 	"encoding/binary"
 	"sync"
+
+	"clientmap/internal/randx"
 )
 
 // Cache is the sharded response cache in front of the DNS answer path. It
@@ -71,17 +73,6 @@ func NewCache[V ~[]byte](shards, capacity int) *Cache[V] {
 	return c
 }
 
-// fnv64a matches the snapshot checksum's hash; keys are short, so the
-// byte loop beats importing hash/fnv's interface machinery.
-func cacheHash(key []byte) uint64 {
-	var h uint64 = 14695981039346656037
-	for _, c := range key {
-		h ^= uint64(c)
-		h *= 1099511628211
-	}
-	return h
-}
-
 // Get returns a copy of the cached response for key under gen. A hit
 // from a different generation is a miss.
 func (c *Cache[V]) Get(gen uint64, key string) (V, bool) {
@@ -92,7 +83,7 @@ func (c *Cache[V]) Get(gen uint64, key string) (V, bool) {
 // appendTo is Get appending to dst. key may lie in dst's spare capacity:
 // it is compared before anything is written.
 func (c *Cache[V]) appendTo(dst []byte, gen uint64, key []byte) ([]byte, bool) {
-	h := cacheHash(key)
+	h := randx.FNV64a(key)
 	s := &c.shards[h&c.mask]
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -115,7 +106,7 @@ func (c *Cache[V]) put(gen uint64, key, val []byte) {
 	if len(key) > 0xFFFF {
 		return // does not fit the slot's length prefix; not worth caching
 	}
-	h := cacheHash(key)
+	h := randx.FNV64a(key)
 	s := &c.shards[h&c.mask]
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -131,7 +122,7 @@ func (c *Cache[V]) put(gen uint64, key, val []byte) {
 		i = uint32(s.head)
 		s.head = (s.head + 1) % c.cap
 		victim, _ := s.slots[i].split()
-		delete(s.index, cacheHash(victim))
+		delete(s.index, randx.FNV64a(victim))
 	}
 	s.index[h] = i
 	s.slots[i].set(gen, key, val)

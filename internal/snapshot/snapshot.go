@@ -26,6 +26,8 @@ import (
 	"fmt"
 	"math"
 	"time"
+
+	"clientmap/internal/randx"
 )
 
 // FormatVersion is the container format version this binary reads and
@@ -196,16 +198,6 @@ func (r *Reader) SliceLen(minBytes int) int {
 	return n
 }
 
-// fnv64a is the payload checksum.
-func fnv64a(b []byte) uint64 {
-	var h uint64 = 14695981039346656037
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= 1099511628211
-	}
-	return h
-}
-
 // Marshal frames a payload produced by enc under the given header and
 // returns the snapshot file bytes plus the payload's content hash (the
 // value pipeline fingerprints chain on).
@@ -222,7 +214,7 @@ func Marshal(h Header, enc func(*Writer)) (data []byte, payloadHash string) {
 	w.String(h.Fingerprint)
 	w.Uvarint(uint64(len(payload)))
 	w.buf = append(w.buf, payload...)
-	w.Uvarint(fnv64a(payload))
+	w.Uvarint(randx.FNV64a(payload))
 	return w.buf, HashBytes(payload)
 }
 
@@ -256,7 +248,7 @@ func Open(data []byte) (Header, *Reader, string, error) {
 	if sumReader.err != nil {
 		return Header{}, nil, "", sumReader.err
 	}
-	if sum != fnv64a(payload) {
+	if sum != randx.FNV64a(payload) {
 		return Header{}, nil, "", fmt.Errorf("%w: payload checksum mismatch", ErrCorrupt)
 	}
 	return h, &Reader{buf: payload}, HashBytes(payload), nil

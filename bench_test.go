@@ -359,8 +359,8 @@ func BenchmarkAblationCollisionThreshold(b *testing.B) {
 // (Workers=1) versus with one worker per CPU, over identical worlds — the
 // speedup of the parallel probing engine. The two variants produce
 // bit-identical campaigns (see experiments.TestParallelDeterminism), so
-// any throughput difference is pure scheduling. BENCH_campaign.json keeps
-// the measured baseline.
+// any throughput difference is pure scheduling. The end-to-end benchmark
+// (cmd/bench, BENCHMARK.json) is where campaign throughput is recorded.
 func BenchmarkCampaignParallel(b *testing.B) {
 	for _, bc := range []struct {
 		name    string

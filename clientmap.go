@@ -90,9 +90,9 @@ type Config struct {
 	// this configuration, skipping the stages that produced them — how
 	// an interrupted campaign picks up where it was killed.
 	Resume bool
-	// Shards splits every probing pass into this many scatter shards
-	// (batch only; 0 or 1 = monolithic passes). Results are
-	// byte-identical for any shard count.
+	// Shards splits every probing pass or stream hour into this many
+	// scatter shards (0 or 1 = monolithic). Results are byte-identical for
+	// any shard count.
 	Shards int
 	// ShardIndex makes this process shard runner N of a fleet sharing
 	// StateDir; meaningful only when Shards > 1, and requires StateDir.

@@ -98,10 +98,9 @@ func TestValidateReliabilityFlags(t *testing.T) {
 	})
 }
 
-// -churn, -emit-every and -artifact only mean something in stream mode,
-// and streaming is incompatible with pass sharding (hours are the
-// checkpoint unit, not shards) and the health layer (the adaptive
-// scheduler owns PoP liveness).
+// -churn, -emit-every and -artifact only mean something in stream mode.
+// Streams shard like batch passes do, but are incompatible with the
+// health layer (the adaptive scheduler owns PoP liveness).
 func TestValidateStreamFlags(t *testing.T) {
 	runFlagCases(t, []flagCase{
 		{name: "plain stream", args: []string{"-stream", "6"}},
@@ -115,9 +114,9 @@ func TestValidateStreamFlags(t *testing.T) {
 		{name: "emit-every without stream", args: []string{"-emit-every", "2"}, wantErr: "-emit-every"},
 		{name: "artifact without stream", args: []string{"-artifact", "map.snap"}, wantErr: "-artifact"},
 		{name: "negative emit-every", args: []string{"-stream", "6", "-emit-every", "-1"}, wantErr: "-emit-every"},
-		{name: "stream with shards", args: []string{"-stream", "6", "-shards", "3"}, wantErr: "-shards"},
-		{name: "stream as shard runner", args: []string{"-stream", "6", "-shards", "3", "-shard-index", "1", "-state-dir", "/tmp/x"}, wantErr: "-shard-index"},
-		{name: "stream as runner zero of one shard", args: []string{"-stream", "6", "-shard-index", "0", "-state-dir", "/tmp/x"}, wantErr: "-shard-index"},
+		{name: "stream with shards", args: []string{"-stream", "6", "-shards", "3"}},
+		{name: "stream as shard runner", args: []string{"-stream", "6", "-shards", "3", "-shard-index", "1", "-state-dir", "/tmp/x"}},
+		{name: "stream as runner zero of one shard", args: []string{"-stream", "6", "-shard-index", "0", "-state-dir", "/tmp/x"}},
 		{name: "stream with health", args: []string{"-stream", "6", "-health", "on"}, wantErr: "-health"},
 		{name: "stream with health spec", args: []string{"-stream", "6", "-health", "window=10m"}, wantErr: "-health"},
 	})

@@ -65,6 +65,9 @@ func main() {
 		RateLimit:    serve.LimiterConfig{Rate: *rate, Burst: *burst},
 		Metrics:      reg,
 	})
+	// Catch signals before announcing listeners: an early SIGTERM drains.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM, syscall.SIGHUP)
 	if err := d.Start(); err != nil {
 		log.Fatal(err)
 	}
@@ -84,8 +87,6 @@ func main() {
 		log.Printf("debug mux on %s", a)
 	}
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM, syscall.SIGHUP)
 	for s := range sig {
 		if s == syscall.SIGHUP {
 			changed, err := d.Reload()

@@ -117,6 +117,15 @@ func (m *proberMetrics) countHedges(a *retryAccount) {
 	m.hedgeWon.Add(int64(a.hedgeWon))
 }
 
+// before takes a stage's before-snapshot of the campaign-owned prefixes,
+// first reserving the keys camp's ledger carries: a delta keeps zero
+// keys, so without them a process that restored upstream checkpoints
+// would checkpoint different bytes than one that built them.
+func (m *proberMetrics) before(camp *Campaign) metrics.Ledger {
+	m.reg.Reserve(camp.Metrics)
+	return m.reg.SnapshotPrefix(LedgerPrefixes...)
+}
+
 // stageMetrics snapshots the campaign-owned registry prefixes and returns
 // a closure that folds the delta — what this stage's instrumentation
 // counted — into the campaign's metrics ledger. Same shape and rationale
@@ -124,7 +133,7 @@ func (m *proberMetrics) countHedges(a *retryAccount) {
 // resumed run reports the same ledger as an uninterrupted one even
 // though the in-process registry resets on restart.
 func (p *Prober) stageMetrics(camp *Campaign) func() {
-	before := p.m.reg.SnapshotPrefix(LedgerPrefixes...)
+	before := p.m.before(camp)
 	return func() {
 		camp.Metrics.Merge(p.m.reg.SnapshotPrefix(LedgerPrefixes...).Sub(before))
 	}

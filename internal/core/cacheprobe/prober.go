@@ -595,7 +595,7 @@ func (p *Prober) ProbePassDelta(ctx context.Context, pops map[string]*Vantage, a
 	defer p.execMu.Unlock()
 
 	fBefore := p.cfg.FaultCounters.Snapshot()
-	mBefore := p.m.reg.SnapshotPrefix(LedgerPrefixes...)
+	mBefore := p.m.before(camp)
 	p.healthSync(camp, passStart)
 	plans := p.planPass(pops, asg, camp, pass, passStart)
 	var preWindows map[string][]health.WindowSum

@@ -180,7 +180,7 @@ func (p *Prober) ProbeShard(ctx context.Context, pops map[string]*Vantage, asg *
 		preWindows = p.cfg.Health.ExportWindows()
 	}
 	fBefore := p.cfg.FaultCounters.Snapshot()
-	mBefore := p.m.reg.SnapshotPrefix(LedgerPrefixes...)
+	mBefore := p.m.before(camp)
 
 	units = append([]ShardUnit(nil), units...)
 	sort.Slice(units, func(i, j int) bool {
@@ -332,7 +332,7 @@ func (p *Prober) GatherPass(pops map[string]*Vantage, asg *Assignments, pass int
 	// belong to this pass's ledger delta, and the gather step is where
 	// they are counted (exactly once — shards exclude theirs).
 	fBefore := p.cfg.FaultCounters.Snapshot()
-	mBefore := p.m.reg.SnapshotPrefix(LedgerPrefixes...)
+	mBefore := p.m.before(camp)
 	p.healthSync(camp, passStart)
 	plans := p.planPass(pops, asg, camp, pass, passStart)
 

@@ -18,10 +18,12 @@ import (
 
 // How long a TCP connection may sit between queries, and how long one
 // reply may take to leave: a peer that stops reading is cut off instead
-// of pinning a goroutine.
+// of pinning a goroutine. An accept over tcpMaxConnections open ones is
+// closed at once: a flood of idle connections costs no goroutines.
 const (
-	tcpIdleTimeout  = 30 * time.Second
-	tcpWriteTimeout = 10 * time.Second
+	tcpIdleTimeout    = 30 * time.Second
+	tcpWriteTimeout   = 10 * time.Second
+	tcpMaxConnections = 1024
 )
 
 // Server serves a Handler over real UDP and TCP sockets. It exists so the
@@ -40,6 +42,7 @@ type Server struct {
 	appender Appender // handler's append form, nil if it has none
 
 	tcpIdle, tcpWrite time.Duration
+	tcpMax            int
 
 	// Query admission is lock-free: a query counts in inflight from
 	// before the draining check until after its reply is written.
@@ -62,6 +65,7 @@ func NewServer(handler Handler) *Server {
 		handler:  handler,
 		tcpIdle:  tcpIdleTimeout,
 		tcpWrite: tcpWriteTimeout,
+		tcpMax:   tcpMaxConnections,
 		idle:     make(chan struct{}),
 		conns:    make(map[net.Conn]struct{}),
 	}
@@ -183,6 +187,11 @@ func (s *Server) serveTCP(ln net.Listener) {
 			s.mu.Unlock()
 			conn.Close()
 			return
+		}
+		if len(s.conns) >= s.tcpMax {
+			s.mu.Unlock()
+			conn.Close()
+			continue
 		}
 		s.conns[conn] = struct{}{}
 		s.wg.Add(1)

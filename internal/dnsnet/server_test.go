@@ -3,9 +3,11 @@ package dnsnet
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"io"
 	"net"
 	"net/netip"
+	"os"
 	"runtime"
 	"testing"
 	"time"
@@ -201,6 +203,45 @@ func TestSrcAddrUnmaps(t *testing.T) {
 	if got := srcAddr(netip.Addr{}); got != 0 {
 		t.Errorf("srcAddr(invalid) = %v, want 0", got)
 	}
+}
+
+// TestServerCapsTCPConnections: with the connection cap at 4, a fifth
+// idle connection is closed on accept while the first four stay served,
+// and Close still returns every goroutine.
+func TestServerCapsTCPConnections(t *testing.T) {
+	base := runtime.NumGoroutine()
+	s := NewServer(echoHandler(1))
+	s.tcpMax = 4
+	addr, err := s.ListenTCP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var conns []net.Conn
+	for i := 0; i < 5; i++ {
+		conn, err := net.Dial("tcp", addr.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		conns = append(conns, conn)
+	}
+	over := conns[4]
+	over.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := over.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("read from the connection over the cap = %v, want it closed", err)
+	}
+	for i, conn := range conns[:4] {
+		conn.SetDeadline(time.Now().Add(5 * time.Second))
+		if err := dnswire.WriteTCP(conn, dnswire.NewQuery(uint16(i), "cap.test", dnswire.TypeA)); err != nil {
+			t.Fatal(err)
+		}
+		var resp dnswire.Message
+		if err := dnswire.ReadTCPInto(conn, &resp); err != nil || resp.ID != uint16(i) {
+			t.Fatalf("connection %d under the cap: reply %+v, %v", i, resp, err)
+		}
+	}
+	s.Close()
+	waitGoroutines(t, base)
 }
 
 // TestServerDropsOverTCP: a handler that drops a query closes the TCP

@@ -116,9 +116,16 @@ type mode struct {
 	// (passes of a batch campaign, hours of a stream).
 	window time.Duration
 	steps  int
-	// step registers step k on top of up and returns its stage, whose
-	// dependencies must start with c.setup and up.handle.
-	step func(c *chain, k int, up link) *pipeline.Stage[*stepArtifact]
+	// Step k is one probing step (probeStep), named stepName(k), its
+	// config fingerprint fp+stepFP(k); codec persists its delta alone.
+	// plan is what it probes — the same plan on every call, as each shard
+	// build and the gather ask. finish completes its artifact: on a build
+	// after the probed delta folded into a.Camp, on a restore before.
+	stepName func(k int) string
+	stepFP   func(k int) string
+	codec    *pipeline.Codec[*stepArtifact]
+	plan     func(env *campaignEnv, camp *cacheprobe.Campaign, k int) *cacheprobe.Assignments
+	finish   func(env *campaignEnv, a *stepArtifact, k int) error
 }
 
 // chain is a registered campaign and the handles result assembly needs.
@@ -209,7 +216,7 @@ func newChain(cfg Config, m mode) *chain {
 
 	up := link{handle: calibrate, camp: calibrate.Out, hash: calibrate.ArtifactHash}
 	for k := 0; k < m.steps; k++ {
-		stage := m.step(c, k, up)
+		stage := c.probeStep(k, up)
 		up = link{handle: stage, camp: func() *cacheprobe.Campaign { return stage.Out().Camp }, hash: stage.ArtifactHash}
 		c.last = stage
 	}

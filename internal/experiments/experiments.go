@@ -91,13 +91,12 @@ type Config struct {
 	// Resume reuses checkpoints in StateDir whose fingerprints match the
 	// current configuration, skipping the stages that produced them.
 	Resume bool
-	// Shards splits every probing pass into this many scatter shards
-	// (batch only: a stream's checkpoint unit is the hour, not the shard).
-	// 0 or 1 keeps the pass monolithic; N > 1 expands each pass stage
-	// into N shard sub-stages (checkpointed as "probe-pass-k/shard-i")
-	// plus a gather stage under the pass's canonical name. Gathered
-	// results are byte-identical to the single-process campaign for any
-	// shard count.
+	// Shards splits every probing step — a batch pass or a stream hour —
+	// into this many scatter shards. 0 or 1 keeps the step monolithic;
+	// N > 1 expands each step stage into N shard sub-stages (checkpointed
+	// as "probe-pass-k/shard-i" or "stream-hour-k/shard-i") plus a gather
+	// stage under the step's canonical name. Gathered results are
+	// byte-identical to the single-process campaign for any shard count.
 	Shards int
 	// ShardIndex selects shard-runner mode: when ≥ 0 (and Shards > 1)
 	// this process is runner ShardIndex of a fleet sharing StateDir — it
@@ -229,7 +228,7 @@ func (c Config) fs() statefs.FS { return statefs.Or(c.FS) }
 // which is why each message names the field and the flag bound to it. It
 // checks the raw configuration, so a negative Shards is an error rather
 // than a silent fallback to 1; the zero value must stay valid (Shards 0
-// is monolithic, ShardIndex is ignored without sharding), so the three
+// is monolithic, ShardIndex is ignored without sharding), so the two
 // stricter rules of a command line live in cliflags.Check. stream says
 // which entry point is asking.
 func (c Config) Validate(stream bool) error {
@@ -262,10 +261,7 @@ func (c Config) Validate(stream bool) error {
 		}
 		return nil
 	}
-	switch {
-	case c.Shards > 1:
-		return fmt.Errorf("experiments: streaming (-stream) is incompatible with Shards (-shards/-shard-index): hours are the checkpoint unit")
-	case c.Health.Enabled():
+	if c.Health.Enabled() {
 		return fmt.Errorf("experiments: streaming (-stream) is incompatible with Health (-health): the adaptive scheduler owns PoP liveness")
 	}
 	return nil

@@ -66,28 +66,16 @@ var shardCodec = &pipeline.Codec[*cacheprobe.ShardResult]{
 	Decode:  snapshot.DecodeShardResult,
 }
 
-// passCodec builds a pass stage's delta codec. Encoding persists the
-// PassDelta alone; decoding folds it into the upstream campaign through
-// the same Apply path a freshly gathered pass takes, so a restored
-// chain and a probed chain can never diverge.
-func passCodec(up link) *pipeline.Codec[*stepArtifact] {
-	return &pipeline.Codec[*stepArtifact]{
-		Kind:    snapshot.KindCampaignDelta,
-		Version: snapshot.VersionCampaignDelta,
-		Encode:  func(w *snapshot.Writer, a *stepArtifact) { snapshot.EncodePassDelta(w, a.Pass) },
-		Decode: func(r *snapshot.Reader) (*stepArtifact, error) {
-			d, err := snapshot.DecodePassDelta(r)
-			if err != nil {
-				return nil, err
-			}
-			if err := up.checkBase(d.Base); err != nil {
-				return nil, err
-			}
-			camp := up.camp()
-			d.Apply(camp)
-			return &stepArtifact{Camp: camp, Pass: d}, nil
-		},
-	}
+// passCodec persists a pass stage's PassDelta alone; probeStep folds a
+// decoded one into the upstream campaign.
+var passCodec = &pipeline.Codec[*stepArtifact]{
+	Kind:    snapshot.KindCampaignDelta,
+	Version: snapshot.VersionCampaignDelta,
+	Encode:  func(w *snapshot.Writer, a *stepArtifact) { snapshot.EncodePassDelta(w, a.Pass) },
+	Decode: func(r *snapshot.Reader) (*stepArtifact, error) {
+		d, err := snapshot.DecodePassDelta(r)
+		return &stepArtifact{Pass: d}, err
+	},
 }
 
 var dnslogsCodec = &pipeline.Codec[*dnslogs.Result]{
@@ -198,7 +186,16 @@ func newBatchRun(cfg Config) *batchRun {
 		fp:         campFP,
 		window:     cfg.CampaignDuration,
 		steps:      cfg.Passes,
-		step:       probePass,
+		stepName:   ProbePassStage,
+		stepFP: func(k int) string {
+			return fmt.Sprintf(" dur=%s passes=%d pass=%d", cfg.CampaignDuration, cfg.Passes, k)
+		},
+		codec: passCodec,
+		// Every pass probes the full assignment.
+		plan: func(env *campaignEnv, camp *cacheprobe.Campaign, _ int) *cacheprobe.Assignments {
+			return env.assignments(camp)
+		},
+		finish: func(*campaignEnv, *stepArtifact, int) error { return nil },
 	})}
 	r := br.runner
 	campEnd := campStart.Add(cfg.CampaignDuration)
@@ -227,34 +224,52 @@ func newBatchRun(cfg Config) *batchRun {
 	return br
 }
 
-// probePass is the batch step: probing pass k. With cfg.Shards > 1 the
-// pass first scatters into shard sub-stages ("probe-pass-k/shard-i",
-// each its own checkpoint, so shards resume independently); the gather
-// stage keeps the pass's canonical name, so StopAfter targets, resume
-// logs and downstream dependencies are unchanged, and any upstream change
-// cascades through every shard into the gather.
-func probePass(c *chain, k int, up link) *pipeline.Stage[*stepArtifact] {
+// probeStep registers the probing of campaign step k on top of up — a
+// batch pass or a stream hour, the one step path both modes share. With
+// cfg.Shards > 1 the step first scatters into shard sub-stages
+// ("<step>/shard-i", each its own checkpoint, so shards resume
+// independently); the gather stage keeps the step's canonical name, so
+// StopAfter targets, resume logs and downstream dependencies are
+// unchanged, and any upstream change cascades through every shard into
+// the gather. A restored delta folds into the upstream campaign through
+// the same Apply a probed one takes, so a restored chain and a probed
+// chain cannot diverge.
+func (c *chain) probeStep(k int, up link) *pipeline.Stage[*stepArtifact] {
 	cfg, setup := c.cfg, c.setup
-	passFP := fmt.Sprintf("%s dur=%s passes=%d pass=%d", c.fp, cfg.CampaignDuration, cfg.Passes, k)
+	name, fp := c.stepName(k), c.fp+c.stepFP(k)
+	codec := *c.codec
+	codec.Decode = func(r *snapshot.Reader) (*stepArtifact, error) {
+		a, err := c.codec.Decode(r)
+		if err != nil {
+			return nil, err
+		}
+		if err := up.checkBase(a.Pass.Base); err != nil {
+			return nil, err
+		}
+		a.Camp = up.camp()
+		if err := c.finish(setup.Out(), a, k); err != nil {
+			return nil, err
+		}
+		a.Pass.Apply(a.Camp)
+		return a, nil
+	}
 	var shards []*pipeline.Stage[*cacheprobe.ShardResult]
 	if cfg.Shards > 1 {
-		shards = pipeline.FanOut(c.runner, ProbePassStage(k), passFP, cfg.Shards, deps(setup, up.handle), shardCodec,
+		shards = pipeline.FanOut(c.runner, name, fp, cfg.Shards, deps(setup, up.handle), shardCodec,
 			func(i int) func(ctx context.Context) (*cacheprobe.ShardResult, error) {
 				return func(ctx context.Context) (*cacheprobe.ShardResult, error) {
-					env := setup.Out()
-					camp := up.camp()
-					asg := env.assignments(camp)
+					env, camp := setup.Out(), up.camp()
+					asg := c.plan(env, camp, k)
 					units := cacheprobe.PartitionPass(asg, k, cfg.Shards)[i]
 					return env.prober.ProbeShard(ctx, env.pops, asg, k, campStart, camp, units), nil
 				}
 			})
 	}
 	gdeps := append(deps(setup, up.handle), pipeline.Handles(shards)...)
-	return pipeline.AddStage(c.runner, ProbePassStage(k), passFP, gdeps, passCodec(up),
+	return pipeline.AddStage(c.runner, name, fp, gdeps, &codec,
 		func(ctx context.Context) (*stepArtifact, error) {
-			env := setup.Out()
-			camp := up.camp()
-			asg := env.assignments(camp)
+			env, camp := setup.Out(), up.camp()
+			asg := c.plan(env, camp, k)
 			var d *cacheprobe.PassDelta
 			var err error
 			if shards == nil {
@@ -270,7 +285,8 @@ func probePass(c *chain, k int, up link) *pipeline.Stage[*stepArtifact] {
 				return nil, err
 			}
 			d.Base = up.hash()
-			return &stepArtifact{Camp: camp, Pass: d}, nil
+			a := &stepArtifact{Camp: camp, Pass: d}
+			return a, c.finish(env, a, k)
 		})
 }
 

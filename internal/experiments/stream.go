@@ -1,8 +1,8 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -34,38 +34,42 @@ func StreamHourStage(k int) string { return fmt.Sprintf("%s%d", StageStreamHour,
 type StreamConfig = Config
 
 // streamEnv is the streaming run's state beside the campaign env: the
-// stream state machine, built lazily at the first hour boundary (it
-// needs the calibrated campaign for assignments and the pre-churn world
-// for the event plan), and the rolling exporter.
+// stream state machine and the rolling exporter.
 type streamEnv struct {
 	scfg     stream.Config
 	exporter *serve.RollingExporter
 
-	once sync.Once
+	// mu guards the state machine — built at the first hour boundary, as
+	// it needs the calibrated campaign for assignments and the pre-churn
+	// world for the event plan — and hp, the plan of the newest hour.
+	mu   sync.Mutex
 	st   *stream.State
 	senv *stream.Env
+	hp   *stream.HourPlan
 }
 
-// stream returns the state machine, deriving the churn plan and the
-// scheduler state on first use. Both the live hour stages and the
-// checkpoint-replay decoders funnel through here, so a resumed run
-// rebuilds exactly the state the original run advanced.
-func (e *streamEnv) stream(env *campaignEnv, camp *cacheprobe.Campaign) (*stream.State, *stream.Env) {
-	e.once.Do(func() {
+// plan returns hour k's plan, building the state machine on first use
+// and beginning the hour on the hour's first call: its side effects
+// (churn applied to the world, rates invalidated, the scheduler's
+// selection) happen exactly once per process, whichever of the hour's
+// shard builds, gather build or checkpoint decoder asks first. Every
+// caller depends on hour k-1's stage, so hours begin in order and a
+// resumed run rebuilds exactly the state the original run advanced.
+func (e *streamEnv) plan(env *campaignEnv, camp *cacheprobe.Campaign, k int) *stream.HourPlan {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.st == nil {
 		asg := env.assignments(camp)
-		plan := e.scfg.Churn.Plan(e.scfg.Hours, env.sys.World)
-		e.st = stream.NewState(e.scfg, plan, asg)
-		e.senv = &stream.Env{
-			World: env.sys.World,
-			Model: env.sys.Model,
-			Asg:   asg,
-			Epoch: campStart,
-		}
+		e.st = stream.NewState(e.scfg, e.scfg.Churn.Plan(e.scfg.Hours, env.sys.World), asg)
+		e.senv = &stream.Env{World: env.sys.World, Model: env.sys.Model, Asg: asg, Epoch: campStart}
 		if lf := env.sys.Google.LazyFill(); lf != nil {
 			e.senv.InvalidateRates = lf.Invalidate
 		}
-	})
-	return e.st, e.senv
+	}
+	if e.hp == nil || e.hp.Hour != k {
+		e.hp = e.st.BeginHour(e.senv)
+	}
+	return e.hp
 }
 
 // export writes a rolling view through the exporter, if one is set.
@@ -79,72 +83,39 @@ func (e *streamEnv) export(out *stream.ClientMapOut) error {
 	return nil
 }
 
-// hourCodec builds hour k's checkpoint codec. Decoding verifies the
-// delta's base hash against the upstream checkpoint AND the recorded
-// churn events against the freshly re-derived plan, then replays the
-// hour through the same BeginHour/FinishHour path a probed hour takes.
-func (e *streamEnv) hourCodec(c *chain, k int, up link) *pipeline.Codec[*stepArtifact] {
-	return &pipeline.Codec[*stepArtifact]{
-		Kind:    snapshot.KindStreamDelta,
-		Version: snapshot.VersionStreamDelta,
-		Encode:  func(w *snapshot.Writer, a *stepArtifact) { stream.EncodeHourDelta(w, a.Hour) },
-		Decode: func(r *snapshot.Reader) (*stepArtifact, error) {
-			d, err := stream.DecodeHourDelta(r)
-			if err != nil {
-				return nil, err
-			}
-			if d.Hour != k {
-				return nil, fmt.Errorf("checkpoint holds hour %d, stage is hour %d", d.Hour, k)
-			}
-			if err := up.checkBase(d.Pass.Base); err != nil {
-				return nil, err
-			}
-			camp := up.camp()
-			st, senv := e.stream(c.setup.Out(), camp)
-			hp := st.BeginHour(senv)
-			if len(hp.Events) != len(d.Events) {
-				return nil, fmt.Errorf("hour %d: checkpoint has %d churn events, plan derives %d", k, len(d.Events), len(hp.Events))
-			}
-			for i := range hp.Events {
-				if hp.Events[i] != d.Events[i] {
-					return nil, fmt.Errorf("hour %d: churn event %d diverges from derived plan (%s)", k, i, d.Events[i].Describe())
-				}
-			}
-			d.Pass.Apply(camp)
-			st.FinishHour(hp, d, senv)
-			return &stepArtifact{Camp: camp, Pass: d.Pass, Hour: d}, nil
-		},
-	}
+// hourCodec persists an hour's HourDelta; its Pass is the hour's probing.
+var hourCodec = &pipeline.Codec[*stepArtifact]{
+	Kind:    snapshot.KindStreamDelta,
+	Version: snapshot.VersionStreamDelta,
+	Encode:  func(w *snapshot.Writer, a *stepArtifact) { stream.EncodeHourDelta(w, a.Hour) },
+	Decode: func(r *snapshot.Reader) (*stepArtifact, error) {
+		d, err := stream.DecodeHourDelta(r)
+		if err != nil {
+			return nil, err
+		}
+		return &stepArtifact{Pass: d.Pass, Hour: d}, nil
+	},
 }
 
-// hour is the stream step: churn events apply, the adaptive scheduler
-// picks this hour's probe subset, evidence folds in and decays out, the
-// DNS-logs channel ticks, and the rolling map emits.
-func (e *streamEnv) hour(c *chain, k int, up link) *pipeline.Stage[*stepArtifact] {
-	hourFP := fmt.Sprintf("%s hour=%d", c.fp, k)
-	return pipeline.AddStage(c.runner, StreamHourStage(k), hourFP, deps(c.setup, up.handle), e.hourCodec(c, k, up),
-		func(ctx context.Context) (*stepArtifact, error) {
-			env := c.setup.Out()
-			camp := up.camp()
-			st, senv := e.stream(env, camp)
-			hp := st.BeginHour(senv)
-			pass, err := env.prober.ProbePassDelta(ctx, env.pops, hp.Sub, k, campStart, camp)
-			if err != nil {
-				return nil, err
-			}
-			pass.Base = up.hash()
-			d := &stream.HourDelta{
-				Hour:   k,
-				Events: hp.Events,
-				Pass:   pass,
-				DNS:    stream.DNSTick(senv, st.Cfg, k),
-			}
-			_, out := st.FinishHour(hp, d, senv)
-			if err := e.export(out); err != nil {
-				return nil, err
-			}
-			return &stepArtifact{Camp: camp, Pass: pass, Hour: d}, nil
-		})
+// finish completes stream hour k once the scheduler's subset is probed:
+// the DNS-logs channel ticks, evidence folds in and decays out, and the
+// rolling map emits. A restored hour replays through the same
+// BeginHour/FinishHour path once its recorded churn events match the
+// re-derived plan's, and emits nothing: RunStream exports the final view.
+func (e *streamEnv) finish(env *campaignEnv, a *stepArtifact, k int) error {
+	hp := e.plan(env, a.Camp, k)
+	restored := a.Hour != nil
+	if !restored {
+		a.Hour = &stream.HourDelta{Hour: k, Events: hp.Events, Pass: a.Pass, DNS: stream.DNSTick(e.senv, e.st.Cfg, k)}
+	} else if a.Hour.Hour != k || !slices.Equal(a.Hour.Events, hp.Events) {
+		return fmt.Errorf("checkpoint holds hour %d with %d churn events, hour %d's plan derives %d",
+			a.Hour.Hour, len(a.Hour.Events), k, len(hp.Events))
+	}
+	_, out := e.st.FinishHour(hp, a.Hour, e.senv)
+	if restored {
+		return nil
+	}
+	return e.export(out)
 }
 
 // StreamResults bundles everything a streaming run produced.
@@ -192,9 +163,15 @@ func RunStream(cfg Config) (*StreamResults, error) {
 		finishName: StageStreamFinish,
 		fp: fmt.Sprintf("%s faults=%s retry=%s stream{%s}", cfg.baseFP(),
 			cfg.Faults.Fingerprint(), cfg.Retry.Fingerprint(), e.scfg.Fingerprint()),
-		window: time.Duration(cfg.Hours) * time.Hour,
-		steps:  cfg.Hours,
-		step:   e.hour,
+		window:   time.Duration(cfg.Hours) * time.Hour,
+		steps:    cfg.Hours,
+		stepName: StreamHourStage,
+		stepFP:   func(k int) string { return fmt.Sprintf(" hour=%d", k) },
+		codec:    hourCodec,
+		plan: func(env *campaignEnv, camp *cacheprobe.Campaign, k int) *cacheprobe.Assignments {
+			return e.plan(env, camp, k).Sub
+		},
+		finish: e.finish,
 	})
 	if err := c.runner.Run(noCtx()); err != nil {
 		return nil, err
@@ -202,8 +179,7 @@ func RunStream(cfg Config) (*StreamResults, error) {
 	if err := c.writeTrace(); err != nil {
 		cfg.logf("trace: write failed: %v", err)
 	}
-	camp := c.last.Out().Camp
-	st, senv := e.stream(c.setup.Out(), camp)
+	camp, st, senv := c.last.Out().Camp, e.st, e.senv
 	res := &StreamResults{
 		Cfg:      cfg,
 		Sys:      c.world.Out(),

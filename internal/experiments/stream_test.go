@@ -2,17 +2,22 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"clientmap/internal/churn"
 	"clientmap/internal/faults"
 	"clientmap/internal/pipeline"
 	"clientmap/internal/randx"
+	"clientmap/internal/statefs"
+	"clientmap/internal/statefsck"
 	"clientmap/internal/stream"
 	"clientmap/internal/world"
 )
@@ -244,6 +249,12 @@ func TestGoldenStream(t *testing.T) {
 	if !goldenLoad(t, goldenStreamPath, got, &want) {
 		return
 	}
+	assertStreamGolden(t, got, want)
+}
+
+// assertStreamGolden compares a stream's golden slice with the corpus.
+func assertStreamGolden(t *testing.T, got, want StreamGolden) {
+	t.Helper()
 	goldenCompare(t, got.Stats, want.Stats)
 	if len(got.LagTable) != len(want.LagTable) {
 		t.Fatalf("lag table has %d rows, golden %d:\ngot  %q\nwant %q",
@@ -309,6 +320,144 @@ func TestStreamKillResumeSmoke(t *testing.T) {
 	}
 	if !bytes.Equal(fbytes, rbytes) {
 		t.Error("on-disk rolling artifacts differ between uninterrupted and resumed runs")
+	}
+}
+
+// TestStreamShardRunners: a stream hour is a probing step like a batch
+// pass, so it shards. Three shard runners (three RunStream calls with
+// their own worlds, probers and registries, sharing only the state dir)
+// stream the 24-hour churn scenario cooperatively. One is killed after
+// the seed-derived hour TestStreamingDeterminism kills at; the survivors
+// finish by stealing its stages, and then it resumes and finishes too.
+// Every runner, and an in-process run of every shard, must reproduce the
+// monolithic stream: rolling views, decay ledger, metrics, lag report,
+// rolling artifact bytes, and the golden streaming corpus. The shared
+// state dir must hold no corrupt checkpoint and no broken delta chain.
+func TestStreamShardRunners(t *testing.T) {
+	if testing.Short() {
+		t.Skip("24 sim-hour stream")
+	}
+	const runners = 3
+	arts := t.TempDir()
+	mcfg := streamTestConfig(t)
+	mcfg.ArtifactPath = filepath.Join(arts, "mono.bin")
+	mono, err := RunStream(mcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	monoArt, err := os.ReadFile(mcfg.ArtifactPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(goldenStreamPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var golden StreamGolden
+	if err := json.Unmarshal(data, &golden); err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	runner := func(i int) Config {
+		cfg := streamTestConfig(t)
+		cfg.Shards = runners
+		cfg.ShardIndex = i
+		cfg.StateDir = dir
+		cfg.ShardStealAfter = 20 * time.Millisecond
+		cfg.ArtifactPath = filepath.Join(arts, fmt.Sprintf("runner-%d.bin", i))
+		return cfg
+	}
+	killHour := 1 + int(uint64(mcfg.Seed)%uint64(mcfg.Hours-2))
+	victim := int(uint64(mcfg.Seed) % runners)
+	results := make([]*StreamResults, runners)
+	errs := make([]error, runners)
+	var wg sync.WaitGroup
+	for i := 0; i < runners; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			cfg := runner(i)
+			if i == victim {
+				cfg.StopAfter = StreamHourStage(killHour)
+			}
+			results[i], errs[i] = RunStream(cfg)
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		switch {
+		case i == victim && !errors.Is(err, pipeline.ErrStopped):
+			t.Fatalf("killed runner %d: got error %v, want pipeline.ErrStopped", i, err)
+		case i != victim && err != nil:
+			t.Fatalf("surviving runner %d: %v", i, err)
+		}
+	}
+	// The survivors finished by stealing: every stage the killed runner
+	// owned after its kill hour has a claim file naming a survivor. (The
+	// resume below sweeps satisfied claims, so look now.)
+	gate := newFileGate(nil, filepath.Join(dir, "shards"), victim, runners, 0)
+	stolen := 0
+	for h := killHour + 1; h < mcfg.Hours; h++ {
+		stages := []string{StreamHourStage(h)}
+		for i := 0; i < runners; i++ {
+			stages = append(stages, fmt.Sprintf("%s/shard-%d", StreamHourStage(h), i))
+		}
+		for _, s := range stages {
+			if gate.owner(s) != victim {
+				continue
+			}
+			stolen++
+			b, err := os.ReadFile(filepath.Join(gate.dir, strings.ReplaceAll(s, "/", "_")+".steal"))
+			if err != nil {
+				t.Errorf("%s, owned by the killed runner, was not stolen: %v", s, err)
+			} else if who := strings.TrimSpace(string(b)); who == fmt.Sprint(victim) {
+				t.Errorf("%s claimed by the killed runner itself", s)
+			}
+		}
+	}
+	if stolen == 0 {
+		t.Fatal("the killed runner owned no stage after its kill hour — nothing was left to steal")
+	}
+
+	if results[victim], err = RunStream(runner(victim)); err != nil {
+		t.Fatalf("resumed runner %d: %v", victim, err)
+	}
+
+	inproc := streamTestConfig(t)
+	inproc.Shards = runners
+	inproc.ShardIndex = -1
+	all, err := RunStream(inproc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compareStreams(t, "monolithic", "in-process shards", mono, all)
+	assertStreamGolden(t, streamGoldenOf(all), golden)
+
+	for i, res := range results {
+		label := fmt.Sprintf("runner %d", i)
+		if i == victim {
+			label += " (killed@" + StreamHourStage(killHour) + ", resumed)"
+		}
+		compareStreams(t, "monolithic", label, mono, res)
+		assertStreamGolden(t, streamGoldenOf(res), golden)
+		art, err := os.ReadFile(runner(i).ArtifactPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(art, monoArt) {
+			t.Errorf("%s: rolling artifact differs from the monolithic run's", label)
+		}
+	}
+
+	rep, err := statefsck.Scan(statefs.Disk{}, dir, statefsck.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range rep.Findings {
+		if f.Class == statefsck.ClassCorrupt || f.Class == statefsck.ClassBrokenChain {
+			t.Errorf("state dir: %s is %s: %s", f.Path, f.Class, f.Detail)
+		}
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 // ShardIndex are 0, not DefaultConfig's 1 and -1 — and a Config that
 // asks for the other entry point's mode is an error, not a silent
 // batch-instead-of-stream. The commands' flag tables (cmd/clientmap,
-// cmd/experiments) pin that their flags reach it, plus the three
+// cmd/experiments) pin that their flags reach it, plus the two
 // flag-only rules of cliflags.Check.
 func TestValidate(t *testing.T) {
 	tiny := Config{Seed: randx.Seed(1), Scale: world.ScaleTiny}
@@ -51,7 +51,7 @@ func TestValidate(t *testing.T) {
 		{name: "churn on the batch entry point", cfg: with(func(c *Config) { c.Churn = churn.Config{ChromiumOff: true} }), wantErr: "Churn"},
 		{name: "artifact on the batch entry point", cfg: with(func(c *Config) { c.ArtifactPath = "map.snap" }), wantErr: "ArtifactPath"},
 		{name: "health on the stream entry point", cfg: with(func(c *Config) { c.Health = health.Default() }), stream: true, wantErr: "Health"},
-		{name: "shards on the stream entry point", cfg: with(func(c *Config) { c.Shards = 3; c.ShardIndex = -1 }), stream: true, wantErr: "Shards"},
+		{name: "shards on the stream entry point", cfg: with(func(c *Config) { c.Shards = 3; c.ShardIndex = -1 }), stream: true},
 		{name: "resume without state dir", cfg: with(func(c *Config) { c.Resume = true }), wantErr: "StateDir"},
 		{name: "resume with state dir", cfg: with(func(c *Config) { c.Resume = true; c.StateDir = "/tmp/x" }), stream: true},
 	}

@@ -46,8 +46,8 @@ type Config struct {
 	// counters — and in the UDP client's tolerance tests.
 	Dup float64
 	// Trunc is the probability in [0,1] that a response comes back with
-	// TC=1 and its answers stripped, forcing the client to fall back to
-	// TCP (dnsnet.FallbackClient) or to retry.
+	// TC=1 and its answers stripped; the prober treats it as a retryable
+	// failure, the re-query modelling the TC=1 → TCP fallback.
 	Trunc float64
 	// Jitter is the maximum extra latency per query; the injected delay
 	// is a hash-derived fraction of it. On scheduled (simulated) queries

@@ -151,6 +151,7 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
+	reserved map[string]bool // flattened keys snapshots carry even unregistered
 }
 
 // NewRegistry returns an empty registry.
@@ -159,6 +160,7 @@ func NewRegistry() *Registry {
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
+		reserved: make(map[string]bool),
 	}
 }
 
@@ -209,6 +211,21 @@ func (r *Registry) Histogram(name string, bounds []int64) *Histogram {
 	return h
 }
 
+// Reserve makes every key of led appear in later snapshots, zero-valued
+// until a metric registers under it: a process that restores a stage's
+// ledger instead of running the stage then snapshots the key set of one
+// that ran it.
+func (r *Registry) Reserve(led Ledger) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for k := range led {
+		r.reserved[k] = true
+	}
+}
+
 // Snapshot flattens every registered metric into a ledger: counters and
 // gauges under their name, histograms as name/le=<bound> buckets plus
 // name/count and name/sum.
@@ -236,6 +253,11 @@ func (r *Registry) SnapshotPrefix(prefixes ...string) Ledger {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	led := Ledger{}
+	for name := range r.reserved {
+		if match(name) {
+			led[name] = 0
+		}
+	}
 	for name, c := range r.counters {
 		if match(name) {
 			led[name] = c.Value()

@@ -112,6 +112,35 @@ func TestSnapshotDeltaFold(t *testing.T) {
 	}
 }
 
+// TestReserve: a process that restored a stage's ledger instead of running
+// the stage reserves its keys, and from then on its snapshots carry the
+// same key set as a process that ran it — zero until a metric registers,
+// the metric's own value after.
+func TestReserve(t *testing.T) {
+	ran := NewRegistry()
+	ran.Counter("cacheprobe/calibrate/probes").Add(4)
+	ran.Histogram("cacheprobe/pop/fra/retry_delay_ms", []int64{50})
+	restored := NewRegistry()
+	restored.Reserve(ran.Snapshot())
+	restored.Reserve(Ledger{"other/x": 1})
+	restored.Counter("cacheprobe/probe/probes").Add(2)
+	ran.Counter("cacheprobe/probe/probes").Add(2)
+
+	got := restored.SnapshotPrefix("cacheprobe/")
+	if !reflect.DeepEqual(got.Keys(), ran.SnapshotPrefix("cacheprobe/").Keys()) {
+		t.Errorf("restored key set %v, ran %v", got.Keys(), ran.SnapshotPrefix("cacheprobe/").Keys())
+	}
+	if got["cacheprobe/calibrate/probes"] != 0 || got["cacheprobe/probe/probes"] != 2 {
+		t.Errorf("reserved keys must read zero and registered ones their value: %v", got)
+	}
+	restored.Histogram("cacheprobe/pop/fra/retry_delay_ms", []int64{50}).Observe(7)
+	if got := restored.Snapshot(); got["cacheprobe/pop/fra/retry_delay_ms/count"] != 1 {
+		t.Errorf("a metric registered over a reserved key must report its own value: %v", got)
+	}
+	var nilReg *Registry
+	nilReg.Reserve(Ledger{"x": 1})
+}
+
 func TestLedgerOps(t *testing.T) {
 	l := Ledger{"a": 5, "b": 2}
 	c := l.Clone()

@@ -268,6 +268,28 @@ func totalScopes(r *experiments.Results) int {
 	return n
 }
 
+// probeCampaign runs every probing stage in order, as the campaign chain
+// does: DiscoverPoPs → PreScan → Calibrate → BuildAssignments →
+// ProbePassDelta×cfg.Passes → FinishProbing.
+func probeCampaign(s *sim.System, cfg cacheprobe.Config) (*cacheprobe.Campaign, error) {
+	ctx, p, camp := context.Background(), s.Prober(cfg), cacheprobe.NewCampaign()
+	pops, err := p.DiscoverPoPs(ctx)
+	if err == nil {
+		err = p.PreScan(ctx, camp)
+	}
+	if err != nil {
+		return nil, err
+	}
+	p.Calibrate(ctx, pops, camp)
+	start := cfg.Clock.Now()
+	asg := p.BuildAssignments(pops, s.PoPCoords(), camp)
+	for pass := 0; pass < cfg.Passes && err == nil; pass++ {
+		_, err = p.ProbePassDelta(ctx, pops, asg, pass, start, camp)
+	}
+	p.FinishProbing(start)
+	return camp, err
+}
+
 // BenchmarkAblationRedundancy measures recall with 1 vs 5 redundant probes
 // per (PoP, prefix, domain): Google keeps several independent cache pools
 // per site, so one probe sees only one pool.
@@ -281,7 +303,7 @@ func BenchmarkAblationRedundancy(b *testing.B) {
 				cfg.Duration = 12 * time.Hour
 				cfg.Passes = 2
 				cfg.Redundancy = red
-				camp, err := s.Prober(cfg).Run(context.Background(), s.PoPCoords())
+				camp, err := probeCampaign(s, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -379,7 +401,7 @@ func BenchmarkCampaignParallel(b *testing.B) {
 				cfg.Passes = 3
 				cfg.Workers = bc.workers
 				b.StartTimer()
-				camp, err := s.Prober(cfg).Run(context.Background(), s.PoPCoords())
+				camp, err := probeCampaign(s, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}

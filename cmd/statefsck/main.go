@@ -4,6 +4,8 @@
 // temp litter, satisfied steal claim, delta with unverifiable lineage —
 // and in -repair mode quarantines the bad and sweeps the litter so the
 // next `experiments -resume` rebuilds exactly the damaged suffix.
+// Lineage is read from the bases deltas record, not from stage names:
+// a delta is kept while its base is the payload hash of a kept checkpoint.
 //
 // Usage:
 //

@@ -291,7 +291,7 @@ func (f *FaultStats) addRetries(a *retryAccount) {
 }
 
 // NewCampaign returns an empty campaign with every collection
-// initialized, ready for the stages (PreScan, Calibrate, ProbePass) to
+// initialized, ready for the stages (PreScan, Calibrate, ProbePassDelta) to
 // fill incrementally. The staged pipeline checkpoints this value between
 // stages; a decoded checkpoint and a freshly filled campaign are
 // indistinguishable to the stages that consume them.

@@ -6,10 +6,37 @@ import (
 	"time"
 
 	"clientmap/internal/core/cacheprobe"
+	"clientmap/internal/geo"
 	"clientmap/internal/netx"
 	"clientmap/internal/sim"
 	"clientmap/internal/world"
 )
+
+// runStages drives p through every stage the way the pipeline does:
+// DiscoverPoPs → PreScan → Calibrate → BuildAssignments →
+// ProbePassDelta×cfg.Passes → FinishProbing. cfg is the one p was built
+// with.
+func runStages(p *cacheprobe.Prober, cfg cacheprobe.Config, popCoords map[string]geo.Coord) (*cacheprobe.Campaign, error) {
+	ctx := context.Background()
+	camp := cacheprobe.NewCampaign()
+	pops, err := p.DiscoverPoPs(ctx)
+	if err != nil {
+		return nil, err
+	}
+	if err := p.PreScan(ctx, camp); err != nil {
+		return nil, err
+	}
+	p.Calibrate(ctx, pops, camp)
+	start := cfg.Clock.Now()
+	asg := p.BuildAssignments(pops, popCoords, camp)
+	for pass := 0; pass < cfg.Passes; pass++ {
+		if _, err := p.ProbePassDelta(ctx, pops, asg, pass, start, camp); err != nil {
+			return nil, err
+		}
+	}
+	p.FinishProbing(start)
+	return camp, nil
+}
 
 func runCampaign(t testing.TB, seed int, mutate func(*cacheprobe.Config)) (*cacheprobe.Campaign, *sim.System) {
 	t.Helper()
@@ -23,7 +50,7 @@ func runCampaign(t testing.TB, seed int, mutate func(*cacheprobe.Config)) (*cach
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	camp, err := s.Prober(cfg).Run(context.Background(), s.PoPCoords())
+	camp, err := runStages(s.Prober(cfg), cfg, s.PoPCoords())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package cacheprobe_test
 
 import (
-	"context"
 	"reflect"
 	"testing"
 	"time"
@@ -83,7 +82,7 @@ func degradedCampaign(t *testing.T, workers int) (*cacheprobe.Campaign, *sim.Sys
 	cfg.Duration = 24 * time.Hour
 	cfg.Passes = 3
 	cfg.Workers = workers
-	camp, err := s.Prober(cfg).Run(context.Background(), s.PoPCoords())
+	camp, err := runStages(s.Prober(cfg), cfg, s.PoPCoords())
 	if err != nil {
 		t.Fatal(err)
 	}

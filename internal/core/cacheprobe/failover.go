@@ -46,7 +46,13 @@ func (p *Prober) healthExport(camp *Campaign) {
 	prev := len(camp.Health.Transitions)
 	camp.Health.Windows = t.ExportWindows()
 	camp.Health.Transitions = t.Transitions()
-	for _, tr := range camp.Health.Transitions[min(prev, len(camp.Health.Transitions)):] {
+	p.countTransitions(camp.Health.Transitions[min(prev, len(camp.Health.Transitions)):])
+}
+
+// countTransitions mirrors newly replayed breaker transitions into the
+// metrics registry.
+func (p *Prober) countTransitions(trs []health.Transition) {
+	for _, tr := range trs {
 		switch tr.To {
 		case health.Open:
 			p.m.breakerOpened.Inc()

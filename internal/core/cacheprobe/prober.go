@@ -633,20 +633,6 @@ func (p *Prober) FinishProbing(start time.Time) {
 	}
 }
 
-// Probe runs stage 4 end to end: every PoP probes its assigned scopes for
-// every probe domain, with redundant copies, looping Passes times across
-// Duration. It is BuildAssignments + ProbePassDelta×Passes +
-// FinishProbing in one call, for callers that do not need per-pass
-// checkpoints.
-func (p *Prober) Probe(ctx context.Context, pops map[string]*Vantage, popCoords map[string]geo.Coord, camp *Campaign) {
-	start := p.cfg.Clock.Now()
-	asg := p.BuildAssignments(pops, popCoords, camp)
-	for pass := 0; pass < p.cfg.Passes; pass++ {
-		p.ProbePassDelta(ctx, pops, asg, pass, start, camp) // its error is always nil
-	}
-	p.FinishProbing(start)
-}
-
 // sortedPoPs returns the PoP names in sorted order — the canonical
 // iteration order every stage and merge uses.
 func sortedPoPs(pops map[string]*Vantage) []string {
@@ -656,21 +642,4 @@ func sortedPoPs(pops map[string]*Vantage) []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// Run executes all four stages and returns the campaign results.
-// popCoords supplies PoP locations for assignment (from the public PoP
-// catalog, as the paper does).
-func (p *Prober) Run(ctx context.Context, popCoords map[string]geo.Coord) (*Campaign, error) {
-	camp := NewCampaign()
-	pops, err := p.DiscoverPoPs(ctx)
-	if err != nil {
-		return nil, err
-	}
-	if err := p.PreScan(ctx, camp); err != nil {
-		return nil, err
-	}
-	p.Calibrate(ctx, pops, camp)
-	p.Probe(ctx, pops, popCoords, camp)
-	return camp, nil
 }

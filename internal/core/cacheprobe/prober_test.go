@@ -47,7 +47,7 @@ func TestCampaignSurvivesQueryLoss(t *testing.T) {
 		Server:    sim.AuthServer,
 	}
 	prober := cacheprobe.NewProber(cfg, vantages, auth)
-	camp, err := prober.Run(context.Background(), s.PoPCoords())
+	camp, err := runStages(prober, cfg, s.PoPCoords())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestCampaignPassAccounting(t *testing.T) {
 	cfg := s.ProberConfig()
 	cfg.Duration = 30 * time.Hour
 	cfg.Passes = 5
-	camp, err := s.Prober(cfg).Run(context.Background(), s.PoPCoords())
+	camp, err := runStages(s.Prober(cfg), cfg, s.PoPCoords())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -504,16 +504,7 @@ func (p *Prober) foldPass(asg *Assignments, pass int, passStart time.Time, passW
 		trs := t.Transitions()
 		tail := trs[min(len(camp.Health.Transitions), len(trs)):]
 		delta.Health.Transitions = append([]health.Transition(nil), tail...)
-		for _, tr := range tail {
-			switch tr.To {
-			case health.Open:
-				p.m.breakerOpened.Inc()
-			case health.HalfOpen:
-				p.m.breakerHalfOpened.Inc()
-			case health.Closed:
-				p.m.breakerClosed.Inc()
-			}
-		}
+		p.countTransitions(tail)
 	}
 
 	delta.Metrics = p.m.reg.SnapshotPrefix(LedgerPrefixes...).Sub(mBefore)

@@ -19,11 +19,14 @@ import (
 // How long a TCP connection may sit between queries, and how long one
 // reply may take to leave: a peer that stops reading is cut off instead
 // of pinning a goroutine. An accept over tcpMaxConnections open ones is
-// closed at once: a flood of idle connections costs no goroutines.
+// closed at once: a flood of idle connections costs no goroutines. A
+// connection is closed after its tcpMaxQueries-th answer, so a client
+// that never stops asking still gives its slot back.
 const (
 	tcpIdleTimeout    = 30 * time.Second
 	tcpWriteTimeout   = 10 * time.Second
 	tcpMaxConnections = 1024
+	tcpMaxQueries     = 10000
 )
 
 // Server serves a Handler over real UDP and TCP sockets. It exists so the
@@ -41,8 +44,8 @@ type Server struct {
 	handler  Handler
 	appender Appender // handler's append form, nil if it has none
 
-	tcpIdle, tcpWrite time.Duration
-	tcpMax            int
+	tcpIdle, tcpWrite  time.Duration
+	tcpMax, tcpQueries int
 
 	// Query admission is lock-free: a query counts in inflight from
 	// before the draining check until after its reply is written.
@@ -62,12 +65,13 @@ type Server struct {
 // NewServer returns a Server dispatching to handler.
 func NewServer(handler Handler) *Server {
 	s := &Server{
-		handler:  handler,
-		tcpIdle:  tcpIdleTimeout,
-		tcpWrite: tcpWriteTimeout,
-		tcpMax:   tcpMaxConnections,
-		idle:     make(chan struct{}),
-		conns:    make(map[net.Conn]struct{}),
+		handler:    handler,
+		tcpIdle:    tcpIdleTimeout,
+		tcpWrite:   tcpWriteTimeout,
+		tcpMax:     tcpMaxConnections,
+		tcpQueries: tcpMaxQueries,
+		idle:       make(chan struct{}),
+		conns:      make(map[net.Conn]struct{}),
 	}
 	s.appender, _ = handler.(Appender)
 	return s
@@ -214,7 +218,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 	var query dnswire.Message
 	out := make([]byte, 0, 514)
-	for {
+	for served := 0; served < s.tcpQueries; served++ {
 		_ = conn.SetReadDeadline(time.Now().Add(s.tcpIdle))
 		if dnswire.ReadTCPInto(conn, &query) != nil {
 			return

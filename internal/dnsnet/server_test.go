@@ -244,6 +244,61 @@ func TestServerCapsTCPConnections(t *testing.T) {
 	waitGoroutines(t, base)
 }
 
+// TestServerCapsQueriesPerTCPConnection: with the per-connection query
+// cap at 3, a connection is closed after its third answer, so a fourth
+// query on it sees EOF; a fresh connection still answers, and Close
+// still returns every goroutine.
+func TestServerCapsQueriesPerTCPConnection(t *testing.T) {
+	base := runtime.NumGoroutine()
+	s := NewServer(echoHandler(1))
+	s.tcpQueries = 3
+	addr, err := s.ListenTCP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dial := func() net.Conn {
+		conn, err := net.Dial("tcp", addr.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn.SetDeadline(time.Now().Add(5 * time.Second))
+		return conn
+	}
+	ask := func(conn net.Conn, id uint16) error {
+		_ = dnswire.WriteTCP(conn, dnswire.NewQuery(id, "cap.test", dnswire.TypeA))
+		var resp dnswire.Message
+		if err := dnswire.ReadTCPInto(conn, &resp); err != nil {
+			return err
+		}
+		if resp.ID != id {
+			t.Fatalf("reply ID %d, want %d", resp.ID, id)
+		}
+		return nil
+	}
+	conn := dial()
+	defer conn.Close()
+	for id := uint16(0); id < 3; id++ {
+		if err := ask(conn, id); err != nil {
+			t.Fatalf("query %d under the cap: %v", id, err)
+		}
+	}
+	// The server hangs up after its third answer: the read sees its FIN,
+	// and a fourth query gets no answer.
+	if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("read after the third answer = %v, want EOF", err)
+	}
+	if err := ask(conn, 3); err != io.EOF {
+		t.Fatalf("fourth query on the capped connection = %v, want EOF", err)
+	}
+	fresh := dial()
+	defer fresh.Close()
+	if err := ask(fresh, 4); err != nil {
+		t.Fatalf("fresh connection: %v", err)
+	}
+	s.Close()
+	waitGoroutines(t, base)
+}
+
 // TestServerDropsOverTCP: a handler that drops a query closes the TCP
 // connection, which the client sees as end of stream.
 func TestServerDropsOverTCP(t *testing.T) {

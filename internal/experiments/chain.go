@@ -58,17 +58,6 @@ func (e *campaignEnv) assignments(camp *cacheprobe.Campaign) *cacheprobe.Assignm
 	return e.asg
 }
 
-// campaignCodec checkpoints the (still small) cumulative campaign of
-// the pre-scan and the calibration; every later step checkpoints only
-// its own delta, so per-step checkpoint size tracks the step's evidence
-// instead of growing with campaign length.
-var campaignCodec = &pipeline.Codec[*cacheprobe.Campaign]{
-	Kind:    snapshot.KindCampaign,
-	Version: snapshot.VersionCampaign,
-	Encode:  snapshot.EncodeCampaign,
-	Decode:  snapshot.DecodeCampaign,
-}
-
 // stepArtifact is a chain step's in-memory artifact: the cumulative
 // campaign for downstream consumers, plus the step's own delta — the
 // only part that checkpoints. A batch pass sets Pass; a stream hour sets
@@ -123,7 +112,7 @@ type mode struct {
 	// after the probed delta folded into a.Camp, on a restore before.
 	stepName func(k int) string
 	stepFP   func(k int) string
-	codec    *pipeline.Codec[*stepArtifact]
+	codec    *snapshot.Codec[*stepArtifact]
 	plan     func(env *campaignEnv, camp *cacheprobe.Campaign, k int) *cacheprobe.Assignments
 	finish   func(env *campaignEnv, a *stepArtifact, k int) error
 }
@@ -197,7 +186,11 @@ func newChain(cfg Config, m mode) *chain {
 			return &campaignEnv{sys: sys, prober: prober, pops: pops}, nil
 		})
 
-	prescan := pipeline.AddStage(r, StagePreScan, m.fp, deps(c.world, c.setup), campaignCodec,
+	// The pre-scan and the calibration checkpoint the (still small)
+	// cumulative campaign; every later step checkpoints only its own
+	// delta, so per-step checkpoint size tracks the step's evidence
+	// instead of growing with campaign length.
+	prescan := pipeline.AddStage(r, StagePreScan, m.fp, deps(c.world, c.setup), snapshot.CampaignCodec,
 		func(ctx context.Context) (*cacheprobe.Campaign, error) {
 			camp := cacheprobe.NewCampaign()
 			if err := c.setup.Out().prober.PreScan(ctx, camp); err != nil {
@@ -206,7 +199,7 @@ func newChain(cfg Config, m mode) *chain {
 			return camp, nil
 		})
 
-	calibrate := pipeline.AddStage(r, StageCalibrate, m.fp, deps(c.setup, prescan), campaignCodec,
+	calibrate := pipeline.AddStage(r, StageCalibrate, m.fp, deps(c.setup, prescan), snapshot.CampaignCodec,
 		func(ctx context.Context) (*cacheprobe.Campaign, error) {
 			env := c.setup.Out()
 			camp := prescan.Out()

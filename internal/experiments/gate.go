@@ -11,6 +11,7 @@ import (
 	"clientmap/internal/pipeline"
 	"clientmap/internal/randx"
 	"clientmap/internal/statefs"
+	"clientmap/internal/statefsck"
 )
 
 // gate returns the cross-process stage gate of a shard runner, nil
@@ -98,7 +99,7 @@ func (g *fileGate) claim(stage string) bool {
 	if err := g.fs.MkdirAll(g.dir); err != nil {
 		return false
 	}
-	path := filepath.Join(g.dir, strings.ReplaceAll(stage, "/", "_")+".steal")
+	path := filepath.Join(g.dir, statefsck.ClaimFile(stage))
 	if err := g.fs.CreateExclusive(path, []byte(fmt.Sprintf("%d\n", g.index))); err == nil {
 		return true
 	}

@@ -59,34 +59,27 @@ type viewsArtifact struct {
 	ASCacheProbe, ASDNSLogs, ASUnion, ASAPNIC, ASMSClients, ASMSResolvers *datasets.ASDataset
 }
 
-var shardCodec = &pipeline.Codec[*cacheprobe.ShardResult]{
-	Kind:    snapshot.KindShardResult,
-	Version: snapshot.VersionShardResult,
-	Encode:  snapshot.EncodeShardResult,
-	Decode:  snapshot.DecodeShardResult,
-}
-
 // passCodec persists a pass stage's PassDelta alone; probeStep folds a
 // decoded one into the upstream campaign.
-var passCodec = &pipeline.Codec[*stepArtifact]{
-	Kind:    snapshot.KindCampaignDelta,
-	Version: snapshot.VersionCampaignDelta,
-	Encode:  func(w *snapshot.Writer, a *stepArtifact) { snapshot.EncodePassDelta(w, a.Pass) },
+var passCodec = &snapshot.Codec[*stepArtifact]{
+	Kind:    snapshot.PassDeltaCodec.Kind,
+	Version: snapshot.PassDeltaCodec.Version,
+	Encode:  func(w *snapshot.Writer, a *stepArtifact) { snapshot.PassDeltaCodec.Encode(w, a.Pass) },
 	Decode: func(r *snapshot.Reader) (*stepArtifact, error) {
-		d, err := snapshot.DecodePassDelta(r)
+		d, err := snapshot.PassDeltaCodec.Decode(r)
 		return &stepArtifact{Pass: d}, err
 	},
 }
 
-var dnslogsCodec = &pipeline.Codec[*dnslogs.Result]{
-	Kind:    snapshot.KindDNSLogs,
-	Version: snapshot.VersionDNSLogs,
-	Encode:  snapshot.EncodeDNSLogs,
-	Decode:  snapshot.DecodeDNSLogs,
-}
+// Kinds of the two composite checkpoints only this package writes.
+// statefsck checks them by checksum alone.
+const (
+	kindBaselines = "experiments.Baselines"
+	kindViews     = "experiments.Views"
+)
 
-var baselinesCodec = &pipeline.Codec[*baselineArtifact]{
-	Kind:    "experiments.Baselines",
+var baselinesCodec = &snapshot.Codec[*baselineArtifact]{
+	Kind:    kindBaselines,
 	Version: 1,
 	Encode: func(w *snapshot.Writer, b *baselineArtifact) {
 		snapshot.EncodeCDN(w, b.CDN)
@@ -109,8 +102,8 @@ var baselinesCodec = &pipeline.Codec[*baselineArtifact]{
 	},
 }
 
-var viewsCodec = &pipeline.Codec[*viewsArtifact]{
-	Kind:    "experiments.Views",
+var viewsCodec = &snapshot.Codec[*viewsArtifact]{
+	Kind:    kindViews,
 	Version: 1,
 	Encode: func(w *snapshot.Writer, v *viewsArtifact) {
 		for _, d := range v.prefixViews() {
@@ -201,7 +194,7 @@ func newBatchRun(cfg Config) *batchRun {
 	campEnd := campStart.Add(cfg.CampaignDuration)
 
 	logsFP := fmt.Sprintf("%s trace=%s cap=%d end=%s retry=%s", base, cfg.TraceDuration, cfg.PerSourceHourCap, campEnd.Format(time.RFC3339), cfg.Retry.Fingerprint())
-	br.dnsLogs = pipeline.AddStage(r, StageDNSLogs, logsFP, deps(br.world), dnslogsCodec,
+	br.dnsLogs = pipeline.AddStage(r, StageDNSLogs, logsFP, deps(br.world), snapshot.DNSLogsCodec,
 		func(ctx context.Context) (*dnslogs.Result, error) {
 			return runDNSLogs(cfg, br.world.Out(), campEnd)
 		})
@@ -255,7 +248,7 @@ func (c *chain) probeStep(k int, up link) *pipeline.Stage[*stepArtifact] {
 	}
 	var shards []*pipeline.Stage[*cacheprobe.ShardResult]
 	if cfg.Shards > 1 {
-		shards = pipeline.FanOut(c.runner, name, fp, cfg.Shards, deps(setup, up.handle), shardCodec,
+		shards = pipeline.FanOut(c.runner, name, fp, cfg.Shards, deps(setup, up.handle), snapshot.ShardResultCodec,
 			func(i int) func(ctx context.Context) (*cacheprobe.ShardResult, error) {
 				return func(ctx context.Context) (*cacheprobe.ShardResult, error) {
 					env, camp := setup.Out(), up.camp()

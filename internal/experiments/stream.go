@@ -8,7 +8,6 @@ import (
 
 	"clientmap/internal/core/cacheprobe"
 	"clientmap/internal/metrics"
-	"clientmap/internal/pipeline"
 	"clientmap/internal/serve"
 	"clientmap/internal/sim"
 	"clientmap/internal/snapshot"
@@ -84,12 +83,12 @@ func (e *streamEnv) export(out *stream.ClientMapOut) error {
 }
 
 // hourCodec persists an hour's HourDelta; its Pass is the hour's probing.
-var hourCodec = &pipeline.Codec[*stepArtifact]{
-	Kind:    snapshot.KindStreamDelta,
-	Version: snapshot.VersionStreamDelta,
-	Encode:  func(w *snapshot.Writer, a *stepArtifact) { stream.EncodeHourDelta(w, a.Hour) },
+var hourCodec = &snapshot.Codec[*stepArtifact]{
+	Kind:    stream.HourDeltaCodec.Kind,
+	Version: stream.HourDeltaCodec.Version,
+	Encode:  func(w *snapshot.Writer, a *stepArtifact) { stream.HourDeltaCodec.Encode(w, a.Hour) },
 	Decode: func(r *snapshot.Reader) (*stepArtifact, error) {
-		d, err := stream.DecodeHourDelta(r)
+		d, err := stream.HourDeltaCodec.Decode(r)
 		if err != nil {
 			return nil, err
 		}

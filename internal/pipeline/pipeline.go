@@ -42,15 +42,6 @@ import (
 // Resume picks up from them — the tested stand-in for a killed process.
 var ErrStopped = errors.New("pipeline: run stopped after requested stage")
 
-// Codec describes how a stage's artifact is persisted. Kind and Version
-// are recorded in the snapshot header and must match on restore.
-type Codec[T any] struct {
-	Kind    string
-	Version uint16
-	Encode  func(*snapshot.Writer, T)
-	Decode  func(*snapshot.Reader) (T, error)
-}
-
 // Gate arbitrates which process builds a persisted stage when several
 // runners share one state directory. Before building such a stage, the
 // runner asks the gate; a false answer means "another runner owns it" —
@@ -138,7 +129,7 @@ type stageMeta struct {
 // artifact with Out after the Runner finishes.
 type Stage[T any] struct {
 	m     stageMeta
-	codec *Codec[T]
+	codec *snapshot.Codec[T]
 	build func(ctx context.Context) (T, error)
 	out   T
 }
@@ -176,7 +167,7 @@ func (r *Runner) logf(format string, args ...any) {
 // codec marks the stage ephemeral: it always executes and nothing is
 // persisted. configFP must capture every knob that can change the
 // stage's output and is not already reflected in an upstream artifact.
-func AddStage[T any](r *Runner, name, configFP string, deps []Handle, codec *Codec[T], build func(ctx context.Context) (T, error)) *Stage[T] {
+func AddStage[T any](r *Runner, name, configFP string, deps []Handle, codec *snapshot.Codec[T], build func(ctx context.Context) (T, error)) *Stage[T] {
 	s := &Stage[T]{
 		m: stageMeta{
 			name:     name,
@@ -321,11 +312,7 @@ func (s *Stage[T]) produce(ctx context.Context, r *Runner) error {
 	}
 
 	wstart := time.Now()
-	data, payloadHash := snapshot.Marshal(snapshot.Header{
-		Kind:        s.codec.Kind,
-		Version:     s.codec.Version,
-		Fingerprint: s.m.fingerprint,
-	}, func(w *snapshot.Writer) { s.codec.Encode(w, out) })
+	data, payloadHash := s.codec.Marshal(s.m.fingerprint, out)
 	if err := r.fs.WriteAtomic(s.path(r), data); err != nil {
 		return fmt.Errorf("checkpointing: %w", err)
 	}
@@ -388,7 +375,7 @@ func (s *Stage[T]) tryRestore(r *Runner) bool {
 		r.logf("stage %s: ignoring checkpoint %s: %v", s.m.name, path, err)
 		return false
 	}
-	if err := snapshot.Check(h, s.codec.Kind, s.codec.Version); err != nil {
+	if err := s.codec.Check(h); err != nil {
 		r.logf("stage %s: ignoring checkpoint %s: %v", s.m.name, path, err)
 		return false
 	}
@@ -426,7 +413,7 @@ func (s *Stage[T]) path(r *Runner) string {
 // every shard; per-shard artifacts restore independently, giving
 // per-shard resume, and any upstream change cascades through all shards
 // to whatever gathers them. build(i) returns shard i's build function.
-func FanOut[T any](r *Runner, base, configFP string, n int, deps []Handle, codec *Codec[T], build func(i int) func(ctx context.Context) (T, error)) []*Stage[T] {
+func FanOut[T any](r *Runner, base, configFP string, n int, deps []Handle, codec *snapshot.Codec[T], build func(i int) func(ctx context.Context) (T, error)) []*Stage[T] {
 	out := make([]*Stage[T], n)
 	for i := 0; i < n; i++ {
 		fp := fmt.Sprintf("%s shard=%d/%d", configFP, i, n)

@@ -14,7 +14,7 @@ import (
 )
 
 // intCodec persists a single int — enough to exercise every pipeline path.
-var intCodec = &Codec[int]{
+var intCodec = &snapshot.Codec[int]{
 	Kind:    "test.Int",
 	Version: 1,
 	Encode:  func(w *snapshot.Writer, v int) { w.Int(v) },

@@ -213,6 +213,3 @@ func (s *Stream) LowerLetters(n int) string {
 	}
 	return string(b)
 }
-
-// Shuffle permutes the integers [0,n) and returns them.
-func (s *Stream) Perm2(n int) []int { return s.Perm(n) }

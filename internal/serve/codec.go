@@ -20,6 +20,15 @@ const KindClientMap = "serve.ClientMap"
 // snapshot.ErrVersionMismatch instead of decoding garbage.
 const VersionClientMap uint16 = 1
 
+// ClientMapCodec is the serving map's codec, the one declaration of its
+// kind that Marshal, Unmarshal and statefsck share.
+var ClientMapCodec = &snapshot.Codec[*ClientMap]{
+	Kind:    KindClientMap,
+	Version: VersionClientMap,
+	Encode:  EncodeClientMap,
+	Decode:  DecodeClientMap,
+}
+
 // EncodeClientMap appends cm to w. Every slice is already in canonical
 // sorted order (Build and Validate enforce it), so a given map always
 // encodes to the same bytes — the property the golden serving corpus and
@@ -187,8 +196,7 @@ func clampCap(n int) int {
 // the payload content hash (the artifact's identity, surfaced to clients
 // as the "artifact" field of every response).
 func Marshal(cm *ClientMap) (data []byte, payloadHash string) {
-	h := snapshot.Header{Kind: KindClientMap, Version: VersionClientMap, Fingerprint: cm.Meta.Source}
-	return snapshot.Marshal(h, func(w *snapshot.Writer) { EncodeClientMap(w, cm) })
+	return ClientMapCodec.Marshal(cm.Meta.Source, cm)
 }
 
 // Unmarshal parses snapshot-container bytes into a validated ClientMap
@@ -198,10 +206,10 @@ func Unmarshal(data []byte) (*ClientMap, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	if err := snapshot.Check(h, KindClientMap, VersionClientMap); err != nil {
+	if err := ClientMapCodec.Check(h); err != nil {
 		return nil, "", err
 	}
-	cm, err := DecodeClientMap(r)
+	cm, err := ClientMapCodec.Decode(r)
 	if err != nil {
 		return nil, "", err
 	}

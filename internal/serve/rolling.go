@@ -21,7 +21,6 @@ type RollingExporter struct {
 	FS statefs.FS
 
 	lastHash string
-	writes   int
 }
 
 // Export marshals cm, and — when Path is set and the payload hash
@@ -40,9 +39,5 @@ func (e *RollingExporter) Export(cm *ClientMap) (hash string, wrote bool, err er
 		return hash, false, err
 	}
 	e.lastHash = hash
-	e.writes++
 	return hash, true, nil
 }
-
-// Writes reports how many distinct artifacts Export has written.
-func (e *RollingExporter) Writes() int { return e.writes }

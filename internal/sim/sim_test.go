@@ -162,12 +162,23 @@ func TestMemNetCampaignSmoke(t *testing.T) {
 	cfg.Duration = 6 * time.Hour
 	cfg.Passes = 1
 	cfg.Domains = s.ProbeDomains()[:1] // google only
-	camp, err := s.Prober(cfg).Run(context.Background(), s.PoPCoords())
+	// Every probing stage in order, as the campaign chain runs them.
+	ctx, p, camp := context.Background(), s.Prober(cfg), cacheprobe.NewCampaign()
+	pops, err := p.DiscoverPoPs(ctx)
+	if err == nil {
+		err = p.PreScan(ctx, camp)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
+	p.Calibrate(ctx, pops, camp)
+	start := cfg.Clock.Now()
+	asg := p.BuildAssignments(pops, s.PoPCoords(), camp)
+	if _, err := p.ProbePassDelta(ctx, pops, asg, 0, start, camp); err != nil {
+		t.Fatal(err)
+	}
+	p.FinishProbing(start)
 	if len(camp.ActiveScopes()) == 0 {
 		t.Error("single-domain single-pass campaign found nothing")
 	}
-	var _ *cacheprobe.Campaign = camp
 }

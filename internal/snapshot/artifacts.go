@@ -49,6 +49,20 @@ const (
 	VersionASDataset     uint16 = 1
 )
 
+// The codec of each kind above, the one declaration the pipeline and
+// statefsck share. A pass delta records the checkpoint it applies to.
+var (
+	CampaignCodec      = &Codec[*cacheprobe.Campaign]{Kind: KindCampaign, Version: VersionCampaign, Encode: EncodeCampaign, Decode: DecodeCampaign}
+	PassDeltaCodec     = &Codec[*cacheprobe.PassDelta]{Kind: KindCampaignDelta, Version: VersionCampaignDelta, Encode: EncodePassDelta, Decode: DecodePassDelta, Base: func(d *cacheprobe.PassDelta) string { return d.Base }}
+	ShardResultCodec   = &Codec[*cacheprobe.ShardResult]{Kind: KindShardResult, Version: VersionShardResult, Encode: EncodeShardResult, Decode: DecodeShardResult}
+	DNSLogsCodec       = &Codec[*dnslogs.Result]{Kind: KindDNSLogs, Version: VersionDNSLogs, Encode: EncodeDNSLogs, Decode: DecodeDNSLogs}
+	CDNCodec           = &Codec[*cdn.Datasets]{Kind: KindCDN, Version: VersionCDN, Encode: EncodeCDN, Decode: DecodeCDN}
+	APNICCodec         = &Codec[*apnic.Estimates]{Kind: KindAPNIC, Version: VersionAPNIC, Encode: EncodeAPNIC, Decode: DecodeAPNIC}
+	ASDBCodec          = &Codec[*asdb.DB]{Kind: KindASDB, Version: VersionASDB, Encode: EncodeASDB, Decode: DecodeASDB}
+	PrefixDatasetCodec = &Codec[*datasets.PrefixDataset]{Kind: KindPrefixDataset, Version: VersionPrefixDataset, Encode: EncodePrefixDataset, Decode: DecodePrefixDataset}
+	ASDatasetCodec     = &Codec[*datasets.ASDataset]{Kind: KindASDataset, Version: VersionASDataset, Encode: EncodeASDataset, Decode: DecodeASDataset}
+)
+
 // --- netx helpers ---
 
 // EncodePrefix appends p as (addr, bits).

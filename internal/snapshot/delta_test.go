@@ -98,3 +98,28 @@ func TestShardResultRoundTrip(t *testing.T) {
 			}
 		})
 }
+
+// TestCodecRecordsBase: a codec value frames its kind, checks headers
+// against it, and reports the base a delta records — "" for a kind
+// declared without Base.
+func TestCodecRecordsBase(t *testing.T) {
+	d := &cacheprobe.PassDelta{Base: "feedface", Passes: 1, Metrics: metrics.Ledger{}}
+	data, hash := PassDeltaCodec.Marshal("fp", d)
+	h, r, got, err := Open(data)
+	if err != nil || got != hash {
+		t.Fatalf("Open: %v, hash %s want %s", err, got, hash)
+	}
+	if h.Fingerprint != "fp" || PassDeltaCodec.Check(h) != nil || PassDeltaCodec.ID() != KindCampaignDelta {
+		t.Fatalf("header %+v does not carry the codec's kind", h)
+	}
+	if CampaignCodec.Check(h) == nil {
+		t.Fatal("a pass delta passed the campaign codec's check")
+	}
+	if base, err := PassDeltaCodec.DecodeBase(r); err != nil || base != "feedface" {
+		t.Fatalf("DecodeBase = %q, %v", base, err)
+	}
+	_, r, _, _ = Open(data)
+	if base, err := ShardResultCodec.DecodeBase(r); base != "" {
+		t.Fatalf("a kind without Base reported %q (%v)", base, err)
+	}
+}

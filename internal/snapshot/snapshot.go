@@ -16,6 +16,10 @@
 // its maps in sorted key order, so a given value always encodes to the
 // same bytes — which is what lets the pipeline chain stage fingerprints
 // through artifact content hashes.
+//
+// Codecs live here: a Codec value is the one declaration of a kind,
+// shared by the pipeline, clientmapd and statefsck. The stream hour and
+// the serving map declare theirs beside their formats.
 package snapshot
 
 import (
@@ -53,6 +57,41 @@ type Header struct {
 	// pipeline only reuses a snapshot whose fingerprint matches the
 	// fingerprint it recomputed from the current configuration.
 	Fingerprint string
+}
+
+// Codec declares one checkpoint kind: the kind and encoding version its
+// header records and the payload's encode/decode pair. Base, set on
+// delta kinds only, returns the payload hash of the checkpoint a decoded
+// delta applies to. Each kind is declared once, by the package that owns
+// its format; the pipeline persists stages through that value and
+// statefsck deep-checks files with it.
+type Codec[T any] struct {
+	Kind    string
+	Version uint16
+	Encode  func(*Writer, T)
+	Decode  func(*Reader) (T, error)
+	Base    func(T) string
+}
+
+// Marshal frames v under the codec's kind and version (see Marshal).
+func (c *Codec[T]) Marshal(fingerprint string, v T) (data []byte, payloadHash string) {
+	return Marshal(Header{Kind: c.Kind, Version: c.Version, Fingerprint: fingerprint},
+		func(w *Writer) { c.Encode(w, v) })
+}
+
+// Check verifies that h carries the codec's kind and version (see Check).
+func (c *Codec[T]) Check(h Header) error { return Check(h, c.Kind, c.Version) }
+
+// ID returns the kind the codec reads and writes.
+func (c *Codec[T]) ID() string { return c.Kind }
+
+// DecodeBase decodes a payload and returns its recorded base ("" if none).
+func (c *Codec[T]) DecodeBase(r *Reader) (string, error) {
+	v, err := c.Decode(r)
+	if err != nil || c.Base == nil {
+		return "", err
+	}
+	return c.Base(v), nil
 }
 
 // Writer accumulates a payload. The zero value is ready to use.

@@ -16,10 +16,12 @@
 //   - Repair only subtracts. It never writes or rewrites a checkpoint,
 //     so running it cannot make a state directory less consistent than
 //     it found it — the crash-only property.
-//   - Delta chains (probe-pass-k, stream-hour-k) are truncated from the
-//     first unverifiable link: a delta whose Base hash does not match
-//     its predecessor's payload hash is quarantined along with every
-//     later delta, leaving the longest prefix that still verifies.
+//   - Lineage is read from what checkpoints record, never from stage
+//     names: a delta is kept only while its recorded base is the payload
+//     hash of a healthy checkpoint that is kept itself, back to one that
+//     records no base. Every other delta is quarantined, and with it
+//     every delta built on it, leaving each chain's longest prefix that
+//     still verifies.
 //   - Everything it does not understand is kept ("aux"): fsck's
 //     ignorance must never destroy state.
 //
@@ -33,9 +35,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"regexp"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
@@ -67,7 +67,7 @@ const (
 	// exists and verifies: the claim has served its purpose.
 	ClassStaleClaim Class = "stale-claim"
 	// ClassBrokenChain is a structurally valid delta checkpoint whose
-	// base hash cannot be verified against its predecessor.
+	// recorded base leads to no kept checkpoint.
 	ClassBrokenChain Class = "broken-chain"
 	// ClassAux is everything fsck deliberately leaves alone: traces,
 	// metrics, quarantined files, claims still in flight, foreign files.
@@ -122,73 +122,39 @@ var skipDirs = map[string]string{
 	"metrics":     "trace span logs",
 }
 
-// kindSpec registers a deep check for a known artifact kind: the
-// expected version and a decoder. base is the delta's recorded base
-// hash ("" for non-delta kinds).
-type kindSpec struct {
-	version uint16
-	decode  func(*snapshot.Reader) (base string, err error)
+// checker is a codec with its payload type erased: what a deep check
+// needs of a kind.
+type checker interface {
+	ID() string
+	Check(snapshot.Header) error
+	DecodeBase(*snapshot.Reader) (base string, err error)
 }
 
-var kinds = map[string]kindSpec{
-	snapshot.KindCampaign: {snapshot.VersionCampaign, func(r *snapshot.Reader) (string, error) {
-		_, err := snapshot.DecodeCampaign(r)
-		return "", err
-	}},
-	snapshot.KindCampaignDelta: {snapshot.VersionCampaignDelta, func(r *snapshot.Reader) (string, error) {
-		d, err := snapshot.DecodePassDelta(r)
-		if err != nil {
-			return "", err
-		}
-		return d.Base, nil
-	}},
-	snapshot.KindShardResult: {snapshot.VersionShardResult, func(r *snapshot.Reader) (string, error) {
-		_, err := snapshot.DecodeShardResult(r)
-		return "", err
-	}},
-	snapshot.KindDNSLogs: {snapshot.VersionDNSLogs, func(r *snapshot.Reader) (string, error) {
-		_, err := snapshot.DecodeDNSLogs(r)
-		return "", err
-	}},
-	snapshot.KindCDN: {snapshot.VersionCDN, func(r *snapshot.Reader) (string, error) {
-		_, err := snapshot.DecodeCDN(r)
-		return "", err
-	}},
-	snapshot.KindAPNIC: {snapshot.VersionAPNIC, func(r *snapshot.Reader) (string, error) {
-		_, err := snapshot.DecodeAPNIC(r)
-		return "", err
-	}},
-	snapshot.KindASDB: {snapshot.VersionASDB, func(r *snapshot.Reader) (string, error) {
-		_, err := snapshot.DecodeASDB(r)
-		return "", err
-	}},
-	snapshot.KindPrefixDataset: {snapshot.VersionPrefixDataset, func(r *snapshot.Reader) (string, error) {
-		_, err := snapshot.DecodePrefixDataset(r)
-		return "", err
-	}},
-	snapshot.KindASDataset: {snapshot.VersionASDataset, func(r *snapshot.Reader) (string, error) {
-		_, err := snapshot.DecodeASDataset(r)
-		return "", err
-	}},
-	snapshot.KindStreamDelta: {snapshot.VersionStreamDelta, func(r *snapshot.Reader) (string, error) {
-		d, err := stream.DecodeHourDelta(r)
-		if err != nil {
-			return "", err
-		}
-		return d.Pass.Base, nil
-	}},
-	serve.KindClientMap: {serve.VersionClientMap, func(r *snapshot.Reader) (string, error) {
-		_, err := serve.DecodeClientMap(r)
-		return "", err
-	}},
+// codecs are the kinds fsck deep-checks, each its owner's one codec
+// value. Kinds not listed (a package's private composites) are checked
+// by checksum alone.
+var codecs = []checker{
+	snapshot.CampaignCodec, snapshot.PassDeltaCodec, snapshot.ShardResultCodec,
+	snapshot.DNSLogsCodec, snapshot.CDNCodec, snapshot.APNICCodec, snapshot.ASDBCodec,
+	snapshot.PrefixDatasetCodec, snapshot.ASDatasetCodec,
+	stream.HourDeltaCodec, serve.ClientMapCodec,
 }
 
-// snapInfo is what the walk records per .snap file for the chain and
+func codecFor(kind string) checker {
+	for _, c := range codecs {
+		if c.ID() == kind {
+			return c
+		}
+	}
+	return nil
+}
+
+// snapInfo is what the walk records per .snap file for the lineage and
 // claim passes.
 type snapInfo struct {
 	stage   string // relative path minus ".snap"
-	hash    string // payload hash, valid snaps only
-	base    string // recorded delta base, delta kinds only
+	hash    string // payload hash, whenever the container opened
+	base    string // recorded delta base, healthy deltas only
 	idx     int    // index into Report.Findings
 	healthy bool
 }
@@ -208,18 +174,11 @@ type scanner struct {
 // A missing directory yields an empty report: nothing to check is not
 // an error (first run with -resume).
 func Scan(fsys statefs.FS, dir string, opts Options) (*Report, error) {
-	s := &scanner{
-		fs:    statefs.Or(fsys),
-		dir:   dir,
-		opts:  opts,
-		now:   time.Now(),
-		snaps: make(map[string]*snapInfo),
-	}
+	s := &scanner{fs: statefs.Or(fsys), dir: dir, opts: opts, now: time.Now(), snaps: make(map[string]*snapInfo)}
 	if err := s.walk(""); err != nil {
 		return nil, err
 	}
-	s.verifyChain("probe-pass-")
-	s.verifyChain("stream-hour-")
+	s.lineage()
 	s.resolveClaims()
 	sort.Slice(s.findings, func(i, j int) bool { return s.findings[i].Path < s.findings[j].Path })
 	return &Report{Dir: dir, Findings: s.findings}, nil
@@ -238,25 +197,22 @@ func Repair(fsys statefs.FS, dir string, opts Options) (*Report, error) {
 	for i := range rep.Findings {
 		f := &rep.Findings[i]
 		abs := filepath.Join(dir, filepath.FromSlash(f.Path))
+		var err error
 		switch f.Action {
 		case ActionSweep:
-			if err := fs.Remove(abs); err != nil {
-				f.Detail += "; sweep failed: " + err.Error()
-			} else {
-				f.Applied = true
-			}
+			err = fs.Remove(abs)
 		case ActionQuarantine:
 			qdir := filepath.Join(dir, quarantineDir)
-			if err := fs.MkdirAll(qdir); err != nil {
-				f.Detail += "; quarantine failed: " + err.Error()
-				continue
+			if err = fs.MkdirAll(qdir); err == nil {
+				err = fs.Rename(abs, filepath.Join(qdir, strings.ReplaceAll(f.Path, "/", "__")))
 			}
-			dst := filepath.Join(qdir, strings.ReplaceAll(f.Path, "/", "__"))
-			if err := fs.Rename(abs, dst); err != nil {
-				f.Detail += "; quarantine failed: " + err.Error()
-			} else {
-				f.Applied = true
-			}
+		default:
+			continue
+		}
+		if err != nil {
+			f.Detail += fmt.Sprintf("; %s failed: %v", f.Action, err)
+		} else {
+			f.Applied = true
 		}
 	}
 	return rep, nil
@@ -303,7 +259,7 @@ func (s *scanner) classify(rel string, e os.DirEntry) {
 	switch {
 	case strings.Contains(base, ".tmp-"):
 		s.classifyTmp(rel, e)
-	case strings.HasSuffix(base, ".steal"):
+	case strings.HasSuffix(base, claimExt):
 		s.claims = append(s.claims, s.add(Finding{
 			Path: rel, Class: ClassAux, Action: ActionKeep,
 			Detail: "steal claim — stage not checkpointed, owner may be mid-build",
@@ -330,146 +286,113 @@ func (s *scanner) classifyTmp(rel string, e os.DirEntry) {
 }
 
 func (s *scanner) classifySnap(rel string) {
-	stage := strings.TrimSuffix(rel, ".snap")
+	info := &snapInfo{stage: strings.TrimSuffix(rel, ".snap")}
+	class, detail := s.checkSnap(rel, info)
+	action := ActionQuarantine
+	if class == ClassValid {
+		action, info.healthy = ActionKeep, true
+	}
+	info.idx = s.add(Finding{Path: rel, Class: class, Action: action, Detail: detail})
+	s.snaps[info.stage] = info
+}
+
+// checkSnap reads and deep-checks one checkpoint, recording its payload
+// hash and the base it records in info.
+func (s *scanner) checkSnap(rel string, info *snapInfo) (Class, string) {
 	data, err := s.fs.ReadFile(filepath.Join(s.dir, filepath.FromSlash(rel)))
 	if err != nil {
-		s.snaps[stage] = &snapInfo{stage: stage, idx: s.add(Finding{
-			Path: rel, Class: ClassCorrupt, Action: ActionQuarantine,
-			Detail: "unreadable: " + err.Error(),
-		})}
-		return
+		return ClassCorrupt, "unreadable: " + err.Error()
 	}
 	h, r, hash, err := snapshot.Open(data)
-	if err != nil {
-		class := ClassCorrupt
-		if errors.Is(err, snapshot.ErrVersionMismatch) {
-			class = ClassVersionMismatch
-		}
-		s.snaps[stage] = &snapInfo{stage: stage, idx: s.add(Finding{
-			Path: rel, Class: class, Action: ActionQuarantine, Detail: err.Error(),
-		})}
-		return
+	if errors.Is(err, snapshot.ErrVersionMismatch) {
+		return ClassVersionMismatch, err.Error()
+	} else if err != nil {
+		return ClassCorrupt, err.Error()
 	}
-	spec, known := kinds[h.Kind]
-	if !known {
-		s.snaps[stage] = &snapInfo{stage: stage, hash: hash, healthy: true, idx: s.add(Finding{
-			Path: rel, Class: ClassValid, Action: ActionKeep,
-			Detail: fmt.Sprintf("%s v%d, checksum ok (kind not deep-checked)", h.Kind, h.Version),
-		})}
-		return
+	info.hash = hash
+	c := codecFor(h.Kind)
+	if c == nil {
+		return ClassValid, fmt.Sprintf("%s v%d, checksum ok (kind not deep-checked)", h.Kind, h.Version)
 	}
-	if err := snapshot.Check(h, h.Kind, spec.version); err != nil {
-		s.snaps[stage] = &snapInfo{stage: stage, idx: s.add(Finding{
-			Path: rel, Class: ClassVersionMismatch, Action: ActionQuarantine, Detail: err.Error(),
-		})}
-		return
+	if err := c.Check(h); err != nil {
+		return ClassVersionMismatch, err.Error()
 	}
-	dbase, err := spec.decode(r)
-	if err != nil {
-		s.snaps[stage] = &snapInfo{stage: stage, idx: s.add(Finding{
-			Path: rel, Class: ClassCorrupt, Action: ActionQuarantine,
-			Detail: "checksum ok but payload does not decode: " + err.Error(),
-		})}
-		return
+	if info.base, err = c.DecodeBase(r); err != nil {
+		return ClassCorrupt, "checksum ok but payload does not decode: " + err.Error()
 	}
 	detail := fmt.Sprintf("%s v%d", h.Kind, h.Version)
-	if dbase != "" {
-		detail += fmt.Sprintf(", base %.12s", dbase)
+	if info.base != "" {
+		detail += fmt.Sprintf(", base %.12s", info.base)
 	}
-	s.snaps[stage] = &snapInfo{stage: stage, hash: hash, base: dbase, healthy: true,
-		idx: s.add(Finding{Path: rel, Class: ClassValid, Action: ActionKeep, Detail: detail})}
+	return ClassValid, detail
 }
 
-// chainStage matches top-level delta stages: "<prefix><k>" with no
-// directory component (shard sub-stages verify standalone).
-var chainStage = regexp.MustCompile(`^(probe-pass-|stream-hour-)(\d+)$`)
-
-// chainAnchor is the stage whose payload hash the first delta of every
-// chain records as its base.
-const chainAnchor = "calibration"
-
-// verifyChain truncates the prefix's delta chain at the first link
-// whose base cannot be verified: a missing or unhealthy predecessor, or
-// a base hash that does not match the predecessor's payload hash. The
-// broken delta and every later one are re-classified broken-chain and
-// quarantined — resume then rebuilds exactly the damaged suffix.
-func (s *scanner) verifyChain(prefix string) {
-	byK := make(map[int]*snapInfo)
-	maxK := -1
-	for stage, info := range s.snaps {
-		m := chainStage.FindStringSubmatch(stage)
-		if m == nil || m[1] != prefix {
-			continue
-		}
-		k, err := strconv.Atoi(m[2])
-		if err != nil {
-			continue
-		}
-		byK[k] = info
-		if k > maxK {
-			maxK = k
-		}
-	}
-	if maxK < 0 {
-		return
-	}
-	prevHash, prevName := "", chainAnchor
-	if a, ok := s.snaps[chainAnchor]; ok && a.healthy {
-		prevHash = a.hash
-	}
-	broken := ""
-	for k := 0; k <= maxK; k++ {
-		info, ok := byK[k]
-		if !ok { // gap: later deltas have no verifiable lineage
-			if broken == "" {
-				broken = fmt.Sprintf("%s%d missing", prefix, k)
-			}
-			prevHash, prevName = "", fmt.Sprintf("%s%d", prefix, k)
-			continue
-		}
-		if !info.healthy { // already corrupt/mismatched; later deltas lose their base
-			if broken == "" {
-				broken = fmt.Sprintf("%s%d is %s", prefix, k, s.findings[info.idx].Class)
-			}
-			prevHash, prevName = "", info.stage
-			continue
+// lineage keeps a healthy delta only while its recorded base is the
+// payload hash of a healthy checkpoint that is kept itself; the roots are
+// the healthy checkpoints that record no base. Every other delta — so
+// also every delta built on one — is reclassified broken-chain and
+// quarantined: resume then rebuilds exactly the damaged suffix.
+func (s *scanner) lineage() {
+	byHash := make(map[string]*snapInfo)     // opened checkpoints, first stage by name
+	children := make(map[string][]*snapInfo) // healthy deltas by recorded base
+	var reached []string                     // payload hashes a delta may build on
+	for _, in := range s.snaps {
+		if q := byHash[in.hash]; in.hash != "" && (q == nil || in.stage < q.stage) {
+			byHash[in.hash] = in
 		}
 		switch {
-		case broken != "":
-			s.reclass(info, fmt.Sprintf("chain truncated: %s", broken))
-		case prevHash == "":
-			s.reclass(info, fmt.Sprintf("base %s unverifiable (%s missing or invalid)", prevName, prevName))
-			broken = prevName + " unverifiable"
-		case info.base != prevHash:
-			s.reclass(info, fmt.Sprintf("base %.12s does not match %s payload %.12s", info.base, prevName, prevHash))
-			broken = fmt.Sprintf("%s%d base mismatch", prefix, k)
+		case !in.healthy:
+		case in.base == "":
+			reached = append(reached, in.hash)
+		default:
+			children[in.base] = append(children[in.base], in)
 		}
-		prevHash, prevName = info.hash, info.stage
-		if s.findings[info.idx].Class == ClassBrokenChain {
-			prevHash = "" // a quarantined link cannot anchor its successor
+	}
+	for len(reached) > 0 {
+		h := reached[len(reached)-1]
+		reached = reached[:len(reached)-1]
+		for _, d := range children[h] {
+			reached = append(reached, d.hash)
+		}
+		delete(children, h)
+	}
+	// What is left never reached a root.
+	cut := make(map[*snapInfo]bool)
+	for _, ds := range children {
+		for _, d := range ds {
+			cut[d] = true
+		}
+	}
+	for d := range cut {
+		f := &s.findings[d.idx]
+		f.Class, f.Action, d.healthy = ClassBrokenChain, ActionQuarantine, false
+		f.Detail = fmt.Sprintf("base %.12s does not match any valid checkpoint", d.base)
+		if p := byHash[d.base]; p != nil {
+			why := "was cut"
+			if !cut[p] {
+				why = "is " + string(s.findings[p.idx].Class)
+			}
+			f.Detail = fmt.Sprintf("built on %s, which %s", p.stage, why)
 		}
 	}
 }
 
-// reclass downgrades a valid delta to broken-chain.
-func (s *scanner) reclass(info *snapInfo, detail string) {
-	f := &s.findings[info.idx]
-	f.Class = ClassBrokenChain
-	f.Action = ActionQuarantine
-	f.Detail = detail
-	info.healthy = false
-}
+// claimExt marks a steal-claim file.
+const claimExt = ".steal"
+
+// ClaimFile names a stage's steal-claim file: the stage name with '/'
+// flattened to '_'. Shard runners create it when they steal the stage;
+// fsck sweeps it once the stage's checkpoint verifies.
+func ClaimFile(stage string) string { return strings.ReplaceAll(stage, "/", "_") + claimExt }
 
 // resolveClaims marks steal claims whose stage checkpoint exists and
-// verifies as stale (sweep). The claim filename is the stage name with
-// '/' flattened to '_' (see experiments.fileGate.claim); fsck applies
-// the same forward mapping to every known-good stage rather than trying
-// to invert the ambiguous flattening.
+// verifies as stale (sweep). fsck applies ClaimFile to every known-good
+// stage rather than trying to invert the ambiguous flattening.
 func (s *scanner) resolveClaims() {
 	satisfied := make(map[string]string) // claim base name -> stage
 	for stage, info := range s.snaps {
 		if info.healthy {
-			satisfied[strings.ReplaceAll(stage, "/", "_")+".steal"] = stage
+			satisfied[ClaimFile(stage)] = stage
 		}
 	}
 	for _, idx := range s.claims {

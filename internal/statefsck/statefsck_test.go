@@ -3,8 +3,13 @@ package statefsck
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"regexp"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -12,6 +17,7 @@ import (
 	"clientmap/internal/core/cacheprobe"
 	"clientmap/internal/snapshot"
 	"clientmap/internal/statefs"
+	"clientmap/internal/stream"
 )
 
 // writeDelta persists a minimal PassDelta checkpoint for stage and
@@ -349,6 +355,82 @@ func TestStreamChain(t *testing.T) {
 	}
 }
 
+// TestLineageFromRecordedBases: lineage follows the bases checkpoints
+// record under any stage names, and a cut delta's detail names the
+// checkpoint it was built on whenever one carries that hash.
+func TestLineageFromRecordedBases(t *testing.T) {
+	dir := t.TempDir()
+	// Each step records its own pass, so no two payloads share a hash.
+	pass := 0
+	step := func(stage, base string, version uint16) string {
+		pass++
+		d := &cacheprobe.PassDelta{Pass: pass, Base: base}
+		h := snapshot.Header{Kind: snapshot.KindCampaignDelta, Version: version}
+		data, hash := snapshot.Marshal(h, func(w *snapshot.Writer) { snapshot.EncodePassDelta(w, d) })
+		writeRaw(t, dir, stage+".snap", data)
+		return hash
+	}
+	v := snapshot.VersionCampaignDelta
+	root := step("anchor", "", v)
+	step("x/two", step("x/one", root, v), v)
+	step("y/three", step("y/two", step("y/one", root, v), v), v)
+	damage(t, dir, "y/one.snap")
+	step("on-old", step("old", root, 99), v)
+
+	rep, err := Scan(nil, dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for path, want := range map[string]struct {
+		class  Class
+		detail string
+	}{
+		"x/one.snap":   {ClassValid, ""},
+		"x/two.snap":   {ClassValid, ""},
+		"y/one.snap":   {ClassCorrupt, ""},
+		"y/two.snap":   {ClassBrokenChain, "does not match any valid checkpoint"},
+		"y/three.snap": {ClassBrokenChain, "built on y/two, which was cut"},
+		"old.snap":     {ClassVersionMismatch, ""},
+		"on-old.snap":  {ClassBrokenChain, "built on old, which is version-mismatch"},
+	} {
+		f := findingFor(t, rep, path)
+		if f.Class != want.class || !strings.Contains(f.Detail, want.detail) {
+			t.Errorf("%s: %s (%s), want %s (%s)", path, f.Class, f.Detail, want.class, want.detail)
+		}
+	}
+}
+
+// TestLineageUnknownKindIsRoot: a checkpoint whose kind fsck does not
+// deep-check — here a pass delta whose header kind rotted, which the
+// payload checksum does not cover — records no base fsck can read, so
+// it is a root: kept checksum-only, with the deltas built on it. Resume
+// rebuilds it (its kind no longer matches), byte-identical, and the
+// successors' recorded base still holds.
+func TestLineageUnknownKindIsRoot(t *testing.T) {
+	dir := t.TempDir()
+	h := chainDir(t, dir, 3)
+	path := filepath.Join(dir, "probe-pass-1.snap")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := bytes.Index(data, []byte(snapshot.KindCampaignDelta))
+	data[i] ^= 0x20 // "cacheprobe…" → "Cacheprobe…"
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Scan(nil, dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f := findingFor(t, rep, "probe-pass-1.snap"); f.Class != ClassValid || !strings.Contains(f.Detail, "not deep-checked") {
+		t.Fatalf("rotted kind: %+v", f)
+	}
+	if f := findingFor(t, rep, "probe-pass-2.snap"); f.Class != ClassValid || !strings.Contains(f.Detail, h[2][:12]) {
+		t.Fatalf("delta built on the rotted kind: %+v", f)
+	}
+}
+
 // writeStreamHour persists a minimal HourDelta checkpoint whose
 // Pass.Base is base, returning its payload hash.
 func writeStreamHour(t *testing.T, dir string, k int, base string) string {
@@ -435,4 +517,240 @@ func damage(t *testing.T, dir, rel string) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// The name-based lineage check statefsck used before it read lineage
+// from recorded bases, kept as the reference TestLineageMatchesNameChains
+// holds Scan to. It knew the campaign's stage names: top-level
+// "<prefix><k>" deltas chained from calibration, link by link.
+
+// chainStage matches top-level delta stages: "<prefix><k>" with no
+// directory component (shard sub-stages verify standalone).
+var chainStage = regexp.MustCompile(`^(probe-pass-|stream-hour-)(\d+)$`)
+
+// chainAnchor is the stage whose payload hash the first delta of every
+// chain records as its base.
+const chainAnchor = "calibration"
+
+// verifyChain truncates the prefix's delta chain at the first link
+// whose base cannot be verified: a missing or unhealthy predecessor, or
+// a base hash that does not match the predecessor's payload hash. The
+// broken delta and every later one are re-classified broken-chain and
+// quarantined.
+func (s *scanner) verifyChain(prefix string) {
+	byK := make(map[int]*snapInfo)
+	maxK := -1
+	for stage, info := range s.snaps {
+		m := chainStage.FindStringSubmatch(stage)
+		if m == nil || m[1] != prefix {
+			continue
+		}
+		k, err := strconv.Atoi(m[2])
+		if err != nil {
+			continue
+		}
+		byK[k] = info
+		if k > maxK {
+			maxK = k
+		}
+	}
+	if maxK < 0 {
+		return
+	}
+	prevHash, prevName := "", chainAnchor
+	if a, ok := s.snaps[chainAnchor]; ok && a.healthy {
+		prevHash = a.hash
+	}
+	broken := ""
+	for k := 0; k <= maxK; k++ {
+		info, ok := byK[k]
+		if !ok { // gap: later deltas have no verifiable lineage
+			if broken == "" {
+				broken = fmt.Sprintf("%s%d missing", prefix, k)
+			}
+			prevHash, prevName = "", fmt.Sprintf("%s%d", prefix, k)
+			continue
+		}
+		if !info.healthy { // already corrupt/mismatched; later deltas lose their base
+			if broken == "" {
+				broken = fmt.Sprintf("%s%d is %s", prefix, k, s.findings[info.idx].Class)
+			}
+			prevHash, prevName = "", info.stage
+			continue
+		}
+		switch {
+		case broken != "":
+			s.reclass(info, fmt.Sprintf("chain truncated: %s", broken))
+		case prevHash == "":
+			s.reclass(info, fmt.Sprintf("base %s unverifiable (%s missing or invalid)", prevName, prevName))
+			broken = prevName + " unverifiable"
+		case info.base != prevHash:
+			s.reclass(info, fmt.Sprintf("base %.12s does not match %s payload %.12s", info.base, prevName, prevHash))
+			broken = fmt.Sprintf("%s%d base mismatch", prefix, k)
+		}
+		prevHash, prevName = info.hash, info.stage
+		if s.findings[info.idx].Class == ClassBrokenChain {
+			prevHash = "" // a quarantined link cannot anchor its successor
+		}
+	}
+}
+
+// reclass downgrades a valid delta to broken-chain.
+func (s *scanner) reclass(info *snapInfo, detail string) {
+	f := &s.findings[info.idx]
+	f.Class = ClassBrokenChain
+	f.Action = ActionQuarantine
+	f.Detail = detail
+	info.healthy = false
+}
+
+// referenceScan is Scan with the name-based chain check in place of
+// lineage.
+func referenceScan(t *testing.T, dir string) *Report {
+	t.Helper()
+	s := &scanner{fs: statefs.Disk{}, dir: dir, now: time.Now(), snaps: make(map[string]*snapInfo)}
+	if err := s.walk(""); err != nil {
+		t.Fatal(err)
+	}
+	s.verifyChain("probe-pass-")
+	s.verifyChain("stream-hour-")
+	s.resolveClaims()
+	sort.Slice(s.findings, func(i, j int) bool { return s.findings[i].Path < s.findings[j].Path })
+	return &Report{Dir: dir, Findings: s.findings}
+}
+
+// damagedDir is one generated state directory: a calibration anchoring
+// a batch chain and a stream chain, shard sub-stages and steal claims
+// under some links, then random damage.
+type damagedDir struct {
+	t   *testing.T
+	dir string
+	rng *rand.Rand
+	fp  string
+}
+
+func (g *damagedDir) hex() string {
+	b := make([]byte, 32)
+	g.rng.Read(b)
+	return fmt.Sprintf("%x", b)
+}
+
+// at returns a writer of stage's checkpoint that passes its hash on.
+func (g *damagedDir) at(stage string) func(data []byte, hash string) string {
+	return func(data []byte, hash string) string {
+		writeRaw(g.t, g.dir, stage+".snap", data)
+		return hash
+	}
+}
+
+func (g *damagedDir) pass(stage string, k int, base string) string {
+	return g.at(stage)(snapshot.PassDeltaCodec.Marshal(g.fp, &cacheprobe.PassDelta{Pass: k, Passes: 9, ProbesSent: g.rng.Intn(1 << 20), Base: base}))
+}
+
+func (g *damagedDir) hour(stage string, k int, base string) string {
+	return g.at(stage)(stream.HourDeltaCodec.Marshal(g.fp, &stream.HourDelta{Hour: k, Pass: &cacheprobe.PassDelta{Pass: k, ProbesSent: g.rng.Intn(1 << 20), Base: base}}))
+}
+
+// generate writes the healthy directory and returns its chain links
+// (stage → writer that rewrites the link with another base).
+func (g *damagedDir) generate() map[string]func(base string) {
+	camp := cacheprobe.NewCampaign()
+	g.at("scope-prescan")(snapshot.CampaignCodec.Marshal(g.fp, camp))
+	camp.Passes = 1
+	anchor := g.at("calibration")(snapshot.CampaignCodec.Marshal(g.fp, camp))
+	links := make(map[string]func(string))
+	for _, ch := range []struct {
+		prefix string
+		write  func(stage string, k int, base string) string
+	}{{"probe-pass-", g.pass}, {"stream-hour-", g.hour}} {
+		base := anchor
+		for k, n := 0, 1+g.rng.Intn(6); k < n; k++ {
+			stage, k, write := fmt.Sprintf("%s%d", ch.prefix, k), k, ch.write
+			if g.rng.Intn(3) == 0 {
+				for i := 0; i < 3; i++ {
+					shard := fmt.Sprintf("%s/shard-%d", stage, i)
+					g.at(shard)(snapshot.ShardResultCodec.Marshal(g.fp, &cacheprobe.ShardResult{Pass: k}))
+					if g.rng.Intn(3) == 0 {
+						writeRaw(g.t, g.dir, "shards/"+ClaimFile(shard), []byte("1\n"))
+					}
+				}
+			}
+			if g.rng.Intn(4) == 0 {
+				writeRaw(g.t, g.dir, "shards/"+ClaimFile(stage), []byte("2\n"))
+			}
+			base = write(stage, k, base)
+			links[stage] = func(b string) { write(stage, k, b) }
+		}
+	}
+	return links
+}
+
+// damage applies 1–3 random faults: a deleted link, a torn or bit-rotted
+// file (rot flips one bit in the upper half, as statefs.Faulty does), a
+// link rewritten with a forged base, or the missing calibration.
+func (g *damagedDir) damage(links map[string]func(string)) {
+	var snaps []string
+	filepath.WalkDir(g.dir, func(path string, d os.DirEntry, err error) error {
+		if err == nil && strings.HasSuffix(path, ".snap") {
+			snaps = append(snaps, path)
+		}
+		return nil
+	})
+	sort.Strings(snaps)
+	stages := make([]string, 0, len(links))
+	for stage := range links {
+		stages = append(stages, stage)
+	}
+	sort.Strings(stages)
+	for n := 1 + g.rng.Intn(3); n > 0; n-- {
+		path := snaps[g.rng.Intn(len(snaps))]
+		data, err := os.ReadFile(path)
+		if err != nil {
+			continue // already deleted
+		}
+		switch g.rng.Intn(5) {
+		case 0:
+			os.Remove(path)
+		case 1:
+			os.WriteFile(path, data[:1+g.rng.Intn(len(data)-1)], 0o644)
+		case 2:
+			half := len(data) / 2
+			data[half+g.rng.Intn(len(data)-half)] ^= 1 << g.rng.Intn(8)
+			os.WriteFile(path, data, 0o644)
+		case 3:
+			links[stages[g.rng.Intn(len(stages))]](g.hex())
+		case 4:
+			os.Remove(filepath.Join(g.dir, "calibration.snap"))
+		}
+	}
+}
+
+// TestLineageMatchesNameChains: over seeded state directories holding a
+// batch chain and a stream chain, shard sub-stages, steal claims and
+// random damage, lineage read from recorded bases classifies every file
+// exactly as the name-based chain check did.
+func TestLineageMatchesNameChains(t *testing.T) {
+	root := t.TempDir()
+	for seed := int64(0); seed < 240; seed++ {
+		g := &damagedDir{t: t, dir: filepath.Join(root, strconv.FormatInt(seed, 10)), rng: rand.New(rand.NewSource(seed))}
+		g.fp = g.hex()
+		g.damage(g.generate())
+		want := referenceScan(t, g.dir)
+		got, err := Scan(nil, g.dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if triples(got) != triples(want) {
+			t.Fatalf("seed %d: lineage disagrees with the name-based chains\nreference:\n%s\nlineage:\n%s", seed, want.Text(), got.Text())
+		}
+	}
+}
+
+// triples renders a report's (path, class, action) triples.
+func triples(r *Report) string {
+	var b strings.Builder
+	for _, f := range r.Findings {
+		fmt.Fprintf(&b, "%s %s %s\n", f.Path, f.Class, f.Action)
+	}
+	return b.String()
 }

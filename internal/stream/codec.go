@@ -13,6 +13,16 @@ import (
 // the view/ledger kinds live here because only this package produces
 // them — the kind string namespace is shared either way.
 
+// HourDeltaCodec is the hour checkpoint's codec. Its base is the base
+// of the hour's probing: the checkpoint the hour applies to.
+var HourDeltaCodec = &snapshot.Codec[*HourDelta]{
+	Kind:    snapshot.KindStreamDelta,
+	Version: snapshot.VersionStreamDelta,
+	Encode:  EncodeHourDelta,
+	Decode:  DecodeHourDelta,
+	Base:    func(d *HourDelta) string { return d.Pass.Base },
+}
+
 // KindStreamViews frames an encoded hour-view sequence.
 const KindStreamViews = "stream.Views"
 
@@ -76,68 +86,76 @@ func encodeSeries(w *snapshot.Writer, s *Series) {
 	}
 }
 
+// Comparison-only kinds: marshalled, never decoded.
+var (
+	viewsCodec  = &snapshot.Codec[[]HourView]{Kind: KindStreamViews, Version: VersionStream, Encode: encodeViews}
+	ledgerCodec = &snapshot.Codec[*Ledger]{Kind: KindStreamLedger, Version: VersionStream, Encode: encodeLedger}
+)
+
 // MarshalViews frames the hour-view sequence as snapshot bytes, for
 // byte-exact comparison of two runs' rolling summaries.
 func MarshalViews(views []HourView) (data []byte, payloadHash string) {
-	h := snapshot.Header{Kind: KindStreamViews, Version: VersionStream}
-	return snapshot.Marshal(h, func(w *snapshot.Writer) {
-		w.Int(len(views))
-		for _, v := range views {
-			w.Int(v.Hour)
-			w.Int(v.Events)
-			w.Int(v.Scheduled)
-			w.Int(v.Probes)
-			w.Int(v.Hits)
-			w.Int(v.FreshScopes)
-			w.Int(v.DecayedScopes)
-			w.Int(v.ActiveScopes)
-			w.Int(v.DNSActive)
-			w.Int(v.Withdrawn)
-			w.String(v.MapHash)
-		}
-	})
+	return viewsCodec.Marshal("", views)
 }
 
 // MarshalLedger frames the full decay ledger in sorted key order, so two
 // ledgers marshal to equal bytes iff they hold identical evidence.
 func (l *Ledger) MarshalLedger() (data []byte, payloadHash string) {
-	h := snapshot.Header{Kind: KindStreamLedger, Version: VersionStream}
-	return snapshot.Marshal(h, func(w *snapshot.Writer) {
-		w.Varint(int64(l.TTL))
-		domains := sortedKeys(l.Domains)
-		w.Int(len(domains))
-		for _, d := range domains {
-			w.String(d)
-			scopes := l.Domains[d]
-			keys := make([]netx.Prefix, 0, len(scopes))
-			for p := range scopes {
-				keys = append(keys, p)
+	return ledgerCodec.Marshal("", l)
+}
+
+func encodeViews(w *snapshot.Writer, views []HourView) {
+	w.Int(len(views))
+	for _, v := range views {
+		w.Int(v.Hour)
+		w.Int(v.Events)
+		w.Int(v.Scheduled)
+		w.Int(v.Probes)
+		w.Int(v.Hits)
+		w.Int(v.FreshScopes)
+		w.Int(v.DecayedScopes)
+		w.Int(v.ActiveScopes)
+		w.Int(v.DNSActive)
+		w.Int(v.Withdrawn)
+		w.String(v.MapHash)
+	}
+}
+
+func encodeLedger(w *snapshot.Writer, l *Ledger) {
+	w.Varint(int64(l.TTL))
+	domains := sortedKeys(l.Domains)
+	w.Int(len(domains))
+	for _, d := range domains {
+		w.String(d)
+		scopes := l.Domains[d]
+		keys := make([]netx.Prefix, 0, len(scopes))
+		for p := range scopes {
+			keys = append(keys, p)
+		}
+		sortPrefixes(keys)
+		w.Int(len(keys))
+		for _, p := range keys {
+			snapshot.EncodePrefix(w, p)
+			ss := scopes[p]
+			encodeSeries(w, &ss.Hits)
+			pops := sortedKeys(ss.PoPs)
+			w.Int(len(pops))
+			for _, pop := range pops {
+				w.String(pop)
+				encodeSeries(w, ss.PoPs[pop])
 			}
-			sortPrefixes(keys)
-			w.Int(len(keys))
-			for _, p := range keys {
-				snapshot.EncodePrefix(w, p)
-				ss := scopes[p]
-				encodeSeries(w, &ss.Hits)
-				pops := sortedKeys(ss.PoPs)
-				w.Int(len(pops))
-				for _, pop := range pops {
-					w.String(pop)
-					encodeSeries(w, ss.PoPs[pop])
-				}
-			}
 		}
-		dns := make([]netx.Slash24, 0, len(l.DNS))
-		for p := range l.DNS {
-			dns = append(dns, p)
-		}
-		sortSlash24s(dns)
-		w.Int(len(dns))
-		for _, p := range dns {
-			w.Uvarint(uint64(p))
-			encodeSeries(w, l.DNS[p])
-		}
-	})
+	}
+	dns := make([]netx.Slash24, 0, len(l.DNS))
+	for p := range l.DNS {
+		dns = append(dns, p)
+	}
+	sortSlash24s(dns)
+	w.Int(len(dns))
+	for _, p := range dns {
+		w.Uvarint(uint64(p))
+		encodeSeries(w, l.DNS[p])
+	}
 }
 
 func sortedKeys[V any](m map[string]V) []string {

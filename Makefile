@@ -88,10 +88,13 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=10s ./internal/health
 	$(GO) test -run='^$$' -fuzz=FuzzChurnParse -fuzztime=10s ./internal/churn
 	$(GO) test -run='^$$' -fuzz=FuzzReverseName -fuzztime=10s ./internal/serve
+	$(GO) test -run='^$$' -fuzz='^FuzzASName$$' -fuzztime=10s ./internal/serve
+	$(GO) test -run='^$$' -fuzz='^FuzzParseIPv4$$' -fuzztime=10s ./internal/serve
 	$(GO) test -run='^$$' -fuzz=FuzzHTTPQuery -fuzztime=10s ./internal/serve
 	$(GO) test -run='^$$' -fuzz=FuzzServeWire -fuzztime=10s ./internal/serve
 	$(GO) test -run='^$$' -fuzz=FuzzSnapshotDecode -fuzztime=10s ./internal/snapshot
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=10s ./internal/statefs
+	$(GO) test -run='^$$' -fuzz='^FuzzParseRetry$$' -fuzztime=10s ./internal/core/cacheprobe
 	$(GO) test -run='^$$' -fuzz=FuzzLazySource -fuzztime=10s ./internal/randx
 
 # golden-update regenerates the golden regression corpus (the headline

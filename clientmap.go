@@ -50,16 +50,13 @@ const (
 	ScaleLarge  = "large"  // ~9000 ASes; minutes
 )
 
+// scaleByName resolves Config.Scale; "" means medium.
 func scaleByName(name string) (world.Scale, error) {
-	switch name {
-	case "", ScaleMedium:
-		return world.ScaleMedium, nil
-	case ScaleTiny:
-		return world.ScaleTiny, nil
-	case ScaleSmall:
-		return world.ScaleSmall, nil
-	case ScaleLarge:
-		return world.ScaleLarge, nil
+	if name == "" {
+		name = ScaleMedium
+	}
+	if s, ok := world.ScaleByName(name); ok {
+		return s, nil
 	}
 	return world.Scale{}, fmt.Errorf("clientmap: unknown scale %q", name)
 }

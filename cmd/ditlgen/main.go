@@ -45,11 +45,7 @@ func main() {
 		return
 	}
 
-	scales := map[string]world.Scale{
-		"tiny": world.ScaleTiny, "small": world.ScaleSmall,
-		"medium": world.ScaleMedium, "large": world.ScaleLarge,
-	}
-	sc, ok := scales[*scaleN]
+	sc, ok := world.ScaleByName(*scaleN)
 	if !ok {
 		log.Fatalf("unknown scale %q", *scaleN)
 	}

@@ -19,27 +19,22 @@ import (
 	"clientmap/internal/world"
 )
 
-// Config tunes the simulated ad campaign.
-type Config struct {
-	// Impressions is the total ad impression budget of the campaign.
-	// The default scales with world size: ~4 per AS on average, which
-	// leaves the long tail of small ASes unsampled.
-	Impressions int
-	// Reach is the per-category probability multiplier that a user (or
-	// machine) of that network type renders ads.
-	Reach map[world.Category]float64
-}
+// impressionsPerAS sizes the campaign's ad impression budget to the
+// world: ~4 impressions per AS on average. With heavy-tailed user
+// populations, most land on large eyeball networks and the long tail of
+// small ASes draws none — the mechanism behind APNIC covering ~35% of
+// ASes yet nearly all users.
+const impressionsPerAS = 4
 
-// DefaultReach returns the calibrated ad-reach bias.
-func DefaultReach() map[world.Category]float64 {
-	return map[world.Category]float64{
-		world.CategoryISP:        1.0,
-		world.CategoryEducation:  0.7,
-		world.CategoryEnterprise: 0.45,
-		world.CategoryGovernment: 0.5,
-		world.CategoryContent:    0.2,
-		world.CategoryHosting:    0.04, // bots don't watch ads
-	}
+// adReach is the calibrated per-category probability multiplier that a
+// user (or machine) of that network type renders ads. Read-only.
+var adReach = map[world.Category]float64{
+	world.CategoryISP:        1.0,
+	world.CategoryEducation:  0.7,
+	world.CategoryEnterprise: 0.45,
+	world.CategoryGovernment: 0.5,
+	world.CategoryContent:    0.2,
+	world.CategoryHosting:    0.04, // bots don't watch ads
 }
 
 // Estimates is the published dataset: per-AS user estimates.
@@ -54,23 +49,14 @@ type Estimates struct {
 }
 
 // Estimate runs the simulated campaign over the world.
-func Estimate(w *world.World, cfg Config) *Estimates {
-	if cfg.Impressions <= 0 {
-		// ~4 impressions per AS on average: with heavy-tailed user
-		// populations, most land on large eyeball networks and the long
-		// tail of small ASes draws none — the mechanism behind APNIC
-		// covering ~35% of ASes yet nearly all users.
-		cfg.Impressions = 4 * len(w.ASes)
-	}
-	if cfg.Reach == nil {
-		cfg.Reach = DefaultReach()
-	}
+func Estimate(w *world.World) *Estimates {
+	impressions := impressionsPerAS * len(w.ASes)
 
 	// Expected impressions per AS ∝ users × reach.
 	weights := make([]float64, len(w.ASes))
 	var totalWeight float64
 	for i, as := range w.ASes {
-		weights[i] = as.Users * cfg.Reach[as.Category]
+		weights[i] = as.Users * adReach[as.Category]
 		totalWeight += weights[i]
 	}
 
@@ -90,7 +76,7 @@ func Estimate(w *world.World, cfg Config) *Estimates {
 	countryImpr := make(map[string]float64)
 	countryTruth := make(map[string]float64)
 	for i, as := range w.ASes {
-		mean := float64(cfg.Impressions) * weights[i] / totalWeight
+		mean := float64(impressions) * weights[i] / totalWeight
 		n := rng.Poisson(mean)
 		if n > 0 {
 			est.Impressions[as.ASN] = n

@@ -20,8 +20,8 @@ func testWorld(t testing.TB, scale world.Scale) *world.World {
 
 func TestEstimateDeterministic(t *testing.T) {
 	w := testWorld(t, world.ScaleTiny)
-	a := Estimate(w, Config{})
-	b := Estimate(w, Config{})
+	a := Estimate(w)
+	b := Estimate(w)
 	if len(a.Users) != len(b.Users) || math.Abs(a.TotalUsers()-b.TotalUsers()) > 1e-6 {
 		t.Fatal("estimates differ across identical runs")
 	}
@@ -29,7 +29,7 @@ func TestEstimateDeterministic(t *testing.T) {
 
 func TestCoverageGap(t *testing.T) {
 	w := testWorld(t, world.ScaleSmall)
-	est := Estimate(w, Config{})
+	est := Estimate(w)
 	if len(est.Users) == 0 {
 		t.Fatal("empty estimates")
 	}
@@ -53,7 +53,7 @@ func TestCoverageGap(t *testing.T) {
 
 func TestEstimatesTrackTruthForLargeASes(t *testing.T) {
 	w := testWorld(t, world.ScaleSmall)
-	est := Estimate(w, Config{})
+	est := Estimate(w)
 	// Among well-sampled ASes, estimates should correlate with truth:
 	// check rank agreement between the top truth AS and its estimate.
 	var biggest *world.AS
@@ -73,7 +73,7 @@ func TestEstimatesTrackTruthForLargeASes(t *testing.T) {
 
 func TestHostingUnderrepresented(t *testing.T) {
 	w := testWorld(t, world.ScaleSmall)
-	est := Estimate(w, Config{})
+	est := Estimate(w)
 	counts := map[world.Category][2]int{} // [covered, total]
 	for _, as := range w.ASes {
 		c := counts[as.Category]
@@ -97,7 +97,7 @@ func TestHostingUnderrepresented(t *testing.T) {
 
 func TestCountryTotalsConsistent(t *testing.T) {
 	w := testWorld(t, world.ScaleTiny)
-	est := Estimate(w, Config{})
+	est := Estimate(w)
 	var sum float64
 	for _, u := range est.CountryUsers {
 		sum += u
@@ -119,7 +119,7 @@ func TestCountryTotalsConsistent(t *testing.T) {
 
 func TestASNsSorted(t *testing.T) {
 	w := testWorld(t, world.ScaleTiny)
-	est := Estimate(w, Config{})
+	est := Estimate(w)
 	asns := est.ASNs()
 	for i := 1; i < len(asns); i++ {
 		if asns[i-1] >= asns[i] {
@@ -130,7 +130,7 @@ func TestASNsSorted(t *testing.T) {
 
 func TestSaveLoadRoundTrip(t *testing.T) {
 	w := testWorld(t, world.ScaleTiny)
-	est := Estimate(w, Config{})
+	est := Estimate(w)
 	var buf bytes.Buffer
 	if err := est.Save(&buf); err != nil {
 		t.Fatal(err)

@@ -82,23 +82,10 @@ type Config struct {
 	// paper loops continuously, completing a handful of passes.
 	Passes int
 
-	// RatePerDomain is the live-mode probe rate per PoP per domain
-	// (prefixes/second). Paper: 50. Simulated clocks schedule exact
-	// probe times instead.
-	RatePerDomain float64
-
 	// CalibrationSamples is how many geolocated prefixes are probed at
 	// every PoP to fit service radii. Paper: 78,637 across public space;
 	// scaled worlds use proportionally fewer.
 	CalibrationSamples int
-
-	// CalibrationMaxErrKm filters calibration samples to prefixes whose
-	// geolocation error radius is below this bound. Paper: 200 km.
-	CalibrationMaxErrKm float64
-
-	// ServiceRadiusQuantile is the hit-distance quantile defining each
-	// PoP's service radius. Paper: 0.9.
-	ServiceRadiusQuantile float64
 
 	// GeoDB is the MaxMind-style geolocation database.
 	GeoDB *geo.DB
@@ -148,17 +135,8 @@ func (c Config) withDefaults() Config {
 	if c.Passes <= 0 {
 		c.Passes = 6
 	}
-	if c.RatePerDomain <= 0 {
-		c.RatePerDomain = 50
-	}
 	if c.CalibrationSamples <= 0 {
 		c.CalibrationSamples = 2000
-	}
-	if c.CalibrationMaxErrKm <= 0 {
-		c.CalibrationMaxErrKm = 200
-	}
-	if c.ServiceRadiusQuantile <= 0 {
-		c.ServiceRadiusQuantile = 0.9
 	}
 	return c
 }

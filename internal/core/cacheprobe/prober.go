@@ -313,12 +313,20 @@ func (p *Prober) PreScan(ctx context.Context, camp *Campaign) error {
 	return nil
 }
 
+// calibrationMaxErrKm bounds the geolocation error radius of the prefixes
+// calibration samples (§3.1.1: 200 km).
+const calibrationMaxErrKm = 200
+
+// serviceRadiusQuantile is the hit-distance quantile that defines each
+// PoP's service radius (§3.1.1: the 90th percentile).
+const serviceRadiusQuantile = 0.9
+
 // calibrationSample deterministically picks geolocated prefixes with
-// error radius under the configured bound.
+// error radius under calibrationMaxErrKm.
 func (p *Prober) calibrationSample() []netx.Slash24 {
 	var eligible []netx.Slash24
 	p.cfg.GeoDB.Range(func(s netx.Slash24, loc geo.Location) bool {
-		if loc.ErrorKm < p.cfg.CalibrationMaxErrKm {
+		if loc.ErrorKm < calibrationMaxErrKm {
 			eligible = append(eligible, s)
 		}
 		return true
@@ -431,7 +439,7 @@ func (p *Prober) Calibrate(ctx context.Context, pops map[string]*Vantage, camp *
 		if len(cal.HitDistancesKm) == 0 {
 			cal.RadiusKm = MaxServiceRadiusKm
 		} else {
-			idx := int(p.cfg.ServiceRadiusQuantile * float64(len(cal.HitDistancesKm)))
+			idx := int(serviceRadiusQuantile * float64(len(cal.HitDistancesKm)))
 			if idx >= len(cal.HitDistancesKm) {
 				idx = len(cal.HitDistancesKm) - 1
 			}

@@ -22,14 +22,16 @@ import (
 	"clientmap/internal/roots"
 )
 
-// Config parameterizes the crawl.
+// Chromium's interception probes are single labels of 7-15 lowercase
+// letters (§3.2).
+const (
+	minLabelLen = 7
+	maxLabelLen = 15
+)
+
+// Config parameterizes the crawl. The crawl reads the 2020 DITL letters
+// whose traces are un-anonymized (roots.DITLLetters).
 type Config struct {
-	// Letters are the root letters whose traces are available; nil means
-	// the 2020 DITL set (J, H, M, A, K, D).
-	Letters []string
-	// MinLen and MaxLen bound the Chromium label length. Zero means the
-	// Chromium values 7 and 15.
-	MinLen, MaxLen int
 	// DailyThreshold is the per-name daily query count at or above which
 	// a name is classified as junk rather than Chromium randomness. Zero
 	// means the paper's 7.
@@ -45,15 +47,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Letters == nil {
-		c.Letters = roots.DITLLetters
-	}
-	if c.MinLen == 0 {
-		c.MinLen = 7
-	}
-	if c.MaxLen == 0 {
-		c.MaxLen = 15
-	}
 	if c.DailyThreshold == 0 {
 		c.DailyThreshold = 7
 	}
@@ -90,9 +83,9 @@ func (r *Result) Resolvers() []netx.Addr {
 }
 
 // matchesPattern reports whether name looks like a Chromium probe: one
-// label of MinLen-MaxLen lowercase ASCII letters, no dots.
-func (c Config) matchesPattern(name string) bool {
-	if len(name) < c.MinLen || len(name) > c.MaxLen {
+// label of minLabelLen-maxLabelLen lowercase ASCII letters, no dots.
+func matchesPattern(name string) bool {
+	if len(name) < minLabelLen || len(name) > maxLabelLen {
 		return false
 	}
 	for i := 0; i < len(name); i++ {
@@ -143,7 +136,7 @@ func Crawl(cfg Config, open func(letter string) (io.ReadCloser, error)) (*Result
 
 	// Pass 1: per-name daily counts.
 	counts := make(map[nameDay]float64)
-	for _, letter := range cfg.Letters {
+	for _, letter := range roots.DITLLetters {
 		rc, err := openRetry(letter)
 		if err != nil {
 			return nil, fmt.Errorf("dnslogs: opening %s: %w", letter, err)
@@ -163,7 +156,7 @@ func Crawl(cfg Config, open func(letter string) (io.ReadCloser, error)) (*Result
 				return nil, fmt.Errorf("dnslogs: %s: %w", letter, err)
 			}
 			res.TotalQueries += float64(rec.Weight)
-			if !cfg.matchesPattern(rec.QName) {
+			if !matchesPattern(rec.QName) {
 				continue
 			}
 			res.PatternMatches += float64(rec.Weight)
@@ -189,7 +182,7 @@ func Crawl(cfg Config, open func(letter string) (io.ReadCloser, error)) (*Result
 	res.FilteredNames = len(junk)
 
 	// Pass 2: attribute surviving matches to resolvers.
-	for _, letter := range cfg.Letters {
+	for _, letter := range roots.DITLLetters {
 		rc, err := openRetry(letter)
 		if err != nil {
 			return nil, fmt.Errorf("dnslogs: reopening %s: %w", letter, err)
@@ -208,7 +201,7 @@ func Crawl(cfg Config, open func(letter string) (io.ReadCloser, error)) (*Result
 				rc.Close()
 				return nil, err
 			}
-			if !cfg.matchesPattern(rec.QName) || junk[rec.QName] {
+			if !matchesPattern(rec.QName) || junk[rec.QName] {
 				continue
 			}
 			res.ResolverCounts[rec.Src] += float64(rec.Weight)

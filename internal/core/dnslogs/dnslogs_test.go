@@ -165,35 +165,16 @@ func TestCrawlCountsTrackActivity(t *testing.T) {
 	}
 }
 
-func TestCrawlSubsetOfLetters(t *testing.T) {
-	open, _, _ := genTraces(t, 24*time.Hour)
-	all, err := Crawl(Config{Letters: roots.Letters}, open)
-	if err != nil {
-		t.Fatal(err)
-	}
-	one, err := Crawl(Config{Letters: []string{"J"}}, open)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if one.TotalQueries >= all.TotalQueries {
-		t.Errorf("single letter saw %v queries, all letters %v", one.TotalQueries, all.TotalQueries)
-	}
-	if len(one.ResolverCounts) > len(all.ResolverCounts) {
-		t.Error("single letter detected more resolvers than all letters")
-	}
-}
-
 func TestMatchesPattern(t *testing.T) {
-	c := Config{}.withDefaults()
 	valid := []string{"abcdefg", "abcdefghijklmno", "zzzzzzzz"}
 	invalid := []string{"short", "abcdefghijklmnop", "abc.def", "ABCDEFG", "abcdef7", "", "columbia1"}
 	for _, n := range valid {
-		if !c.matchesPattern(n) {
+		if !matchesPattern(n) {
 			t.Errorf("%q rejected", n)
 		}
 	}
 	for _, n := range invalid {
-		if c.matchesPattern(n) {
+		if matchesPattern(n) {
 			t.Errorf("%q accepted", n)
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sync"
 	"time"
@@ -237,12 +236,13 @@ func (c Config) prepare(stream bool) (Config, error) {
 }
 
 // writeTrace persists the span log of a finished run as JSON Lines under
-// StateDir/metrics. The error is the caller's to weigh: a batch run
-// fails on it, a stream logs it and keeps the hours it probed.
-func (c *chain) writeTrace() error {
+// StateDir/metrics, through the state-I/O seam. The trace is
+// observability, not a result (DESIGN §10), so a failed write is logged
+// and the run keeps its results, in batch and stream mode alike.
+func (c *chain) writeTrace() {
 	cfg := c.cfg
 	if cfg.StateDir == "" {
-		return nil
+		return
 	}
 	// Shard runners write per-runner trace files: the span log records
 	// what this process ran versus restored, and N processes must not
@@ -253,17 +253,15 @@ func (c *chain) writeTrace() error {
 	}
 	path := filepath.Join(cfg.StateDir, "metrics", name)
 	var buf bytes.Buffer
-	if err := c.trace.WriteJSONL(&buf); err != nil {
-		return err
+	err := c.trace.WriteJSONL(&buf)
+	if err == nil {
+		err = cfg.fs().WriteAtomic(path, buf.Bytes())
 	}
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		return err
+	if err != nil {
+		cfg.logf("trace: write failed: %v", err)
+		return
 	}
 	cfg.logf("metrics: wrote %d trace spans to %s", c.trace.Len(), path)
-	return nil
 }
 
 // fsckOnResume repairs the state directory before a resuming run

@@ -470,3 +470,33 @@ func TestResumeSweepsLitter(t *testing.T) {
 	}
 	checkNoLitter(t, dir)
 }
+
+// TestTraceWriteCrossesStateFS: the span log is written through the
+// state-I/O seam, so -disk-faults reaches metrics/trace.jsonl — and a
+// failed trace write costs the run nothing, because the trace is
+// observability rather than a result.
+func TestTraceWriteCrossesStateFS(t *testing.T) {
+	ref, err := Run(matrixConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dcfg, err := statefs.Parse("torn=trace.jsonl@1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	faulty := statefs.NewFaulty(dcfg, nil)
+	cfg := matrixConfig()
+	cfg.StateDir = t.TempDir()
+	cfg.FS = faulty
+	got, err := Run(cfg)
+	if err != nil {
+		t.Fatalf("a torn trace write failed the run: %v", err)
+	}
+	if n := faulty.Snapshot().Torn; n != 1 {
+		t.Fatalf("injector tore %d writes, want the one trace write", n)
+	}
+	compareResults(t, "in-memory", "torn-trace", ref, got)
+	if ref.RenderAll() != got.RenderAll() {
+		t.Error("rendered report differs from the in-memory run")
+	}
+}

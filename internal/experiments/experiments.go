@@ -307,9 +307,7 @@ func Run(cfg Config) (*Results, error) {
 	if err := br.runner.Run(noCtx()); err != nil {
 		return nil, err
 	}
-	if err := br.writeTrace(); err != nil {
-		return nil, err
-	}
+	br.writeTrace()
 	res := &Results{
 		Cfg:      cfg,
 		Trace:    br.trace,

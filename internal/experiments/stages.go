@@ -205,7 +205,7 @@ func newBatchRun(cfg Config) *batchRun {
 			sys := br.world.Out()
 			return &baselineArtifact{
 				CDN:   cdn.Collect(sys.Model, campEnd.Add(-24*time.Hour)),
-				APNIC: apnic.Estimate(sys.World, apnic.Config{}),
+				APNIC: apnic.Estimate(sys.World),
 				ASDB:  asdb.FromWorld(sys.World, asdb.DefaultCoverage),
 			}, nil
 		})

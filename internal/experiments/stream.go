@@ -175,9 +175,7 @@ func RunStream(cfg Config) (*StreamResults, error) {
 	if err := c.runner.Run(noCtx()); err != nil {
 		return nil, err
 	}
-	if err := c.writeTrace(); err != nil {
-		cfg.logf("trace: write failed: %v", err)
-	}
+	c.writeTrace()
 	camp, st, senv := c.last.Out().Camp, e.st, e.senv
 	res := &StreamResults{
 		Cfg:      cfg,

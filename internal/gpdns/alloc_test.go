@@ -13,7 +13,7 @@ import (
 // TestPoolLookupAllocs gates the cache read path: a warm lookup costs
 // nothing — the striped shards hand back the entry by value.
 func TestPoolLookupAllocs(t *testing.T) {
-	p := newPool(0)
+	p := newPool()
 	now := time.Unix(0, 0)
 	e := entry{
 		name:   "en.wikipedia.org",
@@ -35,9 +35,9 @@ func TestPoolLookupAllocs(t *testing.T) {
 
 // TestPoolInsertAllocs gates the cache write path in steady state:
 // replacing a same-scope entry for an interned name reuses the entry
-// slice, and unbounded pools skip the eviction FIFO entirely.
+// slice.
 func TestPoolInsertAllocs(t *testing.T) {
-	p := newPool(0)
+	p := newPool()
 	now := time.Unix(0, 0)
 	e := entry{
 		name:   "en.wikipedia.org",
@@ -45,7 +45,7 @@ func TestPoolInsertAllocs(t *testing.T) {
 		scope:  netx.MustParsePrefix("198.51.100.0/20"),
 		expiry: now.Add(time.Hour),
 	}
-	p.insert(e, now) // warm the map slot and slice capacity
+	p.insert(e, now) // warm the map slot and grow the entry slice
 	allocs := testing.AllocsPerRun(1000, func() {
 		p.insert(e, now)
 	})

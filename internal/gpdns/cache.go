@@ -33,26 +33,20 @@ type entry struct {
 	expiry time.Time
 }
 
-// poolStripes is the shard count of unbounded pools. Sixteen mutexes keep
-// concurrent probe workers for different domains off each other's locks;
-// the per-shard maps stay small enough that the split costs nothing.
+// poolStripes is a pool's shard count. Sixteen mutexes keep concurrent
+// probe workers for different domains off each other's locks; the
+// per-shard maps stay small enough that the split costs nothing.
 const poolStripes = 16
 
-// pool is one independent cache within a PoP. Google operates several per
-// site (§3.1.1 cites Trufflehunter), which is why the prober issues
-// redundant queries.
+// pool is one independent, unbounded cache within a PoP. Google operates
+// several per site (§3.1.1 cites Trufflehunter), which is why the prober
+// issues redundant queries.
 //
 // Internally the pool is striped by a hash of the queried name so that
 // parallel probe workers — which hammer one pool from many goroutines —
-// do not serialize on a single mutex. Capacity-bounded pools keep a single
-// stripe: FIFO eviction is defined over the pool's global insertion order,
-// and striping it would change which entries a full pool drops.
+// do not serialize on a single mutex.
 type pool struct {
-	shards []poolShard
-	// capacity bounds the number of live entries (0 = unbounded); when
-	// full, the oldest insertion is evicted (FIFO, a fair approximation of
-	// cache pressure for short-TTL records).
-	capacity int
+	shards [poolStripes]poolShard
 }
 
 // poolShard is one independently locked slice of a pool's key space.
@@ -66,20 +60,10 @@ type poolShard struct {
 	// campaign, whose RD=0 queries never insert — takes no lock and
 	// writes no shared memory.
 	size atomic.Int64
-	fifo []fifoKey
 }
 
-type fifoKey struct {
-	name  string
-	scope netx.Prefix
-}
-
-func newPool(capacity int) *pool {
-	n := poolStripes
-	if capacity > 0 {
-		n = 1
-	}
-	p := &pool{shards: make([]poolShard, n), capacity: capacity}
+func newPool() *pool {
+	p := &pool{}
 	for i := range p.shards {
 		p.shards[i].byName = make(map[string][]entry)
 	}
@@ -88,15 +72,12 @@ func newPool(capacity int) *pool {
 
 // shardFor picks the stripe for a name by FNV-1a.
 func (p *pool) shardFor(name string) *poolShard {
-	if len(p.shards) == 1 {
-		return &p.shards[0]
-	}
 	var h uint32 = 2166136261
 	for i := 0; i < len(name); i++ {
 		h ^= uint32(name[i])
 		h *= 16777619
 	}
-	return &p.shards[h%uint32(len(p.shards))]
+	return &p.shards[h%poolStripes]
 }
 
 // lookup returns the live entry whose scope covers src, preferring the most
@@ -144,37 +125,6 @@ func (p *pool) insert(e entry, now time.Time) {
 	}
 	sh.byName[e.name] = append(out, e)
 	sh.size.Add(1)
-	// The FIFO is only consulted by capacity eviction; unbounded pools
-	// skip it so steady-state inserts stay allocation-free.
-	if p.capacity > 0 {
-		sh.fifo = append(sh.fifo, fifoKey{name: e.name, scope: e.scope})
-		for sh.size.Load() > int64(p.capacity) && len(sh.fifo) > 0 {
-			sh.evictOldestLocked()
-		}
-	}
-}
-
-// evictOldestLocked removes the oldest FIFO key still cached.
-func (sh *poolShard) evictOldestLocked() {
-	for len(sh.fifo) > 0 {
-		k := sh.fifo[0]
-		sh.fifo = sh.fifo[1:]
-		entries, ok := sh.byName[k.name]
-		if !ok {
-			continue
-		}
-		for i := range entries {
-			if entries[i].scope == k.scope {
-				sh.byName[k.name] = append(entries[:i], entries[i+1:]...)
-				if len(sh.byName[k.name]) == 0 {
-					delete(sh.byName, k.name)
-				}
-				sh.size.Add(-1)
-				return
-			}
-		}
-		// Key already replaced/expired out; keep scanning.
-	}
 }
 
 // site is the cache state of one PoP.
@@ -182,10 +132,10 @@ type site struct {
 	pools []*pool
 }
 
-func newSite(pools, capacity int) *site {
-	s := &site{pools: make([]*pool, pools)}
+func newSite() *site {
+	s := &site{pools: make([]*pool, PoolsPerPoP)}
 	for i := range s.pools {
-		s.pools[i] = newPool(capacity)
+		s.pools[i] = newPool()
 	}
 	return s
 }

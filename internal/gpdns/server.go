@@ -19,39 +19,28 @@ import (
 // query reached, mirroring o-o.myaddr.l.google.com (§3.1.1).
 const MyAddrDomain = "o-o.myaddr.l.google.com"
 
+// PoolsPerPoP is the number of independent cache pools at each site
+// (§3.1.1: Google runs several per PoP, which is why the prober sends
+// redundant queries).
+const PoolsPerPoP = 3
+
+// Google's rate limits as §3.1.1 cites them: a strict per (source,
+// repeated domain) limit over UDP that forces the prober onto TCP, and a
+// per-source limit over TCP (the documented normal limit is 1,500 QPS).
+const (
+	udpPerDomainRate, udpPerDomainBurst = 1.0, 8
+	tcpRate, tcpBurst                   = 1500, 3000
+)
+
 // Config configures the simulator.
 type Config struct {
 	Seed  randx.Seed
 	Clock clockx.Clock
-	// PoolsPerPoP is the number of independent cache pools at each site.
-	PoolsPerPoP int
-	// UDPPerDomainRate/Burst is the repeated-domain rate limit over UDP —
-	// the low limit that forces the prober onto TCP.
-	UDPPerDomainRate, UDPPerDomainBurst float64
-	// TCPRate/Burst is the per-source limit over TCP (Google's documented
-	// normal limit is 1,500 QPS).
-	TCPRate, TCPBurst float64
-	// PoolCapacity bounds each cache pool's entry count (0 = unbounded,
-	// the default for simulations; production caches evict under load).
-	PoolCapacity int
 	// Metrics, when set, mirrors the server's counters into the shared
 	// registry under "gpdns/…" — queries, cache hits, rate-limit drops,
 	// bucket creations, and a token-occupancy histogram sampled on every
 	// unscheduled (bucket-checked) arrival. Nil discards.
 	Metrics *metrics.Registry
-}
-
-// DefaultConfig returns production-like settings.
-func DefaultConfig(seed randx.Seed, clock clockx.Clock) Config {
-	return Config{
-		Seed:              seed,
-		Clock:             clock,
-		PoolsPerPoP:       3,
-		UDPPerDomainRate:  1.0,
-		UDPPerDomainBurst: 8,
-		TCPRate:           1500,
-		TCPBurst:          3000,
-	}
 }
 
 // Server simulates the whole anycast service. It implements dnsnet.Handler
@@ -111,9 +100,6 @@ func NewServer(cfg Config, router *anycast.Router) *Server {
 	if cfg.Clock == nil {
 		cfg.Clock = clockx.Real{}
 	}
-	if cfg.PoolsPerPoP <= 0 {
-		cfg.PoolsPerPoP = 3
-	}
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = metrics.NewRegistry()
@@ -131,7 +117,7 @@ func NewServer(cfg Config, router *anycast.Router) *Server {
 	}
 	s.routes.Store(&routeTable{vantages: make(map[netx.Addr]int)})
 	for range router.PoPs() {
-		s.sites = append(s.sites, newSite(cfg.PoolsPerPoP, cfg.PoolCapacity))
+		s.sites = append(s.sites, newSite())
 	}
 	return s
 }
@@ -317,7 +303,7 @@ func (s *Server) UDP() dnsnet.Handler {
 		s.mu.Lock()
 		lim, ok := s.udpLims[key]
 		if !ok {
-			lim = dnsnet.NewTokenBucket(s.cfg.Clock, s.cfg.UDPPerDomainRate, s.cfg.UDPPerDomainBurst)
+			lim = dnsnet.NewTokenBucket(s.cfg.Clock, udpPerDomainRate, udpPerDomainBurst)
 			s.udpLims[key] = lim
 			s.mBuckets.Inc()
 		}
@@ -341,7 +327,7 @@ func (s *Server) TCP() dnsnet.Handler {
 		s.mu.Lock()
 		lim, ok := s.tcpLims[from]
 		if !ok {
-			lim = dnsnet.NewTokenBucket(s.cfg.Clock, s.cfg.TCPRate, s.cfg.TCPBurst)
+			lim = dnsnet.NewTokenBucket(s.cfg.Clock, tcpRate, tcpBurst)
 			s.tcpLims[from] = lim
 			s.mBuckets.Inc()
 		}

@@ -22,9 +22,6 @@ type GenConfig struct {
 	// hour; beyond it, records are emitted in sampled form with
 	// proportionally larger weights. Zero means 50.
 	PerSourceHourCap int
-	// JunkFactor scales non-Chromium noise volume relative to Chromium
-	// volume. Zero means 0.4.
-	JunkFactor float64
 	// ChromiumScale scales the Chromium probe volume. 1 (the default)
 	// models the 2020 DITL era; ~0.3 models late 2021, after the Chromium
 	// team cut the interception probes' load on the roots (§3.2.2 cites a
@@ -33,6 +30,11 @@ type GenConfig struct {
 	// Letters to generate; nil means all 13.
 	Letters []string
 }
+
+// junkFactor scales non-Chromium single-label noise volume relative to
+// Chromium volume: enough misconfiguration and DGA traffic at the roots
+// that the §3.2 collision filter has junk to reject.
+const junkFactor = 0.4
 
 // Stats summarizes a generation run.
 type Stats struct {
@@ -140,9 +142,6 @@ func (g *Generator) Generate(cfg GenConfig, open func(letter string) (io.WriteCl
 	if cfg.PerSourceHourCap <= 0 {
 		cfg.PerSourceHourCap = 50
 	}
-	if cfg.JunkFactor <= 0 {
-		cfg.JunkFactor = 0.4
-	}
 	if cfg.ChromiumScale <= 0 {
 		cfg.ChromiumScale = 1
 	}
@@ -247,13 +246,13 @@ func (g *Generator) Generate(cfg GenConfig, open func(letter string) (io.WriteCl
 			emit(n, weight, func() string { return rng.LowerLetters(7 + rng.Intn(9)) }, dnswire.TypeA, true)
 
 			// Junk: misconfigured single-label names (heavy collisions)...
-			n, weight = sampled(count("roots/junk/", src.rate*cfg.JunkFactor))
+			n, weight = sampled(count("roots/junk/", src.rate*junkFactor))
 			emit(n, weight, func() string { return junkNames[rng.Intn(len(junkNames))] }, dnswire.TypeA, false)
 			// ...DGA-style repeated random names...
-			n, weight = sampled(count("roots/dgaq/", src.rate*cfg.JunkFactor*0.3))
+			n, weight = sampled(count("roots/dgaq/", src.rate*junkFactor*0.3))
 			emit(n, weight, func() string { return dga[rng.Intn(len(dga))] }, dnswire.TypeA, false)
 			// ...and ordinary TLD-bearing queries leaking to the roots.
-			n, weight = sampled(count("roots/tld/", src.rate*cfg.JunkFactor))
+			n, weight = sampled(count("roots/tld/", src.rate*junkFactor))
 			emit(n, weight, func() string { return rng.LowerLetters(4+rng.Intn(8)) + ".com" }, dnswire.TypeNS, false)
 		}
 		for li, recs := range perLetter {

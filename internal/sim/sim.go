@@ -39,17 +39,10 @@ const (
 type Config struct {
 	Seed  randx.Seed
 	Scale world.Scale
-	// Params overrides the world's behavioural parameters; zero value
-	// means defaults.
-	Params *world.Params
-	// Tunables overrides the workload; zero value means defaults.
-	Tunables *traffic.Tunables
 	// WireCodec makes every in-memory exchange round-trip through the DNS
 	// wire codec (slower, maximally faithful). Tests enable it; bulk
 	// campaigns leave it off.
 	WireCodec bool
-	// Start is the simulated campaign start; zero means clockx.Epoch.
-	Start time.Time
 	// Metrics, when set, instruments the assembled system: the Google
 	// front end counts queries, cache hits and rate-limit decisions under
 	// "gpdns/…", and Prober wraps the vantage and authoritative transports
@@ -77,30 +70,21 @@ type System struct {
 	metrics       *metrics.Registry
 }
 
-// New builds a System.
+// New builds a System over a world with the calibrated behavioural
+// parameters and workload, on a simulated clock starting at clockx.Epoch.
 func New(cfg Config) (*System, error) {
-	params := world.DefaultParams()
-	if cfg.Params != nil {
-		params = *cfg.Params
-	}
-	w, err := world.Generate(world.Config{Seed: cfg.Seed, Scale: cfg.Scale, Params: params})
+	w, err := world.Generate(world.Config{Seed: cfg.Seed, Scale: cfg.Scale, Params: world.DefaultParams()})
 	if err != nil {
 		return nil, err
 	}
-	tun := traffic.DefaultTunables()
-	if cfg.Tunables != nil {
-		tun = *cfg.Tunables
-	}
 	router := anycast.NewRouter(cfg.Seed, anycast.Catalog())
-	model := traffic.NewModel(w, router, tun)
-	clock := clockx.NewSim(cfg.Start)
+	model := traffic.NewModel(w, router, traffic.DefaultTunables())
+	clock := clockx.NewSim(clockx.Epoch)
 
 	auth := authdns.New(cfg.Seed, domains.Catalog())
-	gcfg := gpdns.DefaultConfig(cfg.Seed, clock)
-	gcfg.Metrics = cfg.Metrics
-	google := gpdns.NewServer(gcfg, router)
+	google := gpdns.NewServer(gpdns.Config{Seed: cfg.Seed, Clock: clock, Metrics: cfg.Metrics}, router)
 	google.SetUpstream(auth)
-	google.SetLazyFill(gpdns.NewLazyFill(model, gcfg.PoolsPerPoP))
+	google.SetLazyFill(gpdns.NewLazyFill(model, gpdns.PoolsPerPoP))
 
 	net := dnsnet.NewMemNet(cfg.WireCodec)
 	net.Register(GoogleDNSTCP, google.TCP())

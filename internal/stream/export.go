@@ -28,10 +28,10 @@ func (s *State) buildMap(env *Env, h int) *ClientMapOut {
 	meta := serve.Meta{
 		Seed:    uint64(s.Cfg.Seed),
 		Scale:   s.Cfg.Scale,
-		Passes:  s.Cfg.TTLHours,
+		Passes:  DefaultTTLHours,
 		BuiltAt: env.HourStart(h + 1),
 		Source: fmt.Sprintf("stream hour=%d ttl=%dh churn=%s",
-			h, s.Cfg.TTLHours, s.Cfg.Churn.Fingerprint()),
+			h, DefaultTTLHours, s.Cfg.Churn.Fingerprint()),
 	}
 	scopes := s.Ledger.ServeScopes(int32(h))
 	cm := serve.Assemble(meta, scopes, routeviews.FromWorld(env.World), nil)

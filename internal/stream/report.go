@@ -38,7 +38,7 @@ type Report struct {
 func (s *State) Report() *Report {
 	r := &Report{
 		Hours:           s.Cfg.Hours,
-		TTLHours:        s.Cfg.TTLHours,
+		TTLHours:        DefaultTTLHours,
 		Churn:           s.Cfg.Churn.String(),
 		DriftTicks:      s.DriftTicks,
 		DiurnalTicks:    s.DiurnalTicks,

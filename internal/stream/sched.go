@@ -30,18 +30,18 @@ const (
 )
 
 // classify places one task on the ladder at hour h.
-func (c Config) classify(ts TaskState, h int32) uint8 {
+func classify(ts TaskState, h int32) uint8 {
 	if ts.LastProbe < 0 {
 		return classCold // never probed
 	}
-	if ts.FlipHour >= 0 && h-ts.FlipHour <= int32(c.FlipWindow) {
+	if ts.FlipHour >= 0 && h-ts.FlipHour <= DefaultFlipWindow {
 		return classFlipped
 	}
-	cold := ts.LastHit < 0 || ts.LastHit <= h-int32(c.TTLHours)
+	cold := ts.LastHit < 0 || ts.LastHit <= h-DefaultTTLHours
 	if cold {
 		return classCold
 	}
-	if ts.LastHit <= h-int32(c.TTLHours-c.DecayMargin) {
+	if ts.LastHit <= h-(DefaultTTLHours-DefaultDecayMargin) {
 		return classDecaying
 	}
 	return classStable
@@ -72,7 +72,7 @@ func (s *State) schedule(h int32) (sel [][]int, scheduled int) {
 		if n == 0 {
 			continue
 		}
-		budget := int(s.Cfg.BudgetFrac * float64(n))
+		budget := int(DefaultBudgetFrac * float64(n))
 		if budget < 1 {
 			budget = 1
 		}
@@ -89,7 +89,7 @@ func (s *State) schedule(h int32) (sel [][]int, scheduled int) {
 			key = append(key, '/')
 			key = strconv.AppendInt(key, int64(ti), 10)
 			cands[ti] = cand{
-				class: s.Cfg.classify(s.Tasks[pi][ti], h),
+				class: classify(s.Tasks[pi][ti], h),
 				rot:   s.Cfg.Seed.Hash64B(key),
 				ti:    ti,
 			}

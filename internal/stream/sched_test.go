@@ -10,8 +10,7 @@ func testConfig() Config {
 }
 
 func TestClassifyLadder(t *testing.T) {
-	c := testConfig() // ttl 6, flip window 2, margin 2
-	h := int32(10)
+	h := int32(10) // ttl 6, flip window 2, margin 2
 	cases := []struct {
 		name string
 		ts   TaskState
@@ -26,7 +25,7 @@ func TestClassifyLadder(t *testing.T) {
 		{"fresh hit, stable", TaskState{LastProbe: 9, LastHit: 9, FlipHour: -1, PrevHit: true}, classStable},
 	}
 	for _, tc := range cases {
-		if got := c.classify(tc.ts, h); got != tc.want {
+		if got := classify(tc.ts, h); got != tc.want {
 			t.Errorf("%s: class = %d, want %d", tc.name, got, tc.want)
 		}
 	}
@@ -35,9 +34,8 @@ func TestClassifyLadder(t *testing.T) {
 // flipOverridesDecay: a flip within the window outranks everything, even
 // when the task is also decaying.
 func TestClassifyFlipOutranksDecay(t *testing.T) {
-	c := testConfig()
 	ts := TaskState{LastProbe: 9, LastHit: 5, FlipHour: 9, PrevHit: false}
-	if got := c.classify(ts, 10); got != classFlipped {
+	if got := classify(ts, 10); got != classFlipped {
 		t.Fatalf("class = %d, want flipped", got)
 	}
 }
@@ -107,19 +105,17 @@ func TestScheduleWithdrawnPoPGetsNothing(t *testing.T) {
 // Priority classes actually shape the selection: with a tight budget,
 // a decaying task beats stable tasks, and a flipped task beats both.
 func TestSchedulePriorityWins(t *testing.T) {
-	s := newTestState([]string{"fra"}, 20)
+	s := newTestState([]string{"fra"}, 6) // budget int(0.35*6) = 2 tasks
 	h := int32(10)
 	for i := range s.Tasks[0] {
 		// Everyone stable: probed and hit recently.
 		s.Tasks[0][i] = TaskState{LastProbe: 9, LastHit: 9, FlipHour: -1, PrevHit: true}
 	}
-	s.Tasks[0][7] = TaskState{LastProbe: 6, LastHit: 6, FlipHour: -1, PrevHit: true} // decaying
+	s.Tasks[0][5] = TaskState{LastProbe: 6, LastHit: 6, FlipHour: -1, PrevHit: true} // decaying
 	s.Tasks[0][3] = TaskState{LastProbe: 9, LastHit: 9, FlipHour: 9, PrevHit: true}  // flipped
-	// Budget = 2 tasks.
-	s.Cfg.BudgetFrac = 0.1
 	sel, _ := s.schedule(h)
-	if !reflect.DeepEqual(sel[0], []int{3, 7}) {
-		t.Fatalf("selection = %v, want the flipped task 3 and decaying task 7", sel[0])
+	if !reflect.DeepEqual(sel[0], []int{3, 5}) {
+		t.Fatalf("selection = %v, want the flipped task 3 and decaying task 5", sel[0])
 	}
 }
 

@@ -20,46 +20,32 @@ type Config struct {
 	Scale string
 	// Hours is the simulated stream length.
 	Hours int
-	// TTLHours is the evidence TTL: a hit keeps its scope live for this
-	// many hours after the hour it landed in.
-	TTLHours int
-	// BudgetFrac is the fraction of each PoP's task list probed per hour.
-	BudgetFrac float64
-	// FlipWindow is how many hours a flipped task stays in the top
-	// scheduler class.
-	FlipWindow int
-	// DecayMargin is how many hours before TTL expiry a live task enters
-	// the decaying class.
-	DecayMargin int
 	// EmitEvery emits the rolling serving artifact every N hours.
 	EmitEvery int
 	// Churn drives the world's evolution while the stream runs.
 	Churn churn.Config
 }
 
-// Default streaming parameters.
+// Streaming parameters.
 const (
-	DefaultTTLHours    = 6
-	DefaultBudgetFrac  = 0.35
-	DefaultFlipWindow  = 2
+	// DefaultTTLHours is the evidence TTL: a hit keeps its scope live for
+	// this many hours after the hour it landed in.
+	DefaultTTLHours = 6
+	// DefaultBudgetFrac is the fraction of each PoP's task list probed
+	// per hour.
+	DefaultBudgetFrac = 0.35
+	// DefaultFlipWindow is how many hours a flipped task stays in the top
+	// scheduler class.
+	DefaultFlipWindow = 2
+	// DefaultDecayMargin is how many hours before TTL expiry a live task
+	// enters the decaying class.
 	DefaultDecayMargin = 2
-	DefaultEmitEvery   = 1
+	// DefaultEmitEvery is Config.EmitEvery's value when unset.
+	DefaultEmitEvery = 1
 )
 
-// WithDefaults fills unset tuning knobs.
+// WithDefaults fills an unset EmitEvery.
 func (c Config) WithDefaults() Config {
-	if c.TTLHours <= 0 {
-		c.TTLHours = DefaultTTLHours
-	}
-	if c.BudgetFrac <= 0 || c.BudgetFrac > 1 {
-		c.BudgetFrac = DefaultBudgetFrac
-	}
-	if c.FlipWindow <= 0 {
-		c.FlipWindow = DefaultFlipWindow
-	}
-	if c.DecayMargin <= 0 || c.DecayMargin >= c.TTLHours {
-		c.DecayMargin = DefaultDecayMargin
-	}
 	if c.EmitEvery <= 0 {
 		c.EmitEvery = DefaultEmitEvery
 	}
@@ -70,7 +56,7 @@ func (c Config) WithDefaults() Config {
 // for pipeline stage fingerprints.
 func (c Config) Fingerprint() string {
 	return fmt.Sprintf("hours=%d ttl=%d budget=%g flip=%d margin=%d emit=%d churn=%s",
-		c.Hours, c.TTLHours, c.BudgetFrac, c.FlipWindow, c.DecayMargin, c.EmitEvery,
+		c.Hours, DefaultTTLHours, DefaultBudgetFrac, DefaultFlipWindow, DefaultDecayMargin, c.EmitEvery,
 		c.Churn.Fingerprint())
 }
 
@@ -205,7 +191,7 @@ func NewState(cfg Config, plan []churn.Event, asg *cacheprobe.Assignments) *Stat
 	s := &State{
 		Cfg:             cfg,
 		Plan:            plan,
-		Ledger:          NewLedger(int32(cfg.TTLHours)),
+		Ledger:          NewLedger(DefaultTTLHours),
 		Withdrawn:       make(map[string]bool),
 		ChromiumOffHour: -1,
 	}

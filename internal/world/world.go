@@ -251,6 +251,17 @@ var (
 	ScaleLarge  = Scale{Name: "large", NumASes: 9000, MeanBlocks24: 30, UsersPerSlash24: 600}
 )
 
+// ScaleByName returns the predefined scale called name ("tiny", "small",
+// "medium" or "large"); ok is false for any other name.
+func ScaleByName(name string) (Scale, bool) {
+	for _, s := range []Scale{ScaleTiny, ScaleSmall, ScaleMedium, ScaleLarge} {
+		if s.Name == name {
+			return s, true
+		}
+	}
+	return Scale{}, false
+}
+
 // Params are the behavioural knobs of the generated Internet. Defaults are
 // calibrated so the measurement pipelines land in the qualitative bands the
 // paper reports (see the calibration tests in internal/experiments).

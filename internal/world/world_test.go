@@ -56,6 +56,19 @@ func TestGenerateSeedSensitive(t *testing.T) {
 	}
 }
 
+func TestScaleByName(t *testing.T) {
+	for _, want := range []Scale{ScaleTiny, ScaleSmall, ScaleMedium, ScaleLarge} {
+		if got, ok := ScaleByName(want.Name); !ok || got != want {
+			t.Errorf("ScaleByName(%q) = %+v, %v", want.Name, got, ok)
+		}
+	}
+	for _, name := range []string{"", "huge", "Tiny"} {
+		if _, ok := ScaleByName(name); ok {
+			t.Errorf("ScaleByName(%q) accepted", name)
+		}
+	}
+}
+
 func TestGenerateInvalidConfig(t *testing.T) {
 	if _, err := Generate(Config{}); err == nil {
 		t.Error("zero config accepted")

@@ -52,7 +52,7 @@ func main() {
 	}
 
 	auth := authdns.New(randx.Seed(*seed), domains.Catalog())
-	google := gpdns.NewServer(gpdns.Config{Seed: randx.Seed(*seed), Clock: clockx.Real{}}, router)
+	google := gpdns.NewServer(gpdns.Config{Clock: clockx.Real{}}, router)
 	google.SetUpstream(auth)
 	// Route every loopback source to the selected PoP.
 	google.SetClientRouter(func(netx.Addr) int { return popIdx })

@@ -1,8 +1,10 @@
-// Package clockx abstracts time for the measurement pipelines. Production
-// code paths (live probing over real sockets) use the wall clock; the
-// simulation paths run a 120-hour probing campaign in milliseconds on a
-// manually advanced simulated clock, with cache TTLs, rate limits and
-// diurnal activity all driven by the same time source.
+// Package clockx abstracts time for the measurement pipelines. The
+// measurement core (cacheprobe, faults, health) runs only on the
+// simulated clock: a 120-hour probing campaign takes milliseconds, with
+// cache TTLs, rate limits and diurnal activity all driven by the same
+// time source. The wall clock serves the live-socket surfaces: gpdns
+// behind cachescan -serve, dnsnet's token bucket in liveprobe, and the
+// serving daemon and its limiter.
 package clockx
 
 import (

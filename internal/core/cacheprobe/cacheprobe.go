@@ -41,8 +41,7 @@ type Vantage struct {
 	Coord geo.Coord
 	// Addr is the VM's source address as servers see it.
 	Addr netx.Addr
-	// Exchanger carries DNS messages (in-memory in simulation, TCP/UDP
-	// sockets in live mode).
+	// Exchanger carries DNS messages (the in-memory simulated transport).
 	Exchanger dnsnet.Exchanger
 	// Server is the Google Public DNS endpoint name for the exchanger.
 	Server string
@@ -57,8 +56,10 @@ type Authoritative struct {
 
 // Config parameterizes a campaign. Zero fields take the paper's values.
 type Config struct {
-	Seed  randx.Seed
-	Clock clockx.Clock
+	Seed randx.Seed
+	// Clock is the campaign's simulated clock (required): probes carry
+	// their scheduled time on the context, and nothing ever sleeps.
+	Clock *clockx.Sim
 
 	// Domains are the probe domains (the paper's four Alexa picks plus
 	// the Microsoft validation domain).
@@ -100,7 +101,7 @@ type Config struct {
 	// FaultCounters, when the transports are wrapped in fault injectors,
 	// shares the injector counters so every stage can fold its delta of
 	// injected faults into Campaign.Faults. Nil means the substrate is
-	// fault-free (live probing, or simulation without -faults).
+	// fault-free (simulation without -faults).
 	FaultCounters *faults.Counters
 
 	// Health, when set, is the degradation layer's breaker tracker (the
@@ -123,9 +124,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Clock == nil {
-		c.Clock = clockx.Real{}
-	}
 	if c.Redundancy <= 0 {
 		c.Redundancy = 5
 	}

@@ -111,15 +111,6 @@ func (p *Prober) stageFaults(camp *Campaign) func() {
 	}
 }
 
-// scheduleCtx stamps ctx with the probe's scheduled time in simulation.
-// Live probing (real clock) keeps genuine arrival times instead.
-func (p *Prober) scheduleCtx(ctx context.Context, at time.Time) context.Context {
-	if _, isSim := p.cfg.Clock.(*clockx.Sim); isSim {
-		return clockx.WithTime(ctx, at)
-	}
-	return ctx
-}
-
 // snoop sends one non-recursive ECS probe on the caller's reused scratch
 // query q and reports (hit, response scope). Timeouts and errors count as
 // misses, as in live probing — but with a retry policy configured, each
@@ -358,7 +349,7 @@ func (p *Prober) Calibrate(ctx context.Context, pops map[string]*Vantage, camp *
 	sample := p.calibrationSample()
 	popNames := sortedPoPs(pops)
 	now := p.cfg.Clock.Now()
-	sctx := p.scheduleCtx(ctx, now)
+	sctx := clockx.WithTime(ctx, now)
 	fin := p.stageFaults(camp)
 	defer fin()
 	finM := p.stageMetrics(camp)
@@ -632,13 +623,10 @@ func (p *Prober) ProbePassDelta(ctx context.Context, pops map[string]*Vantage, a
 }
 
 // FinishProbing places the simulated clock at the campaign end, for
-// everything downstream that reads "time after the campaign". The
-// sequential prober left the Sim clock where its last scheduled probe put
-// it; the staged one never moves it mid-run. Real clocks are untouched.
+// everything downstream that reads "time after the campaign": the staged
+// prober never moves the clock mid-run.
 func (p *Prober) FinishProbing(start time.Time) {
-	if sim, ok := p.cfg.Clock.(*clockx.Sim); ok {
-		sim.Set(start.Add(p.cfg.Duration))
-	}
+	p.cfg.Clock.Set(start.Add(p.cfg.Duration))
 }
 
 // sortedPoPs returns the PoP names in sorted order — the canonical

@@ -16,17 +16,17 @@ import (
 )
 
 // Retry is the per-query retry policy. The zero value means a single try
-// — the paper's live behaviour, where a timeout simply counts as a miss.
+// — the paper's behaviour, where a timeout simply counts as a miss.
 type Retry struct {
 	// Attempts is the total tries per logical query (1 = no retries).
 	Attempts int
-	// Timeout bounds each try on real clocks (simulated exchanges are
-	// instantaneous, so no timer is armed there).
+	// Timeout only keys fingerprints: it keeps parsing and printing so
+	// existing -retries specs and pinned stage fingerprints hold, but
+	// simulated exchanges are instantaneous and nothing arms a timer.
 	Timeout time.Duration
 	// Backoff is the base delay before the first retry; it doubles per
-	// retry, plus a hash-derived jitter of up to one base interval. On
-	// scheduled (simulated) queries the delay shifts the scheduled
-	// timestamp; on real clocks it sleeps.
+	// retry, plus a hash-derived jitter of up to one base interval. The
+	// delay shifts a scheduled query's timestamp; nothing sleeps.
 	Backoff time.Duration
 	// BudgetPerPoP caps the extra tries one PoP may spend per campaign
 	// stage — the stand-in for drawing retries from the per-PoP rate
@@ -178,18 +178,19 @@ func (p *Prober) retryAllowance(scope string, ti, tasks int) int {
 
 // exchange performs one logical query under the retry policy: up to
 // Retry.Attempts tries, exponential backoff between tries with a
-// hash-derived jitter shifting the scheduled timestamp (or sleeping, on
-// real clocks), each retry tagged with its attempt number so the fault
-// layer draws an independent decision for it. Truncated responses are
-// treated as retryable failures — the re-query models the TC=1 → TCP
+// hash-derived jitter shifting the query's scheduled timestamp, each
+// retry tagged with its attempt number so the fault layer draws an
+// independent decision for it. An unscheduled query (PoP discovery, the
+// pre-scan) counts its backoff but is not shifted. Truncated responses
+// are treated as retryable failures — the re-query models the TC=1 → TCP
 // fallback. key must identify the logical query (the txid content key
 // plus redundancy attempt); acct may be nil (no budget, no accounting).
 func (p *Prober) exchange(ctx context.Context, ex dnsnet.Exchanger, server string, q *dnswire.Message, key []byte, acct *retryAccount) (*dnswire.Message, error) {
 	r := p.cfg.Retry
-	if !r.Enabled() && r.Timeout <= 0 && !p.hedging(acct) {
+	if !r.Enabled() && !p.hedging(acct) {
 		// Zero-value fast path: Attempts ≤ 1 means a single try, and
-		// with no timeout to arm and no hedge partner there is nothing
-		// for the loop below to add.
+		// with no hedge partner there is nothing for the loop below to
+		// add.
 		return ex.Exchange(ctx, server, q)
 	}
 	// Attempts=0 (the zero value) means a single try, same as 1.
@@ -202,7 +203,6 @@ func (p *Prober) exchange(ctx context.Context, ex dnsnet.Exchanger, server strin
 		extra = acct.remaining
 		clamped = true
 	}
-	_, sim := p.cfg.Clock.(*clockx.Sim)
 
 	var (
 		resp  *dnswire.Message
@@ -229,17 +229,10 @@ func (p *Prober) exchange(ctx context.Context, ex dnsnet.Exchanger, server strin
 			delay += step
 			if t, ok := clockx.TimeFrom(ctx); ok {
 				tctx = clockx.WithTime(ctx, t.Add(delay))
-			} else if !sim && step > 0 {
-				p.cfg.Clock.Sleep(step)
 			}
 			tctx = faults.WithAttempt(tctx, try)
 		}
-		cancel := context.CancelFunc(func() {})
-		if r.Timeout > 0 && !sim {
-			tctx, cancel = context.WithTimeout(tctx, r.Timeout)
-		}
 		resp, err = p.tryOnce(tctx, ex, server, q, key, try, acct)
-		cancel()
 		if ok := err == nil && resp != nil && !resp.Truncated; ok || try >= extra {
 			break
 		}

@@ -7,69 +7,80 @@ import (
 	"testing"
 	"time"
 
+	"clientmap/internal/clockx"
 	"clientmap/internal/dnswire"
 	"clientmap/internal/randx"
 )
 
-// countingExchanger fails the first `failures` exchanges and counts calls.
+// countingExchanger fails the first `failures` exchanges, counts calls
+// and records each try's scheduled timestamp.
 type countingExchanger struct {
 	calls    int
 	failures int
+	times    []time.Time
 }
 
 func (e *countingExchanger) Exchange(ctx context.Context, server string, q *dnswire.Message) (*dnswire.Message, error) {
 	e.calls++
+	t, _ := clockx.TimeFrom(ctx)
+	e.times = append(e.times, t)
 	if e.calls <= e.failures {
 		return nil, errors.New("synthetic failure")
 	}
 	return &dnswire.Message{ID: q.ID}, nil
 }
 
-// countingClock is a non-simulated clock that records how often the retry
-// loop armed a backoff timer. It is deliberately not a *clockx.Sim, so
-// exchange takes the real-clock path where Backoff > 0 means Sleep.
-type countingClock struct {
-	sleeps int
-}
-
-func (c *countingClock) Now() time.Time        { return time.Unix(0, 0) }
-func (c *countingClock) Sleep(d time.Duration) { c.sleeps++ }
-
 // TestRetryZeroValues pins the Retry policy's zero-value edge cases:
-// Attempts=0 (the zero value) means exactly one try, Backoff=0 never arms
-// a timer between tries, and the retry loop only sleeps when a positive
-// backoff demands it.
+// Attempts=0 (the zero value) means exactly one try, Backoff=0 schedules
+// every retry at its predecessor's time, and a positive backoff schedules
+// each retry later — without ever moving the shared clock.
 func TestRetryZeroValues(t *testing.T) {
 	cases := []struct {
 		name       string
 		retry      Retry
-		failures   int // exchanges that fail before one succeeds
+		hedge      bool // give the query a hedge partner
+		failures   int  // exchanges that fail before one succeeds
 		wantCalls  int
-		wantSleeps int
+		wantShifts int // retries scheduled later than the try before
 	}{
 		{name: "zero value is a single try", retry: Retry{}, failures: 99, wantCalls: 1},
-		// Timeout > 0 forces the retry loop (not the fast path); the
+		// A hedge partner forces the retry loop (not the fast path); the
 		// zero Attempts must still mean one try, like Attempts=1.
-		{name: "attempts zero means one try in the loop", retry: Retry{Timeout: time.Second}, failures: 99, wantCalls: 1},
+		{name: "attempts zero means one try in the loop", retry: Retry{}, hedge: true, failures: 99, wantCalls: 1},
 		{name: "attempts one never retries", retry: Retry{Attempts: 1, Backoff: 10 * time.Millisecond, Timeout: time.Second}, failures: 99, wantCalls: 1},
-		{name: "backoff zero never arms a timer", retry: Retry{Attempts: 3}, failures: 99, wantCalls: 3, wantSleeps: 0},
-		{name: "positive backoff sleeps once per retry", retry: Retry{Attempts: 3, Backoff: time.Nanosecond}, failures: 99, wantCalls: 3, wantSleeps: 2},
-		{name: "first-try success never sleeps", retry: Retry{Attempts: 3, Backoff: time.Nanosecond}, failures: 0, wantCalls: 1, wantSleeps: 0},
+		{name: "backoff zero never shifts a retry", retry: Retry{Attempts: 3}, failures: 99, wantCalls: 3, wantShifts: 0},
+		{name: "positive backoff shifts every retry", retry: Retry{Attempts: 3, Backoff: time.Nanosecond}, failures: 99, wantCalls: 3, wantShifts: 2},
+		{name: "first-try success never shifts", retry: Retry{Attempts: 3, Backoff: time.Nanosecond}, failures: 0, wantCalls: 1, wantShifts: 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			if err := tc.retry.Validate(); err != nil {
 				t.Fatalf("policy unexpectedly invalid: %v", err)
 			}
-			clk := &countingClock{}
+			clk := clockx.NewSim(clockx.Epoch)
 			ex := &countingExchanger{failures: tc.failures}
 			p := &Prober{cfg: Config{Seed: randx.Seed(7), Clock: clk, Retry: tc.retry}}
-			_, _ = p.exchange(context.Background(), ex, "test", &dnswire.Message{}, []byte("zero/test"), nil)
+			var acct *retryAccount
+			if tc.hedge {
+				p.hedgeAfter = time.Millisecond
+				acct = &retryAccount{remaining: -1, hedge: &hedgeOption{ex: &countingExchanger{failures: 99}, server: "hedge"}}
+			}
+			ctx := clockx.WithTime(context.Background(), clockx.Epoch.Add(time.Hour))
+			_, _ = p.exchange(ctx, ex, "test", &dnswire.Message{}, []byte("zero/test"), acct)
 			if ex.calls != tc.wantCalls {
 				t.Errorf("exchanges = %d, want %d", ex.calls, tc.wantCalls)
 			}
-			if clk.sleeps != tc.wantSleeps {
-				t.Errorf("backoff sleeps = %d, want %d", clk.sleeps, tc.wantSleeps)
+			shifts := 0
+			for i := 1; i < len(ex.times); i++ {
+				if ex.times[i].After(ex.times[i-1]) {
+					shifts++
+				}
+			}
+			if shifts != tc.wantShifts {
+				t.Errorf("retries scheduled later = %d, want %d (times %v)", shifts, tc.wantShifts, ex.times)
+			}
+			if !clk.Now().Equal(clockx.Epoch) {
+				t.Errorf("retry loop moved the clock to %v", clk.Now())
 			}
 		})
 	}

@@ -233,7 +233,6 @@ func (p *Prober) ProbeShard(ctx context.Context, pops map[string]*Vantage, asg *
 // block) batches from a flat list; workers write only their own slots,
 // so the outcome is the same for any worker count. Callers hold execMu.
 func (p *Prober) execUnits(ctx context.Context, pops map[string]*Vantage, asg *Assignments, pass int, passStart time.Time, passWindow time.Duration, plans []popPlan, units []ShardUnit, out [][]probeResult) {
-	_, isSim := p.cfg.Clock.(*clockx.Sim)
 	type batch struct{ ui, lo, hi int } // tasks [lo, hi) of units[ui], unit-relative
 	var batches []batch
 	delays := make([]*metrics.Histogram, len(units))
@@ -265,12 +264,7 @@ func (p *Prober) execUnits(ctx context.Context, pops map[string]*Vantage, asg *A
 		keyBuf = append(keyBuf, pop...)
 		keyBuf = append(keyBuf, '/')
 		popLen := len(keyBuf)
-		tctx := ctx
-		var carrier *clockx.TimeCarrier
-		if isSim {
-			carrier = &clockx.TimeCarrier{Context: ctx}
-			tctx = carrier
-		}
+		carrier := &clockx.TimeCarrier{Context: ctx}
 		var hedge hedgeOption
 		for i := b.lo; i < b.hi; i++ {
 			// ti is the task's global index in the PoP's full list:
@@ -289,9 +283,7 @@ func (p *Prober) execUnits(ctx context.Context, pops map[string]*Vantage, asg *A
 				r.retry.hedge = &hedge
 			}
 			offset := time.Duration(float64(passWindow) * float64(ti) / float64(len(tasks)+1))
-			if carrier != nil {
-				carrier.T = passStart.Add(offset)
-			}
+			carrier.T = passStart.Add(offset)
 			r.retry.remaining = p.retryAllowance(allowScopes[b.ui], ti, len(tasks))
 			r.retry.delays = delays[b.ui]
 			key := append(keyBuf[:popLen], tk.domain...)
@@ -301,11 +293,11 @@ func (p *Prober) execUnits(ctx context.Context, pops map[string]*Vantage, asg *A
 			base := p.txidBase(key)
 			for a := 0; a < p.cfg.Redundancy; a++ {
 				ak := strconv.AppendInt(append(key[:kLen], '/'), int64(a), 10)
-				hit, respScope := p.snoop(tctx, pv, q, txidAt(base, a), tk.domain, tk.scope, ak, &r.retry)
+				hit, respScope := p.snoop(carrier, pv, q, txidAt(base, a), tk.domain, tk.scope, ak, &r.retry)
 				r.probes++
 				if hit {
 					r.hit, r.respScope = true, respScope
-					r.at = clockx.NowIn(tctx, p.cfg.Clock)
+					r.at = carrier.T
 					break
 				}
 			}

@@ -181,12 +181,6 @@ func (e ECS) SourcePrefix() netx.Prefix {
 	return netx.PrefixFrom(e.Addr, int(e.SourcePrefixLen))
 }
 
-// ScopePrefix returns the ECS scope as a netx.Prefix anchored at the option
-// address.
-func (e ECS) ScopePrefix() netx.Prefix {
-	return netx.PrefixFrom(e.Addr, int(e.ScopePrefixLen))
-}
-
 // EDNS is the OPT pseudo-record state of a message.
 type EDNS struct {
 	// UDPSize is the requestor's advertised maximum UDP payload.

@@ -50,8 +50,8 @@ type Config struct {
 	// failure, the re-query modelling the TC=1 → TCP fallback.
 	Trunc float64
 	// Jitter is the maximum extra latency per query; the injected delay
-	// is a hash-derived fraction of it. On scheduled (simulated) queries
-	// the delay shifts the scheduled timestamp; on real clocks it sleeps.
+	// is a hash-derived fraction of it, shifting a scheduled query's
+	// timestamp; nothing sleeps.
 	Jitter time.Duration
 	// Outages are windowed per-target blackouts: every query to a
 	// matching target inside the window is dropped.
@@ -391,7 +391,7 @@ type Injector struct {
 	cfg      Config
 	target   string
 	epoch    time.Time
-	clock    clockx.Clock
+	clock    *clockx.Sim
 	counters *Counters
 	next     dnsnet.Exchanger
 }
@@ -399,12 +399,9 @@ type Injector struct {
 // New wraps next in a fault injector. target labels this transport path
 // (a vantage name, "auth") for per-target outages and hash keying; epoch
 // anchors outage windows (the campaign start); clock resolves "now" for
-// unscheduled queries and sleeps real-clock jitter. counters may be
-// shared across injectors and may be nil.
-func New(cfg Config, target string, epoch time.Time, clock clockx.Clock, counters *Counters, next dnsnet.Exchanger) *Injector {
-	if clock == nil {
-		clock = clockx.Real{}
-	}
+// unscheduled queries. counters may be shared across injectors and may
+// be nil.
+func New(cfg Config, target string, epoch time.Time, clock *clockx.Sim, counters *Counters, next dnsnet.Exchanger) *Injector {
 	if counters == nil {
 		counters = &Counters{}
 	}
@@ -414,9 +411,9 @@ func New(cfg Config, target string, epoch time.Time, clock clockx.Clock, counter
 // Counters returns the injector's (possibly shared) counters.
 func (in *Injector) Counters() *Counters { return in.counters }
 
-// delay injects d of latency: on scheduled (simulated) queries it shifts
-// the scheduled timestamp, on real clocks it sleeps. Either way the
-// latency meter (if any) observes it.
+// delay injects d of latency: on scheduled queries it shifts the
+// scheduled timestamp; an unscheduled query is left as it is. Either way
+// the latency meter (if any) observes it.
 func (in *Injector) delay(ctx context.Context, d time.Duration) context.Context {
 	if d <= 0 {
 		return ctx
@@ -425,9 +422,6 @@ func (in *Injector) delay(ctx context.Context, d time.Duration) context.Context 
 	if t, ok := clockx.TimeFrom(ctx); ok {
 		// Scheduled query: the delay shifts when the server sees it.
 		return clockx.WithTime(ctx, t.Add(d))
-	}
-	if _, sim := in.clock.(*clockx.Sim); !sim {
-		in.clock.Sleep(d)
 	}
 	return ctx
 }

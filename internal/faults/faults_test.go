@@ -22,7 +22,7 @@ func (okExchanger) Exchange(_ context.Context, _ string, q *dnswire.Message) (*d
 	return r, nil
 }
 
-func newInjector(cfg Config, clock clockx.Clock) *Injector {
+func newInjector(cfg Config, clock *clockx.Sim) *Injector {
 	if cfg.Seed == 0 {
 		cfg.Seed = randx.Seed(7)
 	}

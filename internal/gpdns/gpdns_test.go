@@ -20,7 +20,7 @@ const vantageAddr = netx.Addr(0x64400001) // 100.64.0.1
 func testServer(t testing.TB, clock clockx.Clock) (*Server, *authdns.Server, *anycast.Router) {
 	t.Helper()
 	router := anycast.NewRouter(21, anycast.Catalog())
-	srv := NewServer(Config{Seed: 21, Clock: clock}, router)
+	srv := NewServer(Config{Clock: clock}, router)
 	auth := authdns.New(21, domains.Catalog())
 	srv.SetUpstream(auth)
 	srv.RegisterVantage(vantageAddr, 0) // PoP 0 = dls
@@ -211,7 +211,7 @@ func lazySetup(t testing.TB, seed int) (*Server, *traffic.Model, *anycast.Router
 	model := traffic.NewModel(w, router, traffic.DefaultTunables())
 	clock := clockx.NewSim(time.Time{})
 	clock.Set(clockx.Epoch.Add(12 * time.Hour))
-	srv := NewServer(Config{Seed: 31, Clock: clock}, router)
+	srv := NewServer(Config{Clock: clock}, router)
 	srv.SetLazyFill(NewLazyFill(model, PoolsPerPoP))
 	return srv, model, router
 }

@@ -12,7 +12,6 @@ import (
 	"clientmap/internal/dnswire"
 	"clientmap/internal/metrics"
 	"clientmap/internal/netx"
-	"clientmap/internal/randx"
 )
 
 // MyAddrDomain is the diagnostic name whose TXT answer reveals which PoP a
@@ -34,7 +33,6 @@ const (
 
 // Config configures the simulator.
 type Config struct {
-	Seed  randx.Seed
 	Clock clockx.Clock
 	// Metrics, when set, mirrors the server's counters into the shared
 	// registry under "gpdns/…" — queries, cache hits, rate-limit drops,

@@ -23,12 +23,9 @@ var ErrOpen = errors.New("health: circuit open")
 // fault injector — so the breaker judges exactly what the caller sees,
 // injected faults included, and its fast-fails never pollute the
 // window sums (a rejected query says nothing about the target).
-func Wrap(t *Tracker, target string, clock clockx.Clock, next dnsnet.Exchanger) dnsnet.Exchanger {
+func Wrap(t *Tracker, target string, clock *clockx.Sim, next dnsnet.Exchanger) dnsnet.Exchanger {
 	if t == nil {
 		return next
-	}
-	if clock == nil {
-		clock = clockx.Real{}
 	}
 	return &breakerExchanger{
 		t:        t,
@@ -42,7 +39,7 @@ func Wrap(t *Tracker, target string, clock clockx.Clock, next dnsnet.Exchanger) 
 type breakerExchanger struct {
 	t        *Tracker
 	target   string
-	clock    clockx.Clock
+	clock    *clockx.Sim
 	next     dnsnet.Exchanger
 	fastFail *metrics.Counter
 }

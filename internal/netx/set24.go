@@ -96,16 +96,6 @@ func (s *Set24) Range(fn func(Slash24) bool) {
 	}
 }
 
-// Members returns all members in ascending order.
-func (s *Set24) Members() []Slash24 {
-	out := make([]Slash24, 0, s.count)
-	s.Range(func(p Slash24) bool {
-		out = append(out, p)
-		return true
-	})
-	return out
-}
-
 // Clone returns a deep copy of the set.
 func (s *Set24) Clone() *Set24 {
 	c := &Set24{words: make([]uint64, len(s.words)), count: s.count}

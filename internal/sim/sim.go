@@ -82,7 +82,7 @@ func New(cfg Config) (*System, error) {
 	clock := clockx.NewSim(clockx.Epoch)
 
 	auth := authdns.New(cfg.Seed, domains.Catalog())
-	google := gpdns.NewServer(gpdns.Config{Seed: cfg.Seed, Clock: clock, Metrics: cfg.Metrics}, router)
+	google := gpdns.NewServer(gpdns.Config{Clock: clock, Metrics: cfg.Metrics}, router)
 	google.SetUpstream(auth)
 	google.SetLazyFill(gpdns.NewLazyFill(model, gpdns.PoolsPerPoP))
 

@@ -210,9 +210,6 @@ func (w *World) TotalUsers() float64 {
 	return t
 }
 
-// CountryOf returns the country code of an AS index.
-func (w *World) CountryOf(asIdx int32) string { return w.ASes[asIdx].Country }
-
 // GoogleAS returns the synthetic Google AS.
 func (w *World) GoogleAS() *AS { return w.ASes[w.googleASIdx] }
 

@@ -326,7 +326,7 @@ func BenchmarkAblationUDPvsTCP(b *testing.B) {
 			if transport == "tcp" {
 				handler = s.Google.TCP()
 			}
-			v := s.Vantages()[0]
+			v := s.Vantages[0]
 			s.Google.RegisterVantage(v.Addr, 0)
 			scope := netx.MustParsePrefix("100.99.0.0/24")
 			dropped := 0

@@ -127,15 +127,6 @@ func (c *CDF) Quantile(q float64) float64 {
 	return c.xs[idx]
 }
 
-// FractionBelow returns P(X <= x).
-func (c *CDF) FractionBelow(x float64) float64 {
-	if len(c.xs) == 0 {
-		return math.NaN()
-	}
-	n := sort.SearchFloat64s(c.xs, math.Nextafter(x, math.Inf(1)))
-	return float64(n) / float64(len(c.xs))
-}
-
 // Points returns n evenly spaced (x, cumulative fraction) pairs for
 // plotting.
 func (c *CDF) Points(n int) [][2]float64 {

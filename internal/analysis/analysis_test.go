@@ -71,15 +71,6 @@ func TestCDF(t *testing.T) {
 	if got := c.Quantile(0.5); got != 3 {
 		t.Errorf("median = %v", got)
 	}
-	if got := c.FractionBelow(2); got != 0.4 {
-		t.Errorf("FractionBelow(2) = %v", got)
-	}
-	if got := c.FractionBelow(0); got != 0 {
-		t.Errorf("FractionBelow(0) = %v", got)
-	}
-	if got := c.FractionBelow(10); got != 1 {
-		t.Errorf("FractionBelow(10) = %v", got)
-	}
 	pts := c.Points(3)
 	if len(pts) != 3 || pts[0][0] != 1 || pts[2][0] != 5 {
 		t.Errorf("Points = %v", pts)

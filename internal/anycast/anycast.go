@@ -206,23 +206,3 @@ func (r *Router) PoPForVantage(c geo.Coord) int {
 	}
 	return order[0]
 }
-
-// ExpectedLoad returns, for the given per-prefix weights, the total weight
-// routed to each PoP index. It is used to derive each site's share of
-// query traffic (appendix A.1's "95% of queries" check).
-func (r *Router) ExpectedLoad(prefixes []netx.Slash24, coords []geo.Coord, weights []float64) map[int]float64 {
-	load := make(map[int]float64)
-	for i, p := range prefixes {
-		w := 1.0
-		if weights != nil {
-			w = weights[i]
-		}
-		load[r.PoPForClient(p, coords[i])] += w
-	}
-	return load
-}
-
-// MaxServiceRadiusKm is the cap used when a calibrated per-PoP radius is
-// unavailable; the paper cites 5,524 km (Zurich's radius) as the maximum
-// observed.
-const MaxServiceRadiusKm = 5524.0

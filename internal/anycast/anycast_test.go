@@ -129,30 +129,6 @@ func TestVantagesCoverAllProbedPoPs(t *testing.T) {
 	}
 }
 
-func TestExpectedLoad(t *testing.T) {
-	r := NewRouter(6, Catalog())
-	prefixes := []netx.Slash24{1, 2, 3}
-	coords := []geo.Coord{{Lat: 52, Lon: 5}, {Lat: 52, Lon: 5}, {Lat: 35.6, Lon: 139.7}}
-	weights := []float64{1, 2, 4}
-	load := r.ExpectedLoad(prefixes, coords, weights)
-	var total float64
-	for _, v := range load {
-		total += v
-	}
-	if total != 7 {
-		t.Errorf("total load %v, want 7", total)
-	}
-	// Nil weights default to 1 each.
-	load = r.ExpectedLoad(prefixes, coords, nil)
-	total = 0
-	for _, v := range load {
-		total += v
-	}
-	if total != 3 {
-		t.Errorf("unweighted total %v, want 3", total)
-	}
-}
-
 func TestRouterSeedChangesDetours(t *testing.T) {
 	a := NewRouter(10, Catalog())
 	b := NewRouter(11, Catalog())

@@ -1,8 +1,12 @@
 package apnic
 
 import (
+	"bufio"
 	"bytes"
+	"fmt"
+	"io"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -162,4 +166,44 @@ func TestLoadRejectsBadInput(t *testing.T) {
 	if err != nil || est.Users[64500] != 10.5 || est.Impressions[64500] != 3 {
 		t.Errorf("Load valid: %v %+v", err, est)
 	}
+}
+
+// Load parses the CSV form written by Save.
+func Load(r io.Reader) (*Estimates, error) {
+	e := &Estimates{
+		Users:        make(map[uint32]float64),
+		Impressions:  make(map[uint32]int),
+		CountryUsers: make(map[string]float64),
+	}
+	sc := bufio.NewScanner(r)
+	line := 0
+	for sc.Scan() {
+		line++
+		text := strings.TrimSpace(sc.Text())
+		if text == "" || text == "asn,users,impressions" || strings.HasPrefix(text, "#") {
+			continue
+		}
+		parts := strings.Split(text, ",")
+		if len(parts) != 3 {
+			return nil, fmt.Errorf("apnic: line %d: want 3 fields, got %d", line, len(parts))
+		}
+		asn, err := strconv.ParseUint(parts[0], 10, 32)
+		if err != nil {
+			return nil, fmt.Errorf("apnic: line %d: bad asn: %v", line, err)
+		}
+		users, err := strconv.ParseFloat(parts[1], 64)
+		if err != nil {
+			return nil, fmt.Errorf("apnic: line %d: bad users: %v", line, err)
+		}
+		impressions, err := strconv.Atoi(parts[2])
+		if err != nil {
+			return nil, fmt.Errorf("apnic: line %d: bad impressions: %v", line, err)
+		}
+		e.Users[uint32(asn)] = users
+		e.Impressions[uint32(asn)] = impressions
+	}
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	return e, nil
 }

@@ -5,8 +5,6 @@
 package asdb
 
 import (
-	"sort"
-
 	"clientmap/internal/world"
 )
 
@@ -90,32 +88,3 @@ func (db *DB) Category(asn uint32) (world.Category, bool) {
 
 // Len returns the number of categorized ASes.
 func (db *DB) Len() int { return len(db.categories) }
-
-// Breakdown categorizes a set of ASNs, returning per-category counts and
-// how many were uncategorized — the computation behind the paper's §4
-// analysis of ASes found by the new techniques but absent from APNIC.
-func (db *DB) Breakdown(asns []uint32) (counts map[world.Category]int, uncategorized int) {
-	counts = make(map[world.Category]int)
-	for _, asn := range asns {
-		if c, ok := db.categories[asn]; ok {
-			counts[c]++
-		} else {
-			uncategorized++
-		}
-	}
-	return counts, uncategorized
-}
-
-// Categories lists the categories present in the DB in deterministic order.
-func (db *DB) Categories() []world.Category {
-	seen := map[world.Category]bool{}
-	for _, c := range db.categories {
-		seen[c] = true
-	}
-	var out []world.Category
-	for c := range seen {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}

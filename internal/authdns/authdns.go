@@ -10,7 +10,6 @@ package authdns
 import (
 	"context"
 	"strconv"
-	"sync"
 
 	"clientmap/internal/dnsnet"
 	"clientmap/internal/dnswire"
@@ -29,23 +28,16 @@ type Server struct {
 	// aboxes holds each domain's A answer pre-boxed as an RData, so the
 	// per-query answer append does not re-box the interface value.
 	aboxes map[string]dnswire.RData
-
-	mu sync.Mutex
-	// queryLog, when enabled, records observed ECS source prefixes per
-	// domain (the ground truth behind the cloud ECS prefixes dataset).
-	logECS  bool
-	ecsSeen map[string]map[netx.Prefix]int
 }
 
 // New builds an authoritative server for the given domains. Each domain
 // gets a synthetic stable A record.
 func New(seed randx.Seed, catalog []domains.Domain) *Server {
 	s := &Server{
-		seed:    seed,
-		zones:   make(map[string]domains.Domain, len(catalog)),
-		addrs:   make(map[string]netx.Addr, len(catalog)),
-		aboxes:  make(map[string]dnswire.RData, len(catalog)),
-		ecsSeen: make(map[string]map[netx.Prefix]int),
+		seed:   seed,
+		zones:  make(map[string]domains.Domain, len(catalog)),
+		addrs:  make(map[string]netx.Addr, len(catalog)),
+		aboxes: make(map[string]dnswire.RData, len(catalog)),
 	}
 	for i, d := range catalog {
 		name := dnswire.CanonicalName(d.Name)
@@ -59,39 +51,11 @@ func New(seed randx.Seed, catalog []domains.Domain) *Server {
 	return s
 }
 
-// EnableECSLog starts recording ECS source prefixes seen in queries.
-func (s *Server) EnableECSLog() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.logECS = true
-}
-
-// ECSLog returns the recorded per-domain ECS prefixes and their counts.
-func (s *Server) ECSLog(domain string) map[netx.Prefix]int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[netx.Prefix]int, len(s.ecsSeen[domain]))
-	for p, n := range s.ecsSeen[dnswire.CanonicalName(domain)] {
-		out[p] = n
-	}
-	return out
-}
-
 // NaturalScope returns the stable response scope the authoritative assigns
-// for queries about src's address region, without flip noise. The scope is
-// a function of the domain and the containing MinBits-block, so nearby /24s
-// receive consistent scopes — the property the probe-reduction pre-scan
-// relies on.
-func (s *Server) NaturalScope(domain string, src netx.Prefix) netx.Prefix {
-	d, ok := s.zones[dnswire.CanonicalName(domain)]
-	if !ok || !d.SupportsECS {
-		return netx.PrefixFrom(src.Addr(), 0)
-	}
-	return NaturalScope(s.seed, d, src)
-}
-
-// NaturalScope is the package-level scope function, usable without a
-// Server by components that model client-driven cache fill.
+// for d's queries about src's address region, without flip noise. The
+// scope is a function of the domain and the containing MinBits-block, so
+// nearby /24s receive consistent scopes — the property the
+// probe-reduction pre-scan relies on.
 func NaturalScope(seed randx.Seed, d domains.Domain, src netx.Prefix) netx.Prefix {
 	band := d.Scope.MaxBits - d.Scope.MinBits + 1
 	block := netx.PrefixFrom(src.Addr(), d.Scope.MinBits)
@@ -194,17 +158,6 @@ func (s *Server) ServeDNS(_ context.Context, _ netx.Addr, q *dnswire.Message) *d
 	if q.EDNS != nil {
 		ecs = q.EDNS.ECS
 	}
-	if ecs != nil && s.logECS {
-		s.mu.Lock()
-		m := s.ecsSeen[qq.Name]
-		if m == nil {
-			m = make(map[netx.Prefix]int)
-			s.ecsSeen[qq.Name] = m
-		}
-		m[ecs.SourcePrefix()]++
-		s.mu.Unlock()
-	}
-
 	r.Answers = append(r.Answers, dnswire.RR{
 		Name:  qq.Name,
 		Class: dnswire.ClassINET,

@@ -143,23 +143,6 @@ func TestScopeStabilityDistribution(t *testing.T) {
 	}
 }
 
-func TestECSLogRecordsSources(t *testing.T) {
-	s := newTestServer()
-	s.EnableECSLog()
-	src := "198.51.100.0/24"
-	for i := 0; i < 3; i++ {
-		s.ServeDNS(context.Background(), 0, query("azcdn.trafficmanager.net", src))
-	}
-	log := s.ECSLog("azcdn.trafficmanager.net")
-	if log[netx.MustParsePrefix(src)] != 3 {
-		t.Errorf("ECS log = %v", log)
-	}
-	// Domains without queries have empty logs.
-	if len(s.ECSLog("www.google.com")) != 0 {
-		t.Error("unexpected entries for unqueried domain")
-	}
-}
-
 func TestNonECSDomainScopeZeroInResponse(t *testing.T) {
 	s := newTestServer()
 	r := s.ServeDNS(context.Background(), 0, query("www.amazon.com", "10.0.0.0/24"))
@@ -169,4 +152,14 @@ func TestNonECSDomainScopeZeroInResponse(t *testing.T) {
 	if r.EDNS.ECS.ScopePrefixLen != 0 {
 		t.Errorf("scope = %d, want 0 for non-ECS domain", r.EDNS.ECS.ScopePrefixLen)
 	}
+}
+
+// NaturalScope is the package-level NaturalScope for one of s's zones by
+// name, scope 0 for an unknown or non-ECS domain.
+func (s *Server) NaturalScope(domain string, src netx.Prefix) netx.Prefix {
+	d, ok := s.zones[dnswire.CanonicalName(domain)]
+	if !ok || !d.SupportsECS {
+		return netx.PrefixFrom(src.Addr(), 0)
+	}
+	return NaturalScope(s.seed, d, src)
 }

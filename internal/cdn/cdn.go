@@ -13,7 +13,6 @@ package cdn
 
 import (
 	"math"
-	"sort"
 	"time"
 
 	"clientmap/internal/domains"
@@ -146,45 +145,6 @@ func (c *Clients) Slash24s() *netx.Set24 {
 		s.Add(p)
 	}
 	return s
-}
-
-// VolumeOfSet sums the request volume of the dataset's prefixes that are
-// members of set — the "our prefixes cover 95.2% of Microsoft clients
-// volume" computation.
-func (c *Clients) VolumeOfSet(set *netx.Set24) int64 {
-	var total int64
-	for p, v := range c.Volume {
-		if set.Contains(p) {
-			total += v
-		}
-	}
-	return total
-}
-
-// TopResolvers returns resolver addresses by descending client count.
-func (r *Resolvers) TopResolvers(n int) []netx.Addr {
-	type kv struct {
-		addr  netx.Addr
-		count int64
-	}
-	all := make([]kv, 0, len(r.ClientIPs))
-	for a, c := range r.ClientIPs {
-		all = append(all, kv{a, c})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].count != all[j].count {
-			return all[i].count > all[j].count
-		}
-		return all[i].addr < all[j].addr
-	})
-	if n > len(all) {
-		n = len(all)
-	}
-	out := make([]netx.Addr, n)
-	for i := 0; i < n; i++ {
-		out[i] = all[i].addr
-	}
-	return out
 }
 
 // ECSSlash24s expands the ECS prefixes to their /24s as a set.

@@ -5,7 +5,6 @@ import (
 
 	"clientmap/internal/anycast"
 	"clientmap/internal/clockx"
-	"clientmap/internal/netx"
 	"clientmap/internal/traffic"
 	"clientmap/internal/world"
 )
@@ -109,30 +108,6 @@ func TestECSPrefixesAreClientSlash24s(t *testing.T) {
 	if len(ds.ECS.Queries) >= len(ds.Clients.Volume) {
 		t.Errorf("ECS view (%d) not smaller than HTTP view (%d)",
 			len(ds.ECS.Queries), len(ds.Clients.Volume))
-	}
-}
-
-func TestVolumeOfSet(t *testing.T) {
-	ds, _ := testDatasets(t, 61)
-	all := ds.Clients.Slash24s()
-	if got := ds.Clients.VolumeOfSet(all); got != ds.Clients.Total {
-		t.Errorf("full set volume %d != total %d", got, ds.Clients.Total)
-	}
-	if got := ds.Clients.VolumeOfSet(&netx.Set24{}); got != 0 {
-		t.Errorf("empty set volume %d", got)
-	}
-}
-
-func TestTopResolversOrdered(t *testing.T) {
-	ds, _ := testDatasets(t, 61)
-	top := ds.Resolvers.TopResolvers(10)
-	for i := 1; i < len(top); i++ {
-		if ds.Resolvers.ClientIPs[top[i-1]] < ds.Resolvers.ClientIPs[top[i]] {
-			t.Fatal("TopResolvers not descending")
-		}
-	}
-	if len(ds.Resolvers.ClientIPs) > 10 && len(top) != 10 {
-		t.Errorf("TopResolvers returned %d", len(top))
 	}
 }
 

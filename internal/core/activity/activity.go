@@ -20,7 +20,6 @@
 package activity
 
 import (
-	"math"
 	"sort"
 
 	"clientmap/internal/core/cacheprobe"
@@ -230,54 +229,4 @@ func (e *Estimator) HumanLikelihood() map[netx.Prefix]float64 {
 		}
 	}
 	return out
-}
-
-// RankCorrelation computes Spearman-style rank correlation between the
-// estimates and a ground-truth activity value per prefix (validation
-// helper; exported so the experiment harness and tests share it).
-func RankCorrelation(estimates []PrefixEstimate, truth func(netx.Prefix) (float64, bool)) float64 {
-	type pair struct{ est, truth float64 }
-	var pairs []pair
-	for _, e := range estimates {
-		if v, ok := truth(e.Prefix); ok {
-			pairs = append(pairs, pair{e.Activity, v})
-		}
-	}
-	if len(pairs) < 3 {
-		return 0
-	}
-	rank := func(get func(pair) float64) []float64 {
-		idx := make([]int, len(pairs))
-		for i := range idx {
-			idx[i] = i
-		}
-		sort.Slice(idx, func(a, b int) bool { return get(pairs[idx[a]]) < get(pairs[idx[b]]) })
-		r := make([]float64, len(pairs))
-		for pos, i := range idx {
-			r[i] = float64(pos)
-		}
-		return r
-	}
-	ra := rank(func(p pair) float64 { return p.est })
-	rb := rank(func(p pair) float64 { return p.truth })
-	// Pearson correlation of the ranks.
-	n := float64(len(pairs))
-	var ma, mb float64
-	for i := range ra {
-		ma += ra[i]
-		mb += rb[i]
-	}
-	ma /= n
-	mb /= n
-	var cov, va, vb float64
-	for i := range ra {
-		da, db := ra[i]-ma, rb[i]-mb
-		cov += da * db
-		va += da * da
-		vb += db * db
-	}
-	if va == 0 || vb == 0 {
-		return 0
-	}
-	return cov / (math.Sqrt(va) * math.Sqrt(vb))
 }

@@ -192,8 +192,8 @@ func TestCampaignDeterministic(t *testing.T) {
 
 func TestDomainHitCountsOrdering(t *testing.T) {
 	camp, _ := runCampaign(t, 101, nil)
-	google := len(camp.DomainHits("www.google.com"))
-	wiki := len(camp.DomainHits("www.wikipedia.org"))
+	google := len(camp.Hits["www.google.com"])
+	wiki := len(camp.Hits["www.wikipedia.org"])
 	if google == 0 {
 		t.Fatal("no google hits")
 	}

@@ -31,7 +31,7 @@ func degradedCampaign(t *testing.T, workers int) (*cacheprobe.Campaign, *sim.Sys
 	primaries := make(map[int]string)
 	multi := make(map[int]bool)
 	var order []int
-	for _, v := range s.Vantages() {
+	for _, v := range s.Vantages {
 		idx := s.Router.PoPForVantage(v.Coord)
 		if idx < 0 {
 			continue

@@ -57,7 +57,7 @@ func TestStagesBoundGoroutinesByWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	var c inflight
-	vantages := append([]cacheprobe.Vantage(nil), s.Vantages()...)
+	vantages := append([]cacheprobe.Vantage(nil), s.Vantages...)
 	for i := range vantages {
 		vantages[i].Exchanger = countingExchanger{&c, vantages[i].Exchanger}
 	}

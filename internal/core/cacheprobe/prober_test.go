@@ -35,7 +35,7 @@ func TestCampaignSurvivesQueryLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Wrap every vantage with a 20% drop rate.
-	vantages := s.Vantages()
+	vantages := s.Vantages
 	for i := range vantages {
 		vantages[i].Exchanger = &flakyExchanger{inner: vantages[i].Exchanger, every: 5}
 	}
@@ -73,8 +73,8 @@ func TestDiscoverPoPsKeepsOneVantagePerPoP(t *testing.T) {
 	}
 	// More vantages than PoPs: several cloud regions route to the same
 	// site, and discovery deduplicates.
-	if len(pops) >= len(s.Vantages()) {
-		t.Errorf("discovered %d PoPs from %d vantages; expected deduplication", len(pops), len(s.Vantages()))
+	if len(pops) >= len(s.Vantages) {
+		t.Errorf("discovered %d PoPs from %d vantages; expected deduplication", len(pops), len(s.Vantages))
 	}
 	seen := map[string]bool{}
 	for pop, v := range pops {
@@ -93,7 +93,7 @@ func TestDiscoverPoPsAllVantagesDead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vantages := s.Vantages()
+	vantages := s.Vantages
 	for i := range vantages {
 		vantages[i].Exchanger = &flakyExchanger{inner: vantages[i].Exchanger, every: 1} // drop all
 	}
@@ -136,7 +136,7 @@ func TestPreScanSkipsByScope(t *testing.T) {
 			if scopes[i-1].Addr() > scopes[i].Addr() {
 				t.Fatalf("%s: scopes not sorted at %d", domain, i)
 			}
-			if scopes[i-1].Overlaps(scopes[i]) {
+			if scopes[i-1].ContainsPrefix(scopes[i]) || scopes[i].ContainsPrefix(scopes[i-1]) {
 				overlaps++
 			}
 		}

@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"clientmap/internal/netx"
-	"clientmap/internal/randx"
 	"clientmap/internal/roots"
 )
 
@@ -209,41 +208,4 @@ func Crawl(cfg Config, open func(letter string) (io.ReadCloser, error)) (*Result
 		rc.Close()
 	}
 	return res, nil
-}
-
-// SimulateCollisions runs the empirical simulation the paper uses to pick
-// the collision threshold: draw dailyQueries random Chromium-style labels
-// and record the maximum number of times any single name repeats; across
-// trials, return the count below which the per-trial maximum stays with
-// probability quantile (e.g. 0.99).
-//
-// Length-7 labels dominate collisions (26^7 ≈ 8×10^9 possible names), so
-// the simulation tracks only those and scales the draw count by the 1/9
-// share of lengths Chromium picks uniformly.
-func SimulateCollisions(seed randx.Seed, dailyQueries int, trials int, quantile float64) int {
-	rng := seed.New("dnslogs/collisions")
-	maxes := make([]int, trials)
-	draws := dailyQueries / 9 // share of 7-letter names
-	for t := 0; t < trials; t++ {
-		seen := make(map[uint64]int, draws)
-		max := 0
-		for i := 0; i < draws; i++ {
-			// A uniform draw from the 26^7 name space, represented by its
-			// index rather than the string.
-			id := uint64(rng.Int63n(26 * 26 * 26 * 26 * 26 * 26 * 26))
-			seen[id]++
-			if seen[id] > max {
-				max = seen[id]
-			}
-		}
-		maxes[t] = max
-	}
-	sort.Ints(maxes)
-	idx := int(quantile * float64(trials))
-	if idx >= trials {
-		idx = trials - 1
-	}
-	// The threshold is one above the observed collision maximum: names at
-	// or beyond it are junk.
-	return maxes[idx] + 1
 }

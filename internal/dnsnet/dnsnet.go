@@ -59,6 +59,5 @@ var (
 	ErrTimeout      = errors.New("dnsnet: query timed out")
 	ErrNoSuchServer = errors.New("dnsnet: no such server")
 	ErrIDMismatch   = errors.New("dnsnet: response ID does not match query")
-	ErrRateLimited  = errors.New("dnsnet: rate limited by server")
 	ErrServerClosed = errors.New("dnsnet: server closed")
 )

@@ -85,15 +85,6 @@ func TestMemNetSourceAddrVisible(t *testing.T) {
 	}
 }
 
-func TestMemNetDeregister(t *testing.T) {
-	n := NewMemNet(false)
-	n.Register("s", echoHandler(1))
-	n.Deregister("s")
-	if _, err := n.Client(0).Exchange(context.Background(), "s", dnswire.NewQuery(1, "x.org", dnswire.TypeA)); err != ErrNoSuchServer {
-		t.Errorf("err = %v, want ErrNoSuchServer", err)
-	}
-}
-
 func TestMemNetCanceledContext(t *testing.T) {
 	n := NewMemNet(false)
 	n.Register("s", echoHandler(1))

@@ -15,10 +15,10 @@ import (
 // exercise identical encode/decode paths — a malformed message fails the
 // same way on both.
 //
-// The handler table is copy-on-write: Register and Deregister replace the
-// whole map under mu, and Exchange loads it atomically. An exchange is
-// then a pure read of shared memory — a read lock would write its reader
-// count on every probe, on a cache line every worker shares.
+// The handler table is copy-on-write: Register replaces the whole map
+// under mu, and Exchange loads it atomically. An exchange is then a pure
+// read of shared memory — a read lock would write its reader count on
+// every probe, on a cache line every worker shares.
 type MemNet struct {
 	mu      sync.Mutex
 	servers atomic.Pointer[map[string]Handler]
@@ -37,16 +37,6 @@ func NewMemNet(wireCodec bool) *MemNet {
 
 // Register mounts h at name, replacing any previous handler.
 func (n *MemNet) Register(name string, h Handler) {
-	n.update(func(m map[string]Handler) { m[name] = h })
-}
-
-// Deregister removes the handler at name.
-func (n *MemNet) Deregister(name string) {
-	n.update(func(m map[string]Handler) { delete(m, name) })
-}
-
-// update publishes a modified copy of the handler table.
-func (n *MemNet) update(edit func(map[string]Handler)) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	old := *n.servers.Load()
@@ -54,7 +44,7 @@ func (n *MemNet) update(edit func(map[string]Handler)) {
 	for k, v := range old {
 		next[k] = v
 	}
-	edit(next)
+	next[name] = h
 	n.servers.Store(&next)
 }
 

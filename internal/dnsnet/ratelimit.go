@@ -23,11 +23,8 @@ type TokenBucket struct {
 }
 
 // NewTokenBucket returns a bucket refilled at rate tokens/second with the
-// given burst capacity, starting full. A nil clock means the wall clock.
+// given burst capacity, starting full.
 func NewTokenBucket(clock clockx.Clock, rate, burst float64) *TokenBucket {
-	if clock == nil {
-		clock = clockx.Real{}
-	}
 	if burst < 1 {
 		burst = 1
 	}

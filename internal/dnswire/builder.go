@@ -20,17 +20,16 @@ import (
 // Builder is reusable and, held in a local variable, stays on the stack.
 type Builder struct {
 	b      builder
-	counts [4]uint16 // questions, then one per Section
+	counts [4]uint16 // the header's four section counts, indexed by Section
 }
 
 // Section names the record section an RR method appends to.
 type Section uint8
 
-// The three record sections, in wire order.
+// The record sections a zone server's reply fills, in wire order.
 const (
 	SectionAnswer Section = 1 + iota
 	SectionAuthority
-	SectionAdditional
 )
 
 // Header is the fixed part of a response as Finish writes it: the

@@ -61,8 +61,10 @@ func (b *builder) storeOffset(n string, off int) {
 	b.overflow = append(b.overflow, nameOffset{name: n, off: off})
 }
 
-// checkName validates that n (already canonical) is encodable without the
-// string splitting ValidateName does; errors match ValidateName's.
+// checkName validates that n (already canonical) is encodable: non-empty
+// labels of at most 63 bytes and a total encoded length within 255 bytes.
+// The root name "" is valid. It does not split the string; TestValidateName
+// checks its verdicts against a splitting reference.
 func checkName(n string) error {
 	if n == "" {
 		return nil

@@ -319,25 +319,3 @@ func CanonicalName(name string) string {
 	name = strings.TrimSuffix(name, ".")
 	return name
 }
-
-// ValidateName checks that name is encodable: non-empty labels of at most
-// 63 bytes and a total encoded length within 255 bytes. The root name ""
-// is valid.
-func ValidateName(name string) error {
-	name = CanonicalName(name)
-	if name == "" {
-		return nil
-	}
-	if len(name) > 253 {
-		return fmt.Errorf("%w: %q too long", errName, name)
-	}
-	for _, label := range strings.Split(name, ".") {
-		if len(label) == 0 {
-			return fmt.Errorf("%w: empty label in %q", errName, name)
-		}
-		if len(label) > 63 {
-			return fmt.Errorf("%w: label too long in %q", errName, name)
-		}
-	}
-	return nil
-}

@@ -2,7 +2,9 @@ package dnswire
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -152,22 +154,28 @@ func TestNameCompression(t *testing.T) {
 	}
 }
 
+// TestValidateName checks the encoder's checkName against ValidateName,
+// the string-splitting reference: same verdict, same error text.
 func TestValidateName(t *testing.T) {
-	long := make([]byte, 64)
-	for i := range long {
-		long[i] = 'a'
+	cases := []struct {
+		name string
+		ok   bool
+	}{
+		{"www.example.com", true},
+		{"WWW.Example.com.", true},
+		{"", true},
+		{"a..b", false},
+		{strings.Repeat("a", 64) + ".com", false},
+		{strings.Repeat("a.", 127) + "a", false},
 	}
-	if err := ValidateName("www.example.com"); err != nil {
-		t.Errorf("valid name rejected: %v", err)
-	}
-	if err := ValidateName(""); err != nil {
-		t.Errorf("root name rejected: %v", err)
-	}
-	if err := ValidateName("a..b"); err == nil {
-		t.Error("empty label accepted")
-	}
-	if err := ValidateName(string(long) + ".com"); err == nil {
-		t.Error("64-byte label accepted")
+	for _, c := range cases {
+		err := ValidateName(c.name)
+		if (err == nil) != c.ok {
+			t.Errorf("ValidateName(%q) = %v, want ok=%v", c.name, err, c.ok)
+		}
+		if got := checkName(CanonicalName(c.name)); fmt.Sprint(got) != fmt.Sprint(err) {
+			t.Errorf("checkName(%q) = %v, ValidateName says %v", c.name, got, err)
+		}
 	}
 }
 
@@ -308,4 +316,26 @@ func BenchmarkUnmarshalResponse(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// ValidateName checks that name is encodable: non-empty labels of at most
+// 63 bytes and a total encoded length within 255 bytes. The root name ""
+// is valid. It is the reference checkName must agree with.
+func ValidateName(name string) error {
+	name = CanonicalName(name)
+	if name == "" {
+		return nil
+	}
+	if len(name) > 253 {
+		return fmt.Errorf("%w: %q too long", errName, name)
+	}
+	for _, label := range strings.Split(name, ".") {
+		if len(label) == 0 {
+			return fmt.Errorf("%w: empty label in %q", errName, name)
+		}
+		if len(label) > 63 {
+			return fmt.Errorf("%w: label too long in %q", errName, name)
+		}
+	}
+	return nil
 }

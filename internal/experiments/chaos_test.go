@@ -23,7 +23,7 @@ func multiVantagePrimaries(sys *sim.System) []string {
 	primaries := make(map[int]string)
 	listed := make(map[int]bool)
 	var multi []string
-	for _, v := range sys.Vantages() {
+	for _, v := range sys.Vantages {
 		idx := sys.Router.PoPForVantage(v.Coord)
 		if idx < 0 {
 			continue
@@ -72,7 +72,7 @@ func TestChaosCampaignDeterminism(t *testing.T) {
 	if cleanCov == 0 {
 		t.Fatal("baseline run found no active prefixes")
 	}
-	victim := clean.Sys.Vantages()[0].Name
+	victim := clean.Sys.Vantages[0].Name
 
 	// The chaos configuration: 2% loss everywhere, plus one vantage dark
 	// for hours 2-6 of the campaign (after PoP discovery, across the

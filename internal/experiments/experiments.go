@@ -116,9 +116,9 @@ type Config struct {
 	// straggler watchdog, not the campaign.
 	ShardStealAfter time.Duration
 	// StopAfter aborts the run right after the named stage checkpoints
-	// (see ProbePassStage, ShardStage, StreamHourStage) — the test
-	// stand-in for a mid-campaign kill. The run returns
-	// pipeline.ErrStopped.
+	// (see ProbePassStage and StreamHourStage; shard k of a step is
+	// "<step>/shard-k") — the test stand-in for a mid-campaign kill. The
+	// run returns pipeline.ErrStopped.
 	StopAfter string
 	// Log receives stage progress lines ("stage probe-pass-3: restored
 	// checkpoint … — skipped"); nil discards them. All logging funnels

@@ -1,10 +1,13 @@
 package experiments
 
 import (
+	"bytes"
+	"io"
 	"testing"
 	"time"
 
 	"clientmap/internal/randx"
+	"clientmap/internal/roots"
 	"clientmap/internal/world"
 )
 
@@ -282,6 +285,98 @@ func TestBRootCheck(t *testing.T) {
 	if s2020 >= 1 || s2021 >= s2020 {
 		t.Errorf("share ordering wrong: 2020=%.2f 2021=%.2f", s2020, s2021)
 	}
+}
+
+// BRootCheck reproduces §3.2.2's September 2021 verification against B
+// root: generate B-root traces for the 2020 DITL era and for late 2021
+// (after Chromium cut its interception-probe volume to ~30%), and report
+// each era's Chromium share of all B-root queries.
+func (r *Results) BRootCheck() (share2020, share2021 float64, err error) {
+	gen := roots.NewGenerator(r.Sys.Model)
+	share := func(scale float64) (float64, error) {
+		bufs := map[string][]byte{}
+		_, err := gen.Generate(roots.GenConfig{
+			Start:         r.Sys.Clock.Now(),
+			Duration:      6 * time.Hour,
+			ChromiumScale: scale,
+			Letters:       []string{"B"},
+		}, func(letter string) (io.WriteCloser, error) {
+			return &memSink{key: letter, out: bufs}, nil
+		})
+		if err != nil {
+			return 0, err
+		}
+		// Pass 1: per-name occurrence counts (repeated names are junk or
+		// DGA noise, not Chromium randomness).
+		tr, err := roots.NewReader(bytes.NewReader(bufs["B"]))
+		if err != nil {
+			return 0, err
+		}
+		seen := map[string]int{}
+		for {
+			rec, err := tr.Next()
+			if err != nil {
+				break
+			}
+			if isChromiumish(rec.QName) {
+				seen[rec.QName]++
+			}
+		}
+		// Pass 2: weight-accumulate singleton matches vs all queries.
+		tr, err = roots.NewReader(bytes.NewReader(bufs["B"]))
+		if err != nil {
+			return 0, err
+		}
+		var matched, total float64
+		for {
+			rec, err := tr.Next()
+			if err != nil {
+				break
+			}
+			total += float64(rec.Weight)
+			if isChromiumish(rec.QName) && seen[rec.QName] == 1 {
+				matched += float64(rec.Weight)
+			}
+		}
+		if total == 0 {
+			return 0, nil
+		}
+		return matched / total, nil
+	}
+	if share2020, err = share(1.0); err != nil {
+		return 0, 0, err
+	}
+	if share2021, err = share(0.3); err != nil {
+		return 0, 0, err
+	}
+	return share2020, share2021, nil
+}
+
+// memSink buffers one letter's trace in memory.
+type memSink struct {
+	key string
+	out map[string][]byte
+	buf bytes.Buffer
+}
+
+func (m *memSink) Write(p []byte) (int, error) { return m.buf.Write(p) }
+func (m *memSink) Close() error {
+	m.out[m.key] = m.buf.Bytes()
+	return nil
+}
+
+// isChromiumish applies the detector's label pattern (7-15 lowercase
+// letters, single label).
+func isChromiumish(name string) bool {
+	if len(name) < 7 || len(name) > 15 {
+		return false
+	}
+	for i := 0; i < len(name); i++ {
+		if name[i] < 'a' || name[i] > 'z' {
+			return false
+		}
+	}
+	return true
 }
 
 // TestRunDeterministic: identical configs produce identical evaluations —

@@ -234,3 +234,9 @@ func TestPassCheckpointSizeFlat(t *testing.T) {
 		}
 	}
 }
+
+// ShardStage returns the checkpoint stage name of scatter shard i of
+// probing pass k (only registered when Config.Shards > 1), as
+// pipeline.FanOut names it — the StopAfter target of distributed
+// kill/resume tests.
+func ShardStage(k, i int) string { return fmt.Sprintf("%s/shard-%d", ProbePassStage(k), i) }

@@ -37,11 +37,6 @@ const (
 // handy for Config.StopAfter in kill/resume tests and drills.
 func ProbePassStage(k int) string { return fmt.Sprintf("%s%d", StageProbePass, k) }
 
-// ShardStage returns the checkpoint stage name of scatter shard i of
-// probing pass k (only registered when Config.Shards > 1) — handy for
-// StopAfter in distributed kill/resume tests.
-func ShardStage(k, i int) string { return fmt.Sprintf("%s/shard-%d", ProbePassStage(k), i) }
-
 // baselineArtifact bundles the comparison-dataset collections that are
 // checkpointed as one stage: one day of CDN collections, the APNIC
 // estimates, and the ASdb categories.

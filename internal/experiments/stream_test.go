@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -18,7 +19,6 @@ import (
 	"clientmap/internal/randx"
 	"clientmap/internal/statefs"
 	"clientmap/internal/statefsck"
-	"clientmap/internal/stream"
 	"clientmap/internal/world"
 )
 
@@ -48,10 +48,8 @@ func streamTestConfig(t *testing.T) StreamConfig {
 // final rolling artifacts.
 func compareStreams(t *testing.T, aName, bName string, a, b *StreamResults) {
 	t.Helper()
-	av, ah := stream.MarshalViews(a.State.Views)
-	bv, bh := stream.MarshalViews(b.State.Views)
-	if !bytes.Equal(av, bv) {
-		t.Errorf("rolling views differ: %s %s vs %s %s", aName, ah, bName, bh)
+	if !slices.Equal(a.State.Views, b.State.Views) {
+		t.Errorf("rolling views differ:\n%s: %+v\n%s: %+v", aName, a.State.Views, bName, b.State.Views)
 	}
 	al, alh := a.State.Ledger.MarshalLedger()
 	bl, blh := b.State.Ledger.MarshalLedger()

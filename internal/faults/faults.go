@@ -408,9 +408,6 @@ func New(cfg Config, target string, epoch time.Time, clock *clockx.Sim, counters
 	return &Injector{cfg: cfg, target: target, epoch: epoch, clock: clock, counters: counters, next: next}
 }
 
-// Counters returns the injector's (possibly shared) counters.
-func (in *Injector) Counters() *Counters { return in.counters }
-
 // delay injects d of latency: on scheduled queries it shifts the
 // scheduled timestamp; an unscheduled query is left as it is. Either way
 // the latency meter (if any) observes it.

@@ -106,12 +106,3 @@ func CountryByCode(code string) (Country, bool) {
 	}
 	return Country{}, false
 }
-
-// TotalUsersM returns the catalog's total Internet users in millions.
-func TotalUsersM() float64 {
-	var t float64
-	for _, c := range Countries {
-		t += c.UsersM
-	}
-	return t
-}

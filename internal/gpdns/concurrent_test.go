@@ -194,7 +194,6 @@ func TestMemNetConcurrentMatchesSequential(t *testing.T) {
 					}
 					name := fmt.Sprintf("other-%d", i%4)
 					par.Register(name, dnsnet.HandlerFunc(func(context.Context, netx.Addr, *dnswire.Message) *dnswire.Message { return nil }))
-					par.Deregister(name)
 				}
 			}()
 			runConcurrent(t, cases, want, func(c probeCase) probeOutcome { return exchange(par, c, id(c)) })

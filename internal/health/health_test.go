@@ -360,17 +360,10 @@ func TestWrapBreaker(t *testing.T) {
 	}
 }
 
-// TestLedgerAccounting covers the ledger arithmetic: per-pass loss,
-// campaign-level never-probed loss, hedge/failover tallies and state
-// durations from a transition timeline.
+// TestLedgerAccounting covers the ledger arithmetic: campaign-level
+// never-probed loss, hedge/failover tallies and state durations from a
+// transition timeline.
 func TestLedgerAccounting(t *testing.T) {
-	if got := (PassCoverage{}).LossPP(); got != 0 {
-		t.Errorf("empty pass LossPP = %v, want 0", got)
-	}
-	if got := (PassCoverage{Assigned: 4, Lost: 1}).LossPP(); got != 25 {
-		t.Errorf("LossPP = %v, want 25", got)
-	}
-
 	var l Ledger
 	if got := l.EstimatedLossPP(); got != 0 {
 		t.Errorf("empty ledger EstimatedLossPP = %v, want 0", got)

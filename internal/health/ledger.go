@@ -50,14 +50,6 @@ type PassCoverage struct {
 	Lost int64 `json:"lost"`
 }
 
-// LossPP is the pass's coverage loss in percentage points.
-func (p PassCoverage) LossPP() float64 {
-	if p.Assigned == 0 {
-		return 0
-	}
-	return 100 * float64(p.Lost) / float64(p.Assigned)
-}
-
 // Ledger is the degradation layer's checkpointable state and accounting:
 // everything needed to resume a campaign bit-identically and to report
 // what degraded operation cost. It rides in the campaign artifact.

@@ -282,15 +282,6 @@ func (r *Registry) SnapshotPrefix(prefixes ...string) Ledger {
 // ledgers render byte-identically.
 type Ledger map[string]int64
 
-// Clone returns a copy.
-func (l Ledger) Clone() Ledger {
-	out := make(Ledger, len(l))
-	for k, v := range l {
-		out[k] = v
-	}
-	return out
-}
-
 // Sub returns the delta l - o over l's keys (a key missing in o counts
 // as zero there). Keys with a zero delta are kept: the key set of a
 // stage's fold then depends only on which metrics the stage's code

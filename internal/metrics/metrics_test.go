@@ -143,11 +143,6 @@ func TestReserve(t *testing.T) {
 
 func TestLedgerOps(t *testing.T) {
 	l := Ledger{"a": 5, "b": 2}
-	c := l.Clone()
-	c["a"] = 99
-	if l["a"] != 5 {
-		t.Error("Clone must copy")
-	}
 	d := Ledger{"a": 7, "b": 2}.Sub(l)
 	if !reflect.DeepEqual(d, Ledger{"a": 2, "b": 0}) {
 		t.Errorf("Sub = %v", d)

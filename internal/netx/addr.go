@@ -156,14 +156,6 @@ func (p Prefix) ContainsPrefix(q Prefix) bool {
 	return q.bits >= p.bits && q.addr&maskFor(int(p.bits)) == p.addr
 }
 
-// Overlaps reports whether p and q share any address.
-func (p Prefix) Overlaps(q Prefix) bool {
-	return p.ContainsPrefix(q) || q.ContainsPrefix(p)
-}
-
-// NumAddrs returns the number of addresses covered by p.
-func (p Prefix) NumAddrs() uint64 { return 1 << (32 - uint(p.bits)) }
-
 // NumSlash24s returns how many whole /24 prefixes p covers. Prefixes more
 // specific than /24 report 1: the /24 that contains them.
 func (p Prefix) NumSlash24s() int {

@@ -101,13 +101,6 @@ func TestPrefixContainsPrefix(t *testing.T) {
 	if !p16.ContainsPrefix(p16) {
 		t.Error("prefix should contain itself")
 	}
-	if !p16.Overlaps(p24) || !p24.Overlaps(p16) {
-		t.Error("nested prefixes should overlap both ways")
-	}
-	other := MustParsePrefix("10.2.0.0/16")
-	if p16.Overlaps(other) {
-		t.Error("disjoint prefixes should not overlap")
-	}
 }
 
 func TestPrefixContainsQuick(t *testing.T) {
@@ -168,14 +161,5 @@ func TestSlash24AddrAt(t *testing.T) {
 	}
 	if s.Addr() != MustParseAddr("192.0.2.0") {
 		t.Errorf("Addr() = %v", s.Addr())
-	}
-}
-
-func TestPrefixNumAddrs(t *testing.T) {
-	if got := MustParsePrefix("0.0.0.0/0").NumAddrs(); got != 1<<32 {
-		t.Errorf("/0 NumAddrs = %d", got)
-	}
-	if got := MustParsePrefix("1.2.3.4/32").NumAddrs(); got != 1 {
-		t.Errorf("/32 NumAddrs = %d", got)
 	}
 }

@@ -96,13 +96,6 @@ func (s *Set24) Range(fn func(Slash24) bool) {
 	}
 }
 
-// Clone returns a deep copy of the set.
-func (s *Set24) Clone() *Set24 {
-	c := &Set24{words: make([]uint64, len(s.words)), count: s.count}
-	copy(c.words, s.words)
-	return c
-}
-
 // IntersectCount returns |s ∩ t| without materializing the intersection.
 func (s *Set24) IntersectCount(t *Set24) int {
 	n := len(s.words)
@@ -114,21 +107,6 @@ func (s *Set24) IntersectCount(t *Set24) int {
 		total += bits.OnesCount64(s.words[i] & t.words[i])
 	}
 	return total
-}
-
-// Intersect returns a new set holding s ∩ t.
-func (s *Set24) Intersect(t *Set24) *Set24 {
-	n := len(s.words)
-	if len(t.words) < n {
-		n = len(t.words)
-	}
-	out := &Set24{words: make([]uint64, n)}
-	for i := 0; i < n; i++ {
-		w := s.words[i] & t.words[i]
-		out.words[i] = w
-		out.count += bits.OnesCount64(w)
-	}
-	return out
 }
 
 // Union returns a new set holding s ∪ t.

@@ -84,29 +84,29 @@ func TestSet24Algebra(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 20; trial++ {
 		a, b := randSet(r, 500), randSet(r, 500)
-		inter := a.Intersect(b)
 		union := a.Union(b)
 		diff := a.Diff(b)
 
-		if got := a.IntersectCount(b); got != inter.Len() {
-			t.Fatalf("IntersectCount=%d, Intersect.Len=%d", got, inter.Len())
-		}
-		// |A ∪ B| = |A| + |B| - |A ∩ B|
-		if union.Len() != a.Len()+b.Len()-inter.Len() {
-			t.Fatalf("inclusion-exclusion violated: %d != %d+%d-%d",
-				union.Len(), a.Len(), b.Len(), inter.Len())
-		}
-		// |A \ B| = |A| - |A ∩ B|
-		if diff.Len() != a.Len()-inter.Len() {
-			t.Fatalf("diff size wrong: %d != %d-%d", diff.Len(), a.Len(), inter.Len())
-		}
-		// Membership spot checks.
-		inter.Range(func(p Slash24) bool {
-			if !a.Contains(p) || !b.Contains(p) {
-				t.Fatalf("intersection member %v missing from operand", p)
+		inter := 0
+		a.Range(func(p Slash24) bool {
+			if b.Contains(p) {
+				inter++
 			}
 			return true
 		})
+		if got := a.IntersectCount(b); got != inter {
+			t.Fatalf("IntersectCount=%d, members of both=%d", got, inter)
+		}
+		// |A ∪ B| = |A| + |B| - |A ∩ B|
+		if union.Len() != a.Len()+b.Len()-inter {
+			t.Fatalf("inclusion-exclusion violated: %d != %d+%d-%d",
+				union.Len(), a.Len(), b.Len(), inter)
+		}
+		// |A \ B| = |A| - |A ∩ B|
+		if diff.Len() != a.Len()-inter {
+			t.Fatalf("diff size wrong: %d != %d-%d", diff.Len(), a.Len(), inter)
+		}
+		// Membership spot checks.
 		diff.Range(func(p Slash24) bool {
 			if !a.Contains(p) || b.Contains(p) {
 				t.Fatalf("diff member %v wrong", p)
@@ -119,9 +119,9 @@ func TestSet24Algebra(t *testing.T) {
 func TestSet24CloneEqual(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	a := randSet(r, 300)
-	c := a.Clone()
+	c := a.Union(&Set24{})
 	if !a.Equal(c) || !c.Equal(a) {
-		t.Fatal("clone not equal")
+		t.Fatal("copy not equal")
 	}
 	extra := Slash24(1<<22 + 5)
 	c.Add(extra)
@@ -129,7 +129,7 @@ func TestSet24CloneEqual(t *testing.T) {
 		t.Fatal("sets equal after divergence")
 	}
 	if a.Contains(extra) {
-		t.Fatal("clone mutation leaked into original")
+		t.Fatal("copy mutation leaked into original")
 	}
 }
 

@@ -91,24 +91,6 @@ func (t *Trie[V]) Get(p Prefix) (v V, ok bool) {
 	return n.value, true
 }
 
-// Delete removes the value stored exactly at p, reporting whether it
-// existed. Interior nodes are not pruned; tries in this module are
-// build-once structures.
-func (t *Trie[V]) Delete(p Prefix) bool {
-	n := t.root
-	addr := uint32(p.Addr())
-	for i := 0; i < p.Bits() && n != nil; i++ {
-		n = n.children[(addr>>(31-uint(i)))&1]
-	}
-	if n == nil || !n.hasValue {
-		return false
-	}
-	var zero V
-	n.value, n.hasValue = zero, false
-	t.size--
-	return true
-}
-
 // Walk visits every stored (prefix, value) pair in address order (and, for
 // nested prefixes, least-specific first). If fn returns false, the walk
 // stops.

@@ -83,25 +83,6 @@ func TestTrieLookupPrefix(t *testing.T) {
 	}
 }
 
-func TestTrieDelete(t *testing.T) {
-	var tr Trie[int]
-	p := MustParsePrefix("10.0.0.0/8")
-	tr.Insert(p, 5)
-	tr.Insert(MustParsePrefix("10.1.0.0/16"), 6)
-	if !tr.Delete(p) {
-		t.Error("Delete existing returned false")
-	}
-	if tr.Delete(p) {
-		t.Error("Delete missing returned true")
-	}
-	if _, _, ok := tr.Lookup(MustParseAddr("10.200.0.1")); ok {
-		t.Error("deleted prefix still matches")
-	}
-	if v, _, ok := tr.Lookup(MustParseAddr("10.1.0.1")); !ok || v != 6 {
-		t.Error("sibling prefix lost after delete")
-	}
-}
-
 func TestTrieWalkOrder(t *testing.T) {
 	var tr Trie[int]
 	ins := []string{"192.0.2.0/24", "10.0.0.0/8", "10.1.0.0/16", "172.16.0.0/12"}

@@ -190,10 +190,6 @@ func (s *Stage[T]) Name() string { return s.m.name }
 // stopped run.
 func (s *Stage[T]) Out() T { return s.out }
 
-// Restored reports whether the artifact was decoded from a checkpoint
-// rather than built.
-func (s *Stage[T]) Restored() bool { return s.m.restored }
-
 // ArtifactHash returns the stage's artifact content hash — what
 // downstream fingerprints chain on (the payload hash for persisted
 // stages, the fingerprint for ephemeral ones). Valid once the stage has

@@ -283,3 +283,7 @@ func TestStageErrorPropagates(t *testing.T) {
 		t.Error("dependent stage ran after its dependency failed")
 	}
 }
+
+// Restored reports whether the artifact was decoded from a checkpoint
+// rather than built.
+func (s *Stage[T]) Restored() bool { return s.m.restored }

@@ -66,17 +66,13 @@ func (s Seed) New(key string) *Stream {
 	return &Stream{Rand: rand.New(newLazySource(hashKey(s, key)))}
 }
 
-// Reseed repositions an existing stream onto the given purpose key: the
-// stream's subsequent draws are bit-identical to a fresh New(key) stream's,
-// but the ~5 KB generator state is reused instead of reallocated. Loops
-// that burn one short-lived stream per item (the root-trace generator
-// reseeds per source-hour) amortize their generator to one allocation.
-// Not safe concurrently with any use of the same stream.
-func (s Seed) Reseed(r *Stream, key string) {
-	r.Rand.Seed(hashKey(s, key))
-}
-
-// ReseedB is Reseed with an append-built byte-slice key.
+// ReseedB repositions an existing stream onto the purpose key held in an
+// append-built byte slice: the stream's subsequent draws are bit-identical
+// to a fresh New(string(key)) stream's, but the ~5 KB generator state is
+// reused instead of reallocated. Loops that burn one short-lived stream
+// per item (the root-trace generator reseeds per source-hour) amortize
+// their generator to one allocation. Not safe concurrently with any use of
+// the same stream.
 func (s Seed) ReseedB(r *Stream, key []byte) {
 	r.Rand.Seed(hashKeyB(s, key))
 }
@@ -109,11 +105,6 @@ func (s Seed) HashUnitB(key []byte) float64 {
 // Bool returns true with probability p.
 func (s *Stream) Bool(p float64) bool {
 	return s.Float64() < p
-}
-
-// Exp returns an exponentially distributed sample with the given mean.
-func (s *Stream) Exp(mean float64) float64 {
-	return s.ExpFloat64() * mean
 }
 
 // Poisson returns a Poisson-distributed sample with the given mean, using
@@ -157,31 +148,6 @@ func (s *Stream) Pareto(xmin, alpha float64) float64 {
 	}
 	return xmin / math.Pow(u, 1/alpha)
 }
-
-// Zipf draws ranks in [0, n) following a Zipf distribution with exponent
-// skew > 1e-9. Rank 0 is most popular.
-type Zipf struct {
-	z *rand.Zipf
-	n int
-}
-
-// NewZipf constructs a Zipf sampler over n ranks with the given skew
-// (typical web-popularity skews are 0.7-1.2; values <= 0 fall back to 1.0).
-func (s *Stream) NewZipf(n int, skew float64) *Zipf {
-	if skew <= 0 {
-		skew = 1.0
-	}
-	// rand.Zipf requires s > 1; shift a sub-1 skew into the supported range
-	// by using s slightly above 1 and relying on v to shape the tail.
-	zs := skew
-	if zs <= 1 {
-		zs = 1.0001
-	}
-	return &Zipf{z: rand.NewZipf(s.Rand, zs, 1, uint64(n-1)), n: n}
-}
-
-// Rank returns the next sampled rank in [0, n).
-func (z *Zipf) Rank() int { return int(z.z.Uint64()) }
 
 // WeightedChoice picks an index in [0, len(weights)) with probability
 // proportional to its weight. Weights must be non-negative; if they sum to

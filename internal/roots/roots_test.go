@@ -48,9 +48,6 @@ func TestTraceRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Letter() != "J" {
-		t.Errorf("letter = %q", tr.Letter())
-	}
 	for i, want := range recs {
 		got, err := tr.Next()
 		if err != nil {

@@ -49,7 +49,6 @@ const traceMagic = "DITL1\x00"
 // Writer writes a trace stream.
 type Writer struct {
 	w      *bufio.Writer
-	letter string
 	last   int64 // last timestamp, microseconds
 	count  int
 	opened bool
@@ -67,7 +66,7 @@ func NewWriter(w io.Writer, letter string) (*Writer, error) {
 	if err := bw.WriteByte(letter[0]); err != nil {
 		return nil, err
 	}
-	return &Writer{w: bw, letter: letter, opened: true}, nil
+	return &Writer{w: bw, opened: true}, nil
 }
 
 // Write appends one record. Records must be written in non-decreasing time
@@ -129,10 +128,9 @@ func (tw *Writer) Close() error {
 
 // Reader reads a trace stream.
 type Reader struct {
-	r      *bufio.Reader
-	letter string
-	last   int64
-	count  int
+	r     *bufio.Reader
+	last  int64
+	count int
 }
 
 // NewReader opens a trace stream and validates its header.
@@ -145,11 +143,8 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if string(head[:len(traceMagic)]) != traceMagic {
 		return nil, errors.New("roots: bad trace magic")
 	}
-	return &Reader{r: br, letter: string(head[len(traceMagic):])}, nil
+	return &Reader{r: br}, nil
 }
-
-// Letter returns the trace's root letter.
-func (tr *Reader) Letter() string { return tr.letter }
 
 // Next returns the next record, or io.EOF at end of trace.
 func (tr *Reader) Next() (Record, error) {

@@ -11,8 +11,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
-	"strings"
 
 	"clientmap/internal/netx"
 	"clientmap/internal/world"
@@ -97,39 +95,4 @@ func (t *Table) Save(w io.Writer) error {
 		return err
 	}
 	return bw.Flush()
-}
-
-// Load parses the prefix2as text format.
-func Load(r io.Reader) (*Table, error) {
-	t := New()
-	sc := bufio.NewScanner(r)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
-		}
-		fields := strings.Fields(text)
-		if len(fields) != 3 {
-			return nil, fmt.Errorf("routeviews: line %d: want 3 fields, got %d", line, len(fields))
-		}
-		addr, err := netx.ParseAddr(fields[0])
-		if err != nil {
-			return nil, fmt.Errorf("routeviews: line %d: %v", line, err)
-		}
-		bits, err := strconv.Atoi(fields[1])
-		if err != nil || bits < 0 || bits > 32 {
-			return nil, fmt.Errorf("routeviews: line %d: bad length %q", line, fields[1])
-		}
-		asn, err := strconv.ParseUint(fields[2], 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("routeviews: line %d: bad asn %q", line, fields[2])
-		}
-		t.Add(netx.PrefixFrom(addr, bits), uint32(asn))
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return t, nil
 }

@@ -1,7 +1,11 @@
 package routeviews
 
 import (
+	"bufio"
 	"bytes"
+	"fmt"
+	"io"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -91,4 +95,39 @@ func TestLoadRejectsBadInput(t *testing.T) {
 	if err != nil || tbl.Len() != 1 {
 		t.Errorf("Load with comments: %v, len %d", err, tbl.Len())
 	}
+}
+
+// Load parses the prefix2as text format.
+func Load(r io.Reader) (*Table, error) {
+	t := New()
+	sc := bufio.NewScanner(r)
+	line := 0
+	for sc.Scan() {
+		line++
+		text := strings.TrimSpace(sc.Text())
+		if text == "" || strings.HasPrefix(text, "#") {
+			continue
+		}
+		fields := strings.Fields(text)
+		if len(fields) != 3 {
+			return nil, fmt.Errorf("routeviews: line %d: want 3 fields, got %d", line, len(fields))
+		}
+		addr, err := netx.ParseAddr(fields[0])
+		if err != nil {
+			return nil, fmt.Errorf("routeviews: line %d: %v", line, err)
+		}
+		bits, err := strconv.Atoi(fields[1])
+		if err != nil || bits < 0 || bits > 32 {
+			return nil, fmt.Errorf("routeviews: line %d: bad length %q", line, fields[1])
+		}
+		asn, err := strconv.ParseUint(fields[2], 10, 32)
+		if err != nil {
+			return nil, fmt.Errorf("routeviews: line %d: bad asn %q", line, fields[2])
+		}
+		t.Add(netx.PrefixFrom(addr, bits), uint32(asn))
+	}
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	return t, nil
 }

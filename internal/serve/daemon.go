@@ -251,14 +251,6 @@ func (d *Daemon) DNSUDPAddr() string {
 	return d.udpAddr.String()
 }
 
-// DNSTCPAddr returns the bound DNS TCP address ("" when disabled).
-func (d *Daemon) DNSTCPAddr() string {
-	if d.tcpAddr == nil {
-		return ""
-	}
-	return d.tcpAddr.String()
-}
-
 // DebugAddr returns the bound debug mux address ("" when disabled).
 func (d *Daemon) DebugAddr() string {
 	if d.debug == nil {

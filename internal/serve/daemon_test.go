@@ -220,3 +220,11 @@ func TestDaemonSOASerialTracksGeneration(t *testing.T) {
 		t.Fatalf("SOA serial %d, want generation %d", soa.Serial, want)
 	}
 }
+
+// DNSTCPAddr returns the bound DNS TCP address ("" when disabled).
+func (d *Daemon) DNSTCPAddr() string {
+	if d.tcpAddr == nil {
+		return ""
+	}
+	return d.tcpAddr.String()
+}

@@ -151,11 +151,6 @@ func ParseASName(name, zone string) (uint32, bool) {
 	return uint32(v), true
 }
 
-// FormatASName renders the query name for an AS activity lookup.
-func FormatASName(asn uint32, zone string) string {
-	return strconv.FormatUint(uint64(asn), 10) + ".as." + zone
-}
-
 // ServeDNS implements dnsnet.Handler for in-process callers (tests, the
 // golden corpus, the benchmark's ladder): it is AppendDNS's reply,
 // decoded.

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -270,4 +271,9 @@ func TestDNSRateLimitRefuses(t *testing.T) {
 	if h.met.dnsRateLimited.Value() != 1 {
 		t.Errorf("rate_limited counter = %d", h.met.dnsRateLimited.Value())
 	}
+}
+
+// FormatASName renders the query name for an AS activity lookup.
+func FormatASName(asn uint32, zone string) string {
+	return strconv.FormatUint(uint64(asn), 10) + ".as." + zone
 }

@@ -16,6 +16,46 @@ import (
 // encoding/json — kept as the oracle the append paths are held to byte
 // for byte by the differential and fuzz tests.
 
+// IPResponse is the JSON body for /v1/ip.
+type IPResponse struct {
+	Query      string          `json:"query"`
+	Slash24    string          `json:"slash24"`
+	Active     bool            `json:"active"`
+	Scope      string          `json:"scope,omitempty"`
+	Confidence float64         `json:"confidence,omitempty"`
+	Passes     int             `json:"passes,omitempty"`
+	PassTotal  int             `json:"pass_total,omitempty"`
+	Hits       int             `json:"hits,omitempty"`
+	Domains    int             `json:"domains,omitempty"`
+	PoPs       []PoPEvidence   `json:"pops,omitempty"`
+	ASN        uint32          `json:"asn,omitempty"`
+	Provenance json.RawMessage `json:"provenance"`
+}
+
+// ASResponse is the JSON body for /v1/as.
+type ASResponse struct {
+	ASN          uint32          `json:"asn"`
+	Active       bool            `json:"active"`
+	Active24s    int             `json:"active_24s,omitempty"`
+	Announced24s int             `json:"announced_24s,omitempty"`
+	Confidence   float64         `json:"confidence,omitempty"`
+	Provenance   json.RawMessage `json:"provenance"`
+}
+
+// SummaryResponse is the JSON body for /v1/summary.
+type SummaryResponse struct {
+	Scopes      int             `json:"scopes"`
+	Active24s   int             `json:"active_24s"`
+	ActiveASes  int             `json:"active_ases"`
+	Origins     int             `json:"origins"`
+	TrafficBins int             `json:"traffic_bins"`
+	Seed        uint64          `json:"seed"`
+	Scale       string          `json:"scale"`
+	Passes      int             `json:"passes"`
+	Source      string          `json:"source,omitempty"`
+	Provenance  json.RawMessage `json:"provenance"`
+}
+
 // oracleDNS is the reply a handler for (zone, ttl) over ix owes query,
 // limiter and cache aside. A reply that fails to marshal is one the
 // server drops.

@@ -6,7 +6,7 @@
 //
 //	campaign/dataset artifacts ──Build──▶ ClientMap (snapshot on disk)
 //	      ClientMap ──NewIndex──▶ Index (immutable, query-ready)
-//	      Index ──Store.Swap──▶ the daemon's atomically published view
+//	      Index ──Store.LoadFile──▶ the daemon's atomically published view
 //
 // A ClientMap is the interchange artifact: a compact, versioned snapshot
 // (internal/snapshot container) holding the active scopes with their

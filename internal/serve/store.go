@@ -23,19 +23,11 @@ type Store struct {
 }
 
 // NewStore returns an empty store; Current returns nil until the first
-// Swap or LoadFile.
+// LoadFile.
 func NewStore() *Store { return &Store{} }
 
 // Current returns the published index, or nil before the first load.
 func (s *Store) Current() *Index { return s.cur.Load() }
-
-// Swap compiles cm under the next generation and publishes it, returning
-// the new index.
-func (s *Store) Swap(cm *ClientMap, hash string) *Index {
-	s.reloadMu.Lock()
-	defer s.reloadMu.Unlock()
-	return s.swapLocked(cm, hash)
-}
 
 func (s *Store) swapLocked(cm *ClientMap, hash string) *Index {
 	ix := NewIndex(cm, s.gen.Add(1), hash)

@@ -34,3 +34,11 @@ func TestStoreSwapGenerations(t *testing.T) {
 		t.Fatal("Current is not the last swap")
 	}
 }
+
+// Swap compiles cm under the next generation and publishes it, returning
+// the new index.
+func (s *Store) Swap(cm *ClientMap, hash string) *Index {
+	s.reloadMu.Lock()
+	defer s.reloadMu.Unlock()
+	return s.swapLocked(cm, hash)
+}

@@ -61,8 +61,9 @@ type System struct {
 	Google *gpdns.Server
 	Net    *dnsnet.MemNet
 	RV     *routeviews.Table
+	// Vantages are the wired cloud vantage points.
+	Vantages []cacheprobe.Vantage
 
-	vantages      []cacheprobe.Vantage
 	faultCfg      *faults.Config
 	faultEpoch    time.Time
 	faultCounters *faults.Counters
@@ -118,7 +119,7 @@ func (s *System) wireVantages() {
 			continue
 		}
 		s.Google.RegisterVantage(addr, popIdx)
-		s.vantages = append(s.vantages, cacheprobe.Vantage{
+		s.Vantages = append(s.Vantages, cacheprobe.Vantage{
 			Name:      fmt.Sprintf("%s:%s", v.Provider, v.Name),
 			Coord:     v.Coord,
 			Addr:      addr,
@@ -127,9 +128,6 @@ func (s *System) wireVantages() {
 		})
 	}
 }
-
-// Vantages returns the wired cloud vantage points.
-func (s *System) Vantages() []cacheprobe.Vantage { return s.vantages }
 
 // InjectFaults wraps every measurement transport — each vantage's
 // exchanger and the prober's authoritative path — in a deterministic
@@ -142,8 +140,8 @@ func (s *System) InjectFaults(cfg faults.Config, epoch time.Time) *faults.Counte
 	s.faultCounters = &faults.Counters{}
 	s.faultCfg = &cfg
 	s.faultEpoch = epoch
-	for i := range s.vantages {
-		v := &s.vantages[i]
+	for i := range s.Vantages {
+		v := &s.Vantages[i]
 		v.Exchanger = faults.New(cfg, v.Name, epoch, s.Clock, s.faultCounters, v.Exchanger)
 	}
 	return s.faultCounters
@@ -212,10 +210,10 @@ func (s *System) Prober(cfg cacheprobe.Config) *cacheprobe.Prober {
 	}
 	auth.Exchanger = dnsnet.Instrument(s.metrics, "auth", auth.Exchanger)
 	auth.Exchanger = health.Wrap(s.health, "auth", s.Clock, auth.Exchanger)
-	vantages := s.vantages
+	vantages := s.Vantages
 	if s.metrics != nil || s.health != nil {
-		vantages = make([]cacheprobe.Vantage, len(s.vantages))
-		copy(vantages, s.vantages)
+		vantages = make([]cacheprobe.Vantage, len(s.Vantages))
+		copy(vantages, s.Vantages)
 		for i := range vantages {
 			if s.metrics != nil {
 				vantages[i].Exchanger = dnsnet.Instrument(s.metrics, "vantage", vantages[i].Exchanger)

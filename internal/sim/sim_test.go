@@ -23,7 +23,7 @@ func newSystem(t testing.TB, wireCodec bool) *System {
 
 func TestSystemWiring(t *testing.T) {
 	s := newSystem(t, false)
-	if len(s.Vantages()) == 0 {
+	if len(s.Vantages) == 0 {
 		t.Fatal("no vantages wired")
 	}
 	if len(s.PoPCoords()) != 45 {
@@ -40,7 +40,7 @@ func TestSystemWiring(t *testing.T) {
 func TestVantagesReachService(t *testing.T) {
 	s := newSystem(t, true) // wire codec on: full marshal/unmarshal per hop
 	reached := map[string]bool{}
-	for _, v := range s.Vantages() {
+	for _, v := range s.Vantages {
 		q := dnswire.NewQuery(1, "o-o.myaddr.l.google.com", dnswire.TypeTXT)
 		resp, err := v.Exchanger.Exchange(context.Background(), v.Server, q)
 		if err != nil {

@@ -7,11 +7,11 @@ import (
 	"clientmap/internal/snapshot"
 )
 
-// Codecs for the streaming checkpoints and for the byte-exact state
-// comparisons the determinism suite makes. The hour-delta kind string
+// Codecs for the streaming checkpoints and for the byte-exact ledger
+// comparison the determinism suite makes. The hour-delta kind string
 // lives in internal/snapshot (next to the churn-event codec it uses);
-// the view/ledger kinds live here because only this package produces
-// them — the kind string namespace is shared either way.
+// the ledger kind lives here because only this package produces it —
+// the kind string namespace is shared either way.
 
 // HourDeltaCodec is the hour checkpoint's codec. Its base is the base
 // of the hour's probing: the checkpoint the hour applies to.
@@ -23,13 +23,10 @@ var HourDeltaCodec = &snapshot.Codec[*HourDelta]{
 	Base:    func(d *HourDelta) string { return d.Pass.Base },
 }
 
-// KindStreamViews frames an encoded hour-view sequence.
-const KindStreamViews = "stream.Views"
-
 // KindStreamLedger frames an encoded decay ledger.
 const KindStreamLedger = "stream.Ledger"
 
-// VersionStream versions both encodings above.
+// VersionStream versions the ledger encoding.
 const VersionStream uint16 = 1
 
 // EncodeHourDelta appends one hour checkpoint to w.
@@ -86,39 +83,13 @@ func encodeSeries(w *snapshot.Writer, s *Series) {
 	}
 }
 
-// Comparison-only kinds: marshalled, never decoded.
-var (
-	viewsCodec  = &snapshot.Codec[[]HourView]{Kind: KindStreamViews, Version: VersionStream, Encode: encodeViews}
-	ledgerCodec = &snapshot.Codec[*Ledger]{Kind: KindStreamLedger, Version: VersionStream, Encode: encodeLedger}
-)
-
-// MarshalViews frames the hour-view sequence as snapshot bytes, for
-// byte-exact comparison of two runs' rolling summaries.
-func MarshalViews(views []HourView) (data []byte, payloadHash string) {
-	return viewsCodec.Marshal("", views)
-}
+// ledgerCodec is comparison-only: marshalled, never decoded.
+var ledgerCodec = &snapshot.Codec[*Ledger]{Kind: KindStreamLedger, Version: VersionStream, Encode: encodeLedger}
 
 // MarshalLedger frames the full decay ledger in sorted key order, so two
 // ledgers marshal to equal bytes iff they hold identical evidence.
 func (l *Ledger) MarshalLedger() (data []byte, payloadHash string) {
 	return ledgerCodec.Marshal("", l)
-}
-
-func encodeViews(w *snapshot.Writer, views []HourView) {
-	w.Int(len(views))
-	for _, v := range views {
-		w.Int(v.Hour)
-		w.Int(v.Events)
-		w.Int(v.Scheduled)
-		w.Int(v.Probes)
-		w.Int(v.Hits)
-		w.Int(v.FreshScopes)
-		w.Int(v.DecayedScopes)
-		w.Int(v.ActiveScopes)
-		w.Int(v.DNSActive)
-		w.Int(v.Withdrawn)
-		w.String(v.MapHash)
-	}
 }
 
 func encodeLedger(w *snapshot.Writer, l *Ledger) {

@@ -62,25 +62,10 @@ func (s *Series) Add(hour, n int32) {
 	s.B[lo] = Bucket{Hour: hour, Count: n}
 }
 
-// Decay returns the series with every bucket at or before now-ttl
-// dropped: evidence is live for exactly ttl hours after the hour it was
-// observed in. Decay(Decay(s, t1), t2) == Decay(s, t2) for t2 >= t1
-// (prefix monotonicity), and Decay distributes over Fold at equal now.
-func (s Series) Decay(now, ttl int32) Series {
-	cut := now - ttl
-	lo := 0
-	for lo < len(s.B) && s.B[lo].Hour <= cut {
-		lo++
-	}
-	if lo == 0 {
-		return Series{B: s.B}
-	}
-	return Series{B: s.B[lo:]}
-}
-
-// decayInPlace drops aged buckets without sharing the backing array, for
-// the ledger's per-hour in-place maintenance. Reports whether the series
-// went from live to empty.
+// decayInPlace drops every bucket at or before now-ttl, in place, for the
+// ledger's per-hour maintenance: evidence is live for exactly ttl hours
+// after the hour it was observed in. Reports whether the series went from
+// live to empty.
 func (s *Series) decayInPlace(now, ttl int32) (decayedOut bool) {
 	cut := now - ttl
 	lo := 0
@@ -93,36 +78,6 @@ func (s *Series) decayInPlace(now, ttl int32) (decayedOut bool) {
 	live := len(s.B) > 0
 	s.B = append(s.B[:0], s.B[lo:]...)
 	return live && len(s.B) == 0
-}
-
-// Fold merges two series bucket-wise: counts at equal hours add. It is
-// commutative and associative, and decay distributes over it:
-// Fold(a.Decay(t, ttl), b.Decay(t, ttl)) == Fold(a, b).Decay(t, ttl).
-func Fold(a, b Series) Series {
-	if len(a.B) == 0 {
-		return Series{B: append([]Bucket(nil), b.B...)}
-	}
-	if len(b.B) == 0 {
-		return Series{B: append([]Bucket(nil), a.B...)}
-	}
-	out := make([]Bucket, 0, len(a.B)+len(b.B))
-	i, j := 0, 0
-	for i < len(a.B) && j < len(b.B) {
-		switch {
-		case a.B[i].Hour < b.B[j].Hour:
-			out = append(out, a.B[i])
-			i++
-		case a.B[i].Hour > b.B[j].Hour:
-			out = append(out, b.B[j])
-			j++
-		default:
-			out = append(out, Bucket{Hour: a.B[i].Hour, Count: a.B[i].Count + b.B[j].Count})
-			i, j = i+1, j+1
-		}
-	}
-	out = append(out, a.B[i:]...)
-	out = append(out, b.B[j:]...)
-	return Series{B: out}
 }
 
 // Live reports whether any evidence is currently held (callers decay

@@ -48,6 +48,12 @@ func TestDecayPrefixMonotone(t *testing.T) {
 			t.Fatalf("trial %d: Decay(Decay(s,%d),%d) = %v, Decay(s,%d) = %v (s=%v)",
 				trial, t1, t2, step.B, t2, direct.B, s.B)
 		}
+		// The ledger's in-place decay agrees with the reference.
+		inPlace := Series{B: append([]Bucket(nil), s.B...)}
+		inPlace.decayInPlace(t2, ttl)
+		if !inPlace.Equal(direct) {
+			t.Fatalf("trial %d: decayInPlace(s,%d) = %v, Decay = %v (s=%v)", trial, t2, inPlace.B, direct.B, s.B)
+		}
 	}
 }
 
@@ -165,4 +171,50 @@ func TestSeriesTotalLast(t *testing.T) {
 	if h, ok := s.Last(); !ok || h != 3 {
 		t.Fatalf("Last = %d,%v, want 3,true", h, ok)
 	}
+}
+
+// Decay returns the series with every bucket at or before now-ttl
+// dropped: evidence is live for exactly ttl hours after the hour it was
+// observed in. Decay(Decay(s, t1), t2) == Decay(s, t2) for t2 >= t1
+// (prefix monotonicity), and Decay distributes over Fold at equal now.
+func (s Series) Decay(now, ttl int32) Series {
+	cut := now - ttl
+	lo := 0
+	for lo < len(s.B) && s.B[lo].Hour <= cut {
+		lo++
+	}
+	if lo == 0 {
+		return Series{B: s.B}
+	}
+	return Series{B: s.B[lo:]}
+}
+
+// Fold merges two series bucket-wise: counts at equal hours add. It is
+// commutative and associative, and decay distributes over it:
+// Fold(a.Decay(t, ttl), b.Decay(t, ttl)) == Fold(a, b).Decay(t, ttl).
+func Fold(a, b Series) Series {
+	if len(a.B) == 0 {
+		return Series{B: append([]Bucket(nil), b.B...)}
+	}
+	if len(b.B) == 0 {
+		return Series{B: append([]Bucket(nil), a.B...)}
+	}
+	out := make([]Bucket, 0, len(a.B)+len(b.B))
+	i, j := 0, 0
+	for i < len(a.B) && j < len(b.B) {
+		switch {
+		case a.B[i].Hour < b.B[j].Hour:
+			out = append(out, a.B[i])
+			i++
+		case a.B[i].Hour > b.B[j].Hour:
+			out = append(out, b.B[j])
+			j++
+		default:
+			out = append(out, Bucket{Hour: a.B[i].Hour, Count: a.B[i].Count + b.B[j].Count})
+			i, j = i+1, j+1
+		}
+	}
+	out = append(out, a.B[i:]...)
+	out = append(out, b.B[j:]...)
+	return Series{B: out}
 }

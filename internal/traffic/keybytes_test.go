@@ -123,3 +123,31 @@ func TestLastEventBeforeDBMatchesString(t *testing.T) {
 		}
 	}
 }
+
+// CountIn is CountInD with diurnality weight 1.
+func (m *Model) CountIn(key string, rate float64, lon float64, start time.Time, dur time.Duration) int {
+	return m.CountInD(key, rate, lon, 1, start, dur)
+}
+
+// CountInD is the string-key reference for CountInDR: it formats the key
+// and constructs a fresh stream per sample.
+func (m *Model) CountInD(key string, rate, lon, diurn float64, start time.Time, dur time.Duration) int {
+	if rate <= 0 || dur <= 0 {
+		return 0
+	}
+	mid := start.Add(dur / 2)
+	mean := rate * dur.Seconds() * DiurnalWeighted(mid, lon, diurn)
+	rng := m.seed.New(fmt.Sprintf("traffic/%s/%d", key, start.Unix()))
+	return rng.Poisson(mean)
+}
+
+// LastEventBefore is LastEventBeforeD with diurnality weight 1.
+func (m *Model) LastEventBefore(key string, rate float64, lon float64, t time.Time, window time.Duration) (time.Time, bool) {
+	return m.LastEventBeforeD(key, rate, lon, 1, t, window)
+}
+
+// LastEventBeforeD is LastEventBeforeDB with a string key.
+func (m *Model) LastEventBeforeD(key string, rate, lon, diurn float64, t time.Time, window time.Duration) (time.Time, bool) {
+	var kb [128]byte
+	return m.LastEventBeforeDB(append(kb[:0], key...), rate, lon, diurn, t, window)
+}

@@ -12,7 +12,6 @@
 package traffic
 
 import (
-	"fmt"
 	"math"
 	"strconv"
 	"time"
@@ -174,18 +173,6 @@ func (m *Model) GoogleDNSRate(pi *world.PrefixInfo, d domains.Domain) float64 {
 	return perDay / 86400
 }
 
-// ResolverDNSRate is the equivalent rate toward the prefix's ISP resolver
-// (the non-Google share).
-func (m *Model) ResolverDNSRate(pi *world.PrefixInfo, d domains.Domain) float64 {
-	if !pi.HasClients() || pi.ResolverIdx < 0 {
-		return 0
-	}
-	as := m.W.ASes[pi.ASIdx]
-	perDay := float64(pi.Users) * float64(pi.Activity) * m.affinity(pi, d) *
-		m.Tun.DNSQueriesPerUserDay * m.domainShare(d) * (1 - as.GoogleDNSShare)
-	return perDay / 86400
-}
-
 // HTTPRate returns the prefix's mean CDN fetch rate (requests/second,
 // before the diurnal factor). Hosting prefixes fetch too — CDNs see bots
 // and machine-to-machine traffic, which the paper calls out.
@@ -239,33 +226,15 @@ func (m *Model) ResolverRootRates() []float64 {
 	return rates
 }
 
-// CountIn returns a deterministic Poisson sample of event counts in the
+// CountInDR returns a deterministic Poisson sample of event counts in the
 // window [start, start+dur) for a process with the given mean rate and
-// diurnal modulation at longitude lon. The sample depends only on
-// (seed, key, window), so any consumer asking about the same window gets
-// the same answer.
-func (m *Model) CountIn(key string, rate float64, lon float64, start time.Time, dur time.Duration) int {
-	return m.CountInD(key, rate, lon, 1, start, dur)
-}
-
-// CountInD is CountIn with an explicit diurnality weight (see
-// DiurnalWeighted).
-func (m *Model) CountInD(key string, rate, lon, diurn float64, start time.Time, dur time.Duration) int {
-	if rate <= 0 || dur <= 0 {
-		return 0
-	}
-	mid := start.Add(dur / 2)
-	mean := rate * dur.Seconds() * DiurnalWeighted(mid, lon, diurn)
-	rng := m.seed.New(fmt.Sprintf("traffic/%s/%d", key, start.Unix()))
-	return rng.Poisson(mean)
-}
-
-// CountInDR is CountInD with a byte-slice key and a caller-owned stream
-// that is reseeded instead of constructed: the two changes remove the key
-// formatting and the ~5KB rand source allocation from per-bucket sampling
-// loops (the roots trace generator draws hundreds of thousands of
-// samples). The sampled value is bit-identical to CountInD with the equal
-// string key.
+// diurnal modulation (weight diurn, see DiurnalWeighted) at longitude lon.
+// The sample depends only on (seed, key, window), so any consumer asking
+// about the same window gets the same answer. The key is a byte slice and
+// the stream caller-owned, reseeded instead of constructed: that keeps key
+// formatting and the ~5KB rand source allocation out of per-bucket
+// sampling loops (the roots trace generator draws hundreds of thousands of
+// samples).
 func (m *Model) CountInDR(r *randx.Stream, key []byte, rate, lon, diurn float64, start time.Time, dur time.Duration) int {
 	if rate <= 0 || dur <= 0 {
 		return 0
@@ -281,26 +250,15 @@ func (m *Model) CountInDR(r *randx.Stream, key []byte, rate, lon, diurn float64,
 	return r.Poisson(mean)
 }
 
-// LastEventBefore reports whether a Poisson process with the given mean
-// rate (diurnally modulated at longitude lon) produced an event within
-// [t-window, t], and if so when the most recent one was. The computation
-// quantizes time into window-sized buckets and is deterministic in
-// (seed, key, bucket), which lets the Google Public DNS simulator answer
-// "is this record cached right now?" lazily in O(1) — the core trick that
-// makes whole-space probing campaigns simulable.
-func (m *Model) LastEventBefore(key string, rate float64, lon float64, t time.Time, window time.Duration) (time.Time, bool) {
-	return m.LastEventBeforeD(key, rate, lon, 1, t, window)
-}
-
-// LastEventBeforeD is LastEventBefore with an explicit diurnality weight.
-func (m *Model) LastEventBeforeD(key string, rate, lon, diurn float64, t time.Time, window time.Duration) (time.Time, bool) {
-	var kb [128]byte
-	return m.LastEventBeforeDB(append(kb[:0], key...), rate, lon, diurn, t, window)
-}
-
-// LastEventBeforeDB is LastEventBeforeD with a byte-slice key, for callers
-// that assemble keys in reused buffers (the lazy cache-fill model calls
-// this once per probe). Results are bit-identical to the string variant.
+// LastEventBeforeDB reports whether a Poisson process with the given mean
+// rate (modulated with diurnality weight diurn at longitude lon) produced
+// an event within [t-window, t], and if so when the most recent one was.
+// The computation quantizes time into window-sized buckets and is
+// deterministic in (seed, key, bucket), which lets the Google Public DNS
+// simulator answer "is this record cached right now?" lazily in O(1) —
+// the core trick that makes whole-space probing campaigns simulable. The
+// key is a byte slice so callers assemble it in reused buffers (the lazy
+// cache-fill model calls this once per probe).
 func (m *Model) LastEventBeforeDB(key []byte, rate, lon, diurn float64, t time.Time, window time.Duration) (time.Time, bool) {
 	if rate <= 0 || window <= 0 {
 		return time.Time{}, false

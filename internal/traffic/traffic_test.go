@@ -74,16 +74,6 @@ func TestRatesScaleWithUsersAndShare(t *testing.T) {
 	if gSum <= wSum {
 		t.Errorf("aggregate google rate %v not above wikipedia %v", gSum, wSum)
 	}
-
-	// Google + resolver shares partition the total.
-	rr := m.ResolverDNSRate(pi, google)
-	as := m.W.ASes[pi.ASIdx]
-	if pi.ResolverIdx >= 0 {
-		wantRatio := as.GoogleDNSShare / (1 - as.GoogleDNSShare)
-		if got := gr / rr; math.Abs(got-wantRatio)/wantRatio > 1e-9 {
-			t.Errorf("google/resolver ratio %v, want %v", got, wantRatio)
-		}
-	}
 }
 
 func TestInactivePrefixHasNoTraffic(t *testing.T) {

@@ -443,7 +443,6 @@ func (g *generator) placeResolvers() {
 			g.w.Resolvers = append(g.w.Resolvers, Resolver{
 				Addr:            addr,
 				ASIdx:           int32(i),
-				Kind:            ResolverISP,
 				Coord:           as.Coord,
 				ForwardsToRoots: rng.Bool(params.RootVisibleProb),
 			})

@@ -42,25 +42,11 @@ var Categories = []Category{
 	CategoryEnterprise, CategoryContent, CategoryGovernment,
 }
 
-// ResolverKind distinguishes recursive resolver deployments.
-type ResolverKind uint8
-
-// Resolver kinds.
-const (
-	// ResolverISP serves the clients of its own AS.
-	ResolverISP ResolverKind = iota
-	// ResolverPublic is a third-party open resolver (not Google; Google
-	// Public DNS is modeled separately because of its anycast + ECS
-	// behaviour).
-	ResolverPublic
-)
-
 // Resolver is one recursive resolver.
 type Resolver struct {
 	Addr netx.Addr
 	// ASIdx indexes World.ASes.
 	ASIdx int32
-	Kind  ResolverKind
 	Coord geo.Coord
 	// ForwardsToRoots reports whether this resolver's cache misses reach
 	// the root servers directly (and therefore appear in DITL traces).
@@ -147,15 +133,6 @@ type World struct {
 	// match), the ground truth behind the RouteViews dataset.
 	announcements netx.Trie[int32]
 	geoDB         *geo.DB
-}
-
-// ASOf returns the AS announcing the /24 containing a, if any.
-func (w *World) ASOf(a netx.Addr) (*AS, bool) {
-	idx, _, ok := w.announcements.Lookup(a)
-	if !ok {
-		return nil, false
-	}
-	return w.ASes[idx], true
 }
 
 // PrefixInfoOf returns the ground truth for a /24, if announced.
@@ -307,11 +284,6 @@ type Config struct {
 	Seed   randx.Seed
 	Scale  Scale
 	Params Params
-}
-
-// DefaultConfig returns a medium world with calibrated parameters.
-func DefaultConfig(seed randx.Seed) Config {
-	return Config{Seed: seed, Scale: ScaleMedium, Params: DefaultParams()}
 }
 
 func (c Config) validate() error {

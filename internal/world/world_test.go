@@ -123,7 +123,7 @@ func TestBlocksDontOverlap(t *testing.T) {
 	}
 	for i := 0; i < len(blocks); i++ {
 		for j := i + 1; j < len(blocks); j++ {
-			if blocks[i].Overlaps(blocks[j]) {
+			if blocks[i].ContainsPrefix(blocks[j]) || blocks[j].ContainsPrefix(blocks[i]) {
 				t.Fatalf("blocks %v and %v overlap", blocks[i], blocks[j])
 			}
 		}
@@ -304,4 +304,13 @@ func BenchmarkGenerateSmall(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// ASOf returns the AS announcing the /24 containing a, if any.
+func (w *World) ASOf(a netx.Addr) (*AS, bool) {
+	idx, _, ok := w.announcements.Lookup(a)
+	if !ok {
+		return nil, false
+	}
+	return w.ASes[idx], true
 }

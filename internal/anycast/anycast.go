@@ -164,36 +164,40 @@ var popRankProbs = []float64{0.72, 0.16, 0.07, 0.03, 0.02}
 // of Google Public DNS query volume).
 func (r *Router) PoPForClient(p netx.Slash24, c geo.Coord) int {
 	order := r.nearest(c, r.activeIdx)
-	// Thin out small sites deterministically per prefix.
-	kept := order[:0:0]
+	// Hash keys "anycast/small/<p>/<pop>" and "anycast/client/<p>",
+	// byte-built in stack scratch (pinned against their string forms by
+	// TestClientKeyBytesMatchStrings).
+	var kb [64]byte
+	key := append(kb[:0], "anycast/small/"...)
+	key = p.AppendTo(key)
+	key = append(key, '/')
+	base := len(key)
+	// Thin out small sites deterministically per prefix, in place: order
+	// is this call's own slice.
+	kept := order[:0]
 	for _, idx := range order {
 		pop := r.pops[idx]
 		if pop.Active && !pop.CloudReachable &&
-			r.seed.HashUnit("anycast/small/"+p.String()+"/"+pop.Name) < 0.75 {
+			r.seed.HashUnitB(append(key[:base], pop.Name...)) < 0.75 {
 			continue
 		}
 		kept = append(kept, idx)
 	}
-	if len(kept) > 0 {
-		order = kept
-	}
-	u := r.seed.HashUnit("anycast/client/" + p.String())
+	order = kept
+	key = append(kb[:0], "anycast/client/"...)
+	u := r.seed.HashUnitB(p.AppendTo(key))
+	// The rank probabilities sum to exactly 1 and u < 1, and cloud-reachable
+	// sites are never thinned, so every prefix keeps more candidates than
+	// there are ranks: the last rank takes the remainder.
+	last := min(len(order), len(popRankProbs)) - 1
 	acc := 0.0
-	for k, prob := range popRankProbs {
-		if k >= len(order) {
-			break
-		}
-		acc += prob
+	for k := 0; k < last; k++ {
+		acc += popRankProbs[k]
 		if u < acc {
 			return order[k]
 		}
 	}
-	// Long-tail detour: land somewhere in the nearest half dozen.
-	n := len(order)
-	if n > 6 {
-		n = 6
-	}
-	return order[int(r.seed.Hash64("anycast/detour/"+p.String()))%n]
+	return order[last]
 }
 
 // PoPForVantage returns the catalog index of the PoP a cloud vantage point

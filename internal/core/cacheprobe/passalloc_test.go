@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"clientmap/internal/core/cacheprobe"
+	"clientmap/internal/metrics"
 	"clientmap/internal/sim"
 	"clientmap/internal/world"
 )
@@ -24,11 +25,21 @@ type passFixture struct {
 
 func newPassFixture(tb testing.TB) *passFixture {
 	tb.Helper()
-	s, err := sim.New(sim.Config{Seed: 101, Scale: world.ScaleTiny})
+	return newMeteredPassFixture(tb, nil, 0)
+}
+
+// newMeteredPassFixture builds the fixture with the system instrumented
+// into reg (nil leaves it uninstrumented) and the prober's pool at
+// workers goroutines (0 = GOMAXPROCS).
+func newMeteredPassFixture(tb testing.TB, reg *metrics.Registry, workers int) *passFixture {
+	tb.Helper()
+	s, err := sim.New(sim.Config{Seed: 101, Scale: world.ScaleTiny, Metrics: reg})
 	if err != nil {
 		tb.Fatal(err)
 	}
 	cfg := s.ProberConfig()
+	cfg.Workers = workers
+	cfg.Metrics = reg
 	cfg.Duration = 24 * time.Hour
 	cfg.Passes = 1 << 20 // room for one pass per benchmark iteration
 	p := s.Prober(cfg)

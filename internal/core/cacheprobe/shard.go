@@ -253,10 +253,14 @@ func (p *Prober) execUnits(ctx context.Context, pops map[string]*Vantage, asg *A
 		slots := out[b.ui]
 		// Per-batch scratch: one pooled query message, a key buffer
 		// pre-filled with "probe/<pass>/<pop>/", one re-stamped time
-		// carrier. Batch boundaries carry no state, so splitting a PoP's
+		// carrier, and the tally the per-probe ledger counters add into
+		// (flushed when the batch ends, inside the caller's snapshot
+		// window). Batch boundaries carry no state, so splitting a PoP's
 		// tasks across units changes nothing.
 		q := dnswire.AcquireMessage()
 		defer dnswire.ReleaseMessage(q)
+		tally := &metrics.Tally{}
+		defer tally.Flush()
 		var kb [192]byte
 		keyBuf := append(kb[:0], "probe/"...)
 		keyBuf = strconv.AppendInt(keyBuf, int64(pass), 10)
@@ -264,7 +268,7 @@ func (p *Prober) execUnits(ctx context.Context, pops map[string]*Vantage, asg *A
 		keyBuf = append(keyBuf, pop...)
 		keyBuf = append(keyBuf, '/')
 		popLen := len(keyBuf)
-		carrier := &clockx.TimeCarrier{Context: ctx}
+		carrier := &clockx.TimeCarrier{Context: metrics.WithTally(ctx, tally)}
 		var hedge hedgeOption
 		for i := b.lo; i < b.hi; i++ {
 			// ti is the task's global index in the PoP's full list:

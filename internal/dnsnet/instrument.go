@@ -15,6 +15,8 @@ import (
 // injector — so the counters see what the caller sees, injected faults
 // included. Counters are order-independent sums, so the wrapper is safe
 // on transports shared by concurrent workers; a nil registry discards.
+// The queries counter, bumped on every exchange, adds into the Tally the
+// exchange's context carries, if any (metrics.Counter.IncIn).
 func Instrument(reg *metrics.Registry, name string, next Exchanger) Exchanger {
 	if reg == nil {
 		return next
@@ -36,7 +38,7 @@ type instrumented struct {
 }
 
 func (i *instrumented) Exchange(ctx context.Context, server string, q *dnswire.Message) (*dnswire.Message, error) {
-	i.queries.Inc()
+	i.queries.IncIn(ctx)
 	resp, err := i.next.Exchange(ctx, server, q)
 	switch {
 	case errors.Is(err, ErrTimeout):

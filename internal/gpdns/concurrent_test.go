@@ -97,7 +97,7 @@ func runConcurrent(t *testing.T, cases []probeCase, want []probeOutcome, do func
 	}
 }
 
-// TestLazyFillConcurrentMatchesSequential drives the striped rate memo
+// TestLazyFillConcurrentMatchesSequential drives the lazy-fill memo
 // from eight goroutines over overlapping keys: every answer must equal a
 // sequential run's on a fresh memo. Run it under -race.
 func TestLazyFillConcurrentMatchesSequential(t *testing.T) {

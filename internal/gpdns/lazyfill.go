@@ -3,6 +3,7 @@ package gpdns
 import (
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"clientmap/internal/authdns"
@@ -19,133 +20,215 @@ import (
 // the PoP anycast assigns it), splits the rate evenly across the PoP's
 // cache pools, and asks the traffic model's deterministic Poisson sampler
 // for the most recent arrival within the record's TTL.
+//
+// Everything but the sampler draw is a pure function of the domain and
+// the query's ECS source clamped to the domain's Scope.MaxBits, so it is
+// memoized as one line per such key: the natural scope, the per-PoP
+// rates, and the rate-weighted longitude and diurnality. A probe reads
+// its line without taking a lock or writing shared memory; a missing
+// line is filled under one mutex, which also memoizes each client /24's
+// anycast route for every line that contains it.
 type LazyFill struct {
-	model   *traffic.Model
-	catalog map[string]domains.Domain
-	pools   int
+	model *traffic.Model
+	doms  []domains.Domain
+	index map[string]int32 // name → doms index
+	pools int
 
-	// memo holds the per-(domain, scope) rate lines, striped by key hash.
-	// Every probe consults it and after warmup nearly every call is a hit,
-	// but a read lock still writes its reader count: striping spreads
-	// those writes over 64 cache lines instead of one.
-	memo [rateStripes]rateStripe
+	memo atomic.Pointer[fillMemo]
 }
 
-// rateStripes is the memo's stripe count (a power of two: stripeFor keeps
-// the top bits of a multiplicative hash).
-const rateStripes = 64
-
-// rateStripe is one independently locked slice of the memo. The padding
-// keeps neighbouring stripes' lock words on different cache lines.
-type rateStripe struct {
-	mu    sync.RWMutex
-	rates map[ratesKey]*scopeRates
-	_     [64]byte
+// fillMemo is one epoch of the memo: the published lines and the client
+// routes they were summed from. Invalidate starts a new epoch.
+type fillMemo struct {
+	mu     sync.Mutex // serializes fills: publishing lines, writing routes
+	lines  atomic.Pointer[lineTable]
+	routes map[netx.Slash24]int // client /24 → PoP index, guarded by mu
 }
 
-// ratesKey identifies one (domain, scope) cache line. The struct key
-// replaces a concatenated "domain|scope" string that was rebuilt — one
-// allocation plus a prefix formatting — on every single probe.
-type ratesKey struct {
-	name  string
-	scope netx.Prefix
+// lineKey is what a query carries: the domain and its ECS source, clamped
+// to the domain's Scope.MaxBits. The natural scope depends on nothing
+// finer, so a client sending /32 sources cannot grow the memo.
+type lineKey struct {
+	dom int32
+	src netx.Prefix
 }
 
-// scopeRates caches the per-PoP aggregated rates for one (domain, scope).
-type scopeRates struct {
-	perPoP map[int]float64
-	lon    float64
+// hash mixes every key bit into the top bits lineTable indexes by (the
+// splitmix64 finalizer): scopes are aligned blocks, and a bare
+// multiplicative hash of them clusters enough to lengthen probes by a
+// third.
+func (k lineKey) hash() uint64 {
+	x := uint64(k.src.Addr())<<8 | uint64(k.src.Bits()) | uint64(k.dom)<<40
+	x ^= x >> 31
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 29
+	return x * 0x94d049bb133111eb
+}
+
+// line is the memoized lazy-fill state of one key.
+type line struct {
+	key     lineKey
+	natural netx.Prefix
+	lon     float64
 	// diurn is the rate-weighted mean diurnality of the scope's clients.
 	diurn float64
+	// rates holds each PoP's aggregated rate, in first-seen order; every
+	// rate is positive.
+	rates []popRate
+}
+
+type popRate struct {
+	pop  int
+	rate float64
+}
+
+// rate returns the aggregated rate at PoP pop (zero if none).
+func (l *line) rate(pop int) float64 {
+	for _, r := range l.rates {
+		if r.pop == pop {
+			return r.rate
+		}
+	}
+	return 0
+}
+
+// lineTable is an open-addressed hash table of published lines that
+// readers probe without a lock. A slot changes once, from nil to a line;
+// a table past half full is replaced by a doubled copy, so a reader
+// holding the old table sees a subset of the lines and retries a miss
+// under fillMemo.mu.
+type lineTable struct {
+	slots []atomic.Pointer[line]
+	shift uint
+	n     int // lines published, guarded by fillMemo.mu
+}
+
+func newLineTable(bits uint) *lineTable {
+	return &lineTable{slots: make([]atomic.Pointer[line], 1<<bits), shift: 64 - bits}
+}
+
+// get returns the line for k, or nil.
+func (t *lineTable) get(k lineKey) *line {
+	mask := uint64(len(t.slots) - 1)
+	for i := k.hash() >> t.shift; ; i = (i + 1) & mask {
+		if l := t.slots[i].Load(); l == nil || l.key == k {
+			return l
+		}
+	}
+}
+
+// put publishes l, which t does not hold yet. Callers hold fillMemo.mu.
+func (t *lineTable) put(l *line) {
+	mask := uint64(len(t.slots) - 1)
+	i := l.key.hash() >> t.shift
+	for t.slots[i].Load() != nil {
+		i = (i + 1) & mask
+	}
+	t.slots[i].Store(l)
+	t.n++
 }
 
 // NewLazyFill builds the background-traffic model for the given per-PoP
 // pool count (which must match the server's).
 func NewLazyFill(model *traffic.Model, pools int) *LazyFill {
-	cat := make(map[string]domains.Domain)
-	for _, d := range domains.Catalog() {
-		cat[d.Name] = d
+	lf := &LazyFill{model: model, doms: domains.Catalog(), index: make(map[string]int32), pools: pools}
+	for i, d := range lf.doms {
+		lf.index[d.Name] = int32(i)
 	}
-	lf := &LazyFill{model: model, catalog: cat, pools: pools}
-	for i := range lf.memo {
-		lf.memo[i].rates = make(map[ratesKey]*scopeRates)
-	}
+	lf.Invalidate()
 	return lf
 }
 
-// stripeFor picks a key's memo stripe by a multiplicative hash of the
-// scope (the memo holds many scopes of a few domains).
-func (lf *LazyFill) stripeFor(k ratesKey) *rateStripe {
-	x := uint64(k.scope.Addr())<<8 | uint64(k.scope.Bits()) | uint64(len(k.name))<<40
-	return &lf.memo[(x*0x9e3779b97f4a7c15)>>58]
-}
-
-// Invalidate drops every memoized (domain, scope) rate line. The memo
-// assumes the world's prefix populations and resolver shares are frozen
-// — true for fixed-window campaigns, false once the streaming mode
-// churns the world. The stream calls Invalidate after applying each
+// Invalidate drops every memoized line and client route. The memo
+// assumes the world's prefix populations, resolver shares and routes are
+// frozen — true for fixed-window campaigns, false once the streaming
+// mode churns the world. The stream calls Invalidate after applying each
 // hour's churn events, so both a continuous run and a resumed run
-// recompute rates from the same post-churn world instead of one of them
-// serving stale memo entries.
+// recompute lines from the same post-churn world instead of one of them
+// serving stale ones.
 func (lf *LazyFill) Invalidate() {
-	for i := range lf.memo {
-		st := &lf.memo[i]
-		st.mu.Lock()
-		st.rates = make(map[ratesKey]*scopeRates)
-		st.mu.Unlock()
-	}
+	m := &fillMemo{routes: make(map[netx.Slash24]int)}
+	m.lines.Store(newLineTable(10))
+	lf.memo.Store(m)
 }
 
-// ratesFor aggregates (and memoizes) the per-PoP client query rates for a
-// (domain, scope) cache line.
-func (lf *LazyFill) ratesFor(d domains.Domain, scope netx.Prefix) *scopeRates {
-	key := ratesKey{name: d.Name, scope: scope}
-	st := lf.stripeFor(key)
-	st.mu.RLock()
-	r, ok := st.rates[key]
-	st.mu.RUnlock()
-	if ok {
-		return r
+// lineFor returns the line of (domain di, src), filling it on a miss.
+func (lf *LazyFill) lineFor(di int32, d *domains.Domain, src netx.Prefix) *line {
+	if src.Bits() > d.Scope.MaxBits {
+		src = netx.PrefixFrom(src.Addr(), d.Scope.MaxBits)
 	}
+	k := lineKey{dom: di, src: src}
+	m := lf.memo.Load()
+	if l := m.lines.Load().get(k); l != nil {
+		return l
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	t := m.lines.Load()
+	if l := t.get(k); l != nil {
+		return l // filled while this caller waited
+	}
+	l := lf.fill(m, d, k)
+	if 2*(t.n+1) > len(t.slots) {
+		next := newLineTable(64 - t.shift + 1)
+		for i := range t.slots {
+			if old := t.slots[i].Load(); old != nil {
+				next.put(old)
+			}
+		}
+		m.lines.Store(next)
+		t = next
+	}
+	t.put(l)
+	return l
+}
 
-	r = &scopeRates{perPoP: make(map[int]float64)}
+// fill computes k's line. Callers hold m.mu. The rates are summed per
+// /24 in ascending order, so every float is a pure function of the key.
+func (lf *LazyFill) fill(m *fillMemo, d *domains.Domain, k lineKey) *line {
+	natural := authdns.NaturalScope(lf.model.W.Cfg.Seed, *d, k.src)
+	l := &line{key: k, natural: natural}
 	first := true
 	var rateSum, diurnSum float64
-	scope.Slash24s(func(p netx.Slash24) bool {
+	natural.Slash24s(func(p netx.Slash24) bool {
 		pi, ok := lf.model.W.PrefixInfoOf(p)
 		if !ok || !pi.HasClients() {
 			return true
 		}
 		if first {
-			r.lon = pi.Coord.Lon
+			l.lon = pi.Coord.Lon
 			first = false
 		}
-		rate := lf.model.GoogleDNSRate(pi, d)
+		rate := lf.model.GoogleDNSRate(pi, *d)
 		if rate <= 0 {
 			return true
 		}
-		pop := lf.model.Router.PoPForClient(p, pi.Coord)
-		r.perPoP[pop] += rate
+		pop, ok := m.routes[p]
+		if !ok {
+			pop = lf.model.Router.PoPForClient(p, pi.Coord)
+			m.routes[p] = pop
+		}
+		l.addRate(pop, rate)
 		rateSum += rate
 		diurnSum += rate * float64(pi.Diurnality)
 		return true
 	})
 	if rateSum > 0 {
-		r.diurn = diurnSum / rateSum
+		l.diurn = diurnSum / rateSum
 	} else {
-		r.diurn = 1
+		l.diurn = 1
 	}
+	return l
+}
 
-	st.mu.Lock()
-	if prev, ok := st.rates[key]; ok {
-		// Another worker computed the same line concurrently; keep one
-		// instance so every caller shares the memo.
-		r = prev
-	} else {
-		st.rates[key] = r
+func (l *line) addRate(pop int, rate float64) {
+	for i := range l.rates {
+		if l.rates[i].pop == pop {
+			l.rates[i].rate += rate
+			return
+		}
 	}
-	st.mu.Unlock()
-	return r
+	l.rates = append(l.rates, popRate{pop: pop, rate: rate})
 }
 
 // Lookup reports whether (name, a scope covering src) is cached at popIdx
@@ -157,22 +240,23 @@ func (lf *LazyFill) ratesFor(d domains.Domain, scope netx.Prefix) *scopeRates {
 // 7871 cache semantics a hit requires the cached scope to cover the query
 // source, so a query at a stale or flipped scope can legitimately miss.
 func (lf *LazyFill) Lookup(popIdx, poolIdx int, name string, src netx.Prefix, now time.Time) (entry, bool) {
-	d, ok := lf.catalog[name]
+	di, ok := lf.index[name]
 	if !ok {
 		return entry{}, false
 	}
+	d := &lf.doms[di]
 	if !d.SupportsECS {
 		// Non-ECS domains have one global cache line per PoP; for a
 		// popular domain it is effectively always warm, with scope 0.
 		exp := now.Add(d.TTL / 2)
 		return entry{name: name, addr: lazyAddr(name), scope: netx.PrefixFrom(0, 0), expiry: exp}, true
 	}
-	natural := authdns.NaturalScope(lf.model.W.Cfg.Seed, d, src)
-	rates := lf.ratesFor(d, natural)
-	rate, ok := rates.perPoP[popIdx]
-	if !ok || rate <= 0 {
+	l := lf.lineFor(di, d, src)
+	rate := l.rate(popIdx)
+	if rate <= 0 {
 		return entry{}, false
 	}
+	natural := l.natural
 	// Sampler key "gpdns/<name>/<natural>/<pop>/<pool>", byte-built in
 	// stack scratch — these bytes must equal the fmt.Sprintf("%s/%s/%d/%d")
 	// key this line used before the zero-alloc rewrite, or every lazily
@@ -186,7 +270,7 @@ func (lf *LazyFill) Lookup(popIdx, poolIdx int, name string, src netx.Prefix, no
 	key = strconv.AppendInt(key, int64(popIdx), 10)
 	key = append(key, '/')
 	key = strconv.AppendInt(key, int64(poolIdx), 10)
-	arrival, ok := lf.model.LastEventBeforeDB(key, rate/float64(lf.pools), rates.lon, rates.diurn, now, d.TTL)
+	arrival, ok := lf.model.LastEventBeforeDB(key, rate/float64(lf.pools), l.lon, l.diurn, now, d.TTL)
 	if !ok {
 		return entry{}, false
 	}
@@ -207,7 +291,7 @@ func (lf *LazyFill) Lookup(popIdx, poolIdx int, name string, src netx.Prefix, no
 
 // cachedScope applies fill-time scope instability: mostly the natural
 // scope, occasionally shifted a few bits — deterministic per cache fill.
-func (lf *LazyFill) cachedScope(d domains.Domain, natural netx.Prefix, popIdx, poolIdx int, arrival time.Time) netx.Prefix {
+func (lf *LazyFill) cachedScope(d *domains.Domain, natural netx.Prefix, popIdx, poolIdx int, arrival time.Time) netx.Prefix {
 	seed := lf.model.W.Cfg.Seed
 	fill := arrival.UnixNano()
 	// Byte-identical to the former fmt.Sprintf("gpdns/flip/%s/%s/%d/%d/%d")

@@ -33,6 +33,8 @@ const (
 
 // Config configures the simulator.
 type Config struct {
+	// Clock is the time unscheduled queries are served at and the rate
+	// limiters refill on. Required.
 	Clock clockx.Clock
 	// Metrics, when set, mirrors the server's counters into the shared
 	// registry under "gpdns/…" — queries, cache hits, rate-limit drops,
@@ -66,7 +68,9 @@ type Server struct {
 
 	// Query, hit and rate-limit counters (what Stats reports) plus
 	// rate-limit occupancy, resolved from Config.Metrics or, when that is
-	// nil, from a private registry: each query is counted once.
+	// nil, from a private registry: each query is counted once. Queries
+	// and hits add into the caller's metrics.Tally when its context
+	// carries one.
 	mQueries, mHits, mLimited, mBuckets *metrics.Counter
 	mTokens                             *metrics.Histogram
 }
@@ -95,9 +99,6 @@ var tokenBounds = []int64{0, 1, 2, 4, 8, 16, 64, 256, 1024, 4096}
 
 // NewServer builds the simulator over the router's PoP catalog.
 func NewServer(cfg Config, router *anycast.Router) *Server {
-	if cfg.Clock == nil {
-		cfg.Clock = clockx.Real{}
-	}
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = metrics.NewRegistry()
@@ -127,7 +128,7 @@ func (s *Server) SetUpstream(h dnsnet.Handler) { s.upstream = h }
 func (s *Server) SetLazyFill(lf *LazyFill) { s.lazy = lf }
 
 // LazyFill returns the attached background-traffic cache model, if any —
-// the streaming mode invalidates its rate memo after each churn step.
+// the streaming mode invalidates its memo after each churn step.
 func (s *Server) LazyFill() *LazyFill { return s.lazy }
 
 // RegisterVantage declares that queries from src reach the PoP at catalog
@@ -154,7 +155,9 @@ func (s *Server) SetClientRouter(f func(netx.Addr) int) {
 }
 
 // Stats reports (queries served, cache hits, rate-limited drops): the
-// values of the server's gpdns/… counters.
+// values of the server's gpdns/… counters. Queries and hits served on a
+// context carrying a metrics.Tally reach the counters when the tally is
+// flushed, so Stats lags a probe batch still in flight.
 func (s *Server) Stats() (queries, hits, limited uint64) {
 	return uint64(s.mQueries.Value()), uint64(s.mHits.Value()), uint64(s.mLimited.Value())
 }
@@ -172,7 +175,7 @@ func (s *Server) route(from netx.Addr) int {
 
 // ServeDNS implements dnsnet.Handler without transport rate limits.
 func (s *Server) ServeDNS(ctx context.Context, from netx.Addr, q *dnswire.Message) *dnswire.Message {
-	s.mQueries.Inc()
+	s.mQueries.IncIn(ctx)
 	popIdx := s.route(from)
 	if popIdx < 0 || popIdx >= len(s.sites) {
 		return nil // no anycast route from this source
@@ -223,13 +226,13 @@ func (s *Server) ServeDNS(ctx context.Context, from netx.Addr, q *dnswire.Messag
 	p := st.pools[poolIdx]
 
 	if e, ok := p.lookup(qq.Name, src, now); ok {
-		s.mHits.Inc()
+		s.mHits.IncIn(ctx)
 		return answerFor(q, e, now)
 	}
 	// Lazy background fill: would client-driven traffic have this cached?
 	if s.lazy != nil {
 		if e, ok := s.lazy.Lookup(popIdx, poolIdx, qq.Name, src, now); ok {
-			s.mHits.Inc()
+			s.mHits.IncIn(ctx)
 			return answerFor(q, e, now)
 		}
 	}

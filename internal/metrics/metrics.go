@@ -22,11 +22,14 @@
 //
 // Handles are resolved by name once, outside hot loops (the registry
 // mutex is only taken at resolution); the per-event cost is one atomic
-// add. All handle methods are nil-receiver safe and a nil *Registry
-// resolves nil handles, so instrumentation call sites are unconditional.
+// add, or a plain add into the caller's Tally for counters incremented
+// through IncIn on a context that carries one. All handle methods are
+// nil-receiver safe and a nil *Registry resolves nil handles, so
+// instrumentation call sites are unconditional.
 package metrics
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"sort"
@@ -55,6 +58,65 @@ func (c *Counter) Value() int64 {
 		return 0
 	}
 	return c.v.Load()
+}
+
+// IncIn adds one: into the Tally ctx carries, else straight into c.
+func (c *Counter) IncIn(ctx context.Context) {
+	if c == nil {
+		return
+	}
+	if t, ok := ctx.Value(tallyKey{}).(*Tally); ok {
+		t.inc(c)
+		return
+	}
+	c.v.Add(1)
+}
+
+// tallySlots is how many distinct counters a Tally accumulates; an
+// increment for one more goes straight to its counter.
+const tallySlots = 4
+
+// Tally accumulates counter increments for one goroutine's batch of
+// work, so a counter bumped on every event of the batch costs a plain
+// add instead of an atomic one on a cache line every worker writes.
+// Flush hands the sums to their counters. A tally that is flushed
+// before anyone snapshots the registry changes no ledger: counters are
+// order-independent sums, and an increment only moves later within
+// its window.
+type Tally struct {
+	n  int
+	cs [tallySlots]*Counter
+	vs [tallySlots]int64
+}
+
+type tallyKey struct{}
+
+// WithTally returns ctx carrying t, for IncIn beneath it.
+func WithTally(ctx context.Context, t *Tally) context.Context {
+	return context.WithValue(ctx, tallyKey{}, t)
+}
+
+func (t *Tally) inc(c *Counter) {
+	for i := 0; i < t.n; i++ {
+		if t.cs[i] == c {
+			t.vs[i]++
+			return
+		}
+	}
+	if t.n == tallySlots {
+		c.v.Add(1)
+		return
+	}
+	t.cs[t.n], t.vs[t.n] = c, 1
+	t.n++
+}
+
+// Flush adds every tallied sum into its counter and empties t.
+func (t *Tally) Flush() {
+	for i := 0; i < t.n; i++ {
+		t.cs[i].v.Add(t.vs[i])
+	}
+	*t = Tally{}
 }
 
 // Gauge is a last-write-wins level. Gauges are NOT order-independent

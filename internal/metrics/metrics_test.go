@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"sync"
 	"testing"
@@ -14,6 +15,7 @@ func TestNilSafety(t *testing.T) {
 	h := reg.Histogram("z", []int64{1, 2})
 	c.Inc()
 	c.Add(5)
+	c.IncIn(WithTally(context.Background(), &Tally{}))
 	g.Set(3)
 	g.Add(1)
 	h.Observe(7)
@@ -49,6 +51,39 @@ func TestCounterGauge(t *testing.T) {
 	}
 	if reg.Gauge("depth") != g {
 		t.Error("re-resolving a gauge must return the same handle")
+	}
+}
+
+// TestTally: IncIn on a context without a tally adds at once; with one,
+// the sums reach the counters only at Flush, which empties the tally. A
+// tally full of other counters passes an increment straight through.
+func TestTally(t *testing.T) {
+	reg := NewRegistry()
+	cs := []*Counter{reg.Counter("a"), reg.Counter("b"), reg.Counter("c"), reg.Counter("d"), reg.Counter("e")}
+	cs[0].IncIn(context.Background())
+	if got := cs[0].Value(); got != 1 {
+		t.Fatalf("untallied IncIn: a = %d, want 1", got)
+	}
+	var tally Tally
+	ctx := WithTally(context.Background(), &tally)
+	for i, c := range cs[:tallySlots] {
+		for j := 0; j <= i; j++ {
+			c.IncIn(ctx)
+		}
+	}
+	cs[tallySlots].IncIn(ctx)
+	if got := cs[tallySlots].Value(); got != 1 {
+		t.Errorf("overflow counter = %d before Flush, want 1", got)
+	}
+	if got := cs[1].Value(); got != 0 {
+		t.Errorf("tallied counter b = %d before Flush, want 0", got)
+	}
+	tally.Flush()
+	tally.Flush() // empty: adds nothing
+	for i, want := range []int64{2, 2, 3, 4, 1} {
+		if got := cs[i].Value(); got != want {
+			t.Errorf("counter %d = %d after Flush, want %d", i, got, want)
+		}
 	}
 }
 

@@ -4,9 +4,10 @@ GO ?= go
 
 # Packages whose coverage is gated in CI: the wire/transport layer, the
 # measurement cores, the stage runner, the snapshot codecs, the metrics
-# registry, the degradation layer, and the simulated world + traffic
+# registry, the degradation layer, the fault injector, the simulated
+# Google front end, the churn planner, and the simulated world + traffic
 # models, where an untested branch is a silently wrong result.
-COVER_PKGS = ./internal/dnsnet/... ./internal/core/... ./internal/pipeline/... ./internal/snapshot/... ./internal/metrics/... ./internal/health/... ./internal/serve/... ./internal/world/... ./internal/traffic/... ./internal/statefs/... ./internal/statefsck/... ./internal/par/...
+COVER_PKGS = ./internal/dnsnet/... ./internal/core/... ./internal/pipeline/... ./internal/snapshot/... ./internal/metrics/... ./internal/health/... ./internal/serve/... ./internal/world/... ./internal/traffic/... ./internal/statefs/... ./internal/statefsck/... ./internal/par/... ./internal/faults/... ./internal/gpdns/... ./internal/churn/...
 COVER_FLOOR = 70
 # The metrics registry, the health layer, the snapshot codecs, the
 # stage runner, the serving layer, the world/traffic substrate, the
@@ -99,14 +100,15 @@ fuzz-smoke:
 
 # golden-update regenerates the golden regression corpus (the headline
 # statistics of a fixed small-scale campaign, the degraded-mode stats of
-# the same campaign under the chaos matrix, the streaming corpus —
+# the same campaign under the chaos matrix, the reliability and
+# degradation JSON of the two chaos matrices, the streaming corpus —
 # rolling-view headline stats plus the coverage-lag table of a fixed
 # 24-sim-hour churn scenario — and the pinned stage fingerprints). Run
 # after an intentional behaviour change and review the diff: every moved
 # number is a semantic change to the reproduction, and every moved
 # fingerprint is a checkpoint that no longer resumes.
 golden-update:
-	CLIENTMAP_UPDATE_GOLDEN=1 $(GO) test -count=1 -run 'TestGolden|TestStageFingerprintsPinned' ./internal/experiments/ ./internal/serve/
+	CLIENTMAP_UPDATE_GOLDEN=1 $(GO) test -count=1 -run 'TestGolden|TestChaosCampaignDeterminism|TestStageFingerprintsPinned' ./internal/experiments/ ./internal/serve/
 
 # loc prints non-test Go lines per package and the module total outside
 # cmd/bench (a module of its own, frozen between [benchmark] PRs), so

@@ -25,7 +25,6 @@ import (
 	"clientmap/internal/clockx"
 	"clientmap/internal/dnsnet"
 	"clientmap/internal/domains"
-	"clientmap/internal/faults"
 	"clientmap/internal/geo"
 	"clientmap/internal/health"
 	"clientmap/internal/metrics"
@@ -98,12 +97,6 @@ type Config struct {
 	// try — the paper's behaviour, where timeouts count as misses.
 	Retry Retry
 
-	// FaultCounters, when the transports are wrapped in fault injectors,
-	// shares the injector counters so every stage can fold its delta of
-	// injected faults into Campaign.Faults. Nil means the substrate is
-	// fault-free (simulation without -faults).
-	FaultCounters *faults.Counters
-
 	// Health, when set, is the degradation layer's breaker tracker (the
 	// same tracker whose breaker wrappers decorate the vantage
 	// exchangers). The prober synchronizes it with the checkpointed
@@ -114,9 +107,10 @@ type Config struct {
 
 	// Metrics, when set, receives the campaign's instrumentation under
 	// "cacheprobe/…": per-stage probe counts, cache hit/miss outcomes,
-	// retry spend, and per-PoP retry-latency histograms. Each stage folds
-	// its snapshot delta over LedgerPrefixes into Campaign.Metrics — the
-	// same checkpoint-surviving pattern as FaultCounters. Nil discards.
+	// retry spend, and per-PoP retry-latency histograms. The fault
+	// injectors wrapping the transports count into it under "faults/…".
+	// Each stage folds its snapshot delta over LedgerPrefixes into
+	// Campaign.Metrics. Nil discards.
 	Metrics *metrics.Registry
 	// Trace, when set, receives structured per-stage/per-PoP spans with
 	// sim-clock timestamps. Nil discards.
@@ -194,76 +188,19 @@ type Campaign struct {
 	// PreScanQueries counts authoritative queries issued in stage 2
 	// (retried wire queries included).
 	PreScanQueries int
-	// Faults is the campaign's reliability ledger: faults the substrate
-	// injected during its stages and what the retry policy spent and
-	// recovered. Part of the checkpointed artifact, so resumed runs
-	// report the same counts as uninterrupted ones.
-	Faults FaultStats
-	// Metrics is the campaign's instrumentation ledger: the per-stage
-	// snapshot deltas of the metrics registry (Config.Metrics), folded in
-	// the same way as Faults. Every value is an order-independent sum, so
-	// the ledger is bit-identical across worker counts and kill/resume.
-	// Empty when no registry is wired.
+	// Metrics is the campaign's instrumentation and reliability ledger:
+	// the per-stage snapshot deltas of the metrics registry
+	// (Config.Metrics), injected faults, retry spend and hedge outcomes
+	// included. It is part of the checkpointed artifact, and every value
+	// is an order-independent sum, so the ledger is bit-identical across
+	// worker counts and kill/resume. Empty when no registry is wired.
 	Metrics metrics.Ledger
 	// Health is the degradation layer's ledger: breaker window sums and
-	// transitions, hedge outcomes and the per-pass coverage accounting.
+	// transitions, failovers and the per-pass coverage accounting.
 	// Checkpointed with the campaign, so a resumed run replays breaker
 	// state — and reports coverage — exactly as an uninterrupted one.
 	// Zero when Config.Health is nil.
 	Health health.Ledger
-}
-
-// FaultStats counts injected transport faults and retry outcomes over a
-// campaign. Every field is an order-independent sum, identical for any
-// worker schedule.
-type FaultStats struct {
-	// InjectedDrops counts probes the fault layer dropped (loss model).
-	InjectedDrops int64 `json:"injected_drops"`
-	// OutageDrops counts probes dropped inside an outage window.
-	OutageDrops int64 `json:"outage_drops"`
-	// Truncations counts responses forced to TC=1.
-	Truncations int64 `json:"truncations"`
-	// Duplicates counts responses duplicated on the wire (absorbed).
-	Duplicates int64 `json:"duplicates"`
-	// BrownoutDrops counts probes dropped by a brownout's elevated loss.
-	BrownoutDrops int64 `json:"brownout_drops"`
-	// FlapDrops counts probes dropped while a flapping target was down.
-	FlapDrops int64 `json:"flap_drops"`
-	// RetriesSpent counts extra tries the retry policy issued.
-	RetriesSpent int64 `json:"retries_spent"`
-	// RetriesRecovered counts queries a retry rescued from failure.
-	RetriesRecovered int64 `json:"retries_recovered"`
-	// BudgetExhausted counts queries that were still failing when the
-	// per-PoP retry budget (not the attempt bound) cut them off.
-	BudgetExhausted int64 `json:"budget_exhausted"`
-}
-
-func (f *FaultStats) addInjected(s faults.Stats) {
-	f.InjectedDrops += s.Drops
-	f.OutageDrops += s.OutageDrops
-	f.Truncations += s.Truncations
-	f.Duplicates += s.Duplicates
-	f.BrownoutDrops += s.BrownoutDrops
-	f.FlapDrops += s.FlapDrops
-}
-
-// add folds another ledger into this one fieldwise (delta application).
-func (f *FaultStats) add(o FaultStats) {
-	f.InjectedDrops += o.InjectedDrops
-	f.OutageDrops += o.OutageDrops
-	f.Truncations += o.Truncations
-	f.Duplicates += o.Duplicates
-	f.BrownoutDrops += o.BrownoutDrops
-	f.FlapDrops += o.FlapDrops
-	f.RetriesSpent += o.RetriesSpent
-	f.RetriesRecovered += o.RetriesRecovered
-	f.BudgetExhausted += o.BudgetExhausted
-}
-
-func (f *FaultStats) addRetries(a *retryAccount) {
-	f.RetriesSpent += int64(a.spent)
-	f.RetriesRecovered += int64(a.recovered)
-	f.BudgetExhausted += int64(a.exhausted)
 }
 
 // NewCampaign returns an empty campaign with every collection

@@ -8,6 +8,7 @@ import (
 	"clientmap/internal/core/cacheprobe"
 	"clientmap/internal/faults"
 	"clientmap/internal/health"
+	"clientmap/internal/metrics"
 	"clientmap/internal/randx"
 	"clientmap/internal/sim"
 	"clientmap/internal/world"
@@ -21,7 +22,8 @@ import (
 // for the flap.
 func degradedCampaign(t *testing.T, workers int) (*cacheprobe.Campaign, *sim.System) {
 	t.Helper()
-	s, err := sim.New(sim.Config{Seed: 101, Scale: world.ScaleTiny})
+	reg := metrics.NewRegistry()
+	s, err := sim.New(sim.Config{Seed: 101, Scale: world.ScaleTiny, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,6 +84,7 @@ func degradedCampaign(t *testing.T, workers int) (*cacheprobe.Campaign, *sim.Sys
 	cfg.Duration = 24 * time.Hour
 	cfg.Passes = 3
 	cfg.Workers = workers
+	cfg.Metrics = reg
 	camp, err := runStages(s.Prober(cfg), cfg, s.PoPCoords())
 	if err != nil {
 		t.Fatal(err)
@@ -98,8 +101,12 @@ func TestCampaignDegradedFailover(t *testing.T) {
 	camp, _ := degradedCampaign(t, 0)
 	led := &camp.Health
 
-	if led.HedgesFired == 0 {
+	if camp.Metrics["health/hedge/fired"] == 0 {
 		t.Error("no hedges fired against a 400ms brownout")
+	}
+	if camp.Metrics[faults.KeyBrownoutDrops] == 0 || camp.Metrics[faults.KeyFlapDrops] == 0 {
+		t.Errorf("fault ledger missed the brownout or the flap: %d / %d",
+			camp.Metrics[faults.KeyBrownoutDrops], camp.Metrics[faults.KeyFlapDrops])
 	}
 	if len(led.Transitions) == 0 {
 		t.Error("no breaker transitions replayed")
@@ -145,6 +152,9 @@ func TestCampaignDegradedDeterministic(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a.Health, b.Health) {
 		t.Errorf("health ledgers differ:\nworkers=1 %+v\nworkers=8 %+v", a.Health, b.Health)
+	}
+	if !reflect.DeepEqual(a.Metrics, b.Metrics) {
+		t.Errorf("metrics ledgers (faults, retries, hedges) differ:\nworkers=1 %v\nworkers=8 %v", a.Metrics, b.Metrics)
 	}
 	if !reflect.DeepEqual(a.Hits, b.Hits) {
 		t.Error("hit evidence differs between worker counts")

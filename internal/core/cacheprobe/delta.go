@@ -36,14 +36,13 @@ type PassDelta struct {
 	// index) — the order the sequential prober recorded them in, which
 	// first-hit PoP attribution depends on.
 	Hits []DeltaHit
-	// Faults is the pass's reliability ledger delta.
-	Faults FaultStats
-	// Metrics is the pass's registry snapshot delta over LedgerPrefixes.
+	// Metrics is the pass's registry snapshot delta over LedgerPrefixes:
+	// its instrumentation and reliability counters.
 	Metrics metrics.Ledger
 	// Health is the pass's degradation-ledger delta: window sums as
-	// differences, the newly replayed transition tail, hedge and failover
-	// counts, and the pass's coverage row. Zero when the degradation
-	// layer is off.
+	// differences, the newly replayed transition tail, failover counts,
+	// and the pass's coverage row. Zero when the degradation layer is
+	// off.
 	Health health.Ledger
 	// Base is the artifact hash of the campaign snapshot this delta
 	// applies to — the upstream stage's checkpoint. Applying a delta to
@@ -83,7 +82,6 @@ func (d *PassDelta) Apply(camp *Campaign) {
 		h := &d.Hits[i]
 		recordHit(camp, d.Pass, h.PoP, h.Domain, h.QueryScope, h.RespScope, h.At)
 	}
-	camp.Faults.add(d.Faults)
 	if len(d.Metrics) > 0 {
 		camp.Metrics.Merge(d.Metrics)
 	}
@@ -93,7 +91,6 @@ func (d *PassDelta) Apply(camp *Campaign) {
 		camp.Health.Windows = health.FoldWindows(camp.Health.Windows, hd.Windows)
 	}
 	camp.Health.Transitions = append(camp.Health.Transitions, hd.Transitions...)
-	camp.Health.AddHedges(hd.HedgesFired, hd.HedgesWon)
 	camp.Health.Coverage = append(camp.Health.Coverage, hd.Coverage...)
 	for pop, n := range hd.FailedOver {
 		if camp.Health.FailedOver == nil {

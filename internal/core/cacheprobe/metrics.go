@@ -3,6 +3,7 @@ package cacheprobe
 import (
 	"fmt"
 
+	"clientmap/internal/faults"
 	"clientmap/internal/metrics"
 )
 
@@ -12,10 +13,11 @@ import (
 // so an unrestricted snapshot delta could absorb their increments and
 // make the folded ledger schedule-dependent. The campaign chain is the
 // sole user of the probing transports and the Google front end while it
-// runs, which is what makes these prefixes safe to fold. Live breaker
+// runs (the fault injectors wrap exactly those transports), which is
+// what makes these prefixes safe to fold. Live breaker
 // gauges sit under "live/health/…", deliberately outside the fold: a
 // gauge's value depends on when it is scraped, not only on what happened.
-var LedgerPrefixes = []string{"cacheprobe/", "dnsnet/", "gpdns/", "health/"}
+var LedgerPrefixes = []string{"cacheprobe/", "dnsnet/", "faults/", "gpdns/", "health/"}
 
 // retryDelayBounds is the fixed bucket layout of the per-PoP
 // retry-latency histograms, in milliseconds of accumulated
@@ -55,6 +57,9 @@ type proberMetrics struct {
 }
 
 func newProberMetrics(reg *metrics.Registry) proberMetrics {
+	// The fault injectors resolve their own handles; registering the keys
+	// here puts them in every stage's fold, faults injected or not.
+	faults.Register(reg)
 	return proberMetrics{
 		reg:            reg,
 		prescanQueries: reg.Counter("cacheprobe/prescan/queries"),
@@ -102,16 +107,16 @@ func (m *proberMetrics) passHits(pass int) *metrics.Counter {
 	return m.reg.Counter(fmt.Sprintf("cacheprobe/pass/%d/hits", pass))
 }
 
-// countRetries mirrors a task's retry account into the registry. Called
-// on the sequential merge path, next to Campaign.Faults.addRetries.
+// countRetries adds a task's retry account to the registry. Called on
+// the sequential merge path.
 func (m *proberMetrics) countRetries(a *retryAccount) {
 	m.retrySpent.Add(int64(a.spent))
 	m.retryRecovered.Add(int64(a.recovered))
 	m.retryExhausted.Add(int64(a.exhausted))
 }
 
-// countHedges mirrors a task's hedge outcomes into the registry, on the
-// same sequential merge path.
+// countHedges adds a task's hedge outcomes to the registry, on the same
+// sequential merge path.
 func (m *proberMetrics) countHedges(a *retryAccount) {
 	m.hedgeFired.Add(int64(a.hedgeFired))
 	m.hedgeWon.Add(int64(a.hedgeWon))
@@ -127,11 +132,11 @@ func (m *proberMetrics) before(camp *Campaign) metrics.Ledger {
 }
 
 // stageMetrics snapshots the campaign-owned registry prefixes and returns
-// a closure that folds the delta — what this stage's instrumentation
-// counted — into the campaign's metrics ledger. Same shape and rationale
-// as stageFaults: the checkpointed campaign is the source of truth, so a
-// resumed run reports the same ledger as an uninterrupted one even
-// though the in-process registry resets on restart.
+// a closure that folds the delta — what this stage's instrumentation and
+// fault injectors counted — into the campaign's metrics ledger. The
+// checkpointed campaign is the source of truth, so a resumed run reports
+// the same ledger as an uninterrupted one even though the in-process
+// registry resets on restart.
 func (p *Prober) stageMetrics(camp *Campaign) func() {
 	before := p.m.before(camp)
 	return func() {

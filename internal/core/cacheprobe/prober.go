@@ -99,18 +99,6 @@ func txidAt(base uint16, attempt int) uint16 {
 	return id
 }
 
-// stageFaults snapshots the shared fault-injector counters and returns a
-// closure that folds the delta — the faults injected during this stage —
-// into the campaign's ledger. The campaign is the checkpointed artifact,
-// so a resumed run reports the same fault counts as an uninterrupted one
-// even though the in-process injector counters reset on restart.
-func (p *Prober) stageFaults(camp *Campaign) func() {
-	before := p.cfg.FaultCounters.Snapshot()
-	return func() {
-		camp.Faults.addInjected(p.cfg.FaultCounters.Snapshot().Sub(before))
-	}
-}
-
 // snoop sends one non-recursive ECS probe on the caller's reused scratch
 // query q and reports (hit, response scope). Timeouts and errors count as
 // misses, as in live probing — but with a retry policy configured, each
@@ -208,10 +196,8 @@ func (p *Prober) PreScan(ctx context.Context, camp *Campaign) error {
 		}
 	}
 
-	fin := p.stageFaults(camp)
+	fin := p.stageMetrics(camp)
 	defer fin()
-	finM := p.stageMetrics(camp)
-	defer finM()
 	p.healthSync(camp, p.cfg.Clock.Now())
 	prescanDelay := p.m.reg.Histogram("cacheprobe/prescan/retry_delay_ms", retryDelayBounds)
 	results := make([][]netx.Prefix, len(spans))
@@ -266,7 +252,6 @@ func (p *Prober) PreScan(ctx context.Context, camp *Campaign) error {
 		queries.Add(int64(sent + acct.spent))
 	})
 	for i := range accounts {
-		camp.Faults.addRetries(&accounts[i])
 		p.m.countRetries(&accounts[i])
 	}
 
@@ -350,10 +335,8 @@ func (p *Prober) Calibrate(ctx context.Context, pops map[string]*Vantage, camp *
 	popNames := sortedPoPs(pops)
 	now := p.cfg.Clock.Now()
 	sctx := clockx.WithTime(ctx, now)
-	fin := p.stageFaults(camp)
+	fin := p.stageMetrics(camp)
 	defer fin()
-	finM := p.stageMetrics(camp)
-	defer finM()
 	p.healthSync(camp, now)
 
 	type calResult struct {
@@ -443,7 +426,6 @@ func (p *Prober) Calibrate(ctx context.Context, pops map[string]*Vantage, camp *
 			cal.RadiusKm = MaxServiceRadiusKm
 		}
 		camp.PoPs[pop] = cal
-		camp.Faults.addRetries(&retries)
 		p.m.countRetries(&retries)
 		hits := int64(len(cal.HitDistancesKm))
 		p.m.calProbes.Add(popProbes)
@@ -593,7 +575,6 @@ func (p *Prober) ProbePassDelta(ctx context.Context, pops map[string]*Vantage, a
 	p.execMu.Lock()
 	defer p.execMu.Unlock()
 
-	fBefore := p.cfg.FaultCounters.Snapshot()
 	mBefore := p.m.before(camp)
 	p.healthSync(camp, passStart)
 	plans := p.planPass(pops, asg, camp, pass, passStart)
@@ -619,7 +600,7 @@ func (p *Prober) ProbePassDelta(ctx context.Context, pops map[string]*Vantage, a
 	if p.cfg.Health != nil {
 		exec.Windows = health.DiffWindows(p.cfg.Health.ExportWindows(), preWindows)
 	}
-	return p.foldPass(asg, pass, passStart, passWindow, camp, plans, res, fBefore, mBefore, []*ShardResult{exec}), nil
+	return p.foldPass(asg, pass, passStart, passWindow, camp, plans, res, mBefore, []*ShardResult{exec}), nil
 }
 
 // FinishProbing places the simulated clock at the campaign end, for

@@ -9,7 +9,6 @@ import (
 
 	"clientmap/internal/clockx"
 	"clientmap/internal/dnswire"
-	"clientmap/internal/faults"
 	"clientmap/internal/health"
 	"clientmap/internal/metrics"
 	"clientmap/internal/netx"
@@ -22,10 +21,10 @@ import (
 // PartitionPass cuts a pass's assignment into (PoP, contiguous task
 // block) units and deals them into N shards. ProbeShard executes one
 // shard's units against the shared world seed and exports a ShardResult:
-// index-slotted task outcomes plus the shard's *deltas* of the fault,
-// metrics and breaker-window ledgers. GatherPass reassembles the shards
-// into the exact per-(PoP, task) result layout the monolithic pass
-// produced and replays the sequential merge, yielding a PassDelta.
+// index-slotted task outcomes plus the shard's *deltas* of the metrics
+// and breaker-window ledgers. GatherPass reassembles the shards into the
+// exact per-(PoP, task) result layout the monolithic pass produced and
+// replays the sequential merge, yielding a PassDelta.
 //
 // The decomposition is exact, not approximate: every probe's transaction
 // id, schedule timestamp, retry allowance, jitter and hedge decision is
@@ -131,10 +130,8 @@ type ShardResult struct {
 	Units []ShardUnit
 	// Tasks holds one entry per task in the units' ranges, in unit order.
 	Tasks []ShardTaskResult
-	// Faults is the delta of injected-fault counters over the shard's
-	// execution.
-	Faults faults.Stats
-	// Metrics is the registry snapshot delta over LedgerPrefixes.
+	// Metrics is the registry snapshot delta over LedgerPrefixes,
+	// injected faults included.
 	Metrics metrics.Ledger
 	// Windows is the delta of breaker window sums the shard's probe
 	// outcomes contributed (health.DiffWindows form). Nil when the
@@ -179,7 +176,6 @@ func (p *Prober) ProbeShard(ctx context.Context, pops map[string]*Vantage, asg *
 	if p.cfg.Health != nil {
 		preWindows = p.cfg.Health.ExportWindows()
 	}
-	fBefore := p.cfg.FaultCounters.Snapshot()
 	mBefore := p.m.before(camp)
 
 	units = append([]ShardUnit(nil), units...)
@@ -220,7 +216,6 @@ func (p *Prober) ProbeShard(ctx context.Context, pops map[string]*Vantage, asg *
 		}
 	}
 	sr.Metrics = p.m.reg.SnapshotPrefix(LedgerPrefixes...).Sub(mBefore)
-	sr.Faults = p.cfg.FaultCounters.Snapshot().Sub(fBefore)
 	if p.cfg.Health != nil {
 		sr.Windows = health.DiffWindows(p.cfg.Health.ExportWindows(), preWindows)
 	}
@@ -327,7 +322,6 @@ func (p *Prober) GatherPass(pops map[string]*Vantage, asg *Assignments, pass int
 	// Snapshot before planning: the plan's failover-distance observations
 	// belong to this pass's ledger delta, and the gather step is where
 	// they are counted (exactly once — shards exclude theirs).
-	fBefore := p.cfg.FaultCounters.Snapshot()
 	mBefore := p.m.before(camp)
 	p.healthSync(camp, passStart)
 	plans := p.planPass(pops, asg, camp, pass, passStart)
@@ -377,17 +371,17 @@ func (p *Prober) GatherPass(pops map[string]*Vantage, asg *Assignments, pass int
 			}
 		}
 	}
-	return p.foldPass(asg, pass, passStart, passWindow, camp, plans, res, fBefore, mBefore, results), nil
+	return p.foldPass(asg, pass, passStart, passWindow, camp, plans, res, mBefore, results), nil
 }
 
 // foldPass replays the monolithic pass's sequential merge over the
 // per-(PoP, task) slots res, accumulating into a PassDelta, and applies
 // the delta to camp — the same code path a restored delta checkpoint
-// takes. fBefore and mBefore are the fault and metric snapshots the
-// caller took before planning; ledgers carry the task executions'
-// ledger deltas that fell outside that window (only their Faults,
-// Metrics and Windows are read). Callers hold execMu.
-func (p *Prober) foldPass(asg *Assignments, pass int, passStart time.Time, passWindow time.Duration, camp *Campaign, plans []popPlan, res [][]probeResult, fBefore faults.Stats, mBefore metrics.Ledger, ledgers []*ShardResult) *PassDelta {
+// takes. mBefore is the metric snapshot the caller took before planning;
+// ledgers carry the task executions' ledger deltas that fell outside
+// that window (only their Metrics and Windows are read). Callers hold
+// execMu.
+func (p *Prober) foldPass(asg *Assignments, pass int, passStart time.Time, passWindow time.Duration, camp *Campaign, plans []popPlan, res [][]probeResult, mBefore metrics.Ledger, ledgers []*ShardResult) *PassDelta {
 	popNames := asg.popNames
 	delta := &PassDelta{Pass: pass, Passes: p.cfg.Passes, PassTime: passStart}
 	// Record the per-PoP assignment sizes BuildAssignments stamped onto
@@ -437,14 +431,12 @@ func (p *Prober) foldPass(asg *Assignments, pass int, passStart time.Time, passW
 					p.m.failoverLost.Inc()
 					continue // the slot holds no probe to account
 				}
-				delta.Health.AddHedges(int64(r.retry.hedgeFired), int64(r.retry.hedgeWon))
 				p.m.countHedges(&r.retry)
 			}
 			sent := int64(r.probes + r.retry.spent + r.retry.hedgeFired)
 			delta.ProbesSent += int(sent)
 			popProbes += sent
 			popSpent += int64(r.retry.spent)
-			delta.Faults.addRetries(&r.retry)
 			p.m.countRetries(&r.retry)
 			if r.hit {
 				popHits++
@@ -471,14 +463,6 @@ func (p *Prober) foldPass(asg *Assignments, pass int, passStart time.Time, passW
 				"hits": popHits, "retries_spent": popSpent,
 			},
 		})
-	}
-
-	// The executions' injected-fault deltas partition the pass's
-	// injections (faults only fire while probes exchange); the fold
-	// itself injects nothing, but its window is summed for uniformity.
-	delta.Faults.addInjected(p.cfg.FaultCounters.Snapshot().Sub(fBefore))
-	for _, l := range ledgers {
-		delta.Faults.addInjected(l.Faults)
 	}
 
 	if plans != nil {

@@ -10,10 +10,14 @@ import (
 )
 
 // MemNet is the in-memory transport: a registry of named handlers that
-// exchanges messages by direct call. It deliberately round-trips every
-// message through the wire codec so that simulation and socket transports
-// exercise identical encode/decode paths — a malformed message fails the
-// same way on both.
+// exchanges messages by direct call. By default nothing is encoded or
+// copied: the handler is handed the caller's own *Message and the caller
+// gets back the handler's own response, so a handler must treat the query
+// as read-only and not keep it past ServeDNS. Every campaign runs this
+// way (no non-test caller sets sim.Config.WireCodec). With the wire codec
+// on, both messages instead round-trip through encode/decode on every hop,
+// so simulation exercises the same parse paths as the socket transports
+// and a malformed message fails the same way on both; tests use that mode.
 //
 // The handler table is copy-on-write: Register replaces the whole map
 // under mu, and Exchange loads it atomically. An exchange is then a pure
@@ -26,9 +30,9 @@ type MemNet struct {
 }
 
 // NewMemNet returns an empty in-memory network. If wireCodec is true,
-// messages are marshaled and unmarshaled on each hop (slower, maximally
-// faithful); if false they are passed by deep-enough copy (fast path used
-// by full-scale campaigns).
+// the query and the response are marshaled and unmarshaled on each hop
+// (slower, maximally faithful). If false, both pointers pass through
+// unchanged, with no copy at all: the fast path every campaign uses.
 func NewMemNet(wireCodec bool) *MemNet {
 	n := &MemNet{codec: wireCodec}
 	n.servers.Store(&map[string]Handler{})

@@ -96,16 +96,17 @@ func TestChaosCampaignDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	compareResults(t, "workers=1", "workers=8", w1, w8)
-	if w1.Campaign.Faults != w8.Campaign.Faults {
-		t.Errorf("fault ledgers differ:\nworkers=1 %+v\nworkers=8 %+v", w1.Campaign.Faults, w8.Campaign.Faults)
+	if w1.Reliability() != w8.Reliability() {
+		t.Errorf("fault ledgers differ:\nworkers=1 %+v\nworkers=8 %+v", w1.Reliability(), w8.Reliability())
 	}
 	if w1.RenderAll() != w8.RenderAll() {
 		t.Error("rendered reports differ between worker counts under chaos")
 	}
+	goldenReliability(t, "chaos", w1)
 
 	// The chaos must actually have happened, and the retry policy must
 	// actually have been exercised — otherwise the test proves nothing.
-	fl := w1.Campaign.Faults
+	fl := w1.Reliability().CacheProbing
 	if fl.InjectedDrops == 0 {
 		t.Error("no loss drops injected")
 	}
@@ -140,8 +141,8 @@ func TestChaosCampaignDeterminism(t *testing.T) {
 		t.Errorf("probe-pass-1 restored %d times, want 1 (resume did not reuse the killed run)", n)
 	}
 	compareResults(t, "uninterrupted", "resumed", w1, resumed)
-	if resumed.Campaign.Faults != w1.Campaign.Faults {
-		t.Errorf("fault ledger changed across resume:\nuninterrupted %+v\nresumed %+v", w1.Campaign.Faults, resumed.Campaign.Faults)
+	if resumed.Reliability() != w1.Reliability() {
+		t.Errorf("fault ledger changed across resume:\nuninterrupted %+v\nresumed %+v", w1.Reliability(), resumed.Reliability())
 	}
 	if w1.RenderAll() != resumed.RenderAll() {
 		t.Error("rendered reports differ between the uninterrupted and the resumed chaos run")
@@ -242,8 +243,8 @@ func TestDegradedCampaignDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	compareResults(t, "workers=1", "workers=8", w1, w8)
-	if w1.Campaign.Faults != w8.Campaign.Faults {
-		t.Errorf("fault ledgers differ:\nworkers=1 %+v\nworkers=8 %+v", w1.Campaign.Faults, w8.Campaign.Faults)
+	if w1.Reliability() != w8.Reliability() {
+		t.Errorf("fault ledgers differ:\nworkers=1 %+v\nworkers=8 %+v", w1.Reliability(), w8.Reliability())
 	}
 	if w1.RenderAll() != w8.RenderAll() {
 		t.Error("rendered reports differ between worker counts under degradation")
@@ -258,7 +259,7 @@ func TestDegradedCampaignDeterminism(t *testing.T) {
 	}
 
 	// The degradation machinery must actually have engaged.
-	fl := w1.Campaign.Faults
+	fl := w1.Reliability().CacheProbing
 	if fl.BrownoutDrops == 0 {
 		t.Error("no brownout drops injected")
 	}
@@ -266,8 +267,9 @@ func TestDegradedCampaignDeterminism(t *testing.T) {
 		t.Error("no flap drops injected")
 	}
 	led := &w1.Campaign.Health
-	if led.HedgesFired == 0 || led.HedgesWon == 0 {
-		t.Errorf("hedging idle under degradation: fired=%d won=%d", led.HedgesFired, led.HedgesWon)
+	hd := w1.Degradation()
+	if hd.HedgesFired == 0 || hd.HedgesWon == 0 {
+		t.Errorf("hedging idle under degradation: fired=%d won=%d", hd.HedgesFired, hd.HedgesWon)
 	}
 	if len(led.Transitions) == 0 {
 		t.Error("no breaker transitions replayed")
@@ -313,5 +315,5 @@ func TestDegradedCampaignDeterminism(t *testing.T) {
 		t.Errorf("coverage ledger estimate %.3f pp vs measured gap %.3f pp (want within ±0.1 pp)", lossPP, gapPP)
 	}
 	t.Logf("baseline %d prefixes; recall %.4f; ledger loss %.3f pp; hedges %d/%d; failed over %d; transitions %d",
-		cleanCov, recall, lossPP, led.HedgesFired, led.HedgesWon, failedOver, len(led.Transitions))
+		cleanCov, recall, lossPP, hd.HedgesFired, hd.HedgesWon, failedOver, len(led.Transitions))
 }

@@ -23,8 +23,9 @@ type TargetDegradation struct {
 // Degradation is the run's graceful-degradation ledger: breaker time per
 // target, hedge outcomes, failover volume, and the per-pass coverage
 // accounting with the campaign-level coverage-loss estimate. Everything
-// comes from the checkpointed Campaign artifact, so a resumed run reports
-// the same numbers as an uninterrupted one.
+// comes from the checkpointed Campaign artifact (hedge counts from its
+// metrics ledger, the rest from its health ledger), so a resumed run
+// reports the same numbers as an uninterrupted one.
 type Degradation struct {
 	Enabled bool `json:"enabled"`
 	// Targets lists only targets that transitioned at least once; a
@@ -72,9 +73,10 @@ func (r *Results) Degradation() Degradation {
 		})
 	}
 	d.Transitions = len(l.Transitions)
-	d.HedgesFired, d.HedgesWon = l.HedgesFired, l.HedgesWon
-	if l.HedgesFired > 0 {
-		d.HedgeWinRatePct = 100 * float64(l.HedgesWon) / float64(l.HedgesFired)
+	d.HedgesFired = r.Campaign.Metrics["health/hedge/fired"]
+	d.HedgesWon = r.Campaign.Metrics["health/hedge/won"]
+	if d.HedgesFired > 0 {
+		d.HedgeWinRatePct = 100 * float64(d.HedgesWon) / float64(d.HedgesFired)
 	}
 	d.FailedOver = l.FailedOver
 	d.Coverage = l.Coverage

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"os"
@@ -166,6 +167,7 @@ func TestGoldenDegradation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	goldenReliability(t, "degraded", res)
 	d := res.Degradation()
 	if !d.Enabled {
 		t.Fatal("degradation layer reported disabled")
@@ -191,4 +193,68 @@ func TestGoldenDegradation(t *testing.T) {
 		return
 	}
 	goldenCompare(t, got, want)
+}
+
+// goldenReliabilityPath pins the reliability and degradation JSON of
+// the two chaos configurations the suite already runs: the loss, outage
+// and retry matrix of TestChaosCampaignDeterminism ("chaos") and the
+// brownout, flap and health matrix of TestGoldenDegradation
+// ("degraded"). Both reports are read back from checkpointed artifacts,
+// so any change to how the campaign counts faults, retries or hedges
+// shows here.
+const goldenReliabilityPath = "testdata/golden_reliability.json"
+
+// goldenReliability checks res's Reliability().JSON() and
+// Degradation().JSON() against the named section of
+// goldenReliabilityPath: every key, in order, with every value exactly
+// (only the indentation is normalised). With CLIENTMAP_UPDATE_GOLDEN set
+// it rewrites that section and leaves the others alone.
+func goldenReliability(t *testing.T, section string, res *Results) {
+	t.Helper()
+	rel, err := res.Reliability().JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	deg, err := res.Degradation().JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]json.RawMessage{"reliability": rel, "degradation": deg}
+	file := map[string]map[string]json.RawMessage{}
+	data, err := os.ReadFile(goldenReliabilityPath)
+	if os.Getenv("CLIENTMAP_UPDATE_GOLDEN") != "" {
+		if err == nil {
+			if err := json.Unmarshal(data, &file); err != nil {
+				t.Fatal(err)
+			}
+		}
+		file[section] = got
+		out, err := json.MarshalIndent(file, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(goldenReliabilityPath, append(out, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("updated %s [%s]", goldenReliabilityPath, section)
+		return
+	}
+	if err != nil {
+		t.Fatalf("%v (regenerate with `make golden-update`)", err)
+	}
+	if err := json.Unmarshal(data, &file); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"reliability", "degradation"} {
+		var g, w bytes.Buffer
+		if err := json.Compact(&g, got[k]); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Compact(&w, file[section][k]); err != nil {
+			t.Fatalf("%s [%s.%s]: %v", goldenReliabilityPath, section, k, err)
+		}
+		if !bytes.Equal(g.Bytes(), w.Bytes()) {
+			t.Errorf("%s %s drifted from %s:\ngot    %s\ngolden %s", section, k, goldenReliabilityPath, g.Bytes(), w.Bytes())
+		}
+	}
 }

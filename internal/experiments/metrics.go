@@ -9,9 +9,9 @@ import (
 )
 
 // MetricsLedger assembles the run's deterministic metrics ledger: the
-// campaign's checkpoint-folded instrumentation (Campaign.Metrics), the
-// DNS-logs crawl totals under "dnslogs/…", and a "faults/…" mirror of the
-// campaign's FaultStats. Every value comes from a checkpointed artifact,
+// campaign's checkpoint-folded instrumentation (Campaign.Metrics, the
+// injected faults under "faults/…" included) and the DNS-logs crawl
+// totals under "dnslogs/…". Every value comes from a checkpointed artifact,
 // so the ledger — like the reliability table — is bit-identical across
 // worker counts and kill/resume. Live registry values that depend on
 // process lifetime (what ran versus what was restored) are deliberately
@@ -30,15 +30,11 @@ func (r *Results) MetricsLedger() metrics.Ledger {
 }
 
 // campaignLedger starts a ledger from what both modes export of a
-// campaign: its checkpoint-folded instrumentation and the fault mirror.
+// campaign: its checkpoint-folded metrics ledger.
 func campaignLedger(camp *cacheprobe.Campaign) metrics.Ledger {
 	led := metrics.Ledger{}
 	if camp != nil {
 		led.Merge(camp.Metrics)
-		led["faults/injected_drops"] = camp.Faults.InjectedDrops
-		led["faults/outage_drops"] = camp.Faults.OutageDrops
-		led["faults/truncations"] = camp.Faults.Truncations
-		led["faults/duplicates"] = camp.Faults.Duplicates
 	}
 	return led
 }

@@ -44,8 +44,8 @@ func assertShardEqual(t *testing.T, label string, mono, sharded *Results) {
 	if string(mono.MetricsJSON()) != string(sharded.MetricsJSON()) {
 		t.Errorf("%s: metrics ledger JSON differs from the monolithic run", label)
 	}
-	if mono.Campaign.Faults != sharded.Campaign.Faults {
-		t.Errorf("%s: fault ledger differs:\nmonolithic %+v\n%s %+v", label, mono.Campaign.Faults, label, sharded.Campaign.Faults)
+	if mono.Reliability() != sharded.Reliability() {
+		t.Errorf("%s: fault ledger differs:\nmonolithic %+v\n%s %+v", label, mono.Reliability(), label, sharded.Reliability())
 	}
 }
 
@@ -60,7 +60,7 @@ func TestShardScatterGatherDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mono.Campaign.Faults.RetriesSpent == 0 {
+	if mono.Reliability().CacheProbing.RetriesSpent == 0 {
 		t.Fatal("baseline exercised no retries — the shard tests would prove nothing")
 	}
 	for _, shards := range []int{1, 3, 8} {

@@ -23,12 +23,12 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"clientmap/internal/clockx"
 	"clientmap/internal/dnsnet"
 	"clientmap/internal/dnswire"
+	"clientmap/internal/metrics"
 	"clientmap/internal/randx"
 )
 
@@ -292,49 +292,41 @@ func (c Config) String() string {
 // fingerprint.
 func (c Config) Fingerprint() string { return c.String() }
 
-// Counters accumulates injected-fault totals across every injector that
-// shares them. Totals are order-independent sums, so they are identical
-// for any worker schedule.
-type Counters struct {
-	drops, outageDrops, truncations, duplicates atomic.Int64
-	brownoutDrops, flapDrops                    atomic.Int64
+// The injected-fault ledger keys: one metrics-registry counter per
+// fault kind. Campaign stages fold them into their checkpointed ledger
+// with every other campaign counter, and the reliability report and
+// -metrics-json read them back under these names.
+const (
+	KeyDrops         = "faults/injected_drops"
+	KeyOutageDrops   = "faults/outage_drops"
+	KeyTruncations   = "faults/truncations"
+	KeyDuplicates    = "faults/duplicates"
+	KeyBrownoutDrops = "faults/brownout_drops"
+	KeyFlapDrops     = "faults/flap_drops"
+)
+
+// counters are an injector's resolved handles, one per key above. Every
+// count is an order-independent sum, identical for any worker schedule.
+type counters struct {
+	drops, outageDrops, truncations, duplicates *metrics.Counter
+	brownoutDrops, flapDrops                    *metrics.Counter
 }
 
-// Stats is a point-in-time snapshot of Counters. Stage harnesses diff two
-// snapshots to attribute a stage's injected faults to its artifact.
-type Stats struct {
-	Drops         int64
-	OutageDrops   int64
-	Truncations   int64
-	Duplicates    int64
-	BrownoutDrops int64
-	FlapDrops     int64
+// Register resolves all six injected-fault counters in reg (nil
+// discards). Campaigns register them on every run, faults injected or
+// not, so the ledger's key set never depends on the fault spec.
+func Register(reg *metrics.Registry) {
+	register(reg)
 }
 
-// Snapshot returns the current totals.
-func (c *Counters) Snapshot() Stats {
-	if c == nil {
-		return Stats{}
-	}
-	return Stats{
-		Drops:         c.drops.Load(),
-		OutageDrops:   c.outageDrops.Load(),
-		Truncations:   c.truncations.Load(),
-		Duplicates:    c.duplicates.Load(),
-		BrownoutDrops: c.brownoutDrops.Load(),
-		FlapDrops:     c.flapDrops.Load(),
-	}
-}
-
-// Sub returns s - o, the faults injected between two snapshots.
-func (s Stats) Sub(o Stats) Stats {
-	return Stats{
-		Drops:         s.Drops - o.Drops,
-		OutageDrops:   s.OutageDrops - o.OutageDrops,
-		Truncations:   s.Truncations - o.Truncations,
-		Duplicates:    s.Duplicates - o.Duplicates,
-		BrownoutDrops: s.BrownoutDrops - o.BrownoutDrops,
-		FlapDrops:     s.FlapDrops - o.FlapDrops,
+func register(reg *metrics.Registry) counters {
+	return counters{
+		drops:         reg.Counter(KeyDrops),
+		outageDrops:   reg.Counter(KeyOutageDrops),
+		truncations:   reg.Counter(KeyTruncations),
+		duplicates:    reg.Counter(KeyDuplicates),
+		brownoutDrops: reg.Counter(KeyBrownoutDrops),
+		flapDrops:     reg.Counter(KeyFlapDrops),
 	}
 }
 
@@ -392,20 +384,17 @@ type Injector struct {
 	target   string
 	epoch    time.Time
 	clock    *clockx.Sim
-	counters *Counters
+	counters counters
 	next     dnsnet.Exchanger
 }
 
 // New wraps next in a fault injector. target labels this transport path
 // (a vantage name, "auth") for per-target outages and hash keying; epoch
 // anchors outage windows (the campaign start); clock resolves "now" for
-// unscheduled queries. counters may be shared across injectors and may
-// be nil.
-func New(cfg Config, target string, epoch time.Time, clock *clockx.Sim, counters *Counters, next dnsnet.Exchanger) *Injector {
-	if counters == nil {
-		counters = &Counters{}
-	}
-	return &Injector{cfg: cfg, target: target, epoch: epoch, clock: clock, counters: counters, next: next}
+// unscheduled queries. Every injected fault counts into reg under its
+// Key… name (nil discards).
+func New(cfg Config, target string, epoch time.Time, clock *clockx.Sim, reg *metrics.Registry, next dnsnet.Exchanger) *Injector {
+	return &Injector{cfg: cfg, target: target, epoch: epoch, clock: clock, counters: register(reg), next: next}
 }
 
 // delay injects d of latency: on scheduled queries it shifts the
@@ -486,25 +475,25 @@ func (in *Injector) Exchange(ctx context.Context, server string, query *dnswire.
 
 	for _, o := range in.cfg.Outages {
 		if o.covers(in.target, since) {
-			in.counters.outageDrops.Add(1)
+			in.counters.outageDrops.IncIn(ctx)
 			return nil, dnsnet.ErrTimeout
 		}
 	}
 
 	for _, f := range in.cfg.Flaps {
 		if f.down(in.cfg.Seed, in.target, since) {
-			in.counters.flapDrops.Add(1)
+			in.counters.flapDrops.IncIn(ctx)
 			return nil, dnsnet.ErrTimeout
 		}
 	}
 
 	if extraLoss > 0 && in.decide("brownout-loss", key, extraLoss) {
-		in.counters.brownoutDrops.Add(1)
+		in.counters.brownoutDrops.IncIn(ctx)
 		return nil, dnsnet.ErrTimeout
 	}
 
 	if in.decide("loss", key, in.cfg.Loss) {
-		in.counters.drops.Add(1)
+		in.counters.drops.IncIn(ctx)
 		return nil, dnsnet.ErrTimeout
 	}
 
@@ -515,10 +504,10 @@ func (in *Injector) Exchange(ctx context.Context, server string, query *dnswire.
 	if in.decide("dup", key, in.cfg.Dup) {
 		// The exchange layer absorbs duplicates (stale datagrams are
 		// discarded by ID matching); only the counter observes them.
-		in.counters.duplicates.Add(1)
+		in.counters.duplicates.IncIn(ctx)
 	}
 	if in.decide("trunc", key, in.cfg.Trunc) {
-		in.counters.truncations.Add(1)
+		in.counters.truncations.IncIn(ctx)
 		tr := *resp
 		tr.Truncated = true
 		tr.Answers = nil

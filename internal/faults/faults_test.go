@@ -10,6 +10,7 @@ import (
 	"clientmap/internal/clockx"
 	"clientmap/internal/dnsnet"
 	"clientmap/internal/dnswire"
+	"clientmap/internal/metrics"
 	"clientmap/internal/randx"
 )
 
@@ -90,8 +91,8 @@ func TestScheduleIndependence(t *testing.T) {
 func TestEmpiricalRates(t *testing.T) {
 	const n = 20000
 	cfg := Config{Seed: randx.Seed(3), Loss: 0.1, Trunc: 0.05}
-	counters := &Counters{}
-	in := New(cfg, "vantage", clockx.Epoch, clockx.NewSim(clockx.Epoch), counters, okExchanger{})
+	reg := metrics.NewRegistry()
+	in := New(cfg, "vantage", clockx.Epoch, clockx.NewSim(clockx.Epoch), reg, okExchanger{})
 
 	var droppedIDs []uint16
 	for i := 0; i < n; i++ {
@@ -103,7 +104,7 @@ func TestEmpiricalRates(t *testing.T) {
 
 	// Snapshot before the retry-independence probes below, which roll
 	// fresh loss decisions and would skew the counters.
-	st := counters.Snapshot()
+	st := reg.Snapshot()
 
 	droppedThenDropped := 0
 	for _, id := range droppedIDs {
@@ -119,9 +120,9 @@ func TestEmpiricalRates(t *testing.T) {
 			t.Errorf("%s rate = %.4f over %d queries, want %.4f ± 3σ", name, rate, base, want)
 		}
 	}
-	checkRate("loss", st.Drops, n, cfg.Loss)
+	checkRate("loss", st[KeyDrops], n, cfg.Loss)
 	// Truncation only applies to queries that got a response.
-	checkRate("trunc", st.Truncations, n-dropped, cfg.Trunc)
+	checkRate("trunc", st[KeyTruncations], n-dropped, cfg.Trunc)
 	// Retry independence: P(drop | first try dropped) must still be ~Loss,
 	// not ~1.
 	checkRate("retry-drop", int64(droppedThenDropped), dropped, cfg.Loss)
@@ -274,15 +275,55 @@ func TestParseSpec(t *testing.T) {
 	}
 }
 
-// TestCountersNilSafe: a nil *Counters snapshots to zeros — stage
-// harnesses run fault-free campaigns with no counter plumbing at all.
+// TestCountersNilSafe: an injector built on a nil registry injects
+// exactly what one on a live registry injects and counts nothing, and
+// Register gives a registry all six keys before any fault fires, so a
+// fault-free campaign's ledger has the same keys as a faulty one's.
 func TestCountersNilSafe(t *testing.T) {
-	var c *Counters
-	if c.Snapshot() != (Stats{}) {
-		t.Error("nil counters snapshot non-zero")
+	Register(nil)
+	reg := metrics.NewRegistry()
+	Register(reg)
+	keys := []string{KeyDrops, KeyOutageDrops, KeyTruncations, KeyDuplicates, KeyBrownoutDrops, KeyFlapDrops}
+	if led := reg.Snapshot(); len(led) != len(keys) {
+		t.Errorf("registered ledger = %v, want the %d fault keys", led, len(keys))
 	}
-	s := Stats{Drops: 5, OutageDrops: 3, Truncations: 2, Duplicates: 1}
-	if d := s.Sub(Stats{Drops: 1, Truncations: 2}); d != (Stats{Drops: 4, OutageDrops: 3, Duplicates: 1}) {
-		t.Errorf("Sub = %+v", d)
+	for _, k := range keys {
+		if v, ok := reg.Snapshot()[k]; !ok || v != 0 {
+			t.Errorf("%s = %d (registered %v), want a zero key", k, v, ok)
+		}
+	}
+
+	cfg := Config{Seed: randx.Seed(5), Loss: 0.2, Dup: 0.2, Trunc: 0.2}
+	bare := New(cfg, "v", clockx.Epoch, clockx.NewSim(clockx.Epoch), nil, okExchanger{})
+	counted := New(cfg, "v", clockx.Epoch, clockx.NewSim(clockx.Epoch), reg, okExchanger{})
+	for id := uint16(1); id <= 500; id++ {
+		if a, b := observe(bare, context.Background(), id), observe(counted, context.Background(), id); a != b {
+			t.Fatalf("query %d: nil-registry outcome %+v, counted outcome %+v", id, a, b)
+		}
+	}
+	for _, k := range []string{KeyDrops, KeyTruncations, KeyDuplicates} {
+		if reg.Counter(k).Value() == 0 {
+			t.Errorf("%s not counted", k)
+		}
+	}
+}
+
+// TestCountersTallied: an injector increments through the context's
+// metrics.Tally when one is present, so a probe batch's fault counts
+// reach the registry only when the batch flushes.
+func TestCountersTallied(t *testing.T) {
+	reg := metrics.NewRegistry()
+	in := New(Config{Seed: randx.Seed(5), Loss: 1}, "v", clockx.Epoch, clockx.NewSim(clockx.Epoch), reg, okExchanger{})
+	tally := &metrics.Tally{}
+	ctx := metrics.WithTally(context.Background(), tally)
+	for id := uint16(1); id <= 10; id++ {
+		observe(in, ctx, id)
+	}
+	if v := reg.Counter(KeyDrops).Value(); v != 0 {
+		t.Errorf("drops before flush = %d, want 0", v)
+	}
+	tally.Flush()
+	if v := reg.Counter(KeyDrops).Value(); v != 10 {
+		t.Errorf("drops after flush = %d, want 10", v)
 	}
 }

@@ -11,7 +11,7 @@ import (
 )
 
 // TestPoolLookupAllocs gates the cache read path: a warm lookup costs
-// nothing — the striped shards hand back the entry by value.
+// nothing — the pool hands back the entry by value.
 func TestPoolLookupAllocs(t *testing.T) {
 	p := newPool()
 	now := time.Unix(0, 0)

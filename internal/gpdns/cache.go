@@ -33,63 +33,34 @@ type entry struct {
 	expiry time.Time
 }
 
-// poolStripes is a pool's shard count. Sixteen mutexes keep concurrent
-// probe workers for different domains off each other's locks; the
-// per-shard maps stay small enough that the split costs nothing.
-const poolStripes = 16
-
 // pool is one independent, unbounded cache within a PoP. Google operates
 // several per site (§3.1.1 cites Trufflehunter), which is why the prober
 // issues redundant queries.
-//
-// Internally the pool is striped by a hash of the queried name so that
-// parallel probe workers — which hammer one pool from many goroutines —
-// do not serialize on a single mutex.
 type pool struct {
-	shards [poolStripes]poolShard
-}
-
-// poolShard is one independently locked slice of a pool's key space.
-type poolShard struct {
 	mu sync.Mutex
 	// byName holds the cached entries for a name; ECS-aware domains can
 	// have many entries under different scope prefixes.
 	byName map[string][]entry
-	// size counts the stripe's entries. It is written only under mu but
-	// read atomically, so a lookup on an empty stripe — every probe of a
+	// size counts the pool's entries. It is written only under mu but
+	// read atomically, so a lookup on an empty pool — every probe of a
 	// campaign, whose RD=0 queries never insert — takes no lock and
 	// writes no shared memory.
 	size atomic.Int64
 }
 
 func newPool() *pool {
-	p := &pool{}
-	for i := range p.shards {
-		p.shards[i].byName = make(map[string][]entry)
-	}
-	return p
-}
-
-// shardFor picks the stripe for a name by FNV-1a.
-func (p *pool) shardFor(name string) *poolShard {
-	var h uint32 = 2166136261
-	for i := 0; i < len(name); i++ {
-		h ^= uint32(name[i])
-		h *= 16777619
-	}
-	return &p.shards[h%poolStripes]
+	return &pool{byName: make(map[string][]entry)}
 }
 
 // lookup returns the live entry whose scope covers src, preferring the most
 // specific cover. Scope-/0 entries cover everything.
 func (p *pool) lookup(name string, src netx.Prefix, now time.Time) (entry, bool) {
-	sh := p.shardFor(name)
-	if sh.size.Load() == 0 {
+	if p.size.Load() == 0 {
 		return entry{}, false
 	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	entries := sh.byName[name]
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	entries := p.byName[name]
 	best := -1
 	for i := range entries {
 		e := &entries[i]
@@ -110,21 +81,20 @@ func (p *pool) lookup(name string, src netx.Prefix, now time.Time) (entry, bool)
 
 // insert caches e, replacing an expired or same-scope entry for the name.
 func (p *pool) insert(e entry, now time.Time) {
-	sh := p.shardFor(e.name)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	entries := sh.byName[e.name]
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	entries := p.byName[e.name]
 	// Drop expired entries opportunistically and replace same-scope ones.
 	out := entries[:0]
 	for _, old := range entries {
 		if !old.expiry.After(now) || old.scope == e.scope {
-			sh.size.Add(-1)
+			p.size.Add(-1)
 			continue
 		}
 		out = append(out, old)
 	}
-	sh.byName[e.name] = append(out, e)
-	sh.size.Add(1)
+	p.byName[e.name] = append(out, e)
+	p.size.Add(1)
 }
 
 // site is the cache state of one PoP.

@@ -37,7 +37,7 @@ const concurrentWorkers = 8
 
 // concurrentCases builds snoops over every ECS domain and the world's
 // client prefixes at their own PoPs, twice each at different times, so
-// workers contend on the same memo lines, pool stripes and handler table.
+// workers contend on the same memo lines, pools and handler table.
 func concurrentCases(t *testing.T) []probeCase {
 	t.Helper()
 	_, model, router := lazySetup(t, 31)
@@ -123,11 +123,11 @@ func TestLazyFillConcurrentMatchesSequential(t *testing.T) {
 }
 
 // TestMemNetConcurrentMatchesSequential sends the same snoops through
-// MemNet into the Google front end — handler table, pool stripes and
+// MemNet into the Google front end — handler table, cache pools and
 // lazy fill — from eight goroutines, while the handler table is
 // republished underneath them, and requires every answer to equal a
-// sequential run's. Some pool stripes are seeded by recursive queries
-// first, so lookups take both the locked and the empty-stripe path.
+// sequential run's. Some pools are seeded by recursive queries first,
+// so lookups take both the locked and the empty-pool path.
 func TestMemNetConcurrentMatchesSequential(t *testing.T) {
 	cases := concurrentCases(t)
 	for _, codec := range []bool{false, true} {

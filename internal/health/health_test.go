@@ -361,17 +361,12 @@ func TestWrapBreaker(t *testing.T) {
 }
 
 // TestLedgerAccounting covers the ledger arithmetic: campaign-level
-// never-probed loss, hedge/failover tallies and state durations from a
+// never-probed loss, failover tallies and state durations from a
 // transition timeline.
 func TestLedgerAccounting(t *testing.T) {
 	var l Ledger
 	if got := l.EstimatedLossPP(); got != 0 {
 		t.Errorf("empty ledger EstimatedLossPP = %v, want 0", got)
-	}
-	l.AddHedges(10, 4)
-	l.AddHedges(5, 1)
-	if l.HedgesFired != 15 || l.HedgesWon != 5 {
-		t.Errorf("hedge tallies = %d/%d, want 15/5", l.HedgesFired, l.HedgesWon)
 	}
 	l.FailOver("fra")
 	l.FailOver("fra")

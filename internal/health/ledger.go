@@ -60,9 +60,6 @@ type Ledger struct {
 	// Transitions is the breaker state timeline replayed through the
 	// last sequential point, sorted by (At, Target).
 	Transitions []Transition
-	// HedgesFired and HedgesWon count secondary attempts issued and
-	// secondary attempts whose answer was preferred.
-	HedgesFired, HedgesWon int64
 	// Coverage is the per-pass task-routing ledger.
 	Coverage []PassCoverage
 	// FailedOver counts task slots re-routed away from each PoP
@@ -73,13 +70,6 @@ type Ledger struct {
 	// task was lost. A task lost in every pass was never probed at all
 	// — the campaign's true (not just per-pass) coverage hole.
 	LostTasks map[string]map[int]int
-}
-
-// AddHedges accumulates hedge outcomes (called from sequential merge
-// sections).
-func (l *Ledger) AddHedges(fired, won int64) {
-	l.HedgesFired += fired
-	l.HedgesWon += won
 }
 
 // FailOver records one of pop's task slots re-routed elsewhere.

@@ -1,11 +1,14 @@
 // Package metrics is the campaign observability layer: a dependency-free,
 // deterministic metrics registry (counters, gauges, fixed-bucket
 // histograms) plus a structured trace layer (see trace.go) and optional
-// live HTTP debug endpoints (see debug.go).
+// live HTTP debug endpoints (see debug.go). The registry is the campaign's
+// one ledger: instrumentation, injected faults, retry spend and hedge
+// outcomes all count here, and reports read them back from the folded
+// ledger.
 //
 // Determinism rules. Every value a campaign exports must be bit-identical
 // across worker counts and across kill/resume cycles, so the layer is
-// built on the same snapshot-delta pattern as faults.Counters:
+// built on a snapshot-delta pattern:
 //
 //   - Counters and histogram buckets are order-independent atomic sums.
 //     Workers increment them concurrently; because addition commutes, the

@@ -64,11 +64,10 @@ type System struct {
 	// Vantages are the wired cloud vantage points.
 	Vantages []cacheprobe.Vantage
 
-	faultCfg      *faults.Config
-	faultEpoch    time.Time
-	faultCounters *faults.Counters
-	health        *health.Tracker
-	metrics       *metrics.Registry
+	faultCfg   *faults.Config
+	faultEpoch time.Time
+	health     *health.Tracker
+	metrics    *metrics.Registry
 }
 
 // New builds a System over a world with the calibrated behavioural
@@ -134,17 +133,15 @@ func (s *System) wireVantages() {
 // fault injector. Each vantage is its own injector target (named by the
 // vantage), so outage windows can black out the path to one PoP; the
 // authoritative path is the target "auth". epoch anchors outage windows
-// (the campaign start). Returns the shared counters (also wired into
-// ProberConfig). Call once, before building probers.
-func (s *System) InjectFaults(cfg faults.Config, epoch time.Time) *faults.Counters {
-	s.faultCounters = &faults.Counters{}
+// (the campaign start). Every injector counts into the system's metrics
+// registry under "faults/…". Call once, before building probers.
+func (s *System) InjectFaults(cfg faults.Config, epoch time.Time) {
 	s.faultCfg = &cfg
 	s.faultEpoch = epoch
 	for i := range s.Vantages {
 		v := &s.Vantages[i]
-		v.Exchanger = faults.New(cfg, v.Name, epoch, s.Clock, s.faultCounters, v.Exchanger)
+		v.Exchanger = faults.New(cfg, v.Name, epoch, s.Clock, s.metrics, v.Exchanger)
 	}
-	return s.faultCounters
 }
 
 // EnableHealth builds the degradation layer's circuit-breaker tracker and
@@ -192,7 +189,6 @@ func (s *System) ProberConfig() cacheprobe.Config {
 		GeoDB:              s.World.GeoDB(),
 		Universe:           s.World.PublicSpan(),
 		CalibrationSamples: samples,
-		FaultCounters:      s.faultCounters,
 	}
 }
 
@@ -206,7 +202,7 @@ func (s *System) Prober(cfg cacheprobe.Config) *cacheprobe.Prober {
 		Server:    AuthServer,
 	}
 	if s.faultCfg != nil {
-		auth.Exchanger = faults.New(*s.faultCfg, "auth", s.faultEpoch, s.Clock, s.faultCounters, auth.Exchanger)
+		auth.Exchanger = faults.New(*s.faultCfg, "auth", s.faultEpoch, s.Clock, s.metrics, auth.Exchanger)
 	}
 	auth.Exchanger = dnsnet.Instrument(s.metrics, "auth", auth.Exchanger)
 	auth.Exchanger = health.Wrap(s.health, "auth", s.Clock, auth.Exchanger)

@@ -31,15 +31,20 @@ const (
 )
 
 const (
-	// VersionCampaign 2: added the FaultStats reliability ledger.
+	// VersionCampaign 2: added the fault/retry reliability section.
 	// VersionCampaign 3: added the metrics instrumentation ledger.
 	// VersionCampaign 4: added brownout/flap drops and the health ledger
 	// (breaker windows + transitions, hedges, coverage, failovers).
-	VersionCampaign uint16 = 4
+	// VersionCampaign 5: dropped that reliability section and the health
+	// ledger's hedge counts; injected faults, retries and hedges live in
+	// the metrics ledger only.
+	VersionCampaign uint16 = 5
 	// VersionCampaignDelta and VersionShardResult cover the shard /
 	// scatter/gather pipeline's incremental artifacts (see delta.go).
-	VersionCampaignDelta uint16 = 1
-	VersionShardResult   uint16 = 1
+	// Version 2 of each: dropped the fault-counter section (and, in the
+	// delta, the health ledger's hedge counts), as in VersionCampaign 5.
+	VersionCampaignDelta uint16 = 2
+	VersionShardResult   uint16 = 2
 	// VersionDNSLogs 2: added the OpenRetries counter.
 	VersionDNSLogs       uint16 = 2
 	VersionCDN           uint16 = 1
@@ -223,16 +228,6 @@ func EncodeCampaign(w *Writer, c *cacheprobe.Campaign) {
 		w.Int(c.PoPHits[pop])
 	}
 
-	w.Varint(c.Faults.InjectedDrops)
-	w.Varint(c.Faults.OutageDrops)
-	w.Varint(c.Faults.Truncations)
-	w.Varint(c.Faults.Duplicates)
-	w.Varint(c.Faults.BrownoutDrops)
-	w.Varint(c.Faults.FlapDrops)
-	w.Varint(c.Faults.RetriesSpent)
-	w.Varint(c.Faults.RetriesRecovered)
-	w.Varint(c.Faults.BudgetExhausted)
-
 	w.Int(len(c.Metrics))
 	for _, k := range sortedStringKeys(c.Metrics) {
 		w.String(k)
@@ -243,8 +238,8 @@ func EncodeCampaign(w *Writer, c *cacheprobe.Campaign) {
 }
 
 // encodeHealthLedger appends the campaign's degradation-layer state: the
-// breaker's replayable windows, the transition timeline, and the hedge /
-// coverage accounting. Map iteration is canonicalised by sorted keys.
+// breaker's replayable windows, the transition timeline, and the
+// coverage / failover accounting. Map iteration is canonicalised by sorted keys.
 func encodeHealthLedger(w *Writer, l *health.Ledger) {
 	w.Int(len(l.Windows))
 	for _, target := range sortedStringKeys(l.Windows) {
@@ -264,8 +259,6 @@ func encodeHealthLedger(w *Writer, l *health.Ledger) {
 		w.Uvarint(uint64(tr.From))
 		w.Uvarint(uint64(tr.To))
 	}
-	w.Varint(l.HedgesFired)
-	w.Varint(l.HedgesWon)
 	w.Int(len(l.Coverage))
 	for _, c := range l.Coverage {
 		w.Int(c.Pass)
@@ -324,8 +317,6 @@ func decodeHealthLedger(r *Reader, l *health.Ledger) {
 			}
 		}
 	}
-	l.HedgesFired = r.Varint()
-	l.HedgesWon = r.Varint()
 	if n := r.SliceLen(7); n > 0 {
 		l.Coverage = make([]health.PassCoverage, n)
 		for i := range l.Coverage {
@@ -449,16 +440,6 @@ func DecodeCampaign(r *Reader) (*cacheprobe.Campaign, error) {
 		pop := r.String()
 		c.PoPHits[pop] = r.Int()
 	}
-
-	c.Faults.InjectedDrops = r.Varint()
-	c.Faults.OutageDrops = r.Varint()
-	c.Faults.Truncations = r.Varint()
-	c.Faults.Duplicates = r.Varint()
-	c.Faults.BrownoutDrops = r.Varint()
-	c.Faults.FlapDrops = r.Varint()
-	c.Faults.RetriesSpent = r.Varint()
-	c.Faults.RetriesRecovered = r.Varint()
-	c.Faults.BudgetExhausted = r.Varint()
 
 	for i, n := 0, r.Int(); i < n && r.Err() == nil; i++ {
 		k := r.String()

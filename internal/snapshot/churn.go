@@ -16,8 +16,9 @@ import (
 // checkpoint (churn events + probe delta + DNS observations).
 const KindStreamDelta = "stream.HourDelta"
 
-// VersionStreamDelta is the hour-checkpoint encoding version.
-const VersionStreamDelta uint16 = 1
+// VersionStreamDelta is the hour-checkpoint encoding version. Version 2:
+// the embedded pass delta is VersionCampaignDelta 2.
+const VersionStreamDelta uint16 = 2
 
 // EncodeChurnEvent appends one churn event to w.
 func EncodeChurnEvent(w *Writer, e churn.Event) {

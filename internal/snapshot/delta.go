@@ -2,7 +2,6 @@ package snapshot
 
 import (
 	"clientmap/internal/core/cacheprobe"
-	"clientmap/internal/faults"
 	"clientmap/internal/health"
 	"clientmap/internal/metrics"
 )
@@ -38,8 +37,6 @@ func EncodePassDelta(w *Writer, d *cacheprobe.PassDelta) {
 		w.String(h.PoP)
 		w.Time(h.At)
 	}
-
-	encodeFaultStats(w, &d.Faults)
 
 	w.Int(len(d.Metrics))
 	for _, k := range sortedStringKeys(d.Metrics) {
@@ -78,7 +75,6 @@ func DecodePassDelta(r *Reader) (*cacheprobe.PassDelta, error) {
 			}
 		}
 	}
-	decodeFaultStats(r, &d.Faults)
 	d.Metrics = metrics.Ledger{}
 	if n := r.Int(); n > 0 {
 		for i := 0; i < n && r.Err() == nil; i++ {
@@ -88,30 +84,6 @@ func DecodePassDelta(r *Reader) (*cacheprobe.PassDelta, error) {
 	}
 	decodeHealthLedger(r, &d.Health)
 	return d, r.Err()
-}
-
-func encodeFaultStats(w *Writer, f *cacheprobe.FaultStats) {
-	w.Varint(f.InjectedDrops)
-	w.Varint(f.OutageDrops)
-	w.Varint(f.Truncations)
-	w.Varint(f.Duplicates)
-	w.Varint(f.BrownoutDrops)
-	w.Varint(f.FlapDrops)
-	w.Varint(f.RetriesSpent)
-	w.Varint(f.RetriesRecovered)
-	w.Varint(f.BudgetExhausted)
-}
-
-func decodeFaultStats(r *Reader, f *cacheprobe.FaultStats) {
-	f.InjectedDrops = r.Varint()
-	f.OutageDrops = r.Varint()
-	f.Truncations = r.Varint()
-	f.Duplicates = r.Varint()
-	f.BrownoutDrops = r.Varint()
-	f.FlapDrops = r.Varint()
-	f.RetriesSpent = r.Varint()
-	f.RetriesRecovered = r.Varint()
-	f.BudgetExhausted = r.Varint()
 }
 
 // EncodeShardResult appends one shard's execution output. Hit-dependent
@@ -142,13 +114,6 @@ func EncodeShardResult(w *Writer, s *cacheprobe.ShardResult) {
 		w.Int(t.HedgeFired)
 		w.Int(t.HedgeWon)
 	}
-
-	w.Varint(s.Faults.Drops)
-	w.Varint(s.Faults.OutageDrops)
-	w.Varint(s.Faults.Truncations)
-	w.Varint(s.Faults.Duplicates)
-	w.Varint(s.Faults.BrownoutDrops)
-	w.Varint(s.Faults.FlapDrops)
 
 	w.Int(len(s.Metrics))
 	for _, k := range sortedStringKeys(s.Metrics) {
@@ -201,14 +166,6 @@ func DecodeShardResult(r *Reader) (*cacheprobe.ShardResult, error) {
 			t.HedgeFired = r.Int()
 			t.HedgeWon = r.Int()
 		}
-	}
-	s.Faults = faults.Stats{
-		Drops:         r.Varint(),
-		OutageDrops:   r.Varint(),
-		Truncations:   r.Varint(),
-		Duplicates:    r.Varint(),
-		BrownoutDrops: r.Varint(),
-		FlapDrops:     r.Varint(),
 	}
 	s.Metrics = metrics.Ledger{}
 	if n := r.Int(); n > 0 {

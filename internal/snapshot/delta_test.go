@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"clientmap/internal/core/cacheprobe"
-	"clientmap/internal/faults"
 	"clientmap/internal/health"
 	"clientmap/internal/metrics"
 )
@@ -22,19 +21,13 @@ func TestPassDeltaRoundTrip(t *testing.T) {
 			{Domain: "example.com", QueryScope: pfx(0x01020000, 16), RespScope: pfx(0x01020300, 24), PoP: "fra", At: ts(7260)},
 			{Domain: "video.example", QueryScope: pfx(0x0a000000, 8), RespScope: pfx(0x0a0b0000, 16), PoP: "iad", At: ts(7320)},
 		},
-		Faults: cacheprobe.FaultStats{
-			InjectedDrops: 3, OutageDrops: 1, Truncations: 2, Duplicates: 4,
-			BrownoutDrops: 5, FlapDrops: 6, RetriesSpent: 7, RetriesRecovered: 8,
-			BudgetExhausted: 9,
-		},
-		Metrics: metrics.Ledger{"cacheprobe/probes": 12345, "health/hedges_fired": 2},
+		Metrics: metrics.Ledger{"cacheprobe/probes": 12345, "faults/injected_drops": 3, "health/hedge/fired": 2},
 		Health: health.Ledger{
 			Windows:     map[string][]health.WindowSum{"fra": {{Index: 2, OK: 30, Fail: 4}}},
 			Transitions: []health.Transition{{Target: "fra", At: ts(7300), From: health.Closed, To: health.Open}},
-			HedgesFired: 2, HedgesWon: 1,
-			Coverage:   []health.PassCoverage{{Pass: 4, Assigned: 109, Primary: 100, Trial: 2, Alternate: 3, Fallback: 3, Lost: 1}},
-			FailedOver: map[string]int64{"fra": 6},
-			LostTasks:  map[string]map[int]int{"fra": {17: 1}},
+			Coverage:    []health.PassCoverage{{Pass: 4, Assigned: 109, Primary: 100, Trial: 2, Alternate: 3, Fallback: 3, Lost: 1}},
+			FailedOver:  map[string]int64{"fra": 6},
+			LostTasks:   map[string]map[int]int{"fra": {17: 1}},
 		},
 	}
 	roundTrip(t, KindCampaignDelta, VersionCampaignDelta,
@@ -82,8 +75,7 @@ func TestShardResultRoundTrip(t *testing.T) {
 			// ...a miss must not (the encoder gates those fields on Hit).
 			{PoPIndex: 1, TaskIndex: 40, Probes: 3, RetrySpent: 2, RetryExhausted: 1},
 		},
-		Faults:  faults.Stats{Drops: 5, OutageDrops: 1, Truncations: 2, Duplicates: 3, BrownoutDrops: 4, FlapDrops: 6},
-		Metrics: metrics.Ledger{"cacheprobe/probes": 77},
+		Metrics: metrics.Ledger{"cacheprobe/probes": 77, "faults/flap_drops": 6},
 		Windows: map[string][]health.WindowSum{"iad": {{Index: 0, OK: 18, Fail: 2}, {Index: 1, OK: 20}}},
 	}
 	roundTrip(t, KindShardResult, VersionShardResult,

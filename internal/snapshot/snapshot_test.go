@@ -78,11 +78,9 @@ func TestCampaignRoundTrip(t *testing.T) {
 	c.ScopeDiffs["example.com"] = map[int]int{0: 12, 8: 3}
 	c.PoPHits["fra"] = 1
 	c.PoPHits["iad"] = 1
-	c.Faults = cacheprobe.FaultStats{
-		InjectedDrops: 321, OutageDrops: 45, Truncations: 6, Duplicates: 7,
-		RetriesSpent: 280, RetriesRecovered: 270, BudgetExhausted: 11,
-	}
 	c.Metrics["cacheprobe/probe/probes"] = 98765
+	c.Metrics["cacheprobe/retry/spent"] = 280
+	c.Metrics["faults/injected_drops"] = 321
 	c.Metrics["cacheprobe/pop/fra/retry_delay_ms/le=100"] = 12
 	c.Metrics["dnsnet/vantage/timeouts"] = 0
 

@@ -2,12 +2,14 @@ GO ?= go
 
 .PHONY: build test race vet bench bench-smoke bench-e2e bench-e2e-trace bench-e2e-test check cover fuzz-smoke golden-update serve-smoke loc
 
-# Packages whose coverage is gated in CI: the wire/transport layer, the
-# measurement cores, the stage runner, the snapshot codecs, the metrics
-# registry, the degradation layer, the fault injector, the simulated
-# Google front end, the churn planner, and the simulated world + traffic
-# models, where an untested branch is a silently wrong result.
-COVER_PKGS = ./internal/dnsnet/... ./internal/core/... ./internal/pipeline/... ./internal/snapshot/... ./internal/metrics/... ./internal/health/... ./internal/serve/... ./internal/world/... ./internal/traffic/... ./internal/statefs/... ./internal/statefsck/... ./internal/par/... ./internal/faults/... ./internal/gpdns/... ./internal/churn/...
+# Packages whose coverage is gated in CI: the wire/transport layer (the
+# DNS codec included), the measurement cores, the stage runner, the
+# snapshot codecs, the metrics registry, the degradation layer, the fault
+# injector, the simulated Google front end, the churn planner, the
+# simulated world + traffic models, the address and /24-set primitives,
+# the seeded randomness every draw comes from, and the DITL root-trace
+# generator, where an untested branch is a silently wrong result.
+COVER_PKGS = ./internal/dnsnet/... ./internal/core/... ./internal/pipeline/... ./internal/snapshot/... ./internal/metrics/... ./internal/health/... ./internal/serve/... ./internal/world/... ./internal/traffic/... ./internal/statefs/... ./internal/statefsck/... ./internal/par/... ./internal/faults/... ./internal/gpdns/... ./internal/churn/... ./internal/netx/... ./internal/randx/... ./internal/dnswire/... ./internal/roots/...
 COVER_FLOOR = 70
 # The metrics registry, the health layer, the snapshot codecs, the
 # stage runner, the serving layer, the world/traffic substrate, the

@@ -3,9 +3,14 @@ package clientmap
 import (
 	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
+	"io"
 	"io/fs"
+	"os"
+	"os/exec"
 	"path"
 	"path/filepath"
 	"sort"
@@ -13,9 +18,9 @@ import (
 	"testing"
 )
 
-// apiAllowlist names the exported declarations under internal/ that no
-// non-test code in the root module references but that must stay, keyed
-// as pkg.Name or pkg.Type.Method, each with the reason it stays.
+// apiAllowlist names the declarations under internal/ that nothing in the
+// root module reaches but that must stay, keyed as pkg.Name or
+// pkg.Type.Method, each with the reason it stays.
 var apiAllowlist = map[string]string{
 	"experiments.StreamConfig":    "frozen cmd/bench — ROADMAP item 2f",
 	"serve.FormatReverseName":     "frozen cmd/bench — ROADMAP item 2f",
@@ -23,17 +28,18 @@ var apiAllowlist = map[string]string{
 	"serve.Daemon.HTTPHandler":    "frozen cmd/bench — ROADMAP item 2f",
 	"serve.Index.SortedASNs":      "frozen cmd/bench — ROADMAP item 2f",
 	"serve.Index.SampleTraffic":   "frozen cmd/bench — ROADMAP item 2f",
-	"serve.HTTPHandler.ServeHTTP": "satisfies http.Handler: the daemon's http.Server calls it",
-	"randx.lazySource.Int63":      "satisfies rand.Source: rand.Rand calls it",
-	"randx.lazySource.Uint64":     "satisfies rand.Source64: rand.Rand.Uint64 calls it",
+	"serve.Cache.Get":             "frozen cmd/bench — ROADMAP item 2f",
+	"serve.Cache.Put":             "frozen cmd/bench — ROADMAP item 2f",
+	"clockx.Sim.Advance":          "frozen cmd/bench — ROADMAP item 2f",
+	"gpdns.Server.Stats":          "frozen cmd/bench — ROADMAP item 2f",
 	"stream.Ledger.MarshalLedger": "the experiments streaming determinism suite compares two runs' ledgers byte for byte",
 	"domains.ByName":              "catalog lookup the authdns, gpdns, traffic and domains tests share",
 }
 
-// TestExportedNamesHaveCallers is the dead-API gate: every exported
-// top-level func, type, var, const and method under internal/ must be
-// referenced by some non-test code of the root module other than its own
-// declaration, or carry an allowlist entry with a reason.
+// TestExportedNamesHaveCallers is the dead-code gate: every top-level
+// func, method, type, var and const under internal/, exported or not,
+// must be reachable from a command, an example or the root package's
+// exported API, or carry an allowlist entry with a reason.
 func TestExportedNamesHaveCallers(t *testing.T) {
 	fset := token.NewFileSet()
 	var files []apiFile
@@ -47,14 +53,14 @@ func TestExportedNamesHaveCallers(t *testing.T) {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(p, ".go") {
+		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
 			return nil
 		}
 		f, err := parser.ParseFile(fset, p, nil, 0)
 		if err != nil {
 			return err
 		}
-		files = append(files, apiFile{dir: filepath.ToSlash(filepath.Dir(p)), test: strings.HasSuffix(p, "_test.go"), f: f})
+		files = append(files, apiFile{dir: filepath.ToSlash(filepath.Dir(p)), f: f})
 		return nil
 	})
 	if err != nil {
@@ -63,12 +69,15 @@ func TestExportedNamesHaveCallers(t *testing.T) {
 	if len(apiAllowlist) > 25 {
 		t.Errorf("allowlist has %d entries; the cap is 25", len(apiAllowlist))
 	}
-	unused, stale := unusedExported(fset, files, apiAllowlist)
+	unused, stale, err := unreachable(fset, files, apiAllowlist)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, d := range unused {
-		t.Errorf("%s has no non-test caller: move it into a _test.go file, delete it, or allowlist it with a reason", d)
+		t.Errorf("%s is reached by no command, example or public API: move it into a _test.go file, delete it, or allowlist it with a reason", d)
 	}
 	for _, k := range stale {
-		t.Errorf("allowlist entry %s names no uncalled declaration: remove it", k)
+		t.Errorf("allowlist entry %s names no unreached declaration: remove it", k)
 	}
 }
 
@@ -80,149 +89,317 @@ type apiFile struct {
 	f    *ast.File
 }
 
-// unusedExported returns "file:line key" for every exported declaration
-// under internal/ that no non-test file references, minus the allowlist,
-// and the allowlist keys that matched no such declaration.
-// A top-level name is keyed by (directory, name): a bare identifier counts
-// in its own package, X.Name where X is the file's import of that
-// directory. A method counts as used when any selector that is not
-// package-qualified, or any composite-literal key, carries its name
-// anywhere, which may miss a dead method but never flags a live one.
-func unusedExported(fset *token.FileSet, files []apiFile, allow map[string]string) (unused, stale []string) {
-	pkgName := map[string]string{} // dir → package name
-	for _, af := range files {
-		if !af.test {
-			pkgName[af.dir] = af.f.Name.Name
-		}
+const modulePath = "clientmap"
+
+// unreachable type-checks the module's non-test files and walks
+// references by object identity from the roots: every declaration of a
+// main package, the root package's exported API, init functions and
+// blank declarations, the allowlist, and every method of a reached type
+// that satisfies an interface declared in the module or in a package it
+// imports. It returns "file:line key" for each top-level declaration
+// under internal/ the walk misses, and the allowlist keys that name no
+// declaration or one the walk reaches without them.
+func unreachable(fset *token.FileSet, files []apiFile, allow map[string]string) (unused, stale []string, err error) {
+	imp := &moduleImporter{
+		fset: fset,
+		dirs: map[string][]*ast.File{},
+		pkgs: map[string]*types.Package{},
+		info: &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}},
 	}
-	used := map[[2]string]bool{} // (dir, name)
-	usedMember := map[string]bool{}
-	type decl struct {
-		id        *ast.Ident
-		dir, recv string
-	}
-	var decls []decl
+	var std []string
 	for _, af := range files {
 		if af.test {
 			continue
 		}
-		declaring := map[*ast.Ident]bool{}
-		for _, d := range af.f.Decls {
-			switch d := d.(type) {
-			case *ast.FuncDecl:
-				declaring[d.Name] = true
-				recv := ""
-				if d.Recv != nil {
-					recv = receiverType(d.Recv.List[0].Type, declaring)
-				}
-				decls = append(decls, decl{d.Name, af.dir, recv})
-			case *ast.GenDecl:
-				for _, s := range d.Specs {
-					switch s := s.(type) {
-					case *ast.TypeSpec:
-						declaring[s.Name] = true
-						decls = append(decls, decl{s.Name, af.dir, ""})
-					case *ast.ValueSpec:
-						for _, n := range s.Names {
-							declaring[n] = true
-							decls = append(decls, decl{n, af.dir, ""})
+		imp.dirs[af.dir] = append(imp.dirs[af.dir], af.f)
+		for _, is := range af.f.Imports {
+			if p := strings.Trim(is.Path.Value, `"`); !strings.HasPrefix(p, modulePath+"/") {
+				std = append(std, p)
+			}
+		}
+	}
+	if imp.std, err = stdImporter(fset, std); err != nil {
+		return nil, nil, err
+	}
+	dirs := make([]string, 0, len(imp.dirs))
+	for dir := range imp.dirs {
+		dirs = append(dirs, dir)
+	}
+	sort.Strings(dirs)
+	for _, dir := range dirs {
+		if _, err := imp.Import(importPath(dir)); err != nil {
+			return nil, nil, err
+		}
+	}
+
+	type decl struct {
+		dir, key string
+		pos      token.Pos
+		nodes    []ast.Node
+	}
+	decls := map[types.Object]*decl{}
+	byKey := map[string]types.Object{}
+	var roots []types.Object
+	var rootNodes []ast.Node
+	for _, dir := range dirs {
+		pkg := path.Base(dir)
+		main := imp.pkgs[importPath(dir)].Name() == "main"
+		add := func(id *ast.Ident, key string, nodes ...ast.Node) {
+			if id.Name == "_" || (id.Name == "init" && key == pkg+".init") {
+				rootNodes = append(rootNodes, nodes...)
+				return
+			}
+			obj := imp.info.Defs[id]
+			decls[obj] = &decl{dir, key, id.Pos(), nodes}
+			if strings.HasPrefix(dir, "internal/") {
+				byKey[key] = obj
+			}
+			if main || (dir == "." && id.IsExported()) {
+				roots = append(roots, obj)
+			}
+		}
+		for _, f := range imp.dirs[dir] {
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					key := pkg + "." + d.Name.Name
+					if d.Recv != nil {
+						key = pkg + "." + recvName(imp.info.Defs[d.Name]) + "." + d.Name.Name
+					}
+					add(d.Name, key, d)
+				case *ast.GenDecl:
+					var last ast.Node // a const spec without values repeats the last one that has them
+					for _, s := range d.Specs {
+						switch s := s.(type) {
+						case *ast.TypeSpec:
+							add(s.Name, pkg+"."+s.Name.Name, s)
+						case *ast.ValueSpec:
+							if len(s.Values) > 0 || d.Tok == token.VAR {
+								last = s
+							}
+							for _, n := range s.Names {
+								add(n, pkg+"."+n.Name, s, last)
+							}
 						}
 					}
 				}
 			}
 		}
-		imports := map[string]string{} // local name → module dir, "" outside the module
-		for _, is := range af.f.Imports {
-			p := strings.Trim(is.Path.Value, `"`)
-			dir, ok := strings.CutPrefix(p, modulePath+"/")
-			name := path.Base(p)
-			if ok {
-				name = pkgName[dir]
-			}
-			if is.Name != nil {
-				name = is.Name.Name
-			}
-			imports[name] = dir
+	}
+
+	ifaces := imp.interfaces()
+	reached := map[types.Object]bool{}
+	var queue []types.Object
+	reach := func(obj types.Object) {
+		switch o := obj.(type) {
+		case *types.Func:
+			obj = o.Origin()
+		case *types.Var:
+			obj = o.Origin()
 		}
-		var visit func(n ast.Node) bool
-		visit = func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.SelectorExpr:
-				// X.Sel is package-qualified when X is an import no local
-				// declaration shadows; otherwise Sel is a field or method.
-				if x, ok := n.X.(*ast.Ident); ok && x.Obj == nil {
-					if dir, ok := imports[x.Name]; ok {
-						used[[2]string{dir, n.Sel.Name}] = true
-						return false
-					}
-				}
-				usedMember[n.Sel.Name] = true
-				ast.Inspect(n.X, visit)
-				return false
-			case *ast.KeyValueExpr:
-				if k, ok := n.Key.(*ast.Ident); ok {
-					usedMember[k.Name] = true
-				}
-			case *ast.Ident:
-				if !declaring[n] {
-					used[[2]string{af.dir, n.Name}] = true
+		if decls[obj] != nil && !reached[obj] {
+			reached[obj] = true
+			queue = append(queue, obj)
+		}
+	}
+	visit := func(n ast.Node) {
+		if n == nil {
+			return
+		}
+		ast.Inspect(n, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				if obj := imp.info.Uses[id]; obj != nil {
+					reach(obj)
 				}
 			}
 			return true
-		}
-		ast.Inspect(af.f, visit)
+		})
 	}
-	allowed := map[string]bool{}
-	for _, d := range decls {
-		if !d.id.IsExported() || !strings.HasPrefix(d.dir, "internal/") {
-			continue
+	drain := func() {
+		for len(queue) > 0 {
+			obj := queue[0]
+			queue = queue[1:]
+			for _, n := range decls[obj].nodes {
+				visit(n)
+			}
+			switch obj.(type) {
+			case *types.Const, *types.Var:
+				if named, ok := obj.Type().(*types.Named); ok {
+					reach(named.Obj())
+				}
+			case *types.TypeName:
+				for _, m := range satisfying(obj.Type(), ifaces) {
+					reach(m)
+				}
+			}
 		}
-		name := d.id.Name
-		key := path.Base(d.dir) + "." + name
-		if d.recv != "" {
-			key = path.Base(d.dir) + "." + d.recv + "." + name
-		}
-		if (d.recv == "" && used[[2]string{d.dir, name}]) || (d.recv != "" && usedMember[name]) {
-			continue
-		}
-		if _, ok := allow[key]; ok {
-			allowed[key] = true
-			continue
-		}
-		pos := fset.Position(d.id.Pos())
-		unused = append(unused, fmt.Sprintf("%s:%d %s", pos.Filename, pos.Line, key))
 	}
-	for k := range allow {
-		if !allowed[k] {
-			stale = append(stale, k)
+	for _, obj := range roots {
+		reach(obj)
+	}
+	for _, n := range rootNodes {
+		visit(n)
+	}
+	drain()
+	for key := range allow {
+		obj := byKey[key]
+		if obj == nil || reached[obj] {
+			stale = append(stale, key)
+			continue
 		}
+		reach(obj)
+	}
+	drain()
+
+	for obj, d := range decls {
+		if reached[obj] || !strings.HasPrefix(d.dir, "internal/") {
+			continue
+		}
+		pos := fset.Position(d.pos)
+		unused = append(unused, fmt.Sprintf("%s:%d %s", pos.Filename, pos.Line, d.key))
 	}
 	sort.Strings(unused)
 	sort.Strings(stale)
-	return unused, stale
+	return unused, stale, nil
 }
 
-const modulePath = "clientmap"
+func importPath(dir string) string {
+	if dir == "." {
+		return modulePath
+	}
+	return modulePath + "/" + dir
+}
 
-// receiverType returns the type name of a method receiver and marks its
-// identifier as declaring, so a type used only by its own methods' receivers
-// stays unused.
-func receiverType(e ast.Expr, declaring map[*ast.Ident]bool) string {
-	for {
-		switch x := e.(type) {
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.IndexListExpr:
-			e = x.X
-		case *ast.Ident:
-			declaring[x] = true
-			return x.Name
-		default:
-			return ""
+// recvName is the type name of a method's receiver.
+func recvName(obj types.Object) string {
+	t := obj.Type().(*types.Signature).Recv().Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	return t.(*types.Named).Obj().Name()
+}
+
+// stdImporter reads the standard library's export data through the gc
+// importer, locating every file with one go list run instead of the one
+// run per package importer.Default makes.
+func stdImporter(fset *token.FileSet, paths []string) (types.Importer, error) {
+	exports := map[string]string{}
+	if len(paths) > 0 {
+		out, err := exec.Command("go", append([]string{"list", "-export", "-f", "{{.ImportPath}} {{.Export}}"}, paths...)...).Output()
+		if err != nil {
+			return nil, fmt.Errorf("go list -export: %w", err)
+		}
+		for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+			if p, file, ok := strings.Cut(line, " "); ok {
+				exports[p] = file
+			}
 		}
 	}
+	return importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		file, ok := exports[path]
+		if !ok {
+			return nil, fmt.Errorf("no export data for %s", path)
+		}
+		return os.Open(file)
+	}), nil
+}
+
+// moduleImporter type-checks the module's packages from their parsed
+// files on first import and the standard library from export data, so
+// the gate needs nothing outside the standard library.
+type moduleImporter struct {
+	fset *token.FileSet
+	dirs map[string][]*ast.File // module-relative dir → non-test files
+	pkgs map[string]*types.Package
+	std  types.Importer
+	info *types.Info
+}
+
+func (m *moduleImporter) Import(p string) (*types.Package, error) {
+	if pkg := m.pkgs[p]; pkg != nil {
+		return pkg, nil
+	}
+	dir, ok := strings.CutPrefix(p, modulePath+"/")
+	if p == modulePath {
+		dir, ok = ".", true
+	}
+	if !ok {
+		return m.std.Import(p)
+	}
+	conf := types.Config{Importer: m}
+	pkg, err := conf.Check(p, m.fset, m.dirs[dir], m.info)
+	if err != nil {
+		return nil, err
+	}
+	m.pkgs[p] = pkg
+	return pkg, nil
+}
+
+// interfaces returns error and every named interface with methods that a
+// module package or any package it imports, directly or not, declares.
+func (m *moduleImporter) interfaces() []*types.Interface {
+	out := []*types.Interface{types.Universe.Lookup("error").Type().Underlying().(*types.Interface)}
+	seen := map[*types.Package]bool{}
+	var walk func(pkg *types.Package)
+	walk = func(pkg *types.Package) {
+		if seen[pkg] {
+			return
+		}
+		seen[pkg] = true
+		scope := pkg.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			if it, ok := tn.Type().Underlying().(*types.Interface); ok && it.NumMethods() > 0 {
+				out = append(out, it)
+			}
+		}
+		for _, dep := range pkg.Imports() {
+			walk(dep)
+		}
+	}
+	for _, pkg := range m.pkgs {
+		walk(pkg)
+	}
+	return out
+}
+
+// satisfying returns the methods through which t or *t implements any of
+// ifaces. A generic type is checked instantiated with its own type
+// parameters.
+func satisfying(t types.Type, ifaces []*types.Interface) []types.Object {
+	named, ok := t.(*types.Named)
+	if !ok || types.IsInterface(t) {
+		return nil
+	}
+	if tps := named.TypeParams(); tps.Len() > 0 {
+		args := make([]types.Type, tps.Len())
+		for i := range args {
+			args[i] = tps.At(i)
+		}
+		inst, err := types.Instantiate(nil, named, args, false)
+		if err != nil {
+			return nil
+		}
+		t = inst
+	}
+	ptr := types.NewPointer(t)
+	mset := types.NewMethodSet(ptr)
+	if mset.Len() == 0 {
+		return nil
+	}
+	var out []types.Object
+	for _, it := range ifaces {
+		if !types.Implements(ptr, it) {
+			continue
+		}
+		for i := range it.NumMethods() {
+			out = append(out, mset.Lookup(it.Method(i).Pkg(), it.Method(i).Name()).Obj())
+		}
+	}
+	return out
 }
 
 // TestUnusedExported feeds the gate's analyzer small in-memory modules.
@@ -238,7 +415,7 @@ func TestUnusedExported(t *testing.T) {
 		{"unused exported func is flagged", map[string]string{"internal/a/a.go": dead}, nil,
 			[]string{"internal/a/a.go:2 a.Dead"}},
 		{"bare in-package use counts", map[string]string{
-			"internal/a/a.go": "package a\nfunc Local() {}\nfunc use() { Local() }\n"}, nil, nil},
+			"internal/a/a.go": "package a\nfunc Local() {}\nfunc init() { Local() }\n"}, nil, nil},
 		{"cross-package selector use counts", map[string]string{
 			"internal/a/a.go": "package a\nfunc Remote() {}\n",
 			"cmd/c/main.go":   "package main\nimport \"clientmap/internal/a\"\nfunc main() { a.Remote() }\n"}, nil, nil},
@@ -247,18 +424,33 @@ func TestUnusedExported(t *testing.T) {
 			"internal/a/a_test.go": "package a\nfunc x() { OnlyTests() }\n"}, nil,
 			[]string{"internal/a/a.go:2 a.OnlyTests"}},
 		{"method called through a selector counts", map[string]string{
-			"internal/a/a.go": "package a\ntype T struct{}\nfunc (T) Called() {}\nfunc use(t T) { t.Called() }\n"}, nil, nil},
+			"internal/a/a.go": "package a\ntype T struct{}\nfunc (T) Called() {}\nfunc init() { var t T; t.Called() }\n"}, nil, nil},
 		{"package-qualified call keeps no method alive", map[string]string{
 			"internal/a/a.go": "package a\nimport \"math\"\ntype T struct{}\nfunc (T) Exp() {}\nvar _, _ = T{}, math.Exp(1)\n"}, nil,
 			[]string{"internal/a/a.go:4 a.T.Exp"}},
 		{"local variable shadowing an import is not a package", map[string]string{
-			"internal/a/a.go": "package a\nimport \"math\"\ntype T struct{}\nfunc (T) Exp() {}\nfunc f(math T) { math.Exp() }\n"}, nil, nil},
+			"internal/a/a.go": "package a\nimport \"math\"\ntype T struct{}\nfunc (T) Exp() {}\nfunc f(math T) { math.Exp() }\nvar _, _ = math.Pi, f\n"}, nil, nil},
 		{"interface method is flagged", map[string]string{"internal/a/a.go": method}, nil,
 			[]string{"internal/a/a.go:3 a.T.Int63"}},
 		{"allowlisted interface method passes", map[string]string{"internal/a/a.go": method},
 			map[string]string{"a.T.Int63": "satisfies rand.Source"}, nil},
 		{"stale allowlist entry is reported", map[string]string{"internal/a/a.go": "package a\n"},
 			map[string]string{"a.Gone": "deleted"}, []string{"stale a.Gone"}},
+		{"allowlist entry for a reached declaration is stale", map[string]string{
+			"internal/a/a.go": "package a\nfunc Live() {}\nfunc init() { Live() }\n"},
+			map[string]string{"a.Live": "reached anyway"}, []string{"stale a.Live"}},
+		{"dead method sharing a live method's name is flagged", map[string]string{
+			"internal/a/a.go": "package a\ntype A struct{}\nfunc (A) M() {}\ntype B struct{}\nfunc (B) M() {}\nfunc init() { A{}.M() }\nvar _ = B{}\n"}, nil,
+			[]string{"internal/a/a.go:5 a.B.M"}},
+		{"helper called only from dead code is flagged", map[string]string{
+			"internal/a/a.go": "package a\nfunc Dead() { helper() }\nfunc helper() {}\n"}, nil,
+			[]string{"internal/a/a.go:2 a.Dead", "internal/a/a.go:3 a.helper"}},
+		{"method satisfying an imported interface passes", map[string]string{
+			"internal/a/a.go": "package a\nimport \"fmt\"\ntype T struct{}\nfunc (T) String() string { return \"\" }\nvar _ = fmt.Sprint(T{})\n"}, nil, nil},
+		{"declarations reached from the public API pass", map[string]string{
+			"internal/a/a.go": "package a\ntype T int\nconst (\n\tX T = iota\n\tY\n)\n",
+			"clientmap.go":    "package clientmap\nimport \"clientmap/internal/a\"\nvar Public = a.Y\nvar private = a.X\n"}, nil,
+			[]string{"internal/a/a.go:4 a.X"}},
 	}
 	for _, c := range cases {
 		fset := token.NewFileSet()
@@ -270,7 +462,10 @@ func TestUnusedExported(t *testing.T) {
 			}
 			files = append(files, apiFile{dir: path.Dir(name), test: strings.HasSuffix(name, "_test.go"), f: f})
 		}
-		got, stale := unusedExported(fset, files, c.allow)
+		got, stale, err := unreachable(fset, files, c.allow)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
 		for _, k := range stale {
 			got = append(got, "stale "+k)
 		}

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	experiments -scale small -seed 2021 -out EXPERIMENTS.md
+//	experiments -scale medium -seed 2021 -out EXPERIMENTS.md
 package main
 
 import (
@@ -99,7 +99,7 @@ func main() {
 			log.Fatal("-disk-faults requires -state-dir (there is no state I/O to fault without one)")
 		}
 		dc.Seed = cfg.Seed
-		cfg.FS = statefs.NewFaulty(dc, nil)
+		cfg.FS = statefs.NewFaulty(dc, nil, cfg.Metrics)
 		log.Printf("injecting disk faults: %s", dc)
 	}
 
@@ -204,36 +204,30 @@ var paperNotes = []struct{ id, paper, how string }{
 		"pairwise relative-volume difference quantiles (coarser at small scale)"},
 }
 
-func markdown(res *experiments.Results, scale string, seed uint64, took time.Duration) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "# EXPERIMENTS — paper vs. measured\n\n")
-	fmt.Fprintf(&sb, "Generated by `cmd/experiments` (scale=%s, seed=%d, campaign=%v, %d probes, runtime %v).\n\n",
-		scale, seed, res.Cfg.CampaignDuration, res.Campaign.ProbesSent, took.Round(time.Second))
-	sb.WriteString("The substrate is a seeded synthetic Internet (see DESIGN.md §2); absolute\n")
-	sb.WriteString("counts scale with the world size, so comparisons are on percentages,\n")
-	sb.WriteString("orderings and distribution shapes.\n\n")
+// The static prose of the generated report, one constant per section,
+// each exactly as the committed EXPERIMENTS.md carries it; a prose edit
+// goes here, or the next regeneration undoes it.
+const (
+	introProse = `The substrate is a seeded synthetic Internet (see DESIGN.md §2); absolute
+counts scale with the world size, so comparisons are on percentages,
+orderings and distribution shapes.
+`
 
-	sb.WriteString("## Headline statistics\n\n")
-	head := &report.Table{Header: []string{"Statistic", "Paper", "Measured"}}
-	for _, c := range experiments.CompareHeadline(res.ComputeHeadline()) {
-		head.AddRow(c.Name, c.Paper, c.Measured)
-	}
-	sb.WriteString(head.Markdown())
-	sb.WriteString("\n## Experiment index\n\n")
-	idx := &report.Table{Header: []string{"Experiment", "Paper result", "Reproduction"}}
-	for _, n := range paperNotes {
-		idx.AddRow(n.id, n.paper, n.how)
-	}
-	sb.WriteString(idx.Markdown())
+	deviationsProse = `## Known deviations
 
-	sb.WriteString("\n## Known deviations\n\n")
-	sb.WriteString(`The synthetic substrate reproduces orderings and most percentages, with
+The synthetic substrate reproduces orderings and most percentages, with
 these understood residuals:
 
 - **Cache-probing upper-bound precision** (paper 74.7%) runs lower here:
   expanding hit scopes to /24s covers proportionally more unannounced and
   clientless space than in the real Internet, whose eyeball regions are
   denser than any tractable synthetic allocation.
+- **Union recall** (paper 75.1%) runs higher here: cache probing ∪ DNS
+  logs covers 70.7K of the 72.9K Microsoft-client /24s (97.0%, Table 1).
+  Open; ROADMAP item 8.
+- **Channel ratio** (paper 7.1%, 692K vs 9.7M /24s) runs lower here: DNS
+  logs find 2080 /24s to cache probing's 154.7K (1.3%, Table 1). Open;
+  ROADMAP item 8.
 - **Cache probing's AS coverage** runs above the paper's 55%: the
   synthetic micro-AS tail (the ~45% of networks with negligible users) is
   still slightly easier to catch via coarse Wikipedia-style scopes than
@@ -247,8 +241,9 @@ these understood residuals:
 
 Every mechanism behind these gaps is a tunable in ` + "`world.Params`" + ` and
 ` + "`traffic.Tunables`" + `; DESIGN.md §5 lists the corresponding ablations.
+`
 
-## Regression corpus
+	corpusProse = `## Regression corpus
 
 The headline statistics are pinned by a golden corpus
 (` + "`internal/experiments/testdata/golden_headline.json`" + `, asserted by
@@ -258,8 +253,9 @@ corpus and the diff is reviewed. The campaign's instrumentation ledger
 (` + "`-metrics-json`" + `) is byte-deterministic across worker counts and
 kill/resume, so measured values here are exactly reproducible, not
 merely statistically stable.
+`
 
-## Continuous measurement (streaming mode)
+	streamingProse = `## Continuous measurement (streaming mode)
 
 Beyond the batch evaluation above, ` + "`-stream N`" + ` runs the continuous
 measurement mode for N simulated hours over a world that ` + "`-churn`" + `
@@ -279,10 +275,32 @@ rolling map reflecting it) and quantifies the deprecation's coverage
 loss. The golden scenario is pinned by
 ` + "`internal/experiments/testdata/golden_stream.json`" + ` (headline stats and
 the full lag table, asserted by ` + "`TestGoldenStream`" + `); see DESIGN.md §15.
+`
+)
 
-## Measured tables
+func markdown(res *experiments.Results, scale string, seed uint64, took time.Duration) string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "# EXPERIMENTS — paper vs. measured\n\n")
+	fmt.Fprintf(&sb, "Generated by `cmd/experiments` (scale=%s, seed=%d, campaign=%v, %d probes, runtime %v).\n\n",
+		scale, seed, res.Cfg.CampaignDuration, res.Campaign.ProbesSent, took.Round(time.Second))
+	sb.WriteString(introProse + "\n")
 
-`)
+	sb.WriteString("## Headline statistics\n\n")
+	head := &report.Table{Header: []string{"Statistic", "Paper", "Measured"}}
+	for _, c := range experiments.CompareHeadline(res.ComputeHeadline()) {
+		head.AddRow(c.Name, c.Paper, c.Measured)
+	}
+	sb.WriteString(head.Markdown())
+	sb.WriteString("\n## Experiment index\n\n")
+	idx := &report.Table{Header: []string{"Experiment", "Paper result", "Reproduction"}}
+	for _, n := range paperNotes {
+		idx.AddRow(n.id, n.paper, n.how)
+	}
+	sb.WriteString(idx.Markdown())
+	for _, prose := range []string{deviationsProse, corpusProse, streamingProse} {
+		sb.WriteString("\n" + prose)
+	}
+	sb.WriteString("\n## Measured tables\n\n")
 	for _, t := range []*report.Table{
 		experiments.RenderMatrix("Table 1: /24-prefix overlap", res.Table1()),
 		experiments.RenderTable2(res.Table2()),

@@ -3,6 +3,7 @@ package main
 import (
 	"flag"
 	"io"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -130,5 +131,25 @@ func TestParseReliability(t *testing.T) {
 			_, err := parse(t, tc.flagName, tc.spec)
 			wantReject(t, err, tc.flagName)
 		})
+	}
+}
+
+// TestProseMatchesExperimentsMD: every static prose section the
+// generator writes appears verbatim in the committed EXPERIMENTS.md, so
+// regenerating the file cannot silently drop text edited into it.
+func TestProseMatchesExperimentsMD(t *testing.T) {
+	md, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, prose := range map[string]string{
+		"introProse":      introProse,
+		"deviationsProse": deviationsProse,
+		"corpusProse":     corpusProse,
+		"streamingProse":  streamingProse,
+	} {
+		if !strings.Contains(string(md), prose) {
+			t.Errorf("%s does not appear verbatim in EXPERIMENTS.md", name)
+		}
 	}
 }

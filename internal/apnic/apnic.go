@@ -9,10 +9,7 @@
 package apnic
 
 import (
-	"bufio"
 	"fmt"
-	"io"
-	"sort"
 
 	"clientmap/internal/world"
 )
@@ -97,22 +94,6 @@ func Estimate(w *world.World) *Estimates {
 	return est
 }
 
-// Has reports whether the dataset includes asn.
-func (e *Estimates) Has(asn uint32) bool {
-	_, ok := e.Users[asn]
-	return ok
-}
-
-// ASNs returns the covered ASNs in ascending order.
-func (e *Estimates) ASNs() []uint32 {
-	out := make([]uint32, 0, len(e.Users))
-	for asn := range e.Users {
-		out = append(out, asn)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // TotalUsers returns the estimated world user total.
 func (e *Estimates) TotalUsers() float64 {
 	var t float64
@@ -125,19 +106,4 @@ func (e *Estimates) TotalUsers() float64 {
 // String summarizes the dataset.
 func (e *Estimates) String() string {
 	return fmt.Sprintf("apnic: %d ASes, %.0f estimated users", len(e.Users), e.TotalUsers())
-}
-
-// Save writes the estimates in the published dataset's CSV-like form:
-// "asn,users,impressions" per line, ascending by ASN.
-func (e *Estimates) Save(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintln(bw, "asn,users,impressions"); err != nil {
-		return err
-	}
-	for _, asn := range e.ASNs() {
-		if _, err := fmt.Fprintf(bw, "%d,%.2f,%d\n", asn, e.Users[asn], e.Impressions[asn]); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -206,4 +207,35 @@ func Load(r io.Reader) (*Estimates, error) {
 		return nil, err
 	}
 	return e, nil
+}
+
+// Has reports whether the dataset includes asn.
+func (e *Estimates) Has(asn uint32) bool {
+	_, ok := e.Users[asn]
+	return ok
+}
+
+// ASNs returns the covered ASNs in ascending order.
+func (e *Estimates) ASNs() []uint32 {
+	out := make([]uint32, 0, len(e.Users))
+	for asn := range e.Users {
+		out = append(out, asn)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+// Save writes the estimates in the published dataset's CSV-like form:
+// "asn,users,impressions" per line, ascending by ASN.
+func (e *Estimates) Save(w io.Writer) error {
+	bw := bufio.NewWriter(w)
+	if _, err := fmt.Fprintln(bw, "asn,users,impressions"); err != nil {
+		return err
+	}
+	for _, asn := range e.ASNs() {
+		if _, err := fmt.Fprintf(bw, "%d,%.2f,%d\n", asn, e.Users[asn], e.Impressions[asn]); err != nil {
+			return err
+		}
+	}
+	return bw.Flush()
 }

@@ -66,25 +66,5 @@ func (db *DB) Range(fn func(asn uint32, c world.Category) bool) {
 	}
 }
 
-// Equal reports whether two databases categorize exactly the same ASes
-// identically (used by checkpoint round-trip tests).
-func (db *DB) Equal(other *DB) bool {
-	if len(db.categories) != len(other.categories) {
-		return false
-	}
-	for asn, c := range db.categories {
-		if oc, ok := other.categories[asn]; !ok || oc != c {
-			return false
-		}
-	}
-	return true
-}
-
-// Category returns the category recorded for asn, if categorized.
-func (db *DB) Category(asn uint32) (world.Category, bool) {
-	c, ok := db.categories[asn]
-	return c, ok
-}
-
 // Len returns the number of categorized ASes.
 func (db *DB) Len() int { return len(db.categories) }

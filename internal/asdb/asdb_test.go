@@ -79,3 +79,9 @@ func TestCategoriesList(t *testing.T) {
 		t.Errorf("only %d categories present", len(cats))
 	}
 }
+
+// Category returns the category recorded for asn, if categorized.
+func (db *DB) Category(asn uint32) (world.Category, bool) {
+	c, ok := db.categories[asn]
+	return c, ok
+}

@@ -138,15 +138,6 @@ func microsoftDomain() domains.Domain {
 	panic("cdn: no Microsoft domain in catalog")
 }
 
-// Slash24s returns the dataset's prefixes as a set.
-func (c *Clients) Slash24s() *netx.Set24 {
-	s := &netx.Set24{}
-	for p := range c.Volume {
-		s.Add(p)
-	}
-	return s
-}
-
 // ECSSlash24s expands the ECS prefixes to their /24s as a set.
 func (e *ECSPrefixes) ECSSlash24s() *netx.Set24 {
 	s := &netx.Set24{}

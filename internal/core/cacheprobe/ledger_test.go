@@ -25,11 +25,11 @@ func TestProbePathLedgerMatchesPass(t *testing.T) {
 		}
 		t.Logf("pass %d: %d probes sent, %d hits", pass, d.ProbesSent, len(d.Hits))
 		for _, key := range []string{"dnsnet/vantage/queries", "gpdns/queries"} {
-			if got := d.Metrics.Get(key); got != int64(d.ProbesSent) {
+			if got := d.Metrics[key]; got != int64(d.ProbesSent) {
 				t.Errorf("pass %d: %s = %d, want ProbesSent = %d", pass, key, got, d.ProbesSent)
 			}
 		}
-		if got := d.Metrics.Get("gpdns/cache_hits"); got != int64(len(d.Hits)) {
+		if got := d.Metrics["gpdns/cache_hits"]; got != int64(len(d.Hits)) {
 			t.Errorf("pass %d: gpdns/cache_hits = %d, want len(Hits) = %d", pass, got, len(d.Hits))
 		}
 	}

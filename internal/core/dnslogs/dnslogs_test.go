@@ -22,7 +22,7 @@ func (nopCloser) Close() error { return nil }
 
 // genTraces produces DITL traces for a tiny world and returns the opener
 // plus the world model for ground-truth checks.
-func genTraces(t testing.TB, dur time.Duration) (func(string) (io.ReadCloser, error), *traffic.Model, *roots.Generator) {
+func genTraces(t testing.TB, dur time.Duration) (func(string) (io.ReadCloser, error), *traffic.Model) {
 	t.Helper()
 	w, err := world.Generate(world.Config{Seed: 91, Scale: world.ScaleTiny, Params: world.DefaultParams()})
 	if err != nil {
@@ -41,7 +41,7 @@ func genTraces(t testing.TB, dur time.Duration) (func(string) (io.ReadCloser, er
 	open := func(letter string) (io.ReadCloser, error) {
 		return nopCloser{bytes.NewReader(bufs[letter])}, nil
 	}
-	return open, model, g
+	return open, model
 }
 
 type bufCloser struct {
@@ -57,7 +57,7 @@ func (b *bufCloser) Close() error {
 }
 
 func TestCrawlDetectsResolvers(t *testing.T) {
-	open, model, gen := genTraces(t, 48*time.Hour)
+	open, model := genTraces(t, 48*time.Hour)
 	res, err := Crawl(Config{}, open)
 	if err != nil {
 		t.Fatal(err)
@@ -76,8 +76,10 @@ func TestCrawlDetectsResolvers(t *testing.T) {
 			visible[r.Addr] = true
 		}
 	}
-	for _, a := range gen.GoogleEgress() {
-		visible[a] = true
+	for i, pop := range model.Router.PoPs() {
+		if pop.Active {
+			visible[model.W.GoogleEgress(i)] = true
+		}
 	}
 	for addr := range res.ResolverCounts {
 		if !visible[addr] {
@@ -108,7 +110,7 @@ func TestCrawlDetectsResolvers(t *testing.T) {
 }
 
 func TestCrawlFiltersJunk(t *testing.T) {
-	open, _, _ := genTraces(t, 48*time.Hour)
+	open, _ := genTraces(t, 48*time.Hour)
 	res, err := Crawl(Config{}, open)
 	if err != nil {
 		t.Fatal(err)
@@ -128,7 +130,7 @@ func TestCrawlFiltersJunk(t *testing.T) {
 }
 
 func TestCrawlCountsTrackActivity(t *testing.T) {
-	open, model, _ := genTraces(t, 48*time.Hour)
+	open, model := genTraces(t, 48*time.Hour)
 	res, err := Crawl(Config{}, open)
 	if err != nil {
 		t.Fatal(err)

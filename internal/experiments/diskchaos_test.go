@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"clientmap/internal/churn"
+	"clientmap/internal/metrics"
 	"clientmap/internal/pipeline"
 	"clientmap/internal/randx"
 	"clientmap/internal/statefs"
@@ -172,11 +173,11 @@ func TestDiskChaosMatrix(t *testing.T) {
 				fcfg := matrixConfig()
 				fcfg.StateDir = dir
 				fcfg.StopAfter = stage
-				faulty := statefs.NewFaulty(shape.cfg(fcfg.Seed, stage+".snap"), nil)
-				fcfg.FS = faulty
+				fcfg.Metrics = metrics.NewRegistry()
+				fcfg.FS = statefs.NewFaulty(shape.cfg(fcfg.Seed, stage+".snap"), nil, fcfg.Metrics)
 				_, err := Run(fcfg)
 				checkFaultyExit(t, shape, err)
-				if s := faulty.Snapshot(); s.Torn+s.ENOSPC+s.RenameFail+s.Bitrot == 0 {
+				if injectedWriteFaults(fcfg.Metrics) == 0 {
 					t.Fatal("the faulty run injected nothing — the cell proves nothing")
 				}
 
@@ -226,11 +227,11 @@ func TestDiskChaosShardMatrix(t *testing.T) {
 				fcfg.Shards = 3
 				fcfg.StateDir = dir
 				fcfg.StopAfter = stage
-				faulty := statefs.NewFaulty(shape.cfg(fcfg.Seed, stage+".snap"), nil)
-				fcfg.FS = faulty
+				fcfg.Metrics = metrics.NewRegistry()
+				fcfg.FS = statefs.NewFaulty(shape.cfg(fcfg.Seed, stage+".snap"), nil, fcfg.Metrics)
 				_, err := Run(fcfg)
 				checkFaultyExit(t, shape, err)
-				if s := faulty.Snapshot(); s.Torn+s.ENOSPC+s.RenameFail+s.Bitrot == 0 {
+				if injectedWriteFaults(fcfg.Metrics) == 0 {
 					t.Fatal("the faulty run injected nothing — the cell proves nothing")
 				}
 
@@ -276,8 +277,7 @@ func TestDiskChaosStreamMatrix(t *testing.T) {
 				fcfg := streamTestConfig(t)
 				fcfg.StateDir = dir
 				fcfg.StopAfter = stage
-				faulty := statefs.NewFaulty(shape.cfg(fcfg.Seed, stage+".snap"), nil)
-				fcfg.FS = faulty
+				fcfg.FS = statefs.NewFaulty(shape.cfg(fcfg.Seed, stage+".snap"), nil, nil)
 				_, err := RunStream(fcfg)
 				checkFaultyExit(t, shape, err)
 
@@ -325,8 +325,7 @@ func TestDiskChaosStreamSmoke(t *testing.T) {
 			fcfg := base
 			fcfg.StateDir = dir
 			fcfg.StopAfter = stage
-			faulty := statefs.NewFaulty(shape.cfg(base.Seed, stage+".snap"), nil)
-			fcfg.FS = faulty
+			fcfg.FS = statefs.NewFaulty(shape.cfg(base.Seed, stage+".snap"), nil, nil)
 			_, err := RunStream(fcfg)
 			checkFaultyExit(t, shape, err)
 
@@ -484,19 +483,26 @@ func TestTraceWriteCrossesStateFS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	faulty := statefs.NewFaulty(dcfg, nil)
 	cfg := matrixConfig()
 	cfg.StateDir = t.TempDir()
-	cfg.FS = faulty
+	cfg.Metrics = metrics.NewRegistry()
+	cfg.FS = statefs.NewFaulty(dcfg, nil, cfg.Metrics)
 	got, err := Run(cfg)
 	if err != nil {
 		t.Fatalf("a torn trace write failed the run: %v", err)
 	}
-	if n := faulty.Snapshot().Torn; n != 1 {
+	if n := cfg.Metrics.Snapshot()[statefs.KeyTorn]; n != 1 {
 		t.Fatalf("injector tore %d writes, want the one trace write", n)
 	}
 	compareResults(t, "in-memory", "torn-trace", ref, got)
 	if ref.RenderAll() != got.RenderAll() {
 		t.Error("rendered report differs from the in-memory run")
 	}
+}
+
+// injectedWriteFaults sums the torn, out-of-space, failed-rename and
+// bit-rotted writes a Faulty counted into reg.
+func injectedWriteFaults(reg *metrics.Registry) int64 {
+	led := reg.Snapshot()
+	return led[statefs.KeyTorn] + led[statefs.KeyENOSPC] + led[statefs.KeyRenameFail] + led[statefs.KeyBitrot]
 }

@@ -5,10 +5,11 @@
 //
 // The evaluation runs as a staged pipeline (internal/pipeline): every
 // expensive step — the scope pre-scan, the calibration, each probing
-// pass, the DITL crawl, the baseline collections, the derived dataset
-// views — checkpoints its artifact into Config.StateDir, and a run with
-// Config.Resume picks up from whatever checkpoints match the current
-// configuration. See stages.go for the stage graph.
+// pass, the DITL crawl, the baseline collections — checkpoints its
+// artifact into Config.StateDir, and a run with Config.Resume picks up
+// from whatever checkpoints match the current configuration. The derived
+// dataset views are rebuilt on every run: that costs less than their
+// checkpoint would. See stages.go for the stage graph.
 package experiments
 
 import (

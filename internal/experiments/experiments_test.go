@@ -397,10 +397,10 @@ func TestRunDeterministic(t *testing.T) {
 	if a.Campaign.ProbesSent != b.Campaign.ProbesSent {
 		t.Errorf("probes: %d vs %d", a.Campaign.ProbesSent, b.Campaign.ProbesSent)
 	}
-	if !a.PfxCacheProbe.Set.Equal(b.PfxCacheProbe.Set) {
+	if !sameSet24(a.PfxCacheProbe.Set, b.PfxCacheProbe.Set) {
 		t.Error("cacheprobe prefix sets differ")
 	}
-	if !a.PfxDNSLogs.Set.Equal(b.PfxDNSLogs.Set) {
+	if !sameSet24(a.PfxDNSLogs.Set, b.PfxDNSLogs.Set) {
 		t.Error("dnslogs prefix sets differ")
 	}
 	ha, hb := a.ComputeHeadline(), b.ComputeHeadline()
@@ -413,7 +413,7 @@ func TestRunDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.PfxCacheProbe.Set.Equal(a.PfxCacheProbe.Set) {
+	if sameSet24(c.PfxCacheProbe.Set, a.PfxCacheProbe.Set) {
 		t.Error("different seeds produced identical results")
 	}
 }

@@ -46,9 +46,11 @@ type baselineArtifact struct {
 	ASDB  *asdb.DB
 }
 
-// viewsArtifact holds the derived dataset views at both granularities —
-// the last persisted stage, so a re-render with unchanged inputs decodes
-// everything and probes nothing.
+// viewsArtifact holds the derived dataset views at both granularities.
+// Its stage is ephemeral: rebuilding the views from the restored
+// campaign, crawl and baselines costs less than writing and decoding
+// their checkpoint, so a re-render with unchanged inputs still probes
+// nothing.
 type viewsArtifact struct {
 	PfxCacheProbe, PfxDNSLogs, PfxUnion, PfxMSClients, PfxMSResolvers     *datasets.PrefixDataset
 	ASCacheProbe, ASDNSLogs, ASUnion, ASAPNIC, ASMSClients, ASMSResolvers *datasets.ASDataset
@@ -66,15 +68,10 @@ var passCodec = &snapshot.Codec[*stepArtifact]{
 	},
 }
 
-// Kinds of the two composite checkpoints only this package writes.
-// statefsck checks them by checksum alone.
-const (
-	kindBaselines = "experiments.Baselines"
-	kindViews     = "experiments.Views"
-)
-
+// baselinesCodec persists the baselines stage under a composite kind
+// only this package writes; statefsck checks it by checksum alone.
 var baselinesCodec = &snapshot.Codec[*baselineArtifact]{
-	Kind:    kindBaselines,
+	Kind:    "experiments.Baselines",
 	Version: 1,
 	Encode: func(w *snapshot.Writer, b *baselineArtifact) {
 		snapshot.EncodeCDN(w, b.CDN)
@@ -95,55 +92,6 @@ var baselinesCodec = &snapshot.Codec[*baselineArtifact]{
 		}
 		return b, nil
 	},
-}
-
-var viewsCodec = &snapshot.Codec[*viewsArtifact]{
-	Kind:    kindViews,
-	Version: 1,
-	Encode: func(w *snapshot.Writer, v *viewsArtifact) {
-		for _, d := range v.prefixViews() {
-			snapshot.EncodePrefixDataset(w, d)
-		}
-		for _, d := range v.asViews() {
-			snapshot.EncodeASDataset(w, d)
-		}
-	},
-	Decode: func(r *snapshot.Reader) (*viewsArtifact, error) {
-		v := &viewsArtifact{}
-		pfx := []**datasets.PrefixDataset{
-			&v.PfxCacheProbe, &v.PfxDNSLogs, &v.PfxUnion, &v.PfxMSClients, &v.PfxMSResolvers,
-		}
-		for _, p := range pfx {
-			d, err := snapshot.DecodePrefixDataset(r)
-			if err != nil {
-				return nil, err
-			}
-			*p = d
-		}
-		as := []**datasets.ASDataset{
-			&v.ASCacheProbe, &v.ASDNSLogs, &v.ASUnion, &v.ASAPNIC, &v.ASMSClients, &v.ASMSResolvers,
-		}
-		for _, a := range as {
-			d, err := snapshot.DecodeASDataset(r)
-			if err != nil {
-				return nil, err
-			}
-			*a = d
-		}
-		return v, nil
-	},
-}
-
-func (v *viewsArtifact) prefixViews() []*datasets.PrefixDataset {
-	return []*datasets.PrefixDataset{
-		v.PfxCacheProbe, v.PfxDNSLogs, v.PfxUnion, v.PfxMSClients, v.PfxMSResolvers,
-	}
-}
-
-func (v *viewsArtifact) asViews() []*datasets.ASDataset {
-	return []*datasets.ASDataset{
-		v.ASCacheProbe, v.ASDNSLogs, v.ASUnion, v.ASAPNIC, v.ASMSClients, v.ASMSResolvers,
-	}
 }
 
 // batchRun is the batch evaluation: the campaign chain plus the side
@@ -205,7 +153,7 @@ func newBatchRun(cfg Config) *batchRun {
 			}, nil
 		})
 
-	br.views = pipeline.AddStage(r, StageViews, base, deps(br.world, br.last, br.dnsLogs, br.baselines), viewsCodec,
+	br.views = pipeline.AddStage(r, StageViews, base, deps(br.world, br.last, br.dnsLogs, br.baselines), nil,
 		func(ctx context.Context) (*viewsArtifact, error) {
 			return buildViews(br.last.Out().Camp, br.dnsLogs.Out(), br.baselines.Out(), br.world.Out().RV), nil
 		})

@@ -103,9 +103,6 @@ func (db *DB) Lookup(p netx.Slash24) (Location, bool) {
 	return loc, ok
 }
 
-// Len returns the number of entries.
-func (db *DB) Len() int { return len(db.entries) }
-
 // Range calls fn for every entry in ascending prefix order until fn returns
 // false. The ordering makes iteration deterministic across runs.
 func (db *DB) Range(fn func(netx.Slash24, Location) bool) {

@@ -148,3 +148,6 @@ func TestCountryCatalog(t *testing.T) {
 		t.Error("unknown code resolved")
 	}
 }
+
+// Len returns the number of entries.
+func (db *DB) Len() int { return len(db.entries) }

@@ -136,14 +136,6 @@ func (g *Gauge) Set(v int64) {
 	g.v.Store(v)
 }
 
-// Add adjusts the level by n.
-func (g *Gauge) Add(n int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(n)
-}
-
 // Value returns the current level.
 func (g *Gauge) Value() int64 {
 	if g == nil {
@@ -180,22 +172,6 @@ func (h *Histogram) Observe(v int64) {
 	h.buckets[i].Add(1)
 	h.count.Add(1)
 	h.sum.Add(v)
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// Sum returns the sum of observed values.
-func (h *Histogram) Sum() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum.Load()
 }
 
 // flatten appends the histogram's values under name into led.
@@ -365,9 +341,6 @@ func (l Ledger) Merge(o Ledger) {
 		l[k] += v
 	}
 }
-
-// Get returns the value at key (zero when absent).
-func (l Ledger) Get(key string) int64 { return l[key] }
 
 // Keys returns the sorted key list.
 func (l Ledger) Keys() []string {

@@ -63,17 +63,6 @@ func (s *Set24) AddPrefix(pfx Prefix) int {
 	return added
 }
 
-// Remove deletes p from the set and reports whether it was present.
-func (s *Set24) Remove(p Slash24) bool {
-	word, bit := int(p>>6), uint(p&63)
-	if word >= len(s.words) || s.words[word]&(1<<bit) == 0 {
-		return false
-	}
-	s.words[word] &^= 1 << bit
-	s.count--
-	return true
-}
-
 // Contains reports whether p is in the set.
 func (s *Set24) Contains(p Slash24) bool {
 	word, bit := int(p>>6), uint(p&63)
@@ -124,39 +113,4 @@ func (s *Set24) Union(t *Set24) *Set24 {
 		out.count += bits.OnesCount64(w)
 	}
 	return out
-}
-
-// Diff returns a new set holding s \ t.
-func (s *Set24) Diff(t *Set24) *Set24 {
-	out := &Set24{words: make([]uint64, len(s.words))}
-	for i, w := range s.words {
-		if i < len(t.words) {
-			w &^= t.words[i]
-		}
-		out.words[i] = w
-		out.count += bits.OnesCount64(w)
-	}
-	return out
-}
-
-// Equal reports whether s and t contain exactly the same members.
-func (s *Set24) Equal(t *Set24) bool {
-	if s.count != t.count {
-		return false
-	}
-	long, short := s.words, t.words
-	if len(short) > len(long) {
-		long, short = short, long
-	}
-	for i, w := range short {
-		if w != long[i] {
-			return false
-		}
-	}
-	for _, w := range long[len(short):] {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
 }

@@ -21,15 +21,6 @@ func TestSet24Basic(t *testing.T) {
 	if !s.Contains(p) || s.Len() != 1 {
 		t.Errorf("Contains=%v Len=%d", s.Contains(p), s.Len())
 	}
-	if !s.Remove(p) {
-		t.Error("Remove returned false")
-	}
-	if s.Remove(p) {
-		t.Error("double Remove returned true")
-	}
-	if s.Len() != 0 {
-		t.Errorf("Len after remove = %d", s.Len())
-	}
 }
 
 func TestSet24AddPrefix(t *testing.T) {
@@ -85,7 +76,6 @@ func TestSet24Algebra(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		a, b := randSet(r, 500), randSet(r, 500)
 		union := a.Union(b)
-		diff := a.Diff(b)
 
 		inter := 0
 		a.Range(func(p Slash24) bool {
@@ -102,17 +92,6 @@ func TestSet24Algebra(t *testing.T) {
 			t.Fatalf("inclusion-exclusion violated: %d != %d+%d-%d",
 				union.Len(), a.Len(), b.Len(), inter)
 		}
-		// |A \ B| = |A| - |A ∩ B|
-		if diff.Len() != a.Len()-inter {
-			t.Fatalf("diff size wrong: %d != %d-%d", diff.Len(), a.Len(), inter)
-		}
-		// Membership spot checks.
-		diff.Range(func(p Slash24) bool {
-			if !a.Contains(p) || b.Contains(p) {
-				t.Fatalf("diff member %v wrong", p)
-			}
-			return true
-		})
 	}
 }
 
@@ -181,4 +160,26 @@ func BenchmarkSet24IntersectCount(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		x.IntersectCount(y)
 	}
+}
+
+// Equal reports whether s and t contain exactly the same members.
+func (s *Set24) Equal(t *Set24) bool {
+	if s.count != t.count {
+		return false
+	}
+	long, short := s.words, t.words
+	if len(short) > len(long) {
+		long, short = short, long
+	}
+	for i, w := range short {
+		if w != long[i] {
+			return false
+		}
+	}
+	for _, w := range long[len(short):] {
+		if w != 0 {
+			return false
+		}
+	}
+	return true
 }

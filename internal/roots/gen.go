@@ -82,16 +82,6 @@ func NewGenerator(model *traffic.Model) *Generator {
 	return g
 }
 
-// GoogleEgress returns the per-PoP root-query source addresses (all within
-// the synthetic Google AS's /16).
-func (g *Generator) GoogleEgress() map[int]netx.Addr {
-	out := make(map[int]netx.Addr, len(g.googleEgress))
-	for k, v := range g.googleEgress {
-		out[k] = v
-	}
-	return out
-}
-
 // source is one root-query emitter with its Chromium probe rate.
 type source struct {
 	addr netx.Addr

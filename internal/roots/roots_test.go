@@ -343,3 +343,16 @@ func TestReaderTruncatedStream(t *testing.T) {
 		}
 	}
 }
+
+// GoogleEgress returns the per-PoP root-query source addresses (all within
+// the synthetic Google AS's /16).
+func (g *Generator) GoogleEgress() map[int]netx.Addr {
+	out := make(map[int]netx.Addr, len(g.googleEgress))
+	for k, v := range g.googleEgress {
+		out[k] = v
+	}
+	return out
+}
+
+// Count returns how many records have been written.
+func (tw *Writer) Count() int { return tw.count }

@@ -117,9 +117,6 @@ func (tw *Writer) Write(r Record) error {
 	return nil
 }
 
-// Count returns how many records have been written.
-func (tw *Writer) Count() int { return tw.count }
-
 // Close flushes the trace.
 func (tw *Writer) Close() error {
 	tw.opened = false

@@ -127,25 +127,3 @@ func (c *Cache[V]) put(gen uint64, key, val []byte) {
 	s.index[h] = i
 	s.slots[i].set(gen, key, val)
 }
-
-// Len returns the total number of cached entries across shards.
-func (c *Cache[V]) Len() int {
-	total := 0
-	for _, n := range c.ShardLens() {
-		total += n
-	}
-	return total
-}
-
-// ShardLens returns each shard's entry count — the capacity property the
-// eviction tests assert on.
-func (c *Cache[V]) ShardLens() []int {
-	out := make([]int, len(c.shards))
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		out[i] = len(s.slots)
-		s.mu.Unlock()
-	}
-	return out
-}

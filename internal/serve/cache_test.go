@@ -162,3 +162,25 @@ func TestCacheShardRounding(t *testing.T) {
 		t.Fatalf("NewCache(3, 0) = %d shards cap %d", len(c.shards), c.cap)
 	}
 }
+
+// Len returns the total number of cached entries across shards.
+func (c *Cache[V]) Len() int {
+	total := 0
+	for _, n := range c.ShardLens() {
+		total += n
+	}
+	return total
+}
+
+// ShardLens returns each shard's entry count — the capacity property the
+// eviction tests assert on.
+func (c *Cache[V]) ShardLens() []int {
+	out := make([]int, len(c.shards))
+	for i := range c.shards {
+		s := &c.shards[i]
+		s.mu.Lock()
+		out[i] = len(s.slots)
+		s.mu.Unlock()
+	}
+	return out
+}

@@ -65,8 +65,7 @@ func EncodeClientMap(w *snapshot.Writer, cm *ClientMap) {
 	w.Int(len(cm.Origins))
 	prev := uint64(0)
 	for _, o := range cm.Origins {
-		// Origins are sorted by address; delta-encode the addresses the
-		// same way EncodeSet24 does.
+		// Origins are sorted by address; delta-encode the addresses.
 		w.Uvarint(uint64(o.Prefix.Addr()) - prev)
 		prev = uint64(o.Prefix.Addr())
 		w.Uvarint(uint64(o.Prefix.Bits()))

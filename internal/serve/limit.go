@@ -107,15 +107,3 @@ func (l *Limiter) Allow(client netx.Addr) bool {
 	// one slow client from serializing its whole stripe.
 	return b.Allow()
 }
-
-// Clients returns the number of tracked client buckets.
-func (l *Limiter) Clients() int {
-	total := 0
-	for i := range l.shards {
-		s := &l.shards[i]
-		s.mu.Lock()
-		total += len(s.m)
-		s.mu.Unlock()
-	}
-	return total
-}

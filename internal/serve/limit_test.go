@@ -143,3 +143,15 @@ func TestLimiterConcurrent(t *testing.T) {
 		t.Fatal("no clients tracked")
 	}
 }
+
+// Clients returns the number of tracked client buckets.
+func (l *Limiter) Clients() int {
+	total := 0
+	for i := range l.shards {
+		s := &l.shards[i]
+		s.mu.Lock()
+		total += len(s.m)
+		s.mu.Unlock()
+	}
+	return total
+}

@@ -8,7 +8,6 @@ import (
 	"clientmap/internal/asdb"
 	"clientmap/internal/cdn"
 	"clientmap/internal/core/cacheprobe"
-	"clientmap/internal/core/datasets"
 	"clientmap/internal/core/dnslogs"
 	"clientmap/internal/health"
 	"clientmap/internal/netx"
@@ -23,11 +22,6 @@ const (
 	KindCampaignDelta = "cacheprobe.PassDelta"
 	KindShardResult   = "cacheprobe.ShardResult"
 	KindDNSLogs       = "dnslogs.Result"
-	KindCDN           = "cdn.Datasets"
-	KindAPNIC         = "apnic.Estimates"
-	KindASDB          = "asdb.DB"
-	KindPrefixDataset = "datasets.PrefixDataset"
-	KindASDataset     = "datasets.ASDataset"
 )
 
 const (
@@ -46,26 +40,16 @@ const (
 	VersionCampaignDelta uint16 = 2
 	VersionShardResult   uint16 = 2
 	// VersionDNSLogs 2: added the OpenRetries counter.
-	VersionDNSLogs       uint16 = 2
-	VersionCDN           uint16 = 1
-	VersionAPNIC         uint16 = 1
-	VersionASDB          uint16 = 1
-	VersionPrefixDataset uint16 = 1
-	VersionASDataset     uint16 = 1
+	VersionDNSLogs uint16 = 2
 )
 
 // The codec of each kind above, the one declaration the pipeline and
 // statefsck share. A pass delta records the checkpoint it applies to.
 var (
-	CampaignCodec      = &Codec[*cacheprobe.Campaign]{Kind: KindCampaign, Version: VersionCampaign, Encode: EncodeCampaign, Decode: DecodeCampaign}
-	PassDeltaCodec     = &Codec[*cacheprobe.PassDelta]{Kind: KindCampaignDelta, Version: VersionCampaignDelta, Encode: EncodePassDelta, Decode: DecodePassDelta, Base: func(d *cacheprobe.PassDelta) string { return d.Base }}
-	ShardResultCodec   = &Codec[*cacheprobe.ShardResult]{Kind: KindShardResult, Version: VersionShardResult, Encode: EncodeShardResult, Decode: DecodeShardResult}
-	DNSLogsCodec       = &Codec[*dnslogs.Result]{Kind: KindDNSLogs, Version: VersionDNSLogs, Encode: EncodeDNSLogs, Decode: DecodeDNSLogs}
-	CDNCodec           = &Codec[*cdn.Datasets]{Kind: KindCDN, Version: VersionCDN, Encode: EncodeCDN, Decode: DecodeCDN}
-	APNICCodec         = &Codec[*apnic.Estimates]{Kind: KindAPNIC, Version: VersionAPNIC, Encode: EncodeAPNIC, Decode: DecodeAPNIC}
-	ASDBCodec          = &Codec[*asdb.DB]{Kind: KindASDB, Version: VersionASDB, Encode: EncodeASDB, Decode: DecodeASDB}
-	PrefixDatasetCodec = &Codec[*datasets.PrefixDataset]{Kind: KindPrefixDataset, Version: VersionPrefixDataset, Encode: EncodePrefixDataset, Decode: DecodePrefixDataset}
-	ASDatasetCodec     = &Codec[*datasets.ASDataset]{Kind: KindASDataset, Version: VersionASDataset, Encode: EncodeASDataset, Decode: DecodeASDataset}
+	CampaignCodec    = &Codec[*cacheprobe.Campaign]{Kind: KindCampaign, Version: VersionCampaign, Encode: EncodeCampaign, Decode: DecodeCampaign}
+	PassDeltaCodec   = &Codec[*cacheprobe.PassDelta]{Kind: KindCampaignDelta, Version: VersionCampaignDelta, Encode: EncodePassDelta, Decode: DecodePassDelta, Base: func(d *cacheprobe.PassDelta) string { return d.Base }}
+	ShardResultCodec = &Codec[*cacheprobe.ShardResult]{Kind: KindShardResult, Version: VersionShardResult, Encode: EncodeShardResult, Decode: DecodeShardResult}
+	DNSLogsCodec     = &Codec[*dnslogs.Result]{Kind: KindDNSLogs, Version: VersionDNSLogs, Encode: EncodeDNSLogs, Decode: DecodeDNSLogs}
 )
 
 // --- netx helpers ---
@@ -90,29 +74,6 @@ func sortPrefixes(ps []netx.Prefix) {
 		}
 		return ps[i].Bits() < ps[j].Bits()
 	})
-}
-
-// EncodeSet24 appends the set as delta-encoded ascending members.
-func EncodeSet24(w *Writer, s *netx.Set24) {
-	w.Int(s.Len())
-	prev := uint64(0)
-	s.Range(func(p netx.Slash24) bool {
-		w.Uvarint(uint64(p) - prev)
-		prev = uint64(p)
-		return true
-	})
-}
-
-// DecodeSet24 reads a set written by EncodeSet24.
-func DecodeSet24(r *Reader) *netx.Set24 {
-	n := r.SliceLen(1)
-	s := &netx.Set24{}
-	cur := uint64(0)
-	for i := 0; i < n; i++ {
-		cur += r.Uvarint()
-		s.Add(netx.Slash24(cur))
-	}
-	return s
 }
 
 func sortedStringKeys[V any](m map[string]V) []string {
@@ -635,59 +596,4 @@ func DecodeASDB(r *Reader) (*asdb.DB, error) {
 		return nil, err
 	}
 	return asdb.FromCategories(m), nil
-}
-
-// --- datasets ---
-
-// EncodePrefixDataset appends a /24 dataset (set plus optional volume).
-func EncodePrefixDataset(w *Writer, d *datasets.PrefixDataset) {
-	w.String(d.Name)
-	EncodeSet24(w, d.Set)
-	w.Int(len(d.Volume))
-	keys := make([]netx.Slash24, 0, len(d.Volume))
-	for p := range d.Volume {
-		keys = append(keys, p)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	prev := uint64(0)
-	for _, p := range keys {
-		w.Uvarint(uint64(p) - prev)
-		prev = uint64(p)
-		w.Float64(d.Volume[p])
-	}
-}
-
-// DecodePrefixDataset reads a dataset written by EncodePrefixDataset.
-func DecodePrefixDataset(r *Reader) (*datasets.PrefixDataset, error) {
-	d := &datasets.PrefixDataset{Name: r.String()}
-	d.Set = DecodeSet24(r)
-	if n := r.SliceLen(2); n > 0 {
-		d.Volume = make(map[netx.Slash24]float64, n)
-		cur := uint64(0)
-		for i := 0; i < n && r.Err() == nil; i++ {
-			cur += r.Uvarint()
-			d.Volume[netx.Slash24(cur)] = r.Float64()
-		}
-	}
-	return d, r.Err()
-}
-
-// EncodeASDataset appends an AS dataset.
-func EncodeASDataset(w *Writer, d *datasets.ASDataset) {
-	w.String(d.Name)
-	w.Int(len(d.Volumes))
-	for _, asn := range sortedU32Keys(d.Volumes) {
-		w.Uvarint(uint64(asn))
-		w.Float64(d.Volumes[asn])
-	}
-}
-
-// DecodeASDataset reads a dataset written by EncodeASDataset.
-func DecodeASDataset(r *Reader) (*datasets.ASDataset, error) {
-	d := datasets.NewASDataset(r.String())
-	for i, n := 0, r.Int(); i < n && r.Err() == nil; i++ {
-		asn := uint32(r.Uvarint())
-		d.Volumes[asn] = r.Float64()
-	}
-	return d, r.Err()
 }

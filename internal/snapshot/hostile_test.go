@@ -10,7 +10,6 @@ import (
 	"clientmap/internal/cdn"
 	"clientmap/internal/churn"
 	"clientmap/internal/core/cacheprobe"
-	"clientmap/internal/core/datasets"
 	"clientmap/internal/core/dnslogs"
 	"clientmap/internal/netx"
 	"clientmap/internal/world"
@@ -85,12 +84,6 @@ func hostileKinds() []hostileKind {
 
 	asdbData := asdb.FromCategories(map[uint32]world.Category{64500: world.CategoryISP})
 
-	set := &netx.Set24{}
-	set.Add(netx.Slash24(0x010203))
-	pds := &datasets.PrefixDataset{Name: "sweep", Set: set,
-		Volume: map[netx.Slash24]float64{0x010203: 1.5}}
-	ads := &datasets.ASDataset{Name: "sweep-as", Volumes: map[uint32]float64{64500: 2}}
-
 	events := []churn.Event{{Hour: 3, Kind: 1, Tick: 7, Prefix: 0x010203, NewASN: 64500}}
 
 	return []hostileKind{
@@ -106,21 +99,15 @@ func hostileKinds() []hostileKind {
 		{KindDNSLogs, VersionDNSLogs,
 			func(w *Writer) { EncodeDNSLogs(w, logs) },
 			func(r *Reader) error { _, err := DecodeDNSLogs(r); return err }},
-		{KindCDN, VersionCDN,
+		{kindCDN, 1,
 			func(w *Writer) { EncodeCDN(w, cdnData) },
 			func(r *Reader) error { _, err := DecodeCDN(r); return err }},
-		{KindAPNIC, VersionAPNIC,
+		{kindAPNIC, 1,
 			func(w *Writer) { EncodeAPNIC(w, apnicData) },
 			func(r *Reader) error { _, err := DecodeAPNIC(r); return err }},
-		{KindASDB, VersionASDB,
+		{kindASDB, 1,
 			func(w *Writer) { EncodeASDB(w, asdbData) },
 			func(r *Reader) error { _, err := DecodeASDB(r); return err }},
-		{KindPrefixDataset, VersionPrefixDataset,
-			func(w *Writer) { EncodePrefixDataset(w, pds) },
-			func(r *Reader) error { _, err := DecodePrefixDataset(r); return err }},
-		{KindASDataset, VersionASDataset,
-			func(w *Writer) { EncodeASDataset(w, ads) },
-			func(r *Reader) error { _, err := DecodeASDataset(r); return err }},
 		{KindStreamDelta, VersionStreamDelta,
 			func(w *Writer) { EncodeChurnEvents(w, events) },
 			func(r *Reader) error { _, err := DecodeChurnEvents(r); return err }},

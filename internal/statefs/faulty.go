@@ -7,8 +7,9 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
+
+	"clientmap/internal/metrics"
 )
 
 // ErrInjected marks a failure manufactured by Faulty. Callers treat it
@@ -40,31 +41,31 @@ type Faulty struct {
 	mu       sync.Mutex
 	attempts map[string]int
 
-	torn, enospc, renameFail, bitrot, slowed atomic.Int64
+	torn, enospc, renameFail, bitrot, slowed *metrics.Counter
 }
+
+// The disk-fault ledger keys: one metrics-registry counter per injected
+// fault kind. They lie outside the campaign ledger's key spaces, so they
+// show on the debug endpoint and never in a checkpoint or -metrics-json.
+const (
+	KeyTorn       = "statefs/faults/torn"
+	KeyENOSPC     = "statefs/faults/enospc"
+	KeyRenameFail = "statefs/faults/rename_fail"
+	KeyBitrot     = "statefs/faults/bitrot"
+	KeySlowed     = "statefs/faults/slowed"
+)
 
 // NewFaulty returns a Faulty injecting cfg over inner (Disk when nil).
-func NewFaulty(cfg Config, inner FS) *Faulty {
-	return &Faulty{inner: Or(inner), cfg: cfg, attempts: make(map[string]int)}
-}
-
-// Stats is a point-in-time snapshot of injected-fault totals.
-type Stats struct {
-	Torn       int64
-	ENOSPC     int64
-	RenameFail int64
-	Bitrot     int64
-	Slowed     int64
-}
-
-// Snapshot returns the injected totals so far.
-func (f *Faulty) Snapshot() Stats {
-	return Stats{
-		Torn:       f.torn.Load(),
-		ENOSPC:     f.enospc.Load(),
-		RenameFail: f.renameFail.Load(),
-		Bitrot:     f.bitrot.Load(),
-		Slowed:     f.slowed.Load(),
+// Every injected fault counts into reg under the keys above (nil
+// discards).
+func NewFaulty(cfg Config, inner FS, reg *metrics.Registry) *Faulty {
+	return &Faulty{
+		inner: Or(inner), cfg: cfg, attempts: make(map[string]int),
+		torn:       reg.Counter(KeyTorn),
+		enospc:     reg.Counter(KeyENOSPC),
+		renameFail: reg.Counter(KeyRenameFail),
+		bitrot:     reg.Counter(KeyBitrot),
+		slowed:     reg.Counter(KeySlowed),
 	}
 }
 
@@ -122,7 +123,7 @@ func (f *Faulty) sleep(path string) {
 		}
 	}
 	if d > 0 {
-		f.slowed.Add(1)
+		f.slowed.Inc()
 		time.Sleep(d)
 	}
 }
@@ -159,16 +160,16 @@ func (f *Faulty) WriteAtomic(path string, data []byte) error {
 		// The litter itself is written atomically (it stands in for a
 		// file whose write already stopped).
 		_ = f.inner.WriteAtomic(tmpName(path, n), data[:c])
-		f.enospc.Add(1)
+		f.enospc.Inc()
 		return fmt.Errorf("%w: no space after %d of %d bytes of %s", ErrInjected, c, len(data), path)
 	case f.hit("rename-fail", f.cfg.RenameFail, "write", path, n):
 		_ = f.inner.WriteAtomic(tmpName(path, n), data)
-		f.renameFail.Add(1)
+		f.renameFail.Inc()
 		return fmt.Errorf("%w: rename into %s failed", ErrInjected, path)
 	case f.hit("torn", f.cfg.Torn, "write", path, n):
 		c := f.cut("torn", len(data), n, "write", path)
 		_ = f.inner.WriteAtomic(path, data[:c])
-		f.torn.Add(1)
+		f.torn.Inc()
 		return fmt.Errorf("%w: torn write of %s (%d of %d bytes)", ErrInjected, path, c, len(data))
 	case f.hit("bitrot", f.cfg.Bitrot, "write", path, n):
 		b := append([]byte(nil), data...)
@@ -178,7 +179,7 @@ func (f *Faulty) WriteAtomic(path string, data []byte) error {
 			off := half + int(h%uint64(len(b)-half))
 			b[off] ^= 1 << ((h >> 32) & 7)
 		}
-		f.bitrot.Add(1)
+		f.bitrot.Inc()
 		return f.inner.WriteAtomic(path, b)
 	}
 	return f.inner.WriteAtomic(path, data)
@@ -198,7 +199,7 @@ func (f *Faulty) CreateExclusive(path string, data []byte) error {
 	n := f.attempt("create", path)
 	f.sleep(path)
 	if f.hit("enospc", f.cfg.ENOSPC, "create", path, n) {
-		f.enospc.Add(1)
+		f.enospc.Inc()
 		return fmt.Errorf("%w: no space creating %s", ErrInjected, path)
 	}
 	return f.inner.CreateExclusive(path, data)

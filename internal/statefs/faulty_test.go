@@ -9,21 +9,25 @@ import (
 	"testing"
 	"time"
 
+	"clientmap/internal/metrics"
 	"clientmap/internal/randx"
 )
 
-func faultyOver(t *testing.T, spec string, seed randx.Seed) (*Faulty, string) {
+// faultyOver returns a Faulty injecting spec over the real disk, the
+// registry its injected faults count into, and a fresh directory.
+func faultyOver(t *testing.T, spec string, seed randx.Seed) (*Faulty, *metrics.Registry, string) {
 	t.Helper()
 	cfg, err := Parse(spec)
 	if err != nil {
 		t.Fatalf("Parse(%q): %v", spec, err)
 	}
 	cfg.Seed = seed
-	return NewFaulty(cfg, nil), t.TempDir()
+	reg := metrics.NewRegistry()
+	return NewFaulty(cfg, nil, reg), reg, t.TempDir()
 }
 
 func TestFaultyTorn(t *testing.T) {
-	f, dir := faultyOver(t, "torn=victim@1", 1)
+	f, reg, dir := faultyOver(t, "torn=victim@1", 1)
 	path := filepath.Join(dir, "victim.snap")
 	data := bytes.Repeat([]byte("checkpoint"), 100)
 
@@ -41,8 +45,8 @@ func TestFaultyTorn(t *testing.T) {
 	if !bytes.Equal(got, data[:len(got)]) {
 		t.Fatal("torn file is not a prefix of the written data")
 	}
-	if s := f.Snapshot(); s.Torn != 1 {
-		t.Fatalf("Stats.Torn = %d, want 1", s.Torn)
+	if n := reg.Snapshot()[KeyTorn]; n != 1 {
+		t.Fatalf("%s = %d, want 1", KeyTorn, n)
 	}
 
 	// A path the rule does not match writes through untouched.
@@ -56,7 +60,7 @@ func TestFaultyTorn(t *testing.T) {
 }
 
 func TestFaultyENOSPC(t *testing.T) {
-	f, dir := faultyOver(t, "enospc=victim@1", 2)
+	f, reg, dir := faultyOver(t, "enospc=victim@1", 2)
 	path := filepath.Join(dir, "victim.snap")
 	data := bytes.Repeat([]byte("checkpoint"), 100)
 
@@ -75,13 +79,13 @@ func TestFaultyENOSPC(t *testing.T) {
 	if len(got) >= len(data) || !bytes.Equal(got, data[:len(got)]) {
 		t.Fatalf("enospc litter holds %d bytes, want a strict prefix of %d", len(got), len(data))
 	}
-	if s := f.Snapshot(); s.ENOSPC != 1 {
-		t.Fatalf("Stats.ENOSPC = %d, want 1", s.ENOSPC)
+	if n := reg.Snapshot()[KeyENOSPC]; n != 1 {
+		t.Fatalf("%s = %d, want 1", KeyENOSPC, n)
 	}
 }
 
 func TestFaultyRenameFail(t *testing.T) {
-	f, dir := faultyOver(t, "rename-fail=victim@1", 3)
+	f, reg, dir := faultyOver(t, "rename-fail=victim@1", 3)
 	path := filepath.Join(dir, "victim.snap")
 	data := []byte("complete checkpoint bytes")
 
@@ -99,13 +103,13 @@ func TestFaultyRenameFail(t *testing.T) {
 	if got, _ := os.ReadFile(litter[0]); !bytes.Equal(got, data) {
 		t.Fatal("rename-fail litter must hold the complete data")
 	}
-	if s := f.Snapshot(); s.RenameFail != 1 {
-		t.Fatalf("Stats.RenameFail = %d, want 1", s.RenameFail)
+	if n := reg.Snapshot()[KeyRenameFail]; n != 1 {
+		t.Fatalf("%s = %d, want 1", KeyRenameFail, n)
 	}
 }
 
 func TestFaultyBitrot(t *testing.T) {
-	f, dir := faultyOver(t, "bitrot=victim@1", 4)
+	f, reg, dir := faultyOver(t, "bitrot=victim@1", 4)
 	path := filepath.Join(dir, "victim.snap")
 	data := bytes.Repeat([]byte("checkpoint"), 100)
 
@@ -136,13 +140,13 @@ func TestFaultyBitrot(t *testing.T) {
 	if b := got[at] ^ data[at]; b&(b-1) != 0 {
 		t.Fatalf("bitrot flipped more than one bit: %08b", b)
 	}
-	if s := f.Snapshot(); s.Bitrot != 1 {
-		t.Fatalf("Stats.Bitrot = %d, want 1", s.Bitrot)
+	if n := reg.Snapshot()[KeyBitrot]; n != 1 {
+		t.Fatalf("%s = %d, want 1", KeyBitrot, n)
 	}
 }
 
 func TestFaultySlow(t *testing.T) {
-	f, dir := faultyOver(t, "slow=victim@30ms", 5)
+	f, reg, dir := faultyOver(t, "slow=victim@30ms", 5)
 	slow := filepath.Join(dir, "victim.snap")
 	fast := filepath.Join(dir, "bystander.snap")
 
@@ -159,8 +163,8 @@ func TestFaultySlow(t *testing.T) {
 	if _, err := f.ReadFile(slow); err != nil {
 		t.Fatal(err)
 	}
-	if s := f.Snapshot(); s.Slowed != 2 {
-		t.Fatalf("Stats.Slowed = %d, want 2 (one write, one read)", s.Slowed)
+	if n := reg.Snapshot()[KeySlowed]; n != 2 {
+		t.Fatalf("%s = %d, want 2 (one write, one read)", KeySlowed, n)
 	}
 }
 
@@ -175,7 +179,7 @@ func TestFaultyDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg.Seed = seed
-		f := NewFaulty(cfg, nil)
+		f := NewFaulty(cfg, nil, nil)
 		var hits []bool
 		for i := 0; i < 32; i++ {
 			path := filepath.Join(dir, "s", "stage-"+string(rune('a'+i%8))+".snap")
@@ -217,7 +221,7 @@ func TestFaultyDeterminism(t *testing.T) {
 // fire only sometimes, retrying the same path eventually succeeds —
 // the property resume-after-crash relies on.
 func TestFaultyAttemptAdvances(t *testing.T) {
-	f, dir := faultyOver(t, "torn=@0.5", 7)
+	f, _, dir := faultyOver(t, "torn=@0.5", 7)
 	path := filepath.Join(dir, "retry.snap")
 	sawFail, sawOK := false, false
 	for i := 0; i < 64 && !(sawFail && sawOK); i++ {
@@ -233,7 +237,7 @@ func TestFaultyAttemptAdvances(t *testing.T) {
 }
 
 func TestFaultyCreateExclusive(t *testing.T) {
-	f, dir := faultyOver(t, "enospc=claim@1", 8)
+	f, _, dir := faultyOver(t, "enospc=claim@1", 8)
 	path := filepath.Join(dir, "claim.steal")
 	if err := f.CreateExclusive(path, []byte("1\n")); !errors.Is(err, ErrInjected) {
 		t.Fatalf("CreateExclusive = %v, want ErrInjected", err)

@@ -174,8 +174,3 @@ func (c Config) String() string {
 	}
 	return strings.Join(parts, ",")
 }
-
-// Fingerprint renders the disk-fault model canonically for pipeline
-// stage fingerprints. Identical to String — the canonical spec is the
-// fingerprint.
-func (c Config) Fingerprint() string { return c.String() }

@@ -114,7 +114,7 @@ func TestOr(t *testing.T) {
 	if _, ok := Or(nil).(Disk); !ok {
 		t.Fatalf("Or(nil) = %T, want Disk", Or(nil))
 	}
-	f := NewFaulty(Config{}, nil)
+	f := NewFaulty(Config{}, nil, nil)
 	if Or(f) != FS(f) {
 		t.Fatal("Or must pass a non-nil FS through")
 	}

@@ -135,8 +135,7 @@ type checker interface {
 // by checksum alone.
 var codecs = []checker{
 	snapshot.CampaignCodec, snapshot.PassDeltaCodec, snapshot.ShardResultCodec,
-	snapshot.DNSLogsCodec, snapshot.CDNCodec, snapshot.APNICCodec, snapshot.ASDBCodec,
-	snapshot.PrefixDatasetCodec, snapshot.ASDatasetCodec,
+	snapshot.DNSLogsCodec,
 	stream.HourDeltaCodec, serve.ClientMapCodec,
 }
 

@@ -37,7 +37,7 @@ func EncodeHourDelta(w *snapshot.Writer, d *HourDelta) {
 	w.Int(len(d.DNS))
 	prev := uint64(0)
 	for _, p := range d.DNS {
-		// DNS /24s are sorted ascending; delta-encode like EncodeSet24.
+		// DNS /24s are sorted ascending; delta-encode them.
 		w.Uvarint(uint64(p) - prev)
 		prev = uint64(p)
 	}

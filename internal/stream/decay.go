@@ -122,16 +122,3 @@ func (s Series) Mask(now int32, window int) uint64 {
 	}
 	return m
 }
-
-// Equal reports bucket-exact equality.
-func (s Series) Equal(o Series) bool {
-	if len(s.B) != len(o.B) {
-		return false
-	}
-	for i := range s.B {
-		if s.B[i] != o.B[i] {
-			return false
-		}
-	}
-	return true
-}

@@ -218,3 +218,16 @@ func Fold(a, b Series) Series {
 	out = append(out, b.B[j:]...)
 	return Series{B: out}
 }
+
+// Equal reports bucket-exact equality.
+func (s Series) Equal(o Series) bool {
+	if len(s.B) != len(o.B) {
+		return false
+	}
+	for i := range s.B {
+		if s.B[i] != o.B[i] {
+			return false
+		}
+	}
+	return true
+}

@@ -4,15 +4,16 @@ GO ?= go
 
 # Packages whose coverage is gated in CI: the wire/transport layer (the
 # DNS codec included), the measurement cores, the stage runner, the
-# snapshot codecs, the metrics registry, the degradation layer, the fault
-# injector, the simulated Google front end, the churn planner, the
-# simulated world + traffic models, the address and /24-set primitives,
-# the seeded randomness every draw comes from, and the DITL root-trace
-# generator, where an untested branch is a silently wrong result.
+# snapshot container and campaign codecs, the metrics registry, the
+# degradation layer, the fault injector, the simulated Google front end,
+# the churn planner, the simulated world + traffic models, the address
+# and /24-set primitives, the seeded randomness every draw comes from,
+# and the DITL root-trace generator, where an untested branch is a
+# silently wrong result.
 COVER_PKGS = ./internal/dnsnet/... ./internal/core/... ./internal/pipeline/... ./internal/snapshot/... ./internal/metrics/... ./internal/health/... ./internal/serve/... ./internal/world/... ./internal/traffic/... ./internal/statefs/... ./internal/statefsck/... ./internal/par/... ./internal/faults/... ./internal/gpdns/... ./internal/churn/... ./internal/netx/... ./internal/randx/... ./internal/dnswire/... ./internal/roots/...
 COVER_FLOOR = 70
-# The metrics registry, the health layer, the snapshot codecs, the
-# stage runner, the serving layer, the world/traffic substrate, the
+# The metrics registry, the health layer, the snapshot container and
+# campaign codecs, the stage runner, the serving layer, the world/traffic substrate, the
 # state-durability layer (statefs fault injection, statefsck repair)
 # and the worker pool every campaign stage runs on (par)
 # back the determinism guarantees of every exported ledger, every
@@ -47,8 +48,9 @@ bench:
 # bench-smoke runs every benchmark exactly once: cheap enough for CI, and
 # it keeps the benchmarks (and the alloc-regression gates that live next
 # to them) compiling and passing as the code moves. In-package ladder
-# rungs (randx BenchmarkReseed, cacheprobe BenchmarkProbePassDelta) run
-# here too; -benchmem reports their bytes and allocations per op.
+# rungs (randx BenchmarkReseed, cacheprobe BenchmarkProbePassDelta, the
+# snapshot campaign and pass-delta codecs, the stream hour-delta codec)
+# run here too; -benchmem reports their bytes and allocations per op.
 bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x -benchmem ./...
 
@@ -96,6 +98,8 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzHTTPQuery -fuzztime=10s ./internal/serve
 	$(GO) test -run='^$$' -fuzz=FuzzServeWire -fuzztime=10s ./internal/serve
 	$(GO) test -run='^$$' -fuzz=FuzzSnapshotDecode -fuzztime=10s ./internal/snapshot
+	$(GO) test -run='^$$' -fuzz=FuzzCheckpoint -fuzztime=10s ./internal/statefsck
+	$(GO) test -run='^$$' -fuzz=FuzzBaselinesDecode -fuzztime=10s ./internal/experiments
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=10s ./internal/statefs
 	$(GO) test -run='^$$' -fuzz='^FuzzParseRetry$$' -fuzztime=10s ./internal/core/cacheprobe
 	$(GO) test -run='^$$' -fuzz=FuzzLazySource -fuzztime=10s ./internal/randx

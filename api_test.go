@@ -13,6 +13,7 @@ import (
 	"os/exec"
 	"path"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -41,6 +42,26 @@ var apiAllowlist = map[string]string{
 // must be reachable from a command, an example or the root package's
 // exported API, or carry an allowlist entry with a reason.
 func TestExportedNamesHaveCallers(t *testing.T) {
+	fset, files := loadModule(t)
+	if len(apiAllowlist) > 25 {
+		t.Errorf("allowlist has %d entries; the cap is 25", len(apiAllowlist))
+	}
+	unused, stale, err := unreachable(fset, files, apiAllowlist)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range unused {
+		t.Errorf("%s is reached by no command, example or public API: move it into a _test.go file, delete it, or allowlist it with a reason", d)
+	}
+	for _, k := range stale {
+		t.Errorf("allowlist entry %s names no unreached declaration: remove it", k)
+	}
+}
+
+// loadModule parses every non-test Go file of the module outside
+// cmd/bench (a module of its own), the source both gates read.
+func loadModule(t *testing.T) (*token.FileSet, []apiFile) {
+	t.Helper()
 	fset := token.NewFileSet()
 	var files []apiFile
 	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
@@ -66,18 +87,48 @@ func TestExportedNamesHaveCallers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(apiAllowlist) > 25 {
-		t.Errorf("allowlist has %d entries; the cap is 25", len(apiAllowlist))
+	return fset, files
+}
+
+// TestImportBoundaries holds two import boundaries. The snapshot
+// container links only what the campaign codecs it still declares need;
+// every other codec lives with its format. And the serving daemon links
+// none of the packages that generate the world, its traffic and root
+// traces, or measure and compare it: answering queries needs only the
+// map.
+func TestImportBoundaries(t *testing.T) {
+	snapshotMay := []string{"core/cacheprobe", "health", "metrics", "netx", "randx"}
+	daemonMustNot := []string{"anycast", "apnic", "asdb", "cdn", "churn", "core/dnslogs", "roots", "traffic"}
+
+	_, files := loadModule(t)
+	imports := map[string][]string{} // module dir → internal packages it imports, as dirs
+	for _, af := range files {
+		for _, is := range af.f.Imports {
+			if p, ok := strings.CutPrefix(strings.Trim(is.Path.Value, `"`), modulePath+"/"); ok {
+				imports[af.dir] = append(imports[af.dir], p)
+			}
+		}
 	}
-	unused, stale, err := unreachable(fset, files, apiAllowlist)
-	if err != nil {
-		t.Fatal(err)
+	for _, p := range imports["internal/snapshot"] {
+		if !slices.Contains(snapshotMay, strings.TrimPrefix(p, "internal/")) {
+			t.Errorf("internal/snapshot imports %s; the container may import only %v", p, snapshotMay)
+		}
 	}
-	for _, d := range unused {
-		t.Errorf("%s is reached by no command, example or public API: move it into a _test.go file, delete it, or allowlist it with a reason", d)
+	closure := map[string]bool{}
+	var walk func(dir string)
+	walk = func(dir string) {
+		for _, p := range imports[dir] {
+			if !closure[p] {
+				closure[p] = true
+				walk(p)
+			}
+		}
 	}
-	for _, k := range stale {
-		t.Errorf("allowlist entry %s names no unreached declaration: remove it", k)
+	walk("cmd/clientmapd")
+	for _, p := range daemonMustNot {
+		if closure["internal/"+p] {
+			t.Errorf("cmd/clientmapd links internal/%s", p)
+		}
 	}
 }
 

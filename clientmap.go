@@ -151,8 +151,8 @@ type Evaluation struct {
 // EngineConfig translates the configuration into the internal one the
 // campaign engine takes — the one place the spec strings are parsed. It
 // opens nothing and starts nothing. It is exported for cmd/experiments,
-// which adds engine-only knobs before running; like Results, the type it
-// returns is not part of the stable API surface.
+// which adds engine-only knobs before running. The type it returns lives
+// in an internal package, so it is not part of the stable API surface.
 func (cfg Config) EngineConfig() (ecfg experiments.Config, err error) {
 	scale, err := scaleByName(cfg.Scale)
 	if err != nil {
@@ -231,13 +231,11 @@ func (e *Evaluation) Metrics() map[string]int64 { return e.res.MetricsLedger() }
 // equal configurations.
 func (e *Evaluation) MetricsJSON() []byte { return e.res.MetricsJSON() }
 
-// Degradation returns the run's graceful-degradation ledger: breaker
-// time per target, hedge outcomes, failover volume and the per-pass
-// coverage accounting. Enabled is false when Config.Health was off.
-func (e *Evaluation) Degradation() experiments.Degradation { return e.res.Degradation() }
-
-// DegradationJSON renders the degradation ledger as indented JSON — the
-// -degradation-json payload, byte-identical for equal configurations.
+// DegradationJSON renders the run's graceful-degradation ledger —
+// breaker time per target, hedge outcomes, failover volume and the
+// per-pass coverage accounting; "enabled" is false when Config.Health
+// was off — as indented JSON: the -degradation-json payload,
+// byte-identical for equal configurations.
 func (e *Evaluation) DegradationJSON() ([]byte, error) { return e.res.Degradation().JSON() }
 
 // Stat is one paper-vs-measured headline comparison.

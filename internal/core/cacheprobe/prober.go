@@ -3,6 +3,7 @@ package cacheprobe
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -266,12 +267,7 @@ func (p *Prober) PreScan(ctx context.Context, camp *Campaign) error {
 			scopes = append(scopes, results[si]...)
 			si++
 		}
-		sort.Slice(scopes, func(i, j int) bool {
-			if scopes[i].Addr() != scopes[j].Addr() {
-				return scopes[i].Addr() < scopes[j].Addr()
-			}
-			return scopes[i].Bits() < scopes[j].Bits()
-		})
+		slices.SortFunc(scopes, netx.Prefix.Compare)
 		camp.ScopesByDomain[d.Name] = scopes
 	}
 	camp.PreScanQueries += int(queries.Load())

@@ -14,11 +14,11 @@ package dnslogs
 import (
 	"fmt"
 	"io"
-	"sort"
 	"time"
 
 	"clientmap/internal/netx"
 	"clientmap/internal/roots"
+	"clientmap/internal/snapshot"
 )
 
 // Chromium's interception probes are single labels of 7-15 lowercase
@@ -72,14 +72,7 @@ type Result struct {
 }
 
 // Resolvers returns the detected resolver addresses in ascending order.
-func (r *Result) Resolvers() []netx.Addr {
-	out := make([]netx.Addr, 0, len(r.ResolverCounts))
-	for a := range r.ResolverCounts {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+func (r *Result) Resolvers() []netx.Addr { return snapshot.SortedKeys(r.ResolverCounts) }
 
 // matchesPattern reports whether name looks like a Chromium probe: one
 // label of minLabelLen-maxLabelLen lowercase ASCII letters, no dots.

@@ -37,15 +37,6 @@ const (
 // handy for Config.StopAfter in kill/resume tests and drills.
 func ProbePassStage(k int) string { return fmt.Sprintf("%s%d", StageProbePass, k) }
 
-// baselineArtifact bundles the comparison-dataset collections that are
-// checkpointed as one stage: one day of CDN collections, the APNIC
-// estimates, and the ASdb categories.
-type baselineArtifact struct {
-	CDN   *cdn.Datasets
-	APNIC *apnic.Estimates
-	ASDB  *asdb.DB
-}
-
 // viewsArtifact holds the derived dataset views at both granularities.
 // Its stage is ephemeral: rebuilding the views from the restored
 // campaign, crawl and baselines costs less than writing and decoding
@@ -65,32 +56,6 @@ var passCodec = &snapshot.Codec[*stepArtifact]{
 	Decode: func(r *snapshot.Reader) (*stepArtifact, error) {
 		d, err := snapshot.PassDeltaCodec.Decode(r)
 		return &stepArtifact{Pass: d}, err
-	},
-}
-
-// baselinesCodec persists the baselines stage under a composite kind
-// only this package writes; statefsck checks it by checksum alone.
-var baselinesCodec = &snapshot.Codec[*baselineArtifact]{
-	Kind:    "experiments.Baselines",
-	Version: 1,
-	Encode: func(w *snapshot.Writer, b *baselineArtifact) {
-		snapshot.EncodeCDN(w, b.CDN)
-		snapshot.EncodeAPNIC(w, b.APNIC)
-		snapshot.EncodeASDB(w, b.ASDB)
-	},
-	Decode: func(r *snapshot.Reader) (*baselineArtifact, error) {
-		b := &baselineArtifact{}
-		var err error
-		if b.CDN, err = snapshot.DecodeCDN(r); err != nil {
-			return nil, err
-		}
-		if b.APNIC, err = snapshot.DecodeAPNIC(r); err != nil {
-			return nil, err
-		}
-		if b.ASDB, err = snapshot.DecodeASDB(r); err != nil {
-			return nil, err
-		}
-		return b, nil
 	},
 }
 
@@ -137,7 +102,7 @@ func newBatchRun(cfg Config) *batchRun {
 	campEnd := campStart.Add(cfg.CampaignDuration)
 
 	logsFP := fmt.Sprintf("%s trace=%s cap=%d end=%s retry=%s", base, cfg.TraceDuration, cfg.PerSourceHourCap, campEnd.Format(time.RFC3339), cfg.Retry.Fingerprint())
-	br.dnsLogs = pipeline.AddStage(r, StageDNSLogs, logsFP, deps(br.world), snapshot.DNSLogsCodec,
+	br.dnsLogs = pipeline.AddStage(r, StageDNSLogs, logsFP, deps(br.world), dnslogs.ResultCodec,
 		func(ctx context.Context) (*dnslogs.Result, error) {
 			return runDNSLogs(cfg, br.world.Out(), campEnd)
 		})

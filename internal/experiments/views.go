@@ -2,13 +2,13 @@ package experiments
 
 import (
 	"context"
-	"sort"
 
 	"clientmap/internal/core/cacheprobe"
 	"clientmap/internal/core/datasets"
 	"clientmap/internal/core/dnslogs"
 	"clientmap/internal/netx"
 	"clientmap/internal/routeviews"
+	"clientmap/internal/snapshot"
 )
 
 func noCtx() context.Context { return context.Background() }
@@ -45,12 +45,12 @@ func buildViews(camp *cacheprobe.Campaign, logs *dnslogs.Result, base *baselineA
 	v.PfxUnion = v.PfxCacheProbe.Union(NameUnion, v.PfxDNSLogs)
 
 	v.PfxMSClients = datasets.NewPrefixDataset(NameMSClients)
-	for _, p := range sortedSlash24s(base.CDN.Clients.Volume) {
+	for _, p := range snapshot.SortedKeys(base.CDN.Clients.Volume) {
 		v.PfxMSClients.Add(p, float64(base.CDN.Clients.Volume[p]))
 	}
 
 	v.PfxMSResolvers = datasets.NewPrefixDataset(NameMSResolvers)
-	for _, addr := range sortedAddrs(base.CDN.Resolvers.ClientIPs) {
+	for _, addr := range snapshot.SortedKeys(base.CDN.Resolvers.ClientIPs) {
 		v.PfxMSResolvers.Add(addr.Slash24(), float64(base.CDN.Resolvers.ClientIPs[addr]))
 	}
 
@@ -62,34 +62,11 @@ func buildViews(camp *cacheprobe.Campaign, logs *dnslogs.Result, base *baselineA
 	v.ASMSResolvers, _ = v.PfxMSResolvers.ToAS(NameMSResolvers, rv)
 
 	v.ASAPNIC = datasets.NewASDataset(NameAPNIC)
-	asns := make([]uint32, 0, len(base.APNIC.Users))
-	for asn := range base.APNIC.Users {
-		asns = append(asns, asn)
-	}
-	sort.Slice(asns, func(i, j int) bool { return asns[i] < asns[j] })
-	for _, asn := range asns {
+	for _, asn := range snapshot.SortedKeys(base.APNIC.Users) {
 		v.ASAPNIC.Add(asn, base.APNIC.Users[asn])
 	}
 
 	return v
-}
-
-func sortedSlash24s[V any](m map[netx.Slash24]V) []netx.Slash24 {
-	out := make([]netx.Slash24, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-func sortedAddrs[V any](m map[netx.Addr]V) []netx.Addr {
-	out := make([]netx.Addr, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // asCountry maps every announced ASN to its country code.

@@ -10,6 +10,7 @@
 package netx
 
 import (
+	"cmp"
 	"fmt"
 	"strconv"
 	"strings"
@@ -144,6 +145,15 @@ func (p Prefix) Addr() Addr { return p.addr }
 
 // Bits returns the prefix length of p.
 func (p Prefix) Bits() int { return int(p.bits) }
+
+// Compare orders prefixes by address, then by length (shorter first):
+// the canonical order of every sorted prefix list and encoded prefix map.
+func (p Prefix) Compare(q Prefix) int {
+	if c := cmp.Compare(p.addr, q.addr); c != 0 {
+		return c
+	}
+	return cmp.Compare(p.bits, q.bits)
+}
 
 // Contains reports whether a is inside p.
 func (p Prefix) Contains(a Addr) bool {

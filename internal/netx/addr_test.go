@@ -103,6 +103,30 @@ func TestPrefixContainsPrefix(t *testing.T) {
 	}
 }
 
+// TestPrefixCompare: address first, then length, shorter first.
+func TestPrefixCompare(t *testing.T) {
+	ordered := []Prefix{
+		MustParsePrefix("10.0.0.0/8"),
+		MustParsePrefix("10.0.0.0/16"),
+		MustParsePrefix("10.0.0.0/24"),
+		MustParsePrefix("10.0.1.0/24"),
+		MustParsePrefix("10.1.0.0/16"),
+	}
+	for i, p := range ordered {
+		for j, q := range ordered {
+			want := 0
+			if i < j {
+				want = -1
+			} else if i > j {
+				want = 1
+			}
+			if got := p.Compare(q); got != want {
+				t.Errorf("%s.Compare(%s) = %d, want %d", p, q, got, want)
+			}
+		}
+	}
+}
+
 func TestPrefixContainsQuick(t *testing.T) {
 	// Every address inside a prefix maps back into the same prefix.
 	f := func(v uint32, bits8 uint8) bool {

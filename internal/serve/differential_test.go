@@ -55,11 +55,11 @@ func randomMap(r *rand.Rand, n int) *ClientMap {
 			origins[netx.PrefixFrom(p.Addr(), 16+r.Intn(3))] = asns[r.Intn(len(asns))]
 		}
 	}
-	sort.Slice(cm.Scopes, func(i, j int) bool { return prefixLess(cm.Scopes[i].Scope, cm.Scopes[j].Scope) })
+	sort.Slice(cm.Scopes, func(i, j int) bool { return cm.Scopes[i].Scope.Compare(cm.Scopes[j].Scope) < 0 })
 	for p, asn := range origins {
 		cm.Origins = append(cm.Origins, Origin{Prefix: p, ASN: asn})
 	}
-	sort.Slice(cm.Origins, func(i, j int) bool { return prefixLess(cm.Origins[i].Prefix, cm.Origins[j].Prefix) })
+	sort.Slice(cm.Origins, func(i, j int) bool { return cm.Origins[i].Prefix.Compare(cm.Origins[j].Prefix) < 0 })
 	for _, asn := range asns[:len(asns)-2] {
 		cm.ASes = append(cm.ASes, ASEvidence{
 			ASN: asn, Active24s: r.Intn(3) * r.Intn(500), Announced24s: r.Intn(3) * r.Intn(900), Confidence: pick(),

@@ -24,12 +24,14 @@ package serve
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 	"time"
 
 	"clientmap/internal/core/cacheprobe"
 	"clientmap/internal/netx"
 	"clientmap/internal/routeviews"
+	"clientmap/internal/snapshot"
 )
 
 // PoPEvidence is one PoP's contribution to a scope's activity claim.
@@ -158,31 +160,14 @@ func Assemble(meta Meta, scopes []ScopeEvidence, rv *routeviews.Table, volume ma
 	return cm
 }
 
-func prefixLess(a, b netx.Prefix) bool {
-	if a.Addr() != b.Addr() {
-		return a.Addr() < b.Addr()
-	}
-	return a.Bits() < b.Bits()
-}
-
 // buildScopes folds Campaign.Hits (domain → scope → evidence) into one
 // sorted entry per distinct scope.
 func buildScopes(camp *cacheprobe.Campaign, passes int) []ScopeEvidence {
 	agg := make(map[netx.Prefix]*ScopeEvidence)
 	pops := make(map[netx.Prefix]map[string]int)
-	domains := make([]string, 0, len(camp.Hits))
-	for d := range camp.Hits {
-		domains = append(domains, d)
-	}
-	sort.Strings(domains)
-	for _, domain := range domains {
+	for _, domain := range snapshot.SortedKeys(camp.Hits) {
 		hits := camp.Hits[domain]
-		scopes := make([]netx.Prefix, 0, len(hits))
-		for p := range hits {
-			scopes = append(scopes, p)
-		}
-		sort.Slice(scopes, func(i, j int) bool { return prefixLess(scopes[i], scopes[j]) })
-		for _, p := range scopes {
+		for _, p := range snapshot.SortedKeysFunc(hits, netx.Prefix.Compare) {
 			h := hits[p]
 			e := agg[p]
 			if e == nil {
@@ -201,11 +186,7 @@ func buildScopes(camp *cacheprobe.Campaign, passes int) []ScopeEvidence {
 
 	out := make([]ScopeEvidence, 0, len(agg))
 	for p, e := range agg {
-		names := make([]string, 0, len(pops[p]))
-		for name := range pops[p] {
-			names = append(names, name)
-		}
-		sort.Strings(names)
+		names := snapshot.SortedKeys(pops[p])
 		e.PoPs = make([]PoPEvidence, 0, len(names))
 		for _, name := range names {
 			e.PoPs = append(e.PoPs, PoPEvidence{PoP: name, Hits: pops[p][name]})
@@ -213,7 +194,7 @@ func buildScopes(camp *cacheprobe.Campaign, passes int) []ScopeEvidence {
 		e.Confidence = Confidence(e.PassMask, passes)
 		out = append(out, *e)
 	}
-	sort.Slice(out, func(i, j int) bool { return prefixLess(out[i].Scope, out[j].Scope) })
+	slices.SortFunc(out, func(a, b ScopeEvidence) int { return a.Scope.Compare(b.Scope) })
 	return out
 }
 
@@ -239,7 +220,7 @@ func buildOrigins(rv *routeviews.Table) []Origin {
 	})
 	// Walk is already in (addr, least-specific-first) order; keep the
 	// explicit sort as the canonical-form guarantee the codec relies on.
-	sort.Slice(out, func(i, j int) bool { return prefixLess(out[i].Prefix, out[j].Prefix) })
+	slices.SortFunc(out, func(a, b Origin) int { return a.Prefix.Compare(b.Prefix) })
 	return out
 }
 
@@ -282,12 +263,7 @@ func buildASes(scopes []ScopeEvidence, rv *routeviews.Table) []ASEvidence {
 func buildTraffic(scopes []ScopeEvidence, volume map[netx.Slash24]float64) []TrafficBin {
 	out := make([]TrafficBin, 0, len(volume))
 	if len(volume) > 0 {
-		keys := make([]netx.Slash24, 0, len(volume))
-		for p := range volume {
-			keys = append(keys, p)
-		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		for _, p := range keys {
+		for _, p := range snapshot.SortedKeys(volume) {
 			if v := volume[p]; v > 0 {
 				out = append(out, TrafficBin{Slash24: p, Weight: v})
 			}
@@ -313,7 +289,7 @@ func buildTraffic(scopes []ScopeEvidence, volume map[netx.Slash24]float64) []Tra
 // and ASes, non-negative counts, confidences within (0, 1).
 func (cm *ClientMap) Validate() error {
 	for i, e := range cm.Scopes {
-		if i > 0 && !prefixLess(cm.Scopes[i-1].Scope, e.Scope) {
+		if i > 0 && cm.Scopes[i-1].Scope.Compare(e.Scope) >= 0 {
 			return fmt.Errorf("serve: scopes out of order at %d (%s)", i, e.Scope)
 		}
 		if e.Hits < 0 || e.Domains < 0 {
@@ -324,7 +300,7 @@ func (cm *ClientMap) Validate() error {
 		}
 	}
 	for i, o := range cm.Origins {
-		if i > 0 && !prefixLess(cm.Origins[i-1].Prefix, o.Prefix) {
+		if i > 0 && cm.Origins[i-1].Prefix.Compare(o.Prefix) >= 0 {
 			return fmt.Errorf("serve: origins out of order at %d (%s)", i, o.Prefix)
 		}
 	}

@@ -61,7 +61,7 @@ func TestBuildOrigins(t *testing.T) {
 		t.Fatalf("got %d origins, want 3", len(cm.Origins))
 	}
 	for i := 1; i < len(cm.Origins); i++ {
-		if !prefixLess(cm.Origins[i-1].Prefix, cm.Origins[i].Prefix) {
+		if cm.Origins[i-1].Prefix.Compare(cm.Origins[i].Prefix) >= 0 {
 			t.Errorf("origins unsorted at %d", i)
 		}
 	}
@@ -179,7 +179,7 @@ func TestPrefixLess(t *testing.T) {
 	p1 := netx.PrefixFrom(netx.AddrFrom4(10, 0, 0, 0), 8)
 	p2 := netx.PrefixFrom(netx.AddrFrom4(10, 0, 0, 0), 16)
 	p3 := netx.PrefixFrom(netx.AddrFrom4(10, 1, 0, 0), 16)
-	if !prefixLess(p1, p2) || !prefixLess(p2, p3) || prefixLess(p3, p1) {
-		t.Error("prefixLess ordering broken")
+	if p1.Compare(p2) >= 0 || p2.Compare(p3) >= 0 || p3.Compare(p1) <= 0 {
+		t.Error("serve's scope order is not (addr, bits)")
 	}
 }

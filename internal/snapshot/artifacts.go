@@ -1,17 +1,11 @@
 package snapshot
 
 import (
-	"sort"
 	"time"
 
-	"clientmap/internal/apnic"
-	"clientmap/internal/asdb"
-	"clientmap/internal/cdn"
 	"clientmap/internal/core/cacheprobe"
-	"clientmap/internal/core/dnslogs"
 	"clientmap/internal/health"
 	"clientmap/internal/netx"
-	"clientmap/internal/world"
 )
 
 // Artifact kinds and their encoding versions. Bump a version whenever the
@@ -21,7 +15,6 @@ const (
 	KindCampaign      = "cacheprobe.Campaign"
 	KindCampaignDelta = "cacheprobe.PassDelta"
 	KindShardResult   = "cacheprobe.ShardResult"
-	KindDNSLogs       = "dnslogs.Result"
 )
 
 const (
@@ -39,8 +32,6 @@ const (
 	// delta, the health ledger's hedge counts), as in VersionCampaign 5.
 	VersionCampaignDelta uint16 = 2
 	VersionShardResult   uint16 = 2
-	// VersionDNSLogs 2: added the OpenRetries counter.
-	VersionDNSLogs uint16 = 2
 )
 
 // The codec of each kind above, the one declaration the pipeline and
@@ -49,7 +40,6 @@ var (
 	CampaignCodec    = &Codec[*cacheprobe.Campaign]{Kind: KindCampaign, Version: VersionCampaign, Encode: EncodeCampaign, Decode: DecodeCampaign}
 	PassDeltaCodec   = &Codec[*cacheprobe.PassDelta]{Kind: KindCampaignDelta, Version: VersionCampaignDelta, Encode: EncodePassDelta, Decode: DecodePassDelta, Base: func(d *cacheprobe.PassDelta) string { return d.Base }}
 	ShardResultCodec = &Codec[*cacheprobe.ShardResult]{Kind: KindShardResult, Version: VersionShardResult, Encode: EncodeShardResult, Decode: DecodeShardResult}
-	DNSLogsCodec     = &Codec[*dnslogs.Result]{Kind: KindDNSLogs, Version: VersionDNSLogs, Encode: EncodeDNSLogs, Decode: DecodeDNSLogs}
 )
 
 // --- netx helpers ---
@@ -67,42 +57,6 @@ func DecodePrefix(r *Reader) netx.Prefix {
 	return netx.PrefixFrom(addr, bits)
 }
 
-func sortPrefixes(ps []netx.Prefix) {
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i].Addr() != ps[j].Addr() {
-			return ps[i].Addr() < ps[j].Addr()
-		}
-		return ps[i].Bits() < ps[j].Bits()
-	})
-}
-
-func sortedStringKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-func sortedU32Keys[V any](m map[uint32]V) []uint32 {
-	keys := make([]uint32, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
-}
-
-func sortedAddrKeys[V any](m map[netx.Addr]V) []netx.Addr {
-	keys := make([]netx.Addr, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
-}
-
 // --- cacheprobe.Campaign ---
 
 // EncodeCampaign appends the full campaign state — the artifact every
@@ -118,7 +72,7 @@ func EncodeCampaign(w *Writer, c *cacheprobe.Campaign) {
 	}
 
 	w.Int(len(c.PoPs))
-	for _, pop := range sortedStringKeys(c.PoPs) {
+	for _, pop := range SortedKeys(c.PoPs) {
 		cal := c.PoPs[pop]
 		w.String(pop)
 		w.String(cal.PoP)
@@ -132,7 +86,7 @@ func EncodeCampaign(w *Writer, c *cacheprobe.Campaign) {
 	}
 
 	w.Int(len(c.ScopesByDomain))
-	for _, d := range sortedStringKeys(c.ScopesByDomain) {
+	for _, d := range SortedKeys(c.ScopesByDomain) {
 		w.String(d)
 		scopes := c.ScopesByDomain[d]
 		w.Int(len(scopes))
@@ -142,16 +96,11 @@ func EncodeCampaign(w *Writer, c *cacheprobe.Campaign) {
 	}
 
 	w.Int(len(c.Hits))
-	for _, d := range sortedStringKeys(c.Hits) {
+	for _, d := range SortedKeys(c.Hits) {
 		w.String(d)
 		hits := c.Hits[d]
-		scopes := make([]netx.Prefix, 0, len(hits))
-		for p := range hits {
-			scopes = append(scopes, p)
-		}
-		sortPrefixes(scopes)
-		w.Int(len(scopes))
-		for _, p := range scopes {
+		w.Int(len(hits))
+		for _, p := range SortedKeysFunc(hits, netx.Prefix.Compare) {
 			h := hits[p]
 			EncodePrefix(w, p)
 			EncodePrefix(w, h.RespScope)
@@ -168,29 +117,24 @@ func EncodeCampaign(w *Writer, c *cacheprobe.Campaign) {
 	}
 
 	w.Int(len(c.ScopeDiffs))
-	for _, d := range sortedStringKeys(c.ScopeDiffs) {
+	for _, d := range SortedKeys(c.ScopeDiffs) {
 		w.String(d)
 		diffs := c.ScopeDiffs[d]
-		keys := make([]int, 0, len(diffs))
-		for k := range diffs {
-			keys = append(keys, k)
-		}
-		sort.Ints(keys)
-		w.Int(len(keys))
-		for _, k := range keys {
+		w.Int(len(diffs))
+		for _, k := range SortedKeys(diffs) {
 			w.Int(k)
 			w.Int(diffs[k])
 		}
 	}
 
 	w.Int(len(c.PoPHits))
-	for _, pop := range sortedStringKeys(c.PoPHits) {
+	for _, pop := range SortedKeys(c.PoPHits) {
 		w.String(pop)
 		w.Int(c.PoPHits[pop])
 	}
 
 	w.Int(len(c.Metrics))
-	for _, k := range sortedStringKeys(c.Metrics) {
+	for _, k := range SortedKeys(c.Metrics) {
 		w.String(k)
 		w.Varint(c.Metrics[k])
 	}
@@ -203,7 +147,7 @@ func EncodeCampaign(w *Writer, c *cacheprobe.Campaign) {
 // coverage / failover accounting. Map iteration is canonicalised by sorted keys.
 func encodeHealthLedger(w *Writer, l *health.Ledger) {
 	w.Int(len(l.Windows))
-	for _, target := range sortedStringKeys(l.Windows) {
+	for _, target := range SortedKeys(l.Windows) {
 		w.String(target)
 		sums := l.Windows[target]
 		w.Int(len(sums))
@@ -231,21 +175,16 @@ func encodeHealthLedger(w *Writer, l *health.Ledger) {
 		w.Varint(c.Lost)
 	}
 	w.Int(len(l.FailedOver))
-	for _, pop := range sortedStringKeys(l.FailedOver) {
+	for _, pop := range SortedKeys(l.FailedOver) {
 		w.String(pop)
 		w.Varint(l.FailedOver[pop])
 	}
 	w.Int(len(l.LostTasks))
-	for _, pop := range sortedStringKeys(l.LostTasks) {
+	for _, pop := range SortedKeys(l.LostTasks) {
 		w.String(pop)
 		tasks := l.LostTasks[pop]
-		keys := make([]int, 0, len(tasks))
-		for ti := range tasks {
-			keys = append(keys, ti)
-		}
-		sort.Ints(keys)
-		w.Int(len(keys))
-		for _, ti := range keys {
+		w.Int(len(tasks))
+		for _, ti := range SortedKeys(tasks) {
 			w.Int(ti)
 			w.Int(tasks[ti])
 		}
@@ -409,191 +348,4 @@ func DecodeCampaign(r *Reader) (*cacheprobe.Campaign, error) {
 
 	decodeHealthLedger(r, &c.Health)
 	return c, r.Err()
-}
-
-// --- dnslogs.Result ---
-
-// EncodeDNSLogs appends the DITL crawl result.
-func EncodeDNSLogs(w *Writer, res *dnslogs.Result) {
-	w.Int(len(res.ResolverCounts))
-	for _, a := range sortedAddrKeys(res.ResolverCounts) {
-		w.Uvarint(uint64(a))
-		w.Float64(res.ResolverCounts[a])
-	}
-	w.Float64(res.TotalQueries)
-	w.Float64(res.PatternMatches)
-	w.Int(res.FilteredNames)
-	w.Int(len(res.LettersRead))
-	for _, l := range res.LettersRead {
-		w.String(l)
-	}
-	w.Int(res.OpenRetries)
-}
-
-// DecodeDNSLogs reads a result written by EncodeDNSLogs.
-func DecodeDNSLogs(r *Reader) (*dnslogs.Result, error) {
-	res := &dnslogs.Result{ResolverCounts: make(map[netx.Addr]float64)}
-	for i, n := 0, r.Int(); i < n && r.Err() == nil; i++ {
-		a := netx.Addr(r.Uvarint())
-		res.ResolverCounts[a] = r.Float64()
-	}
-	res.TotalQueries = r.Float64()
-	res.PatternMatches = r.Float64()
-	res.FilteredNames = r.Int()
-	if n := r.SliceLen(1); n > 0 {
-		res.LettersRead = make([]string, n)
-		for i := range res.LettersRead {
-			res.LettersRead[i] = r.String()
-		}
-	}
-	res.OpenRetries = r.Int()
-	return res, r.Err()
-}
-
-// --- cdn.Datasets ---
-
-// EncodeCDN appends the one-day Microsoft-style collections.
-func EncodeCDN(w *Writer, d *cdn.Datasets) {
-	w.Time(d.Day)
-
-	w.Int(len(d.Clients.Volume))
-	prev := uint64(0)
-	keys := make([]netx.Slash24, 0, len(d.Clients.Volume))
-	for p := range d.Clients.Volume {
-		keys = append(keys, p)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for _, p := range keys {
-		w.Uvarint(uint64(p) - prev)
-		prev = uint64(p)
-		w.Varint(d.Clients.Volume[p])
-	}
-	w.Varint(d.Clients.Total)
-
-	w.Int(len(d.Resolvers.ClientIPs))
-	for _, a := range sortedAddrKeys(d.Resolvers.ClientIPs) {
-		w.Uvarint(uint64(a))
-		w.Varint(d.Resolvers.ClientIPs[a])
-	}
-	w.Varint(d.Resolvers.Total)
-
-	w.Int(len(d.ECS.Queries))
-	ecsKeys := make([]netx.Prefix, 0, len(d.ECS.Queries))
-	for p := range d.ECS.Queries {
-		ecsKeys = append(ecsKeys, p)
-	}
-	sortPrefixes(ecsKeys)
-	for _, p := range ecsKeys {
-		EncodePrefix(w, p)
-		w.Varint(d.ECS.Queries[p])
-	}
-	w.Varint(d.ECS.Total)
-}
-
-// DecodeCDN reads datasets written by EncodeCDN.
-func DecodeCDN(r *Reader) (*cdn.Datasets, error) {
-	d := &cdn.Datasets{
-		Clients:   &cdn.Clients{Volume: make(map[netx.Slash24]int64)},
-		Resolvers: &cdn.Resolvers{ClientIPs: make(map[netx.Addr]int64)},
-		ECS:       &cdn.ECSPrefixes{Queries: make(map[netx.Prefix]int64)},
-	}
-	d.Day = r.Time()
-
-	cur := uint64(0)
-	for i, n := 0, r.Int(); i < n && r.Err() == nil; i++ {
-		cur += r.Uvarint()
-		d.Clients.Volume[netx.Slash24(cur)] = r.Varint()
-	}
-	d.Clients.Total = r.Varint()
-
-	for i, n := 0, r.Int(); i < n && r.Err() == nil; i++ {
-		a := netx.Addr(r.Uvarint())
-		d.Resolvers.ClientIPs[a] = r.Varint()
-	}
-	d.Resolvers.Total = r.Varint()
-
-	for i, n := 0, r.Int(); i < n && r.Err() == nil; i++ {
-		p := DecodePrefix(r)
-		d.ECS.Queries[p] = r.Varint()
-	}
-	d.ECS.Total = r.Varint()
-	return d, r.Err()
-}
-
-// --- apnic.Estimates ---
-
-// EncodeAPNIC appends the simulated APNIC user estimates.
-func EncodeAPNIC(w *Writer, e *apnic.Estimates) {
-	w.Int(len(e.Users))
-	for _, asn := range sortedU32Keys(e.Users) {
-		w.Uvarint(uint64(asn))
-		w.Float64(e.Users[asn])
-	}
-	w.Int(len(e.Impressions))
-	for _, asn := range sortedU32Keys(e.Impressions) {
-		w.Uvarint(uint64(asn))
-		w.Int(e.Impressions[asn])
-	}
-	w.Int(len(e.CountryUsers))
-	for _, c := range sortedStringKeys(e.CountryUsers) {
-		w.String(c)
-		w.Float64(e.CountryUsers[c])
-	}
-}
-
-// DecodeAPNIC reads estimates written by EncodeAPNIC.
-func DecodeAPNIC(r *Reader) (*apnic.Estimates, error) {
-	e := &apnic.Estimates{
-		Users:        make(map[uint32]float64),
-		Impressions:  make(map[uint32]int),
-		CountryUsers: make(map[string]float64),
-	}
-	for i, n := 0, r.Int(); i < n && r.Err() == nil; i++ {
-		asn := uint32(r.Uvarint())
-		e.Users[asn] = r.Float64()
-	}
-	for i, n := 0, r.Int(); i < n && r.Err() == nil; i++ {
-		asn := uint32(r.Uvarint())
-		e.Impressions[asn] = r.Int()
-	}
-	for i, n := 0, r.Int(); i < n && r.Err() == nil; i++ {
-		c := r.String()
-		e.CountryUsers[c] = r.Float64()
-	}
-	return e, r.Err()
-}
-
-// --- asdb.DB ---
-
-// EncodeASDB appends the AS classification database.
-func EncodeASDB(w *Writer, db *asdb.DB) {
-	w.Int(db.Len())
-	type entry struct {
-		asn uint32
-		cat world.Category
-	}
-	entries := make([]entry, 0, db.Len())
-	db.Range(func(asn uint32, cat world.Category) bool {
-		entries = append(entries, entry{asn, cat})
-		return true
-	})
-	sort.Slice(entries, func(i, j int) bool { return entries[i].asn < entries[j].asn })
-	for _, e := range entries {
-		w.Uvarint(uint64(e.asn))
-		w.String(string(e.cat))
-	}
-}
-
-// DecodeASDB reads a database written by EncodeASDB.
-func DecodeASDB(r *Reader) (*asdb.DB, error) {
-	n := r.SliceLen(2)
-	m := make(map[uint32]world.Category, n)
-	for i := 0; i < n && r.Err() == nil; i++ {
-		asn := uint32(r.Uvarint())
-		m[asn] = world.Category(r.String())
-	}
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	return asdb.FromCategories(m), nil
 }

@@ -23,7 +23,7 @@ func EncodePassDelta(w *Writer, d *cacheprobe.PassDelta) {
 	w.Int(d.ProbesSent)
 
 	w.Int(len(d.Assigned))
-	for _, k := range sortedStringKeys(d.Assigned) {
+	for _, k := range SortedKeys(d.Assigned) {
 		w.String(k)
 		w.Int(d.Assigned[k])
 	}
@@ -39,7 +39,7 @@ func EncodePassDelta(w *Writer, d *cacheprobe.PassDelta) {
 	}
 
 	w.Int(len(d.Metrics))
-	for _, k := range sortedStringKeys(d.Metrics) {
+	for _, k := range SortedKeys(d.Metrics) {
 		w.String(k)
 		w.Varint(d.Metrics[k])
 	}
@@ -116,13 +116,13 @@ func EncodeShardResult(w *Writer, s *cacheprobe.ShardResult) {
 	}
 
 	w.Int(len(s.Metrics))
-	for _, k := range sortedStringKeys(s.Metrics) {
+	for _, k := range SortedKeys(s.Metrics) {
 		w.String(k)
 		w.Varint(s.Metrics[k])
 	}
 
 	w.Int(len(s.Windows))
-	for _, target := range sortedStringKeys(s.Windows) {
+	for _, target := range SortedKeys(s.Windows) {
 		w.String(target)
 		sums := s.Windows[target]
 		w.Int(len(sums))

@@ -5,19 +5,15 @@ import (
 	"testing"
 	"time"
 
-	"clientmap/internal/apnic"
-	"clientmap/internal/asdb"
-	"clientmap/internal/cdn"
-	"clientmap/internal/churn"
 	"clientmap/internal/core/cacheprobe"
-	"clientmap/internal/core/dnslogs"
 	"clientmap/internal/netx"
-	"clientmap/internal/world"
 )
 
 // hostileKind registers one artifact codec for the adversarial sweeps:
-// a representative non-trivial sample and the decoder that must survive
-// anything the container layer lets through.
+// a sample and the decoder that must survive anything the container
+// layer lets through. These are this package's own kinds; the kinds
+// other packages own are swept by statefsck's tests over its codecs
+// list and, for the baselines composite, by experiments' tests.
 type hostileKind struct {
 	kind    string
 	version uint16
@@ -62,30 +58,6 @@ func hostileKinds() []hostileKind {
 		}},
 	}
 
-	logs := &dnslogs.Result{
-		ResolverCounts: map[netx.Addr]float64{0x08080808: 12.5},
-		TotalQueries:   1e5, PatternMatches: 42, FilteredNames: 3,
-		LettersRead: []string{"J", "K"},
-	}
-
-	day := ts(86400)
-	cdnData := &cdn.Datasets{
-		Day:       day,
-		Clients:   &cdn.Clients{Volume: map[netx.Slash24]int64{0x010203: 9}},
-		Resolvers: &cdn.Resolvers{ClientIPs: map[netx.Addr]int64{0x08080808: 4}},
-		ECS:       &cdn.ECSPrefixes{Queries: map[netx.Prefix]int64{pfx(0x01020000, 16): 2}},
-	}
-
-	apnicData := &apnic.Estimates{
-		Users:        map[uint32]float64{64500: 1000},
-		Impressions:  map[uint32]int{64500: 50},
-		CountryUsers: map[string]float64{"de": 1e6},
-	}
-
-	asdbData := asdb.FromCategories(map[uint32]world.Category{64500: world.CategoryISP})
-
-	events := []churn.Event{{Hour: 3, Kind: 1, Tick: 7, Prefix: 0x010203, NewASN: 64500}}
-
 	return []hostileKind{
 		{KindCampaign, VersionCampaign,
 			func(w *Writer) { EncodeCampaign(w, camp) },
@@ -96,21 +68,16 @@ func hostileKinds() []hostileKind {
 		{KindShardResult, VersionShardResult,
 			func(w *Writer) { EncodeShardResult(w, shard) },
 			func(r *Reader) error { _, err := DecodeShardResult(r); return err }},
-		{KindDNSLogs, VersionDNSLogs,
-			func(w *Writer) { EncodeDNSLogs(w, logs) },
-			func(r *Reader) error { _, err := DecodeDNSLogs(r); return err }},
-		{kindCDN, 1,
-			func(w *Writer) { EncodeCDN(w, cdnData) },
-			func(r *Reader) error { _, err := DecodeCDN(r); return err }},
-		{kindAPNIC, 1,
-			func(w *Writer) { EncodeAPNIC(w, apnicData) },
-			func(r *Reader) error { _, err := DecodeAPNIC(r); return err }},
-		{kindASDB, 1,
-			func(w *Writer) { EncodeASDB(w, asdbData) },
-			func(r *Reader) error { _, err := DecodeASDB(r); return err }},
-		{KindStreamDelta, VersionStreamDelta,
-			func(w *Writer) { EncodeChurnEvents(w, events) },
-			func(r *Reader) error { _, err := DecodeChurnEvents(r); return err }},
+		// The empty value of each kind: a pass that observed nothing.
+		{KindCampaign, VersionCampaign,
+			func(w *Writer) { EncodeCampaign(w, cacheprobe.NewCampaign()) },
+			func(r *Reader) error { _, err := DecodeCampaign(r); return err }},
+		{KindCampaignDelta, VersionCampaignDelta,
+			func(w *Writer) { EncodePassDelta(w, &cacheprobe.PassDelta{}) },
+			func(r *Reader) error { _, err := DecodePassDelta(r); return err }},
+		{KindShardResult, VersionShardResult,
+			func(w *Writer) { EncodeShardResult(w, &cacheprobe.ShardResult{}) },
+			func(r *Reader) error { _, err := DecodeShardResult(r); return err }},
 	}
 }
 
@@ -196,6 +163,11 @@ func FuzzSnapshotDecode(f *testing.F) {
 		f.Add(data)
 		decoders[k.kind] = k.dec
 	}
+	foreign, _ := Marshal(Header{Kind: "foreign.Kind", Version: 1}, func(w *Writer) { w.Int(7) })
+	bumped := append([]byte(nil), foreign...)
+	bumped[4] = FormatVersion + 1
+	f.Add(foreign)
+	f.Add(bumped)
 	f.Add([]byte("CMSP"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {

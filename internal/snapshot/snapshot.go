@@ -13,22 +13,27 @@
 // clear ErrVersionMismatch instead of garbage decode output.
 //
 // Payload primitives are varint-based and every artifact encoder walks
-// its maps in sorted key order, so a given value always encodes to the
-// same bytes — which is what lets the pipeline chain stage fingerprints
-// through artifact content hashes.
+// its maps in sorted key order (SortedKeys), so a given value always
+// encodes to the same bytes — which is what lets the pipeline chain
+// stage fingerprints through artifact content hashes.
 //
-// Codecs live here: a Codec value is the one declaration of a kind,
-// shared by the pipeline, clientmapd and statefsck. The stream hour and
-// the serving map declare theirs beside their formats.
+// A Codec value is the one declaration of a kind, shared by the
+// pipeline, clientmapd and statefsck, and the package that owns a format
+// declares it: the DNS-logs result in core/dnslogs, churn events in
+// churn, the stream hour in stream, the serving map in serve, the
+// baselines composite in experiments. Only the probing campaign's
+// checkpoints (Campaign, PassDelta, ShardResult) are declared here.
 package snapshot
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"clientmap/internal/randx"
@@ -129,6 +134,28 @@ func (w *Writer) String(s string) {
 // Time appends t as Unix nanoseconds. Decoding restores the instant in
 // UTC, so only encode UTC-based times (all simulated times are).
 func (w *Writer) Time(t time.Time) { w.Varint(t.UnixNano()) }
+
+// SortedKeys returns m's keys in ascending order, the order every
+// encoder walks a map in.
+func SortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
+}
+
+// SortedKeysFunc is SortedKeys for key types ordered by a compare
+// function, such as netx.Prefix.Compare.
+func SortedKeysFunc[K comparable, V any](m map[K]V, compare func(a, b K) int) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, compare)
+	return keys
+}
 
 // Reader consumes a payload with a sticky error: after the first
 // malformed read every subsequent read returns zero values, and Err

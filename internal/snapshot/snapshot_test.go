@@ -7,13 +7,8 @@ import (
 	"testing"
 	"time"
 
-	"clientmap/internal/apnic"
-	"clientmap/internal/asdb"
-	"clientmap/internal/cdn"
 	"clientmap/internal/core/cacheprobe"
-	"clientmap/internal/core/dnslogs"
 	"clientmap/internal/netx"
-	"clientmap/internal/world"
 )
 
 func ts(sec int64) time.Time { return time.Unix(sec, 12345).UTC() }
@@ -96,101 +91,6 @@ func TestCampaignRoundTrip(t *testing.T) {
 		})
 }
 
-func TestDNSLogsRoundTrip(t *testing.T) {
-	res := &dnslogs.Result{
-		ResolverCounts: map[netx.Addr]float64{0x08080808: 12.5, 0x01010101: 3},
-		TotalQueries:   1e6, PatternMatches: 4242.5, FilteredNames: 17,
-		LettersRead: []string{"J", "H", "M"},
-		OpenRetries: 3,
-	}
-	roundTrip(t, KindDNSLogs, VersionDNSLogs,
-		func(w *Writer) { EncodeDNSLogs(w, res) },
-		func(r *Reader) {
-			got, err := DecodeDNSLogs(r)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, res) {
-				t.Errorf("dnslogs round-trip mismatch:\ngot  %+v\nwant %+v", got, res)
-			}
-		})
-}
-
-// Kinds the baseline encoders are framed under here. No stage writes
-// them as checkpoints of their own — the experiments baselines stage
-// persists all three inside one composite — so they are test-local.
-const (
-	kindCDN   = "cdn.Datasets"
-	kindAPNIC = "apnic.Estimates"
-	kindASDB  = "asdb.DB"
-)
-
-func TestCDNRoundTrip(t *testing.T) {
-	d := &cdn.Datasets{
-		Clients: &cdn.Clients{
-			Volume: map[netx.Slash24]int64{0x010203: 100, 0x0a0b0c: 5},
-			Total:  105,
-		},
-		Resolvers: &cdn.Resolvers{
-			ClientIPs: map[netx.Addr]int64{0x08080808: 250},
-			Total:     250,
-		},
-		ECS: &cdn.ECSPrefixes{
-			Queries: map[netx.Prefix]int64{pfx(0x01020300, 24): 9},
-			Total:   9,
-		},
-		Day: ts(86400),
-	}
-	roundTrip(t, kindCDN, 1,
-		func(w *Writer) { EncodeCDN(w, d) },
-		func(r *Reader) {
-			got, err := DecodeCDN(r)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, d) {
-				t.Errorf("cdn round-trip mismatch:\ngot  %+v\nwant %+v", got, d)
-			}
-		})
-}
-
-func TestAPNICRoundTrip(t *testing.T) {
-	e := &apnic.Estimates{
-		Users:        map[uint32]float64{65001: 1000.5, 65002: 0.25},
-		Impressions:  map[uint32]int{65001: 300},
-		CountryUsers: map[string]float64{"US": 5000, "DE": 750.5},
-	}
-	roundTrip(t, kindAPNIC, 1,
-		func(w *Writer) { EncodeAPNIC(w, e) },
-		func(r *Reader) {
-			got, err := DecodeAPNIC(r)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, e) {
-				t.Errorf("apnic round-trip mismatch:\ngot  %+v\nwant %+v", got, e)
-			}
-		})
-}
-
-func TestASDBRoundTrip(t *testing.T) {
-	db := asdb.FromCategories(map[uint32]world.Category{
-		65001: world.Category("isp"),
-		65002: world.Category("hosting"),
-	})
-	roundTrip(t, kindASDB, 1,
-		func(w *Writer) { EncodeASDB(w, db) },
-		func(r *Reader) {
-			got, err := DecodeASDB(r)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(asdbEntries(got), asdbEntries(db)) {
-				t.Error("asdb round-trip mismatch")
-			}
-		})
-}
-
 func TestVersionMismatch(t *testing.T) {
 	data, _ := Marshal(Header{Kind: KindCampaign, Version: 2, Fingerprint: "x"},
 		func(w *Writer) { w.Int(1) })
@@ -206,7 +106,7 @@ func TestVersionMismatch(t *testing.T) {
 		t.Errorf("error %q does not name the version mismatch", err)
 	}
 	// Wrong kind is a mismatch too.
-	if err := Check(h, KindDNSLogs, 2); !errors.Is(err, ErrVersionMismatch) {
+	if err := Check(h, KindShardResult, 2); !errors.Is(err, ErrVersionMismatch) {
 		t.Errorf("Check across kinds: got %v, want ErrVersionMismatch", err)
 	}
 }
@@ -240,11 +140,4 @@ func TestCorruption(t *testing.T) {
 	if _, _, _, err := Open([]byte("nope")); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("bad magic: got %v, want ErrCorrupt", err)
 	}
-}
-
-// asdbEntries lists a database's categories by ASN.
-func asdbEntries(db *asdb.DB) map[uint32]world.Category {
-	m := map[uint32]world.Category{}
-	db.Range(func(asn uint32, c world.Category) bool { m[asn] = c; return true })
-	return m
 }

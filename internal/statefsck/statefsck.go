@@ -39,6 +39,7 @@ import (
 	"strings"
 	"time"
 
+	"clientmap/internal/core/dnslogs"
 	"clientmap/internal/serve"
 	"clientmap/internal/snapshot"
 	"clientmap/internal/statefs"
@@ -135,8 +136,7 @@ type checker interface {
 // by checksum alone.
 var codecs = []checker{
 	snapshot.CampaignCodec, snapshot.PassDeltaCodec, snapshot.ShardResultCodec,
-	snapshot.DNSLogsCodec,
-	stream.HourDeltaCodec, serve.ClientMapCodec,
+	dnslogs.ResultCodec, stream.HourDeltaCodec, serve.ClientMapCodec,
 }
 
 func codecFor(kind string) checker {

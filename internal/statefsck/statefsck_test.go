@@ -435,13 +435,7 @@ func TestLineageUnknownKindIsRoot(t *testing.T) {
 // Pass.Base is base, returning its payload hash.
 func writeStreamHour(t *testing.T, dir string, k int, base string) string {
 	t.Helper()
-	h := snapshot.Header{Kind: snapshot.KindStreamDelta, Version: snapshot.VersionStreamDelta, Fingerprint: "fp"}
-	data, hash := snapshot.Marshal(h, func(w *snapshot.Writer) {
-		w.Int(k)
-		snapshot.EncodeChurnEvents(w, nil)
-		snapshot.EncodePassDelta(w, &cacheprobe.PassDelta{Base: base})
-		w.Int(0) // no DNS /24s
-	})
+	data, hash := stream.HourDeltaCodec.Marshal("fp", &stream.HourDelta{Hour: k, Pass: &cacheprobe.PassDelta{Base: base}})
 	writeRaw(t, dir, StreamHour(k)+".snap", data)
 	return hash
 }

@@ -1,23 +1,29 @@
 package stream
 
 import (
-	"sort"
-
+	"clientmap/internal/churn"
 	"clientmap/internal/netx"
 	"clientmap/internal/snapshot"
 )
 
 // Codecs for the streaming checkpoints and for the byte-exact ledger
-// comparison the determinism suite makes. The hour-delta kind string
-// lives in internal/snapshot (next to the churn-event codec it uses);
-// the ledger kind lives here because only this package produces it —
-// the kind string namespace is shared either way.
+// comparison the determinism suite makes. Both kinds live here, with
+// the formats they frame; the hour delta embeds the churn package's
+// event list and snapshot's pass delta.
+
+// KindStreamDelta is the artifact kind of one streaming hour's
+// checkpoint (churn events + probe delta + DNS observations).
+const KindStreamDelta = "stream.HourDelta"
+
+// VersionStreamDelta is the hour-checkpoint encoding version. Version 2:
+// the embedded pass delta is snapshot.VersionCampaignDelta 2.
+const VersionStreamDelta uint16 = 2
 
 // HourDeltaCodec is the hour checkpoint's codec. Its base is the base
 // of the hour's probing: the checkpoint the hour applies to.
 var HourDeltaCodec = &snapshot.Codec[*HourDelta]{
-	Kind:    snapshot.KindStreamDelta,
-	Version: snapshot.VersionStreamDelta,
+	Kind:    KindStreamDelta,
+	Version: VersionStreamDelta,
 	Encode:  EncodeHourDelta,
 	Decode:  DecodeHourDelta,
 	Base:    func(d *HourDelta) string { return d.Pass.Base },
@@ -32,7 +38,7 @@ const VersionStream uint16 = 1
 // EncodeHourDelta appends one hour checkpoint to w.
 func EncodeHourDelta(w *snapshot.Writer, d *HourDelta) {
 	w.Int(d.Hour)
-	snapshot.EncodeChurnEvents(w, d.Events)
+	churn.EncodeEvents(w, d.Events)
 	snapshot.EncodePassDelta(w, d.Pass)
 	w.Int(len(d.DNS))
 	prev := uint64(0)
@@ -46,7 +52,7 @@ func EncodeHourDelta(w *snapshot.Writer, d *HourDelta) {
 // DecodeHourDelta reads an hour checkpoint written by EncodeHourDelta.
 func DecodeHourDelta(r *snapshot.Reader) (*HourDelta, error) {
 	d := &HourDelta{Hour: r.Int()}
-	evs, err := snapshot.DecodeChurnEvents(r)
+	evs, err := churn.DecodeEvents(r)
 	if err != nil {
 		return nil, err
 	}
@@ -94,54 +100,25 @@ func (l *Ledger) MarshalLedger() (data []byte, payloadHash string) {
 
 func encodeLedger(w *snapshot.Writer, l *Ledger) {
 	w.Varint(int64(l.TTL))
-	domains := sortedKeys(l.Domains)
-	w.Int(len(domains))
-	for _, d := range domains {
+	w.Int(len(l.Domains))
+	for _, d := range snapshot.SortedKeys(l.Domains) {
 		w.String(d)
 		scopes := l.Domains[d]
-		keys := make([]netx.Prefix, 0, len(scopes))
-		for p := range scopes {
-			keys = append(keys, p)
-		}
-		sortPrefixes(keys)
-		w.Int(len(keys))
-		for _, p := range keys {
+		w.Int(len(scopes))
+		for _, p := range snapshot.SortedKeysFunc(scopes, netx.Prefix.Compare) {
 			snapshot.EncodePrefix(w, p)
 			ss := scopes[p]
 			encodeSeries(w, &ss.Hits)
-			pops := sortedKeys(ss.PoPs)
-			w.Int(len(pops))
-			for _, pop := range pops {
+			w.Int(len(ss.PoPs))
+			for _, pop := range snapshot.SortedKeys(ss.PoPs) {
 				w.String(pop)
 				encodeSeries(w, ss.PoPs[pop])
 			}
 		}
 	}
-	dns := make([]netx.Slash24, 0, len(l.DNS))
-	for p := range l.DNS {
-		dns = append(dns, p)
-	}
-	sortSlash24s(dns)
-	w.Int(len(dns))
-	for _, p := range dns {
+	w.Int(len(l.DNS))
+	for _, p := range snapshot.SortedKeys(l.DNS) {
 		w.Uvarint(uint64(p))
 		encodeSeries(w, l.DNS[p])
 	}
-}
-
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-func sortPrefixes(ps []netx.Prefix) {
-	sort.Slice(ps, func(i, j int) bool { return prefixLess(ps[i], ps[j]) })
-}
-
-func sortSlash24s(ps []netx.Slash24) {
-	sort.Slice(ps, func(i, j int) bool { return ps[i] < ps[j] })
 }

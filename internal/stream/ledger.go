@@ -1,10 +1,9 @@
 package stream
 
 import (
-	"sort"
-
 	"clientmap/internal/netx"
 	"clientmap/internal/serve"
+	"clientmap/internal/snapshot"
 )
 
 // Ledger is the stream's decaying evidence store: per (domain, response
@@ -193,19 +192,9 @@ func (l *Ledger) ServeScopes(hour int32) []serve.ScopeEvidence {
 	}
 	merged := make(map[netx.Prefix]*agg)
 
-	domains := make([]string, 0, len(l.Domains))
-	for d := range l.Domains {
-		domains = append(domains, d)
-	}
-	sort.Strings(domains)
-	for _, d := range domains {
+	for _, d := range snapshot.SortedKeys(l.Domains) {
 		scopes := l.Domains[d]
-		keys := make([]netx.Prefix, 0, len(scopes))
-		for p := range scopes {
-			keys = append(keys, p)
-		}
-		sort.Slice(keys, func(i, j int) bool { return prefixLess(keys[i], keys[j]) })
-		for _, p := range keys {
+		for _, p := range snapshot.SortedKeysFunc(scopes, netx.Prefix.Compare) {
 			ss := scopes[p]
 			a := merged[p]
 			if a == nil {
@@ -215,24 +204,14 @@ func (l *Ledger) ServeScopes(hour int32) []serve.ScopeEvidence {
 			a.hits += int(ss.Hits.Total())
 			a.mask |= ss.Hits.Mask(hour, int(l.TTL))
 			a.domains++
-			pops := make([]string, 0, len(ss.PoPs))
-			for pop := range ss.PoPs {
-				pops = append(pops, pop)
-			}
-			sort.Strings(pops)
-			for _, pop := range pops {
+			for _, pop := range snapshot.SortedKeys(ss.PoPs) {
 				a.pops[pop] += int(ss.PoPs[pop].Total())
 			}
 		}
 	}
 
 	out := make([]serve.ScopeEvidence, 0, len(merged))
-	prefixes := make([]netx.Prefix, 0, len(merged))
-	for p := range merged {
-		prefixes = append(prefixes, p)
-	}
-	sort.Slice(prefixes, func(i, j int) bool { return prefixLess(prefixes[i], prefixes[j]) })
-	for _, p := range prefixes {
+	for _, p := range snapshot.SortedKeysFunc(merged, netx.Prefix.Compare) {
 		a := merged[p]
 		e := serve.ScopeEvidence{
 			Scope:      p,
@@ -241,24 +220,10 @@ func (l *Ledger) ServeScopes(hour int32) []serve.ScopeEvidence {
 			Domains:    a.domains,
 			Confidence: serve.Confidence(a.mask, int(l.TTL)),
 		}
-		pops := make([]string, 0, len(a.pops))
-		for pop := range a.pops {
-			pops = append(pops, pop)
-		}
-		sort.Strings(pops)
-		for _, pop := range pops {
+		for _, pop := range snapshot.SortedKeys(a.pops) {
 			e.PoPs = append(e.PoPs, serve.PoPEvidence{PoP: pop, Hits: a.pops[pop]})
 		}
 		out = append(out, e)
 	}
 	return out
-}
-
-// prefixLess orders prefixes by (address, length) — serve's canonical
-// scope order.
-func prefixLess(a, b netx.Prefix) bool {
-	if a.Addr() != b.Addr() {
-		return a.Addr() < b.Addr()
-	}
-	return a.Bits() < b.Bits()
 }

@@ -133,7 +133,7 @@ func TestServeScopesDeterministicAndSorted(t *testing.T) {
 		t.Fatalf("got %d rows, want 3", len(rows))
 	}
 	for i := 1; i < len(rows); i++ {
-		if !prefixLess(rows[i-1].Scope, rows[i].Scope) {
+		if rows[i-1].Scope.Compare(rows[i].Scope) >= 0 {
 			t.Fatalf("rows not sorted: %v before %v", rows[i-1].Scope, rows[i].Scope)
 		}
 	}

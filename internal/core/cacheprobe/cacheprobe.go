@@ -72,7 +72,7 @@ type Config struct {
 	Workers int
 
 	// Redundancy is the number of copies of each probe, to cover the
-	// PoP's independent cache pools. Paper: 5.
+	// PoP's independent cache pools. Paper: 5. At most maxRedundancy.
 	Redundancy int
 
 	// Duration is the campaign length. Paper: 120 hours.
@@ -116,6 +116,11 @@ type Config struct {
 	// sim-clock timestamps. Nil discards.
 	Trace *metrics.Trace
 }
+
+// maxRedundancy bounds Config.Redundancy. With Retry.Attempts at most
+// maxAttempts, a task fires at most maxAttempts × maxRedundancy = 64,512
+// hedges, which fits probeResult's 16-bit counters.
+const maxRedundancy = 63
 
 func (c Config) withDefaults() Config {
 	if c.Redundancy <= 0 {

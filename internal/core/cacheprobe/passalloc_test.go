@@ -69,11 +69,15 @@ func (f *passFixture) pass(tb testing.TB, k int) {
 }
 
 // maxPassBytesPerTask bounds what one ProbePassDelta allocates per probe
-// task. A task's outcome lives in one 112-byte result slot that the fold
-// reads in place: 143 bytes per task on this fixture in all. Routing the
-// pass through ProbeShard and GatherPass, which copy every slot into a
-// ShardTaskResult and back into a second slot array, costs 744.
-const maxPassBytesPerTask = 300
+// task. A task's outcome lives in one 14-byte result slot that the fold
+// reads in place, holding no timestamp, response scope or retry account
+// (the fold derives the first two and the account is a local of the
+// task loop); the rest is the pass's hits and ledgers: 40 bytes per task
+// on this fixture in all. A 112-byte slot carrying those fields measured
+// 143, and routing the pass through ProbeShard and GatherPass, which copy
+// every slot into a ShardTaskResult and back into a second slot array,
+// about 700.
+const maxPassBytesPerTask = 64
 
 // raceEnabled is set under the race detector, whose sync.Pool drops
 // pooled messages at random: allocation counts then measure the
@@ -101,14 +105,22 @@ func TestProbePassDeltaAllocsPerTask(t *testing.T) {
 }
 
 // BenchmarkProbePassDelta times one steady probing pass of the tiny
-// campaign end to end: execution into the result slots and the fold.
+// campaign end to end: execution into the result slots and the fold. It
+// reports tasks/s and the bytes a pass allocates per task (B/task), the
+// figure TestProbePassDeltaAllocsPerTask bounds.
 func BenchmarkProbePassDelta(b *testing.B) {
 	f := newPassFixture(b)
 	f.pass(b, 0)
 	b.ReportAllocs()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	before := m.TotalAlloc
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f.pass(b, i+1)
 	}
+	b.StopTimer()
+	runtime.ReadMemStats(&m)
 	b.ReportMetric(float64(f.tasks)*float64(b.N)/b.Elapsed().Seconds(), "tasks/s")
+	b.ReportMetric(float64(m.TotalAlloc-before)/float64(f.tasks)/float64(b.N), "B/task")
 }

@@ -59,8 +59,15 @@ type Prober struct {
 
 // NewProber builds a prober from vantage points and the authoritative
 // access used by the pre-scan.
+//
+// It panics when cfg.Redundancy exceeds maxRedundancy: no flag sets the
+// knob, and a larger value would overflow the narrowed per-task
+// counters (see probeResult).
 func NewProber(cfg Config, vantages []Vantage, auth Authoritative) *Prober {
 	cfg = cfg.withDefaults()
+	if cfg.Redundancy > maxRedundancy {
+		panic(fmt.Sprintf("cacheprobe: Redundancy %d above the maximum %d", cfg.Redundancy, maxRedundancy))
+	}
 	p := &Prober{cfg: cfg, vantages: vantages, auth: auth, m: newProberMetrics(cfg.Metrics)}
 	if cfg.Health != nil && cfg.Health.Config().Hedging() {
 		p.hedgeAfter = cfg.Health.Config().HedgeAfter
@@ -470,19 +477,55 @@ func (p *Prober) scopeAssigned(scope netx.Prefix, popCoord geo.Coord, radiusKm f
 // amortizes across the whole chunk.
 const probeChunk = 256
 
-// probeTask is one (domain, scope) probe in a PoP's assignment.
+// probeTask is one (domain, scope) probe in a PoP's assignment: 12
+// bytes, the domain held as its index into Config.Domains (and
+// Assignments.domains), not as a string header.
 type probeTask struct {
-	domain string
 	scope  netx.Prefix
+	domain uint32
 }
 
-// probeResult is a worker's index-slotted outcome for one task.
+// probeResult is a worker's index-slotted outcome for one task: 14
+// bytes, only what a pass cannot recompute. A hit's timestamp is the
+// task's scheduled instant (taskAt) and its response scope is the query
+// scope's address at bits, so neither is stored. The probe count and the
+// retry and hedge counters are narrowed to 16 bits; Retry.Validate and
+// NewProber bound Attempts and Redundancy so that every count a task can
+// reach (at most Attempts × Redundancy hedges) fits.
 type probeResult struct {
-	hit       bool
-	respScope netx.Prefix
-	at        time.Time
-	probes    int
-	retry     retryAccount
+	hit    bool
+	bits   uint8
+	probes uint16
+	// Retry and hedge counts, as retryAccount keeps them.
+	spent, recovered, exhausted, hedgeFired, hedgeWon uint16
+}
+
+// record stores a task's probe count and retry account in the slot.
+func (r *probeResult) record(probes int, a *retryAccount) {
+	r.probes = uint16(probes)
+	r.spent, r.recovered, r.exhausted = uint16(a.spent), uint16(a.recovered), uint16(a.exhausted)
+	r.hedgeFired, r.hedgeWon = uint16(a.hedgeFired), uint16(a.hedgeWon)
+}
+
+// account widens the slot's counters back into a retry account, the
+// form the ledger counters and the shard export read.
+func (r *probeResult) account() retryAccount {
+	return retryAccount{
+		spent: int(r.spent), recovered: int(r.recovered), exhausted: int(r.exhausted),
+		hedgeFired: int(r.hedgeFired), hedgeWon: int(r.hedgeWon),
+	}
+}
+
+// respScope is the response scope of a hit on query scope q.
+func (r *probeResult) respScope(q netx.Prefix) netx.Prefix {
+	return netx.PrefixFrom(q.Addr(), int(r.bits))
+}
+
+// taskAt is the scheduled instant of task ti of a PoP's n tasks: the
+// pass window spread evenly over the list. It stamps every probe of the
+// task and, on a hit, is the hit's timestamp.
+func taskAt(passStart time.Time, passWindow time.Duration, ti, n int) time.Time {
+	return passStart.Add(time.Duration(float64(passWindow) * float64(ti) / float64(n+1)))
 }
 
 // Assignments is the stage-4 probe plan: per-PoP task lists derived from
@@ -491,6 +534,9 @@ type probeResult struct {
 type Assignments struct {
 	popNames []string
 	tasks    [][]probeTask
+	// domains are the catalog's names (Config.Domains order), which
+	// probeTask.domain indexes.
+	domains []string
 	// coords are the PoP locations the assignment was computed with
 	// (catalog coordinates, vantage fallback) — reused by the failover
 	// planner so in-radius checks match the original assignment's.
@@ -512,8 +558,15 @@ func (a *Assignments) coord(pop string, pops map[string]*Vantage) geo.Coord {
 // come from popCoords (discovered PoP name → location).
 func (p *Prober) BuildAssignments(pops map[string]*Vantage, popCoords map[string]geo.Coord, camp *Campaign) *Assignments {
 	popNames := sortedPoPs(pops)
+	names := make([]string, len(p.cfg.Domains))
+	total := 0
+	for di, d := range p.cfg.Domains {
+		names[di] = d.Name
+		total += len(camp.ScopesByDomain[d.Name])
+	}
 	// Build per-PoP assignments concurrently across PoPs (pure reads of
-	// the geo database and pre-scan output).
+	// the geo database and pre-scan output). Each PoP marks its in-radius
+	// (domain, scope) pairs first, so its task list is sized once.
 	assignments := make([][]probeTask, len(popNames))
 	par.ForEach(len(popNames), p.workers(), func(pi int) {
 		pop := popNames[pi]
@@ -525,12 +578,25 @@ func (p *Prober) BuildAssignments(pops map[string]*Vantage, popCoords map[string
 		if cal, ok := camp.PoPs[pop]; ok {
 			radius = cal.RadiusKm
 		}
-		var tasks []probeTask
+		in := make([]bool, total)
+		n, j := 0, 0
 		for _, d := range p.cfg.Domains {
 			for _, scope := range camp.ScopesByDomain[d.Name] {
 				if p.scopeAssigned(scope, coord, radius) {
-					tasks = append(tasks, probeTask{domain: d.Name, scope: scope})
+					in[j] = true
+					n++
 				}
+				j++
+			}
+		}
+		tasks := make([]probeTask, 0, n)
+		j = 0
+		for di, d := range p.cfg.Domains {
+			for _, scope := range camp.ScopesByDomain[d.Name] {
+				if in[j] {
+					tasks = append(tasks, probeTask{scope: scope, domain: uint32(di)})
+				}
+				j++
 			}
 		}
 		assignments[pi] = tasks
@@ -546,7 +612,7 @@ func (p *Prober) BuildAssignments(pops map[string]*Vantage, popCoords map[string
 			coords[pop] = c
 		}
 	}
-	return &Assignments{popNames: popNames, tasks: assignments, coords: coords}
+	return &Assignments{popNames: popNames, tasks: assignments, domains: names, coords: coords}
 }
 
 // ProbePassDelta runs one assignment loop (pass) of stage 4, merges its

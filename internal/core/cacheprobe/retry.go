@@ -39,10 +39,20 @@ type Retry struct {
 // Enabled reports whether the policy retries at all.
 func (r Retry) Enabled() bool { return r.Attempts > 1 }
 
-// Validate checks the policy's ranges: non-negative everything.
+// maxAttempts bounds Retry.Attempts: hedge attempts are tagged from
+// hedgeAttemptBase up, so a larger bound would let a retry's fault
+// decisions collide with a hedge's, and it keeps a task's retry and
+// hedge counts within probeResult's 16-bit slots (see maxRedundancy).
+const maxAttempts = hedgeAttemptBase
+
+// Validate checks the policy's ranges: non-negative everything, and at
+// most maxAttempts tries.
 func (r Retry) Validate() error {
 	if r.Attempts < 0 {
 		return fmt.Errorf("retries: negative attempts %d", r.Attempts)
+	}
+	if r.Attempts > maxAttempts {
+		return fmt.Errorf("retries: attempts %d above the maximum %d", r.Attempts, maxAttempts)
 	}
 	if r.Timeout < 0 {
 		return fmt.Errorf("retries: negative timeout %v", r.Timeout)
@@ -68,8 +78,8 @@ func (r Retry) Fingerprint() string {
 
 // ParseRetry parses a -retries flag spec such as
 // "attempts=3,timeout=2s,backoff=100ms,budget=1000". Empty and "off"
-// mean no retries. Ranges are validated: attempts ≥ 1, durations and the
-// budget non-negative.
+// mean no retries. Ranges are validated: 1 ≤ attempts ≤ 1024, durations
+// and the budget non-negative.
 func ParseRetry(s string) (Retry, error) {
 	const grammar = spec.Grammar("retries")
 	var r Retry
@@ -103,9 +113,11 @@ func ParseRetry(s string) (Retry, error) {
 }
 
 // retryAccount is one task's retry ledger: its deterministic allowance of
-// extra tries and what it spent. Each worker owns exactly one account per
-// task slot, so the fields are plain ints; the merge sums them into the
-// campaign in canonical order.
+// extra tries and what it spent. Each account belongs to one task on one
+// worker (a local of the task loop), so the fields are plain ints; the
+// probing pass narrows the counts into the task's slot
+// (probeResult.record), and the merge sums them into the campaign in
+// canonical order.
 type retryAccount struct {
 	// remaining is the budgeted extra tries left (-1 = unlimited).
 	remaining int

@@ -136,8 +136,9 @@ func TestRetryAllowance(t *testing.T) {
 }
 
 // TestRetryNegativeValuesRejected pins the validation story for negative
-// knobs: Validate names the offending field, and ParseRetry (the cmd flag
-// path) produces a clear message for each.
+// knobs, and for attempts above the maximum a task slot can count:
+// Validate names the offending field, and ParseRetry (the cmd flag path)
+// produces a clear message for each.
 func TestRetryNegativeValuesRejected(t *testing.T) {
 	bad := []struct {
 		name  string
@@ -149,6 +150,7 @@ func TestRetryNegativeValuesRejected(t *testing.T) {
 		{"negative timeout", Retry{Attempts: 2, Timeout: -time.Second}, "attempts=2,timeout=-1s", "timeout"},
 		{"negative backoff", Retry{Attempts: 2, Backoff: -time.Second}, "attempts=2,backoff=-1s", "backoff"},
 		{"negative budget", Retry{Attempts: 2, BudgetPerPoP: -5}, "attempts=2,budget=-5", "budget"},
+		{"attempts above the maximum", Retry{Attempts: maxAttempts + 1}, "attempts=1025", "maximum"},
 	}
 	for _, tc := range bad {
 		t.Run(tc.name, func(t *testing.T) {

@@ -3,6 +3,7 @@ package cacheprobe
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"time"
@@ -198,21 +199,27 @@ func (p *Prober) ProbeShard(ctx context.Context, pops map[string]*Vantage, asg *
 
 	sr := &ShardResult{Pass: pass, Units: units, Tasks: make([]ShardTaskResult, 0, n)}
 	for ui, u := range units {
+		tasks := asg.tasks[u.PoPIndex]
 		for i := range res[ui] {
 			r := &res[ui][i]
-			sr.Tasks = append(sr.Tasks, ShardTaskResult{
+			ti := u.Lo + i
+			a := r.account()
+			tr := ShardTaskResult{
 				PoPIndex:       u.PoPIndex,
-				TaskIndex:      u.Lo + i,
+				TaskIndex:      ti,
 				Hit:            r.hit,
-				RespScope:      r.respScope,
-				At:             r.at,
-				Probes:         r.probes,
-				RetrySpent:     r.retry.spent,
-				RetryRecovered: r.retry.recovered,
-				RetryExhausted: r.retry.exhausted,
-				HedgeFired:     r.retry.hedgeFired,
-				HedgeWon:       r.retry.hedgeWon,
-			})
+				Probes:         int(r.probes),
+				RetrySpent:     a.spent,
+				RetryRecovered: a.recovered,
+				RetryExhausted: a.exhausted,
+				HedgeFired:     a.hedgeFired,
+				HedgeWon:       a.hedgeWon,
+			}
+			if r.hit {
+				tr.RespScope = r.respScope(tasks[ti].scope)
+				tr.At = taskAt(passStart, passWindow, ti, len(tasks))
+			}
+			sr.Tasks = append(sr.Tasks, tr)
 		}
 	}
 	sr.Metrics = p.m.reg.SnapshotPrefix(LedgerPrefixes...).Sub(mBefore)
@@ -271,7 +278,7 @@ func (p *Prober) execUnits(ctx context.Context, pops map[string]*Vantage, asg *A
 			ti := u.Lo + i
 			tk := tasks[ti]
 			pv := v
-			r := &slots[i]
+			acct := retryAccount{delays: delays[b.ui]}
 			if plans != nil {
 				rt := plans[u.PoPIndex].route(ti)
 				if rt.kind == health.RouteLost {
@@ -279,27 +286,28 @@ func (p *Prober) execUnits(ctx context.Context, pops map[string]*Vantage, asg *A
 				}
 				pv = rt.v
 				hedge = plans[u.PoPIndex].hedgeFor(rt)
-				r.retry.hedge = &hedge
+				acct.hedge = &hedge
 			}
-			offset := time.Duration(float64(passWindow) * float64(ti) / float64(len(tasks)+1))
-			carrier.T = passStart.Add(offset)
-			r.retry.remaining = p.retryAllowance(allowScopes[b.ui], ti, len(tasks))
-			r.retry.delays = delays[b.ui]
-			key := append(keyBuf[:popLen], tk.domain...)
+			carrier.T = taskAt(passStart, passWindow, ti, len(tasks))
+			acct.remaining = p.retryAllowance(allowScopes[b.ui], ti, len(tasks))
+			domain := asg.domains[tk.domain]
+			key := append(keyBuf[:popLen], domain...)
 			key = append(key, '/')
 			key = tk.scope.AppendTo(key)
 			kLen := len(key)
 			base := p.txidBase(key)
+			r := &slots[i]
+			probes := 0
 			for a := 0; a < p.cfg.Redundancy; a++ {
 				ak := strconv.AppendInt(append(key[:kLen], '/'), int64(a), 10)
-				hit, respScope := p.snoop(carrier, pv, q, txidAt(base, a), tk.domain, tk.scope, ak, &r.retry)
-				r.probes++
+				hit, respScope := p.snoop(carrier, pv, q, txidAt(base, a), domain, tk.scope, ak, &acct)
+				probes++
 				if hit {
-					r.hit, r.respScope = true, respScope
-					r.at = carrier.T
+					r.hit, r.bits = true, uint8(respScope.Bits())
 					break
 				}
 			}
+			r.record(probes, &acct)
 		}
 	})
 }
@@ -349,18 +357,19 @@ func (p *Prober) GatherPass(pops map[string]*Vantage, asg *Assignments, pass int
 				return nil, fmt.Errorf("cacheprobe: gather pass %d: task (%d,%d) covered twice", pass, tr.PoPIndex, tr.TaskIndex)
 			}
 			seen[tr.PoPIndex][tr.TaskIndex] = true
+			tasks := asg.tasks[tr.PoPIndex]
+			if err := p.checkTaskResult(&tr, tasks[tr.TaskIndex].scope, taskAt(passStart, passWindow, tr.TaskIndex, len(tasks))); err != nil {
+				return nil, fmt.Errorf("cacheprobe: gather pass %d: task (%d,%d): %w", pass, tr.PoPIndex, tr.TaskIndex, err)
+			}
 			res[tr.PoPIndex][tr.TaskIndex] = probeResult{
-				hit:       tr.Hit,
-				respScope: tr.RespScope,
-				at:        tr.At,
-				probes:    tr.Probes,
-				retry: retryAccount{
-					spent:      tr.RetrySpent,
-					recovered:  tr.RetryRecovered,
-					exhausted:  tr.RetryExhausted,
-					hedgeFired: tr.HedgeFired,
-					hedgeWon:   tr.HedgeWon,
-				},
+				hit:        tr.Hit,
+				bits:       uint8(tr.RespScope.Bits()),
+				probes:     uint16(tr.Probes),
+				spent:      uint16(tr.RetrySpent),
+				recovered:  uint16(tr.RetryRecovered),
+				exhausted:  uint16(tr.RetryExhausted),
+				hedgeFired: uint16(tr.HedgeFired),
+				hedgeWon:   uint16(tr.HedgeWon),
 			}
 		}
 	}
@@ -372,6 +381,34 @@ func (p *Prober) GatherPass(pops map[string]*Vantage, asg *Assignments, pass int
 		}
 	}
 	return p.foldPass(asg, pass, passStart, passWindow, camp, plans, res, mBefore, results), nil
+}
+
+// checkTaskResult rejects a shard row whose derivable fields disagree
+// with what the assignment derives, or whose counts do not fit a task
+// slot: the slot keeps only the response-scope length and recomputes
+// the rest, so a corrupt runner's values would otherwise be replaced
+// silently instead of caught. scope is the task's query scope and at its
+// scheduled instant.
+func (p *Prober) checkTaskResult(tr *ShardTaskResult, scope netx.Prefix, at time.Time) error {
+	if tr.Hit {
+		if bits := tr.RespScope.Bits(); bits == 0 || tr.RespScope != netx.PrefixFrom(scope.Addr(), bits) {
+			return fmt.Errorf("hit scope %v is not a non-zero-length scope of query scope %v", tr.RespScope, scope)
+		}
+		if !tr.At.Equal(at) {
+			return fmt.Errorf("hit at %v, scheduled at %v", tr.At, at)
+		}
+	} else if tr.RespScope != (netx.Prefix{}) || !tr.At.IsZero() {
+		return fmt.Errorf("miss carries scope %v and time %v", tr.RespScope, tr.At)
+	}
+	if tr.Probes < 0 || tr.Probes > p.cfg.Redundancy {
+		return fmt.Errorf("%d probes, redundancy is %d", tr.Probes, p.cfg.Redundancy)
+	}
+	for _, c := range [...]int{tr.RetrySpent, tr.RetryRecovered, tr.RetryExhausted, tr.HedgeFired, tr.HedgeWon} {
+		if c < 0 || c > math.MaxUint16 {
+			return fmt.Errorf("retry or hedge count %d outside [0, %d]", c, math.MaxUint16)
+		}
+	}
+	return nil
 }
 
 // foldPass replays the monolithic pass's sequential merge over the
@@ -407,6 +444,7 @@ func (p *Prober) foldPass(asg *Assignments, pass int, passStart time.Time, passW
 		var popProbes, popHits, popSpent int64
 		for ti := range res[pi] {
 			r := &res[pi][ti]
+			acct := r.account()
 			hitPoP := pop
 			if plans != nil {
 				rt := plans[pi].route(ti)
@@ -431,21 +469,22 @@ func (p *Prober) foldPass(asg *Assignments, pass int, passStart time.Time, passW
 					p.m.failoverLost.Inc()
 					continue // the slot holds no probe to account
 				}
-				p.m.countHedges(&r.retry)
+				p.m.countHedges(&acct)
 			}
-			sent := int64(r.probes + r.retry.spent + r.retry.hedgeFired)
+			sent := int64(int(r.probes) + acct.spent + acct.hedgeFired)
 			delta.ProbesSent += int(sent)
 			popProbes += sent
-			popSpent += int64(r.retry.spent)
-			p.m.countRetries(&r.retry)
+			popSpent += int64(acct.spent)
+			p.m.countRetries(&acct)
 			if r.hit {
 				popHits++
+				tk := tasks[ti]
 				delta.Hits = append(delta.Hits, DeltaHit{
-					Domain:     tasks[ti].domain,
-					QueryScope: tasks[ti].scope,
-					RespScope:  r.respScope,
+					Domain:     asg.domains[tk.domain],
+					QueryScope: tk.scope,
+					RespScope:  r.respScope(tk.scope),
 					PoP:        hitPoP,
-					At:         r.at,
+					At:         taskAt(passStart, passWindow, ti, len(tasks)),
 				})
 			}
 		}

@@ -1,9 +1,21 @@
 package cacheprobe
 
 import (
+	"context"
 	"fmt"
+	"math"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
+	"unsafe"
+
+	"clientmap/internal/clockx"
+	"clientmap/internal/domains"
+	"clientmap/internal/health"
+	"clientmap/internal/metrics"
+	"clientmap/internal/netx"
+	"clientmap/internal/randx"
 )
 
 // fakeAssignments builds an assignment shape directly: taskCounts maps
@@ -121,5 +133,151 @@ func TestPartitionPassDegenerate(t *testing.T) {
 	}
 	if u := bins[0][0]; u.Lo != 0 || u.Hi != 5 {
 		t.Errorf("clamped unit = %+v, want [0,5)", u)
+	}
+}
+
+// TestTaskSlotSizes pins the per-task memory of a probing pass: a plan
+// task is a query scope and a catalog index, a result slot the narrowed
+// counts the pass cannot recompute.
+func TestTaskSlotSizes(t *testing.T) {
+	if got := unsafe.Sizeof(probeTask{}); got != 12 {
+		t.Errorf("probeTask is %d bytes, want 12", got)
+	}
+	if got := unsafe.Sizeof(probeResult{}); got != 14 {
+		t.Errorf("probeResult is %d bytes, want 14", got)
+	}
+}
+
+// oneDomainProber is a prober over a one-domain catalog whose single
+// vantage sends every query to ex; its plan is one PoP, "ams", holding
+// one task per scope.
+func oneDomainProber(cfg Config, ex *countingExchanger, scopes ...netx.Prefix) (*Prober, map[string]*Vantage, *Assignments) {
+	cfg.Seed = randx.Seed(7)
+	cfg.Clock = clockx.NewSim(clockx.Epoch)
+	cfg.Domains = []domains.Domain{{Name: "a.example", SupportsECS: true}}
+	cfg.Duration = 2 * time.Hour
+	cfg.Passes = 2
+	cfg.Workers = 1
+	asg := &Assignments{popNames: []string{"ams"}, tasks: [][]probeTask{nil}, domains: []string{"a.example"}}
+	for _, sc := range scopes {
+		asg.tasks[0] = append(asg.tasks[0], probeTask{scope: sc})
+	}
+	pops := map[string]*Vantage{"ams": {Name: "vm-ams", Exchanger: ex, Server: "gpdns"}}
+	return NewProber(cfg, nil, Authoritative{}), pops, asg
+}
+
+// TestGatherPassRejectsUnderivableRows: a task slot keeps only the hit
+// bit, the response-scope length and narrow counts, and re-derives the
+// rest, so GatherPass checks every shard row against what it can derive
+// and rejects one that disagrees or does not fit, instead of replacing
+// the corrupt value silently. One hostile row per rule.
+func TestGatherPassRejectsUnderivableRows(t *testing.T) {
+	q0 := netx.MustParsePrefix("10.1.0.0/16")
+	q1 := netx.MustParsePrefix("10.2.0.0/18")
+	p, pops, asg := oneDomainProber(Config{}, &countingExchanger{}, q0, q1)
+	passStart, passWindow := p.passSpan(clockx.Epoch, 1)
+	valid := func() []ShardTaskResult {
+		return []ShardTaskResult{
+			{PoPIndex: 0, TaskIndex: 0, Hit: true, RespScope: netx.MustParsePrefix("10.1.0.0/20"),
+				At: taskAt(passStart, passWindow, 0, 2), Probes: 2, RetrySpent: 3, HedgeFired: 1},
+			{PoPIndex: 0, TaskIndex: 1, Probes: 5},
+		}
+	}
+	gather := func(rows []ShardTaskResult) error {
+		sr := &ShardResult{Pass: 1, Units: []ShardUnit{{PoPIndex: 0, PoP: "ams", Lo: 0, Hi: 2}}, Tasks: rows}
+		_, err := p.GatherPass(pops, asg, 1, clockx.Epoch, NewCampaign(), []*ShardResult{sr})
+		return err
+	}
+	if err := gather(valid()); err != nil {
+		t.Fatalf("valid rows rejected: %v", err)
+	}
+	cases := []struct {
+		name string
+		row  int
+		edit func(*ShardTaskResult)
+		want string
+	}{
+		{"hit off its schedule", 0, func(r *ShardTaskResult) { r.At = r.At.Add(time.Nanosecond) }, "scheduled"},
+		{"hit scope of another address", 0, func(r *ShardTaskResult) { r.RespScope = netx.MustParsePrefix("10.1.16.0/20") }, "scope"},
+		{"hit scope of length zero", 0, func(r *ShardTaskResult) { r.RespScope = netx.Prefix{} }, "scope"},
+		{"miss with a time", 1, func(r *ShardTaskResult) { r.At = clockx.Epoch }, "miss"},
+		{"miss with a scope", 1, func(r *ShardTaskResult) { r.RespScope = netx.MustParsePrefix("10.2.0.0/20") }, "miss"},
+		{"probes above redundancy", 1, func(r *ShardTaskResult) { r.Probes = 6 }, "redundancy"},
+		{"negative probes", 1, func(r *ShardTaskResult) { r.Probes = -1 }, "redundancy"},
+		{"hedge count wider than its slot", 0, func(r *ShardTaskResult) { r.HedgeFired = math.MaxUint16 + 1 }, "count"},
+		{"negative retry count", 1, func(r *ShardTaskResult) { r.RetryRecovered = -1 }, "count"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rows := valid()
+			tc.edit(&rows[tc.row])
+			err := gather(rows)
+			if err == nil {
+				t.Fatal("hostile row accepted")
+			}
+			if !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), fmt.Sprintf("task (0,%d)", tc.row)) {
+				t.Errorf("error %q does not name task (0,%d) and %q", err, tc.row, tc.want)
+			}
+		})
+	}
+}
+
+// TestPassAtMaximumAttemptsAndRedundancy runs a pass of one task at the
+// largest retry policy and redundancy the validators admit, against a
+// path where every try and every hedge fails — the most any counter of
+// a task slot can reach — and checks each count arrives unwrapped, on
+// the in-process path and through a shard row and the gather.
+func TestPassAtMaximumAttemptsAndRedundancy(t *testing.T) {
+	if err := (Retry{Attempts: maxAttempts}).Validate(); err != nil {
+		t.Fatalf("maximum attempts rejected: %v", err)
+	}
+	if err := (Retry{Attempts: maxAttempts + 1}).Validate(); err == nil {
+		t.Fatal("attempts above the maximum accepted")
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("NewProber accepted a redundancy above the maximum")
+			}
+		}()
+		NewProber(Config{Redundancy: maxRedundancy + 1}, nil, Authoritative{})
+	}()
+	const a, r = maxAttempts, maxRedundancy
+	ex := &countingExchanger{failures: math.MaxInt}
+	reg := metrics.NewRegistry()
+	cfg := Config{
+		Redundancy: r,
+		Retry:      Retry{Attempts: a},
+		Health:     health.NewTracker(health.Default(), clockx.Epoch, nil),
+		Metrics:    reg,
+	}
+	p, pops, asg := oneDomainProber(cfg, ex, netx.MustParsePrefix("10.1.0.0/16"))
+	ex.times = make([]time.Time, 0, 2*a*r)
+	camp := NewCampaign()
+	d, err := p.ProbePassDelta(context.Background(), pops, asg, 0, clockx.Epoch, camp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]int64{
+		"cacheprobe/probe/probes": 2 * a * r, // r logical queries, a tries and a hedges each
+		"cacheprobe/retry/spent":  (a - 1) * r,
+		"health/hedge/fired":      a * r,
+	}
+	for k, v := range want {
+		if got := d.Metrics[k]; got != v {
+			t.Errorf("pass ledger %s = %d, want %d", k, got, v)
+		}
+	}
+	if d.ProbesSent != 2*a*r || ex.calls != 2*a*r {
+		t.Errorf("pass sent %d probes over %d exchanges, want %d", d.ProbesSent, ex.calls, 2*a*r)
+	}
+
+	sr := p.ProbeShard(context.Background(), pops, asg, 1, clockx.Epoch, camp, PartitionPass(asg, 1, 1)[0])
+	tr := sr.Tasks[0]
+	if tr.Probes != r || tr.RetrySpent != (a-1)*r || tr.HedgeFired != a*r || tr.HedgeWon != 0 {
+		t.Errorf("shard row = %+v, want %d probes, %d retries, %d hedges", tr, r, (a-1)*r, a*r)
+	}
+	if _, err := p.GatherPass(pops, asg, 1, clockx.Epoch, camp, []*ShardResult{sr}); err != nil {
+		t.Errorf("gather rejected the shard's own row: %v", err)
 	}
 }

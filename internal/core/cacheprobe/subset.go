@@ -24,24 +24,27 @@ func (a *Assignments) NumTasks(pi int) int { return len(a.tasks[pi]) }
 // TaskAt returns the domain and query scope of task ti of PoP slot pi.
 func (a *Assignments) TaskAt(pi, ti int) (domain string, scope netx.Prefix) {
 	t := a.tasks[pi][ti]
-	return t.domain, t.scope
+	return a.domains[t.domain], t.scope
 }
 
 // Subset builds a plan containing, per PoP slot, only the tasks whose
 // indices appear in sel[pi] (which must be sorted ascending; indices out
 // of range are ignored, and sel may be shorter than the PoP list). PoP
-// names and coordinates are shared with the parent plan; task slices are
-// fresh, so the parent is never mutated.
+// names, the domain catalog and coordinates are shared with the parent
+// plan; task slices are fresh and sized once, so the parent is never
+// mutated.
 func (a *Assignments) Subset(sel [][]int) *Assignments {
 	sub := &Assignments{
 		popNames: a.popNames,
 		tasks:    make([][]probeTask, len(a.tasks)),
+		domains:  a.domains,
 		coords:   a.coords,
 	}
 	for pi := range a.tasks {
 		if pi >= len(sel) {
 			continue
 		}
+		sub.tasks[pi] = make([]probeTask, 0, len(sel[pi]))
 		for _, ti := range sel[pi] {
 			if ti < 0 || ti >= len(a.tasks[pi]) {
 				continue

@@ -13,16 +13,17 @@ func testAssignments() *Assignments {
 		popNames: []string{"fra", "lhr"},
 		tasks: [][]probeTask{
 			{
-				{domain: "a.example", scope: mk(0x0A000000)},
-				{domain: "a.example", scope: mk(0x0A000100)},
-				{domain: "b.example", scope: mk(0x0A000200)},
+				{domain: 0, scope: mk(0x0A000000)},
+				{domain: 0, scope: mk(0x0A000100)},
+				{domain: 1, scope: mk(0x0A000200)},
 			},
 			{
-				{domain: "a.example", scope: mk(0x0B000000)},
-				{domain: "b.example", scope: mk(0x0B000100)},
+				{domain: 0, scope: mk(0x0B000000)},
+				{domain: 1, scope: mk(0x0B000100)},
 			},
 		},
-		coords: map[string]geo.Coord{"fra": {Lat: 50, Lon: 8}, "lhr": {Lat: 51, Lon: 0}},
+		domains: []string{"a.example", "b.example"},
+		coords:  map[string]geo.Coord{"fra": {Lat: 50, Lon: 8}, "lhr": {Lat: 51, Lon: 0}},
 	}
 }
 

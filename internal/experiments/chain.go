@@ -60,7 +60,10 @@ func (e *campaignEnv) assignments(camp *cacheprobe.Campaign) *cacheprobe.Assignm
 // stepArtifact is a chain step's in-memory artifact: the cumulative
 // campaign for downstream consumers, plus the step's own delta — the
 // only part that checkpoints. A batch pass sets Pass; a stream hour sets
-// Hour, whose Pass is that hour's probing.
+// Hour, whose Pass is that hour's probing. Once the next step runs or
+// restores, the delta is checkpointed and folded into the campaign, and
+// nothing reads it again: that step drops it (link.release), so only
+// the newest step holds its delta in memory.
 type stepArtifact struct {
 	Camp *cacheprobe.Campaign
 	Pass *cacheprobe.PassDelta
@@ -70,11 +73,14 @@ type stepArtifact struct {
 // link is the newest checkpoint of the delta chain — the calibration,
 // then each step in turn. The next step depends on handle, folds its
 // delta into camp(), and records hash() as the base the delta applies
-// to, so any upstream change cascades down the whole chain.
+// to, so any upstream change cascades down the whole chain. It calls
+// release once it holds the campaign: the upstream step's delta is then
+// dead weight.
 type link struct {
-	handle pipeline.Handle
-	camp   func() *cacheprobe.Campaign
-	hash   func() string
+	handle  pipeline.Handle
+	camp    func() *cacheprobe.Campaign
+	hash    func() string
+	release func()
 }
 
 // checkBase rejects a restored delta recorded against a different
@@ -124,9 +130,15 @@ type chain struct {
 	trace  *metrics.Trace
 	world  *pipeline.Stage[*sim.System]
 	setup  *pipeline.Stage[*campaignEnv]
-	// last is the final step; its artifact holds the finished campaign.
-	last *pipeline.Stage[*stepArtifact]
+	// steps are the probing steps in order; the last one's artifact
+	// holds the finished campaign. shards[k] are step k's shard
+	// sub-stages (none unless the campaign is sharded).
+	steps  []*pipeline.Stage[*stepArtifact]
+	shards [][]*pipeline.Stage[*cacheprobe.ShardResult]
 }
+
+// last is the final step.
+func (c *chain) last() *pipeline.Stage[*stepArtifact] { return c.steps[len(c.steps)-1] }
 
 func deps(hs ...pipeline.Handle) []pipeline.Handle { return hs }
 
@@ -206,14 +218,22 @@ func newChain(cfg Config, m mode) *chain {
 			return camp, nil
 		})
 
-	up := link{handle: calibrate, camp: calibrate.Out, hash: calibrate.ArtifactHash}
+	up := link{handle: calibrate, camp: calibrate.Out, hash: calibrate.ArtifactHash, release: func() {}}
 	for k := 0; k < m.steps; k++ {
 		stage := c.probeStep(k, up)
-		up = link{handle: stage, camp: func() *cacheprobe.Campaign { return stage.Out().Camp }, hash: stage.ArtifactHash}
-		c.last = stage
+		up = link{
+			handle: stage,
+			camp:   func() *cacheprobe.Campaign { return stage.Out().Camp },
+			hash:   stage.ArtifactHash,
+			release: func() {
+				a := stage.Out()
+				a.Pass, a.Hour = nil, nil
+			},
+		}
+		c.steps = append(c.steps, stage)
 	}
 
-	pipeline.AddStage(r, m.finishName, "", deps(c.setup, c.last), nil,
+	pipeline.AddStage(r, m.finishName, "", deps(c.setup, c.last()), nil,
 		func(ctx context.Context) (struct{}, error) {
 			c.setup.Out().prober.FinishProbing(campStart)
 			return struct{}{}, nil

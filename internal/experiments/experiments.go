@@ -249,6 +249,9 @@ func (c Config) Validate(stream bool) error {
 	case c.EmitEvery < 0:
 		return fmt.Errorf("experiments: EmitEvery (-emit-every) must be non-negative, got %d", c.EmitEvery)
 	}
+	if err := c.Retry.Validate(); err != nil {
+		return fmt.Errorf("experiments: Retry (-retries): %w", err)
+	}
 	if !stream {
 		switch {
 		case c.Hours > 0:
@@ -313,7 +316,7 @@ func Run(cfg Config) (*Results, error) {
 		Cfg:      cfg,
 		Trace:    br.trace,
 		Sys:      br.world.Out(),
-		Campaign: br.last.Out().Camp,
+		Campaign: br.last().Out().Camp,
 		DNSLogs:  br.dnsLogs.Out(),
 		CDN:      br.baselines.Out().CDN,
 		APNIC:    br.baselines.Out().APNIC,

@@ -180,3 +180,76 @@ func TestWithDefaults(t *testing.T) {
 		t.Errorf("zero config defaults = %+v, want %+v", all, d)
 	}
 }
+
+// checkDeltasReleased asserts that every probing step but the last has
+// dropped its delta (the checkpoint holds it, the campaign has folded
+// it), that the last still holds its own, and that every shard result
+// is dropped.
+func checkDeltasReleased(t *testing.T, label string, c *chain) {
+	t.Helper()
+	for k, s := range c.steps {
+		for _, sh := range c.shards[k] {
+			if sh.Out().Tasks != nil {
+				t.Errorf("%s: shard %s still holds its results after the gather", label, sh.Name())
+			}
+		}
+		a := s.Out()
+		switch last := k == len(c.steps)-1; {
+		case a == nil || a.Camp == nil:
+			t.Errorf("%s: step %s has no campaign", label, s.Name())
+		case last && (a.Pass == nil || (c.setupName == StageStreamSetup && a.Hour == nil)):
+			t.Errorf("%s: the last step %s dropped its delta", label, s.Name())
+		case !last && (a.Pass != nil || a.Hour != nil):
+			t.Errorf("%s: step %s still holds its delta after the next step ran", label, s.Name())
+		}
+	}
+}
+
+// TestStepsReleaseCheckpointedDeltas: once step k+1 has built or restored,
+// step k's artifact keeps only its campaign, and once a step has
+// gathered, its shards keep nothing — on a fresh batch run, on a resumed
+// sharded one (restored steps, then built ones) and on a stream. Four
+// tiny runs, about 1.5 s in all on two vCPUs.
+func TestStepsReleaseCheckpointedDeltas(t *testing.T) {
+	cfg := DefaultConfig(randx.Seed(77), world.ScaleTiny)
+	cfg.CampaignDuration = 24 * time.Hour
+	cfg.Passes = 4
+	cfg.TraceDuration = 6 * time.Hour
+	cfg.StateDir = t.TempDir()
+	batch := func(cfg Config) *batchRun {
+		cfg, err := cfg.prepare(false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		br := newBatchRun(cfg)
+		if err := br.runner.Run(noCtx()); err != nil && !errors.Is(err, pipeline.ErrStopped) {
+			t.Fatal(err)
+		}
+		return br
+	}
+	checkDeltasReleased(t, "fresh", batch(cfg).chain)
+
+	kcfg := cfg
+	kcfg.StateDir = t.TempDir()
+	kcfg.Shards, kcfg.ShardIndex = 2, -1
+	kcfg.StopAfter = ProbePassStage(1)
+	batch(kcfg)
+	kcfg.StopAfter, kcfg.Resume = "", true
+	rlog := &logCapture{}
+	kcfg.Log = rlog.logf
+	checkDeltasReleased(t, "resumed", batch(kcfg).chain)
+	if rlog.count("probe-pass-1: restored checkpoint") != 1 || rlog.count("probe-pass-2: running") != 1 {
+		t.Error("the resumed run did not restore pass 1 and build pass 2")
+	}
+
+	scfg := StreamConfig{Seed: randx.Seed(2021), Scale: world.ScaleTiny, Hours: 6}
+	scfg, err := scfg.prepare(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, _ := newStreamRun(scfg)
+	if err := sc.runner.Run(noCtx()); err != nil {
+		t.Fatal(err)
+	}
+	checkDeltasReleased(t, "stream", sc)
+}

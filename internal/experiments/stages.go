@@ -118,9 +118,9 @@ func newBatchRun(cfg Config) *batchRun {
 			}, nil
 		})
 
-	br.views = pipeline.AddStage(r, StageViews, base, deps(br.world, br.last, br.dnsLogs, br.baselines), nil,
+	br.views = pipeline.AddStage(r, StageViews, base, deps(br.world, br.last(), br.dnsLogs, br.baselines), nil,
 		func(ctx context.Context) (*viewsArtifact, error) {
-			return buildViews(br.last.Out().Camp, br.dnsLogs.Out(), br.baselines.Out(), br.world.Out().RV), nil
+			return buildViews(br.last().Out().Camp, br.dnsLogs.Out(), br.baselines.Out(), br.world.Out().RV), nil
 		})
 	return br
 }
@@ -148,10 +148,12 @@ func (c *chain) probeStep(k int, up link) *pipeline.Stage[*stepArtifact] {
 			return nil, err
 		}
 		a.Camp = up.camp()
+		up.release()
 		if err := c.finish(setup.Out(), a, k); err != nil {
 			return nil, err
 		}
 		a.Pass.Apply(a.Camp)
+		c.releaseShards(k)
 		return a, nil
 	}
 	var shards []*pipeline.Stage[*cacheprobe.ShardResult]
@@ -166,10 +168,12 @@ func (c *chain) probeStep(k int, up link) *pipeline.Stage[*stepArtifact] {
 				}
 			})
 	}
+	c.shards = append(c.shards, shards)
 	gdeps := append(deps(setup, up.handle), pipeline.Handles(shards)...)
 	return pipeline.AddStage(c.runner, name, fp, gdeps, &codec,
 		func(ctx context.Context) (*stepArtifact, error) {
 			env, camp := setup.Out(), up.camp()
+			up.release()
 			asg := c.plan(env, camp, k)
 			var d *cacheprobe.PassDelta
 			var err error
@@ -185,10 +189,21 @@ func (c *chain) probeStep(k int, up link) *pipeline.Stage[*stepArtifact] {
 			if err != nil {
 				return nil, err
 			}
+			c.releaseShards(k)
 			d.Base = up.hash()
 			a := &stepArtifact{Camp: camp, Pass: d}
 			return a, c.finish(env, a, k)
 		})
+}
+
+// releaseShards drops step k's shard results once its delta holds their
+// evidence: each is checkpointed, and nothing reads it again. A restored
+// step drops them only after its delta has folded, so a checkpoint that
+// fails to restore can still be rebuilt by gathering them.
+func (c *chain) releaseShards(k int) {
+	for _, s := range c.shards[k] {
+		*s.Out() = cacheprobe.ShardResult{}
+	}
 }
 
 // runDNSLogs generates the DITL traces and crawls them — technique 2 as

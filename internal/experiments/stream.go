@@ -147,6 +147,35 @@ func RunStream(cfg Config) (*StreamResults, error) {
 	if err != nil {
 		return nil, err
 	}
+	c, e := newStreamRun(cfg)
+	if err := c.runner.Run(noCtx()); err != nil {
+		return nil, err
+	}
+	c.writeTrace()
+	camp, st, senv := c.last().Out().Camp, e.st, e.senv
+	res := &StreamResults{
+		Cfg:      cfg,
+		Sys:      c.world.Out(),
+		Campaign: camp,
+		State:    st,
+		Report:   st.Report(),
+		Trace:    c.trace,
+	}
+	if out := st.FinalMap(senv); out != nil {
+		res.FinalMap, res.FinalHash = out.Map, out.Hash
+		// A fully restored run replayed checkpoints without writing; make
+		// sure the artifact on disk is the final rolling view (deduped by
+		// hash when the live path already wrote it).
+		if err := e.export(out); err != nil {
+			return nil, err
+		}
+	}
+	return res, nil
+}
+
+// newStreamRun registers the streaming run: the campaign spine with
+// hours as its steps, each hour finished by the stream state machine.
+func newStreamRun(cfg Config) (*chain, *streamEnv) {
 	e := &streamEnv{scfg: stream.Config{
 		Seed:      cfg.Seed,
 		Scale:     cfg.Scale.Name,
@@ -172,29 +201,7 @@ func RunStream(cfg Config) (*StreamResults, error) {
 		},
 		finish: e.finish,
 	})
-	if err := c.runner.Run(noCtx()); err != nil {
-		return nil, err
-	}
-	c.writeTrace()
-	camp, st, senv := c.last.Out().Camp, e.st, e.senv
-	res := &StreamResults{
-		Cfg:      cfg,
-		Sys:      c.world.Out(),
-		Campaign: camp,
-		State:    st,
-		Report:   st.Report(),
-		Trace:    c.trace,
-	}
-	if out := st.FinalMap(senv); out != nil {
-		res.FinalMap, res.FinalHash = out.Map, out.Hash
-		// A fully restored run replayed checkpoints without writing; make
-		// sure the artifact on disk is the final rolling view (deduped by
-		// hash when the live path already wrote it).
-		if err := e.export(out); err != nil {
-			return nil, err
-		}
-	}
-	return res, nil
+	return c, e
 }
 
 // MetricsLedger assembles the streaming run's deterministic metrics:

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"clientmap/internal/churn"
+	"clientmap/internal/core/cacheprobe"
 	"clientmap/internal/health"
 	"clientmap/internal/randx"
 	"clientmap/internal/world"
@@ -52,6 +53,9 @@ func TestValidate(t *testing.T) {
 		{name: "artifact on the batch entry point", cfg: with(func(c *Config) { c.ArtifactPath = "map.snap" }), wantErr: "ArtifactPath"},
 		{name: "health on the stream entry point", cfg: with(func(c *Config) { c.Health = health.Default() }), stream: true, wantErr: "Health"},
 		{name: "shards on the stream entry point", cfg: with(func(c *Config) { c.Shards = 3; c.ShardIndex = -1 }), stream: true},
+		{name: "retry attempts at the maximum", cfg: with(func(c *Config) { c.Retry = cacheprobe.Retry{Attempts: 1024} })},
+		{name: "retry attempts above the maximum", cfg: with(func(c *Config) { c.Retry = cacheprobe.Retry{Attempts: 1025} }), stream: true, wantErr: "Retry"},
+		{name: "negative retry backoff", cfg: with(func(c *Config) { c.Retry = cacheprobe.Retry{Attempts: 2, Backoff: -1} }), wantErr: "Retry"},
 		{name: "resume without state dir", cfg: with(func(c *Config) { c.Resume = true }), wantErr: "StateDir"},
 		{name: "resume with state dir", cfg: with(func(c *Config) { c.Resume = true; c.StateDir = "/tmp/x" }), stream: true},
 	}

@@ -48,10 +48,10 @@ bench:
 # bench-smoke runs every benchmark exactly once: cheap enough for CI, and
 # it keeps the benchmarks (and the alloc-regression gates that live next
 # to them) compiling and passing as the code moves. In-package ladder
-# rungs (randx BenchmarkReseed, cacheprobe BenchmarkProbePassDelta, the
-# snapshot campaign and pass-delta codecs, the stream hour-delta codec,
-# pipeline BenchmarkStageCheckpoint) run here too; -benchmem reports
-# their bytes and allocations per op.
+# rungs (randx BenchmarkReseed, cacheprobe BenchmarkProbePassDelta and
+# BenchmarkBuildAssignments, the snapshot campaign and pass-delta
+# codecs, the stream hour-delta codec, pipeline BenchmarkStageCheckpoint)
+# run here too; -benchmem reports their bytes and allocations per op.
 bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x -benchmem ./...
 

@@ -181,30 +181,16 @@ func (p *Prober) planPoP(pl *health.Planner, pop string, pops map[string]*Vantag
 	return plan
 }
 
-// scopeCoord locates a representative point for a scope: the first of up
-// to 8 sampled /24s the geo database can place (the same sampling stride
-// scopeAssigned uses).
-func (p *Prober) scopeCoord(scope netx.Prefix) (geo.Coord, bool) {
-	n := scope.NumSlash24s()
-	stride := 1
-	if n > 8 {
-		stride = n / 8
-	}
-	first := uint32(scope.FirstSlash24())
-	for i := 0; i < n; i += stride {
-		if loc, ok := p.cfg.GeoDB.Lookup(netx.Slash24(first + uint32(i))); ok {
-			return loc.Coord, true
-		}
-	}
-	return geo.Coord{}, false
-}
-
 // fallbackCandidates lists the other PoPs whose calibrated service
 // radius possibly covers the scope, nearest first — the planner picks
 // the first healthy one. Returns the breaker target names (the PoPs'
 // primary vantage names) alongside the PoPs themselves and distances.
 func (p *Prober) fallbackCandidates(pop string, scope netx.Prefix, pops map[string]*Vantage, asg *Assignments, camp *Campaign, at time.Time) (targets, fbPops []string, vs []*Vantage, dists []float64) {
-	loc, ok := p.scopeCoord(scope)
+	si, ok := asg.geo.index(scope)
+	if !ok {
+		return nil, nil, nil, nil
+	}
+	loc, ok := asg.geo.coord(si)
 	if !ok {
 		return nil, nil, nil, nil
 	}
@@ -223,7 +209,7 @@ func (p *Prober) fallbackCandidates(pop string, scope netx.Prefix, pops map[stri
 		if cal, ok := camp.PoPs[other]; ok {
 			radius = cal.RadiusKm
 		}
-		if !p.scopeAssigned(scope, coord, radius) {
+		if !asg.geo.within(si, coord, radius) {
 			continue
 		}
 		cands = append(cands, cand{pop: other, v: pops[other], dist: geo.DistanceKm(coord, loc)})

@@ -1,10 +1,16 @@
 package cacheprobe
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"strconv"
 	"testing"
+	"time"
 
+	"clientmap/internal/clockx"
+	"clientmap/internal/dnswire"
+	"clientmap/internal/domains"
 	"clientmap/internal/netx"
 	"clientmap/internal/randx"
 )
@@ -24,6 +30,23 @@ func TestTxidBaseMatchesStringHash(t *testing.T) {
 		want := uint16(p.cfg.Seed.Hash64("cacheprobe/txid/" + k))
 		if got := p.txidBase([]byte(k)); got != want {
 			t.Errorf("txidBase(%q) = %d, string-hash derivation = %d", k, got, want)
+		}
+	}
+	// The probe loop's form: the state after a batch's
+	// "probe/<pass>/<pop>/" prefix, continued by each task's
+	// "<domain>/<scope>" tail, is the hash of the whole Sprintf key.
+	scope := netx.MustParsePrefix("198.51.100.0/22")
+	for _, pass := range []int{0, 7, 12, 103} {
+		for _, pop := range []string{"fra", "sjc2", "gru10"} {
+			prefix := fmt.Sprintf("probe/%d/%s/", pass, pop)
+			st := p.txidState([]byte(prefix))
+			for _, domain := range []string{"en.wikipedia.org", "www.google.com"} {
+				tail := scope.AppendTo([]byte(domain + "/"))
+				full := fmt.Sprintf("cacheprobe/txid/probe/%d/%s/%s/%s", pass, pop, domain, scope)
+				if got, want := st.Extend(tail).Hash64(), p.cfg.Seed.Hash64(full); got != want {
+					t.Errorf("state after %q continued by %q = %x, Hash64(%q) = %x", prefix, tail, got, full, want)
+				}
+			}
 		}
 	}
 }
@@ -71,6 +94,62 @@ func TestProbeKeyBytesMatchSprintf(t *testing.T) {
 		ak := strconv.AppendInt(append(key[:kLen], '/'), int64(a), 10)
 		if got, want := string(ak), fmt.Sprintf("%s/%d", want, a); got != want {
 			t.Errorf("attempt key = %q, want %q", got, want)
+		}
+	}
+}
+
+// questionRecorder records each query's id and question name and
+// answers none of them.
+type questionRecorder struct {
+	ids   []uint16
+	names []string
+}
+
+func (e *questionRecorder) Exchange(ctx context.Context, server string, q *dnswire.Message) (*dnswire.Message, error) {
+	e.ids = append(e.ids, q.ID)
+	e.names = append(e.names, q.Question().Name)
+	return nil, errors.New("no answer")
+}
+
+// TestMixedCaseCatalogNameProbes: the prober canonicalises a catalog
+// name once for its questions, while the content keys keep hashing the
+// raw name, so a mixed-case name asks the canonical question under the
+// transaction ids its raw-name keys always gave.
+func TestMixedCaseCatalogNameProbes(t *testing.T) {
+	const (
+		raw  = "En.Wikipedia.ORG"
+		pass = 12
+	)
+	scopes := []netx.Prefix{netx.MustParsePrefix("10.1.0.0/16"), netx.MustParsePrefix("203.0.113.0/24")}
+	cfg := Config{
+		Seed: randx.Seed(2021), Clock: clockx.NewSim(clockx.Epoch),
+		Domains:  []domains.Domain{{Name: raw, SupportsECS: true}},
+		Duration: 2 * time.Hour, Passes: 16, Workers: 1,
+	}
+	asg := &Assignments{popNames: []string{"ams"}, tasks: [][]probeTask{nil}, domains: []string{raw}}
+	for _, sc := range scopes {
+		asg.tasks[0] = append(asg.tasks[0], probeTask{scope: sc})
+	}
+	rec := &questionRecorder{}
+	pops := map[string]*Vantage{"ams": {Name: "vm-ams", Exchanger: rec, Server: "gpdns"}}
+	p := NewProber(cfg, nil, Authoritative{})
+	if _, err := p.ProbePassDelta(context.Background(), pops, asg, pass, clockx.Epoch, NewCampaign()); err != nil {
+		t.Fatal(err)
+	}
+	red := p.cfg.Redundancy
+	if len(rec.ids) != red*len(scopes) {
+		t.Fatalf("%d probes sent, want %d", len(rec.ids), red*len(scopes))
+	}
+	for i, sc := range scopes {
+		base := uint16(p.cfg.Seed.Hash64(fmt.Sprintf("cacheprobe/txid/probe/%d/ams/%s/%s", pass, raw, sc)))
+		for a := 0; a < red; a++ {
+			k := i*red + a
+			if rec.names[k] != "en.wikipedia.org" {
+				t.Errorf("probe %d asks %q, want the canonical name", k, rec.names[k])
+			}
+			if want := txidAt(base, a); rec.ids[k] != want {
+				t.Errorf("probe %d of %v has id %d, the raw-name key gives %d", a, sc, rec.ids[k], want)
+			}
 		}
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"clientmap/internal/metrics"
 	"clientmap/internal/netx"
 	"clientmap/internal/par"
+	"clientmap/internal/randx"
 )
 
 // Prober executes campaigns.
@@ -40,6 +41,10 @@ type Prober struct {
 	cfg      Config
 	vantages []Vantage
 	auth     Authoritative
+	// qnames are the catalog's names (Config.Domains order) in canonical
+	// form, the probe questions' names: canonicalised once here instead
+	// of on every probe. Keys keep hashing the raw catalog names.
+	qnames []string
 	// alts maps each discovered PoP to the vantages beyond the first
 	// whose anycast route reaches it — the hedge and failover partners
 	// that recover the PoP's shared caches when its primary degrades.
@@ -69,6 +74,10 @@ func NewProber(cfg Config, vantages []Vantage, auth Authoritative) *Prober {
 		panic(fmt.Sprintf("cacheprobe: Redundancy %d above the maximum %d", cfg.Redundancy, maxRedundancy))
 	}
 	p := &Prober{cfg: cfg, vantages: vantages, auth: auth, m: newProberMetrics(cfg.Metrics)}
+	p.qnames = make([]string, len(cfg.Domains))
+	for di, d := range cfg.Domains {
+		p.qnames[di] = dnswire.CanonicalName(d.Name)
+	}
 	if cfg.Health != nil && cfg.Health.Config().Hedging() {
 		p.hedgeAfter = cfg.Health.Config().HedgeAfter
 	}
@@ -86,14 +95,17 @@ func (p *Prober) workers() int { return par.Workers(p.cfg.Workers) }
 // numbers keep a redundancy burst spread across a site's pools, which is
 // the reason redundant copies exist (§3.1.1).
 //
-// The hash domain "cacheprobe/txid/<key>" is byte-built in stack scratch
-// and must equal the former string concatenation — the ids select cache
-// pools, so any drift would move every probe's pool assignment.
-func (p *Prober) txidBase(key []byte) uint16 {
-	var kb [208]byte
-	k := append(kb[:0], "cacheprobe/txid/"...)
-	k = append(k, key...)
-	return uint16(p.cfg.Seed.Hash64B(k))
+// The hash domain "cacheprobe/txid/<key>" must equal the former string
+// concatenation — the ids select cache pools, so any drift would move
+// every probe's pool assignment.
+func (p *Prober) txidBase(key []byte) uint16 { return uint16(p.txidState(key).Hash64()) }
+
+// txidState is the txid hash state after "cacheprobe/txid/<prefix>". The
+// probe loop takes it once per batch for the batch's constant
+// "probe/<pass>/<pop>/" prefix and extends it by each task's key tail.
+func (p *Prober) txidState(prefix []byte) randx.KeyState {
+	var kb [16]byte
+	return p.cfg.Seed.KeyState(append(kb[:0], "cacheprobe/txid/"...)).Extend(prefix)
 }
 
 // txidAt offsets the base id by the redundancy attempt, avoiding the
@@ -107,16 +119,17 @@ func txidAt(base uint16, attempt int) uint16 {
 	return id
 }
 
-// snoop sends one non-recursive ECS probe on the caller's reused scratch
-// query q and reports (hit, response scope). Timeouts and errors count as
+// snoop sends one non-recursive ECS probe for qname, a canonical catalog
+// name (Prober.qnames), on the caller's reused scratch query q and
+// reports (hit, response scope). Timeouts and errors count as
 // misses, as in live probing — but with a retry policy configured, each
 // failed try is retried (within the task's budget allowance in acct)
 // before the miss is accepted. key is the probe's content key plus
 // redundancy attempt: the hash domain for backoff jitter and per-try
 // fault decisions. The response is a pooled message and snoop is its
 // final consumer: it extracts the verdict and releases it.
-func (p *Prober) snoop(ctx context.Context, v *Vantage, q *dnswire.Message, id uint16, domain string, scope netx.Prefix, key []byte, acct *retryAccount) (bool, netx.Prefix) {
-	q.SetQuery(id, domain, dnswire.TypeA).WithECS(scope)
+func (p *Prober) snoop(ctx context.Context, v *Vantage, q *dnswire.Message, id uint16, qname string, scope netx.Prefix, key []byte, acct *retryAccount) (bool, netx.Prefix) {
+	q.SetQueryCanonical(id, qname, dnswire.TypeA).WithECS(scope)
 	q.RecursionDesired = false
 	resp, err := p.exchange(ctx, v.Exchanger, v.Server, q, key, acct)
 	if err != nil || resp == nil {
@@ -191,16 +204,16 @@ func (p *Prober) DiscoverPoPs(ctx context.Context) (map[string]*Vantage, error) 
 // the next query), but blocks and domains are independent of each other.
 func (p *Prober) PreScan(ctx context.Context, camp *Campaign) error {
 	type span struct {
-		domain string
-		block  netx.Prefix
+		domain, qname string
+		block         netx.Prefix
 	}
 	var spans []span
-	for _, d := range p.cfg.Domains {
+	for di, d := range p.cfg.Domains {
 		if !d.SupportsECS {
 			continue
 		}
 		for _, block := range p.cfg.Universe {
-			spans = append(spans, span{domain: d.Name, block: block})
+			spans = append(spans, span{domain: d.Name, qname: p.qnames[di], block: block})
 		}
 	}
 
@@ -238,7 +251,7 @@ func (p *Prober) PreScan(ctx context.Context, camp *Campaign) error {
 		for cur < end {
 			s24 := netx.Slash24(cur)
 			key := s24.AppendTo(pfx[:base])
-			q.SetQuery(txidAt(p.txidBase(key), 0), sp.domain, dnswire.TypeA).WithECS(s24.Prefix())
+			q.SetQueryCanonical(txidAt(p.txidBase(key), 0), sp.qname, dnswire.TypeA).WithECS(s24.Prefix())
 			resp, err := p.exchange(ctx, p.auth.Exchanger, p.auth.Server, q, key, acct)
 			sent++
 			if err != nil || resp == nil || resp.EDNS == nil || resp.EDNS.ECS == nil {
@@ -378,7 +391,7 @@ func (p *Prober) Calibrate(ctx context.Context, pops map[string]*Vantage, camp *
 		key = append(key, '/')
 		sBase := len(key)
 		hit := false
-		for _, d := range p.cfg.Domains {
+		for di, d := range p.cfg.Domains {
 			if d.Microsoft {
 				continue // calibration uses the Alexa picks only
 			}
@@ -387,7 +400,7 @@ func (p *Prober) Calibrate(ctx context.Context, pops map[string]*Vantage, camp *
 			base := p.txidBase(key)
 			for a := 0; a < p.cfg.Redundancy && !hit; a++ {
 				ak := strconv.AppendInt(append(key[:kLen], '/'), int64(a), 10)
-				hit, _ = p.snoop(sctx, v, q, txidAt(base, a), d.Name, s.Prefix(), ak, &r.retry)
+				hit, _ = p.snoop(sctx, v, q, txidAt(base, a), p.qnames[di], s.Prefix(), ak, &r.retry)
 				r.probes++
 			}
 			if hit {
@@ -450,26 +463,6 @@ func (p *Prober) Calibrate(ctx context.Context, pops map[string]*Vantage, camp *
 // MaxServiceRadiusKm caps service radii when calibration yields no hits
 // (the paper's maximum observed radius, Zurich's 5,524 km).
 const MaxServiceRadiusKm = 5524.0
-
-// scopeAssigned reports whether any of the scope's /24s is possibly within
-// the PoP's service radius per the geolocation database. Large scopes are
-// sampled at up to 8 of their /24s.
-func (p *Prober) scopeAssigned(scope netx.Prefix, popCoord geo.Coord, radiusKm float64) bool {
-	n := scope.NumSlash24s()
-	stride := 1
-	if n > 8 {
-		stride = n / 8
-	}
-	first := uint32(scope.FirstSlash24())
-	for i := 0; i < n; i += stride {
-		if loc, ok := p.cfg.GeoDB.Lookup(netx.Slash24(first + uint32(i))); ok {
-			if loc.PossiblyWithin(popCoord, radiusKm) {
-				return true
-			}
-		}
-	}
-	return false
-}
 
 // probeChunk is the batched-dispatch grain of the probe loop: workers
 // claim this many consecutive tasks per synchronization point, and the
@@ -541,6 +534,9 @@ type Assignments struct {
 	// (catalog coordinates, vantage fallback) — reused by the failover
 	// planner so in-radius checks match the original assignment's.
 	coords map[string]geo.Coord
+	// geo is the campaign's scope-geography table, kept for the
+	// failover planner when the degradation layer is on (nil otherwise).
+	geo *scopeGeo
 }
 
 // coord returns the PoP location assignment used, falling back to the
@@ -556,17 +552,26 @@ func (a *Assignments) coord(pop string, pops map[string]*Vantage) geo.Coord {
 // MaxMind places possibly within its service radius, per domain) and
 // records the per-PoP assignment sizes on the campaign. PoP coordinates
 // come from popCoords (discovered PoP name → location).
+//
+// Each distinct scope is geolocated once, into the scope-geography
+// table, and each PoP decides each of its sampled /24s once; the
+// (domain, scope) entries then read their scope's verdict.
 func (p *Prober) BuildAssignments(pops map[string]*Vantage, popCoords map[string]geo.Coord, camp *Campaign) *Assignments {
 	popNames := sortedPoPs(pops)
+	g := p.newScopeGeo(camp)
 	names := make([]string, len(p.cfg.Domains))
-	total := 0
+	// rows[j] is (domain, scope) entry j's row in g, in domain order.
+	var rows []int32
 	for di, d := range p.cfg.Domains {
 		names[di] = d.Name
-		total += len(camp.ScopesByDomain[d.Name])
+		for _, scope := range camp.ScopesByDomain[d.Name] {
+			i, _ := g.index(scope)
+			rows = append(rows, int32(i))
+		}
 	}
 	// Build per-PoP assignments concurrently across PoPs (pure reads of
-	// the geo database and pre-scan output). Each PoP marks its in-radius
-	// (domain, scope) pairs first, so its task list is sized once.
+	// the table and the pre-scan output). Each PoP decides every distinct
+	// scope first, so its task list is sized once.
 	assignments := make([][]probeTask, len(popNames))
 	par.ForEach(len(popNames), p.workers(), func(pi int) {
 		pop := popNames[pi]
@@ -578,22 +583,18 @@ func (p *Prober) BuildAssignments(pops map[string]*Vantage, popCoords map[string
 		if cal, ok := camp.PoPs[pop]; ok {
 			radius = cal.RadiusKm
 		}
-		in := make([]bool, total)
-		n, j := 0, 0
-		for _, d := range p.cfg.Domains {
-			for _, scope := range camp.ScopesByDomain[d.Name] {
-				if p.scopeAssigned(scope, coord, radius) {
-					in[j] = true
-					n++
-				}
-				j++
+		in := g.withinAll(coord, radius)
+		n := 0
+		for _, i := range rows {
+			if in[i] {
+				n++
 			}
 		}
 		tasks := make([]probeTask, 0, n)
-		j = 0
+		j := 0
 		for di, d := range p.cfg.Domains {
 			for _, scope := range camp.ScopesByDomain[d.Name] {
-				if in[j] {
+				if in[rows[j]] {
 					tasks = append(tasks, probeTask{scope: scope, domain: uint32(di)})
 				}
 				j++
@@ -612,7 +613,11 @@ func (p *Prober) BuildAssignments(pops map[string]*Vantage, popCoords map[string
 			coords[pop] = c
 		}
 	}
-	return &Assignments{popNames: popNames, tasks: assignments, domains: names, coords: coords}
+	asg := &Assignments{popNames: popNames, tasks: assignments, domains: names, coords: coords}
+	if p.cfg.Health != nil {
+		asg.geo = g // only the failover planner reads it again
+	}
+	return asg
 }
 
 // ProbePassDelta runs one assignment loop (pass) of stage 4, merges its

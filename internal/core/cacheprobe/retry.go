@@ -188,6 +188,31 @@ func (p *Prober) retryAllowance(scope string, ti, tasks int) int {
 	return allow
 }
 
+// maxRetryDelay (about 146 years) caps a retry's backoff step and a
+// query's accumulated backoff. Unbounded doubling wraps int64 within a
+// few dozen tries (one second, 40 attempts), scheduling tries in the
+// past; no realistic policy reaches the cap.
+const maxRetryDelay = time.Duration(1 << 62)
+
+// backoffStep is base doubled per retry before try, saturating at
+// maxRetryDelay.
+func backoffStep(base time.Duration, try int) time.Duration {
+	shift := uint(try - 1)
+	if shift >= 62 || base > maxRetryDelay>>shift {
+		return maxRetryDelay
+	}
+	return base << shift
+}
+
+// addDelay is a+b for non-negative a and b, saturating at
+// maxRetryDelay.
+func addDelay(a, b time.Duration) time.Duration {
+	if a > maxRetryDelay-b {
+		return maxRetryDelay
+	}
+	return a + b
+}
+
 // exchange performs one logical query under the retry policy: up to
 // Retry.Attempts tries, exponential backoff between tries with a
 // hash-derived jitter shifting the query's scheduled timestamp, each
@@ -227,7 +252,7 @@ func (p *Prober) exchange(ctx context.Context, ex dnsnet.Exchanger, server strin
 		if try > 0 {
 			step := r.Backoff
 			if step > 0 {
-				step <<= uint(try - 1)
+				step = backoffStep(step, try)
 				// try leads the key (FNV-1a avalanches early bytes only).
 				// Byte-built, identical to the former
 				// fmt.Sprintf("cacheprobe/retry/%d/%s", try, key).
@@ -236,9 +261,9 @@ func (p *Prober) exchange(ctx context.Context, ex dnsnet.Exchanger, server strin
 				jk = strconv.AppendInt(jk, int64(try), 10)
 				jk = append(jk, '/')
 				jk = append(jk, key...)
-				step += time.Duration(p.cfg.Seed.HashUnitB(jk) * float64(r.Backoff))
+				step = addDelay(step, time.Duration(p.cfg.Seed.HashUnitB(jk)*float64(r.Backoff)))
 			}
-			delay += step
+			delay = addDelay(delay, step)
 			if t, ok := clockx.TimeFrom(ctx); ok {
 				tctx = clockx.WithTime(ctx, t.Add(delay))
 			}

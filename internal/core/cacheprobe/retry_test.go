@@ -3,12 +3,14 @@ package cacheprobe
 import (
 	"context"
 	"errors"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"clientmap/internal/clockx"
 	"clientmap/internal/dnswire"
+	"clientmap/internal/metrics"
 	"clientmap/internal/randx"
 )
 
@@ -83,6 +85,53 @@ func TestRetryZeroValues(t *testing.T) {
 				t.Errorf("retry loop moved the clock to %v", clk.Now())
 			}
 		})
+	}
+}
+
+// TestRetryBackoffSaturates: doubling a one-second backoff over 40
+// attempts passes the int64 range of a Duration. Against a path that
+// always fails, each query's tries must still be scheduled at
+// non-decreasing instants from its own, and the retry-delay histogram
+// must see only non-negative delays, the last ones at the cap.
+func TestRetryBackoffSaturates(t *testing.T) {
+	r := Retry{Attempts: 40, Backoff: time.Second}
+	if err := r.Validate(); err != nil {
+		t.Fatalf("policy unexpectedly invalid: %v", err)
+	}
+	reg := metrics.NewRegistry()
+	delays := reg.Histogram("delay_ms", []int64{-1})
+	p := &Prober{cfg: Config{Seed: randx.Seed(7), Clock: clockx.NewSim(clockx.Epoch), Retry: r}}
+	at := clockx.Epoch.Add(time.Hour)
+	const queries = 5
+	for i := 0; i < queries; i++ {
+		ex := &countingExchanger{failures: r.Attempts}
+		acct := &retryAccount{remaining: -1, delays: delays}
+		ctx := clockx.WithTime(context.Background(), at)
+		_, _ = p.exchange(ctx, ex, "test", &dnswire.Message{}, []byte("overflow/"+strconv.Itoa(i)), acct)
+		if ex.calls != r.Attempts || acct.spent != r.Attempts-1 {
+			t.Fatalf("query %d: %d tries, %d spent; want %d, %d", i, ex.calls, acct.spent, r.Attempts, r.Attempts-1)
+		}
+		if !ex.times[0].Equal(at) {
+			t.Fatalf("query %d: first try at %v, want %v", i, ex.times[0], at)
+		}
+		for k := 1; k < len(ex.times); k++ {
+			if ex.times[k].Before(ex.times[k-1]) {
+				t.Fatalf("query %d: try %d scheduled at %v, before try %d at %v", i, k, ex.times[k], k-1, ex.times[k-1])
+			}
+		}
+		if last, want := ex.times[len(ex.times)-1], at.Add(maxRetryDelay); !last.Equal(want) {
+			t.Errorf("query %d: last try at %v, want the cap %v", i, last, want)
+		}
+	}
+	led := reg.Snapshot()
+	if n := led["delay_ms/le=-1"]; n != 0 {
+		t.Errorf("%d negative delay observations", n)
+	}
+	if n := led["delay_ms/count"]; n != queries {
+		t.Errorf("%d delay observations, want %d", n, queries)
+	}
+	if sum, want := led["delay_ms/sum"], int64(queries)*maxRetryDelay.Milliseconds(); sum != want {
+		t.Errorf("delay sum %d ms, want %d (every query at the cap)", sum, want)
 	}
 }
 

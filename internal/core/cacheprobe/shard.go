@@ -254,11 +254,12 @@ func (p *Prober) execUnits(ctx context.Context, pops map[string]*Vantage, asg *A
 		tasks := asg.tasks[u.PoPIndex]
 		slots := out[b.ui]
 		// Per-batch scratch: one pooled query message, a key buffer
-		// pre-filled with "probe/<pass>/<pop>/", one re-stamped time
-		// carrier, and the tally the per-probe ledger counters add into
-		// (flushed when the batch ends, inside the caller's snapshot
-		// window). Batch boundaries carry no state, so splitting a PoP's
-		// tasks across units changes nothing.
+		// pre-filled with "probe/<pass>/<pop>/" and the txid hash state
+		// after it, one re-stamped time carrier, and the tally the
+		// per-probe ledger counters add into (flushed when the batch
+		// ends, inside the caller's snapshot window). Batch boundaries
+		// carry no state, so splitting a PoP's tasks across units changes
+		// nothing.
 		q := dnswire.AcquireMessage()
 		defer dnswire.ReleaseMessage(q)
 		tally := &metrics.Tally{}
@@ -270,6 +271,7 @@ func (p *Prober) execUnits(ctx context.Context, pops map[string]*Vantage, asg *A
 		keyBuf = append(keyBuf, pop...)
 		keyBuf = append(keyBuf, '/')
 		popLen := len(keyBuf)
+		txid := p.txidState(keyBuf)
 		carrier := &clockx.TimeCarrier{Context: metrics.WithTally(ctx, tally)}
 		var hedge hedgeOption
 		for i := b.lo; i < b.hi; i++ {
@@ -295,12 +297,13 @@ func (p *Prober) execUnits(ctx context.Context, pops map[string]*Vantage, asg *A
 			key = append(key, '/')
 			key = tk.scope.AppendTo(key)
 			kLen := len(key)
-			base := p.txidBase(key)
+			base := uint16(txid.Extend(key[popLen:]).Hash64())
+			qname := p.qnames[tk.domain]
 			r := &slots[i]
 			probes := 0
 			for a := 0; a < p.cfg.Redundancy; a++ {
 				ak := strconv.AppendInt(append(key[:kLen], '/'), int64(a), 10)
-				hit, respScope := p.snoop(carrier, pv, q, txidAt(base, a), domain, tk.scope, ak, &acct)
+				hit, respScope := p.snoop(carrier, pv, q, txidAt(base, a), qname, tk.scope, ak, &acct)
 				probes++
 				if hit {
 					r.hit, r.bits = true, uint8(respScope.Bits())

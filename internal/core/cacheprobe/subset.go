@@ -30,15 +30,16 @@ func (a *Assignments) TaskAt(pi, ti int) (domain string, scope netx.Prefix) {
 // Subset builds a plan containing, per PoP slot, only the tasks whose
 // indices appear in sel[pi] (which must be sorted ascending; indices out
 // of range are ignored, and sel may be shorter than the PoP list). PoP
-// names, the domain catalog and coordinates are shared with the parent
-// plan; task slices are fresh and sized once, so the parent is never
-// mutated.
+// names, the domain catalog, coordinates and the scope-geography table
+// are shared with the parent plan; task slices are fresh and sized once,
+// so the parent is never mutated.
 func (a *Assignments) Subset(sel [][]int) *Assignments {
 	sub := &Assignments{
 		popNames: a.popNames,
 		tasks:    make([][]probeTask, len(a.tasks)),
 		domains:  a.domains,
 		coords:   a.coords,
+		geo:      a.geo,
 	}
 	for pi := range a.tasks {
 		if pi >= len(sel) {

@@ -134,6 +134,7 @@ func TestQueryBuildAllocs(t *testing.T) {
 		m.SetQuery(42, "en.wikipedia.org", TypeA)
 		m.RecursionDesired = false
 		m.WithECS(scope)
+		m.SetQueryCanonical(43, "en.wikipedia.org", TypeA).WithECS(scope)
 	})
 	if allocs != 0 {
 		t.Errorf("SetQuery+WithECS allocates %.1f per run, want 0", allocs)

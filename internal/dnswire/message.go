@@ -241,10 +241,18 @@ func NewQuery(id uint16, name string, t Type) *Message {
 // and re-points it at each (id, name, scope) instead of allocating a
 // fresh query per probe.
 func (m *Message) SetQuery(id uint16, name string, t Type) *Message {
+	return m.SetQueryCanonical(id, CanonicalName(name), t)
+}
+
+// SetQueryCanonical is SetQuery for a name the caller already holds in
+// canonical form (CanonicalName(name) == name), which it trusts and does
+// not lower again: a prober canonicalises each catalog name once and
+// reuses it for every probe.
+func (m *Message) SetQueryCanonical(id uint16, name string, t Type) *Message {
 	m.Reset()
 	m.ID = id
 	m.RecursionDesired = true
-	m.Questions = append(m.Questions, Question{Name: CanonicalName(name), Type: t, Class: ClassINET})
+	m.Questions = append(m.Questions, Question{Name: name, Type: t, Class: ClassINET})
 	return m
 }
 

@@ -339,3 +339,29 @@ func ValidateName(name string) error {
 	}
 	return nil
 }
+
+// TestSetQueryCanonicalMatchesSetQuery: for a name in canonical form the
+// trusting setter builds the message SetQuery builds, field for field and
+// byte for byte on the wire; for any other name, SetQuery equals the
+// trusting setter on the name's canonical form.
+func TestSetQueryCanonicalMatchesSetQuery(t *testing.T) {
+	scope := netx.MustParsePrefix("203.0.113.0/22")
+	for _, name := range []string{"en.wikipedia.org", "www.google.com", "a", "", "En.Wikipedia.ORG", "example.com."} {
+		canon := CanonicalName(name)
+		var a, b Message
+		b.SetQuery(1, "stale.example", TypeTXT) // reuse must clear it
+		a.SetQuery(513, name, TypeA).WithECS(scope)
+		b.SetQueryCanonical(513, canon, TypeA).WithECS(scope)
+		a.EDNS, b.EDNS = nil, nil // compared below; the pointers differ
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("%q: SetQueryCanonical = %+v, SetQuery = %+v", name, b, a)
+		}
+		a.WithECS(scope)
+		b.WithECS(scope)
+		wa, errA := a.Marshal()
+		wb, errB := b.Marshal()
+		if (errA == nil) != (errB == nil) || !bytes.Equal(wa, wb) {
+			t.Fatalf("%q: wire %x (%v), want %x (%v)", name, wb, errB, wa, errA)
+		}
+	}
+}

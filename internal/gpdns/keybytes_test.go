@@ -12,8 +12,38 @@ import (
 // byte-built "gpdns/<name>/<natural>/<pop>/<pool>" and
 // "gpdns/flip/..." keys must equal the fmt.Sprintf renderings they
 // replaced, or every lazily filled cache line in the simulated resolver
-// would move to a different arrival time and scope.
+// would move to a different arrival time and scope. A filled line's
+// sampler head, continued by Lookup's "<pop>/<pool>" tail, must be the
+// sampler state of the whole Sprintf key.
 func TestLazyKeyBytesMatchSprintf(t *testing.T) {
+	_, model, _ := lazySetup(t, 31)
+	lf := NewLazyFill(model, PoolsPerPoP)
+	srcs := []netx.Prefix{model.W.Prefixes[0].P.Prefix(), model.W.Prefixes[len(model.W.Prefixes)/2].P.Prefix()}
+	lines := 0
+	for di := range lf.doms {
+		d := &lf.doms[di]
+		if !d.SupportsECS {
+			continue
+		}
+		for _, src := range srcs {
+			l := lf.lineFor(int32(di), d, src)
+			lines++
+			for _, pp := range [][2]int{{0, 0}, {3, 1}, {12, 7}, {21, 11}} {
+				var kb [24]byte
+				tail := strconv.AppendInt(kb[:0], int64(pp[0]), 10)
+				tail = append(tail, '/')
+				tail = strconv.AppendInt(tail, int64(pp[1]), 10)
+				full := fmt.Sprintf("gpdns/%s/%s/%d/%d", d.Name, l.natural, pp[0], pp[1])
+				if l.sampler.Extend(tail) != model.EventKey([]byte(full)) {
+					t.Errorf("line %s %v: head continued by %q is not the sampler state of %q", d.Name, src, tail, full)
+				}
+			}
+		}
+	}
+	if lines == 0 {
+		t.Fatal("the catalog has no ECS domain")
+	}
+
 	naturals := []netx.Prefix{
 		netx.MustParsePrefix("10.0.0.0/20"),
 		netx.MustParsePrefix("203.0.113.0/24"),

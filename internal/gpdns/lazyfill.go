@@ -72,6 +72,10 @@ type line struct {
 	lon     float64
 	// diurn is the rate-weighted mean diurnality of the scope's clients.
 	diurn float64
+	// sampler is the cache-fill sampler key's line-constant head,
+	// "gpdns/<name>/<natural>/", as prefix states; Lookup extends it by
+	// "<pop>/<pool>".
+	sampler traffic.EventKey
 	// rates holds each PoP's aggregated rate, in first-seen order; every
 	// rate is positive.
 	rates []popRate
@@ -187,7 +191,13 @@ func (lf *LazyFill) lineFor(di int32, d *domains.Domain, src netx.Prefix) *line 
 // /24 in ascending order, so every float is a pure function of the key.
 func (lf *LazyFill) fill(m *fillMemo, d *domains.Domain, k lineKey) *line {
 	natural := authdns.NaturalScope(lf.model.W.Cfg.Seed, *d, k.src)
-	l := &line{key: k, natural: natural}
+	var kb [96]byte
+	head := append(kb[:0], "gpdns/"...)
+	head = append(head, d.Name...)
+	head = append(head, '/')
+	head = natural.AppendTo(head)
+	head = append(head, '/')
+	l := &line{key: k, natural: natural, sampler: lf.model.EventKey(head)}
 	first := true
 	var rateSum, diurnSum float64
 	natural.Slash24s(func(p netx.Slash24) bool {
@@ -257,20 +267,16 @@ func (lf *LazyFill) Lookup(popIdx, poolIdx int, name string, src netx.Prefix, no
 		return entry{}, false
 	}
 	natural := l.natural
-	// Sampler key "gpdns/<name>/<natural>/<pop>/<pool>", byte-built in
-	// stack scratch — these bytes must equal the fmt.Sprintf("%s/%s/%d/%d")
+	// Sampler key "gpdns/<name>/<natural>/<pop>/<pool>": the line holds
+	// the states after its head, and the tail is byte-built in stack
+	// scratch. The hashed bytes must equal the fmt.Sprintf("%s/%s/%d/%d")
 	// key this line used before the zero-alloc rewrite, or every lazily
 	// filled cache line would move (pinned by TestLazyKeyBytesMatchSprintf).
-	var kb [96]byte
-	key := append(kb[:0], "gpdns/"...)
-	key = append(key, d.Name...)
-	key = append(key, '/')
-	key = natural.AppendTo(key)
-	key = append(key, '/')
-	key = strconv.AppendInt(key, int64(popIdx), 10)
-	key = append(key, '/')
-	key = strconv.AppendInt(key, int64(poolIdx), 10)
-	arrival, ok := lf.model.LastEventBeforeDB(key, rate/float64(lf.pools), l.lon, l.diurn, now, d.TTL)
+	var kb [24]byte
+	tail := strconv.AppendInt(kb[:0], int64(popIdx), 10)
+	tail = append(tail, '/')
+	tail = strconv.AppendInt(tail, int64(poolIdx), 10)
+	arrival, ok := lf.model.LastEventBefore(l.sampler.Extend(tail), rate/float64(lf.pools), l.lon, l.diurn, now, d.TTL)
 	if !ok {
 		return entry{}, false
 	}

@@ -2,6 +2,7 @@ package gpdns
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -9,6 +10,8 @@ import (
 	"clientmap/internal/clockx"
 	"clientmap/internal/domains"
 	"clientmap/internal/netx"
+	"clientmap/internal/randx"
+	"clientmap/internal/traffic"
 )
 
 // oracleLookup is LazyFill.Lookup computed from scratch on every call,
@@ -52,7 +55,7 @@ func oracleLookup(lf *LazyFill, popIdx, poolIdx int, name string, src netx.Prefi
 		return entry{}, false
 	}
 	key := fmt.Sprintf("gpdns/%s/%s/%d/%d", d.Name, natural, popIdx, poolIdx)
-	arrival, ok := m.LastEventBeforeDB([]byte(key), rate/float64(lf.pools), lon, diurn, now, d.TTL)
+	arrival, ok := lastEventBefore(m.W.Cfg.Seed, key, rate/float64(lf.pools), lon, diurn, now, d.TTL)
 	if !ok {
 		return entry{}, false
 	}
@@ -61,6 +64,32 @@ func oracleLookup(lf *LazyFill, popIdx, poolIdx int, name string, src netx.Prefi
 		return entry{}, false
 	}
 	return entry{name: name, addr: lazyAddr(name), scope: scope, expiry: arrival.Add(d.TTL)}, true
+}
+
+// lastEventBefore is the traffic model's cache-fill sampler computed
+// from the whole string key: each bucket's "traffic/ev/<key>/<bucket>"
+// and "traffic/evt/<key>/<bucket>" draws hashed from the seed, with no
+// prefix state.
+func lastEventBefore(seed randx.Seed, key string, rate, lon, diurn float64, t time.Time, window time.Duration) (time.Time, bool) {
+	if rate <= 0 || window <= 0 {
+		return time.Time{}, false
+	}
+	bucket := t.UnixNano() / int64(window)
+	for _, b := range [2]int64{bucket, bucket - 1} {
+		bStart := time.Unix(0, b*int64(window))
+		mean := rate * window.Seconds() * traffic.DiurnalWeighted(bStart.Add(window/2), lon, diurn)
+		if seed.HashUnit(fmt.Sprintf("traffic/ev/%s/%d", key, b)) >= 1-math.Exp(-mean) {
+			continue
+		}
+		evt := bStart.Add(time.Duration(seed.HashUnit(fmt.Sprintf("traffic/evt/%s/%d", key, b)) * float64(window)))
+		if b == bucket && evt.After(t) {
+			continue
+		}
+		if !evt.Before(t.Add(-window)) {
+			return evt, true
+		}
+	}
+	return time.Time{}, false
 }
 
 // oracleCases is the concurrency test's case set plus each case again

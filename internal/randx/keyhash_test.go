@@ -66,6 +66,45 @@ func TestByteKeyVariantsMatchStrings(t *testing.T) {
 	}
 }
 
+// TestKeyStateStreamingIdentity pins the prefix-state API to the one
+// hash it caches: for every split of a key, the state after the prefix
+// extended by the suffix reads as Hash64B and HashUnitB of the whole key,
+// empty prefixes and empty suffixes included, and extending in several
+// steps equals extending once.
+func TestKeyStateStreamingIdentity(t *testing.T) {
+	keys := []string{
+		"",
+		"a",
+		"cacheprobe/txid/probe/12/fra/en.wikipedia.org/10.0.0.0/16",
+		"traffic/evt/gpdns/example.com/198.51.100.0/20/17/11/-5623445",
+	}
+	r := rand.New(rand.NewSource(7))
+	for i := 0; i < 200; i++ {
+		b := make([]byte, r.Intn(80))
+		r.Read(b)
+		keys = append(keys, string(b))
+	}
+	for _, seed := range []Seed{0, 2021, ^Seed(0)} {
+		for _, k := range keys {
+			key := []byte(k)
+			whole, unit := seed.Hash64B(key), seed.HashUnitB(key)
+			for cut := 0; cut <= len(key); cut++ {
+				st := seed.KeyState(key[:cut]).Extend(key[cut:])
+				if st.Hash64() != whole || st.Unit() != unit {
+					t.Fatalf("seed %d key %q cut %d: state (%x, %v), whole-key hash (%x, %v)", seed, k, cut, st.Hash64(), st.Unit(), whole, unit)
+				}
+				mid := cut + (len(key)-cut)/2
+				if got := seed.KeyState(key[:cut]).Extend(key[cut:mid]).Extend(key[mid:]).Hash64(); got != whole {
+					t.Fatalf("seed %d key %q: two-step extension %x, whole-key hash %x", seed, k, got, whole)
+				}
+			}
+			if got := seed.KeyState(nil).Extend(key).Extend(nil).Hash64(); got != whole {
+				t.Fatalf("seed %d key %q: empty prefix and suffix give %x, whole-key hash %x", seed, k, got, whole)
+			}
+		}
+	}
+}
+
 // TestReseedMatchesNew pins the stream-reuse path: a reseeded stream must
 // draw the exact sequence a freshly constructed stream draws.
 func TestReseedMatchesNew(t *testing.T) {

@@ -59,7 +59,32 @@ func hashKey(seed Seed, key string) int64 { return hashKeyB(seed, []byte(key)) }
 
 // hashKeyB is hashKey over a byte-slice key: identical output for equal
 // bytes, no allocation and no escape of the key slice.
-func hashKeyB(seed Seed, key []byte) int64 { return int64(fnv64a(seedState(seed), key)) }
+func hashKeyB(seed Seed, key []byte) int64 { return int64(seed.KeyState(key)) }
+
+// KeyState is the FNV-1a state of a (seed, key) hash after a prefix of
+// the key. FNV-1a is streaming, so for every split of a key,
+//
+//	s.KeyState(prefix).Extend(suffix).Hash64() == s.Hash64B(prefix ‖ suffix)
+//
+// A caller hashing many keys that share a constant prefix folds the
+// prefix once and extends the state per key. It caches the one hash;
+// it never defines another.
+type KeyState uint64
+
+// KeyState returns the state after the seed and prefix.
+func (s Seed) KeyState(prefix []byte) KeyState {
+	return KeyState(fnv64a(seedState(s), prefix))
+}
+
+// Extend returns the state after b more key bytes.
+func (h KeyState) Extend(b []byte) KeyState { return KeyState(fnv64a(uint64(h), b)) }
+
+// Hash64 reads the state as the finished hash: Hash64B of the whole key.
+func (h KeyState) Hash64() uint64 { return uint64(h) }
+
+// Unit reads the state as HashUnitB of the whole key, a uniform float64
+// in [0,1).
+func (h KeyState) Unit() float64 { return float64(uint64(h)>>11) / (1 << 53) }
 
 // New returns the stream for the given purpose key.
 func (s Seed) New(key string) *Stream {
@@ -87,9 +112,7 @@ func (s Seed) Hash64(key string) uint64 {
 // Hash64B is Hash64 over a byte-slice key: Hash64B([]byte(k)) ==
 // Hash64(k) for every k. Hot loops build keys by appending into a reused
 // buffer and hash them here without materializing a string.
-func (s Seed) Hash64B(key []byte) uint64 {
-	return uint64(hashKeyB(s, key))
-}
+func (s Seed) Hash64B(key []byte) uint64 { return s.KeyState(key).Hash64() }
 
 // HashUnit returns a stable uniform float64 in [0,1) for (seed, key).
 func (s Seed) HashUnit(key string) float64 {
@@ -98,9 +121,7 @@ func (s Seed) HashUnit(key string) float64 {
 
 // HashUnitB is HashUnit over a byte-slice key (same value as HashUnit of
 // the equal string).
-func (s Seed) HashUnitB(key []byte) float64 {
-	return float64(s.Hash64B(key)>>11) / (1 << 53)
-}
+func (s Seed) HashUnitB(key []byte) float64 { return s.KeyState(key).Unit() }
 
 // Bool returns true with probability p.
 func (s *Stream) Bool(p float64) bool {

@@ -3,6 +3,7 @@ package traffic
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"testing"
 	"time"
 
@@ -106,19 +107,46 @@ func TestAffinityMatchesStringKeys(t *testing.T) {
 	}
 }
 
-// TestLastEventBeforeDBMatchesString pins the byte-key cache-fill sampler
-// against the string variant for the same inputs.
+// TestLastEventBeforeDBMatchesString pins the prefix-state cache-fill
+// sampler against the byte-key form it replaced and the string variant
+// of that, for the same inputs, with the key split at every byte. It
+// also holds each continued bucket state to Seed.Hash64 of the full
+// fmt.Sprintf key, over multi-digit PoP, pool and bucket values.
 func TestLastEventBeforeDBMatchesString(t *testing.T) {
 	m := testModel(t)
 	at := clockx.Epoch.Add(30 * time.Hour)
-	keys := []string{"gpdns/www.wikipedia.org/10.0.0.0/16/3/1", "a", ""}
+	keys := []string{"gpdns/www.wikipedia.org/10.0.0.0/16/3/1", "gpdns/en.wikipedia.org/203.0.113.0/24/17/12", "a", ""}
 	for _, key := range keys {
 		for _, rate := range []float64{0.001, 0.2, 5} {
 			wantT, wantOK := m.LastEventBeforeD(key, rate, 139, 0.7, at, 5*time.Minute)
-			gotT, gotOK := m.LastEventBeforeDB([]byte(key), rate, 139, 0.7, at, 5*time.Minute)
-			if gotOK != wantOK || !gotT.Equal(wantT) {
+			bT, bOK := m.lastEventBeforeDB([]byte(key), rate, 139, 0.7, at, 5*time.Minute)
+			if bOK != wantOK || !bT.Equal(wantT) {
 				t.Fatalf("key %q rate %v: byte variant (%v,%v) != string variant (%v,%v)",
-					key, rate, gotT, gotOK, wantT, wantOK)
+					key, rate, bT, bOK, wantT, wantOK)
+			}
+			for cut := 0; cut <= len(key); cut++ {
+				k := m.EventKey([]byte(key[:cut])).Extend([]byte(key[cut:]))
+				gotT, gotOK := m.LastEventBefore(k, rate, 139, 0.7, at, 5*time.Minute)
+				if gotOK != wantOK || !gotT.Equal(wantT) {
+					t.Fatalf("key %q cut %d rate %v: prefix-state form (%v,%v) != string variant (%v,%v)",
+						key, cut, rate, gotT, gotOK, wantT, wantOK)
+				}
+			}
+		}
+	}
+
+	natural := "198.51.100.0/20"
+	head := m.EventKey([]byte("gpdns/www.wikipedia.org/" + natural + "/"))
+	for _, pp := range [][2]int{{0, 0}, {7, 3}, {21, 11}} {
+		k := head.Extend([]byte(fmt.Sprintf("%d/%d", pp[0], pp[1])))
+		for _, b := range []int64{0, 9, 5787402, -12} {
+			tail := []byte(fmt.Sprintf("/%d", b))
+			full := fmt.Sprintf("gpdns/www.wikipedia.org/%s/%d/%d/%d", natural, pp[0], pp[1], b)
+			if got, want := k.ev.Extend(tail).Hash64(), m.seed.Hash64("traffic/ev/"+full); got != want {
+				t.Errorf("ev state for %q = %x, Hash64 = %x", full, got, want)
+			}
+			if got, want := k.evt.Extend(tail).Hash64(), m.seed.Hash64("traffic/evt/"+full); got != want {
+				t.Errorf("evt state for %q = %x, Hash64 = %x", full, got, want)
 			}
 		}
 	}
@@ -141,13 +169,50 @@ func (m *Model) CountInD(key string, rate, lon, diurn float64, start time.Time, 
 	return rng.Poisson(mean)
 }
 
-// LastEventBefore is LastEventBeforeD with diurnality weight 1.
-func (m *Model) LastEventBefore(key string, rate float64, lon float64, t time.Time, window time.Duration) (time.Time, bool) {
-	return m.LastEventBeforeD(key, rate, lon, 1, t, window)
+// lastEvent is LastEventBefore over a string key with diurnality
+// weight 1.
+func (m *Model) lastEvent(key string, rate float64, lon float64, t time.Time, window time.Duration) (time.Time, bool) {
+	return m.LastEventBefore(m.EventKey([]byte(key)), rate, lon, 1, t, window)
 }
 
-// LastEventBeforeD is LastEventBeforeDB with a string key.
+// LastEventBeforeD is lastEventBeforeDB with a string key.
 func (m *Model) LastEventBeforeD(key string, rate, lon, diurn float64, t time.Time, window time.Duration) (time.Time, bool) {
 	var kb [128]byte
-	return m.LastEventBeforeDB(append(kb[:0], key...), rate, lon, diurn, t, window)
+	return m.lastEventBeforeDB(append(kb[:0], key...), rate, lon, diurn, t, window)
+}
+
+// lastEventBeforeDB is the byte-key form LastEventBefore replaced: it
+// assembles "traffic/ev/<key>/<bucket>" and "traffic/evt/<key>/<bucket>"
+// in full and hashes each from the seed.
+func (m *Model) lastEventBeforeDB(key []byte, rate, lon, diurn float64, t time.Time, window time.Duration) (time.Time, bool) {
+	if rate <= 0 || window <= 0 {
+		return time.Time{}, false
+	}
+	var evb, evtb [160]byte
+	kEv := append(evb[:0], "traffic/ev/"...)
+	kEv = append(kEv, key...)
+	kEv = append(kEv, '/')
+	evLen := len(kEv)
+	kEvt := append(evtb[:0], "traffic/evt/"...)
+	kEvt = append(kEvt, key...)
+	kEvt = append(kEvt, '/')
+	evtLen := len(kEvt)
+	bucket := t.UnixNano() / int64(window)
+	for _, b := range [2]int64{bucket, bucket - 1} {
+		bStart := time.Unix(0, b*int64(window))
+		mean := rate * window.Seconds() * DiurnalWeighted(bStart.Add(window/2), lon, diurn)
+		u := m.seed.HashUnitB(strconv.AppendInt(kEv[:evLen], b, 10))
+		if u >= 1-math.Exp(-mean) {
+			continue
+		}
+		frac := m.seed.HashUnitB(strconv.AppendInt(kEvt[:evtLen], b, 10))
+		evt := bStart.Add(time.Duration(frac * float64(window)))
+		if b == bucket && evt.After(t) {
+			continue
+		}
+		if !evt.Before(t.Add(-window)) {
+			return evt, true
+		}
+	}
+	return time.Time{}, false
 }

@@ -250,43 +250,55 @@ func (m *Model) CountInDR(r *randx.Stream, key []byte, rate, lon, diurn float64,
 	return r.Poisson(mean)
 }
 
-// LastEventBeforeDB reports whether a Poisson process with the given mean
+// EventKey is a sampler key for LastEventBefore, held as two FNV-1a
+// prefix states: after "traffic/ev/<key>" (did an event occur) and after
+// "traffic/evt/<key>" (when). A caller whose keys share a constant head
+// computes its EventKey once and extends it per key; the hashed bytes
+// are those of the whole key (see randx.KeyState).
+type EventKey struct{ ev, evt randx.KeyState }
+
+// EventKey returns the sampler key for key, or for a head of it that
+// Extend completes.
+func (m *Model) EventKey(key []byte) EventKey {
+	var kb [16]byte
+	return EventKey{
+		ev:  m.seed.KeyState(append(kb[:0], "traffic/ev/"...)).Extend(key),
+		evt: m.seed.KeyState(append(kb[:0], "traffic/evt/"...)).Extend(key),
+	}
+}
+
+// Extend returns the key followed by b.
+func (k EventKey) Extend(b []byte) EventKey {
+	return EventKey{ev: k.ev.Extend(b), evt: k.evt.Extend(b)}
+}
+
+// LastEventBefore reports whether a Poisson process with the given mean
 // rate (modulated with diurnality weight diurn at longitude lon) produced
 // an event within [t-window, t], and if so when the most recent one was.
 // The computation quantizes time into window-sized buckets and is
 // deterministic in (seed, key, bucket), which lets the Google Public DNS
 // simulator answer "is this record cached right now?" lazily in O(1) —
 // the core trick that makes whole-space probing campaigns simulable. The
-// key is a byte slice so callers assemble it in reused buffers (the lazy
-// cache-fill model calls this once per probe).
-func (m *Model) LastEventBeforeDB(key []byte, rate, lon, diurn float64, t time.Time, window time.Duration) (time.Time, bool) {
+// key arrives as prefix states (the lazy cache-fill model calls this once
+// per probe, and its keys share a per-line head).
+func (m *Model) LastEventBefore(key EventKey, rate, lon, diurn float64, t time.Time, window time.Duration) (time.Time, bool) {
 	if rate <= 0 || window <= 0 {
 		return time.Time{}, false
 	}
-	// Hash keys "traffic/ev/<key>/<bucket>" (did an event occur) and
-	// "traffic/evt/<key>/<bucket>" (when), assembled in stack scratch.
-	var evb, evtb [160]byte
-	kEv := append(evb[:0], "traffic/ev/"...)
-	kEv = append(kEv, key...)
-	kEv = append(kEv, '/')
-	evLen := len(kEv)
-	kEvt := append(evtb[:0], "traffic/evt/"...)
-	kEvt = append(kEvt, key...)
-	kEvt = append(kEvt, '/')
-	evtLen := len(kEvt)
 	bucket := t.UnixNano() / int64(window)
 	// Check the current bucket and the previous one: an event in either
-	// can still be within the lookback window.
+	// can still be within the lookback window. The draws hash
+	// "traffic/ev/<key>/<bucket>" and "traffic/evt/<key>/<bucket>".
+	var tb [24]byte
 	for _, b := range [2]int64{bucket, bucket - 1} {
 		bStart := time.Unix(0, b*int64(window))
 		mean := rate * window.Seconds() * DiurnalWeighted(bStart.Add(window/2), lon, diurn)
-		u := m.seed.HashUnitB(strconv.AppendInt(kEv[:evLen], b, 10))
-		if u >= 1-math.Exp(-mean) {
+		tail := strconv.AppendInt(append(tb[:0], '/'), b, 10)
+		if key.ev.Extend(tail).Unit() >= 1-math.Exp(-mean) {
 			continue // no event in this bucket
 		}
 		// Event time: uniform within the bucket, deterministic.
-		frac := m.seed.HashUnitB(strconv.AppendInt(kEvt[:evtLen], b, 10))
-		evt := bStart.Add(time.Duration(frac * float64(window)))
+		evt := bStart.Add(time.Duration(key.evt.Extend(tail).Unit() * float64(window)))
 		if b == bucket && evt.After(t) {
 			// The bucket's event hasn't happened yet; fall through to the
 			// previous bucket.

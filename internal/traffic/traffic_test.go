@@ -122,7 +122,7 @@ func TestLastEventBefore(t *testing.T) {
 	window := 5 * time.Minute
 
 	// Rate zero: never an event.
-	if _, ok := m.LastEventBefore("z", 0, 0, now, window); ok {
+	if _, ok := m.lastEvent("z", 0, 0, now, window); ok {
 		t.Error("zero-rate process produced an event")
 	}
 
@@ -130,7 +130,7 @@ func TestLastEventBefore(t *testing.T) {
 	misses := 0
 	for i := 0; i < 200; i++ {
 		at := now.Add(time.Duration(i) * time.Minute)
-		evt, ok := m.LastEventBefore("hot", 10, 0, at, window)
+		evt, ok := m.lastEvent("hot", 10, 0, at, window)
 		if !ok {
 			misses++
 			continue
@@ -150,7 +150,7 @@ func TestLastEventBefore(t *testing.T) {
 	hits := 0
 	for i := 0; i < 200; i++ {
 		at := now.Add(time.Duration(i) * time.Hour)
-		if _, ok := m.LastEventBefore("cold", 0.00001, 0, at, window); ok {
+		if _, ok := m.lastEvent("cold", 0.00001, 0, at, window); ok {
 			hits++
 		}
 	}
@@ -159,8 +159,8 @@ func TestLastEventBefore(t *testing.T) {
 	}
 
 	// Deterministic.
-	e1, ok1 := m.LastEventBefore("det", 0.01, 0, now, window)
-	e2, ok2 := m.LastEventBefore("det", 0.01, 0, now, window)
+	e1, ok1 := m.lastEvent("det", 0.01, 0, now, window)
+	e2, ok2 := m.lastEvent("det", 0.01, 0, now, window)
 	if ok1 != ok2 || e1 != e2 {
 		t.Error("LastEventBefore not deterministic")
 	}
@@ -174,7 +174,7 @@ func TestLastEventBeforeHitRateMatchesPoisson(t *testing.T) {
 	n := 2000
 	for i := 0; i < n; i++ {
 		at := clockx.Epoch.Add(time.Duration(i) * 17 * time.Minute)
-		if _, ok := m.LastEventBefore("pois", rate, 0, at, window); ok {
+		if _, ok := m.lastEvent("pois", rate, 0, at, window); ok {
 			hits++
 		}
 	}

@@ -50,7 +50,8 @@ bench:
 # to them) compiling and passing as the code moves. In-package ladder
 # rungs (randx BenchmarkReseed, cacheprobe BenchmarkProbePassDelta and
 # BenchmarkBuildAssignments, the snapshot campaign and pass-delta
-# codecs, the stream hour-delta codec, pipeline BenchmarkStageCheckpoint)
+# codecs, the stream hour-delta codec, pipeline BenchmarkStageCheckpoint,
+# experiments BenchmarkDNSLogs)
 # run here too; -benchmem reports their bytes and allocations per op.
 bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x -benchmem ./...

@@ -132,6 +132,69 @@ func TestImportBoundaries(t *testing.T) {
 	}
 }
 
+// wallClockAllowed names the places under internal/ that may read or wait
+// on the real clock, as a package dir or one file, each with its reason.
+// Everything else runs on the simulated clock (clockx.Sim), so that a run
+// is a pure function of its seed and never waits on real time.
+var wallClockAllowed = map[string]string{
+	"internal/clockx":              "clockx.Real is the one real-clock implementation of clockx.Clock",
+	"internal/dnsnet":              "real sockets take real deadlines and timers",
+	"internal/pipeline":            "stage and checkpoint timings for the log and trace, and the shard-gate poll ticker",
+	"internal/experiments/gate.go": "a shard runner steals a silent owner's stage after a real-time deadline",
+	"internal/serve":               "the daemon's artifact reload ticker",
+	"internal/statefs/faulty.go":   "the slow disk-fault shape delays real I/O",
+	"internal/statefsck":           "a temp file younger than MinTmpAge may belong to a live writer",
+}
+
+// TestNoWallClock fails on any call of time.Now, Since, Sleep, After,
+// Tick, NewTimer or NewTicker in a non-test file under internal/ outside
+// wallClockAllowed, and on an allowlist entry that no call needs.
+func TestNoWallClock(t *testing.T) {
+	banned := map[string]bool{"Now": true, "Since": true, "Sleep": true, "After": true, "Tick": true, "NewTimer": true, "NewTicker": true}
+	fset, files := loadModule(t)
+	used := map[string]bool{}
+	for _, af := range files {
+		if !strings.HasPrefix(af.dir, "internal/") {
+			continue
+		}
+		timeName := ""
+		for _, is := range af.f.Imports {
+			if is.Path.Value == `"time"` {
+				timeName = "time"
+				if is.Name != nil {
+					timeName = is.Name.Name
+				}
+			}
+		}
+		if timeName == "" {
+			continue
+		}
+		file := filepath.ToSlash(fset.Position(af.f.Pos()).Filename)
+		ast.Inspect(af.f, func(n ast.Node) bool {
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok || !banned[sel.Sel.Name] {
+				return true
+			}
+			if x, ok := sel.X.(*ast.Ident); !ok || x.Name != timeName || x.Obj != nil {
+				return true
+			}
+			for _, key := range []string{file, af.dir} {
+				if _, ok := wallClockAllowed[key]; ok {
+					used[key] = true
+					return true
+				}
+			}
+			t.Errorf("%s: time.%s reads the real clock; use the simulated clock or allowlist it with a reason", fset.Position(sel.Pos()), sel.Sel.Name)
+			return true
+		})
+	}
+	for key := range wallClockAllowed {
+		if !used[key] {
+			t.Errorf("wallClockAllowed entry %s allows no call: remove it", key)
+		}
+	}
+}
+
 // apiFile is one parsed source file; dir is module-relative, "." for the
 // root package.
 type apiFile struct {

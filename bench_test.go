@@ -351,7 +351,7 @@ func BenchmarkAblationCollisionThreshold(b *testing.B) {
 	dir := b.TempDir()
 	s := benchSystem(b)
 	gen := roots.NewGenerator(s.Model)
-	_, err := gen.Generate(roots.GenConfig{Start: s.Clock.Now(), Duration: 12 * time.Hour},
+	_, err := gen.Generate(roots.GenConfig{Start: s.Clock.Now(), Duration: 12 * time.Hour, Letters: roots.DITLLetters},
 		func(letter string) (io.WriteCloser, error) {
 			return os.Create(filepath.Join(dir, letter))
 		})

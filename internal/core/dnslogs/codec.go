@@ -7,7 +7,8 @@ import (
 
 // ResultCodec is the crawl result's checkpoint codec: the ditl-dnslogs
 // stage persists through it and statefsck deep-checks with it. Version
-// 2 added the OpenRetries counter.
+// 2 added the OpenRetries counter; it always reads 0 now, and keeps its
+// slot so that version-2 checkpoints still restore.
 var ResultCodec = &snapshot.Codec[*Result]{
 	Kind:    "dnslogs.Result",
 	Version: 2,

@@ -14,7 +14,6 @@ package dnslogs
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"clientmap/internal/netx"
 	"clientmap/internal/roots"
@@ -35,14 +34,6 @@ type Config struct {
 	// a name is classified as junk rather than Chromium randomness. Zero
 	// means the paper's 7.
 	DailyThreshold int
-	// OpenAttempts is how many times opening a letter's trace is tried
-	// before the crawl fails — DITL archives live on remote storage where
-	// transient open errors are routine. Zero or one means a single try.
-	OpenAttempts int
-	// OpenBackoff is the base delay between open attempts, doubling per
-	// retry (real time; trace opening happens outside the simulated
-	// clock).
-	OpenBackoff time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -67,7 +58,10 @@ type Result struct {
 	FilteredNames int
 	// LettersRead lists the letters actually crawled.
 	LettersRead []string
-	// OpenRetries counts trace opens that failed and were retried.
+	// OpenRetries is always 0: the crawl reads traces its own stage has
+	// just written, and never retries an open. The field and its codec
+	// slot stay so that the ditl-dnslogs checkpoint format (version 2)
+	// and the ledger key that reads it stay as pinned.
 	OpenRetries int
 }
 
@@ -102,54 +96,13 @@ func Crawl(cfg Config, open func(letter string) (io.ReadCloser, error)) (*Result
 	cfg = cfg.withDefaults()
 	res := &Result{ResolverCounts: make(map[netx.Addr]float64)}
 
-	// openRetry wraps open with the configured retry policy: transient
-	// storage errors should not abort a multi-hour crawl.
-	openRetry := func(letter string) (io.ReadCloser, error) {
-		attempts := cfg.OpenAttempts
-		if attempts < 1 {
-			attempts = 1
-		}
-		var lastErr error
-		for try := 0; try < attempts; try++ {
-			if try > 0 {
-				res.OpenRetries++
-				if cfg.OpenBackoff > 0 {
-					time.Sleep(cfg.OpenBackoff << uint(try-1))
-				}
-			}
-			rc, err := open(letter)
-			if err == nil {
-				return rc, nil
-			}
-			lastErr = err
-		}
-		return nil, lastErr
-	}
-
 	// Pass 1: per-name daily counts.
 	counts := make(map[nameDay]float64)
 	for _, letter := range roots.DITLLetters {
-		rc, err := openRetry(letter)
-		if err != nil {
-			return nil, fmt.Errorf("dnslogs: opening %s: %w", letter, err)
-		}
-		tr, err := roots.NewReader(rc)
-		if err != nil {
-			rc.Close()
-			return nil, fmt.Errorf("dnslogs: %s: %w", letter, err)
-		}
-		for {
-			rec, err := tr.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				rc.Close()
-				return nil, fmt.Errorf("dnslogs: %s: %w", letter, err)
-			}
+		err := readTrace(letter, open, func(rec roots.Record) {
 			res.TotalQueries += float64(rec.Weight)
 			if !matchesPattern(rec.QName) {
-				continue
+				return
 			}
 			res.PatternMatches += float64(rec.Weight)
 			// Collision counting uses record occurrences, not weights: a
@@ -157,10 +110,11 @@ func Crawl(cfg Config, open func(letter string) (io.ReadCloser, error)) (*Result
 			// *distinct* random names (the trace format's sampling
 			// contract), so only repeats of the same literal name count
 			// toward the junk threshold.
-			key := nameDay{name: rec.QName, day: rec.Time.Unix() / 86400}
-			counts[key]++
+			counts[nameDay{name: rec.QName, day: rec.Time.Unix() / 86400}]++
+		})
+		if err != nil {
+			return nil, err
 		}
-		rc.Close()
 		res.LettersRead = append(res.LettersRead, letter)
 	}
 
@@ -175,30 +129,38 @@ func Crawl(cfg Config, open func(letter string) (io.ReadCloser, error)) (*Result
 
 	// Pass 2: attribute surviving matches to resolvers.
 	for _, letter := range roots.DITLLetters {
-		rc, err := openRetry(letter)
+		err := readTrace(letter, open, func(rec roots.Record) {
+			if matchesPattern(rec.QName) && !junk[rec.QName] {
+				res.ResolverCounts[rec.Src] += float64(rec.Weight)
+			}
+		})
 		if err != nil {
-			return nil, fmt.Errorf("dnslogs: reopening %s: %w", letter, err)
-		}
-		tr, err := roots.NewReader(rc)
-		if err != nil {
-			rc.Close()
 			return nil, err
 		}
-		for {
-			rec, err := tr.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				rc.Close()
-				return nil, err
-			}
-			if !matchesPattern(rec.QName) || junk[rec.QName] {
-				continue
-			}
-			res.ResolverCounts[rec.Src] += float64(rec.Weight)
-		}
-		rc.Close()
 	}
 	return res, nil
+}
+
+// readTrace opens one letter's trace and hands each of its records to fn.
+// Its errors name the letter.
+func readTrace(letter string, open func(letter string) (io.ReadCloser, error), fn func(roots.Record)) error {
+	rc, err := open(letter)
+	if err != nil {
+		return fmt.Errorf("dnslogs: opening %s: %w", letter, err)
+	}
+	defer rc.Close()
+	tr, err := roots.NewReader(rc)
+	if err != nil {
+		return fmt.Errorf("dnslogs: %s: %w", letter, err)
+	}
+	for {
+		rec, err := tr.Next()
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return fmt.Errorf("dnslogs: %s: %w", letter, err)
+		}
+		fn(rec)
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -35,7 +36,7 @@ func genTraces(t testing.TB, dur time.Duration) (func(string) (io.ReadCloser, er
 	var sink = func(letter string) (io.WriteCloser, error) {
 		return &bufCloser{letter: letter, bufs: bufs}, nil
 	}
-	if _, err := g.Generate(roots.GenConfig{Start: clockx.Epoch, Duration: dur}, sink); err != nil {
+	if _, err := g.Generate(roots.GenConfig{Start: clockx.Epoch, Duration: dur, Letters: roots.DITLLetters}, sink); err != nil {
 		t.Fatal(err)
 	}
 	open := func(letter string) (io.ReadCloser, error) {
@@ -184,14 +185,55 @@ func TestMatchesPattern(t *testing.T) {
 	}
 }
 
+// TestCrawlOpenError: an open or a header that fails, in either pass,
+// aborts the crawl with an error naming the letter, and every trace
+// opened is closed.
 func TestCrawlOpenError(t *testing.T) {
-	_, err := Crawl(Config{}, func(string) (io.ReadCloser, error) {
-		return nil, io.ErrUnexpectedEOF
-	})
-	if err == nil {
-		t.Error("open error swallowed")
+	open, _ := genTraces(t, time.Hour)
+	n := len(roots.DITLLetters)
+	for _, tc := range []struct {
+		name   string
+		failAt int // 0-based open that fails: pass 1 opens 0..n-1, pass 2 n..2n-1
+		bad    func(letter string) (io.ReadCloser, error)
+	}{
+		{"pass 1 open", 0, func(string) (io.ReadCloser, error) { return nil, io.ErrUnexpectedEOF }},
+		{"pass 2 open", n + 2, func(string) (io.ReadCloser, error) { return nil, io.ErrUnexpectedEOF }},
+		{"pass 2 header", n + 1, func(string) (io.ReadCloser, error) {
+			return nopCloser{bytes.NewReader([]byte("garbage"))}, nil
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opens, opened, closes := 0, 0, 0
+			_, err := Crawl(Config{}, func(letter string) (io.ReadCloser, error) {
+				get := open
+				if opens == tc.failAt {
+					get = tc.bad
+				}
+				opens++
+				rc, err := get(letter)
+				if err != nil {
+					return nil, err
+				}
+				opened++
+				return closeCounter{rc, &closes}, nil
+			})
+			want := roots.DITLLetters[tc.failAt%n]
+			if err == nil || !strings.Contains(err.Error(), " "+want+":") {
+				t.Errorf("error %v does not name letter %s", err, want)
+			}
+			if closes != opened {
+				t.Errorf("opened %d traces, closed %d", opened, closes)
+			}
+		})
 	}
 }
+
+type closeCounter struct {
+	io.ReadCloser
+	n *int
+}
+
+func (c closeCounter) Close() error { *c.n++; return c.ReadCloser.Close() }
 
 func TestSimulateCollisions(t *testing.T) {
 	// Tiny volumes: no collisions, threshold 2 (max multiplicity 1 + 1).

@@ -66,9 +66,9 @@ type Config struct {
 	// perfectly reliable substrate. The fault seed is keyed to Seed; any
 	// other field change invalidates the campaign-chain checkpoints.
 	Faults faults.Config
-	// Retry is the probers' (and the DITL ingester's) per-query retry
-	// policy; the zero value is a single try, where timeouts count as
-	// misses exactly as the paper's live probing treats them.
+	// Retry is the probers' per-query retry policy; the zero value is a
+	// single try, where timeouts count as misses exactly as the paper's
+	// live probing treats them.
 	Retry cacheprobe.Retry
 	// Health is the graceful-degradation policy: per-target circuit
 	// breakers over the measurement transports, hedged probes, and

@@ -279,6 +279,7 @@ func TestBRootCheck(t *testing.T) {
 	// §3.2.2: the 2021 share is roughly 30% of the 2020 share. Junk volume
 	// is unchanged, so the ratio is a bit above the raw 0.3 scaling.
 	ratio := s2021 / s2020
+	t.Logf("B-root Chromium share: 2020 %.3f, 2021 %.3f, ratio %.3f", s2020, s2021, ratio)
 	if ratio < 0.2 || ratio > 0.55 {
 		t.Errorf("2021/2020 Chromium share ratio = %.2f, want ~0.3-0.5", ratio)
 	}

@@ -24,6 +24,8 @@ func (r *Results) MetricsLedger() metrics.Ledger {
 		led["dnslogs/filtered_names"] = int64(r.DNSLogs.FilteredNames)
 		led["dnslogs/resolvers"] = int64(len(r.DNSLogs.ResolverCounts))
 		led["dnslogs/letters"] = int64(len(r.DNSLogs.LettersRead))
+		// Always 0 since the crawl stopped retrying opens; the key stays
+		// because the golden ledgers pin it.
 		led["dnslogs/open_retries"] = int64(r.DNSLogs.OpenRetries)
 	}
 	return led

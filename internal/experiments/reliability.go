@@ -96,6 +96,8 @@ func (r *Results) RenderReliability() *report.Table {
 	row("Retries spent", rel.CacheProbing.RetriesSpent)
 	row("Queries recovered by retry", rel.CacheProbing.RetriesRecovered)
 	row("Queries cut off by retry budget", rel.CacheProbing.BudgetExhausted)
+	// Always 0 since the crawl stopped retrying opens; the row stays
+	// because the golden reports pin it.
 	row("DITL trace-open retries", int64(rel.DNSLogsOpenRetries))
 	return t
 }

@@ -1,8 +1,13 @@
 package experiments
 
 import (
+	"crypto/sha256"
 	"errors"
 	"fmt"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -10,6 +15,7 @@ import (
 
 	"clientmap/internal/pipeline"
 	"clientmap/internal/randx"
+	"clientmap/internal/statefsck"
 	"clientmap/internal/world"
 )
 
@@ -88,6 +94,30 @@ func TestKillAndResumeDeterminism(t *testing.T) {
 		t.Errorf("probe-pass-3 ran %d times, want 1", n)
 	}
 
+	// The DITL traces lived in a temp dir: the state dir keeps the
+	// crawl's checkpoint alone, the same bytes the all-letter generation
+	// that kept its traces in StateDir/traces used to write.
+	if _, err := os.Stat(filepath.Join(dir, "traces")); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("state dir holds traces/ (stat: %v)", err)
+	}
+	ditl, err := os.ReadFile(filepath.Join(dir, StageDNSLogs+".snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(ditl)); got != ditlCheckpointSHA256 {
+		t.Errorf("%s checkpoint sha256 %s, want %s", StageDNSLogs, got, ditlCheckpointSHA256)
+	}
+
+	// A state dir that an older build left a traces/ dir in still
+	// restores every stage, and statefsck keeps that dir as aux.
+	legacy := filepath.Join(dir, "traces")
+	if err := os.MkdirAll(legacy, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(legacy, "root-J.ditl"), []byte("DITL1\x00J"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
 	// A third run over the now-complete state directory restores every
 	// persisted stage: no pre-scan, calibration or probing re-runs. The
 	// dataset views are ephemeral and rebuild from the restored inputs.
@@ -112,7 +142,22 @@ func TestKillAndResumeDeterminism(t *testing.T) {
 	if full.RenderAll() != third.RenderAll() {
 		t.Error("fully-restored run renders a different report")
 	}
+	rep, err := statefsck.Scan(nil, dir, statefsck.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Problems() != 0 {
+		t.Errorf("statefsck finds problems in the state dir:\n%s", rep.Text())
+	}
+	if !slices.Contains(rep.Findings, statefsck.Finding{Path: "traces/", Class: statefsck.ClassAux, Action: statefsck.ActionKeep, Detail: "DITL root traces an older build left"}) {
+		t.Errorf("statefsck does not keep the legacy traces/ dir as aux:\n%s", rep.Text())
+	}
 }
+
+// ditlCheckpointSHA256 pins the ditl-dnslogs checkpoint of
+// TestKillAndResumeDeterminism's configuration: generating only the
+// crawled letters must not move a byte of what the crawl finds.
+const ditlCheckpointSHA256 = "fb240fb1a702940d75740d9aebf470ec405851df5a3888f38a6e81dfc02404f4"
 
 // TestResumeIgnoresStaleCheckpoints: checkpoints from a different
 // configuration (here: another seed) must be rebuilt, not reused —

@@ -101,6 +101,8 @@ func newBatchRun(cfg Config) *batchRun {
 	r := br.runner
 	campEnd := campStart.Add(cfg.CampaignDuration)
 
+	// The crawl does not read cfg.Retry, but logsFP keeps its retry= term
+	// so that checkpoints written by older builds still restore.
 	logsFP := fmt.Sprintf("%s trace=%s cap=%d end=%s retry=%s", base, cfg.TraceDuration, cfg.PerSourceHourCap, campEnd.Format(time.RFC3339), cfg.Retry.Fingerprint())
 	br.dnsLogs = pipeline.AddStage(r, StageDNSLogs, logsFP, deps(br.world), dnslogs.ResultCodec,
 		func(ctx context.Context) (*dnslogs.Result, error) {
@@ -206,44 +208,28 @@ func (c *chain) releaseShards(k int) {
 	}
 }
 
-// runDNSLogs generates the DITL traces and crawls them — technique 2 as
-// one stage: the crawl result is the artifact, and the trace files land
-// in StateDir/traces (so a resumed run does not regenerate them), or in
-// a temp dir that is removed when the crawl is done.
+// runDNSLogs generates the DITL letters' traces and crawls them —
+// technique 2 as one stage. The crawl result is the artifact; the traces
+// go to a temp dir that is removed when the crawl returns, since a
+// restored checkpoint never reads them.
 func runDNSLogs(cfg Config, sys *sim.System, campEnd time.Time) (*dnslogs.Result, error) {
-	dir := filepath.Join(cfg.StateDir, "traces")
-	if cfg.StateDir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, err
-		}
-	} else {
-		tmp, err := os.MkdirTemp("", "clientmap-ditl-")
-		if err != nil {
-			return nil, err
-		}
-		defer os.RemoveAll(tmp)
-		dir = tmp
+	dir, err := os.MkdirTemp("", "clientmap-ditl-")
+	if err != nil {
+		return nil, err
 	}
+	defer os.RemoveAll(dir)
+	path := func(letter string) string { return filepath.Join(dir, "root-"+letter+".ditl") }
 
-	gen := roots.NewGenerator(sys.Model)
-	_, err := gen.Generate(roots.GenConfig{
+	_, err = roots.NewGenerator(sys.Model).Generate(roots.GenConfig{
 		Start:            campEnd.Add(-cfg.TraceDuration),
 		Duration:         cfg.TraceDuration,
 		PerSourceHourCap: cfg.PerSourceHourCap,
-	}, func(letter string) (io.WriteCloser, error) {
-		return os.Create(filepath.Join(dir, "root-"+letter+".ditl"))
-	})
+		Letters:          roots.DITLLetters,
+	}, func(letter string) (io.WriteCloser, error) { return os.Create(path(letter)) })
 	if err != nil {
 		return nil, fmt.Errorf("trace generation: %w", err)
 	}
-	res, err := dnslogs.Crawl(dnslogs.Config{
-		// The ingester shares the campaign's retry policy: transient
-		// trace-open failures retry with the same attempt/backoff knobs.
-		OpenAttempts: cfg.Retry.Attempts,
-		OpenBackoff:  cfg.Retry.Backoff,
-	}, func(letter string) (io.ReadCloser, error) {
-		return os.Open(filepath.Join(dir, "root-"+letter+".ditl"))
-	})
+	res, err := dnslogs.Crawl(dnslogs.Config{}, func(letter string) (io.ReadCloser, error) { return os.Open(path(letter)) })
 	if err != nil {
 		return nil, fmt.Errorf("dns logs: %w", err)
 	}

@@ -1,7 +1,9 @@
 package roots
 
 import (
+	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"time"
@@ -27,7 +29,10 @@ type GenConfig struct {
 	// team cut the interception probes' load on the roots (§3.2.2 cites a
 	// September 2021 B-root check at 30% of the 2020 level).
 	ChromiumScale float64
-	// Letters to generate; nil means all 13.
+	// Letters to keep; nil means all 13. Every record's letter is still
+	// drawn over all 13 roots by letterWeights, and only the records of
+	// the listed letters are encoded, so a listed letter's trace is the
+	// same bytes whichever other letters are listed.
 	Letters []string
 }
 
@@ -36,7 +41,8 @@ type GenConfig struct {
 // that the §3.2 collision filter has junk to reject.
 const junkFactor = 0.4
 
-// Stats summarizes a generation run.
+// Stats summarizes a generation run: the records written, so a letter
+// subset counts only its own letters' records.
 type Stats struct {
 	Records  int
 	Chromium int
@@ -127,8 +133,9 @@ func (g *Generator) sources() []source {
 }
 
 // Generate writes traces for cfg.Letters, opening one sink per letter via
-// open. Records within each letter are time-ordered.
-func (g *Generator) Generate(cfg GenConfig, open func(letter string) (io.WriteCloser, error)) (Stats, error) {
+// open. Records within each letter are time-ordered. Every sink that open
+// returned is closed, on error too.
+func (g *Generator) Generate(cfg GenConfig, open func(letter string) (io.WriteCloser, error)) (stats Stats, err error) {
 	if cfg.PerSourceHourCap <= 0 {
 		cfg.PerSourceHourCap = 50
 	}
@@ -139,25 +146,31 @@ func (g *Generator) Generate(cfg GenConfig, open func(letter string) (io.WriteCl
 	if letters == nil {
 		letters = Letters
 	}
-	writers := make([]*Writer, len(letters))
-	sinks := make([]io.WriteCloser, len(letters))
-	weights := make([]float64, len(letters))
-	for i, l := range letters {
+	// writers[li] and sinks[li] belong to Letters[li], nil for a letter
+	// whose records are drawn but not kept. A closed sink is set to nil.
+	writers := make([]*Writer, len(Letters))
+	sinks := make([]io.WriteCloser, len(Letters))
+	defer func() {
+		if err != nil {
+			for _, wc := range sinks {
+				if wc != nil {
+					wc.Close()
+				}
+			}
+		}
+	}()
+	for _, l := range letters {
+		li := slices.Index(Letters, l)
+		if li < 0 || sinks[li] != nil {
+			return Stats{}, fmt.Errorf("roots: unknown or repeated letter %q", l)
+		}
 		wc, err := open(l)
 		if err != nil {
 			return Stats{}, err
 		}
-		tw, err := NewWriter(wc, l)
-		if err != nil {
-			wc.Close()
+		sinks[li] = wc
+		if writers[li], err = NewWriter(wc, l); err != nil {
 			return Stats{}, err
-		}
-		writers[i] = tw
-		sinks[i] = wc
-		for j, all := range Letters {
-			if all == l {
-				weights[i] = letterWeights[j]
-			}
 		}
 	}
 
@@ -170,7 +183,6 @@ func (g *Generator) Generate(cfg GenConfig, open func(letter string) (io.WriteCl
 		dga[i] = dgaRng.LowerLetters(7 + dgaRng.Intn(9))
 	}
 
-	var stats Stats
 	hours := int(cfg.Duration.Hours() + 0.5)
 	// One emit stream and one count stream reseeded per (source, hour)
 	// instead of constructed: a fresh Stream carries a ~5KB source, and the
@@ -182,7 +194,7 @@ func (g *Generator) Generate(cfg GenConfig, open func(letter string) (io.WriteCl
 	var ekb, ckb [48]byte
 	for h := 0; h < hours; h++ {
 		hourStart := cfg.Start.Add(time.Duration(h) * time.Hour)
-		perLetter := make([][]Record, len(letters))
+		perLetter := make([][]Record, len(Letters))
 		for si, src := range srcs {
 			ek := append(ekb[:0], "roots/emit/"...)
 			ek = strconv.AppendInt(ek, int64(si), 10)
@@ -192,13 +204,16 @@ func (g *Generator) Generate(cfg GenConfig, open func(letter string) (io.WriteCl
 			rng := emitRng
 			emit := func(n int, weight uint32, mkName func() string, qtype dnswire.Type, isChromium bool) {
 				for i := 0; i < n; i++ {
-					li := rng.WeightedChoice(weights)
+					li := rng.WeightedChoice(letterWeights)
 					rec := Record{
 						Time:   hourStart.Add(time.Duration(rng.Float64() * float64(time.Hour))),
 						Src:    src.addr,
 						QName:  mkName(),
 						QType:  qtype,
 						Weight: weight,
+					}
+					if writers[li] == nil {
+						continue
 					}
 					perLetter[li] = append(perLetter[li], rec)
 					stats.Records++
@@ -254,11 +269,16 @@ func (g *Generator) Generate(cfg GenConfig, open func(letter string) (io.WriteCl
 			}
 		}
 	}
-	for i, tw := range writers {
-		if err := tw.Close(); err != nil {
-			return stats, err
+	for li, tw := range writers {
+		if tw == nil {
+			continue
 		}
-		if err := sinks[i].Close(); err != nil {
+		err = tw.Close()
+		if cerr := sinks[li].Close(); err == nil {
+			err = cerr
+		}
+		sinks[li] = nil
+		if err != nil {
 			return stats, err
 		}
 	}

@@ -2,6 +2,7 @@ package roots
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"strings"
 	"testing"
@@ -100,15 +101,26 @@ func TestReaderRejectsGarbage(t *testing.T) {
 
 func genTest(t testing.TB, dur time.Duration) (map[string]*bytes.Buffer, Stats, *Generator) {
 	t.Helper()
+	g := tinyGenerator(t)
+	bufs, stats := genLetters(t, g, dur, nil)
+	return bufs, stats, g
+}
+
+func tinyGenerator(t testing.TB) *Generator {
+	t.Helper()
 	w, err := world.Generate(world.Config{Seed: 41, Scale: world.ScaleTiny, Params: world.DefaultParams()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	router := anycast.NewRouter(41, anycast.Catalog())
-	model := traffic.NewModel(w, router, traffic.DefaultTunables())
-	g := NewGenerator(model)
+	return NewGenerator(traffic.NewModel(w, router, traffic.DefaultTunables()))
+}
+
+// genLetters generates the given letters (nil for all 13) into buffers.
+func genLetters(t testing.TB, g *Generator, dur time.Duration, letters []string) (map[string]*bytes.Buffer, Stats) {
+	t.Helper()
 	bufs := make(map[string]*bytes.Buffer)
-	stats, err := g.Generate(GenConfig{Start: clockx.Epoch, Duration: dur}, func(letter string) (io.WriteCloser, error) {
+	stats, err := g.Generate(GenConfig{Start: clockx.Epoch, Duration: dur, Letters: letters}, func(letter string) (io.WriteCloser, error) {
 		b := &bytes.Buffer{}
 		bufs[letter] = b
 		return nopCloser{b}, nil
@@ -116,7 +128,104 @@ func genTest(t testing.TB, dur time.Duration) (map[string]*bytes.Buffer, Stats, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	return bufs, stats, g
+	return bufs, stats
+}
+
+// TestGenerateLetterSubset: a letter subset draws every record's letter
+// over all 13 roots and keeps only its own, so each kept letter's trace
+// is byte-identical to the same letter of an all-letter run, and the
+// stats count the kept records alone.
+func TestGenerateLetterSubset(t *testing.T) {
+	g := tinyGenerator(t)
+	all, allStats := genLetters(t, g, 6*time.Hour, nil)
+	sub, subStats := genLetters(t, g, 6*time.Hour, DITLLetters)
+	if len(sub) != len(DITLLetters) {
+		t.Fatalf("subset run opened %d sinks, want %d", len(sub), len(DITLLetters))
+	}
+	for _, l := range DITLLetters {
+		if sub[l].Len() <= len(traceMagic)+1 {
+			t.Errorf("letter %s: empty trace", l)
+		}
+		if !bytes.Equal(sub[l].Bytes(), all[l].Bytes()) {
+			t.Errorf("letter %s: subset trace (%d B) differs from the all-letter run's (%d B)", l, sub[l].Len(), all[l].Len())
+		}
+	}
+	if subStats.Records == 0 || subStats.Records >= allStats.Records {
+		t.Errorf("subset records %d, all-letter records %d", subStats.Records, allStats.Records)
+	}
+	for _, bad := range [][]string{{"Z"}, {"J", "J"}} {
+		closes := 0
+		if _, err := g.Generate(GenConfig{Duration: time.Hour, Letters: bad}, func(string) (io.WriteCloser, error) {
+			return &countingSink{closes: &closes, failAfter: -1}, nil
+		}); err == nil {
+			t.Errorf("letters %q accepted", bad)
+		}
+		if want := len(bad) - 1; closes != want {
+			t.Errorf("letters %q: closed %d sinks, want %d", bad, closes, want)
+		}
+	}
+}
+
+// countingSink counts Close calls, fails every Write after failAfter
+// bytes (never when failAfter is negative), and fails its Close when
+// failClose is set.
+type countingSink struct {
+	closes    *int
+	written   int
+	failAfter int
+	failClose bool
+}
+
+func (s *countingSink) Write(p []byte) (int, error) {
+	if s.failAfter >= 0 && s.written+len(p) > s.failAfter {
+		return 0, errors.New("disk full")
+	}
+	s.written += len(p)
+	return len(p), nil
+}
+
+func (s *countingSink) Close() error {
+	*s.closes++
+	if s.failClose {
+		return errors.New("close failed")
+	}
+	return nil
+}
+
+// TestGenerateClosesSinksOnError: every sink open returned is closed
+// exactly once, whether a later open fails, a write fails mid-run or a
+// sink's own Close fails.
+func TestGenerateClosesSinksOnError(t *testing.T) {
+	g := tinyGenerator(t)
+	cases := []struct {
+		name      string
+		failOpen  int // 1-based open that fails; 0 never
+		failAfter int
+		failClose bool
+		wantOpen  int
+	}{
+		{"third open fails", 3, -1, false, 2},
+		{"write fails mid-run", 0, 1 << 12, false, len(Letters)},
+		{"close fails", 0, -1, true, len(Letters)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			opened, closes := 0, 0
+			_, err := g.Generate(GenConfig{Start: clockx.Epoch, Duration: 6 * time.Hour}, func(string) (io.WriteCloser, error) {
+				if opened+1 == tc.failOpen {
+					return nil, errors.New("open refused")
+				}
+				opened++
+				return &countingSink{closes: &closes, failAfter: tc.failAfter, failClose: tc.failClose}, nil
+			})
+			if err == nil {
+				t.Fatal("error swallowed")
+			}
+			if opened != tc.wantOpen || closes != opened {
+				t.Errorf("opened %d sinks (want %d), closed %d", opened, tc.wantOpen, closes)
+			}
+		})
+	}
 }
 
 func TestGenerateProducesAllLetters(t *testing.T) {

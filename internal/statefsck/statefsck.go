@@ -116,10 +116,12 @@ type Options struct {
 const quarantineDir = "quarantine"
 
 // skipDirs are top-level directories fsck records as aux and does not
-// descend into: their contents are not checkpoint state.
+// descend into: their contents are not checkpoint state. No run writes
+// traces/ any more (the DITL stage generates into a temp dir), but
+// state dirs from older builds still hold one, and it is no damage.
 var skipDirs = map[string]string{
 	quarantineDir: "previously quarantined files",
-	"traces":      "generated DITL root traces",
+	"traces":      "DITL root traces an older build left",
 	"metrics":     "trace span logs",
 }
 

@@ -51,7 +51,9 @@ bench:
 # rungs (randx BenchmarkReseed, cacheprobe BenchmarkProbePassDelta and
 # BenchmarkBuildAssignments, the snapshot campaign and pass-delta
 # codecs, the stream hour-delta codec, pipeline BenchmarkStageCheckpoint,
-# experiments BenchmarkDNSLogs)
+# experiments BenchmarkDNSLogs and BenchmarkShardedResume, which reports
+# pipeline.resume_read_mb (its state repair included) and
+# pipeline.shard_restores of a tiny 3-shard resume)
 # run here too; -benchmem reports their bytes and allocations per op.
 bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x -benchmem ./...

@@ -89,7 +89,8 @@ type Config struct {
 	Resume bool
 	// Shards splits every probing pass or stream hour into this many
 	// scatter shards (0 or 1 = monolithic). Results are byte-identical for
-	// any shard count.
+	// any shard count, and checkpoints do not depend on it: a campaign
+	// may resume at a different shard count than it was killed at.
 	Shards int
 	// ShardIndex makes this process shard runner N of a fleet sharing
 	// StateDir; meaningful only when Shards > 1, and requires StateDir.

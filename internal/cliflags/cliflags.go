@@ -32,7 +32,7 @@ func Bind(flags *flag.FlagSet, seed uint64, scale string) *Shared {
 	flags.StringVar(&s.Scale, "scale", scale, "world scale: tiny|small|medium|large")
 	flags.StringVar(&s.StateDir, "state-dir", "", "checkpoint pipeline stages into this directory")
 	flags.BoolVar(&s.Resume, "resume", false, "reuse matching checkpoints in -state-dir, skipping completed stages")
-	flags.IntVar(&s.Shards, "shards", 1, "split every probing pass (or stream hour) into this many scatter shards (results are identical for any count)")
+	flags.IntVar(&s.Shards, "shards", 1, "split every probing pass (or stream hour) into this many scatter shards (results are identical for any count, and a -resume may change it)")
 	flags.IntVar(&s.ShardIndex, "shard-index", -1, "run as shard runner N of -shards sharing -state-dir; -1 executes every shard in this process")
 	flags.StringVar(&s.ShardDir, "shard-dir", "", "work-stealing claim directory of a distributed run (default <state-dir>/shards)")
 	flags.StringVar(&s.Faults, "faults", "", `inject deterministic transport faults, e.g. "loss=0.02,jitter=50ms,outage=fra@24h+6h" (empty or "off" = reliable substrate)`)

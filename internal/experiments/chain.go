@@ -102,9 +102,9 @@ type mode struct {
 	// fp is the campaign-chain config fingerprint: every knob that
 	// changes what the chain measures. The reliability knobs are part of
 	// it — a checkpoint probed under one fault model or retry policy is
-	// stale under another — and the probe pool size (GOMAXPROCS)
-	// deliberately is not: it is a pure throughput knob with bit-identical
-	// results, so checkpoints written at one pool size resume at any other.
+	// stale under another — and the pool size (GOMAXPROCS) and shard count
+	// deliberately are not: pure throughput knobs with bit-identical
+	// results, so step checkpoints resume at any other pool or shard count.
 	fp string
 	// window is the probing window and steps how many steps divide it
 	// (passes of a batch campaign, hours of a stream).
@@ -131,10 +131,8 @@ type chain struct {
 	world  *pipeline.Stage[*sim.System]
 	setup  *pipeline.Stage[*campaignEnv]
 	// steps are the probing steps in order; the last one's artifact
-	// holds the finished campaign. shards[k] are step k's shard
-	// sub-stages (none unless the campaign is sharded).
-	steps  []*pipeline.Stage[*stepArtifact]
-	shards [][]*pipeline.Stage[*cacheprobe.ShardResult]
+	// holds the finished campaign.
+	steps []*pipeline.Stage[*stepArtifact]
 }
 
 // last is the final step.

@@ -95,9 +95,9 @@ type Config struct {
 	// Shards splits every probing step — a batch pass or a stream hour —
 	// into this many scatter shards. 0 or 1 keeps the step monolithic;
 	// N > 1 expands each step stage into N shard sub-stages (checkpointed
-	// as "probe-pass-k/shard-i" or "stream-hour-k/shard-i") plus a gather
-	// stage under the step's canonical name. Gathered results are
-	// byte-identical to the single-process campaign for any shard count.
+	// as "<step>/shard-i") plus a gather under the step's canonical name.
+	// Results are byte-identical to the single-process campaign's, and
+	// step checkpoints resume, at any shard count.
 	Shards int
 	// ShardIndex selects shard-runner mode: when ≥ 0 (and Shards > 1)
 	// this process is runner ShardIndex of a fleet sharing StateDir — it
@@ -118,8 +118,9 @@ type Config struct {
 	ShardStealAfter time.Duration
 	// StopAfter aborts the run right after the named stage checkpoints
 	// (see ProbePassStage and StreamHourStage; shard k of a step is
-	// "<step>/shard-k") — the test stand-in for a mid-campaign kill. The
-	// run returns pipeline.ErrStopped.
+	// "<step>/shard-k"; it never fires on a shard whose gather restores)
+	// — the test stand-in for a mid-campaign kill. The run returns
+	// pipeline.ErrStopped.
 	StopAfter string
 	// Log receives stage progress lines ("stage probe-pass-3: restored
 	// checkpoint … — skipped"); nil discards them. All logging funnels

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"regexp"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -47,7 +48,10 @@ func (s *stageFingerprints) logf(format string, args ...any) {
 // state directory written by an earlier build still resumes, stage for
 // stage, and a changed one means every operator's checkpoints went stale.
 // Regenerate (`make golden-update`) only for a change that is meant to
-// invalidate them.
+// invalidate them. It also asserts the invariant behind resuming at a
+// different shard count: a gather leaves its shards out of its
+// fingerprint, so every non-shard stage of the sharded run has its
+// monolithic fingerprint.
 func TestStageFingerprintsPinned(t *testing.T) {
 	batch := DefaultConfig(randx.Seed(909), world.ScaleTiny)
 	batch.CampaignDuration = 24 * time.Hour
@@ -82,6 +86,14 @@ func TestStageFingerprintsPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	got["stream hours=3"] = rec.fps
+
+	// A step checkpoint is shard-count independent: every stage of the
+	// sharded run but its shards has its monolithic fingerprint.
+	for stage, fp := range got["batch shards=3"] {
+		if mono := got["batch shards=1"][stage]; !strings.Contains(stage, "/shard-") && fp != mono {
+			t.Errorf("batch shards=3: stage %s fingerprint %q, shards=1 has %q", stage, fp, mono)
+		}
+	}
 
 	var want map[string]map[string]string
 	if !goldenLoad(t, goldenFingerprintsPath, got, &want) {

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,6 +16,7 @@ import (
 	"clientmap/internal/health"
 	"clientmap/internal/pipeline"
 	"clientmap/internal/randx"
+	"clientmap/internal/statefs"
 	"clientmap/internal/world"
 )
 
@@ -193,6 +195,148 @@ func TestShardStragglerSteal(t *testing.T) {
 	if claims == 0 {
 		t.Error("no .steal claims written — the lone runner cannot have stolen its peers' stages")
 	}
+}
+
+// readCounter is the disk, counting the bytes read through it.
+type readCounter struct {
+	statefs.Disk
+	bytes atomic.Int64
+}
+
+func (c *readCounter) ReadFile(path string) ([]byte, error) {
+	data, err := c.Disk.ReadFile(path)
+	c.bytes.Add(int64(len(data)))
+	return data, err
+}
+
+// resumeSharded resumes cfg's campaign from dir at the given shard count
+// and returns the bytes the resume read: its state repair's and its
+// restores' alike.
+func resumeSharded(tb testing.TB, cfg Config, dir string, shards int) (*Results, int64, *logCapture) {
+	tb.Helper()
+	log, reads := &logCapture{}, &readCounter{}
+	cfg.Shards, cfg.StateDir, cfg.Resume, cfg.Log, cfg.FS = shards, dir, true, log.logf, reads
+	res, err := Run(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res, reads.bytes.Load(), log
+}
+
+// shardRestores counts the shard checkpoints a run logged as restored.
+func (l *logCapture) shardRestores() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := 0
+	for _, line := range l.lines {
+		if strings.Contains(line, "/shard-") && strings.Contains(line, ": restored checkpoint") {
+			n++
+		}
+	}
+	return n
+}
+
+// ran returns the stages a run's log says it built.
+func (l *logCapture) ran() []string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	var out []string
+	for _, line := range l.lines {
+		if m := stageRunningLine.FindStringSubmatch(line); m != nil {
+			out = append(out, m[1])
+		}
+	}
+	return out
+}
+
+// TestShardedResume: a step checkpoint does not depend on the shard
+// count. A complete 3-shard state directory resumes without restoring a
+// shard checkpoint, at 3 shards and at 1 or 5, and a monolithic one
+// resumes at 3: each rebuilds only the four ephemeral stages. A torn
+// pass-1 gather is quarantined by the resume's repair and rebuilt from
+// its shards' checkpoints, with the gathers after it, re-probing
+// nothing. Every resume is byte-identical to the monolithic run. Seven
+// tiny runs, two of them fresh: about 2 s on two vCPUs.
+func TestShardedResume(t *testing.T) {
+	cfg := shardBaseConfig()
+	monoDir, dir := t.TempDir(), t.TempDir()
+	mcfg := cfg
+	mcfg.StateDir = monoDir
+	mono, err := Run(mcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scfg := cfg
+	scfg.Shards, scfg.StateDir = 3, dir
+	if _, err := Run(scfg); err != nil {
+		t.Fatal(err)
+	}
+
+	ephemeral := map[string]bool{StageWorld: true, StageSetup: true, StageViews: true, StageFinish: true}
+	for _, c := range []struct {
+		dir    string
+		shards int
+		label  string
+	}{{dir, 3, "3 shards"}, {dir, 1, "3 shards at 1"}, {dir, 5, "3 shards at 5"}, {monoDir, 3, "monolithic at 3"}} {
+		res, _, log := resumeSharded(t, cfg, c.dir, c.shards)
+		assertShardEqual(t, c.label, mono, res)
+		if n := log.shardRestores(); n != 0 {
+			t.Errorf("%s: the resume restored %d shard checkpoints, want 0", c.label, n)
+		}
+		for _, s := range log.ran() {
+			if !ephemeral[s] {
+				t.Errorf("%s: the resume ran %s", c.label, s)
+			}
+		}
+		if n, want := log.count(": restored checkpoint"), 4+cfg.Passes; n != want {
+			t.Errorf("%s: %d stages restored, want all %d persisted ones", c.label, n, want)
+		}
+	}
+
+	gather := filepath.Join(dir, ProbePassStage(1)+".snap")
+	data, err := os.ReadFile(gather)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(gather, data[:len(data)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	res, _, log := resumeSharded(t, cfg, dir, 3)
+	assertShardEqual(t, "torn gather", mono, res)
+	if n, want := log.shardRestores(), 3*(cfg.Passes-1); n != want {
+		t.Errorf("torn gather: %d shard checkpoints restored, want %d (passes 1…%d)", n, want, cfg.Passes-1)
+	}
+	for _, s := range log.ran() {
+		if strings.Contains(s, "/shard-") {
+			t.Errorf("torn gather: the resume re-probed %s", s)
+		}
+	}
+	if log.count(ProbePassStage(1)+": running") != 1 {
+		t.Error("torn gather: the pass-1 gather did not rerun")
+	}
+}
+
+// BenchmarkShardedResume resumes a complete tiny 3-shard state directory
+// and reports the megabytes it read, its state repair's checksum pass
+// included, and how many shard checkpoints it restored: every gather
+// restores, so none.
+func BenchmarkShardedResume(b *testing.B) {
+	cfg := shardBaseConfig()
+	dir := b.TempDir()
+	wcfg := cfg
+	wcfg.Shards, wcfg.StateDir = 3, dir
+	if _, err := Run(wcfg); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	var bytes, shards int64
+	for i := 0; i < b.N; i++ {
+		_, read, log := resumeSharded(b, cfg, dir, 3)
+		bytes += read
+		shards += int64(log.shardRestores())
+	}
+	b.ReportMetric(float64(bytes)/1e6/float64(b.N), "pipeline.resume_read_mb")
+	b.ReportMetric(float64(shards)/float64(b.N), "pipeline.shard_restores")
 }
 
 // TestPassCheckpointSizeFlat: a probing pass checkpoints only its own

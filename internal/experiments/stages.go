@@ -129,14 +129,14 @@ func newBatchRun(cfg Config) *batchRun {
 
 // probeStep registers the probing of campaign step k on top of up — a
 // batch pass or a stream hour, the one step path both modes share. With
-// cfg.Shards > 1 the step first scatters into shard sub-stages
-// ("<step>/shard-i", each its own checkpoint, so shards resume
-// independently); the gather stage keeps the step's canonical name, so
-// StopAfter targets, resume logs and downstream dependencies are
-// unchanged, and any upstream change cascades through every shard into
-// the gather. A restored delta folds into the upstream campaign through
-// the same Apply a probed one takes, so a restored chain and a probed
-// chain cannot diverge.
+// cfg.Shards > 1 the step scatters into shard sub-stages ("<step>/shard-i",
+// each its own checkpoint), which the gather runs only when its own
+// checkpoint does not restore. The gather keeps the step's canonical name
+// and monolithic fingerprint, so StopAfter targets, resume logs and
+// downstream dependencies are unchanged at any shard count, resumes
+// included. A restored delta folds into the upstream campaign through the
+// same Apply a probed one takes, so a restored chain and a probed chain
+// cannot diverge.
 func (c *chain) probeStep(k int, up link) *pipeline.Stage[*stepArtifact] {
 	cfg, setup := c.cfg, c.setup
 	name, fp := c.stepName(k), c.fp+c.stepFP(k)
@@ -155,7 +155,6 @@ func (c *chain) probeStep(k int, up link) *pipeline.Stage[*stepArtifact] {
 			return nil, err
 		}
 		a.Pass.Apply(a.Camp)
-		c.releaseShards(k)
 		return a, nil
 	}
 	var shards []*pipeline.Stage[*cacheprobe.ShardResult]
@@ -170,7 +169,6 @@ func (c *chain) probeStep(k int, up link) *pipeline.Stage[*stepArtifact] {
 				}
 			})
 	}
-	c.shards = append(c.shards, shards)
 	gdeps := append(deps(setup, up.handle), pipeline.Handles(shards)...)
 	return pipeline.AddStage(c.runner, name, fp, gdeps, &codec,
 		func(ctx context.Context) (*stepArtifact, error) {
@@ -191,21 +189,10 @@ func (c *chain) probeStep(k int, up link) *pipeline.Stage[*stepArtifact] {
 			if err != nil {
 				return nil, err
 			}
-			c.releaseShards(k)
 			d.Base = up.hash()
 			a := &stepArtifact{Camp: camp, Pass: d}
 			return a, c.finish(env, a, k)
 		})
-}
-
-// releaseShards drops step k's shard results once its delta holds their
-// evidence: each is checkpointed, and nothing reads it again. A restored
-// step drops them only after its delta has folded, so a checkpoint that
-// fails to restore can still be rebuilt by gathering them.
-func (c *chain) releaseShards(k int) {
-	for _, s := range c.shards[k] {
-		*s.Out() = cacheprobe.ShardResult{}
-	}
 }
 
 // runDNSLogs generates the DITL letters' traces and crawls them —

@@ -16,10 +16,10 @@
 // nothing" is observable.
 //
 // Stages with no dependency relationship execute concurrently; each
-// stage starts the moment its dependencies finish. Ephemeral stages
-// (nil codec) always execute — they rebuild in-memory environment
-// (worlds, probers, transports) that is cheap relative to measurement
-// and cannot meaningfully be serialized.
+// stage starts the moment its dependencies finish (FanOut's shards: when
+// their gather rebuilds). Ephemeral stages (nil codec) always execute —
+// they rebuild in-memory environment (worlds, probers, transports) that
+// is cheap relative to measurement and cannot meaningfully be serialized.
 package pipeline
 
 import (
@@ -106,6 +106,7 @@ type Handle interface {
 	await() error
 	meta() *stageMeta
 	exec(ctx context.Context, r *Runner) error
+	drop()
 }
 
 // stageMeta is the type-independent execution state of a stage.
@@ -113,6 +114,7 @@ type stageMeta struct {
 	name     string
 	configFP string
 	deps     []Handle
+	inputs   []Handle // the FanOut shards among the deps
 	done     chan struct{}
 	err      error
 	// fingerprint is the stage's derived input fingerprint, available
@@ -123,6 +125,7 @@ type stageMeta struct {
 	// fingerprint itself for ephemeral ones.
 	artifactHash string
 	restored     bool
+	input        bool // a FanOut shard: its dependent runs it, not Run
 }
 
 // Stage is one node of the pipeline. Obtain via AddStage; read the
@@ -172,11 +175,17 @@ func AddStage[T any](r *Runner, name, configFP string, deps []Handle, codec *sna
 		m: stageMeta{
 			name:     name,
 			configFP: configFP,
-			deps:     deps,
 			done:     make(chan struct{}),
 		},
 		codec: codec,
 		build: build,
+	}
+	for _, d := range deps {
+		if d.meta().input {
+			s.m.inputs = append(s.m.inputs, d)
+		} else {
+			s.m.deps = append(s.m.deps, d)
+		}
 	}
 	r.stages = append(r.stages, s)
 	return s
@@ -198,6 +207,14 @@ func (s *Stage[T]) ArtifactHash() string { return s.m.artifactHash }
 
 func (s *Stage[T]) meta() *stageMeta { return &s.m }
 
+func (s *Stage[T]) drop() { s.out = *new(T) }
+
+func (m *stageMeta) dropInputs() {
+	for _, d := range m.inputs {
+		d.drop()
+	}
+}
+
 func (s *Stage[T]) await() error {
 	<-s.m.done
 	return s.m.err
@@ -209,8 +226,9 @@ func (s *Stage[T]) await() error {
 func (r *Runner) Run(ctx context.Context) error {
 	var g par.Group
 	for _, s := range r.stages {
-		s := s
-		g.Go(func() error { return s.exec(ctx, r) })
+		if !s.meta().input {
+			g.Go(func() error { return s.exec(ctx, r) })
+		}
 	}
 	return g.Wait()
 }
@@ -272,12 +290,29 @@ func short(fp string) string {
 	return fp
 }
 
-// produce restores the artifact from a matching checkpoint or builds
-// and (when persisted) checkpoints it.
+// produce restores the artifact from a matching checkpoint or runs the
+// inputs, builds, drops the inputs' artifacts and (if persisted) checkpoints.
 func (s *Stage[T]) produce(ctx context.Context, r *Runner) error {
 	persisted := s.codec != nil && r.opts.Dir != ""
 	if persisted && r.opts.Resume && s.tryRestore(r) {
 		return nil
+	}
+	var g par.Group
+	for _, d := range s.m.inputs {
+		g.Go(func() error {
+			d.exec(ctx, r)
+			return d.await()
+		})
+	}
+	if err := g.Wait(); err != nil {
+		return err
+	}
+	defer s.m.dropInputs() // on the gate's restore path too
+	// A StopAfter that fired meanwhile (on an input, say) forbids the build.
+	select {
+	case <-r.stopped:
+		return ErrStopped
+	default:
 	}
 	if persisted && r.opts.Resume && r.opts.Gate != nil {
 		if err := s.awaitGate(ctx, r); err != nil {
@@ -295,6 +330,7 @@ func (s *Stage[T]) produce(ctx context.Context, r *Runner) error {
 		return err
 	}
 	s.out = out
+	s.m.dropInputs() // before the checkpoint write, not after it
 	took := time.Since(start)
 
 	if !persisted {
@@ -406,14 +442,17 @@ func (s *Stage[T]) path(r *Runner) string {
 // sharing deps and codec — the dynamic expansion of one logical stage
 // into shard sub-stages. Each shard's config fingerprint extends
 // configFP with its position, so changing the shard count invalidates
-// every shard; per-shard artifacts restore independently, giving
-// per-shard resume, and any upstream change cascades through all shards
-// to whatever gathers them. build(i) returns shard i's build function.
+// every shard; each restores independently. The shards are inputs of the
+// stage listing them, the gather: left out of its fingerprint, so its
+// checkpoint resumes at any shard count, and run only when it does not
+// restore (a StopAfter on a shard of a restoring gather never fires).
+// build(i) returns shard i's build function.
 func FanOut[T any](r *Runner, base, configFP string, n int, deps []Handle, codec *snapshot.Codec[T], build func(i int) func(ctx context.Context) (T, error)) []*Stage[T] {
 	out := make([]*Stage[T], n)
 	for i := 0; i < n; i++ {
 		fp := fmt.Sprintf("%s shard=%d/%d", configFP, i, n)
 		out[i] = AddStage(r, fmt.Sprintf("%s/shard-%d", base, i), fp, deps, codec, build(i))
+		out[i].m.input = true
 	}
 	return out
 }

@@ -50,9 +50,12 @@ bench:
 # to them) compiling and passing as the code moves. In-package ladder
 # rungs (randx BenchmarkReseed, cacheprobe BenchmarkProbePassDelta and
 # BenchmarkBuildAssignments, the snapshot campaign and pass-delta
-# codecs, the stream hour-delta codec, pipeline BenchmarkStageCheckpoint,
-# experiments BenchmarkDNSLogs and BenchmarkShardedResume, which reports
-# pipeline.resume_read_mb (its state repair included) and
+# codecs, the stream hour-delta codec, stream BenchmarkSchedule, which
+# reports stream.schedule_ms of one small-world hour, pipeline
+# BenchmarkStageCheckpoint, experiments BenchmarkDNSLogs,
+# BenchmarkStreamHour, which reports stream.hour_ms of a churned small
+# stream hour beside stream.quiet_hour_ms, and BenchmarkShardedResume,
+# which reports pipeline.resume_read_mb (its state repair included) and
 # pipeline.shard_restores of a tiny 3-shard resume)
 # run here too; -benchmem reports their bytes and allocations per op.
 bench-smoke:

@@ -226,17 +226,49 @@ func EventsAt(plan []Event, hour int) []Event {
 	return plan[lo:hi]
 }
 
-// Apply replays one event onto the world. Drift and diurnal redraws are
-// keyed by (seed, tick, target), so applying the same event to the same
-// world state always produces the same world — the property the
-// kill/resume guarantee of the streaming mode rests on. The PoP window
-// kinds mutate no world state (the streaming scheduler interprets them);
-// Apply accepts them as no-ops so callers can replay a whole hour
-// uniformly.
-func (c Config) Apply(ev Event, w *world.World) {
+// Effect is what applying events changed of the world state that
+// memos derived from it may hold. No churn kind moves a client /24 or
+// changes the anycast catalog, so client routes never go stale; only
+// per-/24 traffic rates and diurnality do. The zero value changes
+// nothing.
+type Effect struct {
+	// AllRates reports that every /24's Google DNS rate moved (drift
+	// steps every AS's share).
+	AllRates bool
+	// Prefixes lists the /24s whose own fields changed (a realloc's
+	// origin AS and population, a diurnal tick's rescaled amplitudes), in
+	// no particular order and possibly repeated.
+	Prefixes []netx.Slash24
+}
+
+// Merge folds o into e.
+func (e *Effect) Merge(o Effect) {
+	e.AllRates = e.AllRates || o.AllRates
+	e.Prefixes = append(e.Prefixes, o.Prefixes...)
+}
+
+// Empty reports whether e changes nothing.
+func (e Effect) Empty() bool { return !e.AllRates && len(e.Prefixes) == 0 }
+
+// Apply replays one event onto the world and returns its effect. Drift
+// and diurnal redraws are keyed by (seed, tick, target), so applying the
+// same event to the same world state always produces the same world —
+// the property the kill/resume guarantee of the streaming mode rests on.
+// Per kind:
+//
+//   - realloc changes its one /24;
+//   - diurnal changes the /24s it rescales;
+//   - drift changes every /24's rate;
+//   - chromium-off changes only the Chromium share, which no rate memo
+//     reads;
+//   - PoP withdraw and announce mutate no world state (the streaming
+//     scheduler interprets them); Apply accepts them as no-ops so
+//     callers can replay a whole hour uniformly.
+func (c Config) Apply(ev Event, w *world.World) Effect {
 	switch ev.Kind {
 	case KindRealloc:
 		w.Realloc(ev.Prefix, ev.NewASIdx, ev.NewUsers, ev.NewActivity, ev.NewDiurnality, ev.NewResolverIdx)
+		return Effect{Prefixes: []netx.Slash24{ev.Prefix}}
 	case KindDrift:
 		rng := c.Seed.New("churn/drift-scratch")
 		var key []byte
@@ -252,7 +284,9 @@ func (c Config) Apply(ev Event, w *world.World) {
 			c.Seed.ReseedB(rng, key)
 			w.SetGoogleDNSShare(int32(i), as.GoogleDNSShare*rng.LogNormal(0, ev.Sigma))
 		}
+		return Effect{AllRates: true}
 	case KindDiurnal:
+		var eff Effect
 		var key []byte
 		for i := range w.Prefixes {
 			pi := &w.Prefixes[i]
@@ -269,10 +303,11 @@ func (c Config) Apply(ev Event, w *world.World) {
 			// u/diurnalSampleFrac is uniform in [0,1) given selection.
 			factor := 1 + ev.Delta*(2*u/diurnalSampleFrac-1)
 			w.ScaleDiurnality(pi.P, factor)
+			eff.Prefixes = append(eff.Prefixes, pi.P)
 		}
+		return eff
 	case KindChromiumOff:
 		w.SetChromiumShare(0)
-	case KindPoPWithdraw, KindPoPAnnounce:
-		// Scheduler-level events; no world state changes.
 	}
+	return Effect{}
 }

@@ -62,7 +62,7 @@ func (e *streamEnv) plan(env *campaignEnv, camp *cacheprobe.Campaign, k int) *st
 		e.st = stream.NewState(e.scfg, e.scfg.Churn.Plan(e.scfg.Hours, env.sys.World), asg)
 		e.senv = &stream.Env{World: env.sys.World, Model: env.sys.Model, Asg: asg, Epoch: campStart}
 		if lf := env.sys.Google.LazyFill(); lf != nil {
-			e.senv.InvalidateRates = lf.Invalidate
+			e.senv.Invalidate = lf.Invalidate
 		}
 	}
 	if e.hp == nil || e.hp.Hour != k {

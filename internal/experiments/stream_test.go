@@ -321,6 +321,84 @@ func TestStreamKillResumeSmoke(t *testing.T) {
 	}
 }
 
+// TestStreamKillResumeEveryKind kills a tiny stream at each hour that
+// holds a churn event — one hour per kind, all six kinds — and resumes
+// it. Each resumed run must match the uninterrupted run byte for byte:
+// rolling views, decay ledger, metrics JSON, lag report and the on-disk
+// rolling artifact. A resumed process rebuilds its lazy-fill memo from
+// the replayed hours' effects, so a kind that drops too little (or a
+// route that goes stale) shows up here as a diverging hour.
+func TestStreamKillResumeEveryKind(t *testing.T) {
+	ch, err := churn.Parse("chromium=off@1h,pop=fra@2h+1h,realloc=2@4h,drift=0.15@5h,diurnal=0.2@6h")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := StreamConfig{
+		Seed:   randx.Seed(7),
+		Scale:  world.ScaleTiny,
+		Hours:  8,
+		Churn:  ch,
+		Faults: faults.Config{Loss: 0.02},
+	}
+	artifact := func(cfg *StreamConfig) []byte {
+		t.Helper()
+		b, err := os.ReadFile(cfg.ArtifactPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	full := base
+	full.ArtifactPath = filepath.Join(t.TempDir(), "rolling.bin")
+	fres, err := RunStream(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fart := artifact(&full)
+
+	ch.Seed = base.Seed
+	w, err := world.Generate(world.Config{Seed: base.Seed, Scale: base.Scale, Params: world.DefaultParams()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kindAt := map[int]churn.Kind{}
+	for _, ev := range ch.Plan(base.Hours, w) {
+		if k, ok := kindAt[ev.Hour]; ok && k != ev.Kind {
+			t.Fatalf("hour %d holds both %s and %s", ev.Hour, k, ev.Kind)
+		}
+		kindAt[ev.Hour] = ev.Kind
+	}
+	if len(kindAt) != 6 {
+		t.Fatalf("plan holds events on %d hours, want one per kind (6)", len(kindAt))
+	}
+	for h := 0; h < base.Hours; h++ {
+		kind, ok := kindAt[h]
+		if !ok {
+			continue
+		}
+		dir := t.TempDir()
+		killed := base
+		killed.StateDir = dir
+		killed.StopAfter = StreamHourStage(h)
+		if _, err := RunStream(killed); !errors.Is(err, pipeline.ErrStopped) {
+			t.Fatalf("stopped at hour %d (%s): got error %v, want pipeline.ErrStopped", h, kind, err)
+		}
+		resumed := base
+		resumed.StateDir = dir
+		resumed.Resume = true
+		resumed.ArtifactPath = filepath.Join(t.TempDir(), "rolling.bin")
+		rres, err := RunStream(resumed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		label := fmt.Sprintf("killed@%d (%s)", h, kind)
+		compareStreams(t, "uninterrupted", label, fres, rres)
+		if !bytes.Equal(fart, artifact(&resumed)) {
+			t.Errorf("%s: on-disk rolling artifact differs from the uninterrupted run's", label)
+		}
+	}
+}
+
 // TestStreamShardRunners: a stream hour is a probing step like a batch
 // pass, so it shards. Three shard runners (three RunStream calls with
 // their own worlds, probers and registries, sharing only the state dir)

@@ -386,6 +386,10 @@ type Injector struct {
 	clock    *clockx.Sim
 	counters counters
 	next     dnsnet.Exchanger
+	// The per-query rolls' key heads "faults/<kind>/", folded from the
+	// seed once (see randx.KeyState); each roll extends one by the
+	// query's key.
+	jitterHead, brownoutHead, lossHead, dupHead, truncHead randx.KeyState
 }
 
 // New wraps next in a fault injector. target labels this transport path
@@ -394,7 +398,10 @@ type Injector struct {
 // unscheduled queries. Every injected fault counts into reg under its
 // Key… name (nil discards).
 func New(cfg Config, target string, epoch time.Time, clock *clockx.Sim, reg *metrics.Registry, next dnsnet.Exchanger) *Injector {
-	return &Injector{cfg: cfg, target: target, epoch: epoch, clock: clock, counters: register(reg), next: next}
+	head := func(kind string) randx.KeyState { return cfg.Seed.KeyState([]byte("faults/" + kind + "/")) }
+	return &Injector{cfg: cfg, target: target, epoch: epoch, clock: clock, counters: register(reg), next: next,
+		jitterHead: head("jitter"), brownoutHead: head("brownout-loss"), lossHead: head("loss"),
+		dupHead: head("dup"), truncHead: head("trunc")}
 }
 
 // delay injects d of latency: on scheduled queries it shifts the
@@ -412,20 +419,12 @@ func (in *Injector) delay(ctx context.Context, d time.Duration) context.Context 
 	return ctx
 }
 
-// decide reports whether the fault keyed by kind fires for this query at
-// probability p. Pure hash — no state, no ordering sensitivity. The hash
-// domain is byte-built in stack scratch, identical to the former
-// "faults/" + kind + "/" + key concatenation.
-func (in *Injector) decide(kind string, key []byte, p float64) bool {
-	if p <= 0 {
-		return false
-	}
-	var kb [160]byte
-	k := append(kb[:0], "faults/"...)
-	k = append(k, kind...)
-	k = append(k, '/')
-	k = append(k, key...)
-	return in.cfg.Seed.HashUnitB(k) < p
+// decide reports whether the fault whose key head is head fires for this
+// query at probability p. Pure hash — no state, no ordering sensitivity.
+// The hashed bytes are the former "faults/" + kind + "/" + key
+// concatenation's.
+func decide(head randx.KeyState, key []byte, p float64) bool {
+	return p > 0 && head.Extend(key).Unit() < p
 }
 
 // Exchange implements dnsnet.Exchanger.
@@ -449,10 +448,7 @@ func (in *Injector) Exchange(ctx context.Context, server string, query *dnswire.
 	key = append(key, in.target...)
 
 	if in.cfg.Jitter > 0 {
-		var jb [144]byte
-		jk := append(jb[:0], "faults/jitter/"...)
-		jk = append(jk, key...)
-		j := time.Duration(in.cfg.Seed.HashUnitB(jk) * float64(in.cfg.Jitter))
+		j := time.Duration(in.jitterHead.Extend(key).Unit() * float64(in.cfg.Jitter))
 		ctx = in.delay(ctx, j)
 	}
 
@@ -487,12 +483,12 @@ func (in *Injector) Exchange(ctx context.Context, server string, query *dnswire.
 		}
 	}
 
-	if extraLoss > 0 && in.decide("brownout-loss", key, extraLoss) {
+	if extraLoss > 0 && decide(in.brownoutHead, key, extraLoss) {
 		in.counters.brownoutDrops.IncIn(ctx)
 		return nil, dnsnet.ErrTimeout
 	}
 
-	if in.decide("loss", key, in.cfg.Loss) {
+	if decide(in.lossHead, key, in.cfg.Loss) {
 		in.counters.drops.IncIn(ctx)
 		return nil, dnsnet.ErrTimeout
 	}
@@ -501,12 +497,12 @@ func (in *Injector) Exchange(ctx context.Context, server string, query *dnswire.
 	if err != nil {
 		return resp, err
 	}
-	if in.decide("dup", key, in.cfg.Dup) {
+	if decide(in.dupHead, key, in.cfg.Dup) {
 		// The exchange layer absorbs duplicates (stale datagrams are
 		// discarded by ID matching); only the counter observes them.
 		in.counters.duplicates.IncIn(ctx)
 	}
-	if in.decide("trunc", key, in.cfg.Trunc) {
+	if decide(in.truncHead, key, in.cfg.Trunc) {
 		in.counters.truncations.IncIn(ctx)
 		tr := *resp
 		tr.Truncated = true

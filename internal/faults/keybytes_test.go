@@ -10,18 +10,23 @@ import (
 )
 
 // TestDecideMatchesStringHash re-derives the injector's per-query fault
-// roll through the string-concatenated hash key it replaced: any drift
-// moves every injected fault in a seeded campaign.
+// rolls through the string-concatenated hash keys they replaced: any
+// drift moves every injected fault in a seeded campaign. The jitter roll
+// extends its head the way decide extends the others.
 func TestDecideMatchesStringHash(t *testing.T) {
 	seed := randx.Seed(77)
 	in := New(Config{Seed: seed, Loss: 0.5}, "vantage-a", clockx.Epoch, clockx.NewSim(clockx.Epoch), nil, nil)
 	keys := []string{"0/41112/gpdns:8.8.8.8/vantage-a", "1025/7/ns.example/vantage-a"}
-	for _, kind := range []string{"loss", "dup", "trunc"} {
+	heads := map[string]randx.KeyState{
+		"jitter": in.jitterHead, "brownout-loss": in.brownoutHead,
+		"loss": in.lossHead, "dup": in.dupHead, "trunc": in.truncHead,
+	}
+	for kind, head := range heads {
 		for _, key := range keys {
 			for _, p := range []float64{0.01, 0.3, 0.97} {
 				want := seed.HashUnit(fmt.Sprintf("faults/%s/%s", kind, key)) < p
-				if got := in.decide(kind, []byte(key), p); got != want {
-					t.Errorf("decide(%q, %q, %v) = %v, string-hash derivation = %v",
+				if got := decide(head, []byte(key), p); got != want {
+					t.Errorf("decide(%s head, %q, %v) = %v, string-hash derivation = %v",
 						kind, key, p, got, want)
 				}
 			}

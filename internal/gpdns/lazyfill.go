@@ -1,12 +1,14 @@
 package gpdns
 
 import (
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"clientmap/internal/authdns"
+	"clientmap/internal/churn"
 	"clientmap/internal/domains"
 	"clientmap/internal/netx"
 	"clientmap/internal/traffic"
@@ -21,26 +23,23 @@ import (
 // cache pools, and asks the traffic model's deterministic Poisson sampler
 // for the most recent arrival within the record's TTL.
 //
-// Everything but the sampler draw is a pure function of the domain and
-// the query's ECS source clamped to the domain's Scope.MaxBits, so it is
-// memoized as one line per such key: the natural scope, the per-PoP
-// rates, and the rate-weighted longitude and diurnality. A probe reads
-// its line without taking a lock or writing shared memory; a missing
-// line is filled under one mutex, which also memoizes each client /24's
-// anycast route for every line that contains it.
+// Everything but the sampler draw is a pure function of the domain, the
+// query's ECS source clamped to the domain's Scope.MaxBits, and the world
+// state of the /24s inside that key's natural scope, so it is memoized
+// as one line per such key: the natural scope, the per-PoP rates, and the
+// rate-weighted longitude and diurnality. A probe reads its line without
+// taking a lock or writing shared memory; a missing line is filled under
+// one mutex, which also memoizes each client /24's anycast route. Routes
+// read only the /24 and its coordinate, which no churn changes, so they
+// live as long as the LazyFill; Invalidate drops only the lines a churn
+// effect names.
 type LazyFill struct {
 	model *traffic.Model
 	doms  []domains.Domain
 	index map[string]int32 // name → doms index
 	pools int
 
-	memo atomic.Pointer[fillMemo]
-}
-
-// fillMemo is one epoch of the memo: the published lines and the client
-// routes they were summed from. Invalidate starts a new epoch.
-type fillMemo struct {
-	mu     sync.Mutex // serializes fills: publishing lines, writing routes
+	mu     sync.Mutex // serializes fills and invalidation: publishing lines, writing routes
 	lines  atomic.Pointer[lineTable]
 	routes map[netx.Slash24]int // client /24 → PoP index, guarded by mu
 }
@@ -100,15 +99,28 @@ func (l *line) rate(pop int) float64 {
 // readers probe without a lock. A slot changes once, from nil to a line;
 // a table past half full is replaced by a doubled copy, so a reader
 // holding the old table sees a subset of the lines and retries a miss
-// under fillMemo.mu.
+// under LazyFill.mu.
 type lineTable struct {
 	slots []atomic.Pointer[line]
 	shift uint
-	n     int // lines published, guarded by fillMemo.mu
+	n     int // lines published, guarded by LazyFill.mu
 }
+
+// minLineBits is an empty table's size, 2^minLineBits slots.
+const minLineBits = 10
 
 func newLineTable(bits uint) *lineTable {
 	return &lineTable{slots: make([]atomic.Pointer[line], 1<<bits), shift: 64 - bits}
+}
+
+// lineBitsFor returns the table size n lines grow an empty table to: the
+// smallest power of two at least 2n, and at least 2^minLineBits.
+func lineBitsFor(n int) uint {
+	bits := uint(minLineBits)
+	for 1<<bits < 2*n {
+		bits++
+	}
+	return bits
 }
 
 // get returns the line for k, or nil.
@@ -121,7 +133,7 @@ func (t *lineTable) get(k lineKey) *line {
 	}
 }
 
-// put publishes l, which t does not hold yet. Callers hold fillMemo.mu.
+// put publishes l, which t does not hold yet. Callers hold LazyFill.mu.
 func (t *lineTable) put(l *line) {
 	mask := uint64(len(t.slots) - 1)
 	i := l.key.hash() >> t.shift
@@ -135,25 +147,52 @@ func (t *lineTable) put(l *line) {
 // NewLazyFill builds the background-traffic model for the given per-PoP
 // pool count (which must match the server's).
 func NewLazyFill(model *traffic.Model, pools int) *LazyFill {
-	lf := &LazyFill{model: model, doms: domains.Catalog(), index: make(map[string]int32), pools: pools}
+	lf := &LazyFill{model: model, doms: domains.Catalog(), index: make(map[string]int32), pools: pools,
+		routes: make(map[netx.Slash24]int)}
 	for i, d := range lf.doms {
 		lf.index[d.Name] = int32(i)
 	}
-	lf.Invalidate()
+	lf.lines.Store(newLineTable(minLineBits))
 	return lf
 }
 
-// Invalidate drops every memoized line and client route. The memo
-// assumes the world's prefix populations, resolver shares and routes are
-// frozen — true for fixed-window campaigns, false once the streaming
-// mode churns the world. The stream calls Invalidate after applying each
-// hour's churn events, so both a continuous run and a resumed run
-// recompute lines from the same post-churn world instead of one of them
-// serving stale ones.
-func (lf *LazyFill) Invalidate() {
-	m := &fillMemo{routes: make(map[netx.Slash24]int)}
-	m.lines.Store(newLineTable(10))
-	lf.memo.Store(m)
+// Invalidate drops the memoized lines a churn effect made stale, once
+// the effect's events are applied to the world. A line is a function of
+// the /24s inside its natural scope, so a /24 set drops exactly the
+// lines whose natural scope holds one of them; an effect on every /24's
+// rates drops every line, into a table already sized for the lines the
+// last epoch held. Client routes are never dropped. Callers invalidate
+// between probe passes: a reader still holding the old table could
+// otherwise see a dropped line. A continuous and a resumed stream apply
+// the same effects, so both recompute stale lines from the same
+// post-churn world.
+func (lf *LazyFill) Invalidate(e churn.Effect) {
+	if e.Empty() {
+		return
+	}
+	lf.mu.Lock()
+	defer lf.mu.Unlock()
+	old := lf.lines.Load()
+	if e.AllRates {
+		lf.lines.Store(newLineTable(lineBitsFor(old.n)))
+		return
+	}
+	touched := slices.Clone(e.Prefixes)
+	slices.Sort(touched)
+	next := newLineTable(64 - old.shift)
+	for i := range old.slots {
+		if l := old.slots[i].Load(); l != nil && !holdsAny(l.natural, touched) {
+			next.put(l)
+		}
+	}
+	lf.lines.Store(next)
+}
+
+// holdsAny reports whether scope covers one of the sorted /24s.
+func holdsAny(scope netx.Prefix, sorted []netx.Slash24) bool {
+	first := scope.FirstSlash24()
+	i, _ := slices.BinarySearch(sorted, first)
+	return i < len(sorted) && sorted[i] < first+netx.Slash24(scope.NumSlash24s())
 }
 
 // lineFor returns the line of (domain di, src), filling it on a miss.
@@ -162,17 +201,16 @@ func (lf *LazyFill) lineFor(di int32, d *domains.Domain, src netx.Prefix) *line 
 		src = netx.PrefixFrom(src.Addr(), d.Scope.MaxBits)
 	}
 	k := lineKey{dom: di, src: src}
-	m := lf.memo.Load()
-	if l := m.lines.Load().get(k); l != nil {
+	if l := lf.lines.Load().get(k); l != nil {
 		return l
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	t := m.lines.Load()
+	lf.mu.Lock()
+	defer lf.mu.Unlock()
+	t := lf.lines.Load()
 	if l := t.get(k); l != nil {
 		return l // filled while this caller waited
 	}
-	l := lf.fill(m, d, k)
+	l := lf.fill(d, k)
 	if 2*(t.n+1) > len(t.slots) {
 		next := newLineTable(64 - t.shift + 1)
 		for i := range t.slots {
@@ -180,16 +218,17 @@ func (lf *LazyFill) lineFor(di int32, d *domains.Domain, src netx.Prefix) *line 
 				next.put(old)
 			}
 		}
-		m.lines.Store(next)
+		lf.lines.Store(next)
 		t = next
 	}
 	t.put(l)
 	return l
 }
 
-// fill computes k's line. Callers hold m.mu. The rates are summed per
-// /24 in ascending order, so every float is a pure function of the key.
-func (lf *LazyFill) fill(m *fillMemo, d *domains.Domain, k lineKey) *line {
+// fill computes k's line. Callers hold lf.mu. The rates are summed per
+// /24 in ascending order, so every float is a pure function of the key
+// and of the world state inside its natural scope.
+func (lf *LazyFill) fill(d *domains.Domain, k lineKey) *line {
 	natural := authdns.NaturalScope(lf.model.W.Cfg.Seed, *d, k.src)
 	var kb [96]byte
 	head := append(kb[:0], "gpdns/"...)
@@ -213,10 +252,10 @@ func (lf *LazyFill) fill(m *fillMemo, d *domains.Domain, k lineKey) *line {
 		if rate <= 0 {
 			return true
 		}
-		pop, ok := m.routes[p]
+		pop, ok := lf.routes[p]
 		if !ok {
 			pop = lf.model.Router.PoPForClient(p, pi.Coord)
-			m.routes[p] = pop
+			lf.routes[p] = pop
 		}
 		l.addRate(pop, rate)
 		rateSum += rate

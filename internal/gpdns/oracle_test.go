@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"clientmap/internal/authdns"
+	"clientmap/internal/churn"
 	"clientmap/internal/clockx"
 	"clientmap/internal/domains"
 	"clientmap/internal/netx"
@@ -167,7 +168,7 @@ func TestLazyFillMatchesOracle(t *testing.T) {
 	if stale == 0 {
 		t.Fatal("the mutation changed no answer; it does not exercise Invalidate")
 	}
-	lf.Invalidate()
+	lf.Invalidate(churn.Effect{AllRates: true})
 	checkOracle(t, lf, cases)
 }
 

@@ -1,8 +1,10 @@
 package stream
 
 import (
-	"sort"
+	"slices"
 	"strconv"
+
+	"clientmap/internal/randx"
 )
 
 // TaskState is the scheduler's per-probe-task memory: when the task was
@@ -27,6 +29,10 @@ const (
 	classDecaying
 	classCold
 	classStable
+	numClasses
+
+	// classSkipped marks a boundary-class task the budget does not reach.
+	classSkipped uint8 = 0xff
 )
 
 // classify places one task on the ladder at hour h.
@@ -55,14 +61,17 @@ func classify(ts TaskState, h int32) uint8 {
 // how a resumed stream recomputes exactly the selection the original
 // stream probed. Returned index lists are sorted ascending — the order
 // Subset preserves and the probe engine's determinism keys on.
+//
+// The selection is the first budget tasks in (class, rot, task) order,
+// found without sorting them: whole classes are taken while they fit,
+// only the class the budget ends in (the boundary) is hashed and
+// ordered by (rot, task), and the picks are emitted by one ascending
+// scan.
 func (s *State) schedule(h int32) (sel [][]int, scheduled int) {
 	sel = make([][]int, len(s.Tasks))
-	type cand struct {
-		class uint8
-		rot   uint64
-		ti    int
-	}
-	var key []byte
+	var cls []uint8
+	var edge []rotTask
+	var kb [64]byte
 	for pi := range s.Tasks {
 		pop := s.PoPs[pi]
 		if s.Withdrawn[pop] {
@@ -79,37 +88,99 @@ func (s *State) schedule(h int32) (sel [][]int, scheduled int) {
 		if budget > n {
 			budget = n
 		}
-		cands := make([]cand, n)
+		cls = slices.Grow(cls[:0], n)[:n]
+		var count [numClasses]int
 		for ti := range s.Tasks[pi] {
-			key = key[:0]
-			key = append(key, "stream/sched/"...)
+			c := classify(s.Tasks[pi][ti], h)
+			cls[ti] = c
+			count[c]++
+		}
+		// Classes below the boundary fit whole; the boundary class gives
+		// the rest of the budget.
+		boundary, rest := uint8(0), budget
+		for rest > count[boundary] {
+			rest -= count[boundary]
+			boundary++
+		}
+		if rest < count[boundary] {
+			// Rotation key "stream/sched/<h>/<pop>/<ti>": the head is folded
+			// once per PoP (see randx.KeyState).
+			key := append(kb[:0], "stream/sched/"...)
 			key = strconv.AppendInt(key, int64(h), 10)
 			key = append(key, '/')
 			key = append(key, pop...)
 			key = append(key, '/')
-			key = strconv.AppendInt(key, int64(ti), 10)
-			cands[ti] = cand{
-				class: classify(s.Tasks[pi][ti], h),
-				rot:   s.Cfg.Seed.Hash64B(key),
-				ti:    ti,
+			head := s.Cfg.Seed.KeyState(key)
+			edge = edge[:0]
+			for ti, c := range cls {
+				if c == boundary {
+					edge = append(edge, rotTask{rot: rotate(head, ti), ti: ti})
+				}
+			}
+			selectLeast(edge, rest)
+			for _, e := range edge[rest:] {
+				cls[e.ti] = classSkipped
 			}
 		}
-		sort.Slice(cands, func(i, j int) bool {
-			if cands[i].class != cands[j].class {
-				return cands[i].class < cands[j].class
-			}
-			if cands[i].rot != cands[j].rot {
-				return cands[i].rot < cands[j].rot
-			}
-			return cands[i].ti < cands[j].ti
-		})
 		picked := make([]int, 0, budget)
-		for _, c := range cands[:budget] {
-			picked = append(picked, c.ti)
+		for ti, c := range cls {
+			if c <= boundary {
+				picked = append(picked, ti)
+			}
 		}
-		sort.Ints(picked)
 		sel[pi] = picked
 		scheduled += len(picked)
 	}
 	return sel, scheduled
+}
+
+// rotate is task ti's rotation hash, extending its PoP's key head by the
+// task index. TestScheduleMatchesOracle swaps in a coarser hash to make
+// rotation ties common.
+var rotate = func(head randx.KeyState, ti int) uint64 {
+	var kb [20]byte
+	return head.Extend(strconv.AppendInt(kb[:0], int64(ti), 10)).Hash64()
+}
+
+// rotTask is a boundary-class task and its rotation hash.
+type rotTask struct {
+	rot uint64
+	ti  int
+}
+
+// before orders boundary tasks by (rot, ti), a total order.
+func (a rotTask) before(b rotTask) bool {
+	return a.rot < b.rot || a.rot == b.rot && a.ti < b.ti
+}
+
+// selectLeast reorders e so that e[:k] holds its k least tasks, in no
+// particular order (quickselect: Hoare partitions around a middle pivot,
+// narrowing to the side that holds index k).
+func selectLeast(e []rotTask, k int) {
+	lo, hi := 0, len(e)
+	for hi-lo > 1 {
+		p := e[lo+(hi-lo)/2]
+		i, j := lo, hi-1
+		for i <= j {
+			for e[i].before(p) {
+				i++
+			}
+			for p.before(e[j]) {
+				j--
+			}
+			if i <= j {
+				e[i], e[j] = e[j], e[i]
+				i, j = i+1, j-1
+			}
+		}
+		// e[lo:j+1] <= p <= e[i:hi]; anything between is p itself.
+		switch {
+		case k <= j:
+			hi = j + 1
+		case k >= i:
+			lo = i
+		default:
+			return
+		}
+	}
 }

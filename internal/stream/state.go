@@ -69,10 +69,12 @@ type Env struct {
 	Asg   *cacheprobe.Assignments
 	// Epoch is the sim instant of hour 0.
 	Epoch time.Time
-	// InvalidateRates flushes memoized per-scope traffic rates after the
-	// world churns (the Google DNS lazy-fill cache); nil when the serving
-	// stack keeps no such cache.
-	InvalidateRates func()
+	// Invalidate drops what an hour's churn made stale in memos derived
+	// from the world — the Google DNS lazy fill's lines — given the
+	// hour's merged churn.Effect. It runs once per hour with events that
+	// changed something, after all of them are applied; nil when the
+	// serving stack keeps no such memo.
+	Invalidate func(churn.Effect)
 }
 
 // HourStart returns the sim instant hour h begins at.
@@ -214,14 +216,18 @@ func NewState(cfg Config, plan []churn.Event, asg *cacheprobe.Assignments) *Stat
 }
 
 // BeginHour applies the hour's churn events to the live world, updates
-// the withdrawn-PoP set, flushes stale rate caches, and computes the
-// scheduler's selection from pre-hour state. It must be called exactly
-// once per hour, in order, on both the live and the replay path.
+// the withdrawn-PoP set, hands the events' merged effect to
+// env.Invalidate (so a realloc drops only the rate lines over its /24,
+// and PoP windows or the Chromium deprecation drop nothing), and
+// computes the scheduler's selection from pre-hour state. It must be
+// called exactly once per hour, in order, on both the live and the
+// replay path.
 func (s *State) BeginHour(env *Env) *HourPlan {
 	h := s.Hour
 	evs := churn.EventsAt(s.Plan, h)
+	var eff churn.Effect
 	for _, ev := range evs {
-		s.Cfg.Churn.Apply(ev, env.World)
+		eff.Merge(s.Cfg.Churn.Apply(ev, env.World))
 		switch ev.Kind {
 		case churn.KindPoPWithdraw:
 			s.Withdrawn[ev.PoP] = true
@@ -235,8 +241,8 @@ func (s *State) BeginHour(env *Env) *HourPlan {
 			s.DiurnalTicks++
 		}
 	}
-	if len(evs) > 0 && env.InvalidateRates != nil {
-		env.InvalidateRates()
+	if !eff.Empty() && env.Invalidate != nil {
+		env.Invalidate(eff)
 	}
 	sel, scheduled := s.schedule(int32(h))
 	return &HourPlan{

@@ -90,12 +90,14 @@ func loadModule(t *testing.T) (*token.FileSet, []apiFile) {
 	return fset, files
 }
 
-// TestImportBoundaries holds two import boundaries. The snapshot
+// TestImportBoundaries holds three import boundaries. The snapshot
 // container links only what the campaign codecs it still declares need;
-// every other codec lives with its format. And the serving daemon links
+// every other codec lives with its format. The serving daemon links
 // none of the packages that generate the world, its traffic and root
 // traces, or measure and compare it: answering queries needs only the
-// map.
+// map. And the campaign command and the examples import no internal
+// package: they run on the public clientmap API alone, which is what
+// makes the API enough to reproduce the evaluation.
 func TestImportBoundaries(t *testing.T) {
 	snapshotMay := []string{"core/cacheprobe", "health", "metrics", "netx", "randx"}
 	daemonMustNot := []string{"anycast", "apnic", "asdb", "cdn", "churn", "core/dnslogs", "roots", "traffic"}
@@ -106,6 +108,16 @@ func TestImportBoundaries(t *testing.T) {
 		for _, is := range af.f.Imports {
 			if p, ok := strings.CutPrefix(strings.Trim(is.Path.Value, `"`), modulePath+"/"); ok {
 				imports[af.dir] = append(imports[af.dir], p)
+			}
+		}
+	}
+	for dir, ps := range imports {
+		if dir != "cmd/experiments" && !strings.HasPrefix(dir, "examples/") {
+			continue
+		}
+		for _, p := range ps {
+			if strings.HasPrefix(p, "internal/") {
+				t.Errorf("%s imports %s; it may use only the public clientmap API", dir, p)
 			}
 		}
 	}
@@ -128,6 +140,73 @@ func TestImportBoundaries(t *testing.T) {
 	for _, p := range daemonMustNot {
 		if closure["internal/"+p] {
 			t.Errorf("cmd/clientmapd links internal/%s", p)
+		}
+	}
+}
+
+// TestPublicAPIHidesInternalTypes: no exported function or method of
+// package clientmap takes or returns a type from an internal package,
+// and no exported type is, embeds or has an exported field of one, so a
+// caller outside the module can use everything the package exports.
+func TestPublicAPIHidesInternalTypes(t *testing.T) {
+	_, files := loadModule(t)
+	for _, af := range files {
+		if af.dir != "." {
+			continue
+		}
+		internal := map[string]bool{} // file-local names of internal imports
+		for _, is := range af.f.Imports {
+			if p := strings.Trim(is.Path.Value, `"`); strings.HasPrefix(p, modulePath+"/internal/") {
+				name := path.Base(p)
+				if is.Name != nil {
+					name = is.Name.Name
+				}
+				internal[name] = true
+			}
+		}
+		check := func(decl string, n ast.Node) {
+			ast.Inspect(n, func(n ast.Node) bool {
+				if sel, ok := n.(*ast.SelectorExpr); ok {
+					if id, ok := sel.X.(*ast.Ident); ok && internal[id.Name] {
+						t.Errorf("exported %s exposes %s.%s", decl, id.Name, sel.Sel.Name)
+					}
+				}
+				return true
+			})
+		}
+		for _, d := range af.f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				if d.Recv != nil {
+					recv := d.Recv.List[0].Type
+					if star, ok := recv.(*ast.StarExpr); ok {
+						recv = star.X
+					}
+					if id, ok := recv.(*ast.Ident); !ok || !id.IsExported() {
+						continue
+					}
+				}
+				if d.Name.IsExported() {
+					check(d.Name.Name, d.Type)
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					ts, ok := spec.(*ast.TypeSpec)
+					if !ok || !ts.Name.IsExported() {
+						continue
+					}
+					st, ok := ts.Type.(*ast.StructType)
+					if !ok {
+						check(ts.Name.Name, ts.Type)
+						continue
+					}
+					for _, f := range st.Fields.List {
+						if len(f.Names) == 0 || f.Names[0].IsExported() {
+							check(ts.Name.Name, f.Type)
+						}
+					}
+				}
+			}
 		}
 	}
 }

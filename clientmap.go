@@ -39,6 +39,7 @@ import (
 	"clientmap/internal/metrics"
 	"clientmap/internal/netx"
 	"clientmap/internal/randx"
+	"clientmap/internal/statefs"
 	"clientmap/internal/world"
 )
 
@@ -129,10 +130,16 @@ type Config struct {
 	// EmitEvery emits the stream's rolling artifact every N simulated
 	// hours (0 = every hour).
 	EmitEvery int
-	// ArtifactPath, when set, receives the stream's rolling
-	// serve.ClientMap on every emit hour (atomic replace, deduped by
-	// payload hash) — the file clientmapd -reload watches.
+	// ArtifactPath, when set, receives the serving artifact clientmapd
+	// loads: Run writes the evaluation's map once, RunStream the rolling
+	// map on every emit hour (atomic replace, deduped by payload hash) —
+	// the file clientmapd -reload watches.
 	ArtifactPath string
+	// DiskFaults injects deterministic faults into the checkpoint I/O,
+	// e.g. "torn=probe-pass-1@1,enospc=@0.01,bitrot=@0.001,slow=.snap@5ms".
+	// Empty (or "off") is an honest disk. It needs StateDir: without one
+	// there is no state I/O to fault.
+	DiskFaults string
 	// Log receives stage progress lines (which stages ran, which were
 	// restored); nil discards them.
 	Log func(format string, args ...any)
@@ -149,12 +156,10 @@ type Evaluation struct {
 	res *experiments.Results
 }
 
-// EngineConfig translates the configuration into the internal one the
+// engineConfig translates the configuration into the internal one the
 // campaign engine takes — the one place the spec strings are parsed. It
-// opens nothing and starts nothing. It is exported for cmd/experiments,
-// which adds engine-only knobs before running. The type it returns lives
-// in an internal package, so it is not part of the stable API surface.
-func (cfg Config) EngineConfig() (ecfg experiments.Config, err error) {
+// opens nothing and starts nothing.
+func (cfg Config) engineConfig() (ecfg experiments.Config, err error) {
 	scale, err := scaleByName(cfg.Scale)
 	if err != nil {
 		return ecfg, err
@@ -186,15 +191,42 @@ func (cfg Config) EngineConfig() (ecfg experiments.Config, err error) {
 	if ecfg.Churn, err = churn.Parse(cfg.Churn); err != nil {
 		return ecfg, fmt.Errorf("clientmap: Churn (-churn): %w", err)
 	}
+	dc, err := statefs.Parse(cfg.DiskFaults)
+	if err != nil {
+		return ecfg, fmt.Errorf("clientmap: DiskFaults (-disk-faults): %w", err)
+	}
+	if dc.Enabled() {
+		dc.Seed = ecfg.Seed
+		ecfg.FS = statefs.NewFaulty(dc, nil, ecfg.Metrics)
+	}
 	return ecfg, nil
 }
 
-// run is what Run and RunStream share: translate, serve the run's live
-// registry on DebugAddr (when set) for as long as the engine runs, run it.
-func run[R any](cfg Config, engine func(experiments.Config) (R, error)) (res R, err error) {
-	ecfg, err := cfg.EngineConfig()
+// Validate reports whether Run — or RunStream, when StreamHours is set —
+// would accept the configuration, without running anything. Each error
+// names the field and the cmd/experiments flag bound to it.
+func (cfg Config) Validate() error {
+	ecfg, err := cfg.engineConfig()
+	if err != nil {
+		return err
+	}
+	return ecfg.Validate(cfg.StreamHours > 0)
+}
+
+// run is what Run and RunStream share: translate, validate, serve the
+// run's live registry on DebugAddr (when set) for as long as the engine
+// runs, run it. Validation comes first, so a rejected configuration
+// fails without binding a port.
+func run[R any](cfg Config, stream bool, engine func(experiments.Config) (R, error)) (res R, err error) {
+	ecfg, err := cfg.engineConfig()
+	if err == nil {
+		err = ecfg.Validate(stream)
+	}
 	if err != nil {
 		return res, err
+	}
+	if cfg.Log != nil && ecfg.FS != nil {
+		cfg.Log("injecting disk faults: %s", cfg.DiskFaults)
 	}
 	if cfg.DebugAddr != "" {
 		srv, err := metrics.ServeDebug(cfg.DebugAddr, ecfg.Metrics)
@@ -211,7 +243,7 @@ func run[R any](cfg Config, engine func(experiments.Config) (R, error)) (res R, 
 
 // Run executes a full evaluation.
 func Run(cfg Config) (*Evaluation, error) {
-	res, err := run(cfg, experiments.Run)
+	res, err := run(cfg, false, experiments.Run)
 	if err != nil {
 		return nil, err
 	}
@@ -238,6 +270,22 @@ func (e *Evaluation) MetricsJSON() []byte { return e.res.MetricsJSON() }
 // was off — as indented JSON: the -degradation-json payload,
 // byte-identical for equal configurations.
 func (e *Evaluation) DegradationJSON() ([]byte, error) { return e.res.Degradation().JSON() }
+
+// ReliabilityJSON renders the run's fault/retry ledger — what the
+// injected transport faults dropped and what the retry policy spent and
+// recovered — as indented JSON: the -reliability-json payload,
+// byte-identical for equal configurations.
+func (e *Evaluation) ReliabilityJSON() ([]byte, error) { return e.res.Reliability().JSON() }
+
+// Markdown renders the evaluation as the EXPERIMENTS.md report: the
+// headline and every table and figure beside the paper's values. runtime
+// is the wall-clock duration its third line reports, the one line that
+// differs between two runs of one configuration.
+func (e *Evaluation) Markdown(runtime time.Duration) string { return e.res.Markdown(runtime) }
+
+// WriteCSV exports every table and figure as CSV files into dir (created
+// if missing): the data behind each artifact, ready for plotting.
+func (e *Evaluation) WriteCSV(dir string) error { return e.res.WriteCSV(dir) }
 
 // Stat is one paper-vs-measured headline comparison.
 type Stat struct {
@@ -329,6 +377,13 @@ func (e *Evaluation) EyeballASNs() []uint32 {
 	return e.res.ASUnion.ASNs()
 }
 
+// MicrosoftClientASNs returns the ASes in the Microsoft-clients baseline
+// (the CDN's client logs), ascending: the broadest AS population the
+// evaluation observes.
+func (e *Evaluation) MicrosoftClientASNs() []uint32 {
+	return e.res.ASMSClients.ASNs()
+}
+
 // CountryCoverage returns, per country code, the fraction of its
 // APNIC-estimated users inside ASes where cache probing found activity
 // (Figure 3's data).
@@ -405,11 +460,6 @@ func (e *Evaluation) ActivityRanking(n int) []ActivityEstimate {
 	}
 	return out
 }
-
-// Results exposes the underlying experiment results for advanced use (the
-// cmd tools and benchmarks); the type lives in an internal package and is
-// not part of the stable API surface.
-func (e *Evaluation) Results() *experiments.Results { return e.res }
 
 // Scales lists the valid scale names.
 func Scales() []string {

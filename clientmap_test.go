@@ -3,10 +3,14 @@ package clientmap
 import (
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"strings"
 	"sync"
 	"testing"
+	"time"
+
+	"clientmap/internal/health"
 )
 
 var cached *Evaluation
@@ -153,7 +157,7 @@ func TestActivityRanking(t *testing.T) {
 // TestRunStreamServesDebugAddr: a stream run with DebugAddr set logs the
 // address it bound and answers /metrics there while the run is in
 // progress. The stream config used to have no DebugAddr at all, so
-// cmd/clientmap -stream N -debug-addr … silently served nothing.
+// a -stream N -debug-addr … command line silently served nothing.
 func TestRunStreamServesDebugAddr(t *testing.T) {
 	var (
 		mu      sync.Mutex
@@ -198,5 +202,75 @@ func TestRunStreamServesDebugAddr(t *testing.T) {
 	}
 	if _, err := http.Get("http://" + addr + "/metrics"); err == nil {
 		t.Error("debug server still answering after RunStream returned")
+	}
+}
+
+// TestEngineConfigParsesSpecs: the one translation turns each spec string
+// into its typed config — the values a valid spec names, the defaults
+// "on" stands for, off for empty — and a spec it rejects is named by its
+// field and flag.
+func TestEngineConfigParsesSpecs(t *testing.T) {
+	ecfg, err := Config{
+		Faults:     "loss=0.02,dup=0.01,trunc=0.005,jitter=50ms,outage=fra@24h+6h",
+		Retries:    "attempts=3,timeout=2s,backoff=100ms,budget=1000",
+		Health:     "window=10m,error-rate=0.6,hedge-after=100ms",
+		DiskFaults: "torn=probe-pass-1@1",
+		StateDir:   t.TempDir(),
+	}.engineConfig()
+	if err != nil {
+		t.Fatalf("valid specs rejected: %v", err)
+	}
+	fc, rc, hc := ecfg.Faults, ecfg.Retry, ecfg.Health
+	if fc.Loss != 0.02 || fc.Dup != 0.01 || fc.Trunc != 0.005 || fc.Jitter != 50*time.Millisecond {
+		t.Errorf("fault rates not parsed: %+v", fc)
+	}
+	if len(fc.Outages) != 1 || fc.Outages[0].Target != "fra" ||
+		fc.Outages[0].Start != 24*time.Hour || fc.Outages[0].Duration != 6*time.Hour {
+		t.Errorf("outage not parsed: %+v", fc.Outages)
+	}
+	if rc.Attempts != 3 || rc.Timeout != 2*time.Second || rc.Backoff != 100*time.Millisecond || rc.BudgetPerPoP != 1000 {
+		t.Errorf("retry policy not parsed: %+v", rc)
+	}
+	if !hc.On || hc.Window != 10*time.Minute || hc.ErrorRate != 0.6 || hc.HedgeAfter != 100*time.Millisecond {
+		t.Errorf("health policy not parsed: %+v", hc)
+	}
+	if ecfg.FS == nil {
+		t.Error("disk-fault spec installed no faulty state FS")
+	}
+
+	if ecfg, err := (Config{}).engineConfig(); err != nil || ecfg.Health.Enabled() || ecfg.Faults.Enabled() || ecfg.FS != nil {
+		t.Errorf("empty specs must mean off, got health %+v, faults %+v, FS %v, %v", ecfg.Health, ecfg.Faults, ecfg.FS, err)
+	}
+	if ecfg, err := (Config{Health: "on"}).engineConfig(); err != nil || ecfg.Health != health.Default() {
+		t.Errorf(`Health "on" must mean the default policy, got %+v, %v`, ecfg.Health, err)
+	}
+	for _, bad := range []struct {
+		cfg  Config
+		name string
+	}{
+		{Config{Faults: "loss=1.5"}, "Faults (-faults)"},
+		{Config{Retries: "attempts=2,tries=7"}, "Retries (-retries)"},
+		{Config{Health: "windows=5m"}, "Health (-health)"},
+		{Config{Churn: "bogus=1"}, "Churn (-churn)"},
+		{Config{DiskFaults: "torn=@2"}, "DiskFaults (-disk-faults)"},
+	} {
+		if _, err := bad.cfg.engineConfig(); err == nil || !strings.Contains(err.Error(), bad.name) {
+			t.Errorf("%+v: error %v does not name %s", bad.cfg, err, bad.name)
+		}
+	}
+}
+
+// TestRunValidatesBeforeDebugAddr: a configuration Run rejects fails on
+// its own rule even when DebugAddr names a port that is taken, because
+// validation comes before anything binds.
+func TestRunValidatesBeforeDebugAddr(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	_, err = Run(Config{Scale: ScaleTiny, Shards: 3, ShardIndex: 5, StateDir: t.TempDir(), DebugAddr: ln.Addr().String()})
+	if err == nil || !strings.Contains(err.Error(), "ShardIndex") {
+		t.Fatalf("Run with an out-of-range ShardIndex and a taken DebugAddr: error %v, want one naming ShardIndex", err)
 	}
 }

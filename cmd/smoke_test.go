@@ -62,7 +62,7 @@ func firstA(m *dnswire.Message) (netx.Addr, bool) {
 
 func TestCommandsSmoke(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds seven commands; cachescan waits ~18 s of real time on its rate limits")
+		t.Skip("builds seven commands; cachescan waits ~2 s of real time on its rate limits")
 	}
 	bindir := t.TempDir()
 
@@ -186,6 +186,24 @@ func TestCommandsSmoke(t *testing.T) {
 		}
 		if out := strings.Join(log, "\n"); !strings.Contains(out, "drained: clean=true") {
 			t.Errorf("clientmapd log lacks %q:\n%s", "drained: clean=true", out)
+		}
+	})
+
+	// A query flag prints its answers in place of the full report.
+	t.Run("experiments queries", func(t *testing.T) {
+		bin := build(t, bindir, "experiments")
+		out, err := exec.Command(bin, "-scale", "tiny", "-seed", "1",
+			"-prefix", "1.3.7.0/24", "-asn", "150", "-coverage", "-headline").Output()
+		if err != nil {
+			t.Fatalf("experiments queries: %v\n%s", err, out)
+		}
+		for _, w := range []string{"measured", "prefix 1.3.7.0/24: active=", "geolocation trust: ", "AS150: cacheProbing=", "\nUS "} {
+			if !strings.Contains(string(out), w) {
+				t.Errorf("query answers missing %q\n--- stdout ---\n%s", w, out)
+			}
+		}
+		if strings.Contains(string(out), "Table 1") {
+			t.Errorf("a query printed the full report too\n--- stdout ---\n%s", out)
 		}
 	})
 

@@ -36,13 +36,15 @@ func main() {
 		}
 	}
 	// The full AS population: take everything the broadest dataset saw.
-	// (Results() exposes the experiment internals for analysis programs.)
-	all := eval.Results().ASMSClients.ASNs()
+	all := eval.MicrosoftClientASNs()
 
 	// The cloud peers with networks where peering pays off: the busiest
 	// eyeball networks (by DNS-logs relative volume) and a slice of the
 	// rest (IXP happenstance).
-	rel := eval.Results().ASDNSLogs.RelativeVolumes()
+	rel := make(map[uint32]float64, len(all))
+	for _, asn := range all {
+		rel[asn] = eval.ASActive(asn).RelativeVolume
+	}
 	sorted := append([]uint32(nil), all...)
 	sort.Slice(sorted, func(i, j int) bool { return rel[sorted[i]] > rel[sorted[j]] })
 

@@ -1,4 +1,4 @@
-package main
+package experiments
 
 import (
 	"fmt"
@@ -7,52 +7,30 @@ import (
 	"sort"
 
 	"clientmap/internal/analysis"
-	"clientmap/internal/experiments"
 	"clientmap/internal/report"
 )
 
-// writeCSVs exports every table and figure as CSV files for plotting —
+// WriteCSV exports every table and figure as CSV files for plotting —
 // the regenerable data behind each artifact of the paper's evaluation.
-func writeCSVs(res *experiments.Results, dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	write := func(name string, t *report.Table) error {
-		f, err := os.Create(filepath.Join(dir, name))
-		if err != nil {
-			return err
-		}
-		if err := t.WriteCSV(f); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
-	}
-
+func (r *Results) WriteCSV(dir string) error {
 	// Tables 1-5 as rendered.
-	t5 := res.Table5()
-	for name, t := range map[string]*report.Table{
-		"table1.csv":         experiments.RenderMatrix("", res.Table1()),
-		"table2.csv":         experiments.RenderTable2(res.Table2()),
-		"table3.csv":         experiments.RenderMatrix("", res.Table3()),
-		"table4.csv":         experiments.RenderVolumeMatrix("", res.Table4()),
-		"table5.csv":         experiments.RenderTable5(t5),
-		"table5_overlap.csv": experiments.RenderTable5Overlap(t5),
-	} {
-		if err := write(name, t); err != nil {
-			return err
-		}
+	t5 := r.Table5()
+	files := map[string]*report.Table{
+		"table1.csv":         RenderMatrix("", r.Table1()),
+		"table2.csv":         RenderTable2(r.Table2()),
+		"table3.csv":         RenderMatrix("", r.Table3()),
+		"table4.csv":         RenderVolumeMatrix("", r.Table4()),
+		"table5.csv":         RenderTable5(t5),
+		"table5_overlap.csv": RenderTable5Overlap(t5),
 	}
 
 	// Figure 1: per-PoP density.
-	pops, countryActive := res.Figure1()
+	pops, countryActive := r.Figure1()
 	f1 := &report.Table{Header: []string{"pop", "active_prefixes", "radius_km"}}
 	for _, e := range pops {
 		f1.AddRow(e.PoP, fmt.Sprintf("%d", e.Hits), fmt.Sprintf("%.0f", e.RadiusKm))
 	}
-	if err := write("figure1_pops.csv", f1); err != nil {
-		return err
-	}
+	files["figure1_pops.csv"] = f1
 	f1c := &report.Table{Header: []string{"country", "active_24s"}}
 	var countries []string
 	for c := range countryActive {
@@ -62,38 +40,28 @@ func writeCSVs(res *experiments.Results, dir string) error {
 	for _, c := range countries {
 		f1c.AddRow(c, fmt.Sprintf("%d", countryActive[c]))
 	}
-	if err := write("figure1_countries.csv", f1c); err != nil {
-		return err
-	}
+	files["figure1_countries.csv"] = f1c
 
 	// Figure 2: hit-distance CDFs for the paper's three showcased PoPs.
-	for pop, d := range res.Figure2() {
-		if err := write("figure2_"+pop+".csv", cdfTable(d.CDF, "distance_km")); err != nil {
-			return err
-		}
+	for pop, d := range r.Figure2() {
+		files["figure2_"+pop+".csv"] = cdfTable(d.CDF, "distance_km")
 	}
 
 	// Figure 3: per-country coverage.
 	f3 := &report.Table{Header: []string{"country", "apnic_users", "covered_frac"}}
-	for _, c := range res.Figure3() {
+	for _, c := range r.Figure3() {
 		f3.AddRow(c.Country, fmt.Sprintf("%.0f", c.Users), fmt.Sprintf("%.4f", c.CoveredFrac))
 	}
-	if err := write("figure3.csv", f3); err != nil {
-		return err
-	}
+	files["figure3.csv"] = f3
 
 	// Figure 4: both bound CDFs.
-	_, lower, upper := res.Figure4()
-	if err := write("figure4_lower.csv", cdfTable(lower, "active_fraction")); err != nil {
-		return err
-	}
-	if err := write("figure4_upper.csv", cdfTable(upper, "active_fraction")); err != nil {
-		return err
-	}
+	_, lower, upper := r.Figure4()
+	files["figure4_lower.csv"] = cdfTable(lower, "active_fraction")
+	files["figure4_upper.csv"] = cdfTable(upper, "active_fraction")
 
 	// Figure 5: classification.
 	f5 := &report.Table{Header: []string{"pop", "class"}}
-	classes := res.Figure5()
+	classes := r.Figure5()
 	var popNames []string
 	for p := range classes {
 		popNames = append(popNames, p)
@@ -102,18 +70,29 @@ func writeCSVs(res *experiments.Results, dir string) error {
 	for _, p := range popNames {
 		f5.AddRow(p, string(classes[p]))
 	}
-	if err := write("figure5.csv", f5); err != nil {
-		return err
-	}
+	files["figure5.csv"] = f5
 
 	// Figures 6 and 7: relative-volume CDFs and pairwise differences.
-	for name, cdf := range res.Figure6() {
-		if err := write("figure6_"+slug(name)+".csv", cdfTable(cdf, "relative_volume")); err != nil {
+	for name, cdf := range r.Figure6() {
+		files["figure6_"+slug(name)+".csv"] = cdfTable(cdf, "relative_volume")
+	}
+	for name, cdf := range r.Figure7() {
+		files["figure7_"+slug(name)+".csv"] = cdfTable(cdf, "volume_difference")
+	}
+
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	for name, t := range files {
+		f, err := os.Create(filepath.Join(dir, name))
+		if err != nil {
 			return err
 		}
-	}
-	for name, cdf := range res.Figure7() {
-		if err := write("figure7_"+slug(name)+".csv", cdfTable(cdf, "volume_difference")); err != nil {
+		err = t.WriteCSV(f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
 			return err
 		}
 	}

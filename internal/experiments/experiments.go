@@ -28,6 +28,7 @@ import (
 	"clientmap/internal/metrics"
 	"clientmap/internal/randx"
 	"clientmap/internal/routeviews"
+	"clientmap/internal/serve"
 	"clientmap/internal/sim"
 	"clientmap/internal/statefs"
 	"clientmap/internal/world"
@@ -138,9 +139,11 @@ type Config struct {
 	// Churn drives the world's evolution while streaming; the event seed
 	// is keyed to Seed. The zero value streams over a static world.
 	Churn churn.Config
-	// ArtifactPath, when set, receives the rolling serve.ClientMap on
-	// every emit hour (stream only; atomic replace, deduped by payload
-	// hash) — the file clientmapd -reload watches.
+	// ArtifactPath, when set, receives the serving artifact
+	// (serve.ClientMap): Run writes the campaign's map once it finishes,
+	// RunStream the rolling map on every emit hour (atomic replace,
+	// deduped by payload hash) — the file clientmapd loads or -reload
+	// watches.
 	ArtifactPath string
 
 	// Metrics is the run's instrumentation registry. Every layer of the
@@ -226,13 +229,13 @@ func (c Config) shardRunner() bool { return c.Shards > 1 && c.ShardIndex >= 0 }
 func (c Config) fs() statefs.FS { return statefs.Or(c.FS) }
 
 // Validate is the one place a configuration is rejected, before any
-// stage runs, for both entry points and (through them) both commands —
+// stage runs, for both entry points and (through them) cmd/experiments —
 // which is why each message names the field and the flag bound to it. It
 // checks the raw configuration, so a negative Shards is an error rather
 // than a silent fallback to 1; the zero value must stay valid (Shards 0
 // is monolithic, ShardIndex is ignored without sharding), so the two
-// stricter rules of a command line live in cliflags.Check. stream says
-// which entry point is asking.
+// stricter rules of a command line live in the command's flag check.
+// stream says which entry point is asking.
 func (c Config) Validate(stream bool) error {
 	switch {
 	case c.Shards < 0:
@@ -245,6 +248,8 @@ func (c Config) Validate(stream bool) error {
 		return fmt.Errorf("experiments: shard-runner mode (-shard-index ≥ 0) requires StateDir (-state-dir): runners share checkpoints through it")
 	case c.Resume && c.StateDir == "":
 		return fmt.Errorf("experiments: Resume (-resume) requires StateDir (-state-dir)")
+	case c.FS != nil && c.StateDir == "":
+		return fmt.Errorf("experiments: FS (-disk-faults) requires StateDir (-state-dir): there is no state I/O to fault without one")
 	case c.Hours < 0:
 		return fmt.Errorf("experiments: Hours (-stream) must be non-negative, got %d", c.Hours)
 	case c.EmitEvery < 0:
@@ -261,8 +266,6 @@ func (c Config) Validate(stream bool) error {
 			return fmt.Errorf("experiments: Churn (-churn) requires streaming (-stream)")
 		case c.EmitEvery != 0:
 			return fmt.Errorf("experiments: EmitEvery (-emit-every) requires streaming (-stream)")
-		case c.ArtifactPath != "":
-			return fmt.Errorf("experiments: ArtifactPath (-artifact) requires streaming (-stream)")
 		}
 		return nil
 	}
@@ -329,5 +332,10 @@ func Run(cfg Config) (*Results, error) {
 	res.PfxMSClients, res.PfxMSResolvers = v.PfxMSClients, v.PfxMSResolvers
 	res.ASCacheProbe, res.ASDNSLogs, res.ASUnion = v.ASCacheProbe, v.ASDNSLogs, v.ASUnion
 	res.ASAPNIC, res.ASMSClients, res.ASMSResolvers = v.ASAPNIC, v.ASMSClients, v.ASMSResolvers
+	if cfg.ArtifactPath != "" {
+		if _, err := serve.WriteFile(cfg.ArtifactPath, res.ClientMap()); err != nil {
+			return nil, err
+		}
+	}
 	return res, nil
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"os"
 	"strings"
 	"testing"
 )
@@ -56,5 +57,25 @@ func TestRenderFigure2HasAllCalibratedPoPs(t *testing.T) {
 	if len(tbl.Rows) != len(r.Campaign.PoPs) {
 		t.Errorf("figure 2 table has %d rows, campaign calibrated %d PoPs",
 			len(tbl.Rows), len(r.Campaign.PoPs))
+	}
+}
+
+// TestProseMatchesExperimentsMD: every static prose section Markdown
+// writes appears verbatim in the committed EXPERIMENTS.md, so
+// regenerating the file cannot silently drop text edited into it.
+func TestProseMatchesExperimentsMD(t *testing.T) {
+	md, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, prose := range map[string]string{
+		"introProse":      introProse,
+		"deviationsProse": deviationsProse,
+		"corpusProse":     corpusProse,
+		"streamingProse":  streamingProse,
+	} {
+		if !strings.Contains(string(md), prose) {
+			t.Errorf("%s does not appear verbatim in EXPERIMENTS.md", name)
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"clientmap/internal/core/cacheprobe"
 	"clientmap/internal/health"
 	"clientmap/internal/randx"
+	"clientmap/internal/statefs"
 	"clientmap/internal/world"
 )
 
@@ -17,9 +18,8 @@ import (
 // cmd/bench builds a stream Config as a bare literal, so its Shards and
 // ShardIndex are 0, not DefaultConfig's 1 and -1 — and a Config that
 // asks for the other entry point's mode is an error, not a silent
-// batch-instead-of-stream. The commands' flag tables (cmd/clientmap,
-// cmd/experiments) pin that their flags reach it, plus the two
-// flag-only rules of cliflags.Check.
+// batch-instead-of-stream. cmd/experiments' flag tables pin that its
+// flags reach it, plus the flag-only rules of the command's own check.
 func TestValidate(t *testing.T) {
 	tiny := Config{Seed: randx.Seed(1), Scale: world.ScaleTiny}
 	with := func(f func(*Config)) Config {
@@ -50,7 +50,9 @@ func TestValidate(t *testing.T) {
 		{name: "emit-every on the batch entry point", cfg: with(func(c *Config) { c.EmitEvery = 2 }), wantErr: "EmitEvery"},
 		{name: "hours set on the batch entry point", cfg: with(func(c *Config) { c.Hours = 6 }), wantErr: "RunStream"},
 		{name: "churn on the batch entry point", cfg: with(func(c *Config) { c.Churn = churn.Config{ChromiumOff: true} }), wantErr: "Churn"},
-		{name: "artifact on the batch entry point", cfg: with(func(c *Config) { c.ArtifactPath = "map.snap" }), wantErr: "ArtifactPath"},
+		{name: "artifact on the batch entry point", cfg: with(func(c *Config) { c.ArtifactPath = "map.snap" })},
+		{name: "state FS without state dir", cfg: with(func(c *Config) { c.FS = statefs.Disk{} }), wantErr: "StateDir"},
+		{name: "state FS with state dir", cfg: with(func(c *Config) { c.FS = statefs.Disk{}; c.StateDir = "/tmp/x" }), stream: true},
 		{name: "health on the stream entry point", cfg: with(func(c *Config) { c.Health = health.Default() }), stream: true, wantErr: "Health"},
 		{name: "shards on the stream entry point", cfg: with(func(c *Config) { c.Shards = 3; c.ShardIndex = -1 }), stream: true},
 		{name: "retry attempts at the maximum", cfg: with(func(c *Config) { c.Retry = cacheprobe.Retry{Attempts: 1024} })},

@@ -13,7 +13,7 @@ type StreamRun struct {
 // decaying old evidence and emitting a rolling serving artifact
 // clientmapd can hot-reload.
 func RunStream(cfg Config) (*StreamRun, error) {
-	res, err := run(cfg, experiments.RunStream)
+	res, err := run(cfg, true, experiments.RunStream)
 	if err != nil {
 		return nil, err
 	}
